@@ -38,7 +38,7 @@ def dumps(obj, indent=0):
     if isinstance(obj, (list, tuple)):
         items = ",\n".join(dumps(v, indent + 1) for v in obj)
         return f"{pad}[\n{items}\n{pad}]"
-    if isinstance(obj, bool) or obj is None:
+    if isinstance(obj, (bool, np.bool_)) or obj is None:
         return pad + {True: "true", False: "false", None: "null"}[obj]
     if isinstance(obj, (int, np.integer)):
         return pad + str(int(obj))
@@ -106,7 +106,7 @@ def cmd_invariants(args):
     m = metrics.load_metric(args.metric)
     pj = metrics.point_jets(m, args.at, order=max(2, args.order),
                             method=args.method)
-    jv = invariants1.first_invariant_jets(pj)
+    jv = pj.fields
     report = {
         "command": "invariants",
         "metric": m.name,
@@ -116,7 +116,7 @@ def cmd_invariants(args):
                          for k in invariants1.FUNDAMENTAL_IDS},
     }
     if args.order >= 2:
-        sec = invariants2.second_invariants_from_jets(pj)
+        sec = pj.second
         report["second_order"] = {
             **{"X_" + k: sec.XI[k] for k in invariants1.FUNDAMENTAL_IDS},
             **{"Xperp_" + k: sec.XperpI[k]
@@ -141,11 +141,10 @@ def cmd_grid(args):
         row = {"t1": pt[0], "t2": pt[1]}
         try:
             pj = metrics.point_jets(m, pt, order=2, method=args.method)
-            jv = invariants1.first_invariant_jets(pj)
             for k in invariants1.FUNDAMENTAL_IDS:
-                row[k] = jv[k].value
+                row[k] = pj.fields[k].value
             if args.order >= 2:
-                sec = invariants2.second_invariants_from_jets(pj)
+                sec = pj.second
                 for k in invariants1.FUNDAMENTAL_IDS:
                     row["X_" + k] = sec.XI[k]
                     row["Xperp_" + k] = sec.XperpI[k]
@@ -288,9 +287,8 @@ def cmd_transform(args):
     for pt in points:
         pj = transform_mod.pushforward_jets(
             metrics.point_jets(m, pt, order=2), p)
-        jv = invariants1.first_invariant_jets(pj)
         rows.append({"point": list(pt), "image": list(pj.point),
-                     **{k: jv[k].value
+                     **{k: pj.fields[k].value
                         for k in invariants1.FUNDAMENTAL_IDS}})
     _emit(args, {"command": "transform", "metric": m.name, "points": rows})
     return 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets
+from . import jets, metrics
 from .errors import SingularMetricError
 
 
@@ -50,7 +50,7 @@ def four_metric(pj):
 
 
 def four_metric_values(pj):
-    return np.array([[e.value for e in row] for row in four_metric(pj)])
+    return np.array([[e.value for e in row] for row in pj.g4])
 
 
 def inverse_four_metric(pj, order=None):
@@ -94,7 +94,7 @@ def christoffel4(pj):
     if pj.order < 1:
         raise ValueError("christoffel4 needs jets of order >= 1")
     n = pj.order - 1
-    g = four_metric(pj)
+    g = pj.g4
     ginv = inverse_four_metric(pj, n)
     zero = jets.constant(0.0, n)
 
@@ -122,7 +122,7 @@ def riemann4(pj):
     """R^a_bcd values (needs order >= 2 jets)."""
     if pj.order < 2:
         raise ValueError("riemann4 needs jets of order >= 2")
-    gamma = christoffel4(pj)
+    gamma = pj.christoffel
     Gv = np.array([[[gamma[a][b][c].value for c in range(4)]
                     for b in range(4)] for a in range(4)])
     dG = np.zeros((2, 4, 4, 4))
@@ -148,19 +148,17 @@ def riemann4(pj):
 
 def ricci4(pj):
     """Ricci tensor values R_bd = R^a_bad."""
-    R = riemann4(pj)
-    return np.einsum("abad->bd", R)
+    return np.einsum("abad->bd", pj.riemann)
 
 
-def sectional_curvature(pj, u, v, riemann=None, g4=None):
+def sectional_curvature(pj, u, v):
     """K of the plane spanned by 4-vectors u, v at the point."""
-    R = riemann4(pj) if riemann is None else riemann
-    g = four_metric_values(pj) if g4 is None else g4
+    g = four_metric_values(pj)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     # K = g(R(u, v) v, u) / (|u|^2 |v|^2 - g(u, v)^2), normalized so the
     # unit 2-sphere plane has K = +1
-    w = np.einsum("abcd,b,c,d->a", R, v, u, v)
+    w = np.einsum("abcd,b,c,d->a", pj.riemann, v, u, v)
     num = float(w @ g @ u)
     den = float((u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2)
     if den == 0.0:
@@ -178,16 +176,13 @@ class Residual:
 
 def residual(m, lam, point, method="analytic"):
     """Lambda-vacuum residual R_ab - Lambda g_ab at a point."""
-    from .metrics import point_jets
-    pj = point_jets(m, point, order=2, method=method)
+    pj = metrics.point_jets(m, point, order=2, method=method)
     return residual_from_jets(pj, lam)
 
 
 def residual_from_jets(pj, lam):
-    g = four_metric(pj)
-    gv = np.array([[e.value for e in row] for row in g])
-    ric = ricci4(pj)
-    mat = ric - lam * gv
+    g = pj.g4
+    mat = ricci4(pj) - lam * four_metric_values(pj)
     scale = max(max(abs(c) for c in g[a][b].coeffs)
                 for a in range(4) for b in range(4))
     max_abs = float(np.max(np.abs(mat)))
@@ -201,12 +196,10 @@ def kundu_A(m, points, method="analytic"):
     On Lambda-vacuum solutions with C_rho != 0 this row vector is
     constant up to a global sign in any adapted coordinates.
     """
-    from .invariants1 import first_invariant_jets
-    from .metrics import point_jets
     samples = []
     for pt in points:
-        pj = point_jets(m, pt, order=1, method=method)
-        jv = first_invariant_jets(pj)
+        pj = metrics.point_jets(m, pt, order=1, method=method)
+        jv = pj.fields
         c1, c2 = jv["C1"].value, jv["C2"].value
         h11, h12, h22 = (j.value for j in pj.h)
         root = abs(pj.det_h.value) ** 0.5
@@ -249,25 +242,16 @@ def onshell_relations(m, lam, points, tol=1e-7, method="analytic"):
     The report carries the Einstein residual alongside, so a violation
     of the relations on a non-vacuum metric is attributable.
     """
-    from .invariants1 import first_invariant_jets
-    from .invariants2 import second_invariants_from_jets
-    from .metrics import point_jets
-
     rows = []
     for pt in points:
-        pj = point_jets(m, pt, order=2, method=method)
-        jv = first_invariant_jets(pj)
-        sec = second_invariants_from_jets(pj)
+        pj = metrics.point_jets(m, pt, order=2, method=method)
+        jv = pj.fields
+        sec = pj.second
         sg = 1.0 if pj.det_gt.value > 0 else -1.0
         sgh = sg * (1.0 if pj.det_h.value > 0 else -1.0)
 
         X = (jv["X1"].value, jv["X2"].value)
         Xp = (jv["Xp1"].value, jv["Xp2"].value)
-
-        def apply(vec, jet):
-            return vec[0] * jets.t_derivative(jet, 0).value \
-                + vec[1] * jets.t_derivative(jet, 1).value
-
         C_rho = jv["C_rho"].value
         C_chi = jv["C_chi"].value
         Q_chi = jv["Q_chi"].value
@@ -275,10 +259,10 @@ def onshell_relations(m, lam, points, tol=1e-7, method="analytic"):
         ell_C = jv["ell_C"].value
         th1 = jv["Theta_I"].value
         root = jv["q_gamma_root"].value
-        X_Crho = apply(X, jv["C_rho"])
-        Xp_Crho = apply(Xp, jv["C_rho"])
-        X_ellC = apply(X, jv["ell_C"])
-        Xp_ellC = apply(Xp, jv["ell_C"])
+        X_Crho = jets.along(X, jv["C_rho"])
+        Xp_Crho = jets.along(Xp, jv["C_rho"])
+        X_ellC = jets.along(X, jv["ell_C"])
+        Xp_ellC = jets.along(Xp, jv["ell_C"])
 
         dq = Q_chi - Q_gamma
         big = max(abs(C_rho), abs(C_chi), 4.0 * abs(lam), abs(ell_C))

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets, metrics, transform as transform_mod
-from .errors import InsufficientCoverageError, MetricDefinitionError
-from .invariants1 import FUNDAMENTAL_IDS, first_invariant_jets
+from .errors import (G2InvError, InsufficientCoverageError,
+                     MetricDefinitionError)
+from .invariants1 import FUNDAMENTAL_IDS
 
 PAIR_ALIASES = {
     "Crho": "C_rho", "Cchi": "C_chi", "Qchi": "Q_chi", "Qgamma": "Q_gamma",
@@ -89,7 +90,7 @@ def load_signature(path):
 
 def build_signature(m, rect=None, n=12, pair=("C_rho", "ell_C"),
                     transform=None, min_samples=8, delta_tol=1e-8,
-                    genericity_tol=1e-10, method="analytic"):
+                    method="analytic"):
     """Sample the invariant signature of a metric over a rectangle.
 
     With a transform given, the signature is that of the pushed-forward
@@ -108,23 +109,17 @@ def build_signature(m, rect=None, n=12, pair=("C_rho", "ell_C"),
             pj = metrics.point_jets(m, pt, order=2, method=method)
             if transform is not None:
                 pj = transform_mod.pushforward_jets(pj, transform)
-        except Exception:
+        except (G2InvError, ArithmeticError):
             skipped += 1
             continue
-        flags = metrics.classify(pj, genericity_tol)
-        if not flags.generic:
+        if not metrics.classify(pj).generic:
             skipped += 1
             continue
-        jv = first_invariant_jets(pj)
+        jv = pj.fields
         X = (jv["X1"].value, jv["X2"].value)
         Xp = (jv["Xp1"].value, jv["Xp2"].value)
-
-        def apply(vec, jet):
-            return vec[0] * jets.t_derivative(jet, 0).value \
-                + vec[1] * jets.t_derivative(jet, 1).value
-
-        a11, a12 = apply(X, jv[pair[0]]), apply(X, jv[pair[1]])
-        a21, a22 = apply(Xp, jv[pair[0]]), apply(Xp, jv[pair[1]])
+        a11, a12 = jets.along(X, jv[pair[0]]), jets.along(X, jv[pair[1]])
+        a21, a22 = jets.along(Xp, jv[pair[0]]), jets.along(Xp, jv[pair[1]])
         delta = a11 * a22 - a12 * a21
         scale = max(abs(a11 * a22), abs(a12 * a21), 1e-300)
         if abs(delta) < delta_tol * scale:
@@ -133,7 +128,7 @@ def build_signature(m, rect=None, n=12, pair=("C_rho", "ell_C"),
         rest_keys = [k for k in FUNDAMENTAL_IDS if k not in pair]
         rest_dI = {}
         for k in rest_keys:
-            b1, b2 = apply(X, jv[k]), apply(Xp, jv[k])
+            b1, b2 = jets.along(X, jv[k]), jets.along(Xp, jv[k])
             rest_dI[k] = ((b1 * a22 - b2 * a12) / delta,
                           (a11 * b2 - a21 * b1) / delta)
         samples.append(Sample(
@@ -176,6 +171,32 @@ def _axis_scales(samples_a, samples_b):
     return out
 
 
+def _scaled_points(samples, sa):
+    return np.array([[s.I1 / sa[0], s.I2 / sa[1]] for s in samples])
+
+
+def _radius(pa, pb, factor):
+    """factor times the median nearest-neighbour distance of the denser
+    of the two scaled sample sets."""
+    dense = pa if len(pa) >= len(pb) else pb
+    d2 = np.sum((dense[:, None, :] - dense[None, :, :]) ** 2, axis=-1)
+    np.fill_diagonal(d2, np.inf)
+    return factor * float(np.median(np.sqrt(np.min(d2, axis=1))))
+
+
+def _verdict(coverage_a, coverage_b, max_disc, witness):
+    if witness is not None:
+        return Verdict("Inconsistent", coverage_a, coverage_b, max_disc,
+                       witness=witness,
+                       note="matched samples disagree beyond tolerance")
+    if min(coverage_a, coverage_b) < 0.5:
+        return Verdict("Inconclusive", coverage_a, coverage_b, max_disc,
+                       note="invariant ranges barely overlap; criterion "
+                            "untestable from these samples")
+    return Verdict("Consistent", coverage_a, coverage_b, max_disc,
+                   note="no obstruction found at this sampling resolution")
+
+
 def compare(a, b, tol=1e-4, radius=None):
     """Compare two signatures built on the same invariant pair.
 
@@ -194,13 +215,10 @@ def compare(a, b, tol=1e-4, radius=None):
         raise MetricDefinitionError(
             f"signatures use different pairs: {a.pair} vs {b.pair}")
     sa = _axis_scales(a.samples, b.samples)
-    pa = np.array([[s.I1 / sa[0], s.I2 / sa[1]] for s in a.samples])
-    pb = np.array([[s.I1 / sa[0], s.I2 / sa[1]] for s in b.samples])
+    pa = _scaled_points(a.samples, sa)
+    pb = _scaled_points(b.samples, sa)
     if radius is None:
-        dense = pa if len(pa) >= len(pb) else pb
-        d2 = np.sum((dense[:, None, :] - dense[None, :, :]) ** 2, axis=-1)
-        np.fill_diagonal(d2, np.inf)
-        radius = 2.0 * float(np.median(np.sqrt(np.min(d2, axis=1))))
+        radius = _radius(pa, pb, 2.0)
 
     max_disc = 0.0
     witness = None
@@ -253,21 +271,11 @@ def compare(a, b, tol=1e-4, radius=None):
 
     coverage_a = match(pa, a.samples, pb, b.samples)
     coverage_b = match(pb, b.samples, pa, a.samples)
-    if witness is not None:
-        return Verdict("Inconsistent", coverage_a, coverage_b, max_disc,
-                       witness=witness,
-                       note="matched samples disagree beyond tolerance")
-    if min(coverage_a, coverage_b) < 0.5:
-        return Verdict("Inconclusive", coverage_a, coverage_b, max_disc,
-                       note="invariant ranges barely overlap; criterion "
-                            "untestable from these samples")
-    return Verdict("Consistent", coverage_a, coverage_b, max_disc,
-                   note="no obstruction found at this sampling resolution")
+    return _verdict(coverage_a, coverage_b, max_disc, witness)
 
 
 def _invariants_at(m, pt, pair):
-    pj = metrics.point_jets(m, pt, order=2)
-    jv = first_invariant_jets(pj)
+    jv = metrics.point_jets(m, pt, order=2).fields
     vals = {k: jv[k].value for k in FUNDAMENTAL_IDS}
     grads = {k: (jets.t_derivative(jv[k], 0).value,
                  jets.t_derivative(jv[k], 1).value)
@@ -282,7 +290,7 @@ def _newton_match(m, pair, target, start, steps=12, tol=1e-11):
     for _ in range(steps):
         try:
             vals, grads = _invariants_at(m, tuple(pt), pair)
-        except Exception:
+        except (G2InvError, ArithmeticError):
             return None
         F = np.array([vals[pair[0]] - target[0],
                       vals[pair[1]] - target[1]])
@@ -298,6 +306,12 @@ def _newton_match(m, pair, target, start, steps=12, tol=1e-11):
             step *= limit / norm
         pt = pt - step
     return None
+
+
+def _rest_discrepancy(rest, vals):
+    """Largest relative difference of the remaining invariants."""
+    return max(0.0, *(abs(rest[k] - vals[k])
+                      / max(1.0, abs(rest[k]), abs(vals[k])) for k in rest))
 
 
 def compare_metrics(ma, mb, pair=("C_rho", "ell_C"), n=12, tol=1e-4,
@@ -336,18 +350,12 @@ def compare_metrics(ma, mb, pair=("C_rho", "ell_C"), n=12, tol=1e-4,
     sa = _axis_scales(sig_a.samples, sig_b.samples)
     max_disc = 0.0
     witness = None
+    pa = _scaled_points(sig_a.samples, sa)
+    pb = _scaled_points(sig_b.samples, sa)
+    radius = _radius(pa, pb, 3.0)
 
-    pa_ = np.array([[s.I1 / sa[0], s.I2 / sa[1]] for s in sig_a.samples])
-    pb_ = np.array([[s.I1 / sa[0], s.I2 / sa[1]] for s in sig_b.samples])
-    dense = pa_ if len(pa_) >= len(pb_) else pb_
-    dd = np.sum((dense[:, None, :] - dense[None, :, :]) ** 2, axis=-1)
-    np.fill_diagonal(dd, np.inf)
-    radius = 3.0 * float(np.median(np.sqrt(np.min(dd, axis=1))))
-
-    def refine(sig_from, m_to, sig_to, cap=48):
+    def refine(sig_from, m_to, sig_to, pts_to, cap=48):
         nonlocal max_disc, witness
-        pts_to = np.array([[s.I1 / sa[0], s.I2 / sa[1]]
-                           for s in sig_to.samples])
         stride = max(1, len(sig_from.samples) // cap)
         subset = sig_from.samples[::stride]
         matched = 0
@@ -364,23 +372,15 @@ def compare_metrics(ma, mb, pair=("C_rho", "ell_C"), n=12, tol=1e-4,
             if hit is None:
                 continue
             _, vals = hit
-            disc = 0.0
-            for key in s.rest:
-                disc = max(disc, abs(s.rest[key] - vals[key])
-                           / max(1.0, abs(s.rest[key]), abs(vals[key])))
+            disc = _rest_discrepancy(s.rest, vals)
             # several sheets may solve the pair equation; accept the best
             if disc > tol:
                 best = disc
                 for j in order[1:]:
                     alt = _newton_match(m_to, pair, (s.I1, s.I2),
                                         sig_to.samples[j].point)
-                    if alt is None:
-                        continue
-                    alt_disc = max(
-                        abs(s.rest[k] - alt[1][k])
-                        / max(1.0, abs(s.rest[k]), abs(alt[1][k]))
-                        for k in s.rest)
-                    best = min(best, alt_disc)
+                    if alt is not None:
+                        best = min(best, _rest_discrepancy(s.rest, alt[1]))
                 disc = best
             matched += 1
             max_disc = max(max_disc, disc)
@@ -391,18 +391,9 @@ def compare_metrics(ma, mb, pair=("C_rho", "ell_C"), n=12, tol=1e-4,
                            "discrepancy": disc}
         return matched / len(subset)
 
-    coverage_a = refine(sig_a, mb, sig_b)
-    coverage_b = refine(sig_b, ma, sig_a)
-    if witness is not None:
-        return Verdict("Inconsistent", coverage_a, coverage_b, max_disc,
-                       witness=witness,
-                       note="matched samples disagree beyond tolerance")
-    if min(coverage_a, coverage_b) < 0.5:
-        return Verdict("Inconclusive", coverage_a, coverage_b, max_disc,
-                       note="invariant ranges barely overlap; criterion "
-                            "untestable from these samples")
-    return Verdict("Consistent", coverage_a, coverage_b, max_disc,
-                   note="no obstruction found at this sampling resolution")
+    coverage_a = refine(sig_a, mb, sig_b, pb)
+    coverage_b = refine(sig_b, ma, sig_a, pa)
+    return _verdict(coverage_a, coverage_b, max_disc, witness)
 
 
 # ----------------------------------------------------------------------
@@ -442,7 +433,7 @@ def characterize_vdb_jets(pjs, tol=1e-6):
     ok = True
     for pj in pjs:
         pt = pj.point
-        jv = first_invariant_jets(pj)
+        jv = pj.fields
         got = {k: jv[k].value for k in FUNDAMENTAL_IDS}
         try:
             want = vdb_oracle(got["C_rho"], got["ell_C"])

@@ -219,6 +219,20 @@ def to_string(e):
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def substitute(e, replacement):
+    """The expression with t1, t2 replaced by the two ASTs given."""
+    if isinstance(e, Var):
+        return replacement[e.index]
+    if isinstance(e, Neg):
+        return Neg(substitute(e.arg, replacement))
+    if isinstance(e, Call):
+        return Call(e.fn, substitute(e.arg, replacement))
+    if isinstance(e, BinOp):
+        return BinOp(e.op, substitute(e.left, replacement),
+                     substitute(e.right, replacement))
+    return e
+
+
 def _is_constant(e):
     if isinstance(e, Var):
         return False

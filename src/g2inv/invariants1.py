@@ -175,7 +175,7 @@ def first_invariant_jets(pj):
 
 def base_forms(pj):
     """Values of (sigma, rho, chi, gamma) component arrays at the point."""
-    jv = first_invariant_jets(pj)
+    jv = pj.fields
     n = pj.order - 1
     tr = lambda j: jets.truncate(j, n)
     d = jets.t_derivative
@@ -202,7 +202,7 @@ def trace_det(mu, pj):
 
 def fundamental(pj):
     """The six fundamental invariants (plus the cheap extended scalars)."""
-    jv = first_invariant_jets(pj)
+    jv = pj.fields
     sgn_gt = 1.0 if pj.det_gt.value > 0 else -1.0
     sgn_h = 1.0 if pj.det_h.value > 0 else -1.0
     C_rho = jv["C_rho"].value
@@ -224,19 +224,19 @@ def fundamental(pj):
     )
 
 
-def full_first_order(pj, tol=1e-10):
+def full_first_order(pj):
     """Invariants1 with every extended field populated.
 
     The O'Neill-dependent entries need the full frame; on degenerate
     strata (C_rho*ell_C ~ 0) they stay None.
     """
     inv = fundamental(pj)
-    fr = frame(pj, tol)
+    fr = pj.frame
     inv.ell_H = fr.ell_H
     inv.ell_Hperp = fr.ell_Hperp
     inv.ell_Cperp = fr.ell_Cperp
     if fr.horizontal_valid and fr.vertical_valid:
-        od = oneill(pj, einstein.christoffel4(pj), tol)
+        od = oneill(pj)
         inv.Theta_C = od.Theta_C
         inv.Theta_Cperp = od.Theta_Cperp
         inv.ell_T = od.ell_T
@@ -253,14 +253,14 @@ def full_first_order(pj, tol=1e-10):
     return inv
 
 
-def frame(pj, tol=1e-10):
+def frame(pj):
     """Semi-invariant frame {H, Hperp, C, Cperp}; lengths via the 4-metric.
 
     Components are always returned; validity flags state whether each
     pair actually qualifies as a frame at this point.
     """
-    jv = first_invariant_jets(pj)
-    scale = max(1.0, metrics.component_scale(pj))
+    jv = pj.fields
+    tol = metrics.GENERIC_TOL * max(1.0, metrics.component_scale(pj))
     X = (jv["X1"].value, jv["X2"].value)
     Xp = (jv["Xp1"].value, jv["Xp2"].value)
     H = (-0.5 * X[0], -0.5 * X[1])
@@ -292,8 +292,8 @@ def frame(pj, tol=1e-10):
     ell_Hp = gdot(Hp4, Hp4)
     ell_C = gdot(C4, C4)
     ell_Cp = gdot(Cp4, Cp4)
-    hvalid = abs(jv["C_rho"].value) >= tol * scale
-    vvalid = abs(jv["ell_C"].value) >= tol * scale
+    hvalid = abs(jv["C_rho"].value) >= tol
+    vvalid = abs(jv["ell_C"].value) >= tol
     notices = []
     if not (hvalid and vvalid):
         notices.append("degenerate stratum: C_rho*ell_C below tolerance, "
@@ -329,7 +329,7 @@ def _projection_matrices(pj):
     return ver, hor, dver, dhor
 
 
-def oneill_tensors(pj, christoffels):
+def oneill_tensors(pj):
     """Coordinate components of the O'Neill tensors A and T.
 
     Returns (A, T) as (4,4,4) arrays with A[e][b][c] the dt^e-component
@@ -337,7 +337,7 @@ def oneill_tensors(pj, christoffels):
     (1,1) maps T(C, .) and T(Cperp, .)), which exist on every stratum.
     """
     ver, hor, dver, dhor = _projection_matrices(pj)
-    G = np.array([[[christoffels[a][b][c].value for c in range(4)]
+    G = np.array([[[pj.christoffel[a][b][c].value for c in range(4)]
                    for b in range(4)] for a in range(4)])
     T = np.zeros((4, 4, 4))
     A = np.zeros((4, 4, 4))
@@ -354,7 +354,7 @@ def oneill_tensors(pj, christoffels):
             nh_h = dh_c + np.einsum("a,daf,f->d", hb, G, hor[:, c])
             nh_v = dv_c + np.einsum("a,daf,f->d", hb, G, ver[:, c])
             A[:, b, c] = ver @ nh_h + hor @ nh_v
-    fr = frame(pj)
+    fr = pj.frame
     TC = np.einsum("dcb,c->db", T, np.array(fr.C4))
     TCp = np.einsum("dcb,c->db", T, np.array(fr.Cperp4))
     # T_C is skew-adjoint w.r.t. g, so det(T_C) = Pf(g T_C)^2 / det(g)
@@ -379,17 +379,17 @@ class ONeillData:
     Theta_Cperp: float
 
 
-def oneill(pj, christoffels, tol=1e-10):
+def oneill(pj):
     """O'Neill tensor frame components in the {H,Hperp,C,Cperp} frame.
 
     T_frame[a][b][c] is the Y_a-coefficient of T(Y_b, Y_c) in the
     orthogonal-frame expansion T(Y_b,Y_c) = sum_a T^(a)_(b)(c) Y_a.
     """
-    fr = frame(pj, tol)
+    fr = pj.frame
     if not (fr.horizontal_valid and fr.vertical_valid):
         raise FrameRequiredError(
             "frame required: C_rho*ell_C vanishes at this point")
-    A, T, Theta_C, Theta_Cp = oneill_tensors(pj, christoffels)
+    A, T, Theta_C, Theta_Cp = pj.oneill_tensors
     g4 = einstein.four_metric_values(pj)
     Y = np.array([fr.H4, fr.Hperp4, fr.C4, fr.Cperp4])
     ell = np.array([fr.ell_H, fr.ell_Hperp, fr.ell_C, fr.ell_Cperp])
@@ -412,35 +412,25 @@ def oneill(pj, christoffels, tol=1e-10):
 
 def thetas(pj):
     """(Theta_I, Theta_II, Theta_III) from the coordinate determinants."""
-    jv = first_invariant_jets(pj)
+    jv = pj.fields
     return (jv["Theta_I"].value, jv["Theta_II"].value, jv["Theta_III"].value)
 
 
-def _normalized(terms):
-    scale = max(abs(t) for t in terms)
-    if scale == 0.0:
-        return 0.0
-    return sum(terms) / scale
-
-
-def relations_first(pj, tol=1e-10):
+def relations_first(pj):
     """Residual report for the first-order functional relations.
 
     Relations (iii)-(v) are skipped with a notice on strata where
     ell_C (and for (iii) also C_rho) is below tolerance.
     """
-    jv = first_invariant_jets(pj)
-    scale = max(1.0, metrics.component_scale(pj))
+    jv = pj.fields
     sgn_gt = 1.0 if pj.det_gt.value > 0 else -1.0
     sgn_h = 1.0 if pj.det_h.value > 0 else -1.0
-    chris = einstein.christoffel4(pj)
-    _, _, Theta_C, Theta_Cp = oneill_tensors(pj, chris)
+    _, _, Theta_C, Theta_Cp = pj.oneill_tensors
 
     th1 = jv["Theta_I"].value
     th2 = jv["Theta_II"].value
     th3 = jv["Theta_III"].value
     ell_C = jv["ell_C"].value
-    C_rho = jv["C_rho"].value
     Q_chi = jv["Q_chi"].value
     Q_gamma = jv["Q_gamma"].value
     root = jv["q_gamma_root"].value
@@ -450,7 +440,7 @@ def relations_first(pj, tol=1e-10):
     def add(rid, terms, skipped=False, notice=None):
         report["relations"].append({
             "id": rid,
-            "residual": None if skipped else _normalized(terms),
+            "residual": None if skipped else einstein._normalized(terms),
             "skipped": skipped,
             "notice": notice,
         })
@@ -459,13 +449,13 @@ def relations_first(pj, tol=1e-10):
     add("theta_III_sq_vs_theta_Cperp",
         [th3 ** 2, -sgn_gt * sgn_h * 16.0 * Theta_Cp])
 
-    degenerate_v = abs(ell_C) < tol * scale
-    degenerate_h = abs(C_rho) < tol * scale
+    degenerate_v = not pj.frame.vertical_valid
+    degenerate_h = not pj.frame.horizontal_valid
     if degenerate_v or degenerate_h:
         notice = "skipped: ell_C ~ 0" if degenerate_v else "skipped: C_rho ~ 0"
         add("theta_II_T342_Qchi", [], skipped=True, notice=notice)
     else:
-        od = oneill(pj, chris, tol)
+        od = oneill(pj)
         T342 = od.T_frame[2][3][1]
         add("theta_II_T342_Qchi",
             [th2 ** 2 / (16.0 * ell_C ** 2),
@@ -554,7 +544,7 @@ def _unpack(vec, order):
 
 def _invariant_vector(pj, which):
     if which in ("fundamental6", "fundamental6_transitive"):
-        jv = first_invariant_jets(pj)
+        jv = pj.fields
         return np.array([jv[k].value for k in FUNDAMENTAL_IDS])
     if which == "order2_20":
         from .invariants2 import order2_invariant_vector

@@ -145,12 +145,15 @@ class Jet2:
             raise SingularEvaluationError("pow", self.value,
                                           f"non-integer exponent {p}")
         v = self.value
-        derivs = [v ** p]
-        fac = 1.0
-        for k in range(1, self.order + 1):
-            fac *= p - (k - 1)
-            derivs.append(fac * v ** (p - k))
-        return _compose(self, derivs)
+        try:
+            derivs = [v ** p]
+            fac = 1.0
+            for k in range(1, self.order + 1):
+                fac *= p - (k - 1)
+                derivs.append(fac * v ** (p - k))
+            return _compose(self, derivs)
+        except OverflowError:
+            raise SingularEvaluationError("pow", v, "overflow") from None
 
 
 def constant(value, order):
@@ -256,8 +259,14 @@ def elementary(fname, a, p=None):
     """Jet of f(a) for a named elementary function (or pow_const with p)."""
     if fname == "pow_const":
         return a ** p
-    v = a.value
-    n = a.order
+    try:
+        return _compose(a, _derivatives(fname, a.value, a.order))
+    except OverflowError:
+        raise SingularEvaluationError(fname, a.value, "overflow") from None
+
+
+def _derivatives(fname, v, n):
+    """[f(v), f'(v), ..., f^(n)(v)] for a named elementary function."""
     if fname == "exp":
         e = math.exp(v)
         d = [e] * (n + 1)
@@ -295,7 +304,7 @@ def elementary(fname, a, p=None):
         d = [t, u, -2.0 * t * u, -2.0 * u * (1.0 - 3.0 * t * t)][:n + 1]
     else:
         raise ValueError(f"unknown elementary function {fname!r}")
-    return _compose(a, d)
+    return d
 
 
 def sqrt_abs(a):
@@ -313,6 +322,12 @@ def t_derivative(a, s):
     shift = (1, 0) if s == 0 else (0, 1)
     out = [a.d(i + shift[0], j + shift[1]) for (i, j) in _IDX[n]]
     return Jet2(n, out)
+
+
+def along(vec, jet):
+    """Value of the derivative of the jet along the base vector (v1, v2)."""
+    return (vec[0] * t_derivative(jet, 0).value
+            + vec[1] * t_derivative(jet, 1).value)
 
 
 def truncate(a, order):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +30,10 @@ BFH_KEYS = ("b11", "b12", "b22", "f11", "f12", "f21", "f22",
             "h11", "h12", "h22")
 SUBMERSION_KEYS = ("gt11", "gt12", "gt22", "F11", "F12", "F21", "F22",
                    "h11", "h12", "h22")
+
+# relative tolerance (times max(1, component_scale)) below which C_rho,
+# ell_C or the curl of F count as zero: the stratum and frame decisions
+GENERIC_TOL = 1e-10
 
 CATALOG_NAMES = ("flat", "diag_t1", "vdb", "ppwave1", "ppwave2", "ppwave3",
                  "lambda_kundu", "lambda_kundu_c0", "random_analytic")
@@ -74,6 +79,13 @@ class PointJets:
 
     gt = (gt11, gt12, gt22), F = (F11, F12, F21, F22) with F_i^k ordered
     (f_1^1, f_1^2, f_2^1, f_2^2), h = (h11, h12, h22); det jets cached.
+
+    The layers derived from the jets are cached properties, each computed
+    at most once per point by the one function that owns it, in the
+    order of the construction: fields (first-order invariants) and g4
+    (4-metric jets), christoffel, riemann, frame, oneill_tensors, second
+    (second-order invariants).  Callers read them and never mutate them.
+    The imports are deferred because those modules import this one.
     """
     point: tuple
     order: int
@@ -85,6 +97,41 @@ class PointJets:
 
     def all_component_jets(self):
         return self.gt + self.F + self.h
+
+    @cached_property
+    def fields(self):
+        from .invariants1 import first_invariant_jets
+        return first_invariant_jets(self)
+
+    @cached_property
+    def g4(self):
+        from .einstein import four_metric
+        return four_metric(self)
+
+    @cached_property
+    def christoffel(self):
+        from .einstein import christoffel4
+        return christoffel4(self)
+
+    @cached_property
+    def riemann(self):
+        from .einstein import riemann4
+        return riemann4(self)
+
+    @cached_property
+    def frame(self):
+        from .invariants1 import frame
+        return frame(self)
+
+    @cached_property
+    def oneill_tensors(self):
+        from .invariants1 import oneill_tensors
+        return oneill_tensors(self)
+
+    @cached_property
+    def second(self):
+        from .invariants2 import second_invariants_from_jets
+        return second_invariants_from_jets(self)
 
 
 @dataclass(frozen=True)
@@ -219,16 +266,15 @@ def component_scale(pj):
                for j in pj.all_component_jets())
 
 
-def classify(pj, tol=1e-10):
+def classify(pj):
     """Stratum flags deciding which frames and relations apply."""
-    from .invariants1 import fundamental  # deferred: avoids an import cycle
-    scale = max(1.0, component_scale(pj))
-    inv = fundamental(pj)
+    tol = GENERIC_TOL * max(1.0, component_scale(pj))
+    jv = pj.fields
     curl1 = jets.t_derivative(pj.F[0], 1).value - jets.t_derivative(pj.F[2], 0).value
     curl2 = jets.t_derivative(pj.F[1], 1).value - jets.t_derivative(pj.F[3], 0).value
-    transitive = abs(curl1) < tol * scale and abs(curl2) < tol * scale
-    c_rho_zero = abs(inv.C_rho) < tol * scale
-    ell_c_zero = abs(inv.ell_C) < tol * scale
+    transitive = abs(curl1) < tol and abs(curl2) < tol
+    c_rho_zero = abs(jv["C_rho"].value) < tol
+    ell_c_zero = abs(jv["ell_C"].value) < tol
     return StratumFlags(
         sign_det_h=1 if pj.det_h.value > 0 else -1,
         sign_det_gt=1 if pj.det_gt.value > 0 else -1,

@@ -87,7 +87,6 @@ def signs(p, point):
 
 def _inverse_map_jets(phi_jets, order):
     """Jets (in t-bar) of phi^-1 from order-(order+1) jets of phi (in t)."""
-    t0 = None
     J = np.array([[jets.t_derivative(phi_jets[m], i).value
                    for i in range(2)] for m in range(2)])
     det = float(np.linalg.det(J))
@@ -118,7 +117,7 @@ def _inverse_map_jets(phi_jets, order):
             iotas[i][3] = D2[i][0][0]
             iotas[i][4] = D2[i][0][1]
             iotas[i][5] = D2[i][1][1]
-    return [jets.Jet2(order, c) for c in iotas], t0
+    return [jets.Jet2(order, c) for c in iotas]
 
 
 def pushforward_jets(pj, p):
@@ -180,7 +179,7 @@ def pushforward_jets(pj, p):
                     acc = acc + ai[kk][r] * ai[ll][s] * h[kk][ll]
             h_bar[r][s] = h_bar[s][r] = acc
 
-    iotas, _ = _inverse_map_jets(phi_jets, k)
+    iotas = _inverse_map_jets(phi_jets, k)
 
     def rebase(u):
         return jets.compose_map(u, iotas[0], iotas[1])
@@ -213,20 +212,7 @@ def pushforward_vector(p, point, v):
 
 def compose_transforms(p2, p1):
     """The transform acting as p2 after p1 (AST substitution, exact)."""
-    def subst(node, r1, r2):
-        if isinstance(node, expr.Var):
-            return r1 if node.index == 0 else r2
-        if isinstance(node, expr.Neg):
-            return expr.Neg(subst(node.arg, r1, r2))
-        if isinstance(node, expr.Call):
-            return expr.Call(node.fn, subst(node.arg, r1, r2))
-        if isinstance(node, expr.BinOp):
-            return expr.BinOp(node.op, subst(node.left, r1, r2),
-                              subst(node.right, r1, r2))
-        return node
-
-    f1, f2 = p1.phi
-    phi = tuple(subst(p2.phi[m], f1, f2) for m in range(2))
+    phi = tuple(expr.substitute(p2.phi[m], p1.phi) for m in range(2))
     a2 = np.array(p2.alpha)
     a1 = np.array(p1.alpha)
     psi = []
@@ -235,7 +221,7 @@ def compose_transforms(p2, p1):
             "+",
             expr.BinOp("*", expr.Num(float(a2[r][0])), p1.psi[0]),
             expr.BinOp("*", expr.Num(float(a2[r][1])), p1.psi[1]))
-        psi.append(expr.BinOp("+", scaled, subst(p2.psi[r], f1, f2)))
+        psi.append(expr.BinOp("+", scaled, expr.substitute(p2.psi[r], p1.phi)))
     alpha = a2 @ a1
     return PseudoTransform(phi=phi, psi=tuple(psi),
                            alpha=tuple(tuple(float(x) for x in row)
@@ -283,20 +269,9 @@ def apply_to_metric(m, p, name=None):
                        expr.BinOp("-", tbar[1], num(b[1]))))
         inv_map.append(terms)
 
-    def subst(node):
-        if isinstance(node, expr.Var):
-            return inv_map[node.index]
-        if isinstance(node, expr.Neg):
-            return expr.Neg(subst(node.arg))
-        if isinstance(node, expr.Call):
-            return expr.Call(node.fn, subst(node.arg))
-        if isinstance(node, expr.BinOp):
-            return expr.BinOp(node.op, subst(node.left), subst(node.right))
-        return node
-
     if m.form == "bfh":
         m = to_submersion_document(m)
-    comp = {k: subst(m.asts[k]) for k in m.components}
+    comp = {k: expr.substitute(m.asts[k], inv_map) for k in m.components}
     a = np.array(p.alpha)
     ai = np.linalg.inv(a)
 
@@ -427,7 +402,7 @@ def random_transform(seed, nonlinear=0.05):
 
 def invariance_report(m, p, points, tol=1e-7):
     """Invariance of the six fundamentals plus the frame sign laws."""
-    from .invariants1 import frame, fundamental
+    from .invariants1 import fundamental
 
     rows = []
     sign_laws_ok = True
@@ -440,8 +415,8 @@ def invariance_report(m, p, points, tol=1e-7):
         denom = np.maximum(np.abs(inv), np.maximum(np.abs(inv_bar), 1.0))
         inv_residual = float(np.max(np.abs(inv - inv_bar) / denom))
 
-        fr = frame(pj)
-        fr_bar = frame(pj_bar)
+        fr = pj.frame
+        fr_bar = pj_bar.frame
         frame_residual = None
         if fr.horizontal_valid and fr.vertical_valid:
             sgn = (1.0, eps1, eps1, eps1 * eps2)

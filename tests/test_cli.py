@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from g2inv import catalog
@@ -146,3 +147,36 @@ def test_float_formatting_17_digits():
     text = dumps({"x": x})
     assert format(x, ".17g") in text
     assert json.loads(text)["x"] == x
+
+
+def test_pass_flag_from_numpy_values_is_a_json_boolean(tmp_path, capsys):
+    # the theta_II_T342_Qchi residual is a numpy float; when it is the
+    # worst residual, the pass flag is a numpy bool
+    ra = tmp_path / "ra.json"
+    assert run(["catalog", "random_analytic", "--param", "seed=124580607",
+                "--emit", str(ra)]) == 0
+    capsys.readouterr()
+    points = ("-0.465749,0.320981;-0.593769,0.305414;-0.342801,0.729966;"
+              "-0.073366,-0.164200;-0.058572,0.568430;0.371884,0.315134")
+    assert run(["check-relations", str(ra), "--first", "--json",
+                f"--points={points}"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["first_order"]["pass"] is True
+    assert out["pass"] is True
+    assert json.loads(dumps({"a": np.bool_(True), "b": np.bool_(False)})) \
+        == {"a": True, "b": False}
+
+
+def test_overflow_is_an_input_error(tmp_path, capsys):
+    doc = catalog("flat").to_document()
+    doc["components"]["h11"] = "exp(800*t1)"
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["invariants", str(path), "--at", "1,0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert run(["grid", str(path), "--t1", "0:1:2", "--t2", "0:0:1",
+                "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows[0]["C_rho"] is not None
+    assert rows[1]["C_rho"] is None

@@ -1,6 +1,6 @@
 import pytest
 
-from g2inv import catalog, point_jets
+from g2inv import catalog, metrics, point_jets
 from g2inv.equivalence import (build_signature, characterize_vdb, compare,
                                compare_metrics, load_signature,
                                save_signature, vdb_oracle)
@@ -140,3 +140,12 @@ def test_characterize_vdb_positive_and_negative():
     ok, _ = characterize_vdb(
         lk, grid_points(default_domain(lk), 3, 3, margin=0.1))
     assert not ok
+
+
+def test_build_signature_propagates_programming_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(metrics, "point_jets", broken)
+    with pytest.raises(TypeError):
+        build_signature(catalog("vdb"), n=4)

@@ -130,3 +130,12 @@ def test_eval_jet_vs_finite_differences(text):
     for k in range(6):
         assert analytic.coeffs[k] == pytest.approx(
             fd.coeffs[k], rel=1e-6, abs=1e-7)
+
+
+def test_substitute_replaces_both_coordinates():
+    e = expr.parse("sin(t1)*t2 - t1^2/(-t2)")
+    r1, r2 = expr.parse("t2 + 1"), expr.parse("2*t1")
+    assert expr.substitute(e, (r1, r2)) == expr.parse(
+        "sin(t2 + 1)*(2*t1) - (t2 + 1)^2/(-(2*t1))")
+    assert expr.substitute(expr.parse("3 + c"), (r1, r2)) \
+        == expr.parse("3 + c")

@@ -141,8 +141,7 @@ def test_frame_flat_degenerate_notice():
 
 def test_oneill_frame_components_vdb():
     pj = point_jets(catalog("vdb"), (0.5, 1.0))
-    chris = einstein.christoffel4(pj)
-    od = oneill(pj, chris)
+    od = oneill(pj)
     inv = fundamental(pj)
     ell_H = 0.25 * inv.C_rho
     # A-components published for this frame (det gt < 0 here)
@@ -166,12 +165,12 @@ def test_oneill_frame_components_vdb():
 def test_oneill_requires_frame():
     pj = point_jets(catalog("flat"), (0.0, 0.0))
     with pytest.raises(FrameRequiredError):
-        oneill(pj, einstein.christoffel4(pj))
+        oneill(pj)
 
 
 def test_oneill_tensors_defined_on_degenerate_strata():
     pj = point_jets(catalog("ppwave2"), (0.3, 0.4))
-    _, _, theta_c, theta_cp = oneill_tensors(pj, einstein.christoffel4(pj))
+    _, _, theta_c, theta_cp = oneill_tensors(pj)
     assert theta_c == 0.0 and theta_cp == 0.0
 
 

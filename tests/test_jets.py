@@ -151,3 +151,10 @@ def test_compose_map_roundtrip():
     i2 = jets.seed(0.8, 1, 2)
     g = jets.compose_map(f, i1, i2)
     assert np.allclose(g.coeffs, f.coeffs, rtol=1e-14, atol=1e-15)
+
+
+def test_overflow_is_a_singular_evaluation():
+    with pytest.raises(SingularEvaluationError, match="overflow"):
+        jets.elementary("exp", jets.seed(800.0, 0, 2))
+    with pytest.raises(SingularEvaluationError, match="overflow"):
+        jets.seed(1e200, 0, 2) ** 2.5

@@ -1,10 +1,12 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from g2inv import catalog, classify, load_metric, point_jets
+from g2inv import (catalog, classify, cli, einstein, invariants1,
+                   invariants2, load_metric, point_jets)
 from g2inv.errors import MetricDefinitionError, SingularMetricError
 from g2inv.metrics import (CATALOG_NAMES, component_scale, default_domain,
                            grid_points, submersion_to_bfh)
@@ -214,3 +216,45 @@ def test_catalog_defining_constraints():
     for pt in sample(catalog("lambda_kundu_c0")):
         x = pt[0]
         assert 6 * x - (2 / x) * 3 * x ** 2 == pytest.approx(0.0, abs=1e-10)
+
+
+def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
+    calls = Counter()
+    seen = []  # keeps every PointJets alive, so ids stay unique
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(pj, *args, **kwargs):
+            seen.append(pj)
+            calls[name, id(pj)] += 1
+            return fn(pj, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((invariants1, "first_invariant_jets"),
+                         (invariants1, "frame"),
+                         (invariants1, "oneill_tensors"),
+                         (einstein, "four_metric"),
+                         (einstein, "christoffel4"),
+                         (einstein, "riemann4"),
+                         (invariants2, "second_invariants_from_jets")):
+        counting(module, name)
+
+    vdb = catalog("vdb")
+    pts = grid_points(default_domain(vdb), 2, margin=0.1)
+    for pt in pts:
+        invariants1.relations_first(point_jets(vdb, pt))
+    invariants2.relations_second(vdb, pts)
+    lk = catalog("lambda_kundu")
+    einstein.onshell_relations(lk, 3.0, grid_points(default_domain(lk), 2))
+    path = tmp_path / "vdb.json"
+    path.write_text(json.dumps(vdb.to_document()))
+    assert cli.run(["grid", str(path), "--t1", "0.4:1.0:2", "--t2",
+                    "0.8:1.4:2", "--order", "2", "--csv", "--out",
+                    str(tmp_path / "grid.csv")]) == 0
+
+    assert {name for name, _ in calls} == {
+        "first_invariant_jets", "frame", "oneill_tensors", "four_metric",
+        "christoffel4", "riemann4", "second_invariants_from_jets"}
+    assert max(calls.values()) == 1, calls.most_common(3)
