@@ -5,7 +5,7 @@ from .errors import (DegenerateTransformError, DependentPairError,
                      ExprSyntaxError, FrameRequiredError, G2InvError,
                      InsufficientCoverageError, MetricDefinitionError,
                      SingularEvaluationError, SingularMetricError)
-from .jets import Jet2, arith, elementary, finite_difference_jet, seed
+from .jets import Jet2, elementary, finite_difference_jet, seed
 from .metrics import (G2Metric, PointJets, StratumFlags, catalog, classify,
                       load_metric, point_jets)
 
@@ -14,7 +14,7 @@ __all__ = [
     "FrameRequiredError", "G2InvError", "InsufficientCoverageError",
     "MetricDefinitionError", "SingularEvaluationError",
     "SingularMetricError",
-    "Jet2", "arith", "elementary", "finite_difference_jet", "seed",
+    "Jet2", "elementary", "finite_difference_jet", "seed",
     "G2Metric", "PointJets", "StratumFlags", "catalog", "classify",
     "load_metric", "point_jets",
 ]

@@ -7,6 +7,7 @@ Exit codes: 0 success / Consistent / pass, 1 check failed / Inconsistent,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -74,7 +75,20 @@ def _resolve_points(args, m):
     return metrics.grid_points(rect, n, margin=0.05)
 
 
+def _check_finite(obj, key="report"):
+    """A non-finite number in a report is an input error."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            _check_finite(v, k)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            _check_finite(v, key)
+    elif isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        raise G2InvError(f"non-finite value {float(obj)} for {key!r}")
+
+
 def _emit(args, report):
+    _check_finite(report)
     text = dumps(report) + "\n" if getattr(args, "json", False) \
         else _plain(report) + "\n"
     out = getattr(args, "out", None)
@@ -151,9 +165,10 @@ def cmd_grid(args):
                 for k in ("C_ric", "Q_ric", "C_nu", "C_nu_prime", "Q_nu",
                           "K_Xi", "K_Xiperp", "J1", "J2"):
                     row[k] = getattr(sec, k)
+            _check_finite(row)
         except G2InvError:
-            for k in invariants1.FUNDAMENTAL_IDS:
-                row[k] = None
+            row = {"t1": pt[0], "t2": pt[1],
+                   **dict.fromkeys(invariants1.FUNDAMENTAL_IDS)}
         rows.append(row)
     columns = ["t1", "t2"] + list(invariants1.FUNDAMENTAL_IDS)
     if args.order >= 2:

@@ -10,12 +10,11 @@ resolution; the verdict is a sampling-based check, not a proof --
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets, metrics, transform as transform_mod
+from . import jets, metrics
 from .errors import (G2InvError, InsufficientCoverageError,
                      MetricDefinitionError)
 from .invariants1 import FUNDAMENTAL_IDS
@@ -39,111 +38,55 @@ class Sample:
     I1: float
     I2: float
     rest: dict
-    delta: float
-    rest_dI: dict = None      # rest-key -> (d/dI1, d/dI2), exact
 
 
 @dataclass
 class Signature:
     pair: tuple
     samples: list
-    domain: tuple
-    skipped: int
-    metric_name: str = ""
-
-    def to_document(self):
-        return {
-            "metric": self.metric_name,
-            "pair": list(self.pair),
-            "domain": [list(self.domain[0]), list(self.domain[1])],
-            "skipped": self.skipped,
-            "samples": [{
-                "point": list(s.point), "I1": s.I1, "I2": s.I2,
-                "rest": dict(s.rest), "delta": s.delta,
-                "rest_dI": {k: list(v) for k, v in s.rest_dI.items()},
-            } for s in self.samples],
-        }
 
 
-def signature_from_document(doc):
-    samples = [Sample(point=tuple(s["point"]), I1=s["I1"], I2=s["I2"],
-                      rest=dict(s["rest"]), delta=s["delta"],
-                      rest_dI={k: tuple(v)
-                               for k, v in s["rest_dI"].items()})
-               for s in doc["samples"]]
-    return Signature(pair=tuple(doc["pair"]), samples=samples,
-                     domain=(tuple(doc["domain"][0]),
-                             tuple(doc["domain"][1])),
-                     skipped=doc["skipped"],
-                     metric_name=doc.get("metric", ""))
+# fewest generic samples a signature needs, and the relative size below
+# which the Jacobian of the pair along (X, Xperp) counts as singular
+MIN_SAMPLES = 8
+DELTA_TOL = 1e-8
 
 
-def save_signature(sig, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sig.to_document(), fh, indent=1, sort_keys=True)
-
-
-def load_signature(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return signature_from_document(json.load(fh))
-
-
-def build_signature(m, rect=None, n=12, pair=("C_rho", "ell_C"),
-                    transform=None, min_samples=8, delta_tol=1e-8,
-                    method="analytic"):
-    """Sample the invariant signature of a metric over a rectangle.
-
-    With a transform given, the signature is that of the pushed-forward
-    metric, sampled at the image points phi(t) of the grid.
-    """
+def build_signature(m, rect=None, n=12, pair=("C_rho", "ell_C")):
+    """Sample the invariant signature of a metric over a rectangle."""
     pair = tuple(canonical_id(x) for x in pair)
     rect = rect or metrics.default_domain(m)
     if rect is None:
         # unknown user metric: scan a default box; invalid or
         # non-generic grid points are skipped anyway
         rect = ((-1.5, 1.5), (-1.5, 1.5))
+    rest_keys = [k for k in FUNDAMENTAL_IDS if k not in pair]
     samples = []
-    skipped = 0
     for pt in metrics.grid_points(rect, n, margin=0.02):
         try:
-            pj = metrics.point_jets(m, pt, order=2, method=method)
-            if transform is not None:
-                pj = transform_mod.pushforward_jets(pj, transform)
+            pj = metrics.point_jets(m, pt, order=2)
         except (G2InvError, ArithmeticError):
-            skipped += 1
             continue
         if not metrics.classify(pj).generic:
-            skipped += 1
             continue
         jv = pj.fields
         X = (jv["X1"].value, jv["X2"].value)
         Xp = (jv["Xp1"].value, jv["Xp2"].value)
         a11, a12 = jets.along(X, jv[pair[0]]), jets.along(X, jv[pair[1]])
         a21, a22 = jets.along(Xp, jv[pair[0]]), jets.along(Xp, jv[pair[1]])
-        delta = a11 * a22 - a12 * a21
         scale = max(abs(a11 * a22), abs(a12 * a21), 1e-300)
-        if abs(delta) < delta_tol * scale:
-            skipped += 1
+        if abs(a11 * a22 - a12 * a21) < DELTA_TOL * scale:
             continue
-        rest_keys = [k for k in FUNDAMENTAL_IDS if k not in pair]
-        rest_dI = {}
-        for k in rest_keys:
-            b1, b2 = jets.along(X, jv[k]), jets.along(Xp, jv[k])
-            rest_dI[k] = ((b1 * a22 - b2 * a12) / delta,
-                          (a11 * b2 - a21 * b1) / delta)
         samples.append(Sample(
             point=pj.point,
             I1=jv[pair[0]].value, I2=jv[pair[1]].value,
-            rest={k: jv[k].value for k in rest_keys},
-            delta=delta, rest_dI=rest_dI))
-    if len(samples) < min_samples:
+            rest={k: jv[k].value for k in rest_keys}))
+    if len(samples) < MIN_SAMPLES:
         raise InsufficientCoverageError(
             f"only {len(samples)} generic samples retained for {m.name!r} "
-            f"(need {min_samples}); the signature criterion is unavailable "
+            f"(need {MIN_SAMPLES}); the signature criterion is unavailable "
             "on this stratum")
-    name = m.name if transform is None else f"{m.name}+transform"
-    return Signature(pair=pair, samples=samples, domain=rect,
-                     skipped=skipped, metric_name=name)
+    return Signature(pair=pair, samples=samples)
 
 
 @dataclass
@@ -175,103 +118,13 @@ def _scaled_points(samples, sa):
     return np.array([[s.I1 / sa[0], s.I2 / sa[1]] for s in samples])
 
 
-def _radius(pa, pb, factor):
-    """factor times the median nearest-neighbour distance of the denser
+def _radius(pa, pb):
+    """Three times the median nearest-neighbour distance of the denser
     of the two scaled sample sets."""
     dense = pa if len(pa) >= len(pb) else pb
     d2 = np.sum((dense[:, None, :] - dense[None, :, :]) ** 2, axis=-1)
     np.fill_diagonal(d2, np.inf)
-    return factor * float(np.median(np.sqrt(np.min(d2, axis=1))))
-
-
-def _verdict(coverage_a, coverage_b, max_disc, witness):
-    if witness is not None:
-        return Verdict("Inconsistent", coverage_a, coverage_b, max_disc,
-                       witness=witness,
-                       note="matched samples disagree beyond tolerance")
-    if min(coverage_a, coverage_b) < 0.5:
-        return Verdict("Inconclusive", coverage_a, coverage_b, max_disc,
-                       note="invariant ranges barely overlap; criterion "
-                            "untestable from these samples")
-    return Verdict("Consistent", coverage_a, coverage_b, max_disc,
-                   note="no obstruction found at this sampling resolution")
-
-
-def compare(a, b, tol=1e-4, radius=None):
-    """Compare two signatures built on the same invariant pair.
-
-    The pair map can fold (the same (I1, I2) value may be taken on
-    several sheets with different remaining invariants), so a sample
-    counts as matched when ANY nearby candidate agrees on all four
-    remaining invariants, compared after trapezoidal transport along
-    the exact d(rest)/d(I1,I2) partials stored at both endpoints (the
-    transport error is third order in the sample distance).
-    Consistent: every covered sample has an agreeing candidate and
-    coverage is mutual.  Inconsistent carries a witness sample whose
-    candidates all disagree.  Inconclusive: the (I1, I2) ranges barely
-    overlap, so the criterion could not be tested from these samples.
-    """
-    if a.pair != b.pair:
-        raise MetricDefinitionError(
-            f"signatures use different pairs: {a.pair} vs {b.pair}")
-    sa = _axis_scales(a.samples, b.samples)
-    pa = _scaled_points(a.samples, sa)
-    pb = _scaled_points(b.samples, sa)
-    if radius is None:
-        radius = _radius(pa, pb, 2.0)
-
-    max_disc = 0.0
-    witness = None
-
-    def same_sheet(s, o):
-        # the partials are invariants themselves; candidates from the
-        # other sheet of a folded pair map have very different ones
-        for key in s.rest:
-            ga = np.array(s.rest_dI[key]) * sa
-            gb = np.array(o.rest_dI[key]) * sa
-            floor = 0.2 * max(1.0, abs(s.rest[key]), abs(o.rest[key]))
-            if np.linalg.norm(ga - gb) > 0.35 * max(
-                    np.linalg.norm(ga), np.linalg.norm(gb)) + floor:
-                return False
-        return True
-
-    def candidate_disc(s, o):
-        d1, d2_ = s.I1 - o.I1, s.I2 - o.I2
-        worst = 0.0
-        for key in s.rest:
-            ra, rb = s.rest[key], o.rest[key]
-            transported = rb + 0.5 * (
-                (s.rest_dI[key][0] + o.rest_dI[key][0]) * d1
-                + (s.rest_dI[key][1] + o.rest_dI[key][1]) * d2_)
-            scale = max(1.0, abs(ra), abs(rb))
-            worst = max(worst, abs(ra - transported) / scale)
-        return worst
-
-    def match(points_from, samples_from, points_to, samples_to):
-        nonlocal max_disc, witness
-        matched = 0
-        for i, s in enumerate(samples_from):
-            d = np.sqrt(np.sum((points_to - points_from[i]) ** 2, axis=1))
-            nearby = [j for j in np.where(d <= radius)[0]
-                      if same_sheet(s, samples_to[j])]
-            if not nearby:
-                continue
-            matched += 1
-            best_j = min(nearby,
-                         key=lambda j: candidate_disc(s, samples_to[j]))
-            disc = candidate_disc(s, samples_to[best_j])
-            max_disc = max(max_disc, disc)
-            if disc > tol and witness is None:
-                o = samples_to[best_j]
-                witness = {"a_point": list(s.point),
-                           "b_point": list(o.point),
-                           "a_rest": dict(s.rest), "b_rest": dict(o.rest),
-                           "discrepancy": disc}
-        return matched / len(samples_from)
-
-    coverage_a = match(pa, a.samples, pb, b.samples)
-    coverage_b = match(pb, b.samples, pa, a.samples)
-    return _verdict(coverage_a, coverage_b, max_disc, witness)
+    return 3.0 * float(np.median(np.sqrt(np.min(d2, axis=1))))
 
 
 def _invariants_at(m, pt, pair):
@@ -321,8 +174,11 @@ def compare_metrics(ma, mb, pair=("C_rho", "ell_C"), n=12, tol=1e-4,
     Both signatures are sampled, then every sample of one metric is
     matched on the other metric by a Newton search driving the
     invariant pair to exactly the sample's value (started from the
-    nearest same-sheet signature sample), so the remaining invariants
-    are compared at equal arguments with no interpolation error.
+    nearest signature samples of the other metric), so the remaining
+    invariants are compared at equal arguments with no interpolation
+    error.  The witness of an Inconsistent verdict names the sample and
+    the matched point whose remaining invariants differ by its
+    discrepancy.
     Stratum mismatches are verdicts of their own: if exactly one side
     is degenerate the metrics cannot be equivalent, if both are, the
     criterion does not apply.
@@ -352,7 +208,7 @@ def compare_metrics(ma, mb, pair=("C_rho", "ell_C"), n=12, tol=1e-4,
     witness = None
     pa = _scaled_points(sig_a.samples, sa)
     pb = _scaled_points(sig_b.samples, sa)
-    radius = _radius(pa, pb, 3.0)
+    radius = _radius(pa, pb)
 
     def refine(sig_from, m_to, sig_to, pts_to, cap=48):
         nonlocal max_disc, witness
@@ -363,37 +219,41 @@ def compare_metrics(ma, mb, pair=("C_rho", "ell_C"), n=12, tol=1e-4,
             d = np.sqrt(np.sum(
                 (pts_to - [s.I1 / sa[0], s.I2 / sa[1]]) ** 2, axis=1))
             order = [j for j in np.argsort(d)[:4] if d[j] <= radius]
-            hit = None
+            # several sheets may solve the pair equation: a first hit
+            # within tol settles it, otherwise the best hit counts
+            hits = []
             for j in order:
                 hit = _newton_match(m_to, pair, (s.I1, s.I2),
                                     sig_to.samples[j].point)
                 if hit is not None:
-                    break
-            if hit is None:
+                    hits.append((_rest_discrepancy(s.rest, hit[1]), hit))
+                    if hits[0][0] <= tol:
+                        break
+            if not hits:
                 continue
-            _, vals = hit
-            disc = _rest_discrepancy(s.rest, vals)
-            # several sheets may solve the pair equation; accept the best
-            if disc > tol:
-                best = disc
-                for j in order[1:]:
-                    alt = _newton_match(m_to, pair, (s.I1, s.I2),
-                                        sig_to.samples[j].point)
-                    if alt is not None:
-                        best = min(best, _rest_discrepancy(s.rest, alt[1]))
-                disc = best
+            disc, (b_point, vals) = min(hits, key=lambda h: h[0])
             matched += 1
             max_disc = max(max_disc, disc)
             if disc > tol and witness is None:
-                witness = {"a_point": list(s.point), "target_pair":
-                           [s.I1, s.I2], "a_rest": dict(s.rest),
+                witness = {"a_point": list(s.point), "b_point": list(b_point),
+                           "target_pair": [s.I1, s.I2],
+                           "a_rest": dict(s.rest),
                            "matched_rest": {k: vals[k] for k in s.rest},
                            "discrepancy": disc}
         return matched / len(subset)
 
     coverage_a = refine(sig_a, mb, sig_b, pb)
     coverage_b = refine(sig_b, ma, sig_a, pa)
-    return _verdict(coverage_a, coverage_b, max_disc, witness)
+    if witness is not None:
+        return Verdict("Inconsistent", coverage_a, coverage_b, max_disc,
+                       witness=witness,
+                       note="matched samples disagree beyond tolerance")
+    if min(coverage_a, coverage_b) < 0.5:
+        return Verdict("Inconclusive", coverage_a, coverage_b, max_disc,
+                       note="invariant ranges barely overlap; criterion "
+                            "untestable from these samples")
+    return Verdict("Consistent", coverage_a, coverage_b, max_disc,
+                   note="no obstruction found at this sampling resolution")
 
 
 # ----------------------------------------------------------------------
@@ -415,20 +275,9 @@ def vdb_oracle(c_rho, ell_c):
     return c_chi, q_chi, q_gamma, -ell_c ** 2 * q_gamma
 
 
-def characterize_vdb(m, points, tol=1e-6, method="analytic",
-                     transform=None):
-    """Does the metric satisfy the Van den Bergh invariant signature?"""
-    pjs = []
-    for pt in points:
-        pj = metrics.point_jets(m, pt, order=1 if transform is None else 2,
-                                method=method)
-        if transform is not None:
-            pj = transform_mod.pushforward_jets(pj, transform)
-        pjs.append(pj)
-    return characterize_vdb_jets(pjs, tol)
-
-
-def characterize_vdb_jets(pjs, tol=1e-6):
+def characterize_vdb(pjs, tol=1e-6):
+    """Does the metric satisfy the Van den Bergh invariant signature at
+    the points of these PointJets?"""
     rows = []
     ok = True
     for pj in pjs:

@@ -173,33 +173,6 @@ def first_invariant_jets(pj):
     }
 
 
-def base_forms(pj):
-    """Values of (sigma, rho, chi, gamma) component arrays at the point."""
-    jv = pj.fields
-    n = pj.order - 1
-    tr = lambda j: jets.truncate(j, n)
-    d = jets.t_derivative
-    det_h = tr(pj.det_h)
-    sigma = tuple(jv[f"sigma{i}"].value for i in (1, 2))
-    rho = (sigma[0] ** 2, sigma[0] * sigma[1], sigma[1] ** 2)
-    dh = [[d(pj.h[k], s).value for k in range(3)] for s in range(2)]
-    chi = tuple(
-        (dh[i][0] * dh[j][2] + dh[j][0] * dh[i][2]
-         - 2.0 * dh[i][1] * dh[j][1]) / (2.0 * det_h.value)
-        for (i, j) in ((0, 0), (0, 1), (1, 1)))
-    gamma = tuple(chi[k] - 0.25 * rho[k] for k in range(3))
-    return sigma, rho, chi, gamma
-
-
-def trace_det(mu, pj):
-    """(C_mu, Q_mu) of a symmetric form given as 3 components."""
-    gt = np.array([[pj.gt[0].value, pj.gt[1].value],
-                   [pj.gt[1].value, pj.gt[2].value]])
-    gi = np.linalg.inv(gt)
-    m = np.array([[mu[0], mu[1]], [mu[1], mu[2]]], dtype=float)
-    return float(np.tensordot(m, gi)), float(np.linalg.det(m) / np.linalg.det(gt))
-
-
 def fundamental(pj):
     """The six fundamental invariants (plus the cheap extended scalars)."""
     jv = pj.fields
@@ -408,12 +381,6 @@ def oneill(pj):
                       Tvec=tuple(Tvec), Tvec_perp=tuple(Tvec_p),
                       ell_T=ell_T, ell_Tperp=ell_Tp,
                       Theta_C=Theta_C, Theta_Cperp=Theta_Cp)
-
-
-def thetas(pj):
-    """(Theta_I, Theta_II, Theta_III) from the coordinate determinants."""
-    jv = pj.fields
-    return (jv["Theta_I"].value, jv["Theta_II"].value, jv["Theta_III"].value)
 
 
 def relations_first(pj):

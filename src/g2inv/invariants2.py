@@ -145,10 +145,6 @@ def second_invariants_from_jets(pj):
                        notices=tuple(notices))
 
 
-def second_invariants(m, point, method="analytic"):
-    return metrics.point_jets(m, point, order=2, method=method).second
-
-
 def order2_invariant_vector(pj):
     """The 20 functionally independent invariants of order <= 2."""
     jv = pj.fields
@@ -158,14 +154,6 @@ def order2_invariant_vector(pj):
     vals += [sec.XperpI[k] for k in FUNDAMENTAL_IDS]
     vals += [sec.C_ric, sec.C_nu]
     return np.array(vals)
-
-
-def invariant_field_jet(m, point, invariant_id, order=1, method="analytic"):
-    """Jet of a first-order invariant field on the orbit space."""
-    if invariant_id not in FIELD_IDS:
-        raise ValueError(f"unknown invariant id {invariant_id!r}")
-    pj = metrics.point_jets(m, point, order=order + 1, method=method)
-    return pj.fields[invariant_id]
 
 
 def directional_partials(m, point, phi_id, i1_id, i2_id,

@@ -176,19 +176,6 @@ def seed(value, var_index, order):
     return Jet2(order, c)
 
 
-def arith(a, b, op):
-    """Combine two equal-order jets: op in {'add','sub','mul','div'}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def _divide(num, den):
     if den.value == 0.0:
         raise SingularEvaluationError("div", den.value)

@@ -247,19 +247,6 @@ def point_jets(m, point, order=2, method="analytic", h_fd=1e-2):
     return pj
 
 
-def submersion_to_bfh(pj):
-    """Values (b, f) recovered from submersion jets, for round-trip checks."""
-    h11, h12, h22 = (j.value for j in pj.h)
-    F = [j.value for j in pj.F]
-    hmat = np.array([[h11, h12], [h12, h22]])
-    Fmat = np.array([[F[0], F[1]], [F[2], F[3]]])  # rows i, cols k
-    f = Fmat @ hmat
-    gt = np.array([[pj.gt[0].value, pj.gt[1].value],
-                   [pj.gt[1].value, pj.gt[2].value]])
-    b = gt + Fmat @ hmat @ Fmat.T
-    return b, f
-
-
 def component_scale(pj):
     """Largest raw coefficient magnitude over the ten component jets."""
     return max(max(abs(c) for c in j.coeffs)

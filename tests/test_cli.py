@@ -180,3 +180,41 @@ def test_overflow_is_an_input_error(tmp_path, capsys):
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert rows[0]["C_rho"] is not None
     assert rows[1]["C_rho"] is None
+
+
+def _submersion_file(tmp_path, components):
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"name": "x", "form": "submersion",
+                                "params": {}, "components": components}))
+    return str(path)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_report_value_is_an_input_error(tmp_path, capsys):
+    # the Einstein residual of this metric is NaN at the point, which
+    # max(0.0, nan) == 0.0 once let through as a pass
+    einstein_nan = _submersion_file(tmp_path, {
+        "gt11": "1+t2^2", "gt12": "0", "gt22": "1", "F11": "1+t2^2",
+        "F12": "exp(120*t1)*t2", "F21": "1", "F22": "1",
+        "h11": "1+t2^2", "h12": "exp(120*t1)", "h22": "-1"})
+    capsys.readouterr()
+    assert run(["check-einstein", einstein_nan, "--points", "2.077,0.322",
+                "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    # K_Xiperp comes out NaN here
+    k_nan = _submersion_file(tmp_path, {
+        "gt11": "exp(120*t1)", "gt12": "0", "gt22": "-1",
+        "F11": "exp(120*t1)", "F12": "0", "F21": "exp(120*t1)*t2",
+        "F22": "t2*exp(-120*t1)", "h11": "cosh(120*t1)",
+        "h12": "exp(120*t1)", "h22": "-1"})
+    assert run(["invariants", k_nan, "--at", "0.742,0.633", "--order", "2",
+                "--json"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert run(["grid", k_nan, "--t1", "0.742:0.742:1", "--t2",
+                "0.633:0.633:1", "--order", "2", "--json"]) == 0
+    row, = json.loads(capsys.readouterr().out)["rows"]
+    assert row == {"t1": 0.742, "t2": 0.633, "C_rho": None, "C_chi": None,
+                   "Q_chi": None, "Q_gamma": None, "ell_C": None,
+                   "Theta_I_sq": None}

@@ -1,13 +1,13 @@
 import pytest
 
 from g2inv import catalog, metrics, point_jets
-from g2inv.equivalence import (build_signature, characterize_vdb, compare,
-                               compare_metrics, load_signature,
-                               save_signature, vdb_oracle)
-from g2inv.errors import InsufficientCoverageError, MetricDefinitionError
+from g2inv.equivalence import (build_signature, characterize_vdb,
+                               compare_metrics, vdb_oracle)
+from g2inv.errors import InsufficientCoverageError
 from g2inv.invariants1 import first_invariant_jets
 from g2inv.metrics import default_domain, grid_points
-from g2inv.transform import apply_to_metric, make_transform, random_transform
+from g2inv.transform import (apply_to_metric, make_transform,
+                             pushforward_jets, random_transform)
 
 
 def test_build_signature_vdb_retains_grid():
@@ -32,17 +32,17 @@ def test_pair_alias_resolution():
 
 
 def test_compare_reflexive():
-    sig = build_signature(catalog("vdb"), n=10)
-    v = compare(sig, sig)
+    v = compare_metrics(catalog("vdb"), catalog("vdb"), n=10)
     assert v.verdict == "Consistent"
     assert v.max_discrepancy == 0.0
 
 
 def test_compare_reflexive_random_metrics():
     for seed in (2, 3):
-        sig = build_signature(catalog("random_analytic", {"seed": seed}),
-                              n=8)
-        assert compare(sig, sig).verdict == "Consistent"
+        m = catalog("random_analytic", {"seed": seed})
+        v = compare_metrics(m, m, n=10)
+        assert v.verdict == "Consistent", seed
+        assert v.max_discrepancy == 0.0
 
 
 def test_unknown_domain_falls_back_to_default_box():
@@ -52,23 +52,6 @@ def test_unknown_domain_falls_back_to_default_box():
                     components=m.components, asts=m.asts, domain=None)
     sig = build_signature(anon, n=10)
     assert len(sig.samples) >= 8
-
-
-def test_compare_pair_mismatch():
-    a = build_signature(catalog("vdb"), n=8)
-    b = build_signature(catalog("vdb"), n=8, pair=("C_chi", "ell_C"))
-    with pytest.raises(MetricDefinitionError):
-        compare(a, b)
-
-
-def test_transform_soundness_ten_transforms():
-    m = catalog("vdb")
-    sig = build_signature(m, n=10)
-    for seed in range(10):
-        sig_t = build_signature(m, n=10, transform=random_transform(seed))
-        v = compare(sig, sig_t)
-        assert v.verdict == "Consistent", (seed, v.max_discrepancy)
-        assert v.max_discrepancy < 1e-10
 
 
 def test_compare_metrics_materialized_transform():
@@ -96,14 +79,26 @@ def test_discrimination_against_random():
         assert v.verdict != "Consistent", seed
 
 
-def test_signature_export_import(tmp_path):
-    sig = build_signature(catalog("vdb"), n=8)
-    path = tmp_path / "sig.json"
-    save_signature(sig, str(path))
-    loaded = load_signature(str(path))
-    v = compare(sig, loaded)
-    assert v.verdict == "Consistent"
-    assert v.max_discrepancy == 0.0
+def test_inconsistent_witness_states_its_own_discrepancy():
+    # a random_analytic metric against an affine image of itself: the
+    # verdict is the known false Inconsistent, but its witness must pair
+    # the matched point's invariants with their own discrepancy
+    m = catalog("random_analytic", {"seed": 0})
+    p = make_transform("1.122001*t1 + 0.123176*t2 + -0.267642",
+                       "0.006130*t1 + 0.914321*t2 + -0.069979",
+                       "-0.091527*t1 + -0.454725*t2",
+                       "-0.451242*t1 + 0.499176*t2",
+                       [[-2.0, 1.0], [1.0, -1.0]])
+    image = apply_to_metric(m, p)
+    v = compare_metrics(m, image, n=3, rect_b=image.domain)
+    assert v.verdict == "Inconsistent"
+    w = v.witness
+    jv = point_jets(image, w["b_point"]).fields
+    assert w["matched_rest"] == {k: jv[k].value for k in w["a_rest"]}
+    assert w["discrepancy"] == max(
+        abs(a - b) / max(1.0, abs(a), abs(b))
+        for a, b in ((w["a_rest"][k], w["matched_rest"][k])
+                     for k in w["a_rest"]))
 
 
 def test_vdb_oracle_consistency():
@@ -130,15 +125,18 @@ def test_vdb_oracle_pole():
 def test_characterize_vdb_positive_and_negative():
     m = catalog("vdb")
     pts = grid_points(default_domain(m), 3, 3, margin=0.1)
-    ok, rows = characterize_vdb(m, pts)
+    ok, rows = characterize_vdb([point_jets(m, pt, order=1) for pt in pts])
     assert ok
     assert all(r["residual"] < 1e-9 for r in rows
                if r["residual"] is not None)
-    ok, _ = characterize_vdb(m, pts, transform=random_transform(4))
+    ok, _ = characterize_vdb([pushforward_jets(point_jets(m, pt),
+                                               random_transform(4))
+                              for pt in pts])
     assert ok
     lk = catalog("lambda_kundu")
-    ok, _ = characterize_vdb(
-        lk, grid_points(default_domain(lk), 3, 3, margin=0.1))
+    ok, _ = characterize_vdb([
+        point_jets(lk, pt, order=1)
+        for pt in grid_points(default_domain(lk), 3, 3, margin=0.1)])
     assert not ok
 
 

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from g2inv import catalog, classify, einstein, point_jets
+from g2inv import catalog, classify, einstein, load_metric, point_jets
 from g2inv.errors import FrameRequiredError
-from g2inv.invariants1 import (base_forms, first_invariant_jets,
-                               frame, fundamental, jacobian_rank, oneill,
-                               oneill_tensors, random_point_jets,
-                               relations_first, thetas, trace_det)
+from g2inv.invariants1 import (first_invariant_jets, frame, fundamental,
+                               jacobian_rank, oneill, oneill_tensors,
+                               random_point_jets, relations_first)
 from g2inv.metrics import default_domain, grid_points
 
 
@@ -44,31 +43,24 @@ def generic_random_points(seed, count=10):
     return m, pts
 
 
+# the base forms sigma, rho, chi, gamma, read through sigma and the
+# traces and determinants against gt that the invariant fields carry
+BASE_FORM_KEYS = ("sigma1", "sigma2", "C_rho", "C_chi", "C_gamma", "Q_rho",
+                  "Q_chi", "Q_gamma")
+
+
 def test_base_forms_flat():
-    sigma, rho, chi, gamma = base_forms(point_jets(catalog("flat"),
-                                                   (0.3, 0.4)))
-    assert sigma == (0.0, 0.0)
-    assert all(v == 0.0 for v in rho + chi + gamma)
+    jv = point_jets(catalog("flat"), (0.3, 0.4)).fields
+    assert all(jv[k].value == 0.0 for k in BASE_FORM_KEYS)
 
 
 def test_base_forms_diag_t1():
-    # h = diag(t1, t1): det h = t1^2, sigma = (2/t1, 0)
-    pj = point_jets(catalog("diag_t1"), (2.0, 0.3))
-    sigma, rho, chi, gamma = base_forms(pj)
-    assert sigma[0] == pytest.approx(1.0, rel=1e-14)
-    assert sigma[1] == 0.0
-    assert rho[0] == pytest.approx(1.0, rel=1e-14)
-    assert chi[0] == pytest.approx(0.25, rel=1e-14)
-    assert gamma[0] == pytest.approx(0.0, abs=1e-15)
-
-
-def test_trace_det_identity_case():
-    pj = point_jets(catalog("flat"), (0.0, 0.0))
-    gt = (pj.gt[0].value, pj.gt[1].value, pj.gt[2].value)
-    c, q = trace_det(gt, pj)
-    assert c == pytest.approx(2.0) and q == pytest.approx(1.0)
-    c, q = trace_det((0.0, 0.0, 0.0), pj)
-    assert c == 0.0 and q == 0.0
+    # h = diag(t1, t1): det h = t1^2, sigma = (2/t1, 0), and gt = 1, so
+    # rho = diag(1, 0), chi = diag(1/4, 0) and gamma = 0 at t1 = 2
+    jv = point_jets(catalog("diag_t1"), (2.0, 0.3)).fields
+    want = (1.0, 0.0, 1.0, 0.25, 0.0, 0.0, 0.0, 0.0)
+    for key, w in zip(BASE_FORM_KEYS, want):
+        assert jv[key].value == pytest.approx(w, rel=1e-14, abs=1e-15), key
 
 
 def test_fundamental_flat_all_zero():
@@ -77,9 +69,15 @@ def test_fundamental_flat_all_zero():
 
 
 def test_fundamental_diag_t1_hand_values():
-    inv = fundamental(point_jets(catalog("diag_t1"), (2.0, 5.0)))
-    assert inv.six() == pytest.approx((1.0, 0.25, 0.0, 0.0, 0.0, 0.0),
-                                      abs=1e-15)
+    # C_mu = mu_ij gt^ij and Q_mu = det mu / det gt with rho = diag(1, 0)
+    # and chi = diag(1/4, 0) at t1 = 2, against gt = 1 and gt = diag(4, 1)
+    diag_t1 = catalog("diag_t1")
+    scaled = load_metric({**diag_t1.to_document(), "components": {
+        **diag_t1.components, "b11": "4"}})
+    for m, c in ((diag_t1, 1.0), (scaled, 0.25)):
+        inv = fundamental(point_jets(m, (2.0, 5.0)))
+        assert inv.six() == pytest.approx((c, 0.25 * c, 0.0, 0.0, 0.0, 0.0),
+                                          abs=1e-15)
 
 
 @pytest.mark.parametrize("pt", [(0.5, 1.0), (0.8, 1.2), (0.35, 0.75),
@@ -175,8 +173,10 @@ def test_oneill_tensors_defined_on_degenerate_strata():
 
 
 def test_thetas_vanish_when_curvature_vector_vanishes():
-    assert thetas(point_jets(catalog("flat"), (0.0, 0.0))) == (0, 0, 0)
-    assert thetas(point_jets(catalog("diag_t1"), (2.0, 0.0))) == (0, 0, 0)
+    for name, pt in (("flat", (0.0, 0.0)), ("diag_t1", (2.0, 0.0))):
+        jv = point_jets(catalog(name), pt).fields
+        assert all(jv[k].value == 0.0
+                   for k in ("Theta_I", "Theta_II", "Theta_III")), name
 
 
 def test_relations_first_vdb_grid():

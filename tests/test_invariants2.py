@@ -7,8 +7,7 @@ from g2inv import catalog, jets, point_jets
 from g2inv.errors import DependentPairError
 from g2inv.invariants1 import FUNDAMENTAL_IDS, first_invariant_jets
 from g2inv.invariants2 import (bracket_residual, directional_partials,
-                               invariant_field_jet, relations_second,
-                               second_invariants,
+                               relations_second,
                                second_invariants_from_jets)
 from g2inv.metrics import default_domain, grid_points
 
@@ -17,7 +16,7 @@ from test_invariants1 import GENERIC_SEEDS, generic_random_points, \
 
 
 def test_invariant_field_jet_constant_on_flat():
-    j = invariant_field_jet(catalog("flat"), (0.2, 0.3), "C_rho")
+    j = point_jets(catalog("flat"), (0.2, 0.3)).fields["C_rho"]
     assert j.coeffs == (0.0, 0.0, 0.0)
 
 
@@ -25,7 +24,7 @@ def test_invariant_field_jet_matches_analytic_derivative():
     # d C_rho / d t of the closed form, by hand differentiation
     m = catalog("vdb")
     t1, t2 = 0.5, 1.0
-    j = invariant_field_jet(m, (t1, t2), "C_rho")
+    j = point_jets(m, (t1, t2)).fields["C_rho"]
     r6 = math.sqrt(6)
     c6, s6 = math.cosh(r6 * t1), math.sinh(r6 * t1)
     s2, c2 = math.sinh(t2), math.cosh(t2)
@@ -42,7 +41,7 @@ def test_invariant_field_jet_matches_analytic_derivative():
 def test_field_jets_match_finite_differences(key):
     m = catalog("vdb")
     pt = (0.7, 1.1)
-    j = invariant_field_jet(m, pt, key)
+    j = point_jets(m, pt).fields[key]
     fd = jets.finite_difference_jet(
         lambda p: first_invariant_jets(point_jets(m, p, order=1))[key].value,
         pt, 1, h=1e-3)
@@ -71,7 +70,7 @@ def test_q_ric_identity():
     for seed in GENERIC_SEEDS[:3]:
         m, pts = generic_random_points(seed, 5)
         for pt in pts:
-            sec = second_invariants(m, pt)
+            sec = point_jets(m, pt).second
             assert sec.Q_ric == pytest.approx(0.25 * sec.C_ric ** 2,
                                               rel=1e-9, abs=1e-12)
 
@@ -116,7 +115,7 @@ def test_gauss_curvature_propositions_random():
 
 
 def test_flat_second_invariants_vanish():
-    sec = second_invariants(catalog("flat"), (0.1, 0.2))
+    sec = point_jets(catalog("flat"), (0.1, 0.2)).second
     assert sec.C_ric == 0.0 and sec.C_nu == 0.0 and sec.Q_nu == 0.0
     assert all(v == 0.0 for v in sec.XI.values())
     assert sec.J1 is None and sec.notices

@@ -25,24 +25,24 @@ def test_seed_order_out_of_range():
 
 
 def test_product_rule():
-    j = jets.arith(jets.seed(2, 0, 1), jets.seed(3, 1, 1), "mul")
+    j = jets.seed(2, 0, 1) * jets.seed(3, 1, 1)
     assert j.coeffs == (6.0, 3.0, 2.0)
 
 
 def test_reciprocal():
-    j = jets.arith(jets.constant(1.0, 1), jets.seed(2, 0, 1), "div")
+    j = jets.constant(1.0, 1) / jets.seed(2, 0, 1)
     assert j.coeffs == (0.5, -0.25, 0.0)
 
 
 def test_add_neg_is_zero():
     x = jets.elementary("sin", jets.seed(0.3, 0, 2)) * jets.seed(1.5, 1, 2)
-    z = jets.arith(x, -x, "add")
+    z = x + -x
     assert all(c == 0.0 for c in z.coeffs)
 
 
 def test_div_by_zero_value():
     with pytest.raises(SingularEvaluationError):
-        jets.arith(jets.constant(1, 1), jets.constant(0, 1), "div")
+        jets.constant(1, 1) / jets.constant(0, 1)
 
 
 def test_exp_ln_cosh_tables():

@@ -9,7 +9,7 @@ from g2inv import (catalog, classify, cli, einstein, invariants1,
                    invariants2, load_metric, point_jets)
 from g2inv.errors import MetricDefinitionError, SingularMetricError
 from g2inv.metrics import (CATALOG_NAMES, component_scale, default_domain,
-                           grid_points, submersion_to_bfh)
+                           grid_points)
 
 FLAT_DOC = {
     "name": "flat", "form": "bfh", "params": {},
@@ -94,17 +94,19 @@ def test_det_identity_four_metric():
 
 
 def test_bfh_roundtrip():
+    # the 4-metric rebuilt from the submersion jets holds the bfh blocks
     m = catalog("vdb")
     from g2inv.expr import eval_scalar
     for pt in [(0.5, 1.0), (0.9, 1.3)]:
-        pj = point_jets(m, pt, order=1)
-        b, f = submersion_to_bfh(pj)
-        for key, val in (("b11", b[0, 0]), ("b12", b[0, 1]),
-                         ("b22", b[1, 1]), ("f11", f[0, 0]),
-                         ("f12", f[0, 1]), ("f21", f[1, 0]),
-                         ("f22", f[1, 1])):
+        g4 = point_jets(m, pt, order=1).g4
+        for key, (a, b) in (("b11", (0, 0)), ("b12", (0, 1)),
+                            ("b22", (1, 1)), ("f11", (0, 2)),
+                            ("f12", (0, 3)), ("f21", (1, 2)),
+                            ("f22", (1, 3)), ("h11", (2, 2)),
+                            ("h12", (2, 3)), ("h22", (3, 3))):
             want = eval_scalar(m.asts[key], m.params, pt)
-            assert val == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert g4[a][b].value == pytest.approx(want, rel=1e-12,
+                                                   abs=1e-12)
 
 
 def test_classify_flat():
