@@ -68,6 +68,20 @@ def test_fundamental_flat_all_zero():
     assert inv.six() == (0.0,) * 6
 
 
+def test_trace_det_identity_case():
+    # h = [[t1, t2], [t2, -t1]] at (1, 0) has chi = gt = identity, so the
+    # contraction gives C_chi = tr 1 = 2 and Q_chi = det 1 / det 1 = 1;
+    # on the flat metric chi = 0 and both vanish
+    flat = catalog("flat")
+    m = load_metric({**flat.to_document(), "components": {
+        **flat.components, "h11": "t1", "h12": "t2", "h22": "-t1"}})
+    jv = first_invariant_jets(point_jets(m, (1.0, 0.0)))
+    assert jv["C_chi"].value == pytest.approx(2.0, rel=1e-14)
+    assert jv["Q_chi"].value == pytest.approx(1.0, rel=1e-14)
+    jv = first_invariant_jets(point_jets(flat, (0.0, 0.0)))
+    assert jv["C_chi"].value == 0.0 and jv["Q_chi"].value == 0.0
+
+
 def test_fundamental_diag_t1_hand_values():
     # C_mu = mu_ij gt^ij and Q_mu = det mu / det gt with rho = diag(1, 0)
     # and chi = diag(1/4, 0) at t1 = 2, against gt = 1 and gt = diag(4, 1)
