@@ -182,10 +182,11 @@ def residual(m, lam, point, method="analytic"):
 
 def residual_from_jets(pj, lam):
     g = pj.g4
-    mat = ricci4(pj) - lam * four_metric_values(pj)
+    with metrics.singular_on_overflow("residual"):
+        mat = ricci4(pj) - lam * four_metric_values(pj)
+        max_abs = float(np.max(np.abs(mat)))
     scale = max(max(abs(c) for c in g[a][b].coeffs)
                 for a in range(4) for b in range(4))
-    max_abs = float(np.max(np.abs(mat)))
     return Residual(matrix=mat, max_abs=max_abs, scale=scale,
                     normalized=max_abs / scale)
 

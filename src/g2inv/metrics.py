@@ -18,13 +18,16 @@ bfh input is converted eagerly at jet level via
 from __future__ import annotations
 
 import json
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import expr, jets
-from .errors import MetricDefinitionError, SingularMetricError
+from .errors import (MetricDefinitionError, SingularEvaluationError,
+                     SingularMetricError)
 
 BFH_KEYS = ("b11", "b12", "b22", "f11", "f12", "f21", "f22",
             "h11", "h12", "h22")
@@ -73,6 +76,17 @@ class G2Metric:
         }
 
 
+@contextmanager
+def singular_on_overflow(what):
+    """numpy overflow or invalid arithmetic in the block is a
+    SingularEvaluationError, not a RuntimeWarning and a NaN."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as err:
+        raise SingularEvaluationError(what, math.nan, str(err)) from None
+
+
 @dataclass(frozen=True)
 class PointJets:
     """Jets of the canonical submersion components at one point.
@@ -85,7 +99,9 @@ class PointJets:
     order of the construction: fields (first-order invariants) and g4
     (4-metric jets), christoffel, riemann, frame, oneill_tensors, second
     (second-order invariants).  Callers read them and never mutate them.
-    The imports are deferred because those modules import this one.
+    numpy overflow in the layers that do numpy arithmetic (riemann,
+    frame, oneill_tensors, second) is a SingularEvaluationError.  The
+    imports are deferred because those modules import this one.
     """
     point: tuple
     order: int
@@ -116,22 +132,26 @@ class PointJets:
     @cached_property
     def riemann(self):
         from .einstein import riemann4
-        return riemann4(self)
+        with singular_on_overflow("riemann4"):
+            return riemann4(self)
 
     @cached_property
     def frame(self):
         from .invariants1 import frame
-        return frame(self)
+        with singular_on_overflow("frame"):
+            return frame(self)
 
     @cached_property
     def oneill_tensors(self):
         from .invariants1 import oneill_tensors
-        return oneill_tensors(self)
+        with singular_on_overflow("oneill_tensors"):
+            return oneill_tensors(self)
 
     @cached_property
     def second(self):
         from .invariants2 import second_invariants_from_jets
-        return second_invariants_from_jets(self)
+        with singular_on_overflow("second_invariants_from_jets"):
+            return second_invariants_from_jets(self)
 
 
 @dataclass(frozen=True)
@@ -176,9 +196,9 @@ def load_metric(document):
     if unknown:
         raise MetricDefinitionError(
             f"unknown component keys: {sorted(unknown)}")
-    asts = {}
+    asts, table = {}, {}
     for key in keys:
-        ast = expr.parse(str(components[key]))
+        ast = expr.parse(str(components[key]), table)
         problems = expr.validate(ast, set(params))
         if problems:
             raise MetricDefinitionError(
@@ -190,10 +210,10 @@ def load_metric(document):
 
 
 def _eval_components(m, point, order, method, h_fd):
-    out = {}
+    out, memo = {}, {}
     for key, ast in m.asts.items():
         if method == "analytic":
-            out[key] = expr.eval_jet(ast, m.params, point, order)
+            out[key] = expr.eval_jet(ast, m.params, point, order, memo)
         elif method == "fd":
             out[key] = jets.finite_difference_jet(
                 lambda p, a=ast: expr.eval_scalar(a, m.params, p),

@@ -38,9 +38,9 @@ class PseudoTransform:
 
 def make_transform(phi1, phi2, psi1, psi2, alpha):
     strings = {"phi1": phi1, "phi2": phi2, "psi1": psi1, "psi2": psi2}
-    asts = {}
+    asts, table = {}, {}
     for key, text in strings.items():
-        ast = expr.parse(text)
+        ast = expr.parse(text, table)
         problems = expr.validate(ast, set())
         if problems:
             raise MetricDefinitionError(f"{key}: " + "; ".join(problems))
@@ -212,7 +212,8 @@ def pushforward_vector(p, point, v):
 
 def compose_transforms(p2, p1):
     """The transform acting as p2 after p1 (AST substitution, exact)."""
-    phi = tuple(expr.substitute(p2.phi[m], p1.phi) for m in range(2))
+    memo = {}
+    phi = tuple(expr.substitute(p2.phi[m], p1.phi, memo) for m in range(2))
     a2 = np.array(p2.alpha)
     a1 = np.array(p1.alpha)
     psi = []
@@ -221,7 +222,8 @@ def compose_transforms(p2, p1):
             "+",
             expr.BinOp("*", expr.Num(float(a2[r][0])), p1.psi[0]),
             expr.BinOp("*", expr.Num(float(a2[r][1])), p1.psi[1]))
-        psi.append(expr.BinOp("+", scaled, expr.substitute(p2.psi[r], p1.phi)))
+        psi.append(expr.BinOp(
+            "+", scaled, expr.substitute(p2.psi[r], p1.phi, memo)))
     alpha = a2 @ a1
     return PseudoTransform(phi=phi, psi=tuple(psi),
                            alpha=tuple(tuple(float(x) for x in row)
@@ -271,7 +273,9 @@ def apply_to_metric(m, p, name=None):
 
     if m.form == "bfh":
         m = to_submersion_document(m)
-    comp = {k: expr.substitute(m.asts[k], inv_map) for k in m.components}
+    memo = {}
+    comp = {k: expr.substitute(m.asts[k], inv_map, memo)
+            for k in m.components}
     a = np.array(p.alpha)
     ai = np.linalg.inv(a)
 

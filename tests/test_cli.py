@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import g2inv
 from g2inv import catalog
 from g2inv.cli import dumps, run
 from g2inv.transform import apply_to_metric, make_transform
@@ -189,7 +193,6 @@ def _submersion_file(tmp_path, components):
     return str(path)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_report_value_is_an_input_error(tmp_path, capsys):
     # the Einstein residual of this metric is NaN at the point, which
     # max(0.0, nan) == 0.0 once let through as a pass
@@ -218,3 +221,37 @@ def test_non_finite_report_value_is_an_input_error(tmp_path, capsys):
     assert row == {"t1": 0.742, "t2": 0.633, "C_rho": None, "C_chi": None,
                    "Q_chi": None, "Q_gamma": None, "ell_C": None,
                    "Theta_I_sq": None}
+
+
+def _module_run(*argv):
+    """``python -m g2inv`` in a fresh interpreter that shows every warning."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(g2inv.__file__)))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, "-W", "always", "-m", "g2inv",
+                           *argv], capture_output=True, text=True, env=env)
+
+
+def test_python_dash_m_runs_the_cli():
+    r = _module_run("catalog", "--json")
+    assert r.returncode == 0, r.stderr
+    assert "vdb" in json.loads(r.stdout)["names"]
+
+
+def test_curvature_overflow_is_one_error_line(tmp_path):
+    # exp(120*t1) overflows the Riemann contraction at this point
+    path = _submersion_file(tmp_path, {
+        "gt11": "1+t2^2", "gt12": "0", "gt22": "1", "F11": "1+t2^2",
+        "F12": "exp(120*t1)*t2", "F21": "1", "F22": "1",
+        "h11": "1+t2^2", "h12": "exp(120*t1)", "h22": "-1"})
+    r = _module_run("check-einstein", path, "--points", "2.077,0.322",
+                    "--json")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, \
+        r.stderr
+    r = _module_run("grid", path, "--t1", "2.077:2.077:1", "--t2",
+                    "0.322:0.322:1", "--order", "2", "--json")
+    assert r.returncode == 0 and r.stderr == ""
+    row, = json.loads(r.stdout)["rows"]
+    assert row["C_rho"] is None

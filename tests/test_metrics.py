@@ -5,11 +5,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from g2inv import (catalog, classify, cli, einstein, invariants1,
-                   invariants2, load_metric, point_jets)
+from g2inv import (catalog, classify, cli, einstein, expr, invariants1,
+                   invariants2, jets, load_metric, point_jets)
 from g2inv.errors import MetricDefinitionError, SingularMetricError
 from g2inv.metrics import (CATALOG_NAMES, component_scale, default_domain,
                            grid_points)
+from g2inv.transform import apply_to_metric, make_transform
 
 FLAT_DOC = {
     "name": "flat", "form": "bfh", "params": {},
@@ -260,3 +261,43 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
         "first_invariant_jets", "frame", "oneill_tensors", "four_metric",
         "christoffel4", "riemann4", "second_invariants_from_jets"}
     assert max(calls.values()) == 1, calls.most_common(3)
+
+
+def test_point_jets_evaluates_each_unique_node_once(monkeypatch):
+    p = make_transform("0.8*t1 + 0.1*t2 + 0.05", "-0.2*t1 + 1.1*t2 - 0.3",
+                       "0.5*t1 - 0.2*t2", "0.3*t2", [[2.0, 1.0], [0.0, 1.0]])
+    image = apply_to_metric(catalog("vdb"), p)
+    call_nodes, seen = [], set()
+    stack = list(image.asts.values())
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, expr.Call):
+            call_nodes.append(node)
+        stack.extend(getattr(node, f) for f in ("arg", "left", "right")
+                     if hasattr(node, f))
+    # interned: one node per distinct subtree across the ten components
+    unique_calls = len({expr.to_string(node) for node in call_nodes})
+    assert len(call_nodes) == unique_calls
+    calls = Counter()
+    elementary = jets.elementary
+
+    def counting(fname, a, p=None):
+        calls[fname] += 1
+        return elementary(fname, a, p)
+
+    monkeypatch.setattr(jets, "elementary", counting)
+    point_jets(image, (0.64, 0.79))  # the image of vdb's (0.6, 1.1)
+    assert 0 < sum(calls.values()) <= unique_calls
+
+    # substitution keeps a shared subtree one shared node, also across
+    # expressions parsed with one table and rewritten with one memo
+    e = expr.parse("sin(t1)*sin(t1)")
+    out = expr.substitute(e, p.phi)
+    assert out.left is out.right
+    table, memo = {}, {}
+    x, y = (expr.substitute(expr.parse(text, table), p.phi, memo)
+            for text in ("sin(t1) + 1", "2*sin(t1)"))
+    assert x.left is y.right

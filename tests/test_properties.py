@@ -1,10 +1,14 @@
 """Property tests: the expression printer round-trips through the parser,
-and order-2 jets obey the ring laws, over generated inputs."""
+the parsed DAG evaluates exactly like the tree it prints, and order-2
+jets obey the ring laws, over generated inputs."""
+
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2inv import expr, jets
+from g2inv.errors import G2InvError
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -62,3 +66,34 @@ def test_multiplication_distributes_over_addition(a, b, c):
 @given(order2_jets())
 def test_difference_with_itself_is_zero(a):
     assert (a - a).coeffs == (0.0,) * 6
+
+
+def _outcome(evaluate):
+    """The coefficients' bits, or the error, of one evaluation."""
+    try:
+        value = evaluate()
+    except (G2InvError, ArithmeticError, ValueError) as err:
+        return type(err).__name__, str(err)
+    coeffs = value.coeffs if isinstance(value, jets.Jet2) else (value,)
+    return struct.pack(f"{len(coeffs)}d", *coeffs)
+
+
+PARAMS = {"a": 0.7, "c": -1.3, "Lambda": 3.0, "k_2": 2.5}
+points = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+@SETTINGS
+@given(asts, points)
+def test_parsed_dag_evaluates_exactly_like_the_tree(e, point):
+    # e is built by hand, so unshared; its parse is the interned DAG
+    dag = expr.parse(expr.to_string(e))
+    for order in range(3):
+        assert _outcome(lambda: expr.eval_jet(dag, PARAMS, point, order)) \
+            == _outcome(lambda: expr.eval_jet(e, PARAMS, point, order))
+    assert _outcome(lambda: expr.eval_scalar(dag, PARAMS, point)) \
+        == _outcome(lambda: expr.eval_scalar(e, PARAMS, point))
+
+
+def test_parse_interns_repeated_subtrees():
+    e = expr.parse("sin(t1)*sin(t1)")
+    assert e.left is e.right
