@@ -192,17 +192,25 @@ def cmd_grid(args):
     return 0
 
 
+def _worst(values, tol):
+    """Largest |value| over the values that are not None (0.0 if there
+    are none), and whether it is below tol."""
+    worst = 0.0
+    for v in values:
+        if v is not None:
+            worst = max(worst, abs(v))
+    return worst, worst < tol
+
+
 def cmd_check_einstein(args):
     m = metrics.load_metric(args.metric)
-    points = _resolve_points(args, m)
     rows = []
-    worst = 0.0
-    for pt in points:
-        res = einstein.residual(m, args.lam, pt, method=args.method)
-        worst = max(worst, res.normalized)
+    for pt in _resolve_points(args, m):
+        res = einstein.residual(
+            metrics.point_jets(m, pt, order=2, method=args.method), args.lam)
         rows.append({"point": list(pt), "normalized": res.normalized,
                      "max_abs": res.max_abs, "scale": res.scale})
-    ok = worst < args.tol
+    worst, ok = _worst((r["normalized"] for r in rows), args.tol)
     _emit(args, {"command": "check-einstein", "metric": m.name,
                  "lambda": args.lam, "tol": args.tol,
                  "max_normalized": worst, "pass": ok, "points": rows})
@@ -212,46 +220,33 @@ def cmd_check_einstein(args):
 def cmd_check_relations(args):
     m = metrics.load_metric(args.metric)
     points = _resolve_points(args, m)
-    report = {"command": "check-relations", "metric": m.name}
-    ok = True
     if not (args.first or args.second or args.onshell):
         args.first = args.second = True
-    if args.first:
-        rows = []
-        worst = 0.0
-        for pt in points:
-            pj = metrics.point_jets(m, pt, order=2, method=args.method)
-            rep = invariants1.relations_first(pj)
-            worst = max(worst, rep["max_residual"])
-            rows.append({"point": list(pt), **{
-                r["id"]: ("skipped" if r["skipped"] else r["residual"])
-                for r in rep["relations"]}})
-        report["first_order"] = {"max_residual": worst,
-                                 "pass": worst < args.tol, "points": rows}
-        ok = ok and worst < args.tol
-    if args.second:
-        rep = invariants2.relations_second(m, points, tol=args.tol,
-                                           method=args.method)
-        report["second_order"] = {
-            "max_residual": rep["max_residual"], "pass": rep["pass"],
-            "points": [{"point": list(r["point"]), "q_ric": r["q_ric"],
-                        "q_nu": r["q_nu"], "commutator": r["commutator"]}
-                       for r in rep["points"]]}
-        ok = ok and rep["pass"]
-    if args.onshell:
-        rep = einstein.onshell_relations(m, args.lam, points, tol=args.tol,
-                                         method=args.method)
-        report["onshell"] = {
-            "max_residual": rep["max_residual"], "pass": rep["pass"],
-            "points": [{"point": list(r["point"]),
-                        **r["residuals"],
-                        "gauss_equality": r["gauss_curvature_equality"],
-                        "einstein_normalized": r["einstein_normalized"]}
-                       for r in rep["points"]]}
-        ok = ok and rep["pass"]
-    report["pass"] = ok
+    suites = [(key, suite) for key, suite, chosen in (
+        ("first_order", invariants1.relations_first, args.first),
+        ("second_order", invariants2.relations_second, args.second),
+        ("onshell", lambda pj: einstein.onshell_relations(pj, args.lam),
+         args.onshell)) if chosen]
+    rows = {key: [] for key, _ in suites}
+    for pt in points:
+        pj = metrics.point_jets(m, pt, order=2, method=args.method)
+        for key, suite in suites:
+            with metrics.singular_on_overflow(key):
+                rows[key].append(suite(pj))
+    report = {"command": "check-relations", "metric": m.name}
+    for key, suite_rows in rows.items():
+        # the on-shell rows carry the Einstein residual for attribution;
+        # it is not one of the relations
+        worst, ok = _worst((v for row in suite_rows for k, v in row.items()
+                            if k != "einstein_normalized"), args.tol)
+        if key == "first_order":
+            suite_rows = [{k: "skipped" if v is None else v
+                           for k, v in row.items()} for row in suite_rows]
+        report[key] = {"max_residual": worst, "pass": ok, "points": [
+            {"point": list(pt), **row} for pt, row in zip(points, suite_rows)]}
+    report["pass"] = all(report[key]["pass"] for key in rows)
     _emit(args, report)
-    return 0 if ok else 1
+    return 0 if report["pass"] else 1
 
 
 def cmd_rank(args):

@@ -174,13 +174,8 @@ class Residual:
     normalized: float
 
 
-def residual(m, lam, point, method="analytic"):
-    """Lambda-vacuum residual R_ab - Lambda g_ab at a point."""
-    pj = metrics.point_jets(m, point, order=2, method=method)
-    return residual_from_jets(pj, lam)
-
-
-def residual_from_jets(pj, lam):
+def residual(pj, lam):
+    """Lambda-vacuum residual R_ab - Lambda g_ab at the point of pj."""
     g = pj.g4
     with metrics.singular_on_overflow("residual"):
         mat = ricci4(pj) - lam * four_metric_values(pj)
@@ -233,96 +228,78 @@ def _normalized(terms, scales=()):
     return sum(terms) / scale if scale > 0.0 else 0.0
 
 
-ONSHELL_IDS = ("ric_chi_ellC", "nu_ellC_rho", "Xperp_Crho_sq",
-               "Xperp_ellC_sq", "X_Crho", "X_ellC_long")
+def onshell_relations(pj, lam):
+    """Residuals of the on-shell relation suite at the point of pj.
 
-
-def onshell_relations(m, lam, points, tol=1e-7, method="analytic"):
-    """Residuals of the on-shell relation suite at each point.
-
-    The report carries the Einstein residual alongside, so a violation
-    of the relations on a non-vacuum metric is attributable.
+    The row also carries the normalized Einstein residual, which is not
+    one of the relations: it makes a violation of the relations on a
+    non-vacuum metric attributable.
     """
-    rows = []
-    for pt in points:
-        pj = metrics.point_jets(m, pt, order=2, method=method)
-        jv = pj.fields
-        sec = pj.second
-        sg = 1.0 if pj.det_gt.value > 0 else -1.0
-        sgh = sg * (1.0 if pj.det_h.value > 0 else -1.0)
+    jv = pj.fields
+    sec = pj.second
+    sg = 1.0 if pj.det_gt.value > 0 else -1.0
+    sgh = sg * (1.0 if pj.det_h.value > 0 else -1.0)
 
-        X = (jv["X1"].value, jv["X2"].value)
-        Xp = (jv["Xp1"].value, jv["Xp2"].value)
-        C_rho = jv["C_rho"].value
-        C_chi = jv["C_chi"].value
-        Q_chi = jv["Q_chi"].value
-        Q_gamma = jv["Q_gamma"].value
-        ell_C = jv["ell_C"].value
-        th1 = jv["Theta_I"].value
-        root = jv["q_gamma_root"].value
-        X_Crho = jets.along(X, jv["C_rho"])
-        Xp_Crho = jets.along(Xp, jv["C_rho"])
-        X_ellC = jets.along(X, jv["ell_C"])
-        Xp_ellC = jets.along(Xp, jv["ell_C"])
+    X = (jv["X1"].value, jv["X2"].value)
+    Xp = (jv["Xp1"].value, jv["Xp2"].value)
+    C_rho = jv["C_rho"].value
+    C_chi = jv["C_chi"].value
+    Q_chi = jv["Q_chi"].value
+    Q_gamma = jv["Q_gamma"].value
+    ell_C = jv["ell_C"].value
+    th1 = jv["Theta_I"].value
+    root = jv["q_gamma_root"].value
+    X_Crho = jets.along(X, jv["C_rho"])
+    Xp_Crho = jets.along(Xp, jv["C_rho"])
+    X_ellC = jets.along(X, jv["ell_C"])
+    Xp_ellC = jets.along(Xp, jv["ell_C"])
 
-        dq = Q_chi - Q_gamma
-        big = max(abs(C_rho), abs(C_chi), 4.0 * abs(lam), abs(ell_C))
-        residuals = {
-            "ric_chi_ellC": _normalized(
-                [sec.C_ric, 0.5 * C_chi, -sg * 1.5 * ell_C]),
-            "nu_ellC_rho": _normalized(
-                [sec.C_nu, -sg * ell_C, 4.0 * lam, 0.5 * C_rho]),
-            "Xperp_Crho_sq": _normalized(
-                [sg * Xp_Crho ** 2, 4.0 * Q_chi * C_rho ** 2,
-                 -16.0 * dq * C_chi * C_rho, 64.0 * dq ** 2],
-                scales=(16.0 * (abs(Q_chi) + abs(Q_gamma))
-                        * abs(C_chi * C_rho),
-                        64.0 * (Q_chi ** 2 + Q_gamma ** 2))),
-            "Xperp_ellC_sq": _normalized(
-                [sg * Xp_ellC ** 2,
-                 sgh * 4.0 * (th1 - 2.0 * ell_C * root) * th1,
-                 4.0 * ell_C ** 2 * Q_chi],
-                scales=(4.0 * (abs(th1) + 2.0 * abs(ell_C * root))
-                        * abs(th1),)),
-            "X_Crho": _normalized(
-                [X_Crho, (C_rho - C_chi + 4.0 * lam - sg * ell_C) * C_rho,
-                 8.0 * dq],
-                scales=(big * abs(C_rho),
-                        8.0 * (abs(Q_chi) + abs(Q_gamma)))),
-            "X_ellC_long": _normalized(
-                [dq * X_ellC ** 2,
-                 -sgh * C_rho * root * th1 * X_ellC,
-                 (3.0 * Q_chi - 2.0 * Q_gamma) * C_rho * ell_C * X_ellC,
-                 (C_chi * C_rho * Q_chi + 2.0 * C_rho ** 2 * Q_chi
-                  - C_rho ** 2 * Q_gamma - 4.0 * Q_chi ** 2
-                  + 4.0 * Q_chi * Q_gamma) * ell_C ** 2,
-                 -sgh * (2.0 * C_chi * C_rho + C_rho ** 2
-                         - 8.0 * Q_chi) * root * th1 * ell_C,
-                 -8.0 * root ** 3 * th1 * ell_C,
-                 sgh * (C_chi * C_rho - 0.25 * C_rho ** 2 - 4.0 * Q_chi
-                        + 4.0 * Q_gamma) * th1 ** 2],
-                scales=((abs(C_chi * C_rho * Q_chi)
-                         + 2.0 * C_rho ** 2 * abs(Q_chi)
-                         + C_rho ** 2 * abs(Q_gamma) + 4.0 * Q_chi ** 2
-                         + 4.0 * abs(Q_chi * Q_gamma)) * ell_C ** 2,
-                        (2.0 * abs(C_chi * C_rho) + C_rho ** 2
-                         + 8.0 * abs(Q_chi)) * abs(root * th1 * ell_C),
-                        (3.0 * abs(Q_chi) + 2.0 * abs(Q_gamma))
-                        * abs(C_rho * ell_C * X_ellC))),
-        }
-        k_residual = _normalized([sec.K_Xiperp, -sec.K_Xi]) \
-            if (sec.K_Xi or sec.K_Xiperp) else 0.0
-        einstein_res = residual_from_jets(pj, lam)
-        rows.append({
-            "point": pt,
-            "residuals": residuals,
-            "gauss_curvature_equality": k_residual,
-            "einstein_normalized": einstein_res.normalized,
-            "max_residual": max(max(abs(v) for v in residuals.values()),
-                                abs(k_residual)),
-            "pass": max(max(abs(v) for v in residuals.values()),
-                        abs(k_residual)) < tol,
-        })
-    return {"points": rows, "tol": tol,
-            "max_residual": max(r["max_residual"] for r in rows),
-            "pass": all(r["pass"] for r in rows)}
+    dq = Q_chi - Q_gamma
+    big = max(abs(C_rho), abs(C_chi), 4.0 * abs(lam), abs(ell_C))
+    row = {
+        "ric_chi_ellC": _normalized(
+            [sec.C_ric, 0.5 * C_chi, -sg * 1.5 * ell_C]),
+        "nu_ellC_rho": _normalized(
+            [sec.C_nu, -sg * ell_C, 4.0 * lam, 0.5 * C_rho]),
+        "Xperp_Crho_sq": _normalized(
+            [sg * Xp_Crho ** 2, 4.0 * Q_chi * C_rho ** 2,
+             -16.0 * dq * C_chi * C_rho, 64.0 * dq ** 2],
+            scales=(16.0 * (abs(Q_chi) + abs(Q_gamma))
+                    * abs(C_chi * C_rho),
+                    64.0 * (Q_chi ** 2 + Q_gamma ** 2))),
+        "Xperp_ellC_sq": _normalized(
+            [sg * Xp_ellC ** 2,
+             sgh * 4.0 * (th1 - 2.0 * ell_C * root) * th1,
+             4.0 * ell_C ** 2 * Q_chi],
+            scales=(4.0 * (abs(th1) + 2.0 * abs(ell_C * root))
+                    * abs(th1),)),
+        "X_Crho": _normalized(
+            [X_Crho, (C_rho - C_chi + 4.0 * lam - sg * ell_C) * C_rho,
+             8.0 * dq],
+            scales=(big * abs(C_rho),
+                    8.0 * (abs(Q_chi) + abs(Q_gamma)))),
+        "X_ellC_long": _normalized(
+            [dq * X_ellC ** 2,
+             -sgh * C_rho * root * th1 * X_ellC,
+             (3.0 * Q_chi - 2.0 * Q_gamma) * C_rho * ell_C * X_ellC,
+             (C_chi * C_rho * Q_chi + 2.0 * C_rho ** 2 * Q_chi
+              - C_rho ** 2 * Q_gamma - 4.0 * Q_chi ** 2
+              + 4.0 * Q_chi * Q_gamma) * ell_C ** 2,
+             -sgh * (2.0 * C_chi * C_rho + C_rho ** 2
+                     - 8.0 * Q_chi) * root * th1 * ell_C,
+             -8.0 * root ** 3 * th1 * ell_C,
+             sgh * (C_chi * C_rho - 0.25 * C_rho ** 2 - 4.0 * Q_chi
+                    + 4.0 * Q_gamma) * th1 ** 2],
+            scales=((abs(C_chi * C_rho * Q_chi)
+                     + 2.0 * C_rho ** 2 * abs(Q_chi)
+                     + C_rho ** 2 * abs(Q_gamma) + 4.0 * Q_chi ** 2
+                     + 4.0 * abs(Q_chi * Q_gamma)) * ell_C ** 2,
+                    (2.0 * abs(C_chi * C_rho) + C_rho ** 2
+                     + 8.0 * abs(Q_chi)) * abs(root * th1 * ell_C),
+                    (3.0 * abs(Q_chi) + 2.0 * abs(Q_gamma))
+                    * abs(C_rho * ell_C * X_ellC))),
+    }
+    row["gauss_equality"] = _normalized([sec.K_Xiperp, -sec.K_Xi]) \
+        if (sec.K_Xi or sec.K_Xiperp) else 0.0
+    row["einstein_normalized"] = residual(pj, lam).normalized
+    return row

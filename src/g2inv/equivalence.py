@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets, metrics
-from .errors import (G2InvError, InsufficientCoverageError,
-                     MetricDefinitionError)
+from .errors import (DependentPairError, G2InvError,
+                     InsufficientCoverageError, MetricDefinitionError)
 from .invariants1 import FUNDAMENTAL_IDS
+from .invariants2 import directional_partials
 
 PAIR_ALIASES = {
     "Crho": "C_rho", "Cchi": "C_chi", "Qchi": "Q_chi", "Qgamma": "Q_gamma",
@@ -46,10 +47,8 @@ class Signature:
     samples: list
 
 
-# fewest generic samples a signature needs, and the relative size below
-# which the Jacobian of the pair along (X, Xperp) counts as singular
+# fewest generic samples a signature needs
 MIN_SAMPLES = 8
-DELTA_TOL = 1e-8
 
 
 def build_signature(m, rect=None, n=12, pair=("C_rho", "ell_C")):
@@ -69,14 +68,11 @@ def build_signature(m, rect=None, n=12, pair=("C_rho", "ell_C")):
             continue
         if not metrics.classify(pj).generic:
             continue
-        jv = pj.fields
-        X = (jv["X1"].value, jv["X2"].value)
-        Xp = (jv["Xp1"].value, jv["Xp2"].value)
-        a11, a12 = jets.along(X, jv[pair[0]]), jets.along(X, jv[pair[1]])
-        a21, a22 = jets.along(Xp, jv[pair[0]]), jets.along(Xp, jv[pair[1]])
-        scale = max(abs(a11 * a22), abs(a12 * a21), 1e-300)
-        if abs(a11 * a22 - a12 * a21) < DELTA_TOL * scale:
+        try:  # only whether the pair is independent here matters
+            directional_partials(pj, pair[0], pair[0], pair[1])
+        except DependentPairError:
             continue
+        jv = pj.fields
         samples.append(Sample(
             point=pj.point,
             I1=jv[pair[0]].value, I2=jv[pair[1]].value,

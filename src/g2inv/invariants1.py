@@ -384,15 +384,16 @@ def oneill(pj):
 
 
 def relations_first(pj):
-    """Residual report for the first-order functional relations.
+    """Residuals of the five first-order functional relations at a point.
 
-    Relations (iii)-(v) are skipped with a notice on strata where
-    ell_C (and for (iii) also C_rho) is below tolerance.
+    Relations (iii)-(v) are None (skipped) on strata where ell_C (and
+    for (iii) also C_rho) is below tolerance.
     """
     jv = pj.fields
     sgn_gt = 1.0 if pj.det_gt.value > 0 else -1.0
     sgn_h = 1.0 if pj.det_h.value > 0 else -1.0
     _, _, Theta_C, Theta_Cp = pj.oneill_tensors
+    norm = einstein._normalized
 
     th1 = jv["Theta_I"].value
     th2 = jv["Theta_II"].value
@@ -402,52 +403,32 @@ def relations_first(pj):
     Q_gamma = jv["Q_gamma"].value
     root = jv["q_gamma_root"].value
 
-    report = {"relations": [], "q_gamma_root_sign": 1.0 if root >= 0 else -1.0}
-
-    def add(rid, terms, skipped=False, notice=None):
-        report["relations"].append({
-            "id": rid,
-            "residual": None if skipped else einstein._normalized(terms),
-            "skipped": skipped,
-            "notice": notice,
-        })
-
-    add("theta_I_sq_vs_theta_C", [th1 ** 2, -16.0 * Theta_C])
-    add("theta_III_sq_vs_theta_Cperp",
-        [th3 ** 2, -sgn_gt * sgn_h * 16.0 * Theta_Cp])
-
-    degenerate_v = not pj.frame.vertical_valid
-    degenerate_h = not pj.frame.horizontal_valid
-    if degenerate_v or degenerate_h:
-        notice = "skipped: ell_C ~ 0" if degenerate_v else "skipped: C_rho ~ 0"
-        add("theta_II_T342_Qchi", [], skipped=True, notice=notice)
-    else:
-        od = oneill(pj)
-        T342 = od.T_frame[2][3][1]
-        add("theta_II_T342_Qchi",
+    row = {
+        "theta_I_sq_vs_theta_C": norm([th1 ** 2, -16.0 * Theta_C]),
+        "theta_III_sq_vs_theta_Cperp":
+            norm([th3 ** 2, -sgn_gt * sgn_h * 16.0 * Theta_Cp]),
+        "theta_II_T342_Qchi": None,
+        "theta_sum_vs_gamma_root": None,
+        "theta_II_sq_closure": None,
+    }
+    if pj.frame.vertical_valid and pj.frame.horizontal_valid:
+        T342 = oneill(pj).T_frame[2][3][1]
+        row["theta_II_T342_Qchi"] = norm(
             [th2 ** 2 / (16.0 * ell_C ** 2),
              sgn_h * T342 ** 2,
              sgn_gt * 0.25 * (Q_chi - Q_gamma)])
-    if degenerate_v:
-        add("theta_sum_vs_gamma_root", [], skipped=True,
-            notice="skipped: ell_C ~ 0")
-        add("theta_II_sq_closure", [], skipped=True,
-            notice="skipped: ell_C ~ 0")
-    else:
+    if pj.frame.vertical_valid:
         # exact identities on every stratum (from the componentwise
         # identity r3 = ell_C w - det(h) c_I of the Theta bottom rows);
         # for det h > 0 they reduce to the displayed +-free forms
-        add("theta_sum_vs_gamma_root",
+        row["theta_sum_vs_gamma_root"] = norm(
             [-2.0 * ell_C * root, sgn_h * th1, th3])
-        add("theta_II_sq_closure",
+        row["theta_II_sq_closure"] = norm(
             [sgn_gt * 4.0 * Q_chi * ell_C ** 2,
              -8.0 * th1 * root * ell_C,
              sgn_h * 4.0 * th1 ** 2,
              th2 ** 2])
-    report["max_residual"] = max(
-        (abs(r["residual"]) for r in report["relations"]
-         if not r["skipped"]), default=0.0)
-    return report
+    return row
 
 
 # ----------------------------------------------------------------------

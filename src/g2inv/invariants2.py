@@ -156,13 +156,20 @@ def order2_invariant_vector(pj):
     return np.array(vals)
 
 
-def directional_partials(m, point, phi_id, i1_id, i2_id,
-                         tol=1e-8, method="analytic"):
-    """d(phi)/d(I1), d(phi)/d(I2) along the chosen invariant coordinates."""
-    jv = metrics.point_jets(m, point, order=2, method=method).fields
+# relative size below which the Jacobian of an invariant pair along
+# (X, Xperp) counts as singular
+DELTA_TOL = 1e-8
+
+
+def directional_partials(pj, phi_id, i1_id, i2_id):
+    """d(phi)/d(I1), d(phi)/d(I2) along the chosen invariant coordinates.
+
+    Raises DependentPairError where (I1, I2) are dependent at the point.
+    """
     for key in (phi_id, i1_id, i2_id):
         if key not in FIELD_IDS:
             raise ValueError(f"unknown invariant id {key!r}")
+    jv = pj.fields
     X = (jv["X1"].value, jv["X2"].value)
     Xp = (jv["Xp1"].value, jv["Xp2"].value)
     a11, a12 = jets.along(X, jv[i1_id]), jets.along(X, jv[i2_id])
@@ -170,9 +177,9 @@ def directional_partials(m, point, phi_id, i1_id, i2_id,
     b1, b2 = jets.along(X, jv[phi_id]), jets.along(Xp, jv[phi_id])
     delta = a11 * a22 - a12 * a21
     scale = max(abs(a11 * a22), abs(a12 * a21), 1e-300)
-    if abs(delta) < tol * scale:
+    if abs(delta) < DELTA_TOL * scale:
         raise DependentPairError(
-            f"pair ({i1_id}, {i2_id}) is dependent at {point}")
+            f"pair ({i1_id}, {i2_id}) is dependent at {pj.point}")
     return ((b1 * a22 - b2 * a12) / delta,
             (a11 * b2 - a21 * b1) / delta)
 
@@ -201,32 +208,18 @@ def bracket_residual(pj):
     return float(np.hypot(*diff) / norm)
 
 
-def relations_second(m, points, tol=1e-7, method="analytic"):
-    """Second-order relation suite: Q_ric, Q_nu and the commutator."""
-    rows = []
-    for pt in points:
-        pj = metrics.point_jets(m, pt, order=2, method=method)
-        sec = pj.second
-        sg = 1.0 if pj.det_gt.value > 0 else -1.0
-        C_rho = pj.fields["C_rho"].value
-        r_qric = einstein._normalized([sec.Q_ric, -0.25 * sec.C_ric ** 2])
-        r_qnu = einstein._normalized([4.0 * C_rho ** 2 * sec.Q_nu,
+def relations_second(pj):
+    """Residuals of the second-order relations at a point: Q_ric, Q_nu
+    and the commutator (None where J1, J2 are undefined)."""
+    sec = pj.second
+    sg = 1.0 if pj.det_gt.value > 0 else -1.0
+    C_rho = pj.fields["C_rho"].value
+    return {
+        "q_ric": einstein._normalized([sec.Q_ric, -0.25 * sec.C_ric ** 2]),
+        "q_nu": einstein._normalized([4.0 * C_rho ** 2 * sec.Q_nu,
                                       sec.XI["C_rho"] ** 2,
                                       sg * sec.XperpI["C_rho"] ** 2,
                                       -2.0 * sec.C_nu * C_rho
-                                      * sec.XI["C_rho"]])
-        r_bracket = bracket_residual(pj)
-        vals = [abs(r_qric), abs(r_qnu)]
-        if r_bracket is not None:
-            vals.append(abs(r_bracket))
-        rows.append({
-            "point": pt,
-            "q_ric": r_qric,
-            "q_nu": r_qnu,
-            "commutator": r_bracket,
-            "max_residual": max(vals),
-            "pass": max(vals) < tol,
-        })
-    return {"points": rows, "tol": tol,
-            "max_residual": max(r["max_residual"] for r in rows),
-            "pass": all(r["pass"] for r in rows)}
+                                      * sec.XI["C_rho"]]),
+        "commutator": bracket_residual(pj),
+    }

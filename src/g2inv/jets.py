@@ -250,6 +250,9 @@ def elementary(fname, a, p=None):
         return _compose(a, _derivatives(fname, a.value, a.order))
     except OverflowError:
         raise SingularEvaluationError(fname, a.value, "overflow") from None
+    except ZeroDivisionError:
+        # a derivative's denominator (v * s, v ** 2, ...) underflowed to 0
+        raise SingularEvaluationError(fname, a.value, "underflow") from None
 
 
 def _derivatives(fname, v, n):

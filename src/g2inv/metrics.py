@@ -78,12 +78,13 @@ class G2Metric:
 
 @contextmanager
 def singular_on_overflow(what):
-    """numpy overflow or invalid arithmetic in the block is a
-    SingularEvaluationError, not a RuntimeWarning and a NaN."""
+    """numpy overflow or invalid arithmetic, or Python float overflow, in
+    the block is a SingularEvaluationError, not a RuntimeWarning and a
+    NaN or a traceback."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
-    except FloatingPointError as err:
+    except (FloatingPointError, OverflowError) as err:
         raise SingularEvaluationError(what, math.nan, str(err)) from None
 
 

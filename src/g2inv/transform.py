@@ -32,9 +32,6 @@ class PseudoTransform:
     alpha: tuple    # ((a, b), (c, d))
     strings: dict = None
 
-    def alpha_matrix(self):
-        return np.array(self.alpha, dtype=float)
-
 
 def make_transform(phi1, phi2, psi1, psi2, alpha):
     strings = {"phi1": phi1, "phi2": phi2, "psi1": psi1, "psi2": psi2}

@@ -255,3 +255,32 @@ def test_curvature_overflow_is_one_error_line(tmp_path):
     assert r.returncode == 0 and r.stderr == ""
     row, = json.loads(r.stdout)["rows"]
     assert row["C_rho"] is None
+
+
+def test_relation_suite_overflow_is_one_error_line(tmp_path):
+    # Theta_III ** 2 exceeds the float range in the first-order suite
+    path = _submersion_file(tmp_path, {
+        "gt11": "t2*exp(-150*t1)", "gt12": "0", "gt22": "1",
+        "F11": "exp(150*t1)", "F12": "t2", "F21": "1", "F22": "exp(150*t1)",
+        "h11": "1+t2^2", "h12": "exp(60*t1)", "h22": "-1"})
+    r = _module_run("check-relations", path, "--first", "--second",
+                    "--points", "1.014,0.495", "--json")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, \
+        r.stderr
+
+
+def test_jet_underflow_is_an_input_error(tmp_path, capsys):
+    # sqrt|det gt| of a tiny det gt: its second derivative underflows
+    path = _submersion_file(tmp_path, {
+        "gt11": "t2*exp(-150*t1)", "gt12": "0", "gt22": "1",
+        "F11": "1+t2^2", "F12": "t2", "F21": "1", "F22": "1",
+        "h11": "1+t2^2", "h12": "t2*exp(-300*t1)", "h22": "-1"})
+    capsys.readouterr()
+    assert run(["invariants", path, "--at", "2.124,-0.721", "--order", "2",
+                "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") \
+        and captured.err.count("\n") == 1, captured.err

@@ -121,23 +121,27 @@ def test_flat_second_invariants_vanish():
     assert sec.J1 is None and sec.notices
 
 
+def _worst_second(m, pts):
+    """Largest |residual| of the second-order relations over the points."""
+    return max(abs(v) for pt in pts
+               for v in relations_second(point_jets(m, pt)).values()
+               if v is not None)
+
+
 def test_relations_second_vdb_and_random():
     m = catalog("vdb")
     pts = grid_points(default_domain(m), 5, 2, margin=0.05)
-    rep = relations_second(m, pts, tol=1e-7)
-    assert rep["pass"], rep["max_residual"]
+    assert _worst_second(m, pts) < 1e-7
     for seed in GENERIC_SEEDS:
         m, pts = generic_random_points(seed, 10)
-        rep = relations_second(m, pts, tol=1e-7)
-        assert rep["pass"], (seed, rep["max_residual"])
+        assert _worst_second(m, pts) < 1e-7, seed
 
 
 def test_relations_second_diag_t1_degenerate_case():
     # C_rho = 1 != 0 but Xperp C_rho = 0: the Q_nu relation reduces
     # consistently and the bracket identity still holds
     m = catalog("diag_t1")
-    rep = relations_second(m, [(1.5, 0.2), (2.0, -0.4)], tol=1e-9)
-    assert rep["pass"], rep
+    assert _worst_second(m, [(1.5, 0.2), (2.0, -0.4)]) < 1e-9
 
 
 def test_bracket_identity_corpus():
@@ -153,11 +157,10 @@ def test_bracket_identity_corpus():
 
 
 def test_directional_partials_identity_cases():
-    m = catalog("vdb")
-    pt = (0.6, 1.1)
-    assert directional_partials(m, pt, "C_rho", "C_rho", "ell_C") \
+    pj = point_jets(catalog("vdb"), (0.6, 1.1))
+    assert directional_partials(pj, "C_rho", "C_rho", "ell_C") \
         == pytest.approx((1.0, 0.0), abs=1e-12)
-    assert directional_partials(m, pt, "ell_C", "C_rho", "ell_C") \
+    assert directional_partials(pj, "ell_C", "C_rho", "ell_C") \
         == pytest.approx((0.0, 1.0), abs=1e-12)
 
 
@@ -169,7 +172,7 @@ def test_directional_partials_against_signature_closed_form():
     pt = (0.6, 1.1)
     jv = first_invariant_jets(point_jets(m, pt, order=1))
     i1, i2 = jv["C_rho"].value, jv["ell_C"].value
-    got = directional_partials(m, pt, "C_chi", "C_rho", "ell_C")
+    got = directional_partials(point_jets(m, pt), "C_chi", "C_rho", "ell_C")
     h1, h2 = 1e-7 * abs(i1), 1e-7 * abs(i2)
     d1 = (vdb_oracle(i1 + h1, i2)[0] - vdb_oracle(i1 - h1, i2)[0]) / (2 * h1)
     d2 = (vdb_oracle(i1, i2 + h2)[0] - vdb_oracle(i1, i2 - h2)[0]) / (2 * h2)
@@ -179,7 +182,7 @@ def test_directional_partials_against_signature_closed_form():
 
 def test_directional_partials_dependent_pair():
     with pytest.raises(DependentPairError):
-        directional_partials(catalog("vdb"), (0.6, 1.1),
+        directional_partials(point_jets(catalog("vdb"), (0.6, 1.1)),
                              "C_chi", "C_rho", "C_rho")
 
 

@@ -158,3 +158,12 @@ def test_overflow_is_a_singular_evaluation():
         jets.elementary("exp", jets.seed(800.0, 0, 2))
     with pytest.raises(SingularEvaluationError, match="overflow"):
         jets.seed(1e200, 0, 2) ** 2.5
+
+
+def test_underflow_is_a_singular_evaluation():
+    # the second-derivative denominators v * sqrt(v) and v ** 2 underflow
+    # to 0 for a tiny positive argument
+    with pytest.raises(SingularEvaluationError, match="underflow"):
+        jets.elementary("sqrt", jets.seed(1e-300, 0, 2))
+    with pytest.raises(SingularEvaluationError, match="underflow"):
+        jets.elementary("ln", jets.seed(5e-324, 0, 2))

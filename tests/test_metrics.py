@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from g2inv import (catalog, classify, cli, einstein, expr, invariants1,
-                   invariants2, jets, load_metric, point_jets)
+                   invariants2, jets, load_metric, metrics, point_jets)
 from g2inv.errors import MetricDefinitionError, SingularMetricError
 from g2inv.metrics import (CATALOG_NAMES, component_scale, default_domain,
                            grid_points)
@@ -247,15 +247,38 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
     vdb = catalog("vdb")
     pts = grid_points(default_domain(vdb), 2, margin=0.1)
     for pt in pts:
-        invariants1.relations_first(point_jets(vdb, pt))
-    invariants2.relations_second(vdb, pts)
+        pj = point_jets(vdb, pt)
+        invariants1.relations_first(pj)
+        invariants2.relations_second(pj)
     lk = catalog("lambda_kundu")
-    einstein.onshell_relations(lk, 3.0, grid_points(default_domain(lk), 2))
+    for pt in grid_points(default_domain(lk), 2):
+        einstein.onshell_relations(point_jets(lk, pt), 3.0)
     path = tmp_path / "vdb.json"
     path.write_text(json.dumps(vdb.to_document()))
     assert cli.run(["grid", str(path), "--t1", "0.4:1.0:2", "--t2",
                     "0.8:1.4:2", "--order", "2", "--csv", "--out",
                     str(tmp_path / "grid.csv")]) == 0
+    # a check builds one PointJets per point and runs every selected
+    # suite on it
+    point_calls = Counter()
+    build = metrics.point_jets
+
+    def counting_point_jets(m, point, *args, **kwargs):
+        point_calls[point] += 1
+        return build(m, point, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "point_jets", counting_point_jets)
+    lk_path = tmp_path / "lk.json"
+    lk_path.write_text(json.dumps(lk.to_document()))
+    checks = ["--lambda", "3", "--points", "0.7,-0.2;0.9,0.1;1.2,0.3",
+              "--out", str(tmp_path / "report.txt")]
+    for argv in (["check-relations", str(lk_path), "--first", "--second",
+                  "--onshell", *checks],
+                 ["check-einstein", str(lk_path), *checks]):
+        point_calls.clear()
+        assert cli.run(argv) == 0, argv
+        assert point_calls == Counter({(0.7, -0.2): 1, (0.9, 0.1): 1,
+                                       (1.2, 0.3): 1}), argv
 
     assert {name for name, _ in calls} == {
         "first_invariant_jets", "frame", "oneill_tensors", "four_metric",
