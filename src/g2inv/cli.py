@@ -314,9 +314,8 @@ def _parse_rect(text):
 def cmd_equiv(args):
     ma = metrics.load_metric(args.metric_a)
     mb = metrics.load_metric(args.metric_b)
-    pair = tuple(args.pair.split(","))
     verdict = equivalence.compare_metrics(
-        ma, mb, pair=pair, n=args.grid, tol=args.tol,
+        ma, mb, n=args.grid, tol=args.tol,
         rect_a=_parse_rect(args.rect_a) if args.rect_a else None,
         rect_b=_parse_rect(args.rect_b) if args.rect_b else None)
     _emit(args, {"command": "equiv", "metric_a": ma.name,
@@ -427,7 +426,6 @@ def build_parser():
     p = sub.add_parser("equiv", help="signature comparison of two metrics")
     p.add_argument("metric_a")
     p.add_argument("metric_b")
-    p.add_argument("--pair", default="Crho,lC")
     p.add_argument("--grid", type=int, default=12)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--rect-a", metavar="a:b,c:d",

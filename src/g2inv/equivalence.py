@@ -1,11 +1,14 @@
 """Local equivalence via sampled invariant signatures.
 
-A signature records how the remaining fundamental invariants depend on
-a chosen functionally independent pair (I1, I2) across a sampling grid.
-Two metrics whose signatures agree wherever the ranges overlap pass the
-necessary-and-sufficient dependence criterion at the sampled
-resolution; the verdict is a sampling-based check, not a proof --
-"Consistent" means no obstruction was found at this resolution.
+A signature samples the six fundamental invariants across a grid: each
+sample is a point of the metric's classifying manifold, the surface the
+map (t1, t2) -> (C_rho, ..., Theta_I_sq) traces in six-space.  Two
+metrics are locally equivalent iff their classifying manifolds overlap
+(Olver, Equivalence, Invariants, and Symmetry, 1995, ch. 8 and 14), so
+every sample of one metric is projected onto the other metric's
+classifying manifold.  The verdict is a sampling-based check, not a
+proof: "Consistent" means an open set of samples matched on both sides,
+not that every sample did.
 """
 
 from __future__ import annotations
@@ -15,35 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets, metrics
-from .errors import (DependentPairError, G2InvError,
-                     InsufficientCoverageError, MetricDefinitionError)
+from .errors import G2InvError, InsufficientCoverageError
 from .invariants1 import FUNDAMENTAL_IDS
-from .invariants2 import directional_partials
-
-PAIR_ALIASES = {
-    "Crho": "C_rho", "Cchi": "C_chi", "Qchi": "Q_chi", "Qgamma": "Q_gamma",
-    "lC": "ell_C", "ellC": "ell_C", "ThetaIsq": "Theta_I_sq",
-}
-
-
-def canonical_id(name):
-    name = PAIR_ALIASES.get(name, name)
-    if name not in FUNDAMENTAL_IDS:
-        raise MetricDefinitionError(f"unknown invariant id {name!r}")
-    return name
+from .invariants2 import DELTA_TOL
 
 
 @dataclass
 class Sample:
     point: tuple
-    I1: float
-    I2: float
-    rest: dict
+    values: tuple    # the six fundamentals, in FUNDAMENTAL_IDS order
 
 
 @dataclass
 class Signature:
-    pair: tuple
     samples: list
 
 
@@ -51,46 +38,60 @@ class Signature:
 MIN_SAMPLES = 8
 
 
-def build_signature(m, rect=None, n=12, pair=("C_rho", "ell_C")):
-    """Sample the invariant signature of a metric over a rectangle."""
-    pair = tuple(canonical_id(x) for x in pair)
+def _fundamentals(pj):
+    """The six fundamentals at a point and their 6x2 t-Jacobian."""
+    jv = pj.fields
+    values = np.array([jv[k].value for k in FUNDAMENTAL_IDS])
+    jac = np.array([[jets.t_derivative(jv[k], s).value for s in (0, 1)]
+                    for k in FUNDAMENTAL_IDS])
+    return values, jac
+
+
+def _rank2(jac):
+    """Do the fundamentals have two independent gradients?  Rows are
+    normalised first, so no invariant's size weighs in."""
+    norms = np.linalg.norm(jac, axis=1)
+    keep = norms > 0.0
+    s = np.linalg.svd(jac[keep] / norms[keep, None], compute_uv=False)
+    return len(s) == 2 and s[1] >= DELTA_TOL * s[0]
+
+
+def build_signature(m, rect=None, n=12):
+    """Sample the classifying manifold of a metric over a rectangle.
+
+    A grid point is skipped where the metric cannot be evaluated, is not
+    generic, or its fundamentals do not have rank 2 there.
+    """
     rect = rect or metrics.default_domain(m)
     if rect is None:
         # unknown user metric: scan a default box; invalid or
         # non-generic grid points are skipped anyway
         rect = ((-1.5, 1.5), (-1.5, 1.5))
-    rest_keys = [k for k in FUNDAMENTAL_IDS if k not in pair]
     samples = []
     for pt in metrics.grid_points(rect, n, margin=0.02):
         try:
             pj = metrics.point_jets(m, pt, order=2)
+            generic = metrics.classify(pj).generic
+            values, jac = _fundamentals(pj)
         except (G2InvError, ArithmeticError):
             continue
-        if not metrics.classify(pj).generic:
-            continue
-        try:  # only whether the pair is independent here matters
-            directional_partials(pj, pair[0], pair[0], pair[1])
-        except DependentPairError:
-            continue
-        jv = pj.fields
-        samples.append(Sample(
-            point=pj.point,
-            I1=jv[pair[0]].value, I2=jv[pair[1]].value,
-            rest={k: jv[k].value for k in rest_keys}))
+        if (generic and np.isfinite(values).all()
+                and np.isfinite(jac).all() and _rank2(jac)):
+            samples.append(Sample(point=pj.point, values=tuple(values)))
     if len(samples) < MIN_SAMPLES:
         raise InsufficientCoverageError(
             f"only {len(samples)} generic samples retained for {m.name!r} "
             f"(need {MIN_SAMPLES}); the signature criterion is unavailable "
             "on this stratum")
-    return Signature(pair=pair, samples=samples)
+    return Signature(samples=samples)
 
 
 @dataclass
 class Verdict:
     verdict: str                 # "Consistent" | "Inconsistent" | "Inconclusive"
-    coverage_a: float
+    coverage_a: float            # matched fraction of A's samples
     coverage_b: float
-    max_discrepancy: float
+    max_discrepancy: float       # largest residual of a matched sample
     witness: dict = None
     note: str = ""
 
@@ -99,92 +100,80 @@ class Verdict:
             self.verdict]
 
 
-def _axis_scales(samples_a, samples_b):
-    out = []
-    for attr in ("I1", "I2"):
-        vals = np.array([getattr(s, attr) for s in samples_a]
-                        + [getattr(s, attr) for s in samples_b])
-        q75, q25 = np.percentile(vals, [75, 25])
-        iqr = q75 - q25
-        out.append(iqr if iqr > 0 else max(np.max(np.abs(vals)), 1.0))
-    return out
+def _scales(values):
+    """Inter-quartile range of each fundamental over the samples (its
+    largest magnitude, at least 1, where that range is 0)."""
+    q75, q25 = np.percentile(values, [75, 25], axis=0)
+    iqr = q75 - q25
+    return np.where(iqr > 0, iqr,
+                    np.maximum(np.max(np.abs(values), axis=0), 1.0))
 
 
-def _scaled_points(samples, sa):
-    return np.array([[s.I1 / sa[0], s.I2 / sa[1]] for s in samples])
+# scaled residual at which a projection has converged
+CONVERGED = 1e-10
 
 
-def _radius(pa, pb):
-    """Three times the median nearest-neighbour distance of the denser
-    of the two scaled sample sets."""
-    dense = pa if len(pa) >= len(pb) else pb
-    d2 = np.sum((dense[:, None, :] - dense[None, :, :]) ** 2, axis=-1)
-    np.fill_diagonal(d2, np.inf)
-    return 3.0 * float(np.median(np.sqrt(np.min(d2, axis=1))))
+def _project(m, target, starts, scales):
+    """Gauss-Newton projection of a six-vector onto the classifying
+    manifold of m: (residual, point, values) of the nearest point found.
+
+    The residual is the norm of the scaled difference of the six
+    fundamentals.  Each start runs until an evaluation fails, the
+    residual stalls or 12 evaluations are spent; the first start that
+    converges settles the search.
+    """
+    best = (np.inf, None, None)
+    for start in starts:
+        pt, prev = np.array(start, dtype=float), np.inf
+        for _ in range(12):
+            try:
+                pj = metrics.point_jets(m, pt, order=2)
+                values, jac = _fundamentals(pj)
+            except (G2InvError, ArithmeticError):
+                break
+            r = (values - target) / scales
+            res = float(np.linalg.norm(r))
+            if not (np.isfinite(res) and np.isfinite(jac).all()):
+                break
+            if res < best[0]:
+                best = (res, pj.point, values)
+            if res < CONVERGED or res > 0.9 * prev:
+                break
+            prev = res
+            step = np.linalg.lstsq(jac / scales[:, None], r, rcond=None)[0]
+            limit = 0.5 * (1.0 + np.linalg.norm(pt))
+            norm = np.linalg.norm(step)
+            if norm > limit:
+                step *= limit / norm
+            pt = pt - step
+        if best[0] < CONVERGED:
+            break
+    return best
 
 
-def _invariants_at(m, pt, pair):
-    jv = metrics.point_jets(m, pt, order=2).fields
-    vals = {k: jv[k].value for k in FUNDAMENTAL_IDS}
-    grads = {k: (jets.t_derivative(jv[k], 0).value,
-                 jets.t_derivative(jv[k], 1).value)
-             for k in pair}
-    return vals, grads
+def compare_metrics(ma, mb, n=12, tol=1e-4, rect_a=None, rect_b=None):
+    """Signature comparison on the classifying manifolds.
 
-
-def _newton_match(m, pair, target, start, steps=12, tol=1e-11):
-    """Find a point of m where the invariant pair equals target."""
-    pt = np.array(start, dtype=float)
-    scale = np.maximum(1.0, np.abs(target))
-    for _ in range(steps):
-        try:
-            vals, grads = _invariants_at(m, tuple(pt), pair)
-        except (G2InvError, ArithmeticError):
-            return None
-        F = np.array([vals[pair[0]] - target[0],
-                      vals[pair[1]] - target[1]])
-        if np.max(np.abs(F) / scale) < tol:
-            return tuple(pt), vals
-        J = np.array([grads[pair[0]], grads[pair[1]]])
-        if abs(np.linalg.det(J)) < 1e-300:
-            return None
-        step = np.linalg.solve(J, F)
-        limit = 0.5 * (1.0 + np.linalg.norm(pt))
-        norm = np.linalg.norm(step)
-        if norm > limit:
-            step *= limit / norm
-        pt = pt - step
-    return None
-
-
-def _rest_discrepancy(rest, vals):
-    """Largest relative difference of the remaining invariants."""
-    return max(0.0, *(abs(rest[k] - vals[k])
-                      / max(1.0, abs(rest[k]), abs(vals[k])) for k in rest))
-
-
-def compare_metrics(ma, mb, pair=("C_rho", "ell_C"), n=12, tol=1e-4,
-                    rect_a=None, rect_b=None):
-    """Signature comparison with exact matching of the invariant pair.
-
-    Both signatures are sampled, then every sample of one metric is
-    matched on the other metric by a Newton search driving the
-    invariant pair to exactly the sample's value (started from the
-    nearest signature samples of the other metric), so the remaining
-    invariants are compared at equal arguments with no interpolation
-    error.  The witness of an Inconsistent verdict names the sample and
-    the matched point whose remaining invariants differ by its
-    discrepancy.
+    Both signatures are sampled, then every sample of one metric (at
+    most 48 per side) is projected onto the other metric's classifying
+    manifold by Gauss-Newton in (t1, t2), started from the four nearest
+    samples of the other metric; each fundamental is scaled by its
+    inter-quartile range over both sample sets.  A sample matches when
+    its scaled residual is below tol.  The verdict is Consistent when at
+    least half the samples of each side match, Inconsistent when none
+    does; its witness is the sample with the smallest residual and the
+    point where that residual is reached, with both sets of
+    fundamentals.
     Stratum mismatches are verdicts of their own: if exactly one side
     is degenerate the metrics cannot be equivalent, if both are, the
     criterion does not apply.
     """
     try:
-        sig_a = build_signature(ma, rect=rect_a, n=n, pair=pair)
+        sig_a = build_signature(ma, rect=rect_a, n=n)
     except InsufficientCoverageError:
         sig_a = None
     try:
-        sig_b = build_signature(mb, rect=rect_b, n=n, pair=pair)
+        sig_b = build_signature(mb, rect=rect_b, n=n)
     except InsufficientCoverageError:
         sig_b = None
     if sig_a is None and sig_b is None:
@@ -198,58 +187,48 @@ def compare_metrics(ma, mb, pair=("C_rho", "ell_C"), n=12, tol=1e-4,
                             "(no generic samples) while the other metric "
                             "is generic: different strata")
 
-    pair = sig_a.pair
-    sa = _axis_scales(sig_a.samples, sig_b.samples)
-    max_disc = 0.0
-    witness = None
-    pa = _scaled_points(sig_a.samples, sa)
-    pb = _scaled_points(sig_b.samples, sa)
-    radius = _radius(pa, pb)
+    scales = _scales(np.array([s.values for s in
+                               sig_a.samples + sig_b.samples]))
 
-    def refine(sig_from, m_to, sig_to, pts_to, cap=48):
-        nonlocal max_disc, witness
-        stride = max(1, len(sig_from.samples) // cap)
-        subset = sig_from.samples[::stride]
-        matched = 0
-        for s in subset:
-            d = np.sqrt(np.sum(
-                (pts_to - [s.I1 / sa[0], s.I2 / sa[1]]) ** 2, axis=1))
-            order = [j for j in np.argsort(d)[:4] if d[j] <= radius]
-            # several sheets may solve the pair equation: a first hit
-            # within tol settles it, otherwise the best hit counts
-            hits = []
-            for j in order:
-                hit = _newton_match(m_to, pair, (s.I1, s.I2),
-                                    sig_to.samples[j].point)
-                if hit is not None:
-                    hits.append((_rest_discrepancy(s.rest, hit[1]), hit))
-                    if hits[0][0] <= tol:
-                        break
-            if not hits:
-                continue
-            disc, (b_point, vals) = min(hits, key=lambda h: h[0])
-            matched += 1
-            max_disc = max(max_disc, disc)
-            if disc > tol and witness is None:
-                witness = {"a_point": list(s.point), "b_point": list(b_point),
-                           "target_pair": [s.I1, s.I2],
-                           "a_rest": dict(s.rest),
-                           "matched_rest": {k: vals[k] for k in s.rest},
-                           "discrepancy": disc}
-        return matched / len(subset)
+    def match(samples_from, m_to, samples_to, cap=48):
+        """(residual, from point, to point, from values, to values) of
+        each sample of samples_from, projected onto m_to."""
+        v_to = np.array([s.values for s in samples_to])
+        out = []
+        for s in samples_from[::max(1, len(samples_from) // cap)]:
+            v = np.array(s.values)
+            d = np.linalg.norm((v_to - v) / scales, axis=1)
+            starts = [samples_to[j].point for j in np.argsort(d)[:4]]
+            res, point, values = _project(m_to, v, starts, scales)
+            out.append((res, s.point, point, v, values))
+        return out
 
-    coverage_a = refine(sig_a, mb, sig_b, pb)
-    coverage_b = refine(sig_b, ma, sig_a, pa)
-    if witness is not None:
-        return Verdict("Inconsistent", coverage_a, coverage_b, max_disc,
-                       witness=witness,
-                       note="matched samples disagree beyond tolerance")
+    rows_a = match(sig_a.samples, mb, sig_b.samples)
+    # B's samples projected onto A, with A's side first
+    rows_b = [(res, pa, pb, a, b) for res, pb, pa, b, a
+              in match(sig_b.samples, ma, sig_a.samples)]
+    coverage_a, coverage_b = (sum(r[0] < tol for r in rows) / len(rows)
+                              for rows in (rows_a, rows_b))
+    max_disc = max((r[0] for r in rows_a + rows_b if r[0] < tol),
+                   default=0.0)
+    if coverage_a == coverage_b == 0.0:
+        res, pa, pb, a, b = min(rows_a + rows_b, key=lambda r: r[0])
+        witness = {"a_point": list(pa), "b_point": list(pb),
+                   "a_values": dict(zip(FUNDAMENTAL_IDS, map(float, a))),
+                   "b_values": dict(zip(FUNDAMENTAL_IDS, map(float, b))),
+                   "scales": dict(zip(FUNDAMENTAL_IDS, map(float, scales))),
+                   "residual": res}
+        return Verdict("Inconsistent", 0.0, 0.0, 0.0, witness=witness,
+                       note="no sample of either metric lies on the other's "
+                            "classifying manifold")
     if min(coverage_a, coverage_b) < 0.5:
         return Verdict("Inconclusive", coverage_a, coverage_b, max_disc,
-                       note="invariant ranges barely overlap; criterion "
-                            "untestable from these samples")
+                       note="the classifying manifolds overlap only on "
+                            "part of the samples; criterion untestable "
+                            "from these samples")
     return Verdict("Consistent", coverage_a, coverage_b, max_disc,
-                   note="no obstruction found at this sampling resolution")
+                   note="the samples of both metrics lie on the other's "
+                        "classifying manifold at this sampling resolution")
 
 
 # ----------------------------------------------------------------------

@@ -435,8 +435,7 @@ def relations_first(pj):
 # numerical independence ranks
 # ----------------------------------------------------------------------
 
-def random_point_jets(seed, order=1, transitive=False,
-                      sign_h=1.0, sign_gt=1.0):
+def random_point_jets(seed, order=1, transitive=False):
     """Synthetic jet-space probe with nondegenerate h and gt blocks."""
     rng = np.random.default_rng(seed)
     size = len(jets._IDX[order])
@@ -448,10 +447,10 @@ def random_point_jets(seed, order=1, transitive=False,
 
     gt = (jet(2.0 + rng.uniform(-0.5, 0.5)),
           jet(rng.uniform(-0.4, 0.4)),
-          jet(sign_gt * (2.0 + rng.uniform(-0.5, 0.5))))
+          jet(2.0 + rng.uniform(-0.5, 0.5)))
     h = (jet(2.0 + rng.uniform(-0.5, 0.5)),
          jet(rng.uniform(-0.4, 0.4)),
-         jet(sign_h * (2.0 + rng.uniform(-0.5, 0.5))))
+         jet(2.0 + rng.uniform(-0.5, 0.5)))
     F = tuple(jet(rng.uniform(-0.8, 0.8)) for _ in range(4))
     if transitive:
         F = _symmetrize_curl(F)

@@ -38,6 +38,9 @@ SUBMERSION_KEYS = ("gt11", "gt12", "gt22", "F11", "F12", "F21", "F22",
 # ell_C or the curl of F count as zero: the stratum and frame decisions
 GENERIC_TOL = 1e-10
 
+# step of the finite-difference jets of point_jets(method="fd")
+FD_STEP = 1e-2
+
 CATALOG_NAMES = ("flat", "diag_t1", "vdb", "ppwave1", "ppwave2", "ppwave3",
                  "lambda_kundu", "lambda_kundu_c0", "random_analytic")
 
@@ -63,9 +66,6 @@ class G2Metric:
     components: dict  # key -> expression string
     asts: dict = field(repr=False, default=None)
     domain: tuple = None  # ((t1min, t1max), (t2min, t2max)) or None
-
-    def component_keys(self):
-        return BFH_KEYS if self.form == "bfh" else SUBMERSION_KEYS
 
     def to_document(self):
         return {
@@ -210,7 +210,7 @@ def load_metric(document):
                     asts=asts)
 
 
-def _eval_components(m, point, order, method, h_fd):
+def _eval_components(m, point, order, method):
     out, memo = {}, {}
     for key, ast in m.asts.items():
         if method == "analytic":
@@ -218,20 +218,20 @@ def _eval_components(m, point, order, method, h_fd):
         elif method == "fd":
             out[key] = jets.finite_difference_jet(
                 lambda p, a=ast: expr.eval_scalar(a, m.params, p),
-                point, order, h=h_fd)
+                point, order, h=FD_STEP)
         else:
             raise ValueError(f"unknown jet method {method!r}")
     return out
 
 
-def point_jets(m, point, order=2, method="analytic", h_fd=1e-2):
+def point_jets(m, point, order=2, method="analytic"):
     """Canonical submersion-form jets of the metric at a point.
 
     method="fd" replaces analytic jets with central finite differences
     (order <= 2), the independent cross-check path.
     """
     point = (float(point[0]), float(point[1]))
-    comp = _eval_components(m, point, order, method, h_fd)
+    comp = _eval_components(m, point, order, method)
     h = (comp["h11"], comp["h12"], comp["h22"])
     det_h = h[0] * h[2] - h[1] * h[1]
     if det_h.value == 0.0 or not det_h.is_finite():

@@ -271,12 +271,14 @@ def test_relation_suite_overflow_is_one_error_line(tmp_path):
         r.stderr
 
 
+UNDERFLOW = {"gt11": "t2*exp(-150*t1)", "gt12": "0", "gt22": "1",
+             "F11": "1+t2^2", "F12": "t2", "F21": "1", "F22": "1",
+             "h11": "1+t2^2", "h12": "t2*exp(-300*t1)", "h22": "-1"}
+
+
 def test_jet_underflow_is_an_input_error(tmp_path, capsys):
     # sqrt|det gt| of a tiny det gt: its second derivative underflows
-    path = _submersion_file(tmp_path, {
-        "gt11": "t2*exp(-150*t1)", "gt12": "0", "gt22": "1",
-        "F11": "1+t2^2", "F12": "t2", "F21": "1", "F22": "1",
-        "h11": "1+t2^2", "h12": "t2*exp(-300*t1)", "h22": "-1"})
+    path = _submersion_file(tmp_path, UNDERFLOW)
     capsys.readouterr()
     assert run(["invariants", path, "--at", "2.124,-0.721", "--order", "2",
                 "--json"]) == 2
@@ -284,3 +286,17 @@ def test_jet_underflow_is_an_input_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") \
         and captured.err.count("\n") == 1, captured.err
+
+
+def test_equiv_skips_samples_whose_fields_fail(tmp_path, capsys):
+    # every grid point underflows in the first-order fields: each is
+    # skipped as a sample, so no signature is left on either side
+    path = _submersion_file(tmp_path, UNDERFLOW)
+    rect = "2.0:2.3,-0.8:-0.6"
+    capsys.readouterr()
+    code = run(["equiv", path, path, "--rect-a", rect, "--rect-b", rect,
+                "--grid", "3", "--json"])
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verdict"] == "Inconclusive"
+    assert code == 3
+    assert "error:" not in captured.err

@@ -1,11 +1,13 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2inv import catalog, metrics, point_jets
 from g2inv.equivalence import (build_signature, characterize_vdb,
                                compare_metrics, vdb_oracle)
 from g2inv.errors import InsufficientCoverageError
-from g2inv.invariants1 import first_invariant_jets
-from g2inv.metrics import default_domain, grid_points
+from g2inv.invariants1 import FUNDAMENTAL_IDS, first_invariant_jets
+from g2inv.metrics import default_domain, grid_points, load_metric
 from g2inv.transform import (apply_to_metric, make_transform,
                              pushforward_jets, random_transform)
 
@@ -13,7 +15,6 @@ from g2inv.transform import (apply_to_metric, make_transform,
 def test_build_signature_vdb_retains_grid():
     sig = build_signature(catalog("vdb"), n=12)
     assert len(sig.samples) >= 100
-    assert sig.pair == ("C_rho", "ell_C")
 
 
 def test_build_signature_flat_insufficient():
@@ -21,14 +22,18 @@ def test_build_signature_flat_insufficient():
         build_signature(catalog("flat"), n=8)
 
 
-def test_build_signature_dependent_pair_rejected():
-    with pytest.raises(InsufficientCoverageError):
-        build_signature(catalog("vdb"), n=8, pair=("C_rho", "C_rho"))
-
-
-def test_pair_alias_resolution():
-    sig = build_signature(catalog("vdb"), n=8, pair=("Crho", "lC"))
-    assert sig.pair == ("C_rho", "ell_C")
+def test_build_signature_skips_rank_deficient_fundamentals():
+    # every component depends on t1 alone: the metric is generic, but its
+    # six fundamentals have rank 1, so no grid point is a sample
+    m = load_metric({"name": "t1_only", "form": "submersion", "params": {},
+                     "components": {
+                         "gt11": "2+0.3*sin(t1)", "gt12": "0", "gt22": "1",
+                         "F11": "0", "F12": "0", "F21": "t1^2",
+                         "F22": "0.5*t1", "h11": "2+0.4*cos(t1)",
+                         "h12": "0.2*t1", "h22": "-1-0.1*t1^2"}})
+    assert metrics.classify(point_jets(m, (0.3, 0.2))).generic
+    with pytest.raises(InsufficientCoverageError, match="only 0 generic"):
+        build_signature(m, n=4)
 
 
 def test_compare_reflexive():
@@ -80,25 +85,53 @@ def test_discrimination_against_random():
 
 
 def test_inconsistent_witness_states_its_own_discrepancy():
-    # a random_analytic metric against an affine image of itself: the
-    # verdict is the known false Inconsistent, but its witness must pair
-    # the matched point's invariants with their own discrepancy
-    m = catalog("random_analytic", {"seed": 0})
-    p = make_transform("1.122001*t1 + 0.123176*t2 + -0.267642",
-                       "0.006130*t1 + 0.914321*t2 + -0.069979",
-                       "-0.091527*t1 + -0.454725*t2",
-                       "-0.451242*t1 + 0.499176*t2",
-                       [[-2.0, 1.0], [1.0, -1.0]])
-    image = apply_to_metric(m, p)
-    v = compare_metrics(m, image, n=3, rect_b=image.domain)
+    # the witness pairs a sample of one metric with the nearest point of
+    # the other's classifying manifold, and carries what its residual is
+    # computed from
+    m = catalog("vdb")
+    other = catalog("random_analytic", {"seed": 0})
+    v = compare_metrics(m, other, n=3)
     assert v.verdict == "Inconsistent"
+    assert v.max_discrepancy == 0.0
     w = v.witness
-    jv = point_jets(image, w["b_point"]).fields
-    assert w["matched_rest"] == {k: jv[k].value for k in w["a_rest"]}
-    assert w["discrepancy"] == max(
-        abs(a - b) / max(1.0, abs(a), abs(b))
-        for a, b in ((w["a_rest"][k], w["matched_rest"][k])
-                     for k in w["a_rest"]))
+    for key, metric in (("a", m), ("b", other)):
+        jv = point_jets(metric, w[f"{key}_point"]).fields
+        assert w[f"{key}_values"] == {k: jv[k].value for k in FUNDAMENTAL_IDS}
+    a, b, s = (np.array([w[key][k] for k in FUNDAMENTAL_IDS])
+               for key in ("a_values", "b_values", "scales"))
+    assert w["residual"] == pytest.approx(np.linalg.norm((a - b) / s),
+                                          rel=1e-12)
+    assert w["residual"] >= 1e-4
+
+
+def _affine(a, shift, grad, alpha):
+    """Affine pseudogroup element: phi = a t + shift, psi = grad t."""
+    row = "{:.6f}*t1 + {:.6f}*t2 + {:.6f}".format
+    return make_transform(row(*a[0], shift[0]), row(*a[1], shift[1]),
+                          row(*grad[0], 0.0), row(*grad[1], 0.0), alpha)
+
+
+def _matrix(entries):
+    return st.lists(st.lists(entries, min_size=2, max_size=2),
+                    min_size=2, max_size=2)
+
+
+near_identity = _matrix(st.floats(-0.2, 0.2)).map(
+    lambda d: [[1.0 + d[0][0], d[0][1]], [d[1][0], 1.0 + d[1][1]]])
+integer_invertible = _matrix(st.integers(-2, 2)).filter(
+    lambda m: m[0][0] * m[1][1] - m[0][1] * m[1][0] != 0)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(st.integers(0, 7), near_identity,
+       st.lists(st.floats(-0.3, 0.3), min_size=2, max_size=2),
+       _matrix(st.floats(-0.5, 0.5)), integer_invertible)
+def test_random_metric_is_consistent_with_its_affine_image(
+        seed, a, shift, grad, alpha):
+    m = catalog("random_analytic", {"seed": seed})
+    image = apply_to_metric(m, _affine(a, shift, grad, alpha))
+    v = compare_metrics(m, image, n=3, rect_b=image.domain)
+    assert v.verdict == "Consistent", v
 
 
 def test_vdb_oracle_consistency():
