@@ -21,8 +21,16 @@ from . import jets, metrics
 from .errors import SingularMetricError
 
 
+def _coeffs(rows):
+    """(ncoeffs, n, m) coefficient array of an n x m nested list of jets,
+    C-contiguous, so its value slice [0] multiplies like a fresh matrix."""
+    return np.ascontiguousarray(
+        np.array([[j.coeffs for j in row] for row in rows]).transpose(2, 0, 1))
+
+
 def four_metric(pj):
-    """4x4 symmetric matrix of component jets in (t1,t2,z1,z2) order."""
+    """(ncoeffs, 4, 4) coefficient array of the 4-metric jets in
+    (t1, t2, z1, z2) order."""
     gt11, gt12, gt22 = pj.gt
     h11, h12, h22 = pj.h
     F = pj.F  # (f_1^1, f_1^2, f_2^1, f_2^2)
@@ -46,15 +54,12 @@ def four_metric(pj):
     for k in range(2):
         for l in range(k, 2):
             g[2 + k][2 + l] = g[2 + l][2 + k] = h[k][l]
-    return g
-
-
-def four_metric_values(pj):
-    return np.array([[e.value for e in row] for row in pj.g4])
+    return _coeffs(g)
 
 
 def inverse_four_metric(pj, order=None):
-    """Jets of g^{ab} via the submersion block formula."""
+    """(ncoeffs, 4, 4) coefficient array of the jets of g^{ab}, via the
+    submersion block formula."""
     order = pj.order if order is None else order
     tr = lambda j: jets.truncate(j, order)
     gt11, gt12, gt22 = (tr(j) for j in pj.gt)
@@ -86,64 +91,50 @@ def inverse_four_metric(pj, order=None):
                 for j in range(2):
                     acc = acc + f(i, k) * gi[i][j] * f(j, l)
             ginv[2 + k][2 + l] = ginv[2 + l][2 + k] = acc
-    return ginv
+    return _coeffs(ginv)
+
+
+def _christoffel(g, ginv, order):
+    """Gamma^a_bc = 1/2 g^ad (d_b g_dc + d_c g_db - d_d g_bc) as a
+    (ncoeffs, n, n, n) array of order-`order` jets, from the coefficient
+    arrays of the metric g (order > `order`) and of its inverse ginv
+    (order `order`).  Only the first two coordinates, (t1, t2), carry
+    derivatives."""
+    n = g.shape[1]
+    dg = np.zeros((len(ginv), n, n, n))  # dg[:, e, b, c] = d_e g_bc
+    dg[:, :2] = np.take(g, jets._DIFF[order + 1], axis=0).swapaxes(0, 1)
+    bracket = dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg
+    # the terms of each d are summed in turn, as a per-entry jet loop
+    # over d would; at order 1 the values are then that loop's, bit for bit
+    terms = np.einsum("opq,pad,qdbc->doabc", jets.MUL_TENSOR[order],
+                      ginv, bracket)
+    return 0.5 * sum(terms)
 
 
 def christoffel4(pj):
-    """Christoffel symbols as jets of order pj.order - 1."""
+    """(ncoeffs, 4, 4, 4) coefficient array of the Christoffel symbol
+    jets, of order pj.order - 1."""
     if pj.order < 1:
         raise ValueError("christoffel4 needs jets of order >= 1")
     n = pj.order - 1
-    g = pj.g4
-    ginv = inverse_four_metric(pj, n)
-    zero = jets.constant(0.0, n)
+    return _christoffel(pj.g4, inverse_four_metric(pj, n), n)
 
-    dg = [[[jets.t_derivative(g[a][b], s) for b in range(4)]
-           for a in range(4)] for s in range(2)]
 
-    def pd(c, a, b):
-        return dg[c][a][b] if c < 2 else zero
-
-    gamma = [[[None] * 4 for _ in range(4)] for _ in range(4)]
-    for a in range(4):
-        for b in range(4):
-            for c in range(b, 4):
-                acc = zero
-                for d in range(4):
-                    acc = acc + ginv[a][d] * (pd(b, d, c) + pd(c, d, b)
-                                              - pd(d, b, c))
-                val = 0.5 * acc
-                gamma[a][b][c] = val
-                gamma[a][c][b] = val
-    return gamma
+def _riemann(gamma):
+    """R^a_bcd values from a Christoffel coefficient array of order >= 1;
+    only the first two coordinates, (t1, t2), carry derivatives."""
+    dG = np.zeros((gamma.shape[1],) + gamma.shape[1:])  # dG[e] = d_e Gamma
+    dG[:2] = gamma[1:3]
+    D = np.einsum("cadb->abcd", dG)
+    P = np.einsum("ace,edb->abcd", gamma[0], gamma[0])
+    return D - D.transpose(0, 1, 3, 2) + P - P.transpose(0, 1, 3, 2)
 
 
 def riemann4(pj):
     """R^a_bcd values (needs order >= 2 jets)."""
     if pj.order < 2:
         raise ValueError("riemann4 needs jets of order >= 2")
-    gamma = pj.christoffel
-    Gv = np.array([[[gamma[a][b][c].value for c in range(4)]
-                    for b in range(4)] for a in range(4)])
-    dG = np.zeros((2, 4, 4, 4))
-    for s in range(2):
-        for a in range(4):
-            for b in range(4):
-                for c in range(4):
-                    dG[s][a][b][c] = jets.t_derivative(gamma[a][b][c], s).value
-
-    def pdG(c, a, d, b):
-        return dG[c][a][d][b] if c < 2 else 0.0
-
-    R = np.zeros((4, 4, 4, 4))
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                for d in range(4):
-                    R[a][b][c][d] = (pdG(c, a, d, b) - pdG(d, a, c, b)
-                                     + Gv[a, c, :] @ Gv[:, d, b]
-                                     - Gv[a, d, :] @ Gv[:, c, b])
-    return R
+    return _riemann(pj.christoffel)
 
 
 def ricci4(pj):
@@ -153,7 +144,7 @@ def ricci4(pj):
 
 def sectional_curvature(pj, u, v):
     """K of the plane spanned by 4-vectors u, v at the point."""
-    g = four_metric_values(pj)
+    g = pj.g4[0]
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     # K = g(R(u, v) v, u) / (|u|^2 |v|^2 - g(u, v)^2), normalized so the
@@ -176,12 +167,10 @@ class Residual:
 
 def residual(pj, lam):
     """Lambda-vacuum residual R_ab - Lambda g_ab at the point of pj."""
-    g = pj.g4
     with metrics.singular_on_overflow("residual"):
-        mat = ricci4(pj) - lam * four_metric_values(pj)
+        mat = ricci4(pj) - lam * pj.g4[0]
         max_abs = float(np.max(np.abs(mat)))
-    scale = max(max(abs(c) for c in g[a][b].coeffs)
-                for a in range(4) for b in range(4))
+    scale = float(np.abs(pj.g4).max())
     return Residual(matrix=mat, max_abs=max_abs, scale=scale,
                     normalized=max_abs / scale)
 

@@ -27,6 +27,7 @@ from .invariants2 import DELTA_TOL
 class Sample:
     point: tuple
     values: tuple    # the six fundamentals, in FUNDAMENTAL_IDS order
+    jac: np.ndarray  # their 6x2 t-Jacobian
 
 
 @dataclass
@@ -77,7 +78,7 @@ def build_signature(m, rect=None, n=12):
             continue
         if (generic and np.isfinite(values).all()
                 and np.isfinite(jac).all() and _rank2(jac)):
-            samples.append(Sample(point=pj.point, values=tuple(values)))
+            samples.append(Sample(pj.point, tuple(values), jac))
     if len(samples) < MIN_SAMPLES:
         raise InsufficientCoverageError(
             f"only {len(samples)} generic samples retained for {m.name!r} "
@@ -117,26 +118,30 @@ def _project(m, target, starts, scales):
     """Gauss-Newton projection of a six-vector onto the classifying
     manifold of m: (residual, point, values) of the nearest point found.
 
-    The residual is the norm of the scaled difference of the six
-    fundamentals.  Each start runs until an evaluation fails, the
-    residual stalls or 12 evaluations are spent; the first start that
-    converges settles the search.
+    The starts are samples of m, whose values and Jacobian serve as the
+    first evaluation.  The residual is the norm of the scaled difference
+    of the six fundamentals.  Each start runs until an evaluation fails,
+    the residual stalls or 12 evaluations are spent; the first start
+    that converges settles the search.
     """
     best = (np.inf, None, None)
     for start in starts:
-        pt, prev = np.array(start, dtype=float), np.inf
+        pt, prev = np.array(start.point), np.inf
+        point, values, jac = start.point, np.array(start.values), start.jac
         for _ in range(12):
-            try:
-                pj = metrics.point_jets(m, pt, order=2)
-                values, jac = _fundamentals(pj)
-            except (G2InvError, ArithmeticError):
-                break
+            if point is None:
+                try:
+                    pj = metrics.point_jets(m, pt, order=2)
+                    values, jac = _fundamentals(pj)
+                except (G2InvError, ArithmeticError):
+                    break
+                point = pj.point
             r = (values - target) / scales
             res = float(np.linalg.norm(r))
             if not (np.isfinite(res) and np.isfinite(jac).all()):
                 break
             if res < best[0]:
-                best = (res, pj.point, values)
+                best = (res, point, values)
             if res < CONVERGED or res > 0.9 * prev:
                 break
             prev = res
@@ -145,7 +150,7 @@ def _project(m, target, starts, scales):
             norm = np.linalg.norm(step)
             if norm > limit:
                 step *= limit / norm
-            pt = pt - step
+            pt, point = pt - step, None
         if best[0] < CONVERGED:
             break
     return best
@@ -198,7 +203,7 @@ def compare_metrics(ma, mb, n=12, tol=1e-4, rect_a=None, rect_b=None):
         for s in samples_from[::max(1, len(samples_from) // cap)]:
             v = np.array(s.values)
             d = np.linalg.norm((v_to - v) / scales, axis=1)
-            starts = [samples_to[j].point for j in np.argsort(d)[:4]]
+            starts = [samples_to[j] for j in np.argsort(d)[:4]]
             res, point, values = _project(m_to, v, starts, scales)
             out.append((res, s.point, point, v, values))
         return out

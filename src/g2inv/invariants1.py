@@ -256,7 +256,7 @@ def frame(pj):
     C4 = (0.0, 0.0, C[0], C[1])
     Cp4 = (0.0, 0.0, Cp[0], Cp[1])
 
-    g4 = einstein.four_metric_values(pj)
+    g4 = pj.g4[0]
 
     def gdot(u, v):
         return float(np.array(u) @ g4 @ np.array(v))
@@ -310,8 +310,7 @@ def oneill_tensors(pj):
     (1,1) maps T(C, .) and T(Cperp, .)), which exist on every stratum.
     """
     ver, hor, dver, dhor = _projection_matrices(pj)
-    G = np.array([[[pj.christoffel[a][b][c].value for c in range(4)]
-                   for b in range(4)] for a in range(4)])
+    G = pj.christoffel[0]
     T = np.zeros((4, 4, 4))
     A = np.zeros((4, 4, 4))
     for b in range(4):
@@ -363,7 +362,7 @@ def oneill(pj):
         raise FrameRequiredError(
             "frame required: C_rho*ell_C vanishes at this point")
     A, T, Theta_C, Theta_Cp = pj.oneill_tensors
-    g4 = einstein.four_metric_values(pj)
+    g4 = pj.g4[0]
     Y = np.array([fr.H4, fr.Hperp4, fr.C4, fr.Cperp4])
     ell = np.array([fr.ell_H, fr.ell_Hperp, fr.ell_C, fr.ell_Cperp])
 

@@ -38,48 +38,17 @@ class Invariants2:
     notices: tuple = ()
 
 
-def _christoffel2(pj, n):
-    """Christoffels of the orbit metric as order-n jets."""
-    tr = lambda j: jets.truncate(j, n)
-    g = [[tr(pj.gt[0]), tr(pj.gt[1])], [tr(pj.gt[1]), tr(pj.gt[2])]]
-    det = tr(pj.det_gt)
-    gi = [[g[1][1] / det, -g[0][1] / det],
-          [-g[0][1] / det, g[0][0] / det]]
-    dg = [[[jets.t_derivative(jets.truncate(pj.gt[_sym(a, b)], n + 1), s)
-            for b in range(2)] for a in range(2)] for s in range(2)]
-    gamma = [[[None] * 2 for _ in range(2)] for _ in range(2)]
-    for a in range(2):
-        for b in range(2):
-            for c in range(b, 2):
-                acc = jets.constant(0.0, n)
-                for d in range(2):
-                    acc = acc + gi[a][d] * (dg[b][d][c] + dg[c][d][b]
-                                            - dg[d][b][c])
-                gamma[a][b][c] = gamma[a][c][b] = 0.5 * acc
-    return gamma
-
-
-def _sym(a, b):
-    return a + b  # (0,0)->0, (0,1)/(1,0)->1, (1,1)->2
-
-
 def _orbit_curvature(pj):
-    """(C_ric, Q_ric) of the 2D orbit metric from order-2 jets."""
-    gamma = _christoffel2(pj, pj.order - 1)
-    Gv = np.array([[[gamma[a][b][c].value for c in range(2)]
-                    for b in range(2)] for a in range(2)])
-    dG = np.array([[[[jets.t_derivative(gamma[a][b][c], s).value
-                      for c in range(2)] for b in range(2)]
-                    for a in range(2)] for s in range(2)])
-    R = np.zeros((2, 2, 2, 2))
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                for d in range(2):
-                    R[a][b][c][d] = (dG[c][a][d][b] - dG[d][a][c][b]
-                                     + Gv[a, c, :] @ Gv[:, d, b]
-                                     - Gv[a, d, :] @ Gv[:, c, b])
-    ric = np.einsum("abad->bd", R)
+    """(C_ric, Q_ric) of the 2D orbit metric from order-2 jets, and its
+    Christoffel coefficient array (order-(pj.order - 1) jets)."""
+    n = pj.order - 1
+    g11, g12, g22 = (jets.truncate(j, n) for j in pj.gt)
+    det = jets.truncate(pj.det_gt, n)
+    gamma = einstein._christoffel(
+        einstein._coeffs(((pj.gt[0], pj.gt[1]), (pj.gt[1], pj.gt[2]))),
+        einstein._coeffs(((g22 / det, -g12 / det), (-g12 / det, g11 / det))),
+        n)
+    ric = np.einsum("abad->bd", einstein._riemann(gamma))
     gt = np.array([[pj.gt[0].value, pj.gt[1].value],
                    [pj.gt[1].value, pj.gt[2].value]])
     gi = np.linalg.inv(gt)
@@ -99,7 +68,7 @@ def _hessian_log_det_h(pj, gamma2):
             second = jets.t_derivative(dL[i], j).value if L.order >= 2 \
                 else 0.0
             nu[i][j] = second - sum(
-                gamma2[k][i][j].value * dL[k].value for k in range(2))
+                gamma2[0, k, i, j] * dL[k].value for k in range(2))
     return nu
 
 

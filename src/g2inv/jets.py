@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import math
 from math import comb
+from operator import add, neg, sub
+
+import numpy as np
 
 from .errors import SingularEvaluationError
 
@@ -44,19 +47,45 @@ def _build_mul_table(order):
 _MUL = {n: _build_mul_table(n) for n in range(MAX_ORDER + 1)}
 
 
+def _dense(table, size):
+    out = np.zeros((size, size, size))
+    for pos, pa, pb, w in table:
+        out[pos, pa, pb] = w
+    return out
+
+
+# MUL_TENSOR[n][o, p, q]: weight of a_p * b_q in coefficient o of the
+# product of two order-n jets, so on coefficient arrays (ncoeffs, ...)
+# the product is np.einsum("opq,p...,q...->o...", MUL_TENSOR[n], a, b)
+MUL_TENSOR = {n: _dense(_MUL[n], len(_IDX[n])) for n in _MUL}
+
+# _DIFF[n][s]: positions, in the order-n layout, of the coefficients of
+# the order-(n - 1) jet d/dt^(s+1); the layout is graded, so they serve
+# every order >= n as well (np.take(c, _DIFF[n], axis=0) differentiates
+# a coefficient array c along both t at once)
+_DIFF = {n: tuple(tuple(_POS[n][(i + 1 - s, j + s)] for (i, j) in _IDX[n - 1])
+                  for s in (0, 1))
+         for n in range(1, MAX_ORDER + 1)}
+
+
 class Jet2:
     """Immutable jet of a scalar function of (t1, t2)."""
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order, coeffs):
-        coeffs = tuple(float(c) for c in coeffs)
-        if order not in _IDX:
-            raise ValueError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
-        if len(coeffs) != len(_IDX[order]):
-            raise ValueError(
-                f"order-{order} jet needs {len(_IDX[order])} coefficients, "
-                f"got {len(coeffs)}")
+    def __init__(self, order, coeffs, _exact=False):
+        """Outside input is coerced to a tuple of Python floats and its
+        order and length are checked; results of jet arithmetic pass
+        _exact=True with such a tuple already in hand."""
+        if not _exact:
+            coeffs = tuple(float(c) for c in coeffs)
+            if order not in _IDX:
+                raise ValueError(
+                    f"jet order must be in 0..{MAX_ORDER}, got {order}")
+            if len(coeffs) != len(_IDX[order]):
+                raise ValueError(
+                    f"order-{order} jet needs {len(_IDX[order])} "
+                    f"coefficients, got {len(coeffs)}")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -93,24 +122,24 @@ class Jet2:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Jet2(self.order, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return Jet2(self.order, tuple(map(add, self.coeffs, o.coeffs)), True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(self.order, [-a for a in self.coeffs])
+        return Jet2(self.order, tuple(map(neg, self.coeffs)), True)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Jet2(self.order, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return Jet2(self.order, tuple(map(sub, self.coeffs, o.coeffs)), True)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Jet2(self.order, [b - a for a, b in zip(self.coeffs, o.coeffs)])
+        return Jet2(self.order, tuple(map(sub, o.coeffs, self.coeffs)), True)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -120,7 +149,7 @@ class Jet2:
         out = [0.0] * len(a)
         for pos, pa, pb, w in _MUL[self.order]:
             out[pos] += w * a[pa] * b[pb]
-        return Jet2(self.order, out)
+        return Jet2(self.order, tuple(out), True)
 
     __rmul__ = __mul__
 
@@ -144,7 +173,7 @@ class Jet2:
         if self.value <= 0.0:
             raise SingularEvaluationError("pow", self.value,
                                           f"non-integer exponent {p}")
-        v = self.value
+        v, p = self.value, float(p)
         try:
             derivs = [v ** p]
             fac = 1.0
@@ -159,7 +188,7 @@ class Jet2:
 def constant(value, order):
     c = [0.0] * len(_IDX[order])
     c[0] = float(value)
-    return Jet2(order, c)
+    return Jet2(order, tuple(c), True)
 
 
 def seed(value, var_index, order):
@@ -173,7 +202,7 @@ def seed(value, var_index, order):
             raise ValueError("var_index must be 0, 1 or None")
         if order >= 1:
             c[1 + var_index] = 1.0
-    return Jet2(order, c)
+    return Jet2(order, tuple(c), True)
 
 
 def _divide(num, den):
@@ -192,7 +221,7 @@ def _divide(num, den):
                         * q[_POS[order][(a, b)]]
                         * g[_POS[order][(i - a, j - b)]])
         q[out] = acc / g[0]
-    return Jet2(order, q)
+    return Jet2(order, tuple(q), True)
 
 
 def _int_power(a, p):
@@ -235,7 +264,7 @@ def _compose(a, derivs):
             d[3] * g(0, 1) ** 3 + 3.0 * d[2] * g(0, 1) * g(0, 2)
             + d[1] * g(0, 3),
         ]
-    return Jet2(n, out)
+    return Jet2(n, tuple(out), True)
 
 
 ELEMENTARY_FUNCTIONS = ("exp", "ln", "sqrt", "sin", "cos", "tan",
@@ -308,10 +337,8 @@ def t_derivative(a, s):
     """Jet of da/dt^(s+1), one order lower than a."""
     if a.order == 0:
         raise ValueError("cannot differentiate an order-0 jet")
-    n = a.order - 1
-    shift = (1, 0) if s == 0 else (0, 1)
-    out = [a.d(i + shift[0], j + shift[1]) for (i, j) in _IDX[n]]
-    return Jet2(n, out)
+    c = a.coeffs
+    return Jet2(a.order - 1, tuple([c[k] for k in _DIFF[a.order][s]]), True)
 
 
 def along(vec, jet):
@@ -326,7 +353,7 @@ def truncate(a, order):
         raise ValueError("cannot raise jet order by truncation")
     if order == a.order:
         return a
-    return Jet2(order, a.coeffs[:len(_IDX[order])])
+    return Jet2(order, a.coeffs[:len(_IDX[order])], True)
 
 
 def compose_map(u, iota1, iota2):

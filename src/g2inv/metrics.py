@@ -97,12 +97,13 @@ class PointJets:
 
     The layers derived from the jets are cached properties, each computed
     at most once per point by the one function that owns it, in the
-    order of the construction: fields (first-order invariants) and g4
-    (4-metric jets), christoffel, riemann, frame, oneill_tensors, second
-    (second-order invariants).  Callers read them and never mutate them.
-    numpy overflow in the layers that do numpy arithmetic (riemann,
-    frame, oneill_tensors, second) is a SingularEvaluationError.  The
-    imports are deferred because those modules import this one.
+    order of the construction: fields (first-order invariants), g4 and
+    christoffel (coefficient arrays of the 4-metric and Christoffel
+    jets), riemann, frame, oneill_tensors, second (second-order
+    invariants).  Callers read them and never mutate them.  numpy
+    overflow in the layers that do numpy arithmetic (christoffel,
+    riemann, frame, oneill_tensors, second) is a SingularEvaluationError.
+    The imports are deferred because those modules import this one.
     """
     point: tuple
     order: int
@@ -128,7 +129,8 @@ class PointJets:
     @cached_property
     def christoffel(self):
         from .einstein import christoffel4
-        return christoffel4(self)
+        with singular_on_overflow("christoffel4"):
+            return christoffel4(self)
 
     @cached_property
     def riemann(self):

@@ -11,7 +11,7 @@ Z = {k: "0" for k in ("b11", "b12", "b22", "f11", "f12", "f21", "f22",
 
 
 def test_four_metric_flat_is_identity():
-    g = einstein.four_metric_values(point_jets(catalog("flat"), (0.5, 0.5)))
+    g = point_jets(catalog("flat"), (0.5, 0.5)).g4[0]
     assert np.allclose(g, np.eye(4))
 
 
@@ -19,7 +19,7 @@ def test_four_metric_blocks_match_expressions():
     m = catalog("vdb")
     from g2inv.expr import eval_scalar
     pt = (0.5, 1.0)
-    g = einstein.four_metric_values(point_jets(m, pt))
+    g = point_jets(m, pt).g4[0]
     vals = {k: eval_scalar(m.asts[k], m.params, pt) for k in m.components}
     assert g[0, 0] == pytest.approx(vals["b11"], rel=1e-13)
     assert g[0, 2] == pytest.approx(vals["f11"], rel=1e-13)
@@ -28,40 +28,32 @@ def test_four_metric_blocks_match_expressions():
 
 def test_inverse_four_metric():
     pj = point_jets(catalog("vdb"), (0.7, 1.1))
-    g = einstein.four_metric_values(pj)
-    gi = np.array([[e.value for e in row]
-                   for row in einstein.inverse_four_metric(pj)])
+    g = pj.g4[0]
+    gi = einstein.inverse_four_metric(pj)[0]
     assert np.allclose(g @ gi, np.eye(4), atol=1e-12)
 
 
 def test_christoffels_flat_vanish():
     chris = einstein.christoffel4(point_jets(catalog("flat"), (0.2, 0.9)))
-    assert all(chris[a][b][c].value == 0.0
-               for a in range(4) for b in range(4) for c in range(4))
+    assert chris.shape == (3, 4, 4, 4)
+    assert np.all(chris[0] == 0.0)
 
 
 def test_christoffel_symmetry():
     pj = point_jets(catalog("vdb"), (0.6, 1.2))
-    chris = einstein.christoffel4(pj)
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                assert chris[a][b][c].value == chris[a][c][b].value
+    values = einstein.christoffel4(pj)[0]
+    assert np.array_equal(values, values.transpose(0, 2, 1))
 
 
 def test_metricity():
     # d_c g_ab = G^e_ca g_eb + G^e_cb g_ae reconstructed from the jets
     pj = point_jets(catalog("vdb"), (0.5, 1.0))
-    from g2inv import jets
     g = einstein.four_metric(pj)
-    gv = np.array([[e.value for e in row] for row in g])
-    chris = einstein.christoffel4(pj)
-    Gv = np.array([[[chris[a][b][c].value for c in range(4)]
-                    for b in range(4)] for a in range(4)])
+    gv = g[0]
+    Gv = einstein.christoffel4(pj)[0]
     scale = np.max(np.abs(gv))
     for c in range(2):
-        dg = np.array([[jets.t_derivative(g[a][b], c).value
-                        for b in range(4)] for a in range(4)])
+        dg = g[1 + c]  # coefficients 1 and 2 are d/dt1 and d/dt2
         rebuilt = np.einsum("ea,eb->ab", Gv[:, c, :], gv) \
             + np.einsum("eb,ae->ab", Gv[:, c, :], gv)
         assert np.max(np.abs(dg - rebuilt)) < 1e-10 * scale
@@ -139,16 +131,14 @@ def test_divergence_of_einstein_tensor():
 
     def einstein_tensor_mixed(p):
         pj = point_jets(m, p)
-        g = einstein.four_metric_values(pj)
+        g = pj.g4[0]
         ric = einstein.ricci4(pj)
         gi = np.linalg.inv(g)
         sc = np.tensordot(gi, ric)
         return gi @ ric - 0.5 * sc * np.eye(4), pj
 
     G0, pj0 = einstein_tensor_mixed(pt)
-    chris = einstein.christoffel4(pj0)
-    Gv = np.array([[[chris[a][b][c].value for c in range(4)]
-                    for b in range(4)] for a in range(4)])
+    Gv = einstein.christoffel4(pj0)[0]
     dG = [(einstein_tensor_mixed((pt[0] + h, pt[1]))[0]
            - einstein_tensor_mixed((pt[0] - h, pt[1]))[0]) / (2 * h),
           (einstein_tensor_mixed((pt[0], pt[1] + h))[0]
@@ -207,3 +197,119 @@ def test_gauss_curvature_equality_on_shell():
             sec = point_jets(m, pt).second
             scale = max(abs(sec.K_Xi), abs(sec.K_Xiperp), 1.0)
             assert abs(sec.K_Xi - sec.K_Xiperp) < 1e-7 * scale
+
+
+def _catalog_points():
+    """Every catalog metric (random_analytic seeds 0-3) at three points
+    of its domain, and five synthetic jet-space probes."""
+    from g2inv.invariants1 import random_point_jets
+    from g2inv.metrics import CATALOG_NAMES
+    ms = [catalog(n) for n in CATALOG_NAMES if n != "random_analytic"]
+    ms += [catalog("random_analytic", {"seed": s}) for s in range(4)]
+    pjs = [point_jets(m, pt) for m in ms
+           for pt in grid_points(default_domain(m), 3, margin=0.1)[::4]]
+    return pjs + [random_point_jets(40 + s, order=2) for s in range(5)]
+
+
+def test_riemann_identities():
+    for pj in _catalog_points():
+        R = pj.riemann
+        gamma = pj.christoffel
+        scale = max(1.0, np.abs(R).max(), np.abs(gamma[1:3]).max(),
+                    np.abs(gamma[0]).max() ** 2)
+        # antisymmetry in the last pair
+        assert np.abs(R + R.transpose(0, 1, 3, 2)).max() <= 1e-13 * scale
+        # first Bianchi identity R^a_bcd + R^a_cdb + R^a_dbc = 0
+        bianchi = R + np.einsum("acdb->abcd", R) + np.einsum("adbc->abcd", R)
+        assert np.abs(bianchi).max() <= 1e-12 * scale
+        # pair symmetry of R_abcd = g_ae R^e_bcd
+        g = pj.g4[0]
+        low = np.einsum("ae,ebcd->abcd", g, R)
+        assert np.abs(low - low.transpose(2, 3, 0, 1)).max() \
+            <= 1e-12 * scale * np.abs(g).max()
+
+
+def _nested_four_metric(pj):
+    """The 4-metric as a 4x4 nested list of jets, by jet arithmetic."""
+    gt11, gt12, gt22 = pj.gt
+    h = ((pj.h[0], pj.h[1]), (pj.h[1], pj.h[2]))
+    gt = ((gt11, gt12), (gt12, gt22))
+    F = pj.F
+    g = [[None] * 4 for _ in range(4)]
+    for i in range(2):
+        for j in range(i, 2):
+            acc = gt[i][j]
+            for k in range(2):
+                for l in range(2):
+                    acc = acc + F[2 * i + k] * F[2 * j + l] * h[k][l]
+            g[i][j] = g[j][i] = acc
+        for k in range(2):
+            g[i][2 + k] = g[2 + k][i] = (F[2 * i] * h[0][k]
+                                         + F[2 * i + 1] * h[1][k])
+    for k in range(2):
+        for l in range(2):
+            g[2 + k][2 + l] = h[k][l]
+    return g
+
+
+def _nested_christoffel(pj):
+    """Christoffel jets by the per-entry jet loop (the oracle)."""
+    from g2inv import jets
+    n = pj.order - 1
+    g = _nested_four_metric(pj)
+    gi = einstein.inverse_four_metric(pj, n)
+    ginv = [[jets.Jet2(n, gi[:, a, b]) for b in range(4)] for a in range(4)]
+    zero = jets.constant(0.0, n)
+
+    def pd(c, a, b):
+        return jets.t_derivative(g[a][b], c) if c < 2 else zero
+
+    gamma = [[[None] * 4 for _ in range(4)] for _ in range(4)]
+    for a in range(4):
+        for b in range(4):
+            for c in range(4):
+                acc = zero
+                for d in range(4):
+                    acc = acc + ginv[a][d] * (pd(b, d, c) + pd(c, d, b)
+                                              - pd(d, b, c))
+                gamma[a][b][c] = 0.5 * acc
+    return gamma
+
+
+def _nested_riemann(gamma):
+    """R^a_bcd by the per-component loop over Christoffel jets."""
+    from g2inv import jets
+    Gv = np.array([[[gamma[a][b][c].value for c in range(4)]
+                    for b in range(4)] for a in range(4)])
+
+    def pdG(c, a, d, b):
+        return jets.t_derivative(gamma[a][d][b], c).value if c < 2 else 0.0
+
+    R = np.zeros((4, 4, 4, 4))
+    for a in range(4):
+        for b in range(4):
+            for c in range(4):
+                for d in range(4):
+                    R[a, b, c, d] = (pdG(c, a, d, b) - pdG(d, a, c, b)
+                                     + Gv[a, c, :] @ Gv[:, d, b]
+                                     - Gv[a, d, :] @ Gv[:, c, b])
+    return R
+
+
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)
+                  / np.maximum(1.0, np.maximum(np.abs(got), np.abs(want))))
+
+
+def test_curvature_matches_the_nested_jet_loops():
+    for pj in _catalog_points():
+        nested = _nested_christoffel(pj)
+        want = np.array([[[[j.coeffs[k] for j in row] for row in plane]
+                          for plane in nested]
+                         for k in range(len(nested[0][0][0].coeffs))])
+        g = np.array([[[j.coeffs[k] for j in row]
+                       for row in _nested_four_metric(pj)]
+                      for k in range(len(pj.gt[0].coeffs))])
+        assert _rel_err(pj.g4, g) <= 1e-13
+        assert _rel_err(pj.christoffel, want) <= 1e-13
+        assert _rel_err(pj.riemann, _nested_riemann(nested)) <= 1e-13

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from g2inv import catalog, classify, einstein, load_metric, point_jets
+from g2inv import catalog, classify, load_metric, point_jets
 from g2inv.errors import FrameRequiredError
 from g2inv.invariants1 import (first_invariant_jets, frame, fundamental,
                                jacobian_rank, oneill, oneill_tensors,
@@ -127,7 +127,7 @@ def test_frame_orthogonality_and_lengths_vdb():
         assert fr.ell_Hperp == pytest.approx(-0.25 * inv.C_rho, rel=1e-10)
         assert fr.ell_C == pytest.approx(inv.ell_C, rel=1e-10)
         assert fr.ell_Cperp == pytest.approx(inv.ell_C, rel=1e-10)
-        g4 = einstein.four_metric_values(pj)
+        g4 = pj.g4[0]
         vecs = (fr.H4, fr.Hperp4, fr.C4, fr.Cperp4)
         scale = max(abs(fr.ell_H), abs(fr.ell_C))
         for i in range(4):
@@ -162,7 +162,7 @@ def test_oneill_frame_components_vdb():
     assert od.A_frame[2][0][1] == pytest.approx(-0.5 * ell_H, rel=1e-9)
     assert od.A_frame[2][1][0] == pytest.approx(0.5 * ell_H, rel=1e-9)
     # Theta_II = 4 ell_C T^(3)_(3)(2) and = 4 g(T, C)
-    g4 = einstein.four_metric_values(pj)
+    g4 = pj.g4[0]
     fr = frame(pj)
     assert inv.Theta_II == pytest.approx(
         4.0 * inv.ell_C * od.T_frame[2][2][1], rel=1e-9)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from g2inv import jets
+from g2inv import catalog, invariants1, jets, point_jets, transform
 from g2inv.errors import SingularEvaluationError
 
 
@@ -22,6 +22,37 @@ def test_seed_coordinate():
 def test_seed_order_out_of_range():
     with pytest.raises(ValueError):
         jets.seed(1, 0, 5)
+
+
+def test_outside_input_is_coerced_and_checked():
+    for coeffs in ([1, 2, 3], np.array([1.0, 2.0, 3.0]),
+                   (np.float32(1.0), np.int64(2), np.float64(3.0))):
+        j = jets.Jet2(1, coeffs)
+        assert j.coeffs == (1.0, 2.0, 3.0)
+        assert all(type(c) is float for c in j.coeffs)
+        # results of jet arithmetic skip the coercion: they must be
+        # Python floats already
+        for r in (j * j + 1, j - 2.5, -j / j, jets.t_derivative(j, 1),
+                  jets.truncate(j, 0), j ** 2, j ** 0.5,
+                  jets.elementary("sin", j)):
+            assert all(type(c) is float for c in r.coeffs)
+    with pytest.raises(ValueError):
+        jets.Jet2(4, [0.0] * 15)
+    with pytest.raises(ValueError):
+        jets.Jet2(1, [0.0, 1.0])
+    with pytest.raises(ValueError):
+        jets.Jet2(2, np.zeros(3))
+
+
+def test_jets_built_from_numpy_values_hold_python_floats():
+    vdb = point_jets(catalog("vdb"), (0.6, 1.1))
+    probe = invariants1.random_point_jets(3, order=2)
+    for pj in (probe,
+               invariants1._unpack(invariants1._pack(probe) + 0.5, 2),
+               transform.pushforward_jets(vdb, transform.random_transform(2)),
+               point_jets(catalog("vdb"), (0.6, 1.1), method="fd")):
+        for j in pj.all_component_jets() + (pj.det_h, pj.det_gt):
+            assert all(type(c) is float for c in j.coeffs)
 
 
 def test_product_rule():

@@ -1,9 +1,11 @@
 """Property tests: the expression printer round-trips through the parser,
-the parsed DAG evaluates exactly like the tree it prints, and order-2
-jets obey the ring laws, over generated inputs."""
+the parsed DAG evaluates exactly like the tree it prints, order-2 jets
+obey the ring laws and the dense product table multiplies like Jet2,
+over generated inputs."""
 
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -66,6 +68,32 @@ def test_multiplication_distributes_over_addition(a, b, c):
 @given(order2_jets())
 def test_difference_with_itself_is_zero(a):
     assert (a - a).coeffs == (0.0,) * 6
+
+
+def jets_of_order(order):
+    size = len(jets._IDX[order])
+    return st.lists(st.floats(-1e3, 1e3), min_size=size, max_size=size) \
+        .map(lambda c: jets.Jet2(order, c))
+
+
+jet_pairs = st.integers(0, jets.MAX_ORDER).flatmap(
+    lambda n: st.tuples(jets_of_order(n), jets_of_order(n)))
+
+
+@SETTINGS
+@given(jet_pairs)
+def test_dense_table_product_matches_jet_product(pair):
+    # both sum the same terms w * a_p * b_q, in different orders, so they
+    # agree to a few ulp of the terms' magnitude; relative to the product
+    # itself they need not (cancellation: hundreds of ulp at order 3)
+    a, b = pair
+    table = jets.MUL_TENSOR[a.order]
+    got = np.einsum("opq,p,q->o", table, a.coeffs, b.coeffs)
+    want = np.array((a * b).coeffs)
+    terms = np.einsum("opq,p,q->o", table, np.abs(a.coeffs),
+                      np.abs(b.coeffs))
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - want) <= 4 * eps * np.maximum(1.0, terms))
 
 
 def _outcome(evaluate):
