@@ -1,7 +1,9 @@
-"""Recursive-descent parser and jet evaluator for component expressions.
+"""Recursive-descent parser, jet evaluator and float evaluator for
+component expressions.
 
 Parsed expressions are hash-consed DAGs: every distinct subtree is one
-node object, and evaluation at a point computes each node once.
+node object, and evaluation at a point, or over a list of points,
+computes each node once.
 
 Grammar (whitespace insensitive)::
 
@@ -20,9 +22,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mul, neg, sub, truediv
 
 from . import jets
-from .errors import ExprSyntaxError, SingularEvaluationError
+from .errors import ExprSyntaxError, G2InvError, SingularEvaluationError
 
 FUNCTIONS = set(jets.ELEMENTARY_FUNCTIONS)
 
@@ -383,6 +387,113 @@ def _eval(e, params, point, order, memo):
     return done
 
 
+def eval_floats(asts, params, points):
+    """Float values of the expressions at the points: one list over the
+    points per expression, each value bit for bit eval_jet(e, params, p,
+    0).value.
+
+    Each distinct node is computed once, as a list over the points.  The
+    error raised is the one met first evaluating each expression in turn
+    at each point in turn.
+    """
+    memo = {}
+    try:
+        return [_floats(e, params, points, memo) for e in asts]
+    except (G2InvError, ArithmeticError, ValueError) as err:
+        failure = err
+    for e in asts:
+        for p in points:
+            _floats(e, params, (p,), {})
+    raise failure
+
+
 def eval_scalar(e, params, point):
-    """Plain float evaluation (used by the finite-difference oracle)."""
-    return _eval(e, params, point, 0, {}).value
+    """Float value of the expression at a point (eval_floats of one)."""
+    return eval_floats((e,), params, (point,))[0][0]
+
+
+def _floats(e, params, points, memo):
+    done = memo.get(id(e))
+    if done is not None:
+        return done
+    if isinstance(e, Num):
+        done = [float(e.value)] * len(points)
+    elif isinstance(e, Var):
+        done = [float(p[e.index]) for p in points]
+    elif isinstance(e, Param):
+        try:
+            done = [float(params[e.name])] * len(points)
+        except KeyError:
+            raise KeyError(f"parameter {e.name!r} has no value") from None
+    elif isinstance(e, Neg):
+        done = list(map(neg, _floats(e.arg, params, points, memo)))
+    elif isinstance(e, Call):
+        done = jets._values(e.fn, _floats(e.arg, params, points, memo))
+    elif isinstance(e, BinOp):
+        if e.op == "^":
+            ps = _floats(e.right, params, points, memo)
+            done = _power(_floats(e.left, params, points, memo), ps)
+        else:
+            a = _floats(e.left, params, points, memo)
+            b = _floats(e.right, params, points, memo)
+            if e.op == "+":
+                done = list(map(add, a, b))
+            elif e.op == "-":
+                done = list(map(sub, a, b))
+            elif e.op == "*":
+                done = _product(a, b)
+            else:
+                done = _quotient(a, b)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    memo[id(e)] = done
+    return done
+
+
+# the order-0 semantics of Jet2 arithmetic on lists of floats
+
+
+def _product(a, b):
+    # Jet2.__mul__ accumulates 0.0 + a*b: a zero product is +0.0
+    return list(map(add, map(mul, a, b), repeat(0.0)))
+
+
+def _quotient(a, b):
+    if 0.0 in b:
+        raise SingularEvaluationError("div", b[b.index(0.0)])
+    return list(map(truediv, a, b))
+
+
+def _power(xs, ps):
+    """Jet2.__pow__ of each x by its exponent."""
+    p = ps[0]
+    if ps.count(p) != len(ps):
+        return [_power([x], [q])[0] for x, q in zip(xs, ps)]
+    if p == int(p):
+        return _int_power(xs, int(p))
+    out = []
+    try:
+        for v in xs:
+            if v <= 0.0:
+                raise SingularEvaluationError("pow", v,
+                                              f"non-integer exponent {p}")
+            out.append(v ** p)
+    except OverflowError:
+        raise SingularEvaluationError("pow", v, "overflow") from None
+    return out
+
+
+def _int_power(xs, n):
+    # square-and-multiply with the products of jets._int_power
+    if n == 0:
+        return [1.0] * len(xs)
+    if n < 0:
+        return _quotient([1.0] * len(xs), _int_power(xs, -n))
+    result, base = None, xs
+    while True:
+        if n & 1:
+            result = base if result is None else _product(result, base)
+        n >>= 1
+        if not n:
+            return result
+        base = _product(base, base)

@@ -28,6 +28,7 @@ class Invariants2:
     XperpI: dict
     C_ric: float
     Q_ric: float
+    ric_scale: float
     C_nu: float
     C_nu_prime: float
     Q_nu: float
@@ -39,7 +40,8 @@ class Invariants2:
 
 
 def _orbit_curvature(pj):
-    """(C_ric, Q_ric) of the 2D orbit metric from order-2 jets, and its
+    """(C_ric, Q_ric) of the 2D orbit metric from order-2 jets, the size
+    of the terms C_ric sums (|g^-1| (|dGamma| + |Gamma|^2)), and its
     Christoffel coefficient array (order-(pj.order - 1) jets)."""
     n = pj.order - 1
     g11, g12, g22 = (jets.truncate(j, n) for j in pj.gt)
@@ -54,7 +56,11 @@ def _orbit_curvature(pj):
     gi = np.linalg.inv(gt)
     c_ric = float(np.tensordot(gi, ric))
     q_ric = float(np.linalg.det(ric) / np.linalg.det(gt))
-    return c_ric, q_ric, gamma
+    # in Python floats, which overflow to inf rather than raise
+    size = float(np.abs(gamma[0]).max())
+    scale = float(np.abs(gi).max()) * (float(np.abs(gamma[1:3]).max())
+                                       + size * size)
+    return c_ric, q_ric, scale, gamma
 
 
 def _hessian_log_det_h(pj, gamma2):
@@ -82,7 +88,7 @@ def second_invariants_from_jets(pj):
     XI = {k: jets.along(X, jv[k]) for k in FUNDAMENTAL_IDS}
     XpI = {k: jets.along(Xp, jv[k]) for k in FUNDAMENTAL_IDS}
 
-    c_ric, q_ric, gamma2 = _orbit_curvature(pj)
+    c_ric, q_ric, ric_scale, gamma2 = _orbit_curvature(pj)
     nu = _hessian_log_det_h(pj, gamma2)
     gt = np.array([[pj.gt[0].value, pj.gt[1].value],
                    [pj.gt[1].value, pj.gt[2].value]])
@@ -109,6 +115,7 @@ def second_invariants_from_jets(pj):
         notices.append("C_rho ~ 0: commutator coefficients J1, J2 undefined")
 
     return Invariants2(XI=XI, XperpI=XpI, C_ric=c_ric, Q_ric=q_ric,
+                       ric_scale=ric_scale,
                        C_nu=C_nu, C_nu_prime=C_nu_prime, Q_nu=Q_nu,
                        K_Xi=K_Xi, K_Xiperp=K_Xiperp, J1=J1, J2=J2,
                        notices=tuple(notices))
@@ -179,12 +186,19 @@ def bracket_residual(pj):
 
 def relations_second(pj):
     """Residuals of the second-order relations at a point: Q_ric, Q_nu
-    and the commutator (None where J1, J2 are undefined)."""
+    and the commutator (None where J1, J2 are undefined).
+
+    A curvature below GENERIC_TOL of the size of the terms it is summed
+    from reads as zero, so Q_ric = C_ric^2/4 holds on a flat orbit metric
+    whose curvature comes out as roundoff."""
     sec = pj.second
     sg = 1.0 if pj.det_gt.value > 0 else -1.0
     C_rho = pj.fields["C_rho"].value
+    floor = metrics.GENERIC_TOL * sec.ric_scale
     return {
-        "q_ric": einstein._normalized([sec.Q_ric, -0.25 * sec.C_ric ** 2]),
+        "q_ric": einstein._normalized(
+            [sec.Q_ric, -0.25 * sec.C_ric ** 2],
+            scales=(floor * floor,)),
         "q_nu": einstein._normalized([4.0 * C_rho ** 2 * sec.Q_nu,
                                       sec.XI["C_rho"] ** 2,
                                       sg * sec.XperpI["C_rho"] ** 2,

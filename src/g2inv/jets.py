@@ -10,6 +10,7 @@ curvature and invariant computation exact as well.
 
 from __future__ import annotations
 
+import functools
 import math
 from math import comb
 from operator import add, neg, sub
@@ -277,11 +278,29 @@ def elementary(fname, a, p=None):
         return a ** p
     try:
         return _compose(a, _derivatives(fname, a.value, a.order))
-    except OverflowError:
-        raise SingularEvaluationError(fname, a.value, "overflow") from None
-    except ZeroDivisionError:
-        # a derivative's denominator (v * s, v ** 2, ...) underflowed to 0
-        raise SingularEvaluationError(fname, a.value, "underflow") from None
+    except (OverflowError, ZeroDivisionError) as err:
+        raise _float_fault(fname, a.value, err) from None
+
+
+def _values(fname, xs):
+    """[f(x) for x in xs]: the values of elementary at order 0, errors
+    included."""
+    out = []
+    try:
+        for v in xs:
+            out.append(_derivatives(fname, v, 0)[0])
+    except (OverflowError, ZeroDivisionError) as err:
+        raise _float_fault(fname, v, err) from None
+    return out
+
+
+def _float_fault(fname, v, err):
+    # on ZeroDivisionError a derivative's denominator (v * s, v ** 2, ...)
+    # underflowed to 0; _derivatives builds every derivative it lists, so
+    # that happens at order 0 as well
+    return SingularEvaluationError(
+        fname, v, "overflow" if isinstance(err, OverflowError)
+        else "underflow")
 
 
 def _derivatives(fname, v, n):
@@ -381,15 +400,30 @@ def compose_map(u, iota1, iota2):
     return out
 
 
-def finite_difference_jet(evalfn, point, order, h=1e-2):
+# step of the finite-difference jets (the oracle of point_jets(method="fd"))
+FD_STEP = 1e-2
+
+
+def fd_points(point, order, h=FD_STEP):
+    """The distinct points finite_difference_jet evaluates, in the order
+    it first asks for them: 1, 9 and 17 points at orders 0, 1 and 2."""
+    # the stencil is the one of the difference quotients: run them on
+    # zeros and keep the points they ask for
+    asked = {}
+    finite_difference_jet(lambda p: asked.setdefault(p, 0.0), point, order, h)
+    return list(asked)
+
+
+def finite_difference_jet(evalfn, point, order, h=FD_STEP):
     """Central-difference jet (order <= 2) with one Richardson level.
 
     Independent oracle for the analytic jet arithmetic; evalfn maps a
-    (t1, t2) pair to a float.
+    (t1, t2) pair to a float and is called once on each of fd_points.
     """
     if order > 2:
         raise ValueError("finite-difference jets support order <= 2 only")
     t1, t2 = float(point[0]), float(point[1])
+    evalfn = functools.cache(evalfn)
 
     def richardson(est):
         return (4.0 * est(h / 2.0) - est(h)) / 3.0

@@ -38,9 +38,6 @@ SUBMERSION_KEYS = ("gt11", "gt12", "gt22", "F11", "F12", "F21", "F22",
 # ell_C or the curl of F count as zero: the stratum and frame decisions
 GENERIC_TOL = 1e-10
 
-# step of the finite-difference jets of point_jets(method="fd")
-FD_STEP = 1e-2
-
 CATALOG_NAMES = ("flat", "diag_t1", "vdb", "ppwave1", "ppwave2", "ppwave3",
                  "lambda_kundu", "lambda_kundu_c0", "random_analytic")
 
@@ -213,17 +210,19 @@ def load_metric(document):
 
 
 def _eval_components(m, point, order, method):
-    out, memo = {}, {}
-    for key, ast in m.asts.items():
-        if method == "analytic":
-            out[key] = expr.eval_jet(ast, m.params, point, order, memo)
-        elif method == "fd":
-            out[key] = jets.finite_difference_jet(
-                lambda p, a=ast: expr.eval_scalar(a, m.params, p),
-                point, order, h=FD_STEP)
-        else:
-            raise ValueError(f"unknown jet method {method!r}")
-    return out
+    if method == "analytic":
+        memo = {}
+        return {key: expr.eval_jet(ast, m.params, point, order, memo)
+                for key, ast in m.asts.items()}
+    if method == "fd":
+        # every component at every stencil point in one call, then each
+        # component's difference quotients from its values
+        points = jets.fd_points(point, order)
+        values = expr.eval_floats(m.asts.values(), m.params, points)
+        return {key: jets.finite_difference_jet(
+                    dict(zip(points, vals)).__getitem__, point, order)
+                for key, vals in zip(m.asts, values)}
+    raise ValueError(f"unknown jet method {method!r}")
 
 
 def point_jets(m, point, order=2, method="analytic"):

@@ -144,6 +144,20 @@ def test_relations_second_diag_t1_degenerate_case():
     assert _worst_second(m, [(1.5, 0.2), (2.0, -0.4)]) < 1e-9
 
 
+def test_q_ric_holds_where_the_orbit_curvature_is_roundoff():
+    # the orbit metric of ppwave3 is flat; on this affine image C_ric
+    # comes out as -1.2e-16 and Q_ric as 0, which must read as satisfied
+    # and not as the O(1) ratio of two roundoff terms
+    from g2inv.transform import apply_to_metric, make_transform
+    p = make_transform("0.991874*t1 + -0.141466*t2 + 0.222683",
+                       "0.079371*t1 + 0.916791*t2 + -0.134775",
+                       "0.061810*t1 + -0.100344*t2",
+                       "0.112909*t1 + -0.303361*t2", [[2, 1], [-1, 1]])
+    pj = point_jets(apply_to_metric(catalog("ppwave3"), p), (-0.9, 0.9))
+    assert 0.0 < abs(pj.second.C_ric) < 1e-15
+    assert abs(relations_second(pj)["q_ric"]) < 1e-9
+
+
 def test_bracket_identity_corpus():
     m = catalog("vdb")
     for pt in grid_points(default_domain(m), 3, 2, margin=0.1):

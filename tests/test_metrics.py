@@ -7,7 +7,8 @@ import pytest
 
 from g2inv import (catalog, classify, cli, einstein, expr, invariants1,
                    invariants2, jets, load_metric, metrics, point_jets)
-from g2inv.errors import MetricDefinitionError, SingularMetricError
+from g2inv.errors import (MetricDefinitionError, SingularEvaluationError,
+                          SingularMetricError)
 from g2inv.metrics import (CATALOG_NAMES, component_scale, default_domain,
                            grid_points)
 from g2inv.transform import apply_to_metric, make_transform
@@ -284,12 +285,15 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
     assert max(calls.values()) == 1, calls.most_common(3)
 
 
-def test_point_jets_evaluates_each_unique_node_once(monkeypatch):
-    p = make_transform("0.8*t1 + 0.1*t2 + 0.05", "-0.2*t1 + 1.1*t2 - 0.3",
-                       "0.5*t1 - 0.2*t2", "0.3*t2", [[2.0, 1.0], [0.0, 1.0]])
-    image = apply_to_metric(catalog("vdb"), p)
+VDB_IMAGE = make_transform("0.8*t1 + 0.1*t2 + 0.05",
+                           "-0.2*t1 + 1.1*t2 - 0.3", "0.5*t1 - 0.2*t2",
+                           "0.3*t2", [[2.0, 1.0], [0.0, 1.0]])
+
+
+def _call_nodes(m):
+    """The distinct Call node objects of the metric's ten components."""
     call_nodes, seen = [], set()
-    stack = list(image.asts.values())
+    stack = list(m.asts.values())
     while stack:
         node = stack.pop()
         if id(node) in seen:
@@ -299,6 +303,13 @@ def test_point_jets_evaluates_each_unique_node_once(monkeypatch):
             call_nodes.append(node)
         stack.extend(getattr(node, f) for f in ("arg", "left", "right")
                      if hasattr(node, f))
+    return call_nodes
+
+
+def test_point_jets_evaluates_each_unique_node_once(monkeypatch):
+    p = VDB_IMAGE
+    image = apply_to_metric(catalog("vdb"), p)
+    call_nodes = _call_nodes(image)
     # interned: one node per distinct subtree across the ten components
     unique_calls = len({expr.to_string(node) for node in call_nodes})
     assert len(call_nodes) == unique_calls
@@ -322,3 +333,79 @@ def test_point_jets_evaluates_each_unique_node_once(monkeypatch):
     x, y = (expr.substitute(expr.parse(text, table), p.phi, memo)
             for text in ("sin(t1) + 1", "2*sin(t1)"))
     assert x.left is y.right
+
+
+def _fd_jet_one_quotient_at_a_time(evalfn, point, order, h=jets.FD_STEP):
+    """The finite-difference jet as each difference quotient writes it,
+    calling evalfn afresh for every term (25 calls at order 2): the
+    formula finite_difference_jet must reproduce bit for bit."""
+    t1, t2 = float(point[0]), float(point[1])
+
+    def richardson(est):
+        return (4.0 * est(h / 2.0) - est(h)) / 3.0
+
+    f0 = evalfn((t1, t2))
+    coeffs = [f0]
+    if order >= 1:
+        coeffs.append(richardson(
+            lambda s: (evalfn((t1 + s, t2)) - evalfn((t1 - s, t2))) / (2 * s)))
+        coeffs.append(richardson(
+            lambda s: (evalfn((t1, t2 + s)) - evalfn((t1, t2 - s))) / (2 * s)))
+    if order >= 2:
+        coeffs.append(richardson(
+            lambda s: (evalfn((t1 + s, t2)) - 2 * f0 + evalfn((t1 - s, t2)))
+            / s ** 2))
+        coeffs.append(richardson(
+            lambda s: (evalfn((t1 + s, t2 + s)) - evalfn((t1 + s, t2 - s))
+                       - evalfn((t1 - s, t2 + s)) + evalfn((t1 - s, t2 - s)))
+            / (4 * s ** 2)))
+        coeffs.append(richardson(
+            lambda s: (evalfn((t1, t2 + s)) - 2 * f0 + evalfn((t1, t2 - s)))
+            / s ** 2))
+    return jets.Jet2(order, coeffs)
+
+
+def test_fd_point_jets_evaluate_each_stencil_point_once(monkeypatch):
+    asked = []
+    jets.finite_difference_jet(lambda p: asked.append(p) or 0.0,
+                               (0.64, 0.79), 2)
+    assert asked == jets.fd_points((0.64, 0.79), 2)
+    assert len(set(asked)) == 17
+    vdb = catalog("vdb")
+    for m in (vdb, apply_to_metric(vdb, VDB_IMAGE)):
+        calls = Counter()
+        derivatives = jets._derivatives
+
+        def counting(fname, v, n):
+            calls[fname] += 1
+            return derivatives(fname, v, n)
+
+        monkeypatch.setattr(jets, "_derivatives", counting)
+        point_jets(m, (0.64, 0.79), method="fd")
+        monkeypatch.undo()
+        # each distinct Call node once at each of the 17 stencil points
+        assert sum(calls.values()) == 17 * len(_call_nodes(m))
+
+        for order in (1, 2):
+            got = metrics._eval_components(m, (0.64, 0.79), order, "fd")
+            for key, ast in m.asts.items():
+                want = _fd_jet_one_quotient_at_a_time(
+                    lambda p: expr.eval_jet(ast, m.params, p, 0).value,
+                    (0.64, 0.79), order)
+                assert [c.hex() for c in got[key].coeffs] \
+                    == [c.hex() for c in want.coeffs], key
+
+
+def test_fd_reports_the_singular_stencil_point_met_first():
+    # the sqrt fails only at t2 = -h/2 and -h, the ln only at t1 = 0.6 - h/2
+    # and 0.6 - h; evaluating the stencil point by point meets the ln at
+    # (0.6 - h/2, 0) first, although the sqrt comes first in the tree
+    doc = {"name": "singular", "form": "submersion", "params": {},
+           "components": {"gt11": "1", "gt12": "sqrt(t2 + 0.0049)"
+                          " + ln(t1 - 0.5951)", "gt22": "1", "F11": "0",
+                          "F12": "0", "F21": "0", "F22": "0", "h11": "1",
+                          "h12": "0", "h22": "1"}}
+    with pytest.raises(SingularEvaluationError) as err:
+        point_jets(load_metric(doc), (0.6, 0.0), method="fd")
+    assert (err.value.what, err.value.value) \
+        == ("ln", (0.6 - jets.FD_STEP / 2.0) - 0.5951)

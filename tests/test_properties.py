@@ -1,16 +1,17 @@
 """Property tests: the expression printer round-trips through the parser,
-the parsed DAG evaluates exactly like the tree it prints, order-2 jets
-obey the ring laws and the dense product table multiplies like Jet2,
-over generated inputs."""
+the parsed DAG evaluates exactly like the tree it prints, the float
+evaluator gives the bits of order-0 jets, order-2 jets obey the ring
+laws and the chain rule, and the dense product table multiplies like
+Jet2, over generated inputs."""
 
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from g2inv import expr, jets
-from g2inv.errors import G2InvError
+from g2inv.errors import G2InvError, SingularEvaluationError
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -125,3 +126,74 @@ def test_parsed_dag_evaluates_exactly_like_the_tree(e, point):
 def test_parse_interns_repeated_subtrees():
     e = expr.parse("sin(t1)*sin(t1)")
     assert e.left is e.right
+
+
+def _order0(e, point):
+    """eval_jet(e, PARAMS, point, 0).value, with the expression text that
+    eval_jet adds to a context-free SingularEvaluationError taken off."""
+    try:
+        return expr.eval_jet(e, PARAMS, point, 0).value
+    except SingularEvaluationError as err:
+        if err.context != f"in {expr.to_string(e)!r}":
+            raise
+        raise SingularEvaluationError(err.what, err.value) from None
+
+
+def _first_failure(outcomes):
+    return next((o for o in outcomes if isinstance(o, tuple)), None)
+
+
+# -0 * t1 at t1 > 0: the float product is -0.0, the jet product +0.0
+NEGATIVE_ZERO_PRODUCT = expr.BinOp("*", expr.Neg(expr.Num(0.0)), expr.Var(0))
+
+
+@SETTINGS
+@given(st.lists(asts, min_size=1, max_size=3),
+       st.lists(points, min_size=1, max_size=4))
+@example([NEGATIVE_ZERO_PRODUCT], [(1.5, 0.0)])
+def test_float_evaluator_gives_the_bits_of_order0_jets(es, pts):
+    want = [[_outcome(lambda: _order0(e, p)) for p in pts] for e in es]
+    assert [[_outcome(lambda: expr.eval_scalar(e, PARAMS, p)) for p in pts]
+            for e in es] == want
+    # a batch gives every value, or the error met first evaluating each
+    # expression in turn at each point in turn
+    failure = _first_failure(_first_failure(w) for w in want)
+    if failure is None:
+        values = [v for e_values in expr.eval_floats(es, PARAMS, pts)
+                  for v in e_values]
+        assert struct.pack(f"{len(values)}d", *values) \
+            == b"".join(o for w in want for o in w)
+    else:
+        assert _outcome(lambda: expr.eval_floats(es, PARAMS, pts)) \
+            == failure
+
+
+def test_negative_zero_product_is_positive_zero():
+    assert struct.pack("d", expr.eval_scalar(
+        NEGATIVE_ZERO_PRODUCT, {}, (1.5, 0.0))) == struct.pack("d", 0.0)
+
+
+unit = st.floats(-1.0, 1.0).map(lambda x: round(x, 3))
+smooth_terms = st.builds(
+    lambda f, a, b, c, d: f"{a}*{f}({b}*t1 + {c}*t2 + {d})",
+    st.sampled_from(("sin", "cos", "tanh", "exp")), unit, unit, unit, unit)
+smooth = st.lists(smooth_terms, min_size=1, max_size=3).map(" + ".join)
+maps = st.builds(lambda a, b, c, rest: f"{a}*t1 + {b}*t2 + {c} + 0.3*({rest})",
+                 unit, unit, unit, smooth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(smooth, maps, maps,
+       st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
+def test_compose_map_matches_finite_differences(u_text, text1, text2, pt):
+    # the chain rule of compose_map against the finite-difference oracle
+    # on u(iota1(t), iota2(t))
+    u, iota1, iota2 = (expr.parse(t) for t in (u_text, text1, text2))
+    j1, j2 = (expr.eval_jet(i, {}, pt, 2) for i in (iota1, iota2))
+    got = jets.compose_map(expr.eval_jet(u, {}, (j1.value, j2.value), 2),
+                           j1, j2)
+    fd = jets.finite_difference_jet(
+        lambda p: expr.eval_scalar(u, {}, (expr.eval_scalar(iota1, {}, p),
+                                           expr.eval_scalar(iota2, {}, p))),
+        pt, 2)
+    assert got.coeffs == pytest.approx(fd.coeffs, rel=1e-6, abs=1e-6)
