@@ -404,46 +404,64 @@ def compose_map(u, iota1, iota2):
 FD_STEP = 1e-2
 
 
-def fd_points(point, order, h=FD_STEP):
-    """The distinct points finite_difference_jet evaluates, in the order
-    it first asks for them: 1, 9 and 17 points at orders 0, 1 and 2."""
-    # the stencil is the one of the difference quotients: run them on
-    # zeros and keep the points they ask for
+def _fd_quotients(at, order, h):
+    """The jet coefficients as Richardson-extrapolated central differences
+    of at(i, j, s), the value at (t1 + i*s, t2 + j*s), for s = h and h/2."""
+    def richardson(est):
+        return (4.0 * est(h / 2.0) - est(h)) / 3.0
+
+    f0 = at(0, 0, h)
+    coeffs = [f0]
+    if order >= 1:
+        coeffs.append(richardson(
+            lambda s: (at(1, 0, s) - at(-1, 0, s)) / (2 * s)))
+        coeffs.append(richardson(
+            lambda s: (at(0, 1, s) - at(0, -1, s)) / (2 * s)))
+    if order >= 2:
+        coeffs.append(richardson(
+            lambda s: (at(1, 0, s) - 2 * f0 + at(-1, 0, s)) / s ** 2))
+        coeffs.append(richardson(
+            lambda s: (at(1, 1, s) - at(1, -1, s)
+                       - at(-1, 1, s) + at(-1, -1, s)) / (4 * s ** 2)))
+        coeffs.append(richardson(
+            lambda s: (at(0, 1, s) - 2 * f0 + at(0, -1, s)) / s ** 2))
+    return coeffs
+
+
+@functools.cache
+def _fd_stencil(order, h):
+    """The distinct (i, j, s) the quotients ask for, in the order they
+    first ask: 1, 9 and 17 at orders 0, 1 and 2."""
+    if order > 2:
+        raise ValueError("finite-difference jets support order <= 2 only")
     asked = {}
-    finite_difference_jet(lambda p: asked.setdefault(p, 0.0), point, order, h)
-    return list(asked)
+    _fd_quotients(lambda *k: asked.setdefault(k, 0.0), order, h)
+    return tuple(asked)
+
+
+def _shift(t, i, s):
+    return t if i == 0 else t + s if i > 0 else t - s
+
+
+def _stencil_points(point, order, h):
+    t1, t2 = float(point[0]), float(point[1])
+    return [(_shift(t1, i, s), _shift(t2, j, s))
+            for i, j, s in _fd_stencil(order, h)]
+
+
+def fd_points(point, order):
+    """The points finite_difference_jet evaluates at its default step,
+    once each and in this order."""
+    return _stencil_points(point, order, FD_STEP)
 
 
 def finite_difference_jet(evalfn, point, order, h=FD_STEP):
     """Central-difference jet (order <= 2) with one Richardson level.
 
     Independent oracle for the analytic jet arithmetic; evalfn maps a
-    (t1, t2) pair to a float and is called once on each of fd_points.
+    (t1, t2) pair to a float and is called once on each stencil point, in
+    the order of fd_points.
     """
-    if order > 2:
-        raise ValueError("finite-difference jets support order <= 2 only")
-    t1, t2 = float(point[0]), float(point[1])
-    evalfn = functools.cache(evalfn)
-
-    def richardson(est):
-        return (4.0 * est(h / 2.0) - est(h)) / 3.0
-
-    f0 = evalfn((t1, t2))
-    coeffs = [f0]
-    if order >= 1:
-        coeffs.append(richardson(
-            lambda s: (evalfn((t1 + s, t2)) - evalfn((t1 - s, t2))) / (2 * s)))
-        coeffs.append(richardson(
-            lambda s: (evalfn((t1, t2 + s)) - evalfn((t1, t2 - s))) / (2 * s)))
-    if order >= 2:
-        coeffs.append(richardson(
-            lambda s: (evalfn((t1 + s, t2)) - 2 * f0 + evalfn((t1 - s, t2)))
-            / s ** 2))
-        coeffs.append(richardson(
-            lambda s: (evalfn((t1 + s, t2 + s)) - evalfn((t1 + s, t2 - s))
-                       - evalfn((t1 - s, t2 + s)) + evalfn((t1 - s, t2 - s)))
-            / (4 * s ** 2)))
-        coeffs.append(richardson(
-            lambda s: (evalfn((t1, t2 + s)) - 2 * f0 + evalfn((t1, t2 - s)))
-            / s ** 2))
-    return Jet2(order, coeffs)
+    values = dict(zip(_fd_stencil(order, h),
+                      map(evalfn, _stencil_points(point, order, h))))
+    return Jet2(order, _fd_quotients(lambda *k: values[k], order, h))

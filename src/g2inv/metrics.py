@@ -216,11 +216,12 @@ def _eval_components(m, point, order, method):
                 for key, ast in m.asts.items()}
     if method == "fd":
         # every component at every stencil point in one call, then each
-        # component's difference quotients from its values
-        points = jets.fd_points(point, order)
-        values = expr.eval_floats(m.asts.values(), m.params, points)
+        # component's difference quotients from its values, which
+        # finite_difference_jet takes in the order of fd_points
+        values = expr.eval_floats(m.asts.values(), m.params,
+                                  jets.fd_points(point, order))
         return {key: jets.finite_difference_jet(
-                    dict(zip(points, vals)).__getitem__, point, order)
+                    lambda p, vals=iter(vals): next(vals), point, order)
                 for key, vals in zip(m.asts, values)}
     raise ValueError(f"unknown jet method {method!r}")
 

@@ -300,3 +300,16 @@ def test_equiv_skips_samples_whose_fields_fail(tmp_path, capsys):
     assert json.loads(captured.out)["verdict"] == "Inconclusive"
     assert code == 3
     assert "error:" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--at", "nan,0.5"],
+    ["check-relations", "--first", "--second", "--points", "0.5,nan"],
+])
+def test_nan_point_on_the_fd_path_is_an_input_error(vdb_file, capsys, argv):
+    # every stencil point around a NaN is NaN; the jets read as singular h
+    assert run([argv[0], vdb_file, *argv[1:], "--method", "fd"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: singular h") \
+        and captured.err.count("\n") == 1, captured.err
