@@ -57,10 +57,9 @@ def four_metric(pj):
     return _coeffs(g)
 
 
-def inverse_four_metric(pj, order=None):
-    """(ncoeffs, 4, 4) coefficient array of the jets of g^{ab}, via the
-    submersion block formula."""
-    order = pj.order if order is None else order
+def inverse_four_metric(pj, order):
+    """(ncoeffs, 4, 4) coefficient array of the order-`order` jets of
+    g^{ab}, via the submersion block formula."""
     tr = lambda j: jets.truncate(j, order)
     gt11, gt12, gt22 = (tr(j) for j in pj.gt)
     h11, h12, h22 = (tr(j) for j in pj.h)
@@ -226,8 +225,8 @@ def onshell_relations(pj, lam):
     """
     jv = pj.fields
     sec = pj.second
-    sg = 1.0 if pj.det_gt.value > 0 else -1.0
-    sgh = sg * (1.0 if pj.det_h.value > 0 else -1.0)
+    sg = pj.stratum.sign_det_gt
+    sgh = sg * pj.stratum.sign_det_h
 
     X = (jv["X1"].value, jv["X2"].value)
     Xp = (jv["Xp1"].value, jv["Xp2"].value)

@@ -72,7 +72,7 @@ def build_signature(m, rect=None, n=12):
     for pt in metrics.grid_points(rect, n, margin=0.02):
         try:
             pj = metrics.point_jets(m, pt, order=2)
-            generic = metrics.classify(pj).generic
+            generic = pj.stratum.generic
             values, jac = _fundamentals(pj)
         except (G2InvError, ArithmeticError):
             continue

@@ -27,6 +27,10 @@ class ExprSyntaxError(G2InvError):
         super().__init__(f"{message} (at offset {pos})")
 
 
+class ExprDepthError(G2InvError):
+    """An expression is nested deeper than its recursive walks can go."""
+
+
 class MetricDefinitionError(G2InvError):
     """A metric document is malformed or references unknown names."""
 

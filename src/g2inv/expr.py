@@ -20,15 +20,29 @@ declared parameter.  Exponents must be constant (no t1/t2 below '^').
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, mul, neg, sub, truediv
 
 from . import jets
-from .errors import ExprSyntaxError, G2InvError, SingularEvaluationError
+from .errors import (ExprDepthError, ExprSyntaxError, G2InvError,
+                     SingularEvaluationError)
 
 FUNCTIONS = set(jets.ELEMENTARY_FUNCTIONS)
+
+
+def _depth_checked(walk):
+    """A walk that recurses once or twice per nesting level: an input nested
+    past Python's recursion limit is an input error, not a RecursionError."""
+    @functools.wraps(walk)
+    def checked(*args, **kwargs):
+        try:
+            return walk(*args, **kwargs)
+        except RecursionError:
+            raise ExprDepthError("expression nested too deeply") from None
+    return checked
 
 
 @dataclass(frozen=True)
@@ -207,6 +221,7 @@ class _Parser:
         raise ExprSyntaxError(f"expected a value, got {text!r}", pos)
 
 
+@_depth_checked
 def parse(text, table=None):
     """Parse expression text into an AST in which every distinct subtree
     is one node object.
@@ -219,6 +234,7 @@ def parse(text, table=None):
     return _Parser(text, {} if table is None else table).parse()
 
 
+@_depth_checked
 def to_string(e):
     """Render an AST back to parseable text (parse(to_string(e)) == e).
 
@@ -266,6 +282,7 @@ def to_string(e):
     return render(e)
 
 
+@_depth_checked
 def substitute(e, replacement, memo=None):
     """The expression with t1, t2 replaced by the two ASTs given.
 
@@ -307,6 +324,7 @@ def _is_constant(e):
     return _is_constant(e.left) and _is_constant(e.right)
 
 
+@_depth_checked
 def validate(e, params):
     """Return a list of problems (empty when the expression is usable)."""
     problems = []
@@ -333,6 +351,7 @@ def validate(e, params):
     return problems
 
 
+@_depth_checked
 def eval_jet(e, params, point, order, memo=None):
     """Jet of the expression at the point, exact to the given order.
 
@@ -387,6 +406,7 @@ def _eval(e, params, point, order, memo):
     return done
 
 
+@_depth_checked
 def eval_floats(asts, params, points):
     """Float values of the expressions at the points: one list over the
     points per expression, each value bit for bit eval_jet(e, params, p,

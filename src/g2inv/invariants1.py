@@ -34,40 +34,6 @@ FUNDAMENTAL_IDS = ("C_rho", "C_chi", "Q_chi", "Q_gamma", "ell_C",
 
 
 @dataclass
-class Invariants1:
-    C_rho: float
-    C_chi: float
-    Q_chi: float
-    Q_gamma: float
-    ell_C: float
-    Theta_I_sq: float
-    C_gamma: float = None
-    Theta_I: float = None
-    Theta_II: float = None
-    Theta_III: float = None
-    Theta_C: float = None
-    Theta_Cperp: float = None
-    ell_H: float = None
-    ell_Hperp: float = None
-    ell_Cperp: float = None
-    ell_T: float = None
-    ell_Tperp: float = None
-    T331: float = None
-    T441: float = None
-    T332: float = None
-    T342: float = None
-    T341: float = None
-    A123: float = None
-    A213: float = None
-    A312: float = None
-    A321: float = None
-
-    def six(self):
-        return (self.C_rho, self.C_chi, self.Q_chi, self.Q_gamma,
-                self.ell_C, self.Theta_I_sq)
-
-
-@dataclass
 class FrameData:
     X: tuple
     Xperp: tuple
@@ -83,9 +49,6 @@ class FrameData:
     ell_Hperp: float
     ell_C: float
     ell_Cperp: float
-    horizontal_valid: bool
-    vertical_valid: bool
-    notices: tuple = ()
 
 
 def _det3(rows):
@@ -173,67 +136,13 @@ def first_invariant_jets(pj):
     }
 
 
-def fundamental(pj):
-    """The six fundamental invariants (plus the cheap extended scalars)."""
-    jv = pj.fields
-    sgn_gt = 1.0 if pj.det_gt.value > 0 else -1.0
-    sgn_h = 1.0 if pj.det_h.value > 0 else -1.0
-    C_rho = jv["C_rho"].value
-    ell_C = jv["ell_C"].value
-    return Invariants1(
-        C_rho=C_rho,
-        C_chi=jv["C_chi"].value,
-        Q_chi=jv["Q_chi"].value,
-        Q_gamma=jv["Q_gamma"].value,
-        ell_C=ell_C,
-        Theta_I_sq=jv["Theta_I_sq"].value,
-        C_gamma=jv["C_gamma"].value,
-        Theta_I=jv["Theta_I"].value,
-        Theta_II=jv["Theta_II"].value,
-        Theta_III=jv["Theta_III"].value,
-        ell_H=0.25 * C_rho,
-        ell_Hperp=sgn_gt * 0.25 * C_rho,
-        ell_Cperp=sgn_h * ell_C,
-    )
-
-
-def full_first_order(pj):
-    """Invariants1 with every extended field populated.
-
-    The O'Neill-dependent entries need the full frame; on degenerate
-    strata (C_rho*ell_C ~ 0) they stay None.
-    """
-    inv = fundamental(pj)
-    fr = pj.frame
-    inv.ell_H = fr.ell_H
-    inv.ell_Hperp = fr.ell_Hperp
-    inv.ell_Cperp = fr.ell_Cperp
-    if fr.horizontal_valid and fr.vertical_valid:
-        od = oneill(pj)
-        inv.Theta_C = od.Theta_C
-        inv.Theta_Cperp = od.Theta_Cperp
-        inv.ell_T = od.ell_T
-        inv.ell_Tperp = od.ell_Tperp
-        inv.T331 = od.T_frame[2][2][0]
-        inv.T441 = od.T_frame[3][3][0]
-        inv.T332 = od.T_frame[2][2][1]
-        inv.T342 = od.T_frame[2][3][1]
-        inv.T341 = od.T_frame[2][3][0]
-        inv.A123 = od.A_frame[0][1][2]
-        inv.A213 = od.A_frame[1][0][2]
-        inv.A312 = od.A_frame[2][0][1]
-        inv.A321 = od.A_frame[2][1][0]
-    return inv
-
-
 def frame(pj):
     """Semi-invariant frame {H, Hperp, C, Cperp}; lengths via the 4-metric.
 
-    Components are always returned; validity flags state whether each
-    pair actually qualifies as a frame at this point.
+    Components are always returned; they form a frame only where
+    pj.stratum is generic.
     """
     jv = pj.fields
-    tol = metrics.GENERIC_TOL * max(1.0, metrics.component_scale(pj))
     X = (jv["X1"].value, jv["X2"].value)
     Xp = (jv["Xp1"].value, jv["Xp2"].value)
     H = (-0.5 * X[0], -0.5 * X[1])
@@ -265,18 +174,10 @@ def frame(pj):
     ell_Hp = gdot(Hp4, Hp4)
     ell_C = gdot(C4, C4)
     ell_Cp = gdot(Cp4, Cp4)
-    hvalid = abs(jv["C_rho"].value) >= tol
-    vvalid = abs(jv["ell_C"].value) >= tol
-    notices = []
-    if not (hvalid and vvalid):
-        notices.append("degenerate stratum: C_rho*ell_C below tolerance, "
-                       "frame components returned but not a valid frame")
     return FrameData(X=X, Xperp=Xp, H=H, Hperp=Hp, C=C, Cperp=Cp,
                      H4=H4, Hperp4=Hp4, C4=C4, Cperp4=Cp4,
                      ell_H=ell_H, ell_Hperp=ell_Hp,
-                     ell_C=ell_C, ell_Cperp=ell_Cp,
-                     horizontal_valid=hvalid, vertical_valid=vvalid,
-                     notices=tuple(notices))
+                     ell_C=ell_C, ell_Cperp=ell_Cp)
 
 
 def _projection_matrices(pj):
@@ -334,8 +235,7 @@ def oneill_tensors(pj):
     # nonnegative normalization (making Theta_I^2 = 16 Theta_C exact),
     # Theta_Cperp the raw determinant (pairing with the signed relation
     # Theta_III^2 = +-_{gt h} 16 Theta_Cperp).
-    sgh = (1.0 if pj.det_gt.value > 0 else -1.0) \
-        * (1.0 if pj.det_h.value > 0 else -1.0)
+    sgh = pj.stratum.sign_det_gt * pj.stratum.sign_det_h
     return A, T, sgh * float(np.linalg.det(TC)), float(np.linalg.det(TCp))
 
 
@@ -344,11 +244,9 @@ class ONeillData:
     A_frame: np.ndarray
     T_frame: np.ndarray
     Tvec: tuple
-    Tvec_perp: tuple
     ell_T: float
     ell_Tperp: float
     Theta_C: float
-    Theta_Cperp: float
 
 
 def oneill(pj):
@@ -357,11 +255,11 @@ def oneill(pj):
     T_frame[a][b][c] is the Y_a-coefficient of T(Y_b, Y_c) in the
     orthogonal-frame expansion T(Y_b,Y_c) = sum_a T^(a)_(b)(c) Y_a.
     """
-    fr = pj.frame
-    if not (fr.horizontal_valid and fr.vertical_valid):
+    if not pj.stratum.generic:
         raise FrameRequiredError(
             "frame required: C_rho*ell_C vanishes at this point")
-    A, T, Theta_C, Theta_Cp = pj.oneill_tensors
+    fr = pj.frame
+    A, T, Theta_C, _ = pj.oneill_tensors
     g4 = pj.g4[0]
     Y = np.array([fr.H4, fr.Hperp4, fr.C4, fr.Cperp4])
     ell = np.array([fr.ell_H, fr.ell_Hperp, fr.ell_C, fr.ell_Cperp])
@@ -377,9 +275,8 @@ def oneill(pj):
     ell_T = float(Tvec @ g4 @ Tvec)
     ell_Tp = float(Tvec_p @ g4 @ Tvec_p)
     return ONeillData(A_frame=A_frame, T_frame=T_frame,
-                      Tvec=tuple(Tvec), Tvec_perp=tuple(Tvec_p),
-                      ell_T=ell_T, ell_Tperp=ell_Tp,
-                      Theta_C=Theta_C, Theta_Cperp=Theta_Cp)
+                      Tvec=tuple(Tvec), ell_T=ell_T, ell_Tperp=ell_Tp,
+                      Theta_C=Theta_C)
 
 
 def relations_first(pj):
@@ -389,8 +286,8 @@ def relations_first(pj):
     for (iii) also C_rho) is below tolerance.
     """
     jv = pj.fields
-    sgn_gt = 1.0 if pj.det_gt.value > 0 else -1.0
-    sgn_h = 1.0 if pj.det_h.value > 0 else -1.0
+    st = pj.stratum
+    sgn_gt, sgn_h = st.sign_det_gt, st.sign_det_h
     _, _, Theta_C, Theta_Cp = pj.oneill_tensors
     norm = einstein._normalized
 
@@ -410,13 +307,13 @@ def relations_first(pj):
         "theta_sum_vs_gamma_root": None,
         "theta_II_sq_closure": None,
     }
-    if pj.frame.vertical_valid and pj.frame.horizontal_valid:
+    if st.generic:
         T342 = oneill(pj).T_frame[2][3][1]
         row["theta_II_T342_Qchi"] = norm(
             [th2 ** 2 / (16.0 * ell_C ** 2),
              sgn_h * T342 ** 2,
              sgn_gt * 0.25 * (Q_chi - Q_gamma)])
-    if pj.frame.vertical_valid:
+    if not st.ell_c_zero:
         # exact identities on every stratum (from the componentwise
         # identity r3 = ell_C w - det(h) c_I of the Theta bottom rows);
         # for det h > 0 they reduce to the displayed +-free forms
@@ -498,7 +395,11 @@ def _invariant_vector(pj, which):
     raise ValueError(f"unknown invariant set {which!r}")
 
 
-def jacobian_rank(which, probe, eps=1e-6, step=1e-6):
+# central-difference step of jacobian_rank, relative to max(1, |coordinate|)
+RANK_STEP = 1e-6
+
+
+def jacobian_rank(which, probe, eps=1e-6):
     """Numerical rank of d(invariants)/d(jet coordinates) at the probe.
 
     For the transitive variant, perturbations stay inside the subspace
@@ -530,7 +431,7 @@ def jacobian_rank(which, probe, eps=1e-6, step=1e-6):
 
     cols = []
     for e in directions:
-        hstep = step * max(1.0, float(abs(x0 @ e)))
+        hstep = RANK_STEP * max(1.0, float(abs(x0 @ e)))
         fp = _invariant_vector(_unpack(x0 + hstep * e, order), which)
         fm = _invariant_vector(_unpack(x0 - hstep * e, order), which)
         cols.append((fp - fm) / (2.0 * hstep))

@@ -34,9 +34,8 @@ class Invariants2:
     Q_nu: float
     K_Xi: float
     K_Xiperp: float
-    J1: float = None
+    J1: float = None   # None where C_rho ~ 0 (pj.stratum.c_rho_zero)
     J2: float = None
-    notices: tuple = ()
 
 
 def _orbit_curvature(pj):
@@ -65,7 +64,7 @@ def _orbit_curvature(pj):
 
 def _hessian_log_det_h(pj, gamma2):
     """nu_ij = Hess(ln|det h|) w.r.t. the orbit Levi-Civita connection."""
-    det_h = pj.det_h if pj.det_h.value > 0 else -pj.det_h
+    det_h = pj.det_h if pj.stratum.sign_det_h > 0 else -pj.det_h
     L = jets.elementary("ln", det_h)
     dL = [jets.t_derivative(L, s) for s in range(2)]
     nu = np.zeros((2, 2))
@@ -105,20 +104,15 @@ def second_invariants_from_jets(pj):
     K_Xi = einstein.sectional_curvature(pj, (0, 0, 1, 0), (0, 0, 0, 1))
     K_Xiperp = einstein.sectional_curvature(pj, e1, e2)
 
-    notices = []
     J1 = J2 = None
-    tol = metrics.GENERIC_TOL * max(1.0, metrics.component_scale(pj))
-    if abs(C_rho) >= tol:
+    if not pj.stratum.c_rho_zero:
         J1 = -XpI["C_rho"] / C_rho
         J2 = XI["C_rho"] / C_rho - C_nu
-    else:
-        notices.append("C_rho ~ 0: commutator coefficients J1, J2 undefined")
 
     return Invariants2(XI=XI, XperpI=XpI, C_ric=c_ric, Q_ric=q_ric,
                        ric_scale=ric_scale,
                        C_nu=C_nu, C_nu_prime=C_nu_prime, Q_nu=Q_nu,
-                       K_Xi=K_Xi, K_Xiperp=K_Xiperp, J1=J1, J2=J2,
-                       notices=tuple(notices))
+                       K_Xi=K_Xi, K_Xiperp=K_Xiperp, J1=J1, J2=J2)
 
 
 def order2_invariant_vector(pj):
@@ -192,7 +186,7 @@ def relations_second(pj):
     from reads as zero, so Q_ric = C_ric^2/4 holds on a flat orbit metric
     whose curvature comes out as roundoff."""
     sec = pj.second
-    sg = 1.0 if pj.det_gt.value > 0 else -1.0
+    sg = pj.stratum.sign_det_gt
     C_rho = pj.fields["C_rho"].value
     floor = metrics.GENERIC_TOL * sec.ric_scale
     return {

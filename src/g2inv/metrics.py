@@ -35,7 +35,7 @@ SUBMERSION_KEYS = ("gt11", "gt12", "gt22", "F11", "F12", "F21", "F22",
                    "h11", "h12", "h22")
 
 # relative tolerance (times max(1, component_scale)) below which C_rho,
-# ell_C or the curl of F count as zero: the stratum and frame decisions
+# ell_C or the curl of F count as zero: the stratum decision of classify
 GENERIC_TOL = 1e-10
 
 CATALOG_NAMES = ("flat", "diag_t1", "vdb", "ppwave1", "ppwave2", "ppwave3",
@@ -94,13 +94,14 @@ class PointJets:
 
     The layers derived from the jets are cached properties, each computed
     at most once per point by the one function that owns it, in the
-    order of the construction: fields (first-order invariants), g4 and
-    christoffel (coefficient arrays of the 4-metric and Christoffel
-    jets), riemann, frame, oneill_tensors, second (second-order
-    invariants).  Callers read them and never mutate them.  numpy
-    overflow in the layers that do numpy arithmetic (christoffel,
-    riemann, frame, oneill_tensors, second) is a SingularEvaluationError.
-    The imports are deferred because those modules import this one.
+    order of the construction: fields (first-order invariants), stratum
+    (classify: which frames and relations apply), g4 and christoffel
+    (coefficient arrays of the 4-metric and Christoffel jets), riemann,
+    frame, oneill_tensors, second (second-order invariants).  Callers
+    read them and never mutate them.  numpy overflow in the layers that
+    do numpy arithmetic (christoffel, riemann, frame, oneill_tensors,
+    second) is a SingularEvaluationError.  The imports are deferred
+    because those modules import this one.
     """
     point: tuple
     order: int
@@ -117,6 +118,10 @@ class PointJets:
     def fields(self):
         from .invariants1 import first_invariant_jets
         return first_invariant_jets(self)
+
+    @cached_property
+    def stratum(self):
+        return classify(self)
 
     @cached_property
     def g4(self):
@@ -170,7 +175,7 @@ def load_metric(document):
         with open(document, "r", encoding="utf-8") as fh:
             try:
                 document = json.load(fh)
-            except json.JSONDecodeError as err:
+            except (json.JSONDecodeError, RecursionError) as err:
                 raise MetricDefinitionError(f"malformed JSON: {err}") from None
     if not isinstance(document, dict):
         raise MetricDefinitionError("metric document must be a JSON object")
@@ -449,11 +454,7 @@ def catalog(name, params=None):
     if params:
         raise MetricDefinitionError(
             f"unknown parameters for {name!r}: {sorted(params)}")
-    m = load_metric(doc)
-    base = name
-    return G2Metric(name=m.name, form=m.form, params=m.params,
-                    components=m.components, asts=m.asts,
-                    domain=CATALOG_DOMAINS.get(base))
+    return load_metric(doc)
 
 
 def default_domain(m):

@@ -313,3 +313,52 @@ def test_nan_point_on_the_fd_path_is_an_input_error(vdb_file, capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: singular h") \
         and captured.err.count("\n") == 1, captured.err
+
+
+FLAT_SUBMERSION = {"gt11": "1", "gt12": "0", "gt22": "1", "F11": "0",
+                   "F12": "0", "F21": "0", "F22": "0", "h11": "1",
+                   "h12": "0", "h22": "1"}
+
+
+@pytest.mark.parametrize("gt11, method", [
+    ("1" + "+t1" * 3000, "analytic"),
+    ("1" + "+t1" * 3000, "fd"),
+    # evaluates, but the error path prints the component, two frames a level
+    ("1" + "+t1" * 700 + "+1/(t1-0.5)", "analytic"),
+], ids=["parse", "parse_fd", "error_path"])
+def test_deep_component_is_an_input_error(tmp_path, capsys, gt11, method):
+    path = _submersion_file(tmp_path, {**FLAT_SUBMERSION, "gt11": gt11})
+    capsys.readouterr()
+    assert run(["invariants", path, "--at", "0.5,0.5", "--method",
+                method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") \
+        and captured.err.count("\n") == 1, captured.err
+
+
+@pytest.mark.parametrize("transform", [
+    json.dumps({"phi1": "t1" + "+0*t1" * 3000, "phi2": "t2", "psi1": "0",
+                "psi2": "0", "alpha": [[1, 0], [0, 1]]}),
+    json.dumps({"phi1": "(" * 3000 + "t1" + ")" * 3000, "phi2": "t2",
+                "psi1": "0", "psi2": "0", "alpha": [[1, 0], [0, 1]]}),
+    "[" * 100000 + "]" * 100000,
+], ids=["sum", "parentheses", "json"])
+def test_deep_transform_is_an_input_error(tmp_path, capsys, transform):
+    metric = _submersion_file(tmp_path, FLAT_SUBMERSION)
+    path = tmp_path / "transform.json"
+    path.write_text(transform)
+    capsys.readouterr()
+    assert run(["transform", metric, str(path), "--points", "0.5,0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") \
+        and captured.err.count("\n") == 1, captured.err
+
+
+def test_nine_hundred_term_component_still_evaluates(tmp_path):
+    path = _submersion_file(tmp_path, {**FLAT_SUBMERSION,
+                                       "gt11": "1" + "+t1" * 900})
+    r = _module_run("invariants", path, "--at", "0.5,0.5", "--json")
+    assert r.returncode == 0 and r.stderr == "", r.stderr
+    assert json.loads(r.stdout)["fundamentals"]["C_rho"] == 0.0

@@ -5,7 +5,7 @@ import pytest
 
 from g2inv import catalog, classify, load_metric, point_jets
 from g2inv.errors import FrameRequiredError
-from g2inv.invariants1 import (first_invariant_jets, frame, fundamental,
+from g2inv.invariants1 import (FUNDAMENTAL_IDS, first_invariant_jets, frame,
                                jacobian_rank, oneill, oneill_tensors,
                                random_point_jets, relations_first)
 from g2inv.metrics import default_domain, grid_points
@@ -29,6 +29,10 @@ def vdb_closed_forms(t1, t2):
 
 
 GENERIC_SEEDS = (0, 2, 3, 4, 5)  # random_analytic instances, verified generic
+
+
+def six(pj):
+    return tuple(pj.fields[k].value for k in FUNDAMENTAL_IDS)
 
 
 def generic_random_points(seed, count=10):
@@ -64,8 +68,7 @@ def test_base_forms_diag_t1():
 
 
 def test_fundamental_flat_all_zero():
-    inv = fundamental(point_jets(catalog("flat"), (0.1, -0.2)))
-    assert inv.six() == (0.0,) * 6
+    assert six(point_jets(catalog("flat"), (0.1, -0.2))) == (0.0,) * 6
 
 
 def test_trace_det_identity_case():
@@ -89,9 +92,8 @@ def test_fundamental_diag_t1_hand_values():
     scaled = load_metric({**diag_t1.to_document(), "components": {
         **diag_t1.components, "b11": "4"}})
     for m, c in ((diag_t1, 1.0), (scaled, 0.25)):
-        inv = fundamental(point_jets(m, (2.0, 5.0)))
-        assert inv.six() == pytest.approx((c, 0.25 * c, 0.0, 0.0, 0.0, 0.0),
-                                          abs=1e-15)
+        assert six(point_jets(m, (2.0, 5.0))) == pytest.approx(
+            (c, 0.25 * c, 0.0, 0.0, 0.0, 0.0), abs=1e-15)
 
 
 @pytest.mark.parametrize("pt", [(0.5, 1.0), (0.8, 1.2), (0.35, 0.75),
@@ -120,13 +122,14 @@ def test_frame_orthogonality_and_lengths_vdb():
         pt = (rng.uniform(0.35, 1.15), rng.uniform(0.75, 1.45))
         pj = point_jets(m, pt)
         fr = frame(pj)
-        assert fr.horizontal_valid and fr.vertical_valid
-        inv = fundamental(pj)
+        assert pj.stratum.generic
+        C_rho = pj.fields["C_rho"].value
+        ell_C = pj.fields["ell_C"].value
         # g(H,H) = C_rho/4, and the +-sign laws for the other lengths
-        assert fr.ell_H == pytest.approx(0.25 * inv.C_rho, rel=1e-10)
-        assert fr.ell_Hperp == pytest.approx(-0.25 * inv.C_rho, rel=1e-10)
-        assert fr.ell_C == pytest.approx(inv.ell_C, rel=1e-10)
-        assert fr.ell_Cperp == pytest.approx(inv.ell_C, rel=1e-10)
+        assert fr.ell_H == pytest.approx(0.25 * C_rho, rel=1e-10)
+        assert fr.ell_Hperp == pytest.approx(-0.25 * C_rho, rel=1e-10)
+        assert fr.ell_C == pytest.approx(ell_C, rel=1e-10)
+        assert fr.ell_Cperp == pytest.approx(ell_C, rel=1e-10)
         g4 = pj.g4[0]
         vecs = (fr.H4, fr.Hperp4, fr.C4, fr.Cperp4)
         scale = max(abs(fr.ell_H), abs(fr.ell_C))
@@ -138,40 +141,43 @@ def test_frame_orthogonality_and_lengths_vdb():
         gt = np.array([[pj.gt[0].value, pj.gt[1].value],
                        [pj.gt[1].value, pj.gt[2].value]])
         assert abs(np.array(fr.X) @ gt @ np.array(fr.Xperp)) \
-            < 1e-10 * max(1.0, abs(inv.C_rho))
+            < 1e-10 * max(1.0, abs(C_rho))
         # H is the lift of -X/2
         assert fr.H == pytest.approx(tuple(-0.5 * x for x in fr.X),
                                      rel=1e-14)
 
 
-def test_frame_flat_degenerate_notice():
-    fr = frame(point_jets(catalog("flat"), (0.0, 0.0)))
-    assert fr.C == (0.0, 0.0)
-    assert not fr.vertical_valid
-    assert fr.notices
+def test_frame_flat_degenerate_stratum():
+    # the frame components are returned, but the stratum says they are
+    # not a frame there
+    pj = point_jets(catalog("flat"), (0.0, 0.0))
+    assert frame(pj).C == (0.0, 0.0)
+    assert pj.stratum.ell_c_zero and not pj.stratum.generic
 
 
 def test_oneill_frame_components_vdb():
     pj = point_jets(catalog("vdb"), (0.5, 1.0))
     od = oneill(pj)
-    inv = fundamental(pj)
-    ell_H = 0.25 * inv.C_rho
+    jv = pj.fields
+    ell_C = jv["ell_C"].value
+    ell_H = 0.25 * jv["C_rho"].value
     # A-components published for this frame (det gt < 0 here)
-    assert od.A_frame[0][1][2] == pytest.approx(-0.5 * inv.ell_C, rel=1e-9)
-    assert od.A_frame[1][0][2] == pytest.approx(-0.5 * inv.ell_C, rel=1e-9)
+    assert od.A_frame[0][1][2] == pytest.approx(-0.5 * ell_C, rel=1e-9)
+    assert od.A_frame[1][0][2] == pytest.approx(-0.5 * ell_C, rel=1e-9)
     assert od.A_frame[2][0][1] == pytest.approx(-0.5 * ell_H, rel=1e-9)
     assert od.A_frame[2][1][0] == pytest.approx(0.5 * ell_H, rel=1e-9)
     # Theta_II = 4 ell_C T^(3)_(3)(2) and = 4 g(T, C)
     g4 = pj.g4[0]
     fr = frame(pj)
-    assert inv.Theta_II == pytest.approx(
-        4.0 * inv.ell_C * od.T_frame[2][2][1], rel=1e-9)
-    assert inv.Theta_II == pytest.approx(
+    assert jv["Theta_II"].value == pytest.approx(
+        4.0 * ell_C * od.T_frame[2][2][1], rel=1e-9)
+    assert jv["Theta_II"].value == pytest.approx(
         4.0 * float(np.array(od.Tvec) @ g4 @ np.array(fr.C4)), rel=1e-9)
     # ell_Tperp = +-_h ell_T
     assert od.ell_Tperp == pytest.approx(od.ell_T, rel=1e-9)
     # 16 Theta_C = Theta_I^2
-    assert 16.0 * od.Theta_C == pytest.approx(inv.Theta_I_sq, rel=1e-9)
+    assert 16.0 * od.Theta_C == pytest.approx(jv["Theta_I_sq"].value,
+                                              rel=1e-9)
 
 
 def test_oneill_requires_frame():
@@ -228,17 +234,6 @@ def test_jacobian_ranks():
                                                transitive=True)) == 4
         assert jacobian_rank("order2_20",
                              random_point_jets(seed, order=2)) == 20
-
-
-def test_full_first_order_population():
-    from g2inv.invariants1 import full_first_order
-    inv = full_first_order(point_jets(catalog("vdb"), (0.5, 1.0)))
-    assert inv.Theta_C == pytest.approx(inv.Theta_I_sq / 16.0, rel=1e-9)
-    assert inv.A123 == pytest.approx(-0.5 * inv.ell_C, rel=1e-9)
-    assert inv.Theta_II == pytest.approx(4.0 * inv.ell_C * inv.T332,
-                                         rel=1e-9)
-    degenerate = full_first_order(point_jets(catalog("flat"), (0.0, 0.0)))
-    assert degenerate.Theta_C is None
 
 
 def test_transitive_probe_is_on_subspace():

@@ -115,10 +115,11 @@ def test_gauss_curvature_propositions_random():
 
 
 def test_flat_second_invariants_vanish():
-    sec = point_jets(catalog("flat"), (0.1, 0.2)).second
+    pj = point_jets(catalog("flat"), (0.1, 0.2))
+    sec = pj.second
     assert sec.C_ric == 0.0 and sec.C_nu == 0.0 and sec.Q_nu == 0.0
     assert all(v == 0.0 for v in sec.XI.values())
-    assert sec.J1 is None and sec.notices
+    assert pj.stratum.c_rho_zero and sec.J1 is None and sec.J2 is None
 
 
 def _worst_second(m, pts):

@@ -139,6 +139,57 @@ def test_classify_transitive_implies_null_curvature():
             assert flags.ell_c_zero
 
 
+CURL_ONLY = load_metric({
+    "name": "curl_only", "form": "submersion",
+    "components": {"gt11": "1", "gt12": "0", "gt22": "1",
+                   "F11": "t2", "F12": "0", "F21": "0", "F22": "0",
+                   "h11": "1", "h12": "0", "h22": "1"}})
+
+
+def test_stratum_decided_once_per_point(monkeypatch):
+    calls = Counter()
+
+    def counted(pj):
+        calls["component_scale"] += 1
+        return component_scale(pj)
+
+    monkeypatch.setattr(metrics, "component_scale", counted)
+    pj = point_jets(catalog("vdb"), (0.5, 1.0))
+    invariants1.relations_first(pj)
+    invariants2.relations_second(pj)
+    einstein.onshell_relations(pj, 0.0)
+    assert calls["component_scale"] == 1
+    assert pj.stratum is pj.stratum and pj.stratum == classify(pj)
+
+
+# relation rows skipped (None) on each stratum: the generic one, ell_C ~ 0
+# only (diag_t1 has F = 0), and C_rho ~ 0 only (det h = 1, curl F != 0)
+@pytest.mark.parametrize("m, pt, skipped", [
+    (catalog("vdb"), (0.5, 1.0), set()),
+    (catalog("diag_t1"), (2.0, 0.3),
+     {"theta_II_T342_Qchi", "theta_sum_vs_gamma_root",
+      "theta_II_sq_closure"}),
+    (CURL_ONLY, (0.3, 0.4), {"theta_II_T342_Qchi", "commutator"}),
+], ids=["generic", "ell_C_zero", "C_rho_zero"])
+def test_relation_rows_skipped_by_stratum(m, pt, skipped):
+    pj = point_jets(m, pt)
+    st = pj.stratum
+    assert st.generic == (not skipped)
+    assert st.ell_c_zero == ("theta_sum_vs_gamma_root" in skipped)
+    assert st.c_rho_zero == ("commutator" in skipped)
+    row = {**invariants1.relations_first(pj),
+           **invariants2.relations_second(pj)}
+    assert {k for k, v in row.items() if v is None} == skipped
+    assert None not in einstein.onshell_relations(pj, 0.0).values()
+
+
+def test_catalog_domain_from_name():
+    for name in CATALOG_NAMES:
+        m = catalog(name)
+        assert m.domain is None
+        assert default_domain(m) == metrics.CATALOG_DOMAINS[name]
+
+
 def test_catalog_unknown_name():
     with pytest.raises(MetricDefinitionError):
         catalog("nope")
@@ -151,15 +202,14 @@ def test_catalog_unknown_param():
 
 def test_catalog_vdb_spot_values():
     # closed-form spot values at (0.5, 1): C_rho and ell_C
-    from g2inv.invariants1 import fundamental
-    inv = fundamental(point_jets(catalog("vdb"), (0.5, 1.0), order=1))
+    jv = point_jets(catalog("vdb"), (0.5, 1.0), order=1).fields
+    C_rho, ell_C = jv["C_rho"].value, jv["ell_C"].value
     c6 = math.cosh(math.sqrt(6) * 0.5)
     s2, c2 = math.sinh(1.0), math.cosh(1.0)
-    assert inv.C_rho == pytest.approx(-4 * c2 ** 2 / (c6 * s2 ** 6),
-                                      rel=1e-12)
-    assert inv.ell_C == pytest.approx(2 / (c6 * s2 ** 4), rel=1e-12)
-    assert inv.C_rho == pytest.approx(-1.9557, abs=2e-4)
-    assert inv.ell_C == pytest.approx(0.5672, abs=2e-4)
+    assert C_rho == pytest.approx(-4 * c2 ** 2 / (c6 * s2 ** 6), rel=1e-12)
+    assert ell_C == pytest.approx(2 / (c6 * s2 ** 4), rel=1e-12)
+    assert C_rho == pytest.approx(-1.9557, abs=2e-4)
+    assert ell_C == pytest.approx(0.5672, abs=2e-4)
 
 
 def test_random_analytic_nondegenerate_and_seeded():
