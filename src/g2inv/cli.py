@@ -62,8 +62,19 @@ def _parse_range(text):
     return (float(parts[0]), float(parts[1]), int(parts[2]))
 
 
+def _within(kind, high=math.inf):
+    """An argparse type: a kind(text) strictly between 0 and high."""
+    def parse(text):
+        if not 0 < (value := kind(text)) < high:
+            raise argparse.ArgumentTypeError(
+                f"must be in (0, {high}), got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse: "invalid float value: ..."
+    return parse
+
+
 def _resolve_points(args, m):
-    spec = getattr(args, "points", None) or "grid"
+    spec = args.points or "grid"
     if spec != "grid":
         return [_parse_point(p) for p in spec.split(";") if p]
     rect = metrics.default_domain(m)
@@ -71,8 +82,7 @@ def _resolve_points(args, m):
         raise G2InvError(
             "metric has no known sampling domain; pass explicit "
             "--points t1,t2;t1,t2;...")
-    n = getattr(args, "grid", None) or 4
-    return metrics.grid_points(rect, n, margin=0.05)
+    return metrics.grid_points(rect, args.grid, margin=0.05)
 
 
 def _check_finite(obj, key="report"):
@@ -385,8 +395,8 @@ def build_parser():
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--points", default="grid",
                    help='"t1,t2;t1,t2;..." or "grid"')
-    p.add_argument("--grid", type=int, default=4)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--grid", type=_within(int), default=4)
+    p.add_argument("--tol", type=_within(float), default=1e-8)
     common(p)
     p.set_defaults(fn=cmd_check_einstein)
 
@@ -397,8 +407,8 @@ def build_parser():
     p.add_argument("--onshell", action="store_true")
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--points", default="grid")
-    p.add_argument("--grid", type=int, default=4)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--grid", type=_within(int), default=4)
+    p.add_argument("--tol", type=_within(float), default=1e-7)
     common(p)
     p.set_defaults(fn=cmd_check_relations)
 
@@ -409,7 +419,7 @@ def build_parser():
     p.add_argument("--set", required=True,
                    choices=("fundamental6", "fundamental6_transitive",
                             "order2_20"))
-    p.add_argument("--eps", type=float, default=1e-6)
+    p.add_argument("--eps", type=_within(float, 1.0), default=1e-6)
     common(p, method=False)
     p.set_defaults(fn=cmd_rank)
 
@@ -418,16 +428,16 @@ def build_parser():
     p.add_argument("transform")
     p.add_argument("--report-invariance", action="store_true")
     p.add_argument("--points", default="grid")
-    p.add_argument("--grid", type=int, default=3)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--grid", type=_within(int), default=3)
+    p.add_argument("--tol", type=_within(float), default=1e-7)
     common(p, method=False)
     p.set_defaults(fn=cmd_transform)
 
     p = sub.add_parser("equiv", help="signature comparison of two metrics")
     p.add_argument("metric_a")
     p.add_argument("metric_b")
-    p.add_argument("--grid", type=int, default=12)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--grid", type=_within(int), default=12)
+    p.add_argument("--tol", type=_within(float), default=1e-4)
     p.add_argument("--rect-a", metavar="a:b,c:d",
                    help="sampling rectangle for metric A")
     p.add_argument("--rect-b", metavar="a:b,c:d",

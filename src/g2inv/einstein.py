@@ -25,7 +25,14 @@ def _coeffs(rows):
     """(ncoeffs, n, m) coefficient array of an n x m nested list of jets,
     C-contiguous, so its value slice [0] multiplies like a fresh matrix."""
     return np.ascontiguousarray(
-        np.array([[j.coeffs for j in row] for row in rows]).transpose(2, 0, 1))
+        np.array([[j.coeffs for j in row] for row in rows])
+        .swapaxes(1, 2).swapaxes(0, 1))
+
+
+def _stack(a, core):
+    """(B,) + core stack of a batch's columns (one point: a stack of one)."""
+    return a[None] if a.ndim == core \
+        else np.ascontiguousarray(np.moveaxis(a, -1, 0))
 
 
 def four_metric(pj):
@@ -100,12 +107,12 @@ def _christoffel(g, ginv, order):
     (order `order`).  Only the first two coordinates, (t1, t2), carry
     derivatives."""
     n = g.shape[1]
-    dg = np.zeros((len(ginv), n, n, n))  # dg[:, e, b, c] = d_e g_bc
+    dg = np.zeros((len(ginv), n) + g.shape[1:])  # dg[:, e, b, c] = d_e g_bc
     dg[:, :2] = np.take(g, jets._DIFF[order + 1], axis=0).swapaxes(0, 1)
-    bracket = dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg
+    bracket = dg.swapaxes(1, 2) + dg.swapaxes(1, 2).swapaxes(2, 3) - dg
     # the terms of each d are summed in turn, as a per-entry jet loop
     # over d would; at order 1 the values are then that loop's, bit for bit
-    terms = np.einsum("opq,pad,qdbc->doabc", jets.MUL_TENSOR[order],
+    terms = np.einsum("opq,pad...,qdbc...->doabc...", jets.MUL_TENSOR[order],
                       ginv, bracket)
     return 0.5 * sum(terms)
 
@@ -124,9 +131,9 @@ def _riemann(gamma):
     only the first two coordinates, (t1, t2), carry derivatives."""
     dG = np.zeros((gamma.shape[1],) + gamma.shape[1:])  # dG[e] = d_e Gamma
     dG[:2] = gamma[1:3]
-    D = np.einsum("cadb->abcd", dG)
-    P = np.einsum("ace,edb->abcd", gamma[0], gamma[0])
-    return D - D.transpose(0, 1, 3, 2) + P - P.transpose(0, 1, 3, 2)
+    D = np.einsum("cadb...->abcd...", dG)
+    P = np.einsum("ace...,edb...->abcd...", gamma[0], gamma[0])
+    return D - D.swapaxes(2, 3) + P - P.swapaxes(2, 3)
 
 
 def riemann4(pj):
@@ -142,16 +149,21 @@ def ricci4(pj):
 
 
 def sectional_curvature(pj, u, v):
-    """K of the plane spanned by 4-vectors u, v at the point."""
+    """K of the plane spanned by 4-vectors u, v (each (4, B) on a batch)."""
     g = pj.g4[0]
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = (np.asarray(x, dtype=float) for x in (u, v))
     # K = g(R(u, v) v, u) / (|u|^2 |v|^2 - g(u, v)^2), normalized so the
     # unit 2-sphere plane has K = +1
-    w = np.einsum("abcd,b,c,d->a", pj.riemann, v, u, v)
-    num = float(w @ g @ u)
-    den = float((u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2)
-    if den == 0.0:
+    w = np.einsum("abcd...,b...,c...,d...->a...", pj.riemann, v, u, v)
+    if g.ndim == 2:
+        num = float(w @ g @ u)
+        den = float((u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2)
+    else:  # a batch: each column's products, and ** on its float64
+        g, w, u, v = (_stack(x, x.ndim - 1) for x in (g, w, u, v))
+        form = lambda a, b: (a[:, None] @ g @ b[:, :, None])[:, 0, 0]  # noqa
+        num = form(w, u)
+        den = form(u, u) * form(v, v) - np.array([x ** 2 for x in form(u, v)])
+    if jets._any(den == 0.0):
         raise SingularMetricError("degenerate plane for sectional curvature")
     return num / den
 

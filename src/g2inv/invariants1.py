@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import einstein, jets, metrics
-from .errors import FrameRequiredError
+from .errors import FrameRequiredError, G2InvError
 
 FUNDAMENTAL_IDS = ("C_rho", "C_chi", "Q_chi", "Q_gamma", "ell_C",
                    "Theta_I_sq")
@@ -354,22 +354,17 @@ def random_point_jets(seed, order=1, transitive=False):
 
 
 def _symmetrize_curl(F):
-    out = []
+    c = [list(j.coeffs) for j in F]
+    p12, p21 = (jets._POS[F[0].order][ij] for ij in ((0, 1), (1, 0)))
     for k in range(2):
-        f1 = list(F[k].coeffs)
-        f2 = list(F[2 + k].coeffs)
-        p12 = jets._POS[F[k].order][(0, 1)]
-        p21 = jets._POS[F[k].order][(1, 0)]
-        mean = 0.5 * (f1[p12] + f2[p21])
-        f1[p12] = mean
-        f2[p21] = mean
-        out.append((jets.Jet2(F[k].order, f1), jets.Jet2(F[k].order, f2)))
-    return (out[0][0], out[1][0], out[0][1], out[1][1])
+        c[k][p12] = c[2 + k][p21] = 0.5 * (c[k][p12] + c[2 + k][p21])
+    return tuple(jets.Jet2(F[0].order, ck) for ck in c)
 
 
 def _assemble(gt, F, h, order):
-    det_h = h[0] * h[2] - h[1] * h[1]
-    det_gt = gt[0] * gt[2] - gt[1] * gt[1]
+    with np.errstate(all="ignore"):  # silent on a batch, as on floats
+        det_h = h[0] * h[2] - h[1] * h[1]
+        det_gt = gt[0] * gt[2] - gt[1] * gt[1]
     return metrics.PointJets(point=(0.0, 0.0), order=order,
                              gt=gt, F=F, h=h, det_h=det_h, det_gt=det_gt)
 
@@ -379,9 +374,11 @@ def _pack(pj):
                            for j in pj.all_component_jets()])
 
 
-def _unpack(vec, order):
+def _unpack(x, order):
+    """PointJets of packed coordinates: (ncoords,) or a batch (ncoords, B)."""
     size = len(jets._IDX[order])
-    js = [jets.Jet2(order, vec[i * size:(i + 1) * size]) for i in range(10)]
+    js = [jets.Jet2(order, tuple(x[i * size:(i + 1) * size]), x.ndim == 2)
+          for i in range(10)]
     return _assemble(tuple(js[0:3]), tuple(js[3:7]), tuple(js[7:10]), order)
 
 
@@ -399,8 +396,8 @@ def _invariant_vector(pj, which):
 RANK_STEP = 1e-6
 
 
-def jacobian_rank(which, probe, eps=1e-6):
-    """Numerical rank of d(invariants)/d(jet coordinates) at the probe.
+def jacobian(which, probe):
+    """d(invariants)/d(jet coordinates) at the probe, central differences.
 
     For the transitive variant, perturbations stay inside the subspace
     d2 F_1^k = d1 F_2^k; the curl-mean coordinates move in lockstep.
@@ -409,33 +406,29 @@ def jacobian_rank(which, probe, eps=1e-6):
     x0 = _pack(probe)
     size = len(jets._IDX[order])
 
-    directions = [np.eye(len(x0))[i] for i in range(len(x0))]
+    directions = list(np.eye(len(x0)))
     if which == "fundamental6_transitive":
-        # tie the two first-derivative slots of each curl pair together
-        p12 = jets._POS[order][(0, 1)]
-        p21 = jets._POS[order][(1, 0)]
-        tied = {}
-        for k in range(2):
-            i_a = (3 + k) * size + p12       # F_1^k, d/dt2 slot
-            i_b = (3 + 2 + k) * size + p21   # F_2^k, d/dt1 slot
-            tied[i_a] = i_b
-        directions = []
-        for i in range(len(x0)):
-            if i in tied.values():
-                continue
-            e = np.zeros(len(x0))
-            e[i] = 1.0
-            if i in tied:
-                e[tied[i]] = 1.0
-            directions.append(e)
+        # tie the d/dt2 slot of F_1^k to the d/dt1 slot of F_2^k
+        tied = {(3 + k) * size + jets._POS[order][(0, 1)]:
+                (5 + k) * size + jets._POS[order][(1, 0)] for k in range(2)}
+        directions = [e + directions[tied[i]] if i in tied else e
+                      for i, e in enumerate(directions)
+                      if i not in tied.values()]
 
-    cols = []
-    for e in directions:
-        hstep = RANK_STEP * max(1.0, float(abs(x0 @ e)))
-        fp = _invariant_vector(_unpack(x0 + hstep * e, order), which)
-        fm = _invariant_vector(_unpack(x0 - hstep * e, order), which)
-        cols.append((fp - fm) / (2.0 * hstep))
-    J = np.column_stack(cols)
+    steps = [RANK_STEP * max(1.0, float(abs(x0 @ e))) for e in directions]
+    probes = np.array([x0 + s * h * e for h, e in zip(steps, directions)
+                       for s in (1.0, -1.0)]).T
+    try:
+        f = _invariant_vector(_unpack(probes, order), which)
+    except G2InvError:  # probe by probe: the first failing probe's error
+        f = np.column_stack([_invariant_vector(_unpack(x, order), which)
+                             for x in probes.T])
+    return (f[:, 0::2] - f[:, 1::2]) / (2.0 * np.array(steps))
+
+
+def jacobian_rank(which, probe, eps=1e-6):
+    """Numerical rank of the jacobian of the invariant set at the probe."""
+    J = jacobian(which, probe)
     # per-invariant row scaling: the invariants span wildly different
     # magnitudes, and the rank should reflect relative sensitivities
     norms = np.linalg.norm(J, axis=1)

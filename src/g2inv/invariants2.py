@@ -38,6 +38,10 @@ class Invariants2:
     J2: float = None
 
 
+def _unstack(v, pj):
+    return float(v[0]) if isinstance(pj.det_h.value, float) else v
+
+
 def _orbit_curvature(pj):
     """(C_ric, Q_ric) of the 2D orbit metric from order-2 jets, the size
     of the terms C_ric sums (|g^-1| (|dGamma| + |Gamma|^2)), and its
@@ -49,25 +53,32 @@ def _orbit_curvature(pj):
         einstein._coeffs(((pj.gt[0], pj.gt[1]), (pj.gt[1], pj.gt[2]))),
         einstein._coeffs(((g22 / det, -g12 / det), (-g12 / det, g11 / det))),
         n)
-    ric = np.einsum("abad->bd", einstein._riemann(gamma))
-    gt = np.array([[pj.gt[0].value, pj.gt[1].value],
-                   [pj.gt[1].value, pj.gt[2].value]])
+    c_ric, q_ric, gi = _trace_det(
+        pj, np.einsum("abad...->bd...", einstein._riemann(gamma)))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, as on floats
+        size = np.abs(gamma[0]).max((0, 1, 2))
+        scale = np.abs(gi).max((1, 2)) * (np.abs(gamma[1:3]).max((0, 1, 2, 3))
+                                          + size * size)
+    return c_ric, q_ric, _unstack(scale, pj), gamma
+
+
+def _trace_det(pj, mu):
+    """C_mu = tr(gt^-1 mu), Q_mu = det mu / det gt and the stack gt^-1."""
+    gt = einstein._stack(np.array([[pj.gt[0].value, pj.gt[1].value],
+                                   [pj.gt[1].value, pj.gt[2].value]]), 2)
+    mu = einstein._stack(mu, 2)
     gi = np.linalg.inv(gt)
-    c_ric = float(np.tensordot(gi, ric))
-    q_ric = float(np.linalg.det(ric) / np.linalg.det(gt))
-    # in Python floats, which overflow to inf rather than raise
-    size = float(np.abs(gamma[0]).max())
-    scale = float(np.abs(gi).max()) * (float(np.abs(gamma[1:3]).max())
-                                       + size * size)
-    return c_ric, q_ric, scale, gamma
+    # a 1x4 by 4x1 product per column: np.tensordot's sum for one point
+    c = (gi.reshape(-1, 1, 4) @ mu.reshape(-1, 4, 1))[:, 0, 0]
+    q = np.linalg.det(mu) / np.linalg.det(gt)
+    return _unstack(c, pj), _unstack(q, pj), gi
 
 
 def _hessian_log_det_h(pj, gamma2):
     """nu_ij = Hess(ln|det h|) w.r.t. the orbit Levi-Civita connection."""
-    det_h = pj.det_h if pj.stratum.sign_det_h > 0 else -pj.det_h
-    L = jets.elementary("ln", det_h)
+    L = jets.elementary("ln", jets.flip(pj.det_h, pj.stratum.sign_det_h > 0))
     dL = [jets.t_derivative(L, s) for s in range(2)]
-    nu = np.zeros((2, 2))
+    nu = np.zeros((2, 2) + np.shape(L.value))
     for i in range(2):
         for j in range(2):
             second = jets.t_derivative(dL[i], j).value if L.order >= 2 \
@@ -88,26 +99,23 @@ def second_invariants_from_jets(pj):
     XpI = {k: jets.along(Xp, jv[k]) for k in FUNDAMENTAL_IDS}
 
     c_ric, q_ric, ric_scale, gamma2 = _orbit_curvature(pj)
-    nu = _hessian_log_det_h(pj, gamma2)
-    gt = np.array([[pj.gt[0].value, pj.gt[1].value],
-                   [pj.gt[1].value, pj.gt[2].value]])
-    gi = np.linalg.inv(gt)
-    C_nu = float(np.tensordot(gi, nu))
-    Q_nu = float(np.linalg.det(nu) / np.linalg.det(gt))
+    C_nu, Q_nu, _ = _trace_det(pj, _hessian_log_det_h(pj, gamma2))
     C_rho = jv["C_rho"].value
     C_chi = jv["C_chi"].value
     C_nu_prime = C_nu - 2.0 * C_chi + C_rho
 
     Fv = [j.value for j in pj.F]
-    e1 = (1.0, 0.0, -Fv[0], -Fv[1])
-    e2 = (0.0, 1.0, -Fv[2], -Fv[3])
-    K_Xi = einstein.sectional_curvature(pj, (0, 0, 1, 0), (0, 0, 0, 1))
-    K_Xiperp = einstein.sectional_curvature(pj, e1, e2)
+    batch = isinstance(C_rho, np.ndarray)  # J1, J2 NaN where C_rho ~ 0
+    o, i = (np.full(C_rho.shape, c) for c in (0.0, 1.0)) if batch else (0, 1)
+    K_Xi = einstein.sectional_curvature(pj, (o, o, i, o), (o, o, o, i))
+    K_Xiperp = einstein.sectional_curvature(pj, (i, o, -Fv[0], -Fv[1]),
+                                            (o, i, -Fv[2], -Fv[3]))
 
     J1 = J2 = None
-    if not pj.stratum.c_rho_zero:
-        J1 = -XpI["C_rho"] / C_rho
-        J2 = XI["C_rho"] / C_rho - C_nu
+    if batch or not pj.stratum.c_rho_zero:
+        c = np.where(pj.stratum.c_rho_zero, np.nan, C_rho) if batch else C_rho
+        J1 = -XpI["C_rho"] / c
+        J2 = XI["C_rho"] / c - C_nu
 
     return Invariants2(XI=XI, XperpI=XpI, C_ric=c_ric, Q_ric=q_ric,
                        ric_scale=ric_scale,

@@ -6,6 +6,9 @@ derivatives d^{i+j} f / dt1^i dt2^j, NOT Taylor coefficients; the i!j!
 factors appear only inside composition routines.  All operations are
 exact to the stored order, which is what makes every downstream
 curvature and invariant computation exact as well.
+
+A coefficient is a float, or a length-B float64 vector for a batch of B
+points, each column computed with the bits of its own point's floats.
 """
 
 from __future__ import annotations
@@ -102,7 +105,9 @@ class Jet2:
         return self.coeffs[_POS[self.order][(i, j)]]
 
     def is_finite(self):
-        return all(math.isfinite(c) for c in self.coeffs)
+        if isinstance(self.value, float):
+            return all(map(math.isfinite, self.coeffs))
+        return bool(np.isfinite(self.coeffs).all())
 
     def __repr__(self):
         return f"Jet2(order={self.order}, coeffs={self.coeffs})"
@@ -171,16 +176,16 @@ class Jet2:
             return _int_power(self, int(p))
         if not isinstance(p, (int, float)):
             return NotImplemented
-        if self.value <= 0.0:
+        if _any(self.value <= 0.0):
             raise SingularEvaluationError("pow", self.value,
                                           f"non-integer exponent {p}")
         v, p = self.value, float(p)
         try:
-            derivs = [v ** p]
+            derivs = [_pow(v, p)]
             fac = 1.0
             for k in range(1, self.order + 1):
                 fac *= p - (k - 1)
-                derivs.append(fac * v ** (p - k))
+                derivs.append(fac * _pow(v, p - k))
             return _compose(self, derivs)
         except OverflowError:
             raise SingularEvaluationError("pow", v, "overflow") from None
@@ -206,8 +211,18 @@ def seed(value, var_index, order):
     return Jet2(order, tuple(c), True)
 
 
+def _any(hit):  # a test's bool for one point, any column for a batch
+    return hit if isinstance(hit, bool) else hit.any()
+
+
+def _pow(x, k):
+    """x ** k by Python's float pow (C pow; OverflowError), per element."""
+    return x ** k if isinstance(x, float) \
+        else np.array([c ** k for c in x.tolist()])
+
+
 def _divide(num, den):
-    if den.value == 0.0:
+    if _any(den.value == 0.0):
         raise SingularEvaluationError("div", den.value)
     order = num.order
     g = den.coeffs
@@ -218,9 +233,9 @@ def _divide(num, den):
             for b in range(j + 1):
                 if (a, b) == (i, j):
                     continue
-                acc -= (comb(i, a) * comb(j, b)
-                        * q[_POS[order][(a, b)]]
-                        * g[_POS[order][(i - a, j - b)]])
+                acc = acc - (comb(i, a) * comb(j, b)  # not -=: num's array
+                             * q[_POS[order][(a, b)]]
+                             * g[_POS[order][(i - a, j - b)]])
         q[out] = acc / g[0]
     return Jet2(order, tuple(q), True)
 
@@ -249,20 +264,20 @@ def _compose(a, derivs):
     if n >= 1:
         out += [d[1] * g(1, 0), d[1] * g(0, 1)]
     if n >= 2:
-        out += [d[2] * g(1, 0) ** 2 + d[1] * g(2, 0),
+        out += [d[2] * _pow(g(1, 0), 2) + d[1] * g(2, 0),
                 d[2] * g(1, 0) * g(0, 1) + d[1] * g(1, 1),
-                d[2] * g(0, 1) ** 2 + d[1] * g(0, 2)]
+                d[2] * _pow(g(0, 1), 2) + d[1] * g(0, 2)]
     if n >= 3:
         out += [
-            d[3] * g(1, 0) ** 3 + 3.0 * d[2] * g(1, 0) * g(2, 0)
+            d[3] * _pow(g(1, 0), 3) + 3.0 * d[2] * g(1, 0) * g(2, 0)
             + d[1] * g(3, 0),
-            d[3] * g(1, 0) ** 2 * g(0, 1)
+            d[3] * _pow(g(1, 0), 2) * g(0, 1)
             + d[2] * (g(2, 0) * g(0, 1) + 2.0 * g(1, 0) * g(1, 1))
             + d[1] * g(2, 1),
-            d[3] * g(1, 0) * g(0, 1) ** 2
+            d[3] * g(1, 0) * _pow(g(0, 1), 2)
             + d[2] * (g(0, 2) * g(1, 0) + 2.0 * g(0, 1) * g(1, 1))
             + d[1] * g(1, 2),
-            d[3] * g(0, 1) ** 3 + 3.0 * d[2] * g(0, 1) * g(0, 2)
+            d[3] * _pow(g(0, 1), 3) + 3.0 * d[2] * g(0, 1) * g(0, 2)
             + d[1] * g(0, 3),
         ]
     return Jet2(n, tuple(out), True)
@@ -276,10 +291,13 @@ def elementary(fname, a, p=None):
     """Jet of f(a) for a named elementary function (or pow_const with p)."""
     if fname == "pow_const":
         return a ** p
+    v, n = a.value, a.order
     try:
-        return _compose(a, _derivatives(fname, a.value, a.order))
+        return _compose(a, _derivatives(fname, v, n) if isinstance(v, float)
+                        else list(np.array([_derivatives(fname, x, n)
+                                            for x in v.tolist()]).T))
     except (OverflowError, ZeroDivisionError) as err:
-        raise _float_fault(fname, a.value, err) from None
+        raise _float_fault(fname, v, err) from None
 
 
 def _values(fname, xs):
@@ -347,9 +365,16 @@ def _derivatives(fname, v, n):
 
 def sqrt_abs(a):
     """Jet of sqrt(|a|); a.value must be nonzero."""
-    if a.value == 0.0:
+    if _any(a.value == 0.0):
         raise SingularEvaluationError("sqrt_abs", 0.0)
-    return elementary("sqrt", a if a.value > 0.0 else -a)
+    return elementary("sqrt", flip(a, a.value > 0.0))
+
+
+def flip(a, keep):
+    """a where keep holds, else -a: column by column on a batch."""
+    if isinstance(keep, (bool, np.bool_)):
+        return a if keep else -a
+    return Jet2(a.order, tuple(np.where(keep, c, -c) for c in a.coeffs), True)
 
 
 def t_derivative(a, s):

@@ -87,7 +87,8 @@ def singular_on_overflow(what):
 
 @dataclass(frozen=True)
 class PointJets:
-    """Jets of the canonical submersion components at one point.
+    """Jets of the canonical submersion components at one point (or a
+    batch: coefficients are vectors, every layer has a trailing axis).
 
     gt = (gt11, gt12, gt22), F = (F11, F12, F21, F22) with F_i^k ordered
     (f_1^1, f_1^2, f_2^1, f_2^2), h = (h11, h12, h22); det jets cached.
@@ -117,16 +118,19 @@ class PointJets:
     @cached_property
     def fields(self):
         from .invariants1 import first_invariant_jets
-        return first_invariant_jets(self)
+        with np.errstate(all="ignore"):  # batch jets: silent, as floats
+            return first_invariant_jets(self)
 
     @cached_property
     def stratum(self):
-        return classify(self)
+        with np.errstate(all="ignore"):
+            return classify(self)
 
     @cached_property
     def g4(self):
         from .einstein import four_metric
-        return four_metric(self)
+        with np.errstate(all="ignore"):
+            return four_metric(self)
 
     @cached_property
     def christoffel(self):
@@ -277,26 +281,24 @@ def point_jets(m, point, order=2, method="analytic"):
 
 def component_scale(pj):
     """Largest raw coefficient magnitude over the ten component jets."""
-    return max(max(abs(c) for c in j.coeffs)
-               for j in pj.all_component_jets())
+    return np.abs([j.coeffs for j in pj.all_component_jets()]).max((0, 1))
 
 
 def classify(pj):
     """Stratum flags deciding which frames and relations apply."""
-    tol = GENERIC_TOL * max(1.0, component_scale(pj))
+    tol = GENERIC_TOL * np.maximum(1.0, component_scale(pj))
     jv = pj.fields
     curl1 = jets.t_derivative(pj.F[0], 1).value - jets.t_derivative(pj.F[2], 0).value
     curl2 = jets.t_derivative(pj.F[1], 1).value - jets.t_derivative(pj.F[3], 0).value
-    transitive = abs(curl1) < tol and abs(curl2) < tol
     c_rho_zero = abs(jv["C_rho"].value) < tol
     ell_c_zero = abs(jv["ell_C"].value) < tol
     return StratumFlags(
-        sign_det_h=1 if pj.det_h.value > 0 else -1,
-        sign_det_gt=1 if pj.det_gt.value > 0 else -1,
+        sign_det_h=(pj.det_h.value > 0) * 2 - 1,
+        sign_det_gt=(pj.det_gt.value > 0) * 2 - 1,
         c_rho_zero=c_rho_zero,
         ell_c_zero=ell_c_zero,
-        orthogonally_transitive=transitive,
-        generic=not c_rho_zero and not ell_c_zero,
+        orthogonally_transitive=(abs(curl1) < tol) & (abs(curl2) < tol),
+        generic=~(c_rho_zero | ell_c_zero),
     )
 
 

@@ -362,3 +362,58 @@ def test_nine_hundred_term_component_still_evaluates(tmp_path):
     r = _module_run("invariants", path, "--at", "0.5,0.5", "--json")
     assert r.returncode == 0 and r.stderr == "", r.stderr
     assert json.loads(r.stdout)["fundamentals"]["C_rho"] == 0.0
+
+
+@pytest.fixture(scope="module")
+def transform_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "tr.json"
+    path.write_text(json.dumps({"phi1": "t1", "phi2": "t2", "psi1": "0",
+                                "psi2": "0", "alpha": [[1, 0], [0, 1]]}))
+    return str(path)
+
+
+def _usage_error(argv, option, capsys):
+    """argv exits 2 at parse time with one error line naming option."""
+    capsys.readouterr()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(lines) == 1 and f"argument {option}:" in lines[0], \
+        captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "1", "inf", "-inf"])
+def test_rank_eps_outside_zero_one_is_a_usage_error(value, capsys):
+    _usage_error(["rank", "--random", "7", "--set", "order2_20",
+                  "--eps", value], "--eps", capsys)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-8"])
+@pytest.mark.parametrize("command", ["check-einstein", "check-relations",
+                                     "transform", "equiv"])
+def test_tolerance_not_finite_and_positive_is_a_usage_error(
+        command, value, vdb_file, transform_file, capsys):
+    second = {"transform": [transform_file], "equiv": [vdb_file]}
+    _usage_error([command, vdb_file, *second.get(command, []),
+                  "--tol", value], "--tol", capsys)
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("command", ["check-einstein", "check-relations",
+                                     "transform", "equiv"])
+def test_grid_below_one_is_a_usage_error(command, value, vdb_file,
+                                         transform_file, capsys):
+    second = {"transform": [transform_file], "equiv": [vdb_file]}
+    _usage_error([command, vdb_file, *second.get(command, []),
+                  "--grid", value], "--grid", capsys)
+
+
+def test_valid_tolerances_and_grids_still_run(vdb_file, capsys):
+    assert run(["rank", "--random", "7", "--set", "fundamental6",
+                "--eps", "0.5"]) == 1
+    assert run(["check-relations", vdb_file, "--first", "--grid", "1",
+                "--tol", "1e-7"]) == 0
+    assert run(["rank", "--random", "7", "--set", "fundamental6",
+                "--eps", "abc"]) == 2
+    assert "invalid float value: 'abc'" in capsys.readouterr().err

@@ -1,17 +1,22 @@
 """Property tests: the expression printer round-trips through the parser,
 the parsed DAG evaluates exactly like the tree it prints, the float
 evaluator gives the bits of order-0 jets, order-2 jets obey the ring
-laws and the chain rule, and the dense product table multiplies like
-Jet2, over generated inputs."""
+laws and the chain rule, the dense product table multiplies like Jet2,
+and each column of a batch of points has the bits of its own point, over
+generated inputs."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from g2inv import expr, jets
+from g2inv import catalog, expr, jets, point_jets
 from g2inv.errors import G2InvError, SingularEvaluationError
+from g2inv.invariants1 import _pack, _unpack, random_point_jets
+from g2inv.invariants2 import order2_invariant_vector
+from g2inv.metrics import CATALOG_NAMES, default_domain, grid_points
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -209,3 +214,85 @@ def test_compose_map_matches_finite_differences(u_text, text1, text2, pt):
     # (three steep tanh terms in step, at t1 = t2 = -0.25)
     scale = max(1.0, *map(abs, fd.coeffs))
     assert got.coeffs == pytest.approx(fd.coeffs, rel=1e-5, abs=1e-5 * scale)
+
+
+# -- a batch column is its point's own evaluation ---------------------------
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _column(x, k):
+    return np.asarray(x)[..., k]
+
+
+def _assert_columns_are_points(batch, points):
+    """Every layer of the batch, column k, has the bits of points[k]."""
+    layers = ["g4", "christoffel"] + ["riemann"] * (batch.order >= 2)
+    for k, pj in enumerate(points):
+        for key, jet in pj.fields.items():
+            assert _bits([_column(c, k) for c in batch.fields[key].coeffs]) \
+                == _bits(jet.coeffs), key
+        for flag, value in vars(pj.stratum).items():
+            assert _column(getattr(batch.stratum, flag), k) == value, flag
+        for layer in layers:
+            assert _bits(_column(getattr(batch, layer), k)) \
+                == _bits(getattr(pj, layer)), layer
+        if batch.order >= 2:
+            assert _bits(order2_invariant_vector(batch)[:, k]) \
+                == _bits(order2_invariant_vector(pj))
+
+
+def _batch(points):
+    """One batch PointJets of the points' packed jet coordinates, and the
+    points rebuilt from the same coordinates one by one."""
+    x = np.column_stack([_pack(pj) for pj in points])
+    order = points[0].order
+    return _unpack(x, order), [_unpack(col, order) for col in x.T]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3),
+       st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=5))
+def test_batch_columns_have_the_bits_of_their_points(order, seeds):
+    batch, points = _batch([random_point_jets(s, order=order)
+                            for s in seeds])
+    _assert_columns_are_points(batch, points)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_catalog_points_batch_like_their_points(order):
+    # every stratum: flat and ppwave points have C_rho = 0 (J1, J2 NaN in
+    # the batch), det h and det gt of either sign
+    pjs = []
+    for name in CATALOG_NAMES:
+        m = catalog(name)
+        for pt in grid_points(default_domain(m), 2, margin=0.1):
+            pjs.append(point_jets(m, pt, order=order))
+    batch, points = _batch(pjs)
+    _assert_columns_are_points(batch, points)
+    sec = batch.second
+    for k, pj in enumerate(points):
+        for j, value in ((sec.J1, pj.second.J1), (sec.J2, pj.second.J2)):
+            assert (np.isnan(j[k]) and value is None) \
+                or _bits(j[k]) == _bits(value)
+
+
+def test_batch_overflow_is_silent(capfd):
+    # Python floats overflow to inf silently, so a batch column must too:
+    # no RuntimeWarning, nothing on stderr, the scalar path's values
+    x0 = _pack(random_point_jets(3, order=2))
+    x = np.column_stack([x0, x0 * 1e160, x0])
+    capfd.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = _unpack(x, 2)
+        fields, stratum = batch.fields, batch.stratum
+        big = _unpack(x[:, 1], 2)
+        want = big.fields
+    assert capfd.readouterr().err == ""
+    assert not all(j.is_finite() for j in want.values())
+    for key, jet in want.items():
+        got = np.array([c[1] for c in fields[key].coeffs])
+        assert np.array_equal(got, jet.coeffs, equal_nan=True), key
+    assert stratum.sign_det_h[1] == big.stratum.sign_det_h
