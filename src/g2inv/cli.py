@@ -59,7 +59,10 @@ def _parse_range(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected a:b:n got {text!r}")
-    return (float(parts[0]), float(parts[1]), int(parts[2]))
+    if (count := int(parts[2])) < 1:
+        raise argparse.ArgumentTypeError(
+            f"the count n of a:b:n must be at least 1, got {text!r}")
+    return (float(parts[0]), float(parts[1]), count)
 
 
 def _within(kind, high=math.inf):
@@ -263,6 +266,9 @@ def cmd_rank(args):
     which = args.set
     order = 2 if which == "order2_20" else 1
     if args.random is not None:
+        if args.metric is not None or args.at is not None:
+            raise G2InvError(
+                "rank --random SEED takes no metric file and no --at")
         probe = invariants1.random_point_jets(args.random, order=order,
                                               transitive=which.endswith(
                                                   "transitive"))

@@ -111,9 +111,15 @@ def _christoffel(g, ginv, order):
     dg[:, :2] = np.take(g, jets._DIFF[order + 1], axis=0).swapaxes(0, 1)
     bracket = dg.swapaxes(1, 2) + dg.swapaxes(1, 2).swapaxes(2, 3) - dg
     # the terms of each d are summed in turn, as a per-entry jet loop
-    # over d would; at order 1 the values are then that loop's, bit for bit
-    terms = np.einsum("opq,pad...,qdbc...->doabc...", jets.MUL_TENSOR[order],
-                      ginv, bracket)
+    # over d would; at order 1 the values are then that loop's, bit for
+    # bit.  One point takes them from one einsum call; a batch from one
+    # call per d, so that its terms never all exist at once
+    mul = jets.MUL_TENSOR[order]
+    if g.ndim == 3:
+        terms = np.einsum("opq,pad,qdbc->doabc", mul, ginv, bracket)
+    else:
+        terms = (np.einsum("opq,pa...,qbc...->oabc...", mul, ginv[:, :, d],
+                           bracket[:, d]) for d in range(n))
     return 0.5 * sum(terms)
 
 

@@ -57,28 +57,50 @@ def _rank2(jac):
     return len(s) == 2 and s[1] >= DELTA_TOL * s[0]
 
 
+def _evaluate(m, pts):
+    """(point, generic, values, jac) at each of the points, None where
+    the metric cannot be evaluated: the six fundamentals, their 6x2
+    t-Jacobian and the stratum's generic flag.
+
+    The points are one batch point_jets call; if the batch fails, they
+    are evaluated one at a time, so a failing point fails alone.
+    """
+    def at(point):
+        pj = metrics.point_jets(m, point, order=2)
+        return (pj.point, pj.stratum.generic) + _fundamentals(pj)
+
+    try:
+        (t1s, t2s), generic, values, jac = at(tuple(np.array(pts).T))
+    except (G2InvError, ArithmeticError):
+        out = []
+        for pt in pts:
+            try:
+                out.append(at(pt))
+            except (G2InvError, ArithmeticError):
+                out.append(None)
+        return out
+    return list(zip(zip(t1s.tolist(), t2s.tolist()), generic,
+                    values.T.copy(), np.moveaxis(jac, 2, 0).copy()))
+
+
 def build_signature(m, rect=None, n=12):
     """Sample the classifying manifold of a metric over a rectangle.
 
-    A grid point is skipped where the metric cannot be evaluated, is not
-    generic, or its fundamentals do not have rank 2 there.
+    The n x n grid is evaluated as one batch of points.  A grid point is
+    skipped where the metric cannot be evaluated, is not generic, or its
+    fundamentals do not have rank 2 there.
     """
     rect = rect or metrics.default_domain(m)
     if rect is None:
         # unknown user metric: scan a default box; invalid or
         # non-generic grid points are skipped anyway
         rect = ((-1.5, 1.5), (-1.5, 1.5))
-    samples = []
-    for pt in metrics.grid_points(rect, n, margin=0.02):
-        try:
-            pj = metrics.point_jets(m, pt, order=2)
-            generic = pj.stratum.generic
-            values, jac = _fundamentals(pj)
-        except (G2InvError, ArithmeticError):
-            continue
-        if (generic and np.isfinite(values).all()
-                and np.isfinite(jac).all() and _rank2(jac)):
-            samples.append(Sample(pj.point, tuple(values), jac))
+    grid = metrics.grid_points(rect, n, margin=0.02)
+    samples = [Sample(point, tuple(values), jac)
+               for point, generic, values, jac
+               in filter(None, _evaluate(m, grid))
+               if generic and np.isfinite(values).all()
+               and np.isfinite(jac).all() and _rank2(jac)]
     if len(samples) < MIN_SAMPLES:
         raise InsufficientCoverageError(
             f"only {len(samples)} generic samples retained for {m.name!r} "
@@ -114,56 +136,94 @@ def _scales(values):
 CONVERGED = 1e-10
 
 
-def _project(m, target, starts, scales):
-    """Gauss-Newton projection of a six-vector onto the classifying
-    manifold of m: (residual, point, values) of the nearest point found.
+@dataclass
+class _Run:
+    """Gauss-Newton from one start: the next point pt, its evaluation
+    (point None until then) and the best (residual, point, values) met."""
+    target: np.ndarray
+    pt: np.ndarray
+    point: tuple
+    values: np.ndarray
+    jac: np.ndarray
+    prev: float = np.inf
+    evals: int = 0
+    best: tuple = (np.inf, None, None)
+    converged: bool = False
 
-    The starts are samples of m, whose values and Jacobian serve as the
-    first evaluation.  The residual is the norm of the scaled difference
-    of the six fundamentals.  Each start runs until an evaluation fails,
-    the residual stalls or 12 evaluations are spent; the first start
-    that converges settles the search.
+
+def _advance(run, scales):
+    """One Gauss-Newton iteration from the run's evaluation: True while
+    the run goes on, to be evaluated next at run.pt."""
+    r = (run.values - run.target) / scales
+    res = float(np.linalg.norm(r))
+    if not (np.isfinite(res) and np.isfinite(run.jac).all()):
+        return False
+    if res < run.best[0]:
+        run.best = (res, run.point, run.values)
+    run.converged = res < CONVERGED
+    run.evals += 1
+    if run.converged or res > 0.9 * run.prev or run.evals == 12:
+        return False
+    run.prev = res
+    step = np.linalg.lstsq(run.jac / scales[:, None], r, rcond=None)[0]
+    limit = 0.5 * (1.0 + np.linalg.norm(run.pt))
+    norm = np.linalg.norm(step)
+    if norm > limit:
+        step *= limit / norm
+    run.pt, run.point = run.pt - step, None
+    return True
+
+
+def _counted(runs):
+    """A target's runs that count: those up to the first that converged."""
+    return runs[:next((k + 1 for k, run in enumerate(runs) if run.converged),
+                      len(runs))]
+
+
+def _project(m, targets, starts, scales):
+    """Gauss-Newton projection of six-vectors onto the classifying
+    manifold of m: (residual, point, values) of the nearest point found
+    for each target.
+
+    starts[i] are samples of m, whose values and Jacobian serve as the
+    first evaluation of one run each towards targets[i].  The residual
+    is the norm of the scaled difference of the six fundamentals.  A run
+    ends when an evaluation fails, the residual converges or stalls, or
+    12 evaluations are spent.  The runs of all targets go in lockstep,
+    one batch evaluation per round for every run still going, and a run
+    is dropped once an earlier start of its target has converged.  Each
+    target gets what trying its starts in turn would give: the smallest
+    residual, the first of equals, over its starts up to the first that
+    converged.
     """
-    best = (np.inf, None, None)
-    for start in starts:
-        pt, prev = np.array(start.point), np.inf
-        point, values, jac = start.point, np.array(start.values), start.jac
-        for _ in range(12):
-            if point is None:
-                try:
-                    pj = metrics.point_jets(m, pt, order=2)
-                    values, jac = _fundamentals(pj)
-                except (G2InvError, ArithmeticError):
-                    break
-                point = pj.point
-            r = (values - target) / scales
-            res = float(np.linalg.norm(r))
-            if not (np.isfinite(res) and np.isfinite(jac).all()):
-                break
-            if res < best[0]:
-                best = (res, point, values)
-            if res < CONVERGED or res > 0.9 * prev:
-                break
-            prev = res
-            step = np.linalg.lstsq(jac / scales[:, None], r, rcond=None)[0]
-            limit = 0.5 * (1.0 + np.linalg.norm(pt))
-            norm = np.linalg.norm(step)
-            if norm > limit:
-                step *= limit / norm
-            pt, point = pt - step, None
-        if best[0] < CONVERGED:
-            break
-    return best
+    groups = [[_Run(target, np.array(s.point), s.point, np.array(s.values),
+                    s.jac) for s in ss] for target, ss in zip(targets, starts)]
+    live = [run for runs in groups for run in runs]
+    while live:
+        live = [run for run in live if _advance(run, scales)]
+        counted = {id(run) for runs in groups for run in _counted(runs)}
+        live = [run for run in live if id(run) in counted]
+        if live:
+            for run, got in zip(live, _evaluate(m, [run.pt for run in live])):
+                if got is not None:
+                    run.point, _, run.values, run.jac = got
+            live = [run for run in live if run.point is not None]
+    # min keeps the first of equal residuals, as a strict < in turn would
+    return [min(_counted(runs), key=lambda run: run.best[0]).best
+            for runs in groups]
 
 
 def compare_metrics(ma, mb, n=12, tol=1e-4, rect_a=None, rect_b=None):
     """Signature comparison on the classifying manifolds.
 
-    Both signatures are sampled, then every sample of one metric (at
-    most 48 per side) is projected onto the other metric's classifying
-    manifold by Gauss-Newton in (t1, t2), started from the four nearest
-    samples of the other metric; each fundamental is scaled by its
-    inter-quartile range over both sample sets.  A sample matches when
+    Both signatures are sampled, each grid as one batch of points, then
+    every sample of one metric (at most 48 per side) is projected onto
+    the other metric's classifying manifold by Gauss-Newton in (t1, t2),
+    started from the four nearest samples of the other metric; each
+    fundamental is scaled by its inter-quartile range over both sample
+    sets.  The projections of one side run in lockstep, one batch of
+    points per Gauss-Newton round, and each gives what its starts tried
+    in turn would give.  A sample matches when
     its scaled residual is below tol.  The verdict is Consistent when at
     least half the samples of each side match, Inconsistent when none
     does; its witness is the sample with the smallest residual and the
@@ -199,14 +259,14 @@ def compare_metrics(ma, mb, n=12, tol=1e-4, rect_a=None, rect_b=None):
         """(residual, from point, to point, from values, to values) of
         each sample of samples_from, projected onto m_to."""
         v_to = np.array([s.values for s in samples_to])
-        out = []
-        for s in samples_from[::max(1, len(samples_from) // cap)]:
-            v = np.array(s.values)
-            d = np.linalg.norm((v_to - v) / scales, axis=1)
-            starts = [samples_to[j] for j in np.argsort(d)[:4]]
-            res, point, values = _project(m_to, v, starts, scales)
-            out.append((res, s.point, point, v, values))
-        return out
+        sources = samples_from[::max(1, len(samples_from) // cap)]
+        targets = [np.array(s.values) for s in sources]
+        starts = [[samples_to[j] for j in np.argsort(
+                      np.linalg.norm((v_to - v) / scales, axis=1))[:4]]
+                  for v in targets]
+        return [(res, s.point, point, v, values) for s, v, (res, point, values)
+                in zip(sources, targets,
+                       _project(m_to, targets, starts, scales))]
 
     rows_a = match(sig_a.samples, mb, sig_b.samples)
     # B's samples projected onto A, with A's side first
@@ -234,45 +294,3 @@ def compare_metrics(ma, mb, n=12, tol=1e-4, rect_a=None, rect_b=None):
     return Verdict("Consistent", coverage_a, coverage_b, max_disc,
                    note="the samples of both metrics lie on the other's "
                         "classifying manifold at this sampling resolution")
-
-
-# ----------------------------------------------------------------------
-# Van den Bergh closed-form characterization
-# ----------------------------------------------------------------------
-
-def vdb_oracle(c_rho, ell_c):
-    """Closed-form (C_chi, Q_chi, Q_gamma, Theta_I_sq) of the Van den
-    Bergh class as functions of (C_rho, ell_C)."""
-    s = c_rho + 2.0 * ell_c
-    if s == 0.0:
-        raise ZeroDivisionError("pole: C_rho + 2*ell_C = 0")
-    p = c_rho ** 2 + 4.0 * c_rho * ell_c + 4.0 * ell_c ** 2
-    c_chi = -3.0 * ell_c * (-8.0 * ell_c ** 6 + p ** 2) / s ** 4
-    q_chi = (-3.0 * ell_c
-             * (48.0 * ell_c ** 7 + c_rho * p ** 2)
-             * (p ** 2 - 4.0 * ell_c ** 6) / (4.0 * s ** 8))
-    q_gamma = -36.0 * ell_c ** 8 * (p ** 2 - 4.0 * ell_c ** 6) / s ** 8
-    return c_chi, q_chi, q_gamma, -ell_c ** 2 * q_gamma
-
-
-def characterize_vdb(pjs, tol=1e-6):
-    """Does the metric satisfy the Van den Bergh invariant signature at
-    the points of these PointJets?"""
-    rows = []
-    ok = True
-    for pj in pjs:
-        pt = pj.point
-        jv = pj.fields
-        got = {k: jv[k].value for k in FUNDAMENTAL_IDS}
-        try:
-            want = vdb_oracle(got["C_rho"], got["ell_C"])
-        except ZeroDivisionError:
-            rows.append({"point": pt, "residual": None,
-                         "notice": "oracle pole"})
-            continue
-        keys = ("C_chi", "Q_chi", "Q_gamma", "Theta_I_sq")
-        resid = max(abs(got[k] - w) / max(1.0, abs(got[k]), abs(w))
-                    for k, w in zip(keys, want))
-        ok = ok and resid < tol
-        rows.append({"point": pt, "residual": resid, "notice": None})
-    return ok, rows

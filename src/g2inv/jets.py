@@ -198,11 +198,12 @@ def constant(value, order):
 
 
 def seed(value, var_index, order):
-    """Constant jet (var_index None) or the coordinate jet of t1/t2."""
+    """Constant jet (var_index None) or the coordinate jet of t1/t2; an
+    ndarray value is a batch of points, its other coefficients floats."""
     if order not in _IDX:
         raise ValueError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
     c = [0.0] * len(_IDX[order])
-    c[0] = float(value)
+    c[0] = value if isinstance(value, np.ndarray) else float(value)
     if var_index is not None:
         if var_index not in (0, 1):
             raise ValueError("var_index must be 0, 1 or None")

@@ -238,14 +238,26 @@ def _eval_components(m, point, order, method):
 def point_jets(m, point, order=2, method="analytic"):
     """Canonical submersion-form jets of the metric at a point.
 
-    method="fd" replaces analytic jets with central finite differences
-    (order <= 2), the independent cross-check path.
+    A point (t1s, t2s) of two float64 arrays of length B is a batch of B
+    points: every coefficient of every jet is a length-B vector, column k
+    with the bits of point_jets(m, (t1s[k], t2s[k])), and one singular
+    column fails the whole batch.  method="fd" replaces analytic jets
+    with central finite differences (order <= 2, one point only), the
+    independent cross-check path.
     """
-    point = (float(point[0]), float(point[1]))
+    batch = isinstance(point[0], np.ndarray)
+    point = tuple(np.array(t, dtype=float) if batch else float(t)
+                  for t in (point[0], point[1]))
     comp = _eval_components(m, point, order, method)
+    if batch:
+        # constants and jets of one variable carry the point axis too;
+        # np.full, not + 0.0, which would turn -0.0 into 0.0
+        comp = {key: jets.Jet2(j.order, tuple(np.full(len(point[0]), c)
+                                              for c in j.coeffs), True)
+                for key, j in comp.items()}
     h = (comp["h11"], comp["h12"], comp["h22"])
     det_h = h[0] * h[2] - h[1] * h[1]
-    if det_h.value == 0.0 or not det_h.is_finite():
+    if jets._any(det_h.value == 0.0) or not det_h.is_finite():
         raise SingularMetricError(
             f"singular h for metric {m.name!r} at {point}")
     if m.form == "submersion":
@@ -267,7 +279,7 @@ def point_jets(m, point, order=2, method="analytic"):
               comp["b12"] - (f11 * F[2] + f12 * F[3]),
               comp["b22"] - (f21 * F[2] + f22 * F[3]))
     det_gt = gt[0] * gt[2] - gt[1] * gt[1]
-    if det_gt.value == 0.0 or not det_gt.is_finite():
+    if jets._any(det_gt.value == 0.0) or not det_gt.is_finite():
         raise SingularMetricError(
             f"singular orbit metric for {m.name!r} at {point}")
     pj = PointJets(point=point, order=order, gt=gt, F=F, h=h,

@@ -12,7 +12,7 @@ import math
 import pytest
 
 from g2inv import catalog, classify, einstein, point_jets
-from g2inv.equivalence import characterize_vdb, compare_metrics
+from g2inv.equivalence import compare_metrics
 from g2inv.invariants1 import (first_invariant_jets, jacobian_rank,
                                random_point_jets, relations_first)
 from g2inv.invariants2 import relations_second, second_invariants_from_jets
@@ -22,6 +22,7 @@ from g2inv.transform import (apply_to_metric, invariance_report,
                              make_transform, pushforward_jets,
                              random_transform)
 from g2inv.expr import eval_jet, eval_scalar
+from vdb_signature import characterize_vdb
 
 VDB_GRID = grid_points(((0.3, 1.2), (0.7, 1.5)), 5, 4)
 

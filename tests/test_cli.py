@@ -409,6 +409,30 @@ def test_grid_below_one_is_a_usage_error(command, value, vdb_file,
                   "--grid", value], "--grid", capsys)
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+@pytest.mark.parametrize("option", ["--t1", "--t2"])
+def test_grid_range_count_below_one_is_a_usage_error(option, count,
+                                                     vdb_file, capsys):
+    ranges = {"--t1": "0.3:1.2:2", "--t2": "0.7:1.5:2"}
+    ranges[option] = ranges[option][:-1] + count
+    _usage_error(["grid", vdb_file, "--t1", ranges["--t1"],
+                  "--t2", ranges["--t2"]], option, capsys)
+
+
+@pytest.mark.parametrize("given", [["--at", "5,5"], ["METRIC"],
+                                   ["--at", "5,5", "METRIC"]])
+def test_rank_random_with_a_metric_or_point_is_an_error(given, vdb_file,
+                                                        capsys):
+    argv = ["rank", "--random", "3", "--set", "fundamental6"] + [
+        vdb_file if arg == "METRIC" else arg for arg in given]
+    capsys.readouterr()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: rank --random SEED takes no metric "
+                            "file and no --at\n")
+
+
 def test_valid_tolerances_and_grids_still_run(vdb_file, capsys):
     assert run(["rank", "--random", "7", "--set", "fundamental6",
                 "--eps", "0.5"]) == 1

@@ -1,15 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2inv import catalog, metrics, point_jets
-from g2inv.equivalence import (build_signature, characterize_vdb,
-                               compare_metrics, vdb_oracle)
-from g2inv.errors import InsufficientCoverageError
+from g2inv import catalog, equivalence, metrics, point_jets
+from g2inv.equivalence import build_signature, compare_metrics
+from g2inv.errors import (G2InvError, InsufficientCoverageError,
+                          SingularMetricError)
 from g2inv.invariants1 import FUNDAMENTAL_IDS, first_invariant_jets
 from g2inv.metrics import default_domain, grid_points, load_metric
 from g2inv.transform import (apply_to_metric, make_transform,
                              pushforward_jets, random_transform)
+from vdb_signature import characterize_vdb, vdb_oracle
 
 
 def test_build_signature_vdb_retains_grid():
@@ -104,6 +107,81 @@ def test_inconsistent_witness_states_its_own_discrepancy():
     assert w["residual"] >= 1e-4
 
 
+def _project_in_turn(m, target, starts, scales):
+    """Gauss-Newton from one start after another, one point at a time:
+    what the lockstep projector must give, bit for bit."""
+    best = (np.inf, None, None)
+    for start in starts:
+        pt, prev = np.array(start.point), np.inf
+        point, values, jac = start.point, np.array(start.values), start.jac
+        for _ in range(12):
+            if point is None:
+                try:
+                    pj = point_jets(m, pt, order=2)
+                    values, jac = equivalence._fundamentals(pj)
+                except (G2InvError, ArithmeticError):
+                    break
+                point = pj.point
+            r = (values - target) / scales
+            res = float(np.linalg.norm(r))
+            if not (np.isfinite(res) and np.isfinite(jac).all()):
+                break
+            if res < best[0]:
+                best = (res, point, values)
+            if res < equivalence.CONVERGED or res > 0.9 * prev:
+                break
+            prev = res
+            step = np.linalg.lstsq(jac / scales[:, None], r, rcond=None)[0]
+            limit = 0.5 * (1.0 + np.linalg.norm(pt))
+            norm = np.linalg.norm(step)
+            if norm > limit:
+                step *= limit / norm
+            pt, point = pt - step, None
+        if best[0] < equivalence.CONVERGED:
+            break
+    return best
+
+
+def _vdb_image():
+    return apply_to_metric(catalog("vdb"), make_transform(
+        "0.8*t1 + 0.1*t2 + 0.05", "-0.2*t1 + 1.1*t2 - 0.3",
+        "0.5*t1 - 0.2*t2", "0.3*t2", [[2.0, 1.0], [0.0, 1.0]]))
+
+
+def _cut_random_metric():
+    """random_analytic seed 3 with h11 times sqrt(t1 + 0.5), which cannot
+    be evaluated left of t1 = -0.5."""
+    comps = dict(catalog("random_analytic", {"seed": 3}).components)
+    comps["h11"] = f"({comps['h11']})*sqrt(t1 + 0.5)"
+    return dataclasses.replace(
+        load_metric({"name": "cut", "form": "submersion", "params": {},
+                     "components": comps}),
+        domain=((-0.45, 0.9), (-0.9, 0.9)))
+
+
+@pytest.mark.parametrize("make_b", [
+    # most samples converge at the first start, four at the second, one
+    # at the fourth, two never do
+    _vdb_image,
+    # no sample converges; Newton steps from the samples of vdb leave the
+    # valid set, so batches fail and their points are evaluated one by one
+    _cut_random_metric])
+def test_lockstep_projection_is_the_projection_start_by_start(make_b):
+    mb = make_b()
+    from_a = build_signature(catalog("vdb"), n=5).samples
+    to_b = build_signature(mb, rect=mb.domain, n=5).samples
+    scales = equivalence._scales(np.array([s.values for s in from_a + to_b]))
+    v_b = np.array([s.values for s in to_b])
+    targets = [np.array(s.values) for s in from_a]
+    starts = [[to_b[j] for j in np.argsort(
+        np.linalg.norm((v_b - v) / scales, axis=1))[:4]] for v in targets]
+    got = equivalence._project(mb, targets, starts, scales)
+    for (res, point, values), target, ss in zip(got, targets, starts):
+        want = _project_in_turn(mb, target, ss, scales)
+        assert (res, point) == want[:2]
+        assert np.array(values).tobytes() == np.array(want[2]).tobytes()
+
+
 def _affine(a, shift, grad, alpha):
     """Affine pseudogroup element: phi = a t + shift, psi = grad t."""
     row = "{:.6f}*t1 + {:.6f}*t2 + {:.6f}".format
@@ -174,9 +252,14 @@ def test_characterize_vdb_positive_and_negative():
 
 
 def test_build_signature_propagates_programming_errors(monkeypatch):
-    def broken(*args, **kwargs):
-        raise TypeError("bug")
+    # a batch that fails on an input error is evaluated point by point; a
+    # programming error propagates from either path
+    for batch in (True, False):
+        def broken(m, point, *args, batch=batch, **kwargs):
+            if isinstance(point[0], np.ndarray) != batch:
+                raise SingularMetricError("input error")
+            raise TypeError("bug")
 
-    monkeypatch.setattr(metrics, "point_jets", broken)
-    with pytest.raises(TypeError):
-        build_signature(catalog("vdb"), n=4)
+        monkeypatch.setattr(metrics, "point_jets", broken)
+        with pytest.raises(TypeError):
+            build_signature(catalog("vdb"), n=4)

@@ -182,7 +182,7 @@ def test_directional_partials_identity_cases():
 def test_directional_partials_against_signature_closed_form():
     # dC_chi/dC_rho and dC_chi/dell_C from the published dependence of
     # C_chi on (C_rho, ell_C), by finite differences of the oracle
-    from g2inv.equivalence import vdb_oracle
+    from vdb_signature import vdb_oracle
     m = catalog("vdb")
     pt = (0.6, 1.1)
     jv = first_invariant_jets(point_jets(m, pt, order=1))

@@ -2,8 +2,8 @@
 the parsed DAG evaluates exactly like the tree it prints, the float
 evaluator gives the bits of order-0 jets, order-2 jets obey the ring
 laws and the chain rule, the dense product table multiplies like Jet2,
-and each column of a batch of points has the bits of its own point, over
-generated inputs."""
+and each column of a batch of points, packed jets or a batch point of a
+metric, has the bits of its own point, over generated inputs."""
 
 import struct
 import warnings
@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from g2inv import catalog, expr, jets, point_jets
-from g2inv.errors import G2InvError, SingularEvaluationError
+from g2inv import catalog, equivalence, expr, jets, point_jets
+from g2inv.errors import (G2InvError, SingularEvaluationError,
+                          SingularMetricError)
 from g2inv.invariants1 import _pack, _unpack, random_point_jets
 from g2inv.invariants2 import order2_invariant_vector
 from g2inv.metrics import CATALOG_NAMES, default_domain, grid_points
+from g2inv.transform import apply_to_metric, make_transform
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -296,3 +298,69 @@ def test_batch_overflow_is_silent(capfd):
         got = np.array([c[1] for c in fields[key].coeffs])
         assert np.array_equal(got, jet.coeffs, equal_nan=True), key
     assert stratum.sign_det_h[1] == big.stratum.sign_det_h
+
+
+# -- a batch point of a metric is its points' own evaluations ---------------
+
+def _affine_image(m, seed):
+    """m under a seeded affine pseudogroup element (submersion form)."""
+    rng = np.random.default_rng(seed)
+    a = np.eye(2) + rng.uniform(-0.2, 0.2, (2, 2))
+    shift, grad = rng.uniform(-0.3, 0.3, 2), rng.uniform(-0.5, 0.5, (2, 2))
+    row = "{:.6f}*t1 + {:.6f}*t2 + {:.6f}".format
+    return apply_to_metric(m, make_transform(
+        row(*a[0], shift[0]), row(*a[1], shift[1]), row(*grad[0], 0.0),
+        row(*grad[1], 0.0), [[2.0, 1.0], [-1.0, 1.0]]))
+
+
+# bfh and submersion forms; lambda_kundu has constant components and
+# components of t1 alone
+BATCH_METRICS = {"vdb": catalog("vdb"),
+                 "vdb_image": _affine_image(catalog("vdb"), 11),
+                 "lambda_kundu": catalog("lambda_kundu"),
+                 "random_analytic": catalog("random_analytic", {"seed": 3})}
+
+
+def _assert_evaluation_is_the_point(got, pj):
+    """got, (point, generic, values, jac) of equivalence._evaluate, has
+    the bits of the evaluation of the PointJets pj."""
+    point, generic, values, jac = got
+    want_values, want_jac = equivalence._fundamentals(pj)
+    assert _bits(point) == _bits(pj.point)
+    assert generic == pj.stratum.generic
+    assert _bits(values) == _bits(want_values)
+    assert _bits(jac) == _bits(want_jac)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(BATCH_METRICS)),
+       st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                min_size=1, max_size=6))
+def test_batch_point_columns_have_the_bits_of_their_points(name, units):
+    m = BATCH_METRICS[name]
+    (a, b), (c, d) = default_domain(m)
+    pts = [(a + u * (b - a), c + v * (d - c)) for u, v in units]
+    batch = point_jets(m, tuple(np.array(pts).T))
+    points = [point_jets(m, pt) for pt in pts]
+    _assert_columns_are_points(batch, points)
+    values, jac = equivalence._fundamentals(batch)
+    for k, pj in enumerate(points):
+        _assert_evaluation_is_the_point(
+            ((batch.point[0][k], batch.point[1][k]), batch.stratum.generic[k],
+             values[:, k], jac[..., k]), pj)
+    for got, pj in zip(equivalence._evaluate(m, pts), points):
+        _assert_evaluation_is_the_point(got, pj)
+
+
+def test_singular_batch_column_fails_alone():
+    # det h = t1^2 vanishes at t1 = 0: the batch fails, and its points are
+    # then evaluated one by one
+    m = catalog("diag_t1")
+    pts = [(0.7, 0.1), (0.0, 0.3), (1.2, -0.4)]
+    with pytest.raises(SingularMetricError):
+        point_jets(m, tuple(np.array(pts).T))
+    got = equivalence._evaluate(m, pts)
+    assert got[1] is None
+    for k in (0, 2):
+        _assert_evaluation_is_the_point(got[k], point_jets(m, pts[k]))
+
