@@ -7,6 +7,7 @@ Exit codes: 0 success / Consistent / pass, 1 check failed / Inconsistent,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -362,7 +363,11 @@ def cmd_catalog(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared, so no
+    caller changes it; it names each subcommand, and run finds its cmd_*
+    function by that name when it runs."""
     ap = argparse.ArgumentParser(
         prog="g2inv",
         description="Differential invariants and equivalence of 4D "
@@ -383,7 +388,6 @@ def build_parser():
     p.add_argument("--at", type=_parse_point, required=True)
     p.add_argument("--order", type=int, choices=(1, 2), default=1)
     common(p)
-    p.set_defaults(fn=cmd_invariants)
 
     p = sub.add_parser("grid", help="invariants over a grid")
     p.add_argument("metric")
@@ -394,7 +398,6 @@ def build_parser():
     p.add_argument("--order", type=int, choices=(1, 2), default=1)
     p.add_argument("--csv", action="store_true")
     common(p)
-    p.set_defaults(fn=cmd_grid)
 
     p = sub.add_parser("check-einstein", help="Lambda-vacuum residuals")
     p.add_argument("metric")
@@ -404,7 +407,6 @@ def build_parser():
     p.add_argument("--grid", type=_within(int), default=4)
     p.add_argument("--tol", type=_within(float), default=1e-8)
     common(p)
-    p.set_defaults(fn=cmd_check_einstein)
 
     p = sub.add_parser("check-relations", help="functional relation suites")
     p.add_argument("metric")
@@ -416,7 +418,6 @@ def build_parser():
     p.add_argument("--grid", type=_within(int), default=4)
     p.add_argument("--tol", type=_within(float), default=1e-7)
     common(p)
-    p.set_defaults(fn=cmd_check_relations)
 
     p = sub.add_parser("rank", help="numerical independence ranks")
     p.add_argument("metric", nargs="?")
@@ -427,7 +428,6 @@ def build_parser():
                             "order2_20"))
     p.add_argument("--eps", type=_within(float, 1.0), default=1e-6)
     common(p, method=False)
-    p.set_defaults(fn=cmd_rank)
 
     p = sub.add_parser("transform", help="pushforward and invariance")
     p.add_argument("metric")
@@ -437,7 +437,6 @@ def build_parser():
     p.add_argument("--grid", type=_within(int), default=3)
     p.add_argument("--tol", type=_within(float), default=1e-7)
     common(p, method=False)
-    p.set_defaults(fn=cmd_transform)
 
     p = sub.add_parser("equiv", help="signature comparison of two metrics")
     p.add_argument("metric_a")
@@ -449,14 +448,12 @@ def build_parser():
     p.add_argument("--rect-b", metavar="a:b,c:d",
                    help="sampling rectangle for metric B")
     common(p, method=False)
-    p.set_defaults(fn=cmd_equiv)
 
     p = sub.add_parser("catalog", help="built-in solution catalog")
     p.add_argument("name", nargs="?")
     p.add_argument("--param", action="append", metavar="k=v")
     p.add_argument("--emit", metavar="FILE")
     common(p, method=False)
-    p.set_defaults(fn=cmd_catalog)
     return ap
 
 
@@ -467,7 +464,7 @@ def run(argv):
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return globals()["cmd_" + args.cmd.replace("-", "_")](args)
     except InsufficientCoverageError as err:
         sys.stderr.write(f"error: {err}\n")
         return 3

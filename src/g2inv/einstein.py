@@ -192,36 +192,6 @@ def residual(pj, lam):
                     normalized=max_abs / scale)
 
 
-def kundu_A(m, points, method="analytic"):
-    """Samples of A = sqrt|det h| * (C . h) and their spread.
-
-    On Lambda-vacuum solutions with C_rho != 0 this row vector is
-    constant up to a global sign in any adapted coordinates.
-    """
-    samples = []
-    for pt in points:
-        pj = metrics.point_jets(m, pt, order=1, method=method)
-        jv = pj.fields
-        c1, c2 = jv["C1"].value, jv["C2"].value
-        h11, h12, h22 = (j.value for j in pj.h)
-        root = abs(pj.det_h.value) ** 0.5
-        samples.append(np.array([root * (c1 * h11 + c2 * h12),
-                                 root * (c1 * h12 + c2 * h22)]))
-    norms = [float(np.linalg.norm(a)) for a in samples]
-    top = max(norms)
-    if top == 0.0:
-        return {"samples": samples, "max_deviation": 0.0,
-                "vacuous": True,
-                "notice": "C vanishes at every sample; constancy is vacuous"}
-    ref = samples[int(np.argmax(norms))]
-    dev = 0.0
-    for a in samples:
-        aligned = a if float(a @ ref) >= 0.0 else -a
-        dev = max(dev, float(np.linalg.norm(aligned - ref)) / top)
-    return {"samples": samples, "max_deviation": dev, "vacuous": False,
-            "notice": None}
-
-
 def _normalized(terms, scales=()):
     """Signed residual normalized by the largest monomial magnitude.
 

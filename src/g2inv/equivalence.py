@@ -62,8 +62,10 @@ def _evaluate(m, pts):
     the metric cannot be evaluated: the six fundamentals, their 6x2
     t-Jacobian and the stratum's generic flag.
 
-    The points are one batch point_jets call; if the batch fails, they
-    are evaluated one at a time, so a failing point fails alone.
+    The points are one batch point_jets call; a batch that fails is
+    split in halves, each evaluated the same way, down to single points
+    evaluated alone: a failing point fails alone and the rest stay
+    batched.
     """
     def at(point):
         pj = metrics.point_jets(m, point, order=2)
@@ -72,13 +74,13 @@ def _evaluate(m, pts):
     try:
         (t1s, t2s), generic, values, jac = at(tuple(np.array(pts).T))
     except (G2InvError, ArithmeticError):
-        out = []
-        for pt in pts:
-            try:
-                out.append(at(pt))
-            except (G2InvError, ArithmeticError):
-                out.append(None)
-        return out
+        if len(pts) > 1:
+            half = len(pts) // 2
+            return _evaluate(m, pts[:half]) + _evaluate(m, pts[half:])
+        try:
+            return [at(pts[0])]
+        except (G2InvError, ArithmeticError):
+            return [None]
     return list(zip(zip(t1s.tolist(), t2s.tolist()), generic,
                     values.T.copy(), np.moveaxis(jac, 2, 0).copy()))
 

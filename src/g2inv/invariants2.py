@@ -14,12 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import einstein, jets, metrics
-from .errors import DependentPairError
 # perfbench/bench_selftest.py checks that its tracer rewraps this binding
 from .invariants1 import FUNDAMENTAL_IDS, first_invariant_jets  # noqa: F401
-
-FIELD_IDS = FUNDAMENTAL_IDS + ("C_gamma", "Theta_I", "Theta_II",
-                               "Theta_III", "q_gamma_root")
 
 
 @dataclass
@@ -137,29 +133,6 @@ def order2_invariant_vector(pj):
 # relative size below which the Jacobian of an invariant pair along
 # (X, Xperp) counts as singular
 DELTA_TOL = 1e-8
-
-
-def directional_partials(pj, phi_id, i1_id, i2_id):
-    """d(phi)/d(I1), d(phi)/d(I2) along the chosen invariant coordinates.
-
-    Raises DependentPairError where (I1, I2) are dependent at the point.
-    """
-    for key in (phi_id, i1_id, i2_id):
-        if key not in FIELD_IDS:
-            raise ValueError(f"unknown invariant id {key!r}")
-    jv = pj.fields
-    X = (jv["X1"].value, jv["X2"].value)
-    Xp = (jv["Xp1"].value, jv["Xp2"].value)
-    a11, a12 = jets.along(X, jv[i1_id]), jets.along(X, jv[i2_id])
-    a21, a22 = jets.along(Xp, jv[i1_id]), jets.along(Xp, jv[i2_id])
-    b1, b2 = jets.along(X, jv[phi_id]), jets.along(Xp, jv[phi_id])
-    delta = a11 * a22 - a12 * a21
-    scale = max(abs(a11 * a22), abs(a12 * a21), 1e-300)
-    if abs(delta) < DELTA_TOL * scale:
-        raise DependentPairError(
-            f"pair ({i1_id}, {i2_id}) is dependent at {pj.point}")
-    return ((b1 * a22 - b2 * a12) / delta,
-            (a11 * b2 - a21 * b1) / delta)
 
 
 def bracket_residual(pj):

@@ -9,6 +9,14 @@ curvature and invariant computation exact as well.
 
 A coefficient is a float, or a length-B float64 vector for a batch of B
 points, each column computed with the bits of its own point's floats.
+
+Products and quotients run as straight-line code, one kernel per order
+generated at import (Griewank & Walther, Evaluating Derivatives, 2008,
+ch. 13): the product from the product table, each coefficient
+0.0 + w*a_p*b_q + ... in table order, and the quotient from the Leibniz
+recurrence, (n_k - c*q*g - ...) / g_0.  Either is the floating-point
+sequence of the plain loop over its table, term for term, less the
+exact multiplications by a unit weight.
 """
 
 from __future__ import annotations
@@ -49,6 +57,57 @@ def _build_mul_table(order):
 
 
 _MUL = {n: _build_mul_table(n) for n in range(MAX_ORDER + 1)}
+
+
+def _compile(name, order, body):
+    """name(a, b) of two order-`order` coefficient tuples, unpacked as
+    a0, a1, ... and b0, b1, ..., running the body lines given."""
+    unpack = ["".join(f"{v}{k}, " for k in range(len(_IDX[order]))) + "= " + v
+              for v in "ab"]
+    scope = {}
+    exec(compile("\n    ".join([f"def {name}(a, b):", *unpack, *body]),
+                 f"<jets.{name}>", "exec"), scope)
+    return scope[name]
+
+
+def _times(factor, *names):
+    """factor * x * y ..., the factor dropped where it is 1 (exact)."""
+    return " * ".join(([] if factor == 1 else [repr(factor)]) + list(names))
+
+
+def _mul_kernel(order):
+    """a * b: coefficient k is 0.0 + w*a_p*b_q + ... over the rows of
+    _MUL[order] for k, in table order.  The 0.0 makes a -0.0 sum +0.0."""
+    terms = [[] for _ in _IDX[order]]
+    for pos, pa, pb, w in _MUL[order]:
+        terms[pos].append(_times(w, f"a{pa}", f"b{pb}"))
+    return _compile(f"mul{order}", order, [
+        "return (" + "".join(f"0.0 + {' + '.join(t)}, " for t in terms)
+        + ")"])
+
+
+def _div_kernel(order):
+    """a / b: q_k = (a_k - c*q_(a,b)*b_rest - ...) / b_0 over the (a, b)
+    below k's multi-index (i, j) in lexicographic order, c the binomial
+    weight.  Only fresh values are bound: a coefficient may be a vector
+    the caller still holds."""
+    pos = _POS[order]
+    body = []
+    for k, (i, j) in enumerate(_IDX[order]):
+        acc = f"a{k}"
+        for a in range(i + 1):
+            for b in range(j + 1):
+                if (a, b) != (i, j):
+                    acc += " - " + _times(comb(i, a) * comb(j, b),
+                                          f"q{pos[(a, b)]}",
+                                          f"b{pos[(i - a, j - b)]}")
+        body.append(f"q{k} = ({acc}) / b0")
+    return _compile(f"div{order}", order, body + [
+        "return (" + "".join(f"q{k}, " for k in range(len(body))) + ")"])
+
+
+_MUL_KERNEL = {n: _mul_kernel(n) for n in _IDX}
+_DIV_KERNEL = {n: _div_kernel(n) for n in _IDX}
 
 
 def _dense(table, size):
@@ -151,11 +210,8 @@ class Jet2:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        out = [0.0] * len(a)
-        for pos, pa, pb, w in _MUL[self.order]:
-            out[pos] += w * a[pa] * b[pb]
-        return Jet2(self.order, tuple(out), True)
+        return Jet2(self.order,
+                    _MUL_KERNEL[self.order](self.coeffs, o.coeffs), True)
 
     __rmul__ = __mul__
 
@@ -225,20 +281,8 @@ def _pow(x, k):
 def _divide(num, den):
     if _any(den.value == 0.0):
         raise SingularEvaluationError("div", den.value)
-    order = num.order
-    g = den.coeffs
-    q = [0.0] * len(num.coeffs)
-    for out, (i, j) in enumerate(_IDX[order]):
-        acc = num.coeffs[out]
-        for a in range(i + 1):
-            for b in range(j + 1):
-                if (a, b) == (i, j):
-                    continue
-                acc = acc - (comb(i, a) * comb(j, b)  # not -=: num's array
-                             * q[_POS[order][(a, b)]]
-                             * g[_POS[order][(i - a, j - b)]])
-        q[out] = acc / g[0]
-    return Jet2(order, tuple(q), True)
+    return Jet2(num.order, _DIV_KERNEL[num.order](num.coeffs, den.coeffs),
+                True)
 
 
 def _int_power(a, p):

@@ -208,26 +208,6 @@ def pushforward_vector(p, point, v):
     return tuple(np.concatenate([Jv @ vt, Jpsi @ vt + a @ vz]))
 
 
-def compose_transforms(p2, p1):
-    """The transform acting as p2 after p1 (AST substitution, exact)."""
-    memo = {}
-    phi = tuple(expr.substitute(p2.phi[m], p1.phi, memo) for m in range(2))
-    a2 = np.array(p2.alpha)
-    a1 = np.array(p1.alpha)
-    psi = []
-    for r in range(2):
-        scaled = expr.BinOp(
-            "+",
-            expr.BinOp("*", expr.Num(float(a2[r][0])), p1.psi[0]),
-            expr.BinOp("*", expr.Num(float(a2[r][1])), p1.psi[1]))
-        psi.append(expr.BinOp(
-            "+", scaled, expr.substitute(p2.psi[r], p1.phi, memo)))
-    alpha = a2 @ a1
-    return PseudoTransform(phi=phi, psi=tuple(psi),
-                           alpha=tuple(tuple(float(x) for x in row)
-                                       for row in alpha))
-
-
 def apply_to_metric(m, p, name=None):
     """Transformed metric as a new G2Metric (affine transforms only).
 

@@ -1,0 +1,58 @@
+"""Per-call benchmarks of the pipeline's layers, for the per-call table
+in ROADMAP.md.
+
+Not part of the test suite (the file name does not match test_*.py).
+Run with pytest-benchmark:
+
+    PYTHONPATH=src python -m pytest -q tests/bench_layers.py
+
+and add --benchmark-disable to run every case once, as a smoke test.
+Each layer case builds a fresh PointJets, so its time includes the
+layers it reads.
+"""
+
+import numpy as np
+import pytest
+
+from g2inv import catalog, jets, point_jets
+from g2inv.invariants1 import relations_first
+
+VDB = catalog("vdb")
+POINT = (0.6, 1.1)
+
+
+def _operands(order, width):
+    """Two order-`order` jets of seeded coefficients, floats (width None)
+    or length-width float64 vectors; the divisor's value is kept from 0."""
+    rng = np.random.default_rng(order)
+    size = len(jets._IDX[order])
+    shape = (2, size) if width is None else (2, size, width)
+    c = rng.uniform(-1.0, 1.0, shape)
+    c[1, 0] += 3.0
+    if width is None:
+        c = c.tolist()
+    return (jets.Jet2(order, tuple(c[0]), True),
+            jets.Jet2(order, tuple(c[1]), True))
+
+
+@pytest.mark.parametrize("width", [None, 36], ids=["float", "B36"])
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("op", ["mul", "div"])
+def test_jet2_arithmetic(benchmark, op, order, width):
+    a, b = _operands(order, width)
+    fn = (lambda: a * b) if op == "mul" else (lambda: a / b)
+    assert benchmark(fn).order == order
+
+
+def test_point_jets(benchmark):
+    assert benchmark(point_jets, VDB, POINT).det_h.is_finite()
+
+
+def test_second(benchmark):
+    sec = benchmark(lambda: point_jets(VDB, POINT).second)
+    assert np.isfinite(sec.C_ric)
+
+
+def test_relations_first(benchmark):
+    row = benchmark(lambda: relations_first(point_jets(VDB, POINT)))
+    assert all(v is None or np.isfinite(v) for v in row.values())

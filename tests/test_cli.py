@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import g2inv
-from g2inv import catalog
+from g2inv import catalog, cli
 from g2inv.cli import dumps, run
 from g2inv.transform import apply_to_metric, make_transform
 
@@ -441,3 +441,38 @@ def test_valid_tolerances_and_grids_still_run(vdb_file, capsys):
     assert run(["rank", "--random", "7", "--set", "fundamental6",
                 "--eps", "abc"]) == 2
     assert "invalid float value: 'abc'" in capsys.readouterr().err
+
+
+def _outcome(argv, capsys):
+    code = run(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_help_and_usage_errors_repeat_byte_for_byte(vdb_file, capsys):
+    # the parser is built once per process and reused by every run
+    cases = (["--help"], ["grid", "--help"], ["rank", "--set", "nope"],
+             ["equiv", "a.json"], ["check-einstein", vdb_file, "--tol", "0"])
+    first = [_outcome(argv, capsys) for argv in cases]
+    assert [code for code, _, _ in first] == [0, 0, 2, 2, 2]
+    assert "usage: g2inv" in first[0][1] and first[2][2].startswith("usage:")
+    assert [_outcome(argv, capsys) for argv in cases] == first
+    for argv in (["invariants", vdb_file, "--at", "0.5,1.0"],
+                 ["grid", vdb_file, "--t1", "0.5:0.6:2", "--t2", "1:1:1"],
+                 ["rank", "--random", "7", "--set", "fundamental6"],
+                 ["catalog", "--json"]):
+        run(argv)
+    capsys.readouterr()
+    assert [_outcome(argv, capsys) for argv in cases] == first
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_run_calls_the_cmd_function_bound_at_call_time(vdb_file,
+                                                       monkeypatch):
+    argv = ["grid", vdb_file, "--t1", "0.5:0.6:2", "--t2", "1:1:1"]
+    assert run(argv) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_grid",
+                        lambda args: seen.append(args.t1) or 7)
+    assert run(argv) == 7
+    assert seen == [(0.5, 0.6, 2)]

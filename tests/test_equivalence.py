@@ -159,15 +159,9 @@ def _cut_random_metric():
         domain=((-0.45, 0.9), (-0.9, 0.9)))
 
 
-@pytest.mark.parametrize("make_b", [
-    # most samples converge at the first start, four at the second, one
-    # at the fourth, two never do
-    _vdb_image,
-    # no sample converges; Newton steps from the samples of vdb leave the
-    # valid set, so batches fail and their points are evaluated one by one
-    _cut_random_metric])
-def test_lockstep_projection_is_the_projection_start_by_start(make_b):
-    mb = make_b()
+def _projection_of_vdb(mb):
+    """vdb's samples (n = 5) as targets on mb, each with the four nearest
+    samples of mb as starts, and the scales of both sample sets."""
     from_a = build_signature(catalog("vdb"), n=5).samples
     to_b = build_signature(mb, rect=mb.domain, n=5).samples
     scales = equivalence._scales(np.array([s.values for s in from_a + to_b]))
@@ -175,11 +169,73 @@ def test_lockstep_projection_is_the_projection_start_by_start(make_b):
     targets = [np.array(s.values) for s in from_a]
     starts = [[to_b[j] for j in np.argsort(
         np.linalg.norm((v_b - v) / scales, axis=1))[:4]] for v in targets]
+    return targets, starts, scales
+
+
+@pytest.mark.parametrize("make_b", [
+    # most samples converge at the first start, four at the second, one
+    # at the fourth, two never do
+    _vdb_image,
+    # no sample converges; Newton steps from the samples of vdb leave the
+    # valid set, so batches fail and are halved down to the failing point
+    _cut_random_metric])
+def test_lockstep_projection_is_the_projection_start_by_start(make_b):
+    mb = make_b()
+    targets, starts, scales = _projection_of_vdb(mb)
     got = equivalence._project(mb, targets, starts, scales)
     for (res, point, values), target, ss in zip(got, targets, starts):
         want = _project_in_turn(mb, target, ss, scales)
         assert (res, point) == want[:2]
         assert np.array(values).tobytes() == np.array(want[2]).tobytes()
+
+
+def _evaluate_point_by_point(m, pts):
+    """equivalence._evaluate with a failing batch redone one point at a
+    time: what halving it must give."""
+    def at(point):
+        pj = point_jets(m, point, order=2)
+        return (pj.point, pj.stratum.generic) + equivalence._fundamentals(pj)
+
+    try:
+        (t1s, t2s), generic, values, jac = at(tuple(np.array(pts).T))
+    except (G2InvError, ArithmeticError):
+        out = []
+        for pt in pts:
+            try:
+                out.append(at(pt))
+            except (G2InvError, ArithmeticError):
+                out.append(None)
+        return out
+    return list(zip(zip(t1s.tolist(), t2s.tolist()), generic,
+                    values.T.copy(), np.moveaxis(jac, 2, 0).copy()))
+
+
+def test_failing_batch_is_halved_down_to_its_failing_point(monkeypatch):
+    # vdb's 25 samples projected onto the cut metric: one round's batch of
+    # 100 runs holds one point left of t1 = -0.5
+    ma, mb = catalog("vdb"), _cut_random_metric()
+    want = compare_metrics(ma, mb, n=5, rect_b=mb.domain)
+    targets, starts, scales = _projection_of_vdb(mb)
+    calls = []
+    live = metrics.point_jets
+
+    def counted(m, point, *args, **kwargs):
+        calls.append(isinstance(point[0], np.ndarray))
+        return live(m, point, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "point_jets", counted)
+    got = equivalence._project(mb, targets, starts, scales)
+    # 4 rounds, 4 batch calls; the failing batch of 100, redone point by
+    # point, made 100 point calls more, and halved it makes 14 batch calls
+    # (7 failing) down to its one failing point
+    assert calls.count(True) == 18 and calls.count(False) == 1
+    monkeypatch.setattr(metrics, "point_jets", live)
+    monkeypatch.setattr(equivalence, "_evaluate", _evaluate_point_by_point)
+    for (res, point, values), want_best in zip(
+            got, equivalence._project(mb, targets, starts, scales)):
+        assert (res, point) == want_best[:2]
+        assert np.array(values).tobytes() == np.array(want_best[2]).tobytes()
+    assert compare_metrics(ma, mb, n=5, rect_b=mb.domain) == want
 
 
 def _affine(a, shift, grad, alpha):

@@ -1,10 +1,14 @@
+import dataclasses
 import math
+from math import comb
 
 import numpy as np
 import pytest
 
-from g2inv import catalog, invariants1, jets, point_jets, transform
+from g2inv import catalog, equivalence, invariants1, jets, point_jets, \
+    transform
 from g2inv.errors import SingularEvaluationError
+from g2inv.metrics import CATALOG_NAMES, default_domain, grid_points
 
 
 def test_seed_constant():
@@ -198,3 +202,64 @@ def test_underflow_is_a_singular_evaluation():
         jets.elementary("sqrt", jets.seed(1e-300, 0, 2))
     with pytest.raises(SingularEvaluationError, match="underflow"):
         jets.elementary("ln", jets.seed(5e-324, 0, 2))
+
+
+# -- the table loops the generated kernels unroll: the reference ------------
+
+def reference_mul(a, b, order):
+    """a * b on coefficient tuples by walking the product table."""
+    out = [0.0] * len(a)
+    for pos, pa, pb, w in jets._MUL[order]:
+        out[pos] += w * a[pa] * b[pb]
+    return tuple(out)
+
+
+def reference_divide(num, g, order):
+    """num / g on coefficient tuples by the Leibniz recurrence."""
+    q = [0.0] * len(num)
+    for out, (i, j) in enumerate(jets._IDX[order]):
+        acc = num[out]
+        for a in range(i + 1):
+            for b in range(j + 1):
+                if (a, b) == (i, j):
+                    continue
+                acc = acc - (comb(i, a) * comb(j, b)  # not -=: num's array
+                             * q[jets._POS[order][(a, b)]]
+                             * g[jets._POS[order][(i - a, j - b)]])
+        q[out] = acc / g[0]
+    return tuple(q)
+
+
+def _flat_bits(x):
+    """The bits of every number in a layer (records, dicts and arrays
+    walked in order; None kept as None)."""
+    if x is None:
+        return [None]
+    if dataclasses.is_dataclass(x):
+        x = vars(x)
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, (tuple, list)):
+        return [b for v in x for b in _flat_bits(v)]
+    return [np.asarray(x, dtype=float).tobytes()]
+
+
+def _layers(m, pt):
+    """Bits of pj.second, pj.riemann and the fundamentals with their
+    Jacobian at a point."""
+    pj = point_jets(m, pt, order=2)
+    return _flat_bits([pj.second, pj.riemann, equivalence._fundamentals(pj)])
+
+
+def test_reference_kernels_give_every_catalog_layer_bit_for_bit(monkeypatch):
+    points = {name: grid_points(default_domain(catalog(name)), 2, 1,
+                                margin=0.1) for name in CATALOG_NAMES}
+    want = {name: [_layers(catalog(name), pt) for pt in pts]
+            for name, pts in points.items()}
+    monkeypatch.setattr(jets, "_MUL_KERNEL", {
+        n: lambda a, b, n=n: reference_mul(a, b, n) for n in jets._IDX})
+    monkeypatch.setattr(jets, "_DIV_KERNEL", {
+        n: lambda a, b, n=n: reference_divide(a, b, n) for n in jets._IDX})
+    for name, pts in points.items():
+        assert [_layers(catalog(name), pt) for pt in pts] == want[name], name
+

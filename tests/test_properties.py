@@ -2,8 +2,10 @@
 the parsed DAG evaluates exactly like the tree it prints, the float
 evaluator gives the bits of order-0 jets, order-2 jets obey the ring
 laws and the chain rule, the dense product table multiplies like Jet2,
-and each column of a batch of points, packed jets or a batch point of a
-metric, has the bits of its own point, over generated inputs."""
+the generated product and quotient kernels give the bits of the loops
+they unroll, and each column of a batch of points, packed jets or a
+batch point of a metric, has the bits of its own point, over generated
+inputs."""
 
 import struct
 import warnings
@@ -19,6 +21,7 @@ from g2inv.invariants1 import _pack, _unpack, random_point_jets
 from g2inv.invariants2 import order2_invariant_vector
 from g2inv.metrics import CATALOG_NAMES, default_domain, grid_points
 from g2inv.transform import apply_to_metric, make_transform
+from test_jets import reference_divide, reference_mul
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -102,6 +105,71 @@ def test_dense_table_product_matches_jet_product(pair):
                       np.abs(b.coeffs))
     eps = np.finfo(float).eps
     assert np.all(np.abs(got - want) <= 4 * eps * np.maximum(1.0, terms))
+
+
+SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+           2.2250738585072014e-308, -1e-310)
+any_float = st.one_of(st.sampled_from(SPECIAL), st.floats())
+
+
+@st.composite
+def kernel_operands(draw):
+    """An order and two coefficient tuples of that order, each coefficient
+    a float or a length-B float64 vector (B shared), mixed freely as seed
+    mixes a vector value with float derivatives."""
+    order = draw(st.integers(0, jets.MAX_ORDER))
+    width = draw(st.integers(1, 4))
+
+    def coefficient():
+        if draw(st.booleans()):
+            return draw(any_float)
+        return np.array(draw(st.lists(any_float, min_size=width,
+                                      max_size=width)))
+
+    size = len(jets._IDX[order])
+    return order, *(tuple(coefficient() for _ in range(size))
+                    for _ in range(2))
+
+
+def _run(kernel, *args):
+    """The kernel's coefficients, or the error it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return kernel(*args)
+    except ArithmeticError as err:
+        return type(err).__name__
+
+
+def _assert_same_bits(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert type(x) is type(y) and np.shape(x) == np.shape(y)
+        assert np.array_equal(x, y, equal_nan=True)
+        # the sign of a NaN is no stable bit: which NaN operand a sum of
+        # two NaNs returns moves with numpy's memory alignment and with
+        # CPython's specialization of float + (the loop alone, run on one
+        # input 3000 times, gives either sign)
+        signed = ~np.isnan(y)
+        assert np.array_equal(np.signbit(x) & signed, np.signbit(y) & signed)
+
+
+@settings(max_examples=500, deadline=None)
+@given(kernel_operands())
+def test_product_kernel_is_the_table_loop_bit_for_bit(operands):
+    order, a, b = operands
+    _assert_same_bits(_run(jets._MUL_KERNEL[order], a, b),
+                      _run(reference_mul, a, b, order))
+
+
+@settings(max_examples=500, deadline=None)
+@given(kernel_operands())
+def test_quotient_kernel_is_the_recurrence_bit_for_bit(operands):
+    order, a, b = operands
+    _assert_same_bits(_run(jets._DIV_KERNEL[order], a, b),
+                      _run(reference_divide, a, b, order))
 
 
 def _outcome(evaluate):
@@ -353,8 +421,8 @@ def test_batch_point_columns_have_the_bits_of_their_points(name, units):
 
 
 def test_singular_batch_column_fails_alone():
-    # det h = t1^2 vanishes at t1 = 0: the batch fails, and its points are
-    # then evaluated one by one
+    # det h = t1^2 vanishes at t1 = 0: the batch fails, and its halves
+    # are evaluated in turn until the failing point is alone
     m = catalog("diag_t1")
     pts = [(0.7, 0.1), (0.0, 0.3), (1.2, -0.4)]
     with pytest.raises(SingularMetricError):
