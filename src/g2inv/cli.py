@@ -66,6 +66,19 @@ def _parse_range(text):
     return (float(parts[0]), float(parts[1]), count)
 
 
+def _parse_rect(text):
+    try:
+        (a, b), (c, d) = [[float(x) for x in side.split(":")]
+                          for side in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a:b,c:d got {text!r}") from None
+    if not all(map(math.isfinite, (a, b, c, d))):
+        raise argparse.ArgumentTypeError(
+            f"the bounds of a:b,c:d must be finite, got {text!r}")
+    return ((a, b), (c, d))
+
+
 def _within(kind, high=math.inf):
     """An argparse type: a kind(text) strictly between 0 and high."""
     def parse(text):
@@ -321,20 +334,12 @@ def cmd_transform(args):
     return 0
 
 
-def _parse_rect(text):
-    t1, t2 = text.split(",")
-    a, b = (float(x) for x in t1.split(":"))
-    c, d = (float(x) for x in t2.split(":"))
-    return ((a, b), (c, d))
-
-
 def cmd_equiv(args):
     ma = metrics.load_metric(args.metric_a)
     mb = metrics.load_metric(args.metric_b)
     verdict = equivalence.compare_metrics(
         ma, mb, n=args.grid, tol=args.tol,
-        rect_a=_parse_rect(args.rect_a) if args.rect_a else None,
-        rect_b=_parse_rect(args.rect_b) if args.rect_b else None)
+        rect_a=args.rect_a, rect_b=args.rect_b)
     _emit(args, {"command": "equiv", "metric_a": ma.name,
                  "metric_b": mb.name, "verdict": verdict.verdict,
                  "coverage_a": verdict.coverage_a,
@@ -443,9 +448,9 @@ def build_parser():
     p.add_argument("metric_b")
     p.add_argument("--grid", type=_within(int), default=12)
     p.add_argument("--tol", type=_within(float), default=1e-4)
-    p.add_argument("--rect-a", metavar="a:b,c:d",
+    p.add_argument("--rect-a", type=_parse_rect, metavar="a:b,c:d",
                    help="sampling rectangle for metric A")
-    p.add_argument("--rect-b", metavar="a:b,c:d",
+    p.add_argument("--rect-b", type=_parse_rect, metavar="a:b,c:d",
                    help="sampling rectangle for metric B")
     common(p, method=False)
 
@@ -468,7 +473,8 @@ def run(argv):
     except InsufficientCoverageError as err:
         sys.stderr.write(f"error: {err}\n")
         return 3
-    except (G2InvError, OSError, ValueError) as err:
+    except (G2InvError, OSError, ValueError,
+            argparse.ArgumentTypeError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
 

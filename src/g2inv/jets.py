@@ -342,28 +342,12 @@ def elementary(fname, a, p=None):
                         else list(np.array([_derivatives(fname, x, n)
                                             for x in v.tolist()]).T))
     except (OverflowError, ZeroDivisionError) as err:
-        raise _float_fault(fname, v, err) from None
-
-
-def _values(fname, xs):
-    """[f(x) for x in xs]: the values of elementary at order 0, errors
-    included."""
-    out = []
-    try:
-        for v in xs:
-            out.append(_derivatives(fname, v, 0)[0])
-    except (OverflowError, ZeroDivisionError) as err:
-        raise _float_fault(fname, v, err) from None
-    return out
-
-
-def _float_fault(fname, v, err):
-    # on ZeroDivisionError a derivative's denominator (v * s, v ** 2, ...)
-    # underflowed to 0; _derivatives builds every derivative it lists, so
-    # that happens at order 0 as well
-    return SingularEvaluationError(
-        fname, v, "overflow" if isinstance(err, OverflowError)
-        else "underflow")
+        # on ZeroDivisionError a derivative's denominator (v * s, v ** 2,
+        # ...) underflowed to 0; _derivatives builds every derivative it
+        # lists, so that happens at order 0 as well
+        raise SingularEvaluationError(
+            fname, v, "overflow" if isinstance(err, OverflowError)
+            else "underflow") from None
 
 
 def _derivatives(fname, v, n):
@@ -530,8 +514,12 @@ def finite_difference_jet(evalfn, point, order, h=FD_STEP):
 
     Independent oracle for the analytic jet arithmetic; evalfn maps a
     (t1, t2) pair to a float and is called once on each stencil point, in
-    the order of fd_points.
+    the order of fd_points.  An evalfn giving a float64 vector, the
+    values of several functions, gives their jets as one batch jet.
     """
     values = dict(zip(_fd_stencil(order, h),
                       map(evalfn, _stencil_points(point, order, h))))
-    return Jet2(order, _fd_quotients(lambda *k: values[k], order, h))
+    coeffs = _fd_quotients(lambda *k: values[k], order, h)
+    if isinstance(coeffs[0], np.ndarray):
+        return Jet2(order, tuple(coeffs), True)
+    return Jet2(order, coeffs)

@@ -26,8 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from . import expr, jets
-from .errors import (MetricDefinitionError, SingularEvaluationError,
-                     SingularMetricError)
+from .errors import (G2InvError, MetricDefinitionError,
+                     SingularEvaluationError, SingularMetricError)
 
 BFH_KEYS = ("b11", "b12", "b22", "f11", "f12", "f21", "f22",
             "h11", "h12", "h22")
@@ -218,20 +218,38 @@ def load_metric(document):
                     asts=asts)
 
 
+def _stencil_values(m, points):
+    """(component, point) array of the component values at the points,
+    one order-0 eval_jet batch; if that fails, the error met first
+    evaluating each component in turn at each point in turn."""
+    batch = tuple(np.array(t) for t in zip(*points))
+    values, memo = np.empty((len(m.asts), len(points))), {}
+    try:
+        with np.errstate(all="ignore"):  # as floats: inf and nan, silent
+            for row, ast in zip(values, m.asts.values()):
+                row[:] = expr.eval_jet(ast, m.params, batch, 0, memo).value
+        return values
+    except (G2InvError, ArithmeticError, ValueError) as err:
+        failure = err
+    for ast in m.asts.values():
+        for p in points:
+            expr.eval_scalar(ast, m.params, p)
+    raise failure
+
+
 def _eval_components(m, point, order, method):
     if method == "analytic":
         memo = {}
         return {key: expr.eval_jet(ast, m.params, point, order, memo)
                 for key, ast in m.asts.items()}
     if method == "fd":
-        # every component at every stencil point in one call, then each
-        # component's difference quotients from its values, which
-        # finite_difference_jet takes in the order of fd_points
-        values = expr.eval_floats(m.asts.values(), m.params,
-                                  jets.fd_points(point, order))
-        return {key: jets.finite_difference_jet(
-                    lambda p, vals=iter(vals): next(vals), point, order)
-                for key, vals in zip(m.asts, values)}
+        # the ten components' values at one stencil point per evalfn call,
+        # in the order of fd_points: one batch jet of their quotients
+        values = _stencil_values(m, jets.fd_points(point, order))
+        jet = jets.finite_difference_jet(
+            lambda p, columns=iter(values.T): next(columns), point, order)
+        return {key: jets.Jet2(order, tuple(c), True)
+                for key, c in zip(m.asts, np.transpose(jet.coeffs).tolist())}
     raise ValueError(f"unknown jet method {method!r}")
 
 

@@ -48,6 +48,10 @@ def test_point_jets(benchmark):
     assert benchmark(point_jets, VDB, POINT).det_h.is_finite()
 
 
+def test_point_jets_fd(benchmark):
+    assert benchmark(point_jets, VDB, POINT, method="fd").det_h.is_finite()
+
+
 def test_second(benchmark):
     sec = benchmark(lambda: point_jets(VDB, POINT).second)
     assert np.isfinite(sec.C_ric)

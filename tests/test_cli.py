@@ -315,6 +315,56 @@ def test_nan_point_on_the_fd_path_is_an_input_error(vdb_file, capsys, argv):
         and captured.err.count("\n") == 1, captured.err
 
 
+def test_fd_error_names_the_stencil_value_without_context(tmp_path,
+                                                          capsys):
+    # the metric of test_metrics::test_fd_reports_the_singular_stencil_
+    # point_met_first: the fd oracle's error is the one met evaluating
+    # the stencil point by point, with no expression text
+    path = _submersion_file(tmp_path, {
+        **FLAT_SUBMERSION, "gt12": "sqrt(t2 + 0.0049) + ln(t1 - 0.5951)"})
+    capsys.readouterr()
+    assert run(["invariants", path, "--at", "0.6,0.0", "--method", "fd"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: singular evaluation in 'ln' at value "
+                            "-9.999999999998899e-05\n")
+
+
+@pytest.mark.parametrize("command", ["check-einstein", "check-relations",
+                                     "transform"])
+def test_malformed_points_entry_is_an_input_error(vdb_file, tmp_path,
+                                                  capsys, command):
+    tr = tmp_path / "tr.json"
+    tr.write_text(json.dumps({"phi1": "t1", "phi2": "t2", "psi1": "0",
+                              "psi2": "0", "alpha": [[1, 0], [0, 1]]}))
+    argv = [command, vdb_file, *([str(tr)] if command == "transform" else []),
+            "--points", "0.5,1;0.7"]
+    capsys.readouterr()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected t1,t2 got '0.7'\n"
+
+
+@pytest.mark.parametrize("rect", ["0.3:1.2", "0.3:1.2,0.7", "0.3:x,0.7:1.5",
+                                  "nan:1,0.7:1.5", "0.3:1.2,0.7:inf"])
+def test_malformed_or_non_finite_rect_is_a_usage_error(vdb_file, capsys,
+                                                       rect):
+    capsys.readouterr()
+    assert run(["equiv", vdb_file, vdb_file, "--grid", "3",
+                "--rect-a", rect]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --rect-a: " in captured.err
+    assert repr(rect) in captured.err
+
+
+def test_rect_bounds_need_not_increase():
+    assert cli.build_parser().parse_args(
+        ["equiv", "a", "b", "--rect-a", "1.2:0.3,1.5:0.7"]).rect_a \
+        == ((1.2, 0.3), (1.5, 0.7))
+
+
 FLAT_SUBMERSION = {"gt11": "1", "gt12": "0", "gt22": "1", "F11": "0",
                    "F12": "0", "F21": "0", "F22": "0", "h11": "1",
                    "h12": "0", "h22": "1"}

@@ -1,6 +1,7 @@
 """Property tests: the expression printer round-trips through the parser,
-the parsed DAG evaluates exactly like the tree it prints, the float
-evaluator gives the bits of order-0 jets, order-2 jets obey the ring
+the parsed DAG evaluates exactly like the tree it prints, each column
+of a batch order-0 jet has the bits of eval_scalar at its point and the
+fd oracle reports the error met first, order-2 jets obey the ring
 laws and the chain rule, the dense product table multiplies like Jet2,
 the generated product and quotient kernels give the bits of the loops
 they unroll, and each column of a batch of points, packed jets or a
@@ -9,14 +10,14 @@ inputs."""
 
 import struct
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from g2inv import catalog, equivalence, expr, jets, point_jets
-from g2inv.errors import (G2InvError, SingularEvaluationError,
-                          SingularMetricError)
+from g2inv import catalog, equivalence, expr, jets, metrics, point_jets
+from g2inv.errors import G2InvError, SingularMetricError
 from g2inv.invariants1 import _pack, _unpack, random_point_jets
 from g2inv.invariants2 import order2_invariant_vector
 from g2inv.metrics import CATALOG_NAMES, default_domain, grid_points
@@ -203,17 +204,6 @@ def test_parse_interns_repeated_subtrees():
     assert e.left is e.right
 
 
-def _order0(e, point):
-    """eval_jet(e, PARAMS, point, 0).value, with the expression text that
-    eval_jet adds to a context-free SingularEvaluationError taken off."""
-    try:
-        return expr.eval_jet(e, PARAMS, point, 0).value
-    except SingularEvaluationError as err:
-        if err.context != f"in {expr.to_string(e)!r}":
-            raise
-        raise SingularEvaluationError(err.what, err.value) from None
-
-
 def _first_failure(outcomes):
     return next((o for o in outcomes if isinstance(o, tuple)), None)
 
@@ -222,25 +212,36 @@ def _first_failure(outcomes):
 NEGATIVE_ZERO_PRODUCT = expr.BinOp("*", expr.Neg(expr.Num(0.0)), expr.Var(0))
 
 
+# a batch point takes constant exponents only, as validate requires of a
+# metric component
+components = asts.filter(lambda e: not expr.validate(e, PARAMS))
+
+
 @SETTINGS
-@given(st.lists(asts, min_size=1, max_size=3),
+@given(st.lists(components, min_size=1, max_size=3),
        st.lists(points, min_size=1, max_size=4))
 @example([NEGATIVE_ZERO_PRODUCT], [(1.5, 0.0)])
-def test_float_evaluator_gives_the_bits_of_order0_jets(es, pts):
-    want = [[_outcome(lambda: _order0(e, p)) for p in pts] for e in es]
-    assert [[_outcome(lambda: expr.eval_scalar(e, PARAMS, p)) for p in pts]
-            for e in es] == want
-    # a batch gives every value, or the error met first evaluating each
-    # expression in turn at each point in turn
+def test_batch_order0_jets_give_the_bits_of_eval_scalar(es, pts):
+    want = [[_outcome(lambda: expr.eval_scalar(e, PARAMS, p)) for p in pts]
+            for e in es]
+    batch = tuple(np.array(t) for t in zip(*pts))
+    for e, w in zip(es, want):
+        try:
+            with np.errstate(all="ignore"):
+                value = expr.eval_jet(e, PARAMS, batch, 0).value
+        except (G2InvError, ArithmeticError, ValueError):
+            assert _first_failure(w) is not None
+        else:
+            assert np.broadcast_to(value, len(pts)).tobytes() == b"".join(w)
+    # the fd oracle's batch over these points fails with the error met
+    # first evaluating each expression in turn at each point in turn
     failure = _first_failure(_first_failure(w) for w in want)
-    if failure is None:
-        values = [v for e_values in expr.eval_floats(es, PARAMS, pts)
-                  for v in e_values]
-        assert struct.pack(f"{len(values)}d", *values) \
-            == b"".join(o for w in want for o in w)
-    else:
-        assert _outcome(lambda: expr.eval_floats(es, PARAMS, pts)) \
-            == failure
+    if failure is not None:
+        m = metrics.G2Metric(name="es", form="submersion", params=PARAMS,
+                             components={}, asts=dict(enumerate(es)))
+        with mock.patch.object(jets, "fd_points", lambda point, order: pts):
+            assert _outcome(lambda: metrics._eval_components(
+                m, pts[0], 0, "fd")) == failure
 
 
 def test_negative_zero_product_is_positive_zero():
