@@ -1,8 +1,8 @@
 """Differential invariants and local equivalence of 4D metrics with a
 two-dimensional Abelian Killing algebra."""
 
-from .errors import (DegenerateTransformError, DependentPairError,
-                     ExprSyntaxError, FrameRequiredError, G2InvError,
+from .errors import (DegenerateTransformError, ExprSyntaxError,
+                     FrameRequiredError, G2InvError,
                      InsufficientCoverageError, MetricDefinitionError,
                      SingularEvaluationError, SingularMetricError)
 from .jets import Jet2, elementary, finite_difference_jet, seed
@@ -10,7 +10,7 @@ from .metrics import (G2Metric, PointJets, StratumFlags, catalog, classify,
                       load_metric, point_jets)
 
 __all__ = [
-    "DegenerateTransformError", "DependentPairError", "ExprSyntaxError",
+    "DegenerateTransformError", "ExprSyntaxError",
     "FrameRequiredError", "G2InvError", "InsufficientCoverageError",
     "MetricDefinitionError", "SingularEvaluationError",
     "SingularMetricError",

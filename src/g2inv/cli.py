@@ -17,11 +17,13 @@ from . import einstein, equivalence, invariants1, invariants2, metrics
 from . import transform as transform_mod
 from .errors import G2InvError, InsufficientCoverageError
 
+# the second-order invariants of a report besides X_k and Xperp_k
+SECOND_ORDER_NAMES = ("C_ric", "Q_ric", "C_nu", "C_nu_prime", "Q_nu",
+                      "K_Xi", "K_Xiperp", "J1", "J2")
 SECOND_ORDER_COLUMNS = (
     ["X_" + k for k in invariants1.FUNDAMENTAL_IDS]
     + ["Xperp_" + k for k in invariants1.FUNDAMENTAL_IDS]
-    + ["C_ric", "Q_ric", "C_nu", "C_nu_prime", "Q_nu",
-       "K_Xi", "K_Xiperp", "J1", "J2"])
+    + list(SECOND_ORDER_NAMES))
 
 
 def _fmt(value):
@@ -63,7 +65,10 @@ def _parse_range(text):
     if (count := int(parts[2])) < 1:
         raise argparse.ArgumentTypeError(
             f"the count n of a:b:n must be at least 1, got {text!r}")
-    return (float(parts[0]), float(parts[1]), count)
+    if not all(map(math.isfinite, bounds := tuple(map(float, parts[:2])))):
+        raise argparse.ArgumentTypeError(
+            f"the bounds of a:b:n must be finite, got {text!r}")
+    return (*bounds, count)
 
 
 def _parse_rect(text):
@@ -93,7 +98,9 @@ def _within(kind, high=math.inf):
 def _resolve_points(args, m):
     spec = args.points or "grid"
     if spec != "grid":
-        return [_parse_point(p) for p in spec.split(";") if p]
+        if not (points := [_parse_point(p) for p in spec.split(";") if p]):
+            raise G2InvError(f"--points names no point: {spec!r}")
+        return points
     rect = metrics.default_domain(m)
     if rect is None:
         raise G2InvError(
@@ -102,28 +109,32 @@ def _resolve_points(args, m):
     return metrics.grid_points(rect, args.grid, margin=0.05)
 
 
-def _check_finite(obj, key="report"):
-    """A non-finite number in a report is an input error."""
+def _non_finite(obj, key="report"):
+    """(key, value) of each non-finite number in a report."""
     if isinstance(obj, dict):
         for k, v in obj.items():
-            _check_finite(v, k)
+            yield from _non_finite(v, k)
     elif isinstance(obj, (list, tuple)):
         for v in obj:
-            _check_finite(v, key)
+            yield from _non_finite(v, key)
     elif isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
-        raise G2InvError(f"non-finite value {float(obj)} for {key!r}")
+        yield key, float(obj)
 
 
-def _emit(args, report):
-    _check_finite(report)
-    text = dumps(report) + "\n" if getattr(args, "json", False) \
-        else _plain(report) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _write(path, text):
+    """text to the file at path, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, report):
+    for key, value in _non_finite(report):  # an input error
+        raise G2InvError(f"non-finite value {value} for {key!r}")
+    _write(args.out, dumps(report) + "\n" if getattr(args, "json", False)
+           else _plain(report) + "\n")
 
 
 def _plain(obj, key="", depth=0):
@@ -143,75 +154,60 @@ def _plain(obj, key="", depth=0):
     return f"{pad}{_fmt(obj)}"
 
 
+def _rows(pj, order):
+    """The grid row of each column of pj: t1, t2, the fundamentals and,
+    at order 2, X_k and Xperp_k of each and the other second-order
+    invariants, with J1, J2 None where C_rho ~ 0."""
+    row = {"t1": pj.point[0], "t2": pj.point[1],
+           **{k: pj.fields[k].value for k in invariants1.FUNDAMENTAL_IDS}}
+    if order >= 2:
+        sec = pj.second
+        for k in invariants1.FUNDAMENTAL_IDS:
+            row["X_" + k], row["Xperp_" + k] = sec.XI[k], sec.XperpI[k]
+        for k in SECOND_ORDER_NAMES:
+            row[k] = getattr(sec, k)
+        for k in ("J1", "J2"):  # a batch gives NaN where C_rho ~ 0
+            row[k] = np.where(pj.stratum.c_rho_zero, None, row[k])
+    return [dict(zip(row, values))
+            for values in zip(*map(np.atleast_1d, row.values()))]
+
+
 def cmd_invariants(args):
     m = metrics.load_metric(args.metric)
-    pj = metrics.point_jets(m, args.at, order=max(2, args.order),
-                            method=args.method)
-    jv = pj.fields
+    row, = _rows(metrics.point_jets(m, args.at, order=max(2, args.order),
+                                    method=args.method), args.order)
     report = {
         "command": "invariants",
         "metric": m.name,
         "point": list(args.at),
         "order": args.order,
-        "fundamentals": {k: jv[k].value
-                         for k in invariants1.FUNDAMENTAL_IDS},
+        "fundamentals": {k: row[k] for k in invariants1.FUNDAMENTAL_IDS},
     }
     if args.order >= 2:
-        sec = pj.second
-        report["second_order"] = {
-            **{"X_" + k: sec.XI[k] for k in invariants1.FUNDAMENTAL_IDS},
-            **{"Xperp_" + k: sec.XperpI[k]
-               for k in invariants1.FUNDAMENTAL_IDS},
-            "C_ric": sec.C_ric, "Q_ric": sec.Q_ric,
-            "C_nu": sec.C_nu, "C_nu_prime": sec.C_nu_prime,
-            "Q_nu": sec.Q_nu, "K_Xi": sec.K_Xi, "K_Xiperp": sec.K_Xiperp,
-            "J1": sec.J1, "J2": sec.J2,
-        }
+        report["second_order"] = {k: row[k] for k in SECOND_ORDER_COLUMNS}
     _emit(args, report)
     return 0
 
 
 def cmd_grid(args):
     m = metrics.load_metric(args.metric)
-    a1, b1, n1 = args.t1
-    a2, b2, n2 = args.t2
-    points = [(x, y) for x in np.linspace(a1, b1, n1)
-              for y in np.linspace(a2, b2, n2)]
-    rows = []
-    for pt in points:
-        row = {"t1": pt[0], "t2": pt[1]}
-        try:
-            pj = metrics.point_jets(m, pt, order=2, method=args.method)
-            for k in invariants1.FUNDAMENTAL_IDS:
-                row[k] = pj.fields[k].value
-            if args.order >= 2:
-                sec = pj.second
-                for k in invariants1.FUNDAMENTAL_IDS:
-                    row["X_" + k] = sec.XI[k]
-                    row["Xperp_" + k] = sec.XperpI[k]
-                for k in ("C_ric", "Q_ric", "C_nu", "C_nu_prime", "Q_nu",
-                          "K_Xi", "K_Xiperp", "J1", "J2"):
-                    row[k] = getattr(sec, k)
-            _check_finite(row)
-        except G2InvError:
-            row = {"t1": pt[0], "t2": pt[1],
-                   **dict.fromkeys(invariants1.FUNDAMENTAL_IDS)}
-        rows.append(row)
+    points = [(x, y) for x in np.linspace(*args.t1)
+              for y in np.linspace(*args.t2)]
+    got = metrics.each_point(lambda point: _rows(metrics.point_jets(
+        m, point, order=2, method=args.method), args.order), points)
+    # a point that fails, or gives a non-finite value, is a row of nulls
+    rows = [row if isinstance(row, dict) and not any(_non_finite(row))
+            else {"t1": pt[0], "t2": pt[1],
+                  **dict.fromkeys(invariants1.FUNDAMENTAL_IDS)}
+            for pt, row in zip(points, got)]
     columns = ["t1", "t2"] + list(invariants1.FUNDAMENTAL_IDS)
     if args.order >= 2:
         columns += SECOND_ORDER_COLUMNS
     if args.csv:
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(
-                "nan" if row.get(c) is None else _fmt(float(row.get(c)))
-                for c in columns))
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        lines = [columns] + [["nan" if row.get(c) is None
+                              else _fmt(float(row[c])) for c in columns]
+                             for row in rows]
+        _write(args.out, "".join(",".join(line) + "\n" for line in lines))
     else:
         args.json = True
         _emit(args, {"command": "grid", "metric": m.name,
@@ -361,8 +357,7 @@ def cmd_catalog(args):
     m = metrics.catalog(args.name, params)
     doc = m.to_document()
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(dumps(doc) + "\n")
+        _write(args.emit, dumps(doc) + "\n")
     else:
         _emit(args, doc)
     return 0

@@ -156,22 +156,19 @@ def ricci4(pj):
 
 def sectional_curvature(pj, u, v):
     """K of the plane spanned by 4-vectors u, v (each (4, B) on a batch)."""
-    g = pj.g4[0]
+    g = _stack(pj.g4[0], 2)
     u, v = (np.asarray(x, dtype=float) for x in (u, v))
     # K = g(R(u, v) v, u) / (|u|^2 |v|^2 - g(u, v)^2), normalized so the
     # unit 2-sphere plane has K = +1
     w = np.einsum("abcd...,b...,c...,d...->a...", pj.riemann, v, u, v)
-    if g.ndim == 2:
-        num = float(w @ g @ u)
-        den = float((u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2)
-    else:  # a batch: each column's products, and ** on its float64
-        g, w, u, v = (_stack(x, x.ndim - 1) for x in (g, w, u, v))
-        form = lambda a, b: (a[:, None] @ g @ b[:, :, None])[:, 0, 0]  # noqa
-        num = form(w, u)
-        den = form(u, u) * form(v, v) - np.array([x ** 2 for x in form(u, v)])
-    if jets._any(den == 0.0):
+    w, u, v = (_stack(x, 1) for x in (w, u, v))
+    # each column's products, and ** on its float64
+    form = lambda a, b: (a[:, None] @ g @ b[:, :, None])[:, 0, 0]  # noqa
+    den = form(u, u) * form(v, v) - np.array([x ** 2 for x in form(u, v)])
+    if (den == 0.0).any():
         raise SingularMetricError("degenerate plane for sectional curvature")
-    return num / den
+    k = form(w, u) / den
+    return float(k[0]) if pj.g4.ndim == 3 else k
 
 
 @dataclass

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets, metrics
-from .errors import G2InvError, InsufficientCoverageError
+from .errors import InsufficientCoverageError
 from .invariants1 import FUNDAMENTAL_IDS
 from .invariants2 import DELTA_TOL
 
@@ -60,29 +60,18 @@ def _rank2(jac):
 def _evaluate(m, pts):
     """(point, generic, values, jac) at each of the points, None where
     the metric cannot be evaluated: the six fundamentals, their 6x2
-    t-Jacobian and the stratum's generic flag.
-
-    The points are one batch point_jets call; a batch that fails is
-    split in halves, each evaluated the same way, down to single points
-    evaluated alone: a failing point fails alone and the rest stay
-    batched.
-    """
+    t-Jacobian and the stratum's generic flag, the points evaluated by
+    metrics.each_point."""
     def at(point):
         pj = metrics.point_jets(m, point, order=2)
-        return (pj.point, pj.stratum.generic) + _fundamentals(pj)
+        values, jac = _fundamentals(pj)
+        return list(zip(zip(*(np.atleast_1d(t).tolist() for t in pj.point)),
+                        np.atleast_1d(pj.stratum.generic),
+                        values.reshape(6, -1).T.copy(),
+                        np.moveaxis(jac.reshape(6, 2, -1), 2, 0).copy()))
 
-    try:
-        (t1s, t2s), generic, values, jac = at(tuple(np.array(pts).T))
-    except (G2InvError, ArithmeticError):
-        if len(pts) > 1:
-            half = len(pts) // 2
-            return _evaluate(m, pts[:half]) + _evaluate(m, pts[half:])
-        try:
-            return [at(pts[0])]
-        except (G2InvError, ArithmeticError):
-            return [None]
-    return list(zip(zip(t1s.tolist(), t2s.tolist()), generic,
-                    values.T.copy(), np.moveaxis(jac, 2, 0).copy()))
+    return [None if isinstance(got, Exception) else got
+            for got in metrics.each_point(at, pts)]
 
 
 def build_signature(m, rect=None, n=12):

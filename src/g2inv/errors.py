@@ -47,9 +47,5 @@ class FrameRequiredError(G2InvError):
     """Operation needs the full semi-invariant frame but C_rho*ell_C ~ 0."""
 
 
-class DependentPairError(G2InvError):
-    """Chosen invariant pair is functionally dependent at the point."""
-
-
 class InsufficientCoverageError(G2InvError):
     """Too few generic samples were retained to build a signature."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import einstein, jets, metrics
-from .errors import FrameRequiredError, G2InvError
+from .errors import FrameRequiredError
 
 FUNDAMENTAL_IDS = ("C_rho", "C_chi", "Q_chi", "Q_gamma", "ell_C",
                    "Theta_I_sq")
@@ -416,13 +416,15 @@ def jacobian(which, probe):
                       if i not in tied.values()]
 
     steps = [RANK_STEP * max(1.0, float(abs(x0 @ e))) for e in directions]
-    probes = np.array([x0 + s * h * e for h, e in zip(steps, directions)
-                       for s in (1.0, -1.0)]).T
-    try:
-        f = _invariant_vector(_unpack(probes, order), which)
-    except G2InvError:  # probe by probe: the first failing probe's error
-        f = np.column_stack([_invariant_vector(_unpack(x, order), which)
-                             for x in probes.T])
+    f = metrics.each_point(
+        lambda x: list(np.atleast_2d(
+            _invariant_vector(_unpack(x, order), which).T)),
+        [x0 + s * h * e for h, e in zip(steps, directions)
+         for s in (1.0, -1.0)])
+    for got in f:  # the first failing probe's error
+        if isinstance(got, Exception):
+            raise got
+    f = np.column_stack(f)
     return (f[:, 0::2] - f[:, 1::2]) / (2.0 * np.array(steps))
 
 

@@ -498,14 +498,13 @@ def _shift(t, i, s):
 
 
 def _stencil_points(point, order, h):
-    t1, t2 = float(point[0]), float(point[1])
-    return [(_shift(t1, i, s), _shift(t2, j, s))
+    return [(_shift(point[0], i, s), _shift(point[1], j, s))
             for i, j, s in _fd_stencil(order, h)]
 
 
 def fd_points(point, order):
     """The points finite_difference_jet evaluates at its default step,
-    once each and in this order."""
+    once each and in this order (each a batch, for a batch point)."""
     return _stencil_points(point, order, FD_STEP)
 
 

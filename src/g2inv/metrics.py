@@ -220,10 +220,11 @@ def load_metric(document):
 
 def _stencil_values(m, points):
     """(component, point) array of the component values at the points,
-    one order-0 eval_jet batch; if that fails, the error met first
-    evaluating each component in turn at each point in turn."""
-    batch = tuple(np.array(t) for t in zip(*points))
-    values, memo = np.empty((len(m.asts), len(points))), {}
+    floats or batches, one order-0 eval_jet batch of all their columns;
+    if that fails, the error met first evaluating each component in
+    turn at each column in turn."""
+    batch = tuple(np.ravel(t) for t in zip(*points))
+    values, memo = np.empty((len(m.asts), len(batch[0]))), {}
     try:
         with np.errstate(all="ignore"):  # as floats: inf and nan, silent
             for row, ast in zip(values, m.asts.values()):
@@ -232,7 +233,7 @@ def _stencil_values(m, points):
     except (G2InvError, ArithmeticError, ValueError) as err:
         failure = err
     for ast in m.asts.values():
-        for p in points:
+        for p in zip(*batch):
             expr.eval_scalar(ast, m.params, p)
     raise failure
 
@@ -245,11 +246,15 @@ def _eval_components(m, point, order, method):
     if method == "fd":
         # the ten components' values at one stencil point per evalfn call,
         # in the order of fd_points: one batch jet of their quotients
-        values = _stencil_values(m, jets.fd_points(point, order))
+        points = jets.fd_points(point, order)
+        values = _stencil_values(m, points).reshape(
+            len(m.asts), len(points), *np.shape(point[0]))
         jet = jets.finite_difference_jet(
-            lambda p, columns=iter(values.T): next(columns), point, order)
-        return {key: jets.Jet2(order, tuple(c), True)
-                for key, c in zip(m.asts, np.transpose(jet.coeffs).tolist())}
+            lambda p, columns=iter(values.swapaxes(0, 1)): next(columns),
+            point, order)
+        coeffs = np.swapaxes(jet.coeffs, 0, 1)  # component, coefficient[, point]
+        return {key: jets.Jet2(order, tuple(c), True) for key, c in zip(
+            m.asts, coeffs if coeffs.ndim == 3 else coeffs.tolist())}
     raise ValueError(f"unknown jet method {method!r}")
 
 
@@ -260,8 +265,8 @@ def point_jets(m, point, order=2, method="analytic"):
     points: every coefficient of every jet is a length-B vector, column k
     with the bits of point_jets(m, (t1s[k], t2s[k])), and one singular
     column fails the whole batch.  method="fd" replaces analytic jets
-    with central finite differences (order <= 2, one point only), the
-    independent cross-check path.
+    with central finite differences (order <= 2), the independent
+    cross-check path.
     """
     batch = isinstance(point[0], np.ndarray)
     point = tuple(np.array(t, dtype=float) if batch else float(t)
@@ -307,6 +312,22 @@ def point_jets(m, point, order=2, method="analytic"):
             raise SingularMetricError(
                 f"non-finite component jet for {m.name!r} at {point}")
     return pj
+
+
+def each_point(evaluate, items):
+    """evaluate's result at each item, or the G2InvError or
+    ArithmeticError it raises there; evaluate(point) gives one result
+    per column of its point.  The items run as one batch, and a batch
+    that raises is halved, down to single items evaluated alone as
+    floats: a failing item fails alone, with its own error."""
+    try:
+        return evaluate(items[0] if len(items) == 1 else np.array(items).T)
+    except (G2InvError, ArithmeticError) as err:
+        if len(items) == 1:
+            return [err]
+    half = len(items) // 2
+    return each_point(evaluate, items[:half]) \
+        + each_point(evaluate, items[half:])
 
 
 def component_scale(pj):

@@ -91,11 +91,7 @@ def _inverse_map_jets(phi_jets, order):
     if det == 0.0:
         raise DegenerateTransformError("J_phi = 0")
     M = np.linalg.inv(J)
-    iotas = []
-    for i in range(2):
-        size = len(jets._IDX[order])
-        c = [0.0] * size
-        iotas.append(c)
+    iotas = [[0.0] * len(jets._IDX[order]) for _ in range(2)]
     # d iota^i / d tbar^a = M^i_a; second derivatives from
     # d2 iota^i = -M^i_c K^c_jk M^j_a M^k_b
     if order >= 1:

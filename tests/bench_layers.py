@@ -16,9 +16,13 @@ import pytest
 
 from g2inv import catalog, jets, point_jets
 from g2inv.invariants1 import relations_first
+from g2inv.metrics import default_domain, grid_points
 
 VDB = catalog("vdb")
 POINT = (0.6, 1.1)
+# a 12-point batch, the size of a grid op
+BATCH = tuple(np.array(t) for t in zip(*grid_points(
+    default_domain(VDB), 3, 4, margin=0.05)))
 
 
 def _operands(order, width):
@@ -48,13 +52,15 @@ def test_point_jets(benchmark):
     assert benchmark(point_jets, VDB, POINT).det_h.is_finite()
 
 
-def test_point_jets_fd(benchmark):
-    assert benchmark(point_jets, VDB, POINT, method="fd").det_h.is_finite()
+@pytest.mark.parametrize("point", [POINT, BATCH], ids=["float", "B12"])
+def test_point_jets_fd(benchmark, point):
+    assert benchmark(point_jets, VDB, point, method="fd").det_h.is_finite()
 
 
-def test_second(benchmark):
-    sec = benchmark(lambda: point_jets(VDB, POINT).second)
-    assert np.isfinite(sec.C_ric)
+@pytest.mark.parametrize("point", [POINT, BATCH], ids=["float", "B12"])
+def test_second(benchmark, point):
+    sec = benchmark(lambda: point_jets(VDB, point).second)
+    assert np.isfinite(sec.C_ric).all()
 
 
 def test_relations_first(benchmark):

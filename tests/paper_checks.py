@@ -6,10 +6,14 @@ composition of two pseudogroup elements."""
 import numpy as np
 
 from g2inv import expr, jets, metrics
-from g2inv.errors import DependentPairError
+from g2inv.errors import G2InvError
 from g2inv.invariants1 import FUNDAMENTAL_IDS
 from g2inv.invariants2 import DELTA_TOL
 from g2inv.transform import PseudoTransform
+
+class DependentPairError(G2InvError):
+    """Chosen invariant pair is functionally dependent at the point."""
+
 
 FIELD_IDS = FUNDAMENTAL_IDS + ("C_gamma", "Theta_I", "Theta_II",
                                "Theta_III", "q_gamma_root")

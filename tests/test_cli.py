@@ -1,14 +1,18 @@
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import g2inv
-from g2inv import catalog, cli
-from g2inv.cli import dumps, run
+from g2inv import catalog, cli, metrics, point_jets
+from g2inv.cli import SECOND_ORDER_COLUMNS, SECOND_ORDER_NAMES, dumps, run
+from g2inv.errors import G2InvError
+from g2inv.invariants1 import FUNDAMENTAL_IDS
 from g2inv.transform import apply_to_metric, make_transform
 
 
@@ -346,6 +350,20 @@ def test_malformed_points_entry_is_an_input_error(vdb_file, tmp_path,
     assert captured.err == "error: expected t1,t2 got '0.7'\n"
 
 
+@pytest.mark.parametrize("command", ["check-einstein", "check-relations",
+                                     "transform"])
+def test_empty_point_list_is_an_input_error(vdb_file, transform_file, capsys,
+                                            command):
+    argv = [command, vdb_file,
+            *([transform_file] if command == "transform" else []),
+            "--points", ";"]
+    capsys.readouterr()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --points names no point: ';'\n"
+
+
 @pytest.mark.parametrize("rect", ["0.3:1.2", "0.3:1.2,0.7", "0.3:x,0.7:1.5",
                                   "nan:1,0.7:1.5", "0.3:1.2,0.7:inf"])
 def test_malformed_or_non_finite_rect_is_a_usage_error(vdb_file, capsys,
@@ -469,6 +487,16 @@ def test_grid_range_count_below_one_is_a_usage_error(option, count,
                   "--t2", ranges["--t2"]], option, capsys)
 
 
+@pytest.mark.parametrize("bounds", ["nan:1", "0.3:inf", "-inf:1"])
+@pytest.mark.parametrize("option", ["--t1", "--t2"])
+def test_grid_range_bounds_not_finite_is_a_usage_error(option, bounds,
+                                                       vdb_file, capsys):
+    ranges = {"--t1": "0.3:1.2:2", "--t2": "0.7:1.5:2"}
+    ranges[option] = bounds + ":2"
+    _usage_error(["grid", vdb_file, *(f"{k}={v}" for k, v in ranges.items()),
+                  "--csv"], option, capsys)
+
+
 @pytest.mark.parametrize("given", [["--at", "5,5"], ["METRIC"],
                                    ["--at", "5,5", "METRIC"]])
 def test_rank_random_with_a_metric_or_point_is_an_error(given, vdb_file,
@@ -526,3 +554,80 @@ def test_run_calls_the_cmd_function_bound_at_call_time(vdb_file,
                         lambda args: seen.append(args.t1) or 7)
     assert run(argv) == 7
     assert seen == [(0.5, 0.6, 2)]
+
+
+# ppwave1 has C_rho ~ 0 (J1, J2 null); diag_t1 is singular at t1 = 0
+GRID_METRICS = ("vdb", "diag_t1", "ppwave1", "lambda_kundu",
+                "random_analytic")
+
+
+@pytest.fixture(scope="module")
+def grid_files(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("grid")
+    for name in GRID_METRICS:
+        assert run(["catalog", name, "--emit", str(directory / name)]) == 0
+    return directory
+
+
+def _grid_point_by_point(m, t1, t2, order, method):
+    """The rows of grid as one point_jets call per point gives them: a
+    point that fails, or gives a non-finite value, is a row of nulls."""
+    rows = []
+    for pt in [(x, y) for x in np.linspace(*t1) for y in np.linspace(*t2)]:
+        row = {"t1": pt[0], "t2": pt[1]}
+        try:
+            pj = point_jets(m, pt, order=2, method=method)
+            for k in FUNDAMENTAL_IDS:
+                row[k] = pj.fields[k].value
+            if order >= 2:
+                sec = pj.second
+                for k in FUNDAMENTAL_IDS:
+                    row["X_" + k] = sec.XI[k]
+                    row["Xperp_" + k] = sec.XperpI[k]
+                for k in SECOND_ORDER_NAMES:
+                    row[k] = getattr(sec, k)
+            if not all(v is None or math.isfinite(v) for v in row.values()):
+                raise G2InvError("non-finite value")
+        except G2InvError:
+            row = {"t1": pt[0], "t2": pt[1], **dict.fromkeys(FUNDAMENTAL_IDS)}
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(GRID_METRICS),
+       st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5),
+                 st.integers(1, 4)),
+       st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5),
+                 st.integers(1, 4)),
+       st.sampled_from((1, 2)), st.sampled_from(("analytic", "fd")),
+       st.booleans())
+@example("diag_t1", (-0.5, 0.0, 3), (0.0, 1.0, 2), 2, "analytic", False)
+@example("diag_t1", (-0.5, 0.0, 3), (0.0, 1.0, 2), 2, "fd", True)
+@example("ppwave1", (0.0, 1.0, 3), (0.0, 1.0, 3), 2, "analytic", False)
+@example("ppwave1", (0.0, 1.0, 2), (0.0, 1.0, 2), 2, "fd", True)
+def test_batched_grid_has_the_bits_of_its_points(grid_files, name, u1, u2,
+                                                 order, method, csv):
+    # u1 and u2 are fractions of the metric's domain, widened by half its
+    # size on either side, so some points fail; diag_t1's domain is t1
+    # in (0.5, 2.5), so u1 = (-0.5, 0.0, 3) runs t1 through -0.5, 0, 0.5
+    path = str(grid_files / name)
+    m = metrics.load_metric(path)
+    t1, t2 = ((a + ua * (b - a), a + ub * (b - a), n) for (a, b), (ua, ub, n)
+              in zip(metrics.default_domain(m), (u1, u2)))
+    out = str(grid_files / "out")
+    assert run(["grid", path, "--t1=%r:%r:%d" % t1, "--t2=%r:%r:%d" % t2,
+                "--order", str(order), "--method", method, "--out", out,
+                "--csv" if csv else "--json"]) == 0
+    rows = _grid_point_by_point(m, t1, t2, order, method)
+    columns = ["t1", "t2", *FUNDAMENTAL_IDS,
+               *(SECOND_ORDER_COLUMNS if order >= 2 else ())]
+    if csv:
+        want = "".join(",".join(line) + "\n" for line in [columns] + [
+            ["nan" if row.get(c) is None else cli._fmt(float(row[c]))
+             for c in columns] for row in rows])
+    else:
+        want = dumps({"command": "grid", "metric": m.name,
+                      "columns": columns, "rows": rows}) + "\n"
+    with open(out, encoding="utf-8") as fh:
+        assert fh.read() == want

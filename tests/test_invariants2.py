@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from g2inv import catalog, jets, point_jets
-from g2inv.errors import DependentPairError
 from g2inv.invariants1 import FUNDAMENTAL_IDS, first_invariant_jets
 from g2inv.invariants2 import (bracket_residual, relations_second,
                                second_invariants_from_jets)
 from g2inv.metrics import default_domain, grid_points
 
-from paper_checks import directional_partials
+from paper_checks import DependentPairError, directional_partials
 from test_invariants1 import GENERIC_SEEDS, generic_random_points, \
     vdb_closed_forms
 

@@ -461,3 +461,28 @@ def test_fd_reports_the_singular_stencil_point_met_first():
         point_jets(load_metric(doc), (0.6, 0.0), method="fd")
     assert (err.value.what, err.value.value) \
         == ("ln", (0.6 - jets.FD_STEP / 2.0) - 0.5951)
+
+
+def test_each_point_evaluates_a_failing_item_alone():
+    # 0/(t1 + 0.5) is singular at the 4th point only; a batch holding it
+    # fails with the batch's array of denominators in its text
+    doc = catalog("vdb").to_document()
+    doc["components"]["h11"] += " + 0/(t1 + 0.5)"
+    m = load_metric(doc)
+    pts = [(0.4, 0.8), (0.6, 1.0), (0.8, 1.2), (-0.5, 1.0), (1.0, 1.4),
+           (1.1, 0.9)]
+
+    def evaluate(point):
+        jv = point_jets(m, point).fields
+        values = np.array([jv[k].value for k in invariants1.FUNDAMENTAL_IDS])
+        return list(values.reshape(len(values), -1).T)
+
+    got = metrics.each_point(evaluate, pts)
+    with pytest.raises(SingularEvaluationError) as alone:
+        point_jets(m, pts[3])
+    assert type(got[3]) is SingularEvaluationError
+    assert str(got[3]) == str(alone.value)
+    assert "'div' at value 0.0 " in str(got[3])
+    others = pts[:3] + pts[4:]
+    batch = evaluate(tuple(np.array(others).T))
+    assert np.array(got[:3] + got[4:]).tobytes() == np.array(batch).tobytes()
