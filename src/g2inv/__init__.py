@@ -1,8 +1,7 @@
 """Differential invariants and local equivalence of 4D metrics with a
 two-dimensional Abelian Killing algebra."""
 
-from .errors import (DegenerateTransformError, ExprSyntaxError,
-                     FrameRequiredError, G2InvError,
+from .errors import (DegenerateTransformError, ExprSyntaxError, G2InvError,
                      InsufficientCoverageError, MetricDefinitionError,
                      SingularEvaluationError, SingularMetricError)
 from .jets import Jet2, elementary, finite_difference_jet, seed
@@ -10,10 +9,9 @@ from .metrics import (G2Metric, PointJets, StratumFlags, catalog, classify,
                       load_metric, point_jets)
 
 __all__ = [
-    "DegenerateTransformError", "ExprSyntaxError",
-    "FrameRequiredError", "G2InvError", "InsufficientCoverageError",
-    "MetricDefinitionError", "SingularEvaluationError",
-    "SingularMetricError",
+    "DegenerateTransformError", "ExprSyntaxError", "G2InvError",
+    "InsufficientCoverageError", "MetricDefinitionError",
+    "SingularEvaluationError", "SingularMetricError",
     "Jet2", "elementary", "finite_difference_jet", "seed",
     "G2Metric", "PointJets", "StratumFlags", "catalog", "classify",
     "load_metric", "point_jets",

@@ -43,9 +43,5 @@ class DegenerateTransformError(G2InvError):
     """Pseudogroup transform with vanishing Jacobian or singular alpha."""
 
 
-class FrameRequiredError(G2InvError):
-    """Operation needs the full semi-invariant frame but C_rho*ell_C ~ 0."""
-
-
 class InsufficientCoverageError(G2InvError):
     """Too few generic samples were retained to build a signature."""

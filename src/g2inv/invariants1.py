@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import einstein, jets, metrics
-from .errors import FrameRequiredError
 
 FUNDAMENTAL_IDS = ("C_rho", "C_chi", "Q_chi", "Q_gamma", "ell_C",
                    "Theta_I_sq")
@@ -181,52 +180,38 @@ def frame(pj):
 
 
 def _projection_matrices(pj):
-    """ver/hor projectors and their t-derivatives (values)."""
+    """ver/hor projectors (values)."""
     Fv = [j.value for j in pj.F]
-    dF = [[jets.t_derivative(pj.F[k], s).value for k in range(4)]
-          for s in range(2)]
     ver = np.zeros((4, 4))
     hor = np.zeros((4, 4))
-    dver = [np.zeros((4, 4)) for _ in range(2)]
-    dhor = [np.zeros((4, 4)) for _ in range(2)]
     # F rows: (f_1^1, f_1^2, f_2^1, f_2^2); f[j][k] = F[2j + k]
     for j in range(2):
         hor[j][j] = 1.0
         for k in range(2):
             ver[2 + k][j] = Fv[2 * j + k]
             hor[2 + k][j] = -Fv[2 * j + k]
-            for s in range(2):
-                dver[s][2 + k][j] = dF[s][2 * j + k]
-                dhor[s][2 + k][j] = -dF[s][2 * j + k]
     for k in range(2):
         ver[2 + k][2 + k] = 1.0
-    return ver, hor, dver, dhor
+    return ver, hor
 
 
 def oneill_tensors(pj):
-    """Coordinate components of the O'Neill tensors A and T.
+    """Coordinate components of the O'Neill tensor T.
 
-    Returns (A, T) as (4,4,4) arrays with A[e][b][c] the dt^e-component
-    of A(d_b, d_c), plus Theta_C and Theta_Cperp (determinants of the
+    Returns T as a (4,4,4) array with T[e][b][c] the dt^e-component of
+    T(d_b, d_c), plus Theta_C and Theta_Cperp (determinants of the
     (1,1) maps T(C, .) and T(Cperp, .)), which exist on every stratum.
     """
-    ver, hor, dver, dhor = _projection_matrices(pj)
+    ver, hor = _projection_matrices(pj)
     G = pj.christoffel[0]
     T = np.zeros((4, 4, 4))
-    A = np.zeros((4, 4, 4))
     for b in range(4):
         for c in range(4):
             # nabla along ver(d_b): vertical directions kill t-derivatives
             vb = ver[:, b]
-            hb = hor[:, b]
             nv_h = np.einsum("a,daf,f->d", vb, G, hor[:, c])
             nv_v = np.einsum("a,daf,f->d", vb, G, ver[:, c])
             T[:, b, c] = ver @ nv_h + hor @ nv_v
-            dh_c = sum(hb[s] * dhor[s][:, c] for s in range(2))
-            dv_c = sum(hb[s] * dver[s][:, c] for s in range(2))
-            nh_h = dh_c + np.einsum("a,daf,f->d", hb, G, hor[:, c])
-            nh_v = dv_c + np.einsum("a,daf,f->d", hb, G, ver[:, c])
-            A[:, b, c] = ver @ nh_h + hor @ nh_v
     fr = pj.frame
     TC = np.einsum("dcb,c->db", T, np.array(fr.C4))
     TCp = np.einsum("dcb,c->db", T, np.array(fr.Cperp4))
@@ -236,47 +221,7 @@ def oneill_tensors(pj):
     # Theta_Cperp the raw determinant (pairing with the signed relation
     # Theta_III^2 = +-_{gt h} 16 Theta_Cperp).
     sgh = pj.stratum.sign_det_gt * pj.stratum.sign_det_h
-    return A, T, sgh * float(np.linalg.det(TC)), float(np.linalg.det(TCp))
-
-
-@dataclass
-class ONeillData:
-    A_frame: np.ndarray
-    T_frame: np.ndarray
-    Tvec: tuple
-    ell_T: float
-    ell_Tperp: float
-    Theta_C: float
-
-
-def oneill(pj):
-    """O'Neill tensor frame components in the {H,Hperp,C,Cperp} frame.
-
-    T_frame[a][b][c] is the Y_a-coefficient of T(Y_b, Y_c) in the
-    orthogonal-frame expansion T(Y_b,Y_c) = sum_a T^(a)_(b)(c) Y_a.
-    """
-    if not pj.stratum.generic:
-        raise FrameRequiredError(
-            "frame required: C_rho*ell_C vanishes at this point")
-    fr = pj.frame
-    A, T, Theta_C, _ = pj.oneill_tensors
-    g4 = pj.g4[0]
-    Y = np.array([fr.H4, fr.Hperp4, fr.C4, fr.Cperp4])
-    ell = np.array([fr.ell_H, fr.ell_Hperp, fr.ell_C, fr.ell_Cperp])
-
-    def expand(tensor):
-        vec = np.einsum("dbc,ib,jc->dij", tensor, Y, Y)
-        return np.einsum("dij,ad,a->aij", vec, Y @ g4, 1.0 / ell)
-
-    T_frame = expand(T)
-    A_frame = expand(A)
-    Tvec = np.einsum("dbc,b,c->d", T, Y[2], Y[1])
-    Tvec_p = np.einsum("dbc,b,c->d", T, Y[3], Y[1])
-    ell_T = float(Tvec @ g4 @ Tvec)
-    ell_Tp = float(Tvec_p @ g4 @ Tvec_p)
-    return ONeillData(A_frame=A_frame, T_frame=T_frame,
-                      Tvec=tuple(Tvec), ell_T=ell_T, ell_Tperp=ell_Tp,
-                      Theta_C=Theta_C)
+    return T, sgh * float(np.linalg.det(TC)), float(np.linalg.det(TCp))
 
 
 def relations_first(pj):
@@ -288,7 +233,7 @@ def relations_first(pj):
     jv = pj.fields
     st = pj.stratum
     sgn_gt, sgn_h = st.sign_det_gt, st.sign_det_h
-    _, _, Theta_C, Theta_Cp = pj.oneill_tensors
+    T, Theta_C, Theta_Cp = pj.oneill_tensors
     norm = einstein._normalized
 
     th1 = jv["Theta_I"].value
@@ -308,7 +253,14 @@ def relations_first(pj):
         "theta_II_sq_closure": None,
     }
     if st.generic:
-        T342 = oneill(pj).T_frame[2][3][1]
+        # T^(a)_(b)(c): the Y_a-coefficient of T(Y_b, Y_c) in the
+        # orthogonal frame Y = {H, Hperp, C, Cperp}
+        fr = pj.frame
+        Y = np.array([fr.H4, fr.Hperp4, fr.C4, fr.Cperp4])
+        ell = np.array([fr.ell_H, fr.ell_Hperp, fr.ell_C, fr.ell_Cperp])
+        vec = np.einsum("dbc,ib,jc->dij", T, Y, Y)
+        T342 = np.einsum("dij,ad,a->aij", vec, Y @ pj.g4[0],
+                         1.0 / ell)[2][3][1]
         row["theta_II_T342_Qchi"] = norm(
             [th2 ** 2 / (16.0 * ell_C ** 2),
              sgn_h * T342 ** 2,

@@ -195,8 +195,12 @@ def load_metric(document):
     params = document.get("params", {})
     if form not in ("bfh", "submersion"):
         raise MetricDefinitionError(f"form must be bfh|submersion, got {form!r}")
-    if not all(isinstance(v, (int, float)) for v in params.values()):
+    if not isinstance(params, dict) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in params.values()):
         raise MetricDefinitionError("params must map names to numbers")
+    if not isinstance(components, dict):
+        raise MetricDefinitionError("components must be a JSON object")
     keys = BFH_KEYS if form == "bfh" else SUBMERSION_KEYS
     missing = [k for k in keys if k not in components]
     if missing:

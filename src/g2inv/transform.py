@@ -17,6 +17,8 @@ phi^-1.
 from __future__ import annotations
 
 import json
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +40,14 @@ def make_transform(phi1, phi2, psi1, psi2, alpha):
     strings = {"phi1": phi1, "phi2": phi2, "psi1": psi1, "psi2": psi2}
     asts, table = {}, {}
     for key, text in strings.items():
+        if not isinstance(text, str):
+            raise MetricDefinitionError(f"{key} must be a string")
         ast = expr.parse(text, table)
         problems = expr.validate(ast, set())
         if problems:
             raise MetricDefinitionError(f"{key}: " + "; ".join(problems))
         asts[key] = ast
-    alpha = tuple(tuple(float(x) for x in row) for row in alpha)
+    alpha = _alpha(alpha)
     det = alpha[0][0] * alpha[1][1] - alpha[0][1] * alpha[1][0]
     if det == 0.0:
         raise DegenerateTransformError("alpha must be invertible")
@@ -54,6 +58,19 @@ def make_transform(phi1, phi2, psi1, psi2, alpha):
                                     "alpha": [list(r) for r in alpha]})
 
 
+def _alpha(rows):
+    """alpha as two rows of two floats; it must be a 2x2 array of finite
+    numbers."""
+    def pair(xs):
+        return isinstance(xs, (list, tuple)) and len(xs) == 2
+
+    if pair(rows) and all(map(pair, rows)) and all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max for row in rows for x in row):
+        return tuple(tuple(float(x) for x in row) for row in rows)
+    raise MetricDefinitionError("alpha must be a 2x2 array of finite numbers")
+
+
 def load_transform(document):
     """Transform from a JSON document/dict {phi1, phi2, psi1, psi2, alpha}."""
     if isinstance(document, (str, bytes)):
@@ -62,6 +79,8 @@ def load_transform(document):
                 document = json.load(fh)
             except (json.JSONDecodeError, RecursionError) as err:
                 raise MetricDefinitionError(f"malformed JSON: {err}") from None
+    if not isinstance(document, dict):
+        raise MetricDefinitionError("transform document must be a JSON object")
     keys = {"phi1", "phi2", "psi1", "psi2", "alpha"}
     if set(document) != keys:
         raise MetricDefinitionError(
@@ -69,18 +88,6 @@ def load_transform(document):
     return make_transform(document["phi1"], document["phi2"],
                           document["psi1"], document["psi2"],
                           document["alpha"])
-
-
-def signs(p, point):
-    """(eps1, eps2) = (sgn J_phi at the point, sgn det alpha)."""
-    j = [[jets.t_derivative(expr.eval_jet(p.phi[m], {}, point, 1), i).value
-          for i in range(2)] for m in range(2)]
-    jphi = j[0][0] * j[1][1] - j[0][1] * j[1][0]
-    if jphi == 0.0:
-        raise DegenerateTransformError(f"J_phi = 0 at {point}")
-    a = p.alpha
-    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    return (1 if jphi > 0 else -1), (1 if det > 0 else -1)
 
 
 def _inverse_map_jets(phi_jets, order):
@@ -114,16 +121,24 @@ def _inverse_map_jets(phi_jets, order):
     return [jets.Jet2(order, c) for c in iotas]
 
 
+def _map_jets(p, t, order):
+    """Jets of (phi1, phi2) and of (psi1, psi2) at t."""
+    return ([expr.eval_jet(f, {}, t, order) for f in p.phi],
+            [expr.eval_jet(f, {}, t, order) for f in p.psi])
+
+
 def pushforward_jets(pj, p):
     """PointJets of the transformed metric at the image point phi(t).
 
     Order-k output needs order-(k+1) jets of phi and psi; the base
     change to t-bar derivatives uses the inverse-map jets of phi.
     """
+    return _pushforward(pj, p, *_map_jets(p, pj.point, pj.order + 1))
+
+
+def _pushforward(pj, p, phi_jets, psi_jets):
     k = pj.order
     t = pj.point
-    phi_jets = [expr.eval_jet(p.phi[m], {}, t, k + 1) for m in range(2)]
-    psi_jets = [expr.eval_jet(p.psi[r], {}, t, k + 1) for r in range(2)]
     tbar = (phi_jets[0].value, phi_jets[1].value)
 
     J = [[jets.t_derivative(phi_jets[m], i) for i in range(2)]
@@ -188,20 +203,6 @@ def pushforward_jets(pj, p):
     det_gt = gt_out[0] * gt_out[2] - gt_out[1] * gt_out[1]
     return metrics.PointJets(point=tbar, order=k, gt=gt_out, F=F_out,
                              h=h_out, det_h=det_h, det_gt=det_gt)
-
-
-def pushforward_vector(p, point, v):
-    """Pushforward of a 4-vector at the point (values)."""
-    Jv = np.array([[jets.t_derivative(
-        expr.eval_jet(p.phi[m], {}, point, 1), i).value
-        for i in range(2)] for m in range(2)])
-    Jpsi = np.array([[jets.t_derivative(
-        expr.eval_jet(p.psi[r], {}, point, 1), i).value
-        for i in range(2)] for r in range(2)])
-    a = np.array(p.alpha)
-    vt = np.array(v[:2])
-    vz = np.array(v[2:])
-    return tuple(np.concatenate([Jv @ vt, Jpsi @ vt + a @ vz]))
 
 
 def apply_to_metric(m, p, name=None):
@@ -382,10 +383,17 @@ def invariance_report(m, p, points, tol=1e-7):
     """Invariance of the six fundamentals plus the frame sign laws."""
     rows = []
     sign_laws_ok = True
+    a = np.array(p.alpha)
+    eps2 = 1 if a[0][0] * a[1][1] - a[0][1] * a[1][0] > 0 else -1
     for pt in points:
         pj = metrics.point_jets(m, pt, order=2)
-        pj_bar = pushforward_jets(pj, p)
-        eps1, eps2 = signs(p, pt)
+        phi_jets, psi_jets = _map_jets(p, pt, 3)
+        pj_bar = _pushforward(pj, p, phi_jets, psi_jets)
+        # the first derivatives of phi and psi at pt: J_phi's sign and
+        # the pushforward of a 4-vector (v_t, v_z) -> (J v_t, Jpsi v_t + a v_z)
+        J = np.array([[j.d(1, 0), j.d(0, 1)] for j in phi_jets])
+        Jpsi = np.array([[j.d(1, 0), j.d(0, 1)] for j in psi_jets])
+        eps1 = 1 if J[0][0] * J[1][1] - J[0][1] * J[1][0] > 0 else -1
         inv = np.array([pj.fields[k].value for k in FUNDAMENTAL_IDS])
         inv_bar = np.array([pj_bar.fields[k].value for k in FUNDAMENTAL_IDS])
         denom = np.maximum(np.abs(inv), np.maximum(np.abs(inv_bar), 1.0))
@@ -401,7 +409,7 @@ def invariance_report(m, p, points, tol=1e-7):
                     sgn,
                     (fr.H4, fr.Hperp4, fr.C4, fr.Cperp4),
                     (fr_bar.H4, fr_bar.Hperp4, fr_bar.C4, fr_bar.Cperp4)):
-                pushed = np.array(pushforward_vector(p, pt, v))
+                pushed = np.concatenate([J @ v[:2], Jpsi @ v[:2] + a @ v[2:]])
                 target = s * np.array(vbar)
                 norm = max(float(np.linalg.norm(target)), 1e-300)
                 frame_residual = max(

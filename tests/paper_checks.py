@@ -1,7 +1,10 @@
 """Checks of the paper's results and of the pseudogroup law, built on the
 live pipeline: the Kundu constancy of A = sqrt|det h| (C . h), the
-signature partials of one invariant along an invariant pair, and the
-composition of two pseudogroup elements."""
+O'Neill tensors A and T in the semi-invariant frame, the signature
+partials of one invariant along an invariant pair, and the composition
+of two pseudogroup elements."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,6 +16,10 @@ from g2inv.transform import PseudoTransform
 
 class DependentPairError(G2InvError):
     """Chosen invariant pair is functionally dependent at the point."""
+
+
+class FrameRequiredError(G2InvError):
+    """Operation needs the full semi-invariant frame but C_rho*ell_C ~ 0."""
 
 
 FIELD_IDS = FUNDAMENTAL_IDS + ("C_gamma", "Theta_I", "Theta_II",
@@ -47,6 +54,86 @@ def kundu_A(m, points, method="analytic"):
         dev = max(dev, float(np.linalg.norm(aligned - ref)) / top)
     return {"samples": samples, "max_deviation": dev, "vacuous": False,
             "notice": None}
+
+
+def oneill_AT(pj):
+    """Coordinate components of both O'Neill tensors, A and T, as (4,4,4)
+    arrays with A[e][b][c] the dt^e-component of A(d_b, d_c).  A also
+    needs the t-derivatives of the ver/hor projectors."""
+    Fv = [j.value for j in pj.F]
+    dF = [[jets.t_derivative(pj.F[k], s).value for k in range(4)]
+          for s in range(2)]
+    ver = np.zeros((4, 4))
+    hor = np.zeros((4, 4))
+    dver = [np.zeros((4, 4)) for _ in range(2)]
+    dhor = [np.zeros((4, 4)) for _ in range(2)]
+    # F rows: (f_1^1, f_1^2, f_2^1, f_2^2); f[j][k] = F[2j + k]
+    for j in range(2):
+        hor[j][j] = 1.0
+        for k in range(2):
+            ver[2 + k][j] = Fv[2 * j + k]
+            hor[2 + k][j] = -Fv[2 * j + k]
+            for s in range(2):
+                dver[s][2 + k][j] = dF[s][2 * j + k]
+                dhor[s][2 + k][j] = -dF[s][2 * j + k]
+    for k in range(2):
+        ver[2 + k][2 + k] = 1.0
+    G = pj.christoffel[0]
+    T = np.zeros((4, 4, 4))
+    A = np.zeros((4, 4, 4))
+    for b in range(4):
+        for c in range(4):
+            # nabla along ver(d_b): vertical directions kill t-derivatives
+            vb = ver[:, b]
+            hb = hor[:, b]
+            nv_h = np.einsum("a,daf,f->d", vb, G, hor[:, c])
+            nv_v = np.einsum("a,daf,f->d", vb, G, ver[:, c])
+            T[:, b, c] = ver @ nv_h + hor @ nv_v
+            dh_c = sum(hb[s] * dhor[s][:, c] for s in range(2))
+            dv_c = sum(hb[s] * dver[s][:, c] for s in range(2))
+            nh_h = dh_c + np.einsum("a,daf,f->d", hb, G, hor[:, c])
+            nh_v = dv_c + np.einsum("a,daf,f->d", hb, G, ver[:, c])
+            A[:, b, c] = ver @ nh_h + hor @ nh_v
+    return A, T
+
+
+@dataclass
+class ONeillData:
+    A_frame: np.ndarray
+    T_frame: np.ndarray
+    Tvec: tuple
+    ell_T: float
+    ell_Tperp: float
+    Theta_C: float
+
+
+def oneill(pj):
+    """O'Neill tensor frame components in the {H,Hperp,C,Cperp} frame:
+    A from oneill_AT, T and Theta_C from the live pj.oneill_tensors.
+
+    T_frame[a][b][c] is the Y_a-coefficient of T(Y_b, Y_c) in the
+    orthogonal-frame expansion T(Y_b,Y_c) = sum_a T^(a)_(b)(c) Y_a.
+    """
+    if not pj.stratum.generic:
+        raise FrameRequiredError(
+            "frame required: C_rho*ell_C vanishes at this point")
+    fr = pj.frame
+    T, Theta_C, _ = pj.oneill_tensors
+    A, _ = oneill_AT(pj)
+    g4 = pj.g4[0]
+    Y = np.array([fr.H4, fr.Hperp4, fr.C4, fr.Cperp4])
+    ell = np.array([fr.ell_H, fr.ell_Hperp, fr.ell_C, fr.ell_Cperp])
+
+    def expand(tensor):
+        vec = np.einsum("dbc,ib,jc->dij", tensor, Y, Y)
+        return np.einsum("dij,ad,a->aij", vec, Y @ g4, 1.0 / ell)
+
+    Tvec = np.einsum("dbc,b,c->d", T, Y[2], Y[1])
+    Tvec_p = np.einsum("dbc,b,c->d", T, Y[3], Y[1])
+    return ONeillData(A_frame=expand(A), T_frame=expand(T),
+                      Tvec=tuple(Tvec), ell_T=float(Tvec @ g4 @ Tvec),
+                      ell_Tperp=float(Tvec_p @ g4 @ Tvec_p),
+                      Theta_C=Theta_C)
 
 
 def directional_partials(pj, phi_id, i1_id, i2_id):

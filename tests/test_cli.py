@@ -631,3 +631,57 @@ def test_batched_grid_has_the_bits_of_its_points(grid_files, name, u1, u2,
                       "columns": columns, "rows": rows}) + "\n"
     with open(out, encoding="utf-8") as fh:
         assert fh.read() == want
+
+
+GOOD_TRANSFORM = {"phi1": "t1", "phi2": "t2", "psi1": "0", "psi2": "0",
+                  "alpha": [[1, 0], [0, 1]]}
+
+
+def _one_error_line(argv, capsys):
+    capsys.readouterr()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") \
+        and captured.err.count("\n") == 1, captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("document, key", [
+    ("5", "JSON object"),
+    (json.dumps({**GOOD_TRANSFORM, "alpha": 5}), "alpha"),
+    (json.dumps({**GOOD_TRANSFORM, "alpha": [[1, 0]]}), "alpha"),
+    (json.dumps({**GOOD_TRANSFORM, "phi1": 1}), "phi1"),
+    (json.dumps({**GOOD_TRANSFORM, "alpha": [[1, 0, 0], [0, 1, 0]]}),
+     "alpha"),
+    (json.dumps({**GOOD_TRANSFORM, "alpha": [[math.nan, 0], [0, 1]]}),
+     "alpha"),
+    (json.dumps({**GOOD_TRANSFORM, "alpha": ["10", "01"]}), "alpha"),
+], ids=["not_an_object", "alpha_number", "alpha_one_row", "phi1_number",
+        "alpha_2x3", "alpha_nan", "alpha_strings"])
+@pytest.mark.parametrize("report", [False, True], ids=["plain", "report"])
+def test_malformed_transform_document_is_an_input_error(
+        tmp_path, capsys, document, key, report):
+    metric = _submersion_file(tmp_path, FLAT_SUBMERSION)
+    path = tmp_path / "transform.json"
+    path.write_text(document)
+    err = _one_error_line(["transform", metric, str(path), "--points",
+                           "0.5,0.5", *(["--report-invariance"] * report)],
+                          capsys)
+    assert key in err, err
+
+
+@pytest.mark.parametrize("change, key", [
+    ({"components": 5}, "components"),
+    ({"params": [1, 2]}, "params"),
+    ({"params": {"c": True}}, "params"),
+], ids=["components_number", "params_list", "params_boolean"])
+def test_malformed_metric_document_is_an_input_error(tmp_path, capsys,
+                                                     change, key):
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"name": "x", "form": "submersion",
+                                "params": {}, "components": FLAT_SUBMERSION,
+                                **change}))
+    err = _one_error_line(["invariants", str(path), "--at", "0.5,0.5"],
+                          capsys)
+    assert key in err, err

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from g2inv import catalog, classify, jets, load_metric, point_jets
-from g2inv.errors import FrameRequiredError, SingularEvaluationError
+from g2inv import (catalog, classify, invariants1, jets, load_metric,
+                   point_jets)
+from g2inv.errors import SingularEvaluationError
 from g2inv.invariants1 import (FUNDAMENTAL_IDS, RANK_STEP, _assemble,
                                _invariant_vector, _pack, first_invariant_jets,
-                               frame, jacobian, jacobian_rank, oneill,
+                               frame, jacobian, jacobian_rank,
                                oneill_tensors, random_point_jets,
                                relations_first)
-from g2inv.metrics import default_domain, grid_points
+from g2inv.metrics import CATALOG_NAMES, default_domain, grid_points
+from paper_checks import FrameRequiredError, oneill, oneill_AT
 
 
 def vdb_closed_forms(t1, t2):
@@ -188,9 +190,42 @@ def test_oneill_requires_frame():
         oneill(pj)
 
 
+def _oneill_tensors_of_the_AT_loop(pj):
+    """oneill_tensors with T from the loop that also builds A."""
+    _, T = oneill_AT(pj)
+    fr = pj.frame
+    TC = np.einsum("dcb,c->db", T, np.array(fr.C4))
+    TCp = np.einsum("dcb,c->db", T, np.array(fr.Cperp4))
+    sgh = pj.stratum.sign_det_gt * pj.stratum.sign_det_h
+    return T, sgh * float(np.linalg.det(TC)), float(np.linalg.det(TCp))
+
+
+def test_relations_first_rows_match_the_A_and_T_loop(monkeypatch):
+    cases = [(catalog(name), pt) for name in CATALOG_NAMES
+             for pt in grid_points(default_domain(catalog(name)), 3,
+                                   margin=0.1)]
+    cases += [(m, pt) for seed in GENERIC_SEEDS[:3]
+              for m in [catalog("random_analytic", {"seed": seed})]
+              for pt in grid_points(default_domain(m), 2, margin=0.1)]
+
+    def rows():
+        return [{k: None if v is None else float(v).hex()
+                 for k, v in relations_first(point_jets(m, pt)).items()}
+                for m, pt in cases]
+
+    for m, pt in cases:
+        pj = point_jets(m, pt)
+        assert pj.oneill_tensors[0].tobytes() == oneill_AT(pj)[1].tobytes()
+    live = rows()
+    assert sum(r["theta_II_T342_Qchi"] is not None for r in live) >= 15
+    monkeypatch.setattr(invariants1, "oneill_tensors",
+                        _oneill_tensors_of_the_AT_loop)
+    assert rows() == live
+
+
 def test_oneill_tensors_defined_on_degenerate_strata():
     pj = point_jets(catalog("ppwave2"), (0.3, 0.4))
-    _, _, theta_c, theta_cp = oneill_tensors(pj)
+    _, theta_c, theta_cp = oneill_tensors(pj)
     assert theta_c == 0.0 and theta_cp == 0.0
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from g2inv import (catalog, classify, cli, einstein, expr, invariants1,
-                   invariants2, jets, load_metric, metrics, point_jets)
+                   invariants2, jets, load_metric, metrics, point_jets,
+                   transform)
 from g2inv.errors import (MetricDefinitionError, SingularEvaluationError,
                           SingularMetricError)
 from g2inv.metrics import (CATALOG_NAMES, component_scale, default_domain,
@@ -328,6 +329,47 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
         assert cli.run(argv) == 0, argv
         assert point_calls == Counter({(0.7, -0.2): 1, (0.9, 0.1): 1,
                                        (1.2, 0.3): 1}), argv
+
+    # transform --report-invariance evaluates each of phi1, phi2, psi1
+    # and psi2 once per point
+    loaded, evals = [], Counter()
+    load, evaluate = transform.load_transform, expr.eval_jet
+
+    def loading(document):
+        loaded.append(load(document))
+        return loaded[-1]
+
+    def counting_eval_jet(e, params, point, *args, **kwargs):
+        for key, node in zip(("phi1", "phi2", "psi1", "psi2"),
+                             loaded[-1].phi + loaded[-1].psi):
+            if node is e:
+                evals[key, tuple(point)] += 1
+        return evaluate(e, params, point, *args, **kwargs)
+
+    monkeypatch.setattr(transform, "load_transform", loading)
+    monkeypatch.setattr(expr, "eval_jet", counting_eval_jet)
+    tr_path = tmp_path / "tr.json"
+    tr_path.write_text(json.dumps(transform.random_transform(3).strings))
+    assert cli.run(["transform", str(path), str(tr_path),
+                    "--report-invariance", "--points", "0.6,1.1;0.8,1.3",
+                    "--out", str(tmp_path / "inv.txt")]) == 0
+    assert evals == Counter({(key, pt): 1
+                             for key in ("phi1", "phi2", "psi1", "psi2")
+                             for pt in ((0.6, 1.1), (0.8, 1.3))})
+
+    # nothing computes the O'Neill A tensor: the O'Neill layer takes no
+    # t-derivative (A(d_b, d_c) needs those of F, T does not)
+    pjs = [point_jets(vdb, pt) for pt in pts]
+    for pj in pjs:
+        pj.christoffel, pj.frame, pj.stratum  # the layers T reads
+    derivatives, derive = [], jets.t_derivative
+    monkeypatch.setattr(jets, "t_derivative",
+                        lambda a, s: derivatives.append(s) or derive(a, s))
+    for pj in pjs:
+        T, _, _ = invariants1.oneill_tensors(pj)
+        assert T.shape == (4, 4, 4)
+    monkeypatch.setattr(jets, "t_derivative", derive)
+    assert derivatives == []
 
     assert {name for name, _ in calls} == {
         "first_invariant_jets", "frame", "oneill_tensors", "four_metric",

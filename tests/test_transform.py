@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from g2inv import catalog, point_jets
-from g2inv.errors import DegenerateTransformError, MetricDefinitionError
+from g2inv import catalog, expr, jets, point_jets
+from g2inv.errors import (DegenerateTransformError, G2InvError,
+                          MetricDefinitionError)
 from g2inv.invariants1 import FUNDAMENTAL_IDS
-from g2inv.metrics import default_domain, grid_points
+from g2inv.metrics import CATALOG_NAMES, default_domain, grid_points
 from g2inv.transform import (apply_to_metric, invariance_report,
                              load_transform, make_transform, pushforward_jets,
-                             random_transform, signs, to_submersion_document)
+                             random_transform, to_submersion_document)
 from paper_checks import compose_transforms
 
 IDENTITY = dict(phi1="t1", phi2="t2", psi1="0", psi2="0",
@@ -16,6 +18,13 @@ IDENTITY = dict(phi1="t1", phi2="t2", psi1="0", psi2="0",
 
 def six(pj):
     return np.array([pj.fields[k].value for k in FUNDAMENTAL_IDS])
+
+
+def signs(p, point):
+    """(eps1, eps2) of the transform at one vdb point, as
+    invariance_report reports them."""
+    row, = invariance_report(catalog("vdb"), p, [point])["points"]
+    return row["eps1"], row["eps2"]
 
 
 def test_load_transform_document():
@@ -121,14 +130,13 @@ def test_theta_semi_invariant_sign_laws():
     # squares are invariant; the signed quantities pick up eps factors:
     # Theta_I, Theta_III, q_gamma_root -> eps1*eps2, Theta_II -> eps1
     from g2inv.invariants1 import first_invariant_jets
-    from g2inv.transform import signs as tsigns
     m = catalog("vdb")
     pt = (0.6, 1.1)
     pj = point_jets(m, pt)
     jv = first_invariant_jets(pj)
     for seed in range(12):
         p = random_transform(seed)
-        e1, e2 = tsigns(p, pt)
+        e1, e2 = signs(p, pt)
         jb = first_invariant_jets(pushforward_jets(pj, p))
         assert jb["Theta_I_sq"].value == pytest.approx(
             jv["Theta_I_sq"].value, rel=1e-9)
@@ -167,3 +175,99 @@ def test_to_submersion_document_roundtrip():
         a = six(point_jets(m, pt))
         b = six(point_jets(ms, pt))
         assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+
+
+# The order-1 evaluation of phi and psi that invariance_report made at
+# every point before it took eps1 and the pushed frame from the order-3
+# jets of its pushforward: the oracle for the rows it reports.
+
+def _order1_signs(p, point):
+    j = [[jets.t_derivative(expr.eval_jet(p.phi[m], {}, point, 1), i).value
+          for i in range(2)] for m in range(2)]
+    jphi = j[0][0] * j[1][1] - j[0][1] * j[1][0]
+    if jphi == 0.0:
+        raise DegenerateTransformError(f"J_phi = 0 at {point}")
+    a = p.alpha
+    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    return (1 if jphi > 0 else -1), (1 if det > 0 else -1)
+
+
+def _order1_pushforward_vector(p, point, v):
+    Jv = np.array([[jets.t_derivative(
+        expr.eval_jet(p.phi[m], {}, point, 1), i).value
+        for i in range(2)] for m in range(2)])
+    Jpsi = np.array([[jets.t_derivative(
+        expr.eval_jet(p.psi[r], {}, point, 1), i).value
+        for i in range(2)] for r in range(2)])
+    a = np.array(p.alpha)
+    vt = np.array(v[:2])
+    vz = np.array(v[2:])
+    return tuple(np.concatenate([Jv @ vt, Jpsi @ vt + a @ vz]))
+
+
+def _order1_row(m, p, pt):
+    pj = point_jets(m, pt, order=2)
+    pj_bar = pushforward_jets(pj, p)
+    eps1, eps2 = _order1_signs(p, pt)
+    inv = np.array([pj.fields[k].value for k in FUNDAMENTAL_IDS])
+    inv_bar = np.array([pj_bar.fields[k].value for k in FUNDAMENTAL_IDS])
+    denom = np.maximum(np.abs(inv), np.maximum(np.abs(inv_bar), 1.0))
+    inv_residual = float(np.max(np.abs(inv - inv_bar) / denom))
+    frame_residual = None
+    if pj.stratum.generic:
+        fr = pj.frame
+        fr_bar = pj_bar.frame
+        sgn = (1.0, eps1, eps1, eps1 * eps2)
+        frame_residual = 0.0
+        for s, v, vbar in zip(
+                sgn,
+                (fr.H4, fr.Hperp4, fr.C4, fr.Cperp4),
+                (fr_bar.H4, fr_bar.Hperp4, fr_bar.C4, fr_bar.Cperp4)):
+            pushed = np.array(_order1_pushforward_vector(p, pt, v))
+            target = s * np.array(vbar)
+            norm = max(float(np.linalg.norm(target)), 1e-300)
+            frame_residual = max(
+                frame_residual,
+                float(np.linalg.norm(pushed - target)) / norm)
+    return eps1, eps2, inv_residual, frame_residual
+
+
+def _outcome(f):
+    """f()'s result with floats as their bits, or its error."""
+    try:
+        return tuple(x.hex() if isinstance(x, float) else x for x in f())
+    except G2InvError as err:
+        return type(err), str(err)
+
+
+def _reported_row(m, p, pt):
+    row, = invariance_report(m, p, [pt])["points"]
+    return tuple(row[k] for k in ("eps1", "eps2", "invariant_residual",
+                                  "frame_residual"))
+
+
+def _check_against_order1(name, seed, i):
+    m = catalog(name)
+    pt = grid_points(default_domain(m), 3, margin=0.15)[i]
+    p = random_transform(seed)
+    got = _outcome(lambda: _reported_row(m, p, pt))
+    assert got == _outcome(lambda: _order1_row(m, p, pt)), (name, seed, pt)
+    return got
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(name=st.sampled_from(CATALOG_NAMES), seed=st.integers(0, 199),
+       i=st.integers(0, 8))
+@example(name="vdb", seed=2, i=4)
+@example(name="vdb", seed=4, i=4)
+def test_invariance_rows_match_the_order1_evaluation(name, seed, i):
+    _check_against_order1(name, seed, i)
+
+
+@pytest.mark.parametrize("seed, signs_at_vdb", [(2, (1, -1)), (4, (-1, 1))],
+                         ids=["det_alpha_negative", "J_phi_negative"])
+def test_invariance_rows_match_the_order1_evaluation_for_negative_signs(
+        seed, signs_at_vdb):
+    for name in ("vdb", "random_analytic", "lambda_kundu"):
+        got = _check_against_order1(name, seed, 4)
+        assert got[:2] == signs_at_vdb
