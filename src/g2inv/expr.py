@@ -20,6 +20,7 @@ declared parameter.  Exponents must be constant (no t1/t2 below '^').
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -115,7 +116,7 @@ class _Parser:
     node with that content, children keyed by identity since they are
     already interned."""
 
-    def __init__(self, text, table):
+    def __init__(self, text, table, defs):
         # tokenized in one pass; a bad character raises only once the
         # parser reaches it, so an earlier syntax error is reported first
         self.tokens = [(m.lastgroup, m.group(m.lastgroup),
@@ -124,6 +125,7 @@ class _Parser:
         self.tokens.append(("eof", "", len(text)))
         self.i = 0
         self.table = table
+        self.defs = defs
 
     def peek(self):
         tok = self.tokens[self.i]
@@ -213,49 +215,81 @@ class _Parser:
                 return self.node(Var, 0)
             if text == "t2":
                 return self.node(Var, 1)
+            if text in self.defs:
+                return self.defs[text]
             return self.node(Param, text)
         raise ExprSyntaxError(f"expected a value, got {text!r}", pos)
 
 
 @_depth_checked
-def parse(text, table=None):
+def parse(text, table=None, defs=None):
     """Parse expression text into an AST in which every distinct subtree
     is one node object.
 
     ``table`` is the intern table; texts parsed with the same table share
     their common subtrees (one table per metric or transform load).
+    ``defs`` maps a name to a node parsed with the same table: the name
+    stands for that node, as a parenthesized copy of its text would.
     """
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return _Parser(text, {} if table is None else table).parse()
+    return _Parser(text, {} if table is None else table,
+                   {} if defs is None else defs).parse()
+
+
+# the deepest a metric's def may nest.  A chain of defs, each one short
+# text, could nest past what validate and the evaluator (a frame a level,
+# under Python's recursion limit of 1000) can walk; this leaves room for
+# a component's own nesting on top
+MAX_DEPTH = 500
 
 
 @_depth_checked
-def to_string(e):
-    """Render an AST back to parseable text (parse(to_string(e)) == e).
+def depth(e, memo):
+    """Nesting depth of the expression, 1 for a leaf."""
+    return _fold(e, lambda node, kids: 1 + max(kids, default=0), memo)
 
-    A subtree shared in the DAG is rendered once and its text reused.
-    """
-    memo = {}
 
-    def prec(node):
-        if isinstance(node, BinOp):
-            return {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}[node.op]
-        if isinstance(node, Neg):
-            return 3
-        return 9
+def _children(node):
+    return ((node.arg,) if isinstance(node, (Neg, Call))
+            else (node.left, node.right) if isinstance(node, BinOp) else ())
 
-    def wrap(node, minimum):
-        s = render(node)
-        return f"({s})" if prec(node) < minimum else s
 
-    def render(node):
+def _fold(e, combine, memo):
+    """combine(node, [result of each child]) at each distinct node of e,
+    children first.  ``memo`` (node id -> result) may be shared across
+    calls: a node done before is not walked again."""
+    def walk(node):
+        done = memo.get(id(node))
+        if done is None:
+            done = memo[id(node)] = combine(node, list(map(walk,
+                                                           _children(node))))
+        return done
+
+    return walk(e)
+
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+
+
+def _renderer(names, memo):
+    """render(node, minimum) gives the node's text, parenthesized when its
+    operator binds looser than minimum, and spell(node) its text as the
+    top of a text.  A node in names (id -> text) is written as that name;
+    the text of any other node is kept in memo (id -> text), so a subtree
+    shared in the DAG is rendered once."""
+    def render(node, minimum=0):
+        text = names.get(id(node))
+        if text is not None:
+            return text
         text = memo.get(id(node))
         if text is None:
-            text = memo[id(node)] = render_node(node)
-        return text
+            text = memo[id(node)] = spell(node)
+        prec = (_PREC[node.op] if isinstance(node, BinOp)
+                else 3 if isinstance(node, Neg) else 9)
+        return f"({text})" if prec < minimum else text
 
-    def render_node(node):
+    def spell(node):
         if isinstance(node, Num):
             return repr(node.value)
         if isinstance(node, Var):
@@ -263,19 +297,77 @@ def to_string(e):
         if isinstance(node, Param):
             return node.name
         if isinstance(node, Neg):
-            return "-" + wrap(node.arg, 3)
+            return "-" + render(node.arg, 3)
         if isinstance(node, Call):
             return f"{node.fn}({render(node.arg)})"
         if isinstance(node, BinOp):
-            p = prec(node)
             if node.op == "^":
                 # '^' is non-associative; parenthesize any compound child
-                return f"{wrap(node.left, 9)}^{wrap(node.right, 9)}"
+                return f"{render(node.left, 9)}^{render(node.right, 9)}"
             # binary ops parse left-associative: right child binds tighter
-            return f"{wrap(node.left, p)} {node.op} {wrap(node.right, p + 1)}"
+            p = _PREC[node.op]
+            return (f"{render(node.left, p)} {node.op} "
+                    f"{render(node.right, p + 1)}")
         raise TypeError(f"not an expression node: {node!r}")
 
-    return render(e)
+    return render, spell
+
+
+@_depth_checked
+def to_string(e):
+    """Render an AST back to parseable text (parse(to_string(e)) == e),
+    written out as a tree."""
+    return _renderer({}, {})[0](e)
+
+
+@_depth_checked
+def to_strings(asts, reserved=()):
+    """(defs, texts): the ASTs rendered as texts that name their shared
+    subtrees, with parse(texts[k], table, parsed defs) the node structure
+    of parse(to_string(asts[k]), table).
+
+    Each compound node referenced twice or more across the ASTs is one
+    def, name -> text, in post-order, so a def uses only earlier ones.
+    The names d1, d2, ... skip any parameter of the ASTs and any name in
+    reserved.
+    """
+    refs, order = {}, []
+
+    def visit(node):
+        refs[id(node)] = refs.get(id(node), 0) + 1
+        if refs[id(node)] == 1:
+            for child in _children(node):
+                visit(child)
+            order.append(node)
+
+    for e in asts:
+        visit(e)
+    taken = {*reserved, *(n.name for n in order if isinstance(n, Param))}
+    fresh = (name for name in map("d{}".format, itertools.count(1))
+             if name not in taken)
+    shared = [n for n in order if refs[id(n)] > 1 and _children(n)]
+    names = {id(n): next(fresh) for n in shared}
+    render, spell = _renderer(names, {})
+    return ({names[id(n)]: spell(n) for n in shared},
+            [render(e) for e in asts])
+
+
+# the longest expression an error message writes out as a tree; defs let
+# a short document denote an exponentially long one, which is written
+# with its shared subtrees named instead
+QUOTE_CAP = 100_000
+
+
+@_depth_checked
+def _quote(e):
+    def length(node, kids):  # its text with its children written as ""
+        blank = dict.fromkeys(map(id, _children(node)), "")
+        return len(_renderer({}, blank)[1](node)) + sum(kids)
+
+    if _fold(e, length, {}) <= QUOTE_CAP:
+        return to_string(e)
+    defs, (text,) = to_strings([e])
+    return "; ".join([*(f"{k} = {v}" for k, v in defs.items()), text])
 
 
 @_depth_checked
@@ -308,23 +400,21 @@ def substitute(e, replacement, memo=None):
     return sub(e)
 
 
-def _is_constant(e):
-    if isinstance(e, Var):
-        return False
-    if isinstance(e, (Num, Param)):
-        return True
-    if isinstance(e, Neg):
-        return _is_constant(e.arg)
-    if isinstance(e, Call):
-        return _is_constant(e.arg)
-    return _is_constant(e.left) and _is_constant(e.right)
+def _is_constant(e, memo=None):
+    """Whether the expression holds no t1, t2."""
+    return _fold(e, lambda node, kids: not isinstance(node, Var) and all(kids),
+                 {} if memo is None else memo)
 
 
 @_depth_checked
-def validate(e, params):
-    """Return a list of problems (empty when the expression is usable)."""
-    problems = []
-    seen = set()
+def validate(e, params, seen=None):
+    """Return a list of problems (empty when the expression is usable).
+
+    ``seen`` holds the ids of nodes checked before against the same
+    params, which are skipped: the texts of one document share one.
+    """
+    problems, constant = [], {}
+    seen = set() if seen is None else seen
 
     def walk(node):
         if id(node) in seen:
@@ -332,16 +422,11 @@ def validate(e, params):
         seen.add(id(node))
         if isinstance(node, Param) and node.name not in params:
             problems.append(f"undeclared identifier {node.name!r}")
-        elif isinstance(node, Neg):
-            walk(node.arg)
-        elif isinstance(node, Call):
-            walk(node.arg)
-        elif isinstance(node, BinOp):
-            if node.op == "^" and not _is_constant(node.right):
-                problems.append(
-                    f"non-constant exponent in {to_string(node)!r}")
-            walk(node.left)
-            walk(node.right)
+        elif isinstance(node, BinOp) and node.op == "^" \
+                and not _is_constant(node.right, constant):
+            problems.append(f"non-constant exponent in {_quote(node)!r}")
+        for child in _children(node):
+            walk(child)
 
     walk(e)
     return problems
@@ -360,7 +445,7 @@ def eval_jet(e, params, point, order, memo=None):
     except SingularEvaluationError as err:
         if err.context is None:
             raise SingularEvaluationError(err.what, err.value,
-                                          f"in {to_string(e)!r}") from None
+                                          f"in {_quote(e)!r}") from None
         raise
 
 

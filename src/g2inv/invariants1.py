@@ -329,7 +329,8 @@ def _pack(pj):
 def _unpack(x, order):
     """PointJets of packed coordinates: (ncoords,) or a batch (ncoords, B)."""
     size = len(jets._IDX[order])
-    js = [jets.Jet2(order, tuple(x[i * size:(i + 1) * size]), x.ndim == 2)
+    coerce = jets.Jet2 if x.ndim == 1 else jets._jet  # floats or vectors
+    js = [coerce(order, tuple(x[i * size:(i + 1) * size]))
           for i in range(10)]
     return _assemble(tuple(js[0:3]), tuple(js[3:7]), tuple(js[7:10]), order)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from math import comb
-from operator import add, neg, sub
+from operator import neg
 
 import numpy as np
 
@@ -75,6 +75,13 @@ def _times(factor, *names):
     return " * ".join(([] if factor == 1 else [repr(factor)]) + list(names))
 
 
+def _elementwise_kernel(name, op, order):
+    """a op b, coefficient by coefficient."""
+    return _compile(f"{name}{order}", order, [
+        "return (" + "".join(f"a{k} {op} b{k}, "
+                             for k in range(len(_IDX[order]))) + ")"])
+
+
 def _mul_kernel(order):
     """a * b: coefficient k is 0.0 + w*a_p*b_q + ... over the rows of
     _MUL[order] for k, in table order.  The 0.0 makes a -0.0 sum +0.0."""
@@ -106,6 +113,8 @@ def _div_kernel(order):
         "return (" + "".join(f"q{k}, " for k in range(len(body))) + ")"])
 
 
+_ADD_KERNEL = {n: _elementwise_kernel("add", "+", n) for n in _IDX}
+_SUB_KERNEL = {n: _elementwise_kernel("sub", "-", n) for n in _IDX}
 _MUL_KERNEL = {n: _mul_kernel(n) for n in _IDX}
 _DIV_KERNEL = {n: _div_kernel(n) for n in _IDX}
 
@@ -136,21 +145,20 @@ class Jet2:
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order, coeffs, _exact=False):
+    def __init__(self, order, coeffs):
         """Outside input is coerced to a tuple of Python floats and its
-        order and length are checked; results of jet arithmetic pass
-        _exact=True with such a tuple already in hand."""
-        if not _exact:
-            coeffs = tuple(float(c) for c in coeffs)
-            if order not in _IDX:
-                raise ValueError(
-                    f"jet order must be in 0..{MAX_ORDER}, got {order}")
-            if len(coeffs) != len(_IDX[order]):
-                raise ValueError(
-                    f"order-{order} jet needs {len(_IDX[order])} "
-                    f"coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        order and length are checked; results of jet arithmetic are
+        built by _jet from a tuple already in that form."""
+        coeffs = tuple(float(c) for c in coeffs)
+        if order not in _IDX:
+            raise ValueError(
+                f"jet order must be in 0..{MAX_ORDER}, got {order}")
+        if len(coeffs) != len(_IDX[order]):
+            raise ValueError(
+                f"order-{order} jet needs {len(_IDX[order])} "
+                f"coefficients, got {len(coeffs)}")
+        _set_order(self, order)
+        _set_coeffs(self, coeffs)
 
     def __setattr__(self, *a):
         raise AttributeError("Jet2 is immutable")
@@ -174,7 +182,7 @@ class Jet2:
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, Jet2):
+        if type(other) is Jet2:
             if other.order != self.order:
                 raise ValueError(
                     f"jet order mismatch: {self.order} vs {other.order}")
@@ -187,31 +195,34 @@ class Jet2:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Jet2(self.order, tuple(map(add, self.coeffs, o.coeffs)), True)
+        return _jet(self.order,
+                    _ADD_KERNEL[self.order](self.coeffs, o.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(self.order, tuple(map(neg, self.coeffs)), True)
+        return _jet(self.order, tuple(map(neg, self.coeffs)))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Jet2(self.order, tuple(map(sub, self.coeffs, o.coeffs)), True)
+        return _jet(self.order,
+                    _SUB_KERNEL[self.order](self.coeffs, o.coeffs))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Jet2(self.order, tuple(map(sub, o.coeffs, self.coeffs)), True)
+        return _jet(self.order,
+                    _SUB_KERNEL[self.order](o.coeffs, self.coeffs))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Jet2(self.order,
-                    _MUL_KERNEL[self.order](self.coeffs, o.coeffs), True)
+        return _jet(self.order,
+                    _MUL_KERNEL[self.order](self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
@@ -247,10 +258,25 @@ class Jet2:
             raise SingularEvaluationError("pow", v, "overflow") from None
 
 
+_new = object.__new__
+_set_order = Jet2.order.__set__
+_set_coeffs = Jet2.coeffs.__set__
+
+
+def _jet(order, coeffs):
+    """The Jet2 of a coefficient tuple in the stored form (floats or
+    float64 vectors, as many as the order has): no coercion, no checks,
+    and its slots set past the immutability guard."""
+    jet = _new(Jet2)
+    _set_order(jet, order)
+    _set_coeffs(jet, coeffs)
+    return jet
+
+
 def constant(value, order):
     c = [0.0] * len(_IDX[order])
     c[0] = float(value)
-    return Jet2(order, tuple(c), True)
+    return _jet(order, tuple(c))
 
 
 def seed(value, var_index, order):
@@ -265,7 +291,7 @@ def seed(value, var_index, order):
             raise ValueError("var_index must be 0, 1 or None")
         if order >= 1:
             c[1 + var_index] = 1.0
-    return Jet2(order, tuple(c), True)
+    return _jet(order, tuple(c))
 
 
 def _any(hit):  # a test's bool for one point, any column for a batch
@@ -281,8 +307,7 @@ def _pow(x, k):
 def _divide(num, den):
     if _any(den.value == 0.0):
         raise SingularEvaluationError("div", den.value)
-    return Jet2(num.order, _DIV_KERNEL[num.order](num.coeffs, den.coeffs),
-                True)
+    return _jet(num.order, _DIV_KERNEL[num.order](num.coeffs, den.coeffs))
 
 
 def _int_power(a, p):
@@ -325,7 +350,7 @@ def _compose(a, derivs):
             d[3] * _pow(g(0, 1), 3) + 3.0 * d[2] * g(0, 1) * g(0, 2)
             + d[1] * g(0, 3),
         ]
-    return Jet2(n, tuple(out), True)
+    return _jet(n, tuple(out))
 
 
 ELEMENTARY_FUNCTIONS = ("exp", "ln", "sqrt", "sin", "cos", "tan",
@@ -403,7 +428,7 @@ def flip(a, keep):
     """a where keep holds, else -a: column by column on a batch."""
     if isinstance(keep, (bool, np.bool_)):
         return a if keep else -a
-    return Jet2(a.order, tuple(np.where(keep, c, -c) for c in a.coeffs), True)
+    return _jet(a.order, tuple(np.where(keep, c, -c) for c in a.coeffs))
 
 
 def t_derivative(a, s):
@@ -411,7 +436,7 @@ def t_derivative(a, s):
     if a.order == 0:
         raise ValueError("cannot differentiate an order-0 jet")
     c = a.coeffs
-    return Jet2(a.order - 1, tuple([c[k] for k in _DIFF[a.order][s]]), True)
+    return _jet(a.order - 1, tuple([c[k] for k in _DIFF[a.order][s]]))
 
 
 def along(vec, jet):
@@ -426,7 +451,7 @@ def truncate(a, order):
         raise ValueError("cannot raise jet order by truncation")
     if order == a.order:
         return a
-    return Jet2(order, a.coeffs[:len(_IDX[order])], True)
+    return _jet(order, a.coeffs[:len(_IDX[order])])
 
 
 def compose_map(u, iota1, iota2):
@@ -520,5 +545,5 @@ def finite_difference_jet(evalfn, point, order, h=FD_STEP):
                       map(evalfn, _stencil_points(point, order, h))))
     coeffs = _fd_quotients(lambda *k: values[k], order, h)
     if isinstance(coeffs[0], np.ndarray):
-        return Jet2(order, tuple(coeffs), True)
+        return _jet(order, tuple(coeffs))
     return Jet2(order, coeffs)

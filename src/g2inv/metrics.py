@@ -63,14 +63,15 @@ class G2Metric:
     components: dict  # key -> expression string
     asts: dict = field(repr=False, default=None)
     domain: tuple = None  # ((t1min, t1max), (t2min, t2max)) or None
+    defs: dict = field(default_factory=dict)  # name -> expression string
 
     def to_document(self):
-        return {
-            "name": self.name,
-            "form": self.form,
-            "params": dict(self.params),
-            "components": dict(self.components),
-        }
+        doc = {"name": self.name, "form": self.form,
+               "params": dict(self.params)}
+        if self.defs:
+            doc["defs"] = dict(self.defs)
+        doc["components"] = dict(self.components)
+        return doc
 
 
 @contextmanager
@@ -183,7 +184,8 @@ def load_metric(document):
                 raise MetricDefinitionError(f"malformed JSON: {err}") from None
     if not isinstance(document, dict):
         raise MetricDefinitionError("metric document must be a JSON object")
-    unknown = set(document) - {"name", "form", "params", "components"}
+    unknown = set(document) - {"name", "form", "params", "defs",
+                               "components"}
     if unknown:
         raise MetricDefinitionError(f"unknown keys: {sorted(unknown)}")
     try:
@@ -209,17 +211,45 @@ def load_metric(document):
     if unknown:
         raise MetricDefinitionError(
             f"unknown component keys: {sorted(unknown)}")
-    asts, table = {}, {}
-    for key in keys:
-        ast = expr.parse(str(components[key]), table)
-        problems = expr.validate(ast, set(params))
+    defs = document.get("defs", {})
+    if not isinstance(defs, dict):
+        raise MetricDefinitionError("defs must be a JSON object")
+    _check_names("param", params, _RESERVED)
+    _check_names("def", defs,
+                 {**_RESERVED, **dict.fromkeys(params, "a param")})
+    table, depths, named, seen = {}, {}, {}, set()
+
+    def validated(where, ast):
+        problems = expr.validate(ast, set(params), seen)
         if problems:
+            raise MetricDefinitionError(f"{where}: " + "; ".join(problems))
+        return ast
+
+    for key, text in defs.items():
+        if not isinstance(text, str):
+            raise MetricDefinitionError(f"def {key} must be a string")
+        ast = expr.parse(text, table, named)
+        if expr.depth(ast, depths) > expr.MAX_DEPTH:
             raise MetricDefinitionError(
-                f"component {key}: " + "; ".join(problems))
-        asts[key] = ast
+                f"def {key}: nested deeper than {expr.MAX_DEPTH} levels")
+        named[key] = validated(f"def {key}", ast)
+    asts = {key: validated(f"component {key}", expr.parse(
+        str(components[key]), table, named)) for key in keys}
     return G2Metric(name=str(name), form=form, params=dict(params),
                     components={k: str(components[k]) for k in keys},
-                    asts=asts)
+                    asts=asts, defs=dict(defs))
+
+
+# names a param or def may not take, with what they name already
+_RESERVED = {"t1": "a coordinate", "t2": "a coordinate",
+             **dict.fromkeys(expr.FUNCTIONS, "a function")}
+
+
+def _check_names(kind, names, taken):
+    for name in names:
+        if name in taken:
+            raise MetricDefinitionError(
+                f"{kind} {name!r} shadows {taken[name]}")
 
 
 def _stencil_values(m, points):
@@ -257,7 +287,7 @@ def _eval_components(m, point, order, method):
             lambda p, columns=iter(values.swapaxes(0, 1)): next(columns),
             point, order)
         coeffs = np.swapaxes(jet.coeffs, 0, 1)  # component, coefficient[, point]
-        return {key: jets.Jet2(order, tuple(c), True) for key, c in zip(
+        return {key: jets._jet(order, tuple(c)) for key, c in zip(
             m.asts, coeffs if coeffs.ndim == 3 else coeffs.tolist())}
     raise ValueError(f"unknown jet method {method!r}")
 
@@ -279,8 +309,8 @@ def point_jets(m, point, order=2, method="analytic"):
     if batch:
         # constants and jets of one variable carry the point axis too;
         # np.full, not + 0.0, which would turn -0.0 into 0.0
-        comp = {key: jets.Jet2(j.order, tuple(np.full(len(point[0]), c)
-                                              for c in j.coeffs), True)
+        comp = {key: jets._jet(j.order, tuple(np.full(len(point[0]), c)
+                                              for c in j.coeffs))
                 for key, j in comp.items()}
     h = (comp["h11"], comp["h12"], comp["h22"])
     det_h = h[0] * h[2] - h[1] * h[1]

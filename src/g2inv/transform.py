@@ -16,6 +16,7 @@ phi^-1.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import numbers
 import sys
@@ -292,11 +293,8 @@ def apply_to_metric(m, p, name=None):
                 nodes.append(h[k][l])
                 coeffs.append(ai[k][r] * ai[l][s])
         out[key] = lin(coeffs, nodes)
-    doc = {"name": name or f"{m.name}_transformed",
-           "form": "submersion",
-           "params": dict(m.params),
-           "components": {k: expr.to_string(v) for k, v in out.items()}}
-    loaded = metrics.load_metric(doc)
+    loaded = _submersion_metric(name or f"{m.name}_transformed",
+                                m.params, out)
     domain = metrics.default_domain(m)
     if domain is not None:
         # image bounding box of a slightly shrunken source rectangle;
@@ -306,12 +304,21 @@ def apply_to_metric(m, p, name=None):
         corners = [(x, y) for x in (a0 + da, a1 - da)
                    for y in (c0 + dc, c1 - dc)]
         images = np.array([J @ np.array(pt) + b for pt in corners])
-        loaded = metrics.G2Metric(
-            name=loaded.name, form=loaded.form, params=loaded.params,
-            components=loaded.components, asts=loaded.asts,
+        loaded = dataclasses.replace(
+            loaded,
             domain=((float(images[:, 0].min()), float(images[:, 0].max())),
                     (float(images[:, 1].min()), float(images[:, 1].max()))))
     return loaded
+
+
+def _submersion_metric(name, params, asts):
+    """The submersion-form metric of the component ASTs, loaded from the
+    document that names their shared subtrees: its parse normalizes the
+    nodes (Num(-x) is read back as Neg(Num(x))) and validates them."""
+    defs, texts = expr.to_strings(list(asts.values()), params)
+    return metrics.load_metric({"name": name, "form": "submersion",
+                                "params": dict(params), "defs": defs,
+                                "components": dict(zip(asts, texts))})
 
 
 def to_submersion_document(m):
@@ -345,9 +352,7 @@ def to_submersion_document(m):
             out[f"F{i + 1}{k + 1}"] = F[i][k]
     for (k, l), key in (((0, 0), "h11"), ((0, 1), "h12"), ((1, 1), "h22")):
         out[key] = h[k][l]
-    doc = {"name": m.name, "form": "submersion", "params": dict(m.params),
-           "components": {k: expr.to_string(v) for k, v in out.items()}}
-    return metrics.load_metric(doc)
+    return _submersion_metric(m.name, m.params, out)
 
 
 def random_transform(seed, nonlinear=0.05):

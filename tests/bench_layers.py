@@ -35,8 +35,8 @@ def _operands(order, width):
     c[1, 0] += 3.0
     if width is None:
         c = c.tolist()
-    return (jets.Jet2(order, tuple(c[0]), True),
-            jets.Jet2(order, tuple(c[1]), True))
+    return (jets._jet(order, tuple(c[0])),
+            jets._jet(order, tuple(c[1])))
 
 
 @pytest.mark.parametrize("width", [None, 36], ids=["float", "B36"])

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from g2inv import catalog, cli, metrics, point_jets
 from g2inv.cli import SECOND_ORDER_COLUMNS, SECOND_ORDER_NAMES, dumps, run
 from g2inv.errors import G2InvError
 from g2inv.invariants1 import FUNDAMENTAL_IDS
+from g2inv.metrics import CATALOG_NAMES
 from g2inv.transform import apply_to_metric, make_transform
 
 
@@ -685,3 +688,112 @@ def test_malformed_metric_document_is_an_input_error(tmp_path, capsys,
     err = _one_error_line(["invariants", str(path), "--at", "0.5,0.5"],
                           capsys)
     assert key in err, err
+
+
+def _defs_file(tmp_path, defs, params=None, **components):
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"name": "x", "form": "submersion",
+                                "params": {"c": 2.0} if params is None
+                                else params, "defs": defs,
+                                "components": {**FLAT_SUBMERSION,
+                                               **components}}))
+    return str(path)
+
+
+SIN_CHAIN = {"d0": "t1", **{f"d{i}": f"sin(d{i - 1})" for i in range(1, 600)}}
+
+
+@pytest.mark.parametrize("defs, params, error", [
+    (["d1", "t1"], None, "defs must be a JSON object"),
+    ({"d1": 2}, None, "def d1 must be a string"),
+    ({"d1": "d2 + 1", "d2": "t1"}, None,
+     "def d1: undeclared identifier 'd2'"),
+    ({"d1": "d2 * t1", "d2": "d1 + 1"}, None,
+     "def d1: undeclared identifier 'd2'"),
+    ({"d1": "d1 + 1"}, None, "def d1: undeclared identifier 'd1'"),
+    ({"c": "t1"}, None, "def 'c' shadows a param"),
+    ({"t1": "t2"}, None, "def 't1' shadows a coordinate"),
+    ({"t2": "t1"}, None, "def 't2' shadows a coordinate"),
+    ({"sin": "t1"}, None, "def 'sin' shadows a function"),
+    ({}, {"t1": 5, "exp": 2}, "param 't1' shadows a coordinate"),
+    ({}, {"t2": 5}, "param 't2' shadows a coordinate"),
+    ({}, {"exp": 2}, "param 'exp' shadows a function"),
+    (SIN_CHAIN, None, "def d500: nested deeper than 500 levels"),
+], ids=["not_an_object", "not_a_string", "forward", "cyclic", "self",
+        "param", "t1", "t2", "function", "param_t1", "param_t2",
+        "param_function", "too_deep"])
+def test_malformed_defs_are_input_errors(tmp_path, capsys, defs, params,
+                                         error):
+    path = _defs_file(tmp_path, defs, params, h11="d0 + 1" if defs
+                      is SIN_CHAIN else "1")
+    assert _one_error_line(["invariants", path, "--at", "0.5,0.5"],
+                           capsys) == f"error: {error}\n"
+
+
+DOUBLING = {"d1": "t1 - 2", **{f"d{i + 1}": f"d{i} + d{i}"
+                               for i in range(1, 64)}}
+
+
+@pytest.mark.parametrize("h11, error", [
+    ("ln(d64)", "singular evaluation in 'ln' at value -1.3835058055282164e+19"
+     " (in '{}; ln(d63 + d63)')"),
+    ("2^d64",
+     "component h11: non-constant exponent in '{}; 2.0^(d63 + d63)'"),
+], ids=["ln", "pow"])
+def test_doubling_defs_chain_gives_a_short_error(tmp_path, capsys, h11,
+                                                 error):
+    # d64 is 2^63 copies of t1 - 2 written out: the message names the
+    # shared subtrees instead, children first
+    path = _defs_file(tmp_path, DOUBLING, h11=h11)
+    start = time.perf_counter()
+    err = _one_error_line(["invariants", path, "--at", "0.5,0.5"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert len(err) < 200_000
+    assert err == "error: " + error.format("; ".join(
+        ["d1 = t1 - 2.0"] + [f"d{i + 1} = d{i} + d{i}"
+                             for i in range(1, 63)])) + "\n"
+
+
+def test_defs_are_read_as_their_expansion(tmp_path, capsys):
+    # a def stands for a parenthesized copy of its text: d2 is (c*t1 + 1)^2
+    (tmp_path / "tree").mkdir()
+    paths = [_defs_file(tmp_path, {"d1": "c*t1 + 1", "d2": "d1^2"},
+                        h11="d2", h22="d1 - d2 + 2"),
+             _defs_file(tmp_path / "tree", {}, h11="(c*t1 + 1)^2",
+                        h22="(c*t1 + 1) - (c*t1 + 1)^2 + 2")]
+    reports = []
+    for path in paths:
+        capsys.readouterr()
+        assert run(["invariants", path, "--at", "0.3,0.5", "--json"]) == 0
+        reports.append(capsys.readouterr().out.replace(path, "PATH"))
+    assert reports[0] == reports[1]
+
+
+CATALOG_EMIT_SHA256 = {
+    "flat": "4c134ead6b47b238d58a45a2d67f7a814185288c362c22e61d78152c469fbca7",
+    "diag_t1":
+        "bf0ade90a29bc662ec3692c6ab74367ffc62c07d6b0d6c6e99c9e417a4b17eca",
+    "vdb": "b9248197d8262919b462e0ae98d3c8b950746dbe9156b9a205d4c568a1ecc5a4",
+    "ppwave1":
+        "d53afd0c816c3f1f8d1baaedff515973320881fd11256f3157641acddd627181",
+    "ppwave2":
+        "395f017dd4e6f442ad50b793bf7faa4a60dd926a9ebf76aeb0e613517471e383",
+    "ppwave3":
+        "ad5a298d21f9870685383aa624b437072ce6019f4a3bdb3c91f1ac8f866409ec",
+    "lambda_kundu":
+        "2d760210ff9ed85406b93bd173799b86e3fb19fef4051f13399e1206eaa6f6b2",
+    "lambda_kundu_c0":
+        "b70f31ebd00f512c577c31cd67fd37260d9ea7eb7b02e563c0932b21cb847deb",
+    "random_analytic":
+        "a4d06c25cde4b8b950e87076d5c9079b02db307cb8067892d5db7b8a2f7de4d0",
+}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_emit_is_unchanged_by_defs(tmp_path, name):
+    # catalog documents have no shared subtrees written as defs; these are
+    # the hashes of their files before metric documents had defs
+    path = tmp_path / "emit.json"
+    assert run(["catalog", name, "--emit", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() \
+        == CATALOG_EMIT_SHA256[name]

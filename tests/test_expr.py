@@ -139,3 +139,26 @@ def test_substitute_replaces_both_coordinates():
         "sin(t2 + 1)*(2*t1) - (t2 + 1)^2/(-(2*t1))")
     assert expr.substitute(expr.parse("3 + c"), (r1, r2)) \
         == expr.parse("3 + c")
+
+
+def _doubled(text, times):
+    for _ in range(times):
+        text = f"({text} + {text})"
+    return text
+
+
+def test_error_context_is_written_out_up_to_the_cap():
+    # an expression is quoted as a tree up to QUOTE_CAP characters; a
+    # longer one, here 131,067, with its shared subtrees named
+    e = expr.parse(_doubled("ln(t1 - 2)", 12))
+    assert len(expr.to_string(e)) == 65_531 < expr.QUOTE_CAP
+    with pytest.raises(SingularEvaluationError) as err:
+        expr.eval_jet(e, {}, (0.5, 0.5), 1)
+    assert err.value.context == f"in {expr.to_string(e)!r}"
+    with pytest.raises(SingularEvaluationError) as err:
+        expr.eval_jet(expr.parse(_doubled("ln(t1 - 2)", 13)), {},
+                      (0.5, 0.5), 1)
+    assert err.value.context == "in " + repr("; ".join(
+        ["d1 = ln(t1 - 2.0)"]
+        + [f"d{i + 1} = d{i} + d{i}" for i in range(1, 13)]
+        + ["d13 + d13"]))

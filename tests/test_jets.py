@@ -263,3 +263,11 @@ def test_reference_kernels_give_every_catalog_layer_bit_for_bit(monkeypatch):
     for name, pts in points.items():
         assert [_layers(catalog(name), pt) for pt in pts] == want[name], name
 
+
+
+def test_number_and_jet_sums_and_differences():
+    a = jets.Jet2(2, (0.3, 1.1, -0.7, 0.2, 0.9, -1.3))
+    assert (2.0 - a).coeffs == (2.0 - 0.3, -1.1, 0.7, -0.2, -0.9, 1.3)
+    assert (a - 2.0).coeffs == (0.3 - 2.0, 1.1, -0.7, 0.2, 0.9, -1.3)
+    assert (2.0 + a).coeffs == (a + 2.0).coeffs \
+        == (2.3, 1.1, -0.7, 0.2, 0.9, -1.3)

@@ -433,3 +433,65 @@ def test_singular_batch_column_fails_alone():
     for k in (0, 2):
         _assert_evaluation_is_the_point(got[k], point_jets(m, pts[k]))
 
+
+
+@st.composite
+def shared_components(draw):
+    """Ten submersion components drawn from one pool of nodes, each new
+    node built from earlier ones, so subtrees are shared within and
+    across components."""
+    pool = [expr.Var(0), expr.Var(1), expr.Param("a"), expr.Param("k_2"),
+            draw(numbers)]
+
+    def pick():
+        return pool[draw(st.integers(0, len(pool) - 1))]
+
+    for _ in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from(("neg", "call", "op", "op", "pow")))
+        if kind == "neg":
+            pool.append(expr.Neg(pick()))
+        elif kind == "call":
+            pool.append(expr.Call(
+                draw(st.sampled_from(sorted(expr.FUNCTIONS))), pick()))
+        elif kind == "op":
+            pool.append(expr.BinOp(draw(st.sampled_from("+-*/")), pick(),
+                                   pick()))
+        else:
+            pool.append(expr.BinOp("^", pick(), expr.Num(
+                draw(st.sampled_from((2.0, 3.0, 0.5))))))
+    return [pick() for _ in metrics.SUBMERSION_KEYS]
+
+
+def _distinct_nodes(m):
+    seen, todo = set(), list(m.asts.values())
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(expr._children(node))
+    return len(seen)
+
+
+@SETTINGS
+@given(shared_components(), points)
+def test_defs_document_round_trips(roots, point):
+    defs, texts = expr.to_strings(roots)
+    doc = {"name": "dag", "form": "submersion", "params": PARAMS,
+           "components": dict(zip(metrics.SUBMERSION_KEYS, texts))}
+    if defs:  # a document without defs is written without the key
+        doc["defs"] = defs
+    m = metrics.load_metric(doc)
+    again = metrics.load_metric(m.to_document())
+    tree = metrics.load_metric({**doc, "defs": {}, "components": {
+        k: expr.to_string(e) for k, e in zip(metrics.SUBMERSION_KEYS,
+                                             roots)}})
+    assert m.to_document() == doc and again.defs == defs
+    assert _distinct_nodes(m) == _distinct_nodes(again) \
+        == _distinct_nodes(tree)
+    for key in metrics.SUBMERSION_KEYS:
+        for order in range(4):
+            want = _outcome(lambda: expr.eval_jet(
+                tree.asts[key], PARAMS, point, order))
+            for loaded in (m, again):
+                assert _outcome(lambda: expr.eval_jet(
+                    loaded.asts[key], PARAMS, point, order)) == want

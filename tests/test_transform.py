@@ -1,3 +1,8 @@
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,7 +11,8 @@ from g2inv import catalog, expr, jets, point_jets
 from g2inv.errors import (DegenerateTransformError, G2InvError,
                           MetricDefinitionError)
 from g2inv.invariants1 import FUNDAMENTAL_IDS
-from g2inv.metrics import CATALOG_NAMES, default_domain, grid_points
+from g2inv.metrics import (CATALOG_NAMES, default_domain, grid_points,
+                           load_metric)
 from g2inv.transform import (apply_to_metric, invariance_report,
                              load_transform, make_transform, pushforward_jets,
                              random_transform, to_submersion_document)
@@ -271,3 +277,36 @@ def test_invariance_rows_match_the_order1_evaluation_for_negative_signs(
     for name in ("vdb", "random_analytic", "lambda_kundu"):
         got = _check_against_order1(name, seed, 4)
         assert got[:2] == signs_at_vdb
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, which makes the equiv workload's images."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, Path(
+            __file__).parents[1] / "perfbench" / "workloads.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def test_image_documents_keep_the_bits_of_their_tree_text():
+    # the image document names its shared subtrees; the same image written
+    # out as a tree, one text per component, loads to jets with the same bits
+    affine_transform = _perfbench_workloads().affine_transform
+    sources = [catalog(n) for n in CATALOG_NAMES if n != "random_analytic"] \
+        + [catalog("random_analytic", {"seed": s}) for s in range(8)]
+    for s in range(6):
+        p = affine_transform(np.random.default_rng(s))
+        for m in sources:
+            image = apply_to_metric(m, p)
+            doc = image.to_document()
+            assert doc["defs"] and len(json.dumps(doc)) < 4000
+            tree = load_metric({**doc, "defs": {}, "components": {
+                k: expr.to_string(e) for k, e in image.asts.items()}})
+            # a batch point: each column has the bits of its own point
+            grid = tuple(map(np.array, zip(*grid_points(image.domain, 3))))
+            want, got = (np.array([j.coeffs for j in point_jets(
+                loaded, grid, order=3).all_component_jets()])
+                for loaded in (tree, load_metric(doc)))
+            assert got.tobytes() == want.tobytes(), (m.name, s)
