@@ -168,8 +168,13 @@ def _rows(pj, order):
             row[k] = getattr(sec, k)
         for k in ("J1", "J2"):  # a batch gives NaN where C_rho ~ 0
             row[k] = np.where(pj.stratum.c_rho_zero, None, row[k])
-    return [dict(zip(row, values))
-            for values in zip(*map(np.atleast_1d, row.values()))]
+    return _columns(row)
+
+
+def _columns(row):
+    """The row of each column of a row of values or (B,) vectors."""
+    return [dict(zip(row, values)) for values in zip(
+        *(np.atleast_1d(v).tolist() for v in row.values()))]
 
 
 def cmd_invariants(args):
@@ -227,12 +232,15 @@ def _worst(values, tol):
 
 def cmd_check_einstein(args):
     m = metrics.load_metric(args.metric)
-    rows = []
-    for pt in _resolve_points(args, m):
-        res = einstein.residual(
-            metrics.point_jets(m, pt, order=2, method=args.method), args.lam)
-        rows.append({"point": list(pt), "normalized": res.normalized,
-                     "max_abs": res.max_abs, "scale": res.scale})
+    points = _resolve_points(args, m)
+
+    def evaluate(point):
+        res = einstein.residual(metrics.point_jets(
+            m, point, order=2, method=args.method), args.lam)
+        return _columns({"normalized": res.normalized,
+                         "max_abs": res.max_abs, "scale": res.scale})
+    rows = [{"point": list(pt), **row} for pt, row in zip(
+        points, metrics.each_point_or_raise(evaluate, points))]
     worst, ok = _worst((r["normalized"] for r in rows), args.tol)
     _emit(args, {"command": "check-einstein", "metric": m.name,
                  "lambda": args.lam, "tol": args.tol,
@@ -250,14 +258,17 @@ def cmd_check_relations(args):
         ("second_order", invariants2.relations_second, args.second),
         ("onshell", lambda pj: einstein.onshell_relations(pj, args.lam),
          args.onshell)) if chosen]
-    rows = {key: [] for key, _ in suites}
-    for pt in points:
-        pj = metrics.point_jets(m, pt, order=2, method=args.method)
+
+    def evaluate(point):
+        pj = metrics.point_jets(m, point, order=2, method=args.method)
+        rows = []
         for key, suite in suites:
             with metrics.singular_on_overflow(key):
-                rows[key].append(suite(pj))
+                rows.append(_columns(suite(pj)))
+        return list(zip(*rows))  # each column's row of each suite
+    got = metrics.each_point_or_raise(evaluate, points)
     report = {"command": "check-relations", "metric": m.name}
-    for key, suite_rows in rows.items():
+    for (key, _), suite_rows in zip(suites, zip(*got)):
         # the on-shell rows carry the Einstein residual for attribution;
         # it is not one of the relations
         worst, ok = _worst((v for row in suite_rows for k, v in row.items()
@@ -267,7 +278,7 @@ def cmd_check_relations(args):
                            for k, v in row.items()} for row in suite_rows]
         report[key] = {"max_residual": worst, "pass": ok, "points": [
             {"point": list(pt), **row} for pt, row in zip(points, suite_rows)]}
-    report["pass"] = all(report[key]["pass"] for key in rows)
+    report["pass"] = all(report[key]["pass"] for key, _ in suites)
     _emit(args, report)
     return 0 if report["pass"] else 1
 

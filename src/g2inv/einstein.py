@@ -13,6 +13,8 @@ R^a_bcd = d_c G^a_db - d_d G^a_cb + G^a_ce G^e_db - G^a_de G^e_cb.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,41 @@ def _stack(a, core):
     """(B,) + core stack of a batch's columns (one point: a stack of one)."""
     return a[None] if a.ndim == core \
         else np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+
+def _unstack(s, pj):
+    """A stack back in pj's layout: a batch's with a trailing point axis,
+    one point's entry (a float for a scalar)."""
+    if pj.batch:
+        return np.moveaxis(s, 0, -1)
+    return float(s[0]) if s.ndim == 1 else s[0]
+
+
+def _form(a, g, b):
+    """g(a, b) of stacks: a 1x4 @ 4x4 @ 4x1 product per column."""
+    return (a[:, None] @ g @ b[:, :, None])[:, 0, 0]
+
+
+def _max(first, *rest):
+    """Python's max(first, *rest), column by column on a batch (a later
+    value replaces the one kept only if greater, so NaN stays as max)."""
+    if not isinstance(first, np.ndarray):
+        return max((first, *rest))
+    for value in rest:
+        first = np.where(value > first, value, first)
+    return first
+
+
+def _defined(where, relation, *columns):
+    """relation(*columns) where the stratum flag holds, None elsewhere; a
+    batch computes it only on the columns (trailing axis) where it holds,
+    as an object array."""
+    if not isinstance(where, np.ndarray):
+        return relation(*columns) if where else None
+    out = np.full(where.shape, None, dtype=object)
+    if where.any():
+        out[where] = relation(*(c[..., where] for c in columns))
+    return out
 
 
 def four_metric(pj):
@@ -151,7 +188,7 @@ def riemann4(pj):
 
 def ricci4(pj):
     """Ricci tensor values R_bd = R^a_bad."""
-    return np.einsum("abad->bd", pj.riemann)
+    return np.einsum("abad...->bd...", pj.riemann)
 
 
 def sectional_curvature(pj, u, v):
@@ -163,12 +200,11 @@ def sectional_curvature(pj, u, v):
     w = np.einsum("abcd...,b...,c...,d...->a...", pj.riemann, v, u, v)
     w, u, v = (_stack(x, 1) for x in (w, u, v))
     # each column's products, and ** on its float64
-    form = lambda a, b: (a[:, None] @ g @ b[:, :, None])[:, 0, 0]  # noqa
-    den = form(u, u) * form(v, v) - np.array([x ** 2 for x in form(u, v)])
+    den = _form(u, g, u) * _form(v, g, v) \
+        - np.array([x ** 2 for x in _form(u, g, v)])
     if (den == 0.0).any():
         raise SingularMetricError("degenerate plane for sectional curvature")
-    k = form(w, u) / den
-    return float(k[0]) if pj.g4.ndim == 3 else k
+    return _unstack(_form(w, g, u) / den, pj)
 
 
 @dataclass
@@ -183,8 +219,10 @@ def residual(pj, lam):
     """Lambda-vacuum residual R_ab - Lambda g_ab at the point of pj."""
     with metrics.singular_on_overflow("residual"):
         mat = ricci4(pj) - lam * pj.g4[0]
-        max_abs = float(np.max(np.abs(mat)))
-    scale = float(np.abs(pj.g4).max())
+        max_abs = np.abs(mat).max((0, 1))
+    scale = np.abs(pj.g4).max((0, 1, 2))
+    if not pj.batch:
+        max_abs, scale = float(max_abs), float(scale)
     return Residual(matrix=mat, max_abs=max_abs, scale=scale,
                     normalized=max_abs / scale)
 
@@ -194,11 +232,17 @@ def _normalized(terms, scales=()):
 
     scales carries magnitudes of sub-terms hidden inside composite
     coefficients, so a relation whose terms all cancel to roundoff is
-    reported as satisfied rather than as 0/0 noise.
+    reported as satisfied rather than as 0/0 noise.  The terms are
+    summed left to right from 0.0, as Python's sum does from 0.
     """
-    scale = max(max(abs(t) for t in terms), *scales, 0.0) \
-        if scales else max(abs(t) for t in terms)
-    return sum(terms) / scale if scale > 0.0 else 0.0
+    scale = _max(*map(abs, terms))
+    if scales:
+        scale = _max(scale, *scales, 0.0)
+    total = functools.reduce(operator.add, terms, 0.0)
+    if not isinstance(scale, np.ndarray):
+        return total / scale if scale > 0.0 else 0.0
+    return np.divide(total, scale, out=np.zeros(scale.shape),
+                     where=scale > 0.0)
 
 
 def onshell_relations(pj, lam):
@@ -208,6 +252,7 @@ def onshell_relations(pj, lam):
     one of the relations: it makes a violation of the relations on a
     non-vacuum metric attributable.
     """
+    _pow = jets._pow  # x ** k per element, as on one point's floats
     jv = pj.fields
     sec = pj.second
     sg = pj.stratum.sign_det_gt
@@ -228,22 +273,22 @@ def onshell_relations(pj, lam):
     Xp_ellC = jets.along(Xp, jv["ell_C"])
 
     dq = Q_chi - Q_gamma
-    big = max(abs(C_rho), abs(C_chi), 4.0 * abs(lam), abs(ell_C))
+    big = _max(abs(C_rho), abs(C_chi), 4.0 * abs(lam), abs(ell_C))
     row = {
         "ric_chi_ellC": _normalized(
             [sec.C_ric, 0.5 * C_chi, -sg * 1.5 * ell_C]),
         "nu_ellC_rho": _normalized(
             [sec.C_nu, -sg * ell_C, 4.0 * lam, 0.5 * C_rho]),
         "Xperp_Crho_sq": _normalized(
-            [sg * Xp_Crho ** 2, 4.0 * Q_chi * C_rho ** 2,
-             -16.0 * dq * C_chi * C_rho, 64.0 * dq ** 2],
+            [sg * _pow(Xp_Crho, 2), 4.0 * Q_chi * _pow(C_rho, 2),
+             -16.0 * dq * C_chi * C_rho, 64.0 * _pow(dq, 2)],
             scales=(16.0 * (abs(Q_chi) + abs(Q_gamma))
                     * abs(C_chi * C_rho),
-                    64.0 * (Q_chi ** 2 + Q_gamma ** 2))),
+                    64.0 * (_pow(Q_chi, 2) + _pow(Q_gamma, 2)))),
         "Xperp_ellC_sq": _normalized(
-            [sg * Xp_ellC ** 2,
+            [sg * _pow(Xp_ellC, 2),
              sgh * 4.0 * (th1 - 2.0 * ell_C * root) * th1,
-             4.0 * ell_C ** 2 * Q_chi],
+             4.0 * _pow(ell_C, 2) * Q_chi],
             scales=(4.0 * (abs(th1) + 2.0 * abs(ell_C * root))
                     * abs(th1),)),
         "X_Crho": _normalized(
@@ -252,27 +297,26 @@ def onshell_relations(pj, lam):
             scales=(big * abs(C_rho),
                     8.0 * (abs(Q_chi) + abs(Q_gamma)))),
         "X_ellC_long": _normalized(
-            [dq * X_ellC ** 2,
+            [dq * _pow(X_ellC, 2),
              -sgh * C_rho * root * th1 * X_ellC,
              (3.0 * Q_chi - 2.0 * Q_gamma) * C_rho * ell_C * X_ellC,
-             (C_chi * C_rho * Q_chi + 2.0 * C_rho ** 2 * Q_chi
-              - C_rho ** 2 * Q_gamma - 4.0 * Q_chi ** 2
-              + 4.0 * Q_chi * Q_gamma) * ell_C ** 2,
-             -sgh * (2.0 * C_chi * C_rho + C_rho ** 2
+             (C_chi * C_rho * Q_chi + 2.0 * _pow(C_rho, 2) * Q_chi
+              - _pow(C_rho, 2) * Q_gamma - 4.0 * _pow(Q_chi, 2)
+              + 4.0 * Q_chi * Q_gamma) * _pow(ell_C, 2),
+             -sgh * (2.0 * C_chi * C_rho + _pow(C_rho, 2)
                      - 8.0 * Q_chi) * root * th1 * ell_C,
-             -8.0 * root ** 3 * th1 * ell_C,
-             sgh * (C_chi * C_rho - 0.25 * C_rho ** 2 - 4.0 * Q_chi
-                    + 4.0 * Q_gamma) * th1 ** 2],
+             -8.0 * _pow(root, 3) * th1 * ell_C,
+             sgh * (C_chi * C_rho - 0.25 * _pow(C_rho, 2) - 4.0 * Q_chi
+                    + 4.0 * Q_gamma) * _pow(th1, 2)],
             scales=((abs(C_chi * C_rho * Q_chi)
-                     + 2.0 * C_rho ** 2 * abs(Q_chi)
-                     + C_rho ** 2 * abs(Q_gamma) + 4.0 * Q_chi ** 2
-                     + 4.0 * abs(Q_chi * Q_gamma)) * ell_C ** 2,
-                    (2.0 * abs(C_chi * C_rho) + C_rho ** 2
+                     + 2.0 * _pow(C_rho, 2) * abs(Q_chi)
+                     + _pow(C_rho, 2) * abs(Q_gamma) + 4.0 * _pow(Q_chi, 2)
+                     + 4.0 * abs(Q_chi * Q_gamma)) * _pow(ell_C, 2),
+                    (2.0 * abs(C_chi * C_rho) + _pow(C_rho, 2)
                      + 8.0 * abs(Q_chi)) * abs(root * th1 * ell_C),
                     (3.0 * abs(Q_chi) + 2.0 * abs(Q_gamma))
                     * abs(C_rho * ell_C * X_ellC))),
     }
-    row["gauss_equality"] = _normalized([sec.K_Xiperp, -sec.K_Xi]) \
-        if (sec.K_Xi or sec.K_Xiperp) else 0.0
+    row["gauss_equality"] = _normalized([sec.K_Xiperp, -sec.K_Xi])
     row["einstein_normalized"] = residual(pj, lam).normalized
     return row

@@ -326,11 +326,12 @@ def to_strings(asts, reserved=()):
     subtrees, with parse(texts[k], table, parsed defs) the node structure
     of parse(to_string(asts[k]), table).
 
-    Each compound node referenced twice or more across the ASTs is one
-    def, name -> text, in post-order, so a def uses only earlier ones.
-    The names d1, d2, ... skip any parameter of the ASTs and any name in
-    reserved.
+    Each compound subtree that occurs twice or more across the ASTs, as
+    one node or as equal ones, is one def, name -> text, in post-order,
+    so a def uses only earlier ones.  The names d1, d2, ... skip any
+    parameter of the ASTs and any name in reserved.
     """
+    asts = _interned(asts)
     refs, order = {}, []
 
     def visit(node):
@@ -350,6 +351,25 @@ def to_strings(asts, reserved=()):
     render, spell = _renderer(names, {})
     return ({names[id(n)]: spell(n) for n in shared},
             [render(e) for e in asts])
+
+
+def _interned(asts):
+    """The ASTs with equal subtrees made one node, as parse makes them."""
+    table, memo = {}, {}
+
+    def intern(node, kids):
+        kids = iter(kids)
+        fields = [next(kids) if isinstance(f, Expr) else f
+                  for f in vars(node).values()]
+        # repr keeps Num(-0.0) apart from Num(0.0)
+        key = (type(node), *[id(f) if isinstance(f, Expr) else repr(f)
+                             for f in fields])
+        found = table.get(key)
+        if found is None:
+            found = table[key] = type(node)(*fields)
+        return found
+
+    return [_fold(e, intern, memo) for e in asts]
 
 
 # the longest expression an error message writes out as a tree; defs let

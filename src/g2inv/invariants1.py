@@ -148,7 +148,7 @@ def frame(pj):
     Hp = (-0.5 * Xp[0], -0.5 * Xp[1])
     C = (jv["C1"].value, jv["C2"].value)
     h11, h12, h22 = (j.value for j in pj.h)
-    sq_h = abs(pj.det_h.value) ** 0.5
+    sq_h = jets._pow(abs(pj.det_h.value), 0.5)
     Cp = ((h12 * C[0] + h22 * C[1]) / sq_h,
           -(h11 * C[0] + h12 * C[1]) / sq_h)
 
@@ -161,13 +161,15 @@ def frame(pj):
 
     H4 = lift(H)
     Hp4 = lift(Hp)
-    C4 = (0.0, 0.0, C[0], C[1])
-    Cp4 = (0.0, 0.0, Cp[0], Cp[1])
+    o = np.zeros(np.shape(C[0]))
+    C4 = (o, o, C[0], C[1])
+    Cp4 = (o, o, Cp[0], Cp[1])
 
-    g4 = pj.g4[0]
+    g4 = einstein._stack(pj.g4[0], 2)
 
     def gdot(u, v):
-        return float(np.array(u) @ g4 @ np.array(v))
+        u, v = (einstein._stack(np.array(x), 1) for x in (u, v))
+        return einstein._unstack(einstein._form(u, g4, v), pj)
 
     ell_H = gdot(H4, H4)
     ell_Hp = gdot(Hp4, Hp4)
@@ -182,8 +184,8 @@ def frame(pj):
 def _projection_matrices(pj):
     """ver/hor projectors (values)."""
     Fv = [j.value for j in pj.F]
-    ver = np.zeros((4, 4))
-    hor = np.zeros((4, 4))
+    ver = np.zeros((4, 4) + np.shape(Fv[0]))
+    hor = np.zeros(ver.shape)
     # F rows: (f_1^1, f_1^2, f_2^1, f_2^2); f[j][k] = F[2j + k]
     for j in range(2):
         hor[j][j] = 1.0
@@ -204,37 +206,49 @@ def oneill_tensors(pj):
     """
     ver, hor = _projection_matrices(pj)
     G = pj.christoffel[0]
-    T = np.zeros((4, 4, 4))
+    T = np.zeros((4,) + ver.shape)
+    # ver @ x and hor @ x of each column: stacked matmuls on a batch
+    stacks = [einstein._stack(p, 2) for p in (ver, hor)]
+    if pj.batch:
+        mv = lambda m, x: (  # noqa: E731
+            m @ einstein._stack(x, 1)[..., None])[..., 0].T
+    else:
+        mv = lambda m, x: m[0] @ x  # noqa: E731
     for b in range(4):
         for c in range(4):
             # nabla along ver(d_b): vertical directions kill t-derivatives
             vb = ver[:, b]
-            nv_h = np.einsum("a,daf,f->d", vb, G, hor[:, c])
-            nv_v = np.einsum("a,daf,f->d", vb, G, ver[:, c])
-            T[:, b, c] = ver @ nv_h + hor @ nv_v
+            nv_h = np.einsum("a...,daf...,f...->d...", vb, G, hor[:, c])
+            nv_v = np.einsum("a...,daf...,f...->d...", vb, G, ver[:, c])
+            T[:, b, c] = mv(stacks[0], nv_h) + mv(stacks[1], nv_v)
     fr = pj.frame
-    TC = np.einsum("dcb,c->db", T, np.array(fr.C4))
-    TCp = np.einsum("dcb,c->db", T, np.array(fr.Cperp4))
+    TC, TCp = (einstein._stack(np.einsum("dcb...,c...->db...", T,
+                                         np.array(v)), 2)
+               for v in (fr.C4, fr.Cperp4))
     # T_C is skew-adjoint w.r.t. g, so det(T_C) = Pf(g T_C)^2 / det(g)
     # carries the sign of det(g) = det(gt) det(h).  Theta_C is the
     # nonnegative normalization (making Theta_I^2 = 16 Theta_C exact),
     # Theta_Cperp the raw determinant (pairing with the signed relation
     # Theta_III^2 = +-_{gt h} 16 Theta_Cperp).
     sgh = pj.stratum.sign_det_gt * pj.stratum.sign_det_h
-    return T, sgh * float(np.linalg.det(TC)), float(np.linalg.det(TCp))
+    return (T, sgh * einstein._unstack(np.linalg.det(TC), pj),
+            einstein._unstack(np.linalg.det(TCp), pj))
 
 
 def relations_first(pj):
-    """Residuals of the five first-order functional relations at a point.
+    """Residuals of the five first-order functional relations at a point
+    (a (B,) vector each on a batch).
 
     Relations (iii)-(v) are None (skipped) on strata where ell_C (and
-    for (iii) also C_rho) is below tolerance.
+    for (iii) also C_rho) is below tolerance; on a batch, an object
+    vector with None in the skipped columns.
     """
     jv = pj.fields
     st = pj.stratum
     sgn_gt, sgn_h = st.sign_det_gt, st.sign_det_h
     T, Theta_C, Theta_Cp = pj.oneill_tensors
     norm = einstein._normalized
+    sq = lambda x: jets._pow(x, 2)  # noqa: E731  (x ** 2 per element)
 
     th1 = jv["Theta_I"].value
     th2 = jv["Theta_II"].value
@@ -244,39 +258,46 @@ def relations_first(pj):
     Q_gamma = jv["Q_gamma"].value
     root = jv["q_gamma_root"].value
 
-    row = {
-        "theta_I_sq_vs_theta_C": norm([th1 ** 2, -16.0 * Theta_C]),
-        "theta_III_sq_vs_theta_Cperp":
-            norm([th3 ** 2, -sgn_gt * sgn_h * 16.0 * Theta_Cp]),
-        "theta_II_T342_Qchi": None,
-        "theta_sum_vs_gamma_root": None,
-        "theta_II_sq_closure": None,
-    }
-    if st.generic:
+    def theta_II_T342_Qchi(T, Y, ell, g4, th2, ell_C, Q_chi, Q_gamma,
+                           sgn_h, sgn_gt):
         # T^(a)_(b)(c): the Y_a-coefficient of T(Y_b, Y_c) in the
         # orthogonal frame Y = {H, Hperp, C, Cperp}
-        fr = pj.frame
-        Y = np.array([fr.H4, fr.Hperp4, fr.C4, fr.Cperp4])
-        ell = np.array([fr.ell_H, fr.ell_Hperp, fr.ell_C, fr.ell_Cperp])
-        vec = np.einsum("dbc,ib,jc->dij", T, Y, Y)
-        T342 = np.einsum("dij,ad,a->aij", vec, Y @ pj.g4[0],
+        vec = np.einsum("dbc...,ib...,jc...->dij...", T, Y, Y)
+        Yg = einstein._unstack(einstein._stack(Y, 2)
+                               @ einstein._stack(g4, 2), pj)
+        T342 = np.einsum("dij...,ad...,a...->aij...", vec, Yg,
                          1.0 / ell)[2][3][1]
-        row["theta_II_T342_Qchi"] = norm(
-            [th2 ** 2 / (16.0 * ell_C ** 2),
-             sgn_h * T342 ** 2,
-             sgn_gt * 0.25 * (Q_chi - Q_gamma)])
-    if not st.ell_c_zero:
-        # exact identities on every stratum (from the componentwise
-        # identity r3 = ell_C w - det(h) c_I of the Theta bottom rows);
-        # for det h > 0 they reduce to the displayed +-free forms
-        row["theta_sum_vs_gamma_root"] = norm(
-            [-2.0 * ell_C * root, sgn_h * th1, th3])
-        row["theta_II_sq_closure"] = norm(
-            [sgn_gt * 4.0 * Q_chi * ell_C ** 2,
-             -8.0 * th1 * root * ell_C,
-             sgn_h * 4.0 * th1 ** 2,
-             th2 ** 2])
-    return row
+        return norm([sq(th2) / (16.0 * sq(ell_C)),
+                     sgn_h * sq(T342),
+                     sgn_gt * 0.25 * (Q_chi - Q_gamma)])
+
+    fr = pj.frame
+    # exact identities on every stratum (from the componentwise identity
+    # r3 = ell_C w - det(h) c_I of the Theta bottom rows); for det h > 0
+    # they reduce to the displayed +-free forms
+    return {
+        "theta_I_sq_vs_theta_C": norm([sq(th1), -16.0 * Theta_C]),
+        "theta_III_sq_vs_theta_Cperp":
+            norm([sq(th3), -sgn_gt * sgn_h * 16.0 * Theta_Cp]),
+        "theta_II_T342_Qchi": einstein._defined(
+            st.generic, theta_II_T342_Qchi, T,
+            np.array([fr.H4, fr.Hperp4, fr.C4, fr.Cperp4]),
+            np.array([fr.ell_H, fr.ell_Hperp, fr.ell_C, fr.ell_Cperp]),
+            pj.g4[0], th2, ell_C, Q_chi, Q_gamma, sgn_h, sgn_gt),
+        "theta_sum_vs_gamma_root": einstein._defined(
+            ~st.ell_c_zero,
+            lambda ell_C, root, th1, th3, sgn_h: norm(
+                [-2.0 * ell_C * root, sgn_h * th1, th3]),
+            ell_C, root, th1, th3, sgn_h),
+        "theta_II_sq_closure": einstein._defined(
+            ~st.ell_c_zero,
+            lambda ell_C, root, th1, th2, Q_chi, sgn_h, sgn_gt: norm(
+                [sgn_gt * 4.0 * Q_chi * sq(ell_C),
+                 -8.0 * th1 * root * ell_C,
+                 sgn_h * 4.0 * sq(th1),
+                 sq(th2)]),
+            ell_C, root, th1, th2, Q_chi, sgn_h, sgn_gt),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -369,15 +390,11 @@ def jacobian(which, probe):
                       if i not in tied.values()]
 
     steps = [RANK_STEP * max(1.0, float(abs(x0 @ e))) for e in directions]
-    f = metrics.each_point(
+    f = np.column_stack(metrics.each_point_or_raise(
         lambda x: list(np.atleast_2d(
             _invariant_vector(_unpack(x, order), which).T)),
         [x0 + s * h * e for h, e in zip(steps, directions)
-         for s in (1.0, -1.0)])
-    for got in f:  # the first failing probe's error
-        if isinstance(got, Exception):
-            raise got
-    f = np.column_stack(f)
+         for s in (1.0, -1.0)]))
     return (f[:, 0::2] - f[:, 1::2]) / (2.0 * np.array(steps))
 
 

@@ -34,10 +34,6 @@ class Invariants2:
     J2: float = None
 
 
-def _unstack(v, pj):
-    return float(v[0]) if isinstance(pj.det_h.value, float) else v
-
-
 def _orbit_curvature(pj):
     """(C_ric, Q_ric) of the 2D orbit metric from order-2 jets, the size
     of the terms C_ric sums (|g^-1| (|dGamma| + |Gamma|^2)), and its
@@ -55,7 +51,7 @@ def _orbit_curvature(pj):
         size = np.abs(gamma[0]).max((0, 1, 2))
         scale = np.abs(gi).max((1, 2)) * (np.abs(gamma[1:3]).max((0, 1, 2, 3))
                                           + size * size)
-    return c_ric, q_ric, _unstack(scale, pj), gamma
+    return c_ric, q_ric, einstein._unstack(scale, pj), gamma
 
 
 def _trace_det(pj, mu):
@@ -67,7 +63,7 @@ def _trace_det(pj, mu):
     # a 1x4 by 4x1 product per column: np.tensordot's sum for one point
     c = (gi.reshape(-1, 1, 4) @ mu.reshape(-1, 4, 1))[:, 0, 0]
     q = np.linalg.det(mu) / np.linalg.det(gt)
-    return _unstack(c, pj), _unstack(q, pj), gi
+    return einstein._unstack(c, pj), einstein._unstack(q, pj), gi
 
 
 def _hessian_log_det_h(pj, gamma2):
@@ -136,47 +132,53 @@ DELTA_TOL = 1e-8
 
 
 def bracket_residual(pj):
-    """Commutator check: [X, Xperp] against J1 X + J2 Xperp."""
+    """Commutator check: [X, Xperp] against J1 X + J2 Xperp (None where
+    J1, J2 are undefined; on a batch, in those columns)."""
     jv = pj.fields
     sec = pj.second
-    if sec.J1 is None:
-        return None
     comp = {k: jv[k] for k in ("X1", "X2", "Xp1", "Xp2")}
     vals = {k: v.value for k, v in comp.items()}
 
     def d(key, s):
         return jets.t_derivative(comp[key], s).value
 
-    bracket = []
-    for i, key in enumerate(("1", "2")):
-        lie = (vals["X1"] * d("Xp" + key, 0) + vals["X2"] * d("Xp" + key, 1)
-               - vals["Xp1"] * d("X" + key, 0) - vals["Xp2"] * d("X" + key, 1))
-        bracket.append(lie)
-    norm = (np.hypot(vals["X1"], vals["X2"])
-            + np.hypot(vals["Xp1"], vals["Xp2"]))
-    diff = [bracket[i] - sec.J1 * vals[f"X{i + 1}"]
-            - sec.J2 * vals[f"Xp{i + 1}"] for i in range(2)]
-    return float(np.hypot(*diff) / norm)
+    def residual(X1, X2, Xp1, Xp2, J1, J2, *partials):
+        # partials: d_s X1, d_s X2, d_s Xp1, d_s Xp2 for s = 0, 1
+        dX, dXp = partials[:4], partials[4:]
+        X, Xp = (X1, X2), (Xp1, Xp2)
+        diff = [X1 * dXp[2 * i] + X2 * dXp[2 * i + 1]
+                - Xp1 * dX[2 * i] - Xp2 * dX[2 * i + 1]
+                - J1 * X[i] - J2 * Xp[i] for i in range(2)]
+        norm = np.hypot(X1, X2) + np.hypot(Xp1, Xp2)
+        return np.hypot(*diff) / norm
+
+    value = einstein._defined(
+        ~pj.stratum.c_rho_zero, residual,
+        *(vals[k] for k in ("X1", "X2", "Xp1", "Xp2")), sec.J1, sec.J2,
+        *(d(k, s) for k in ("X1", "X2", "Xp1", "Xp2") for s in range(2)))
+    return value if pj.batch or value is None else float(value)
 
 
 def relations_second(pj):
-    """Residuals of the second-order relations at a point: Q_ric, Q_nu
-    and the commutator (None where J1, J2 are undefined).
+    """Residuals of the second-order relations at a point (a (B,) vector
+    each on a batch): Q_ric, Q_nu and the commutator (None where J1, J2
+    are undefined).
 
     A curvature below GENERIC_TOL of the size of the terms it is summed
     from reads as zero, so Q_ric = C_ric^2/4 holds on a flat orbit metric
     whose curvature comes out as roundoff."""
+    sq = lambda x: jets._pow(x, 2)  # noqa: E731  (x ** 2 per element)
     sec = pj.second
     sg = pj.stratum.sign_det_gt
     C_rho = pj.fields["C_rho"].value
     floor = metrics.GENERIC_TOL * sec.ric_scale
     return {
         "q_ric": einstein._normalized(
-            [sec.Q_ric, -0.25 * sec.C_ric ** 2],
+            [sec.Q_ric, -0.25 * sq(sec.C_ric)],
             scales=(floor * floor,)),
-        "q_nu": einstein._normalized([4.0 * C_rho ** 2 * sec.Q_nu,
-                                      sec.XI["C_rho"] ** 2,
-                                      sg * sec.XperpI["C_rho"] ** 2,
+        "q_nu": einstein._normalized([4.0 * sq(C_rho) * sec.Q_nu,
+                                      sq(sec.XI["C_rho"]),
+                                      sg * sq(sec.XperpI["C_rho"]),
                                       -2.0 * sec.C_nu * C_rho
                                       * sec.XI["C_rho"]]),
         "commutator": bracket_residual(pj),

@@ -116,6 +116,11 @@ class PointJets:
     def all_component_jets(self):
         return self.gt + self.F + self.h
 
+    @property
+    def batch(self):
+        """Whether the jets are a batch (coefficients are vectors)."""
+        return isinstance(self.det_h.value, np.ndarray)
+
     @cached_property
     def fields(self):
         from .invariants1 import first_invariant_jets
@@ -201,6 +206,14 @@ def load_metric(document):
             isinstance(v, (int, float)) and not isinstance(v, bool)
             for v in params.values()):
         raise MetricDefinitionError("params must map names to numbers")
+    for key, value in params.items():
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
+            raise MetricDefinitionError(
+                f"param {key!r} must be a finite float")
     if not isinstance(components, dict):
         raise MetricDefinitionError("components must be a JSON object")
     keys = BFH_KEYS if form == "bfh" else SUBMERSION_KEYS
@@ -348,20 +361,50 @@ def point_jets(m, point, order=2, method="analytic"):
     return pj
 
 
-def each_point(evaluate, items):
+# the most columns each_point evaluates as one batch: peak memory grows
+# with the batch (about 11 kB a column through the second-order layer)
+MAX_BATCH = 256
+
+
+def each_point(evaluate, items, stop=False):
     """evaluate's result at each item, or the G2InvError or
     ArithmeticError it raises there; evaluate(point) gives one result
-    per column of its point.  The items run as one batch, and a batch
-    that raises is halved, down to single items evaluated alone as
-    floats: a failing item fails alone, with its own error."""
+    per column of its point.  The items run as batches of at most
+    MAX_BATCH, and a batch that raises is halved, down to single items
+    evaluated alone as floats: a failing item fails alone, with its own
+    error.  With stop, the results end with the first failing item's
+    error, and items after it run only in the batches that failed with
+    it.  numpy overflow, invalid arithmetic and zero division raise in a
+    batch, so an item that would print a numpy warning runs alone and
+    prints it as alone."""
+    if len(items) > MAX_BATCH:
+        got = []
+        for start in range(0, len(items), MAX_BATCH):
+            got += each_point(evaluate, items[start:start + MAX_BATCH], stop)
+            if stop and isinstance(got[-1], Exception):
+                break
+        return got
     try:
-        return evaluate(items[0] if len(items) == 1 else np.array(items).T)
+        if len(items) == 1:
+            return evaluate(items[0])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return evaluate(np.array(items).T)
     except (G2InvError, ArithmeticError) as err:
         if len(items) == 1:
             return [err]
     half = len(items) // 2
-    return each_point(evaluate, items[:half]) \
-        + each_point(evaluate, items[half:])
+    got = each_point(evaluate, items[:half], stop)
+    if stop and isinstance(got[-1], Exception):
+        return got
+    return got + each_point(evaluate, items[half:], stop)
+
+
+def each_point_or_raise(evaluate, items):
+    """each_point's results, raising the first failing item's error."""
+    got = each_point(evaluate, items, stop=True)
+    if isinstance(got[-1], Exception):
+        raise got[-1]
+    return got
 
 
 def component_scale(pj):
@@ -465,7 +508,11 @@ def catalog(name, params=None):
     params = dict(params or {})
 
     def take(key, default):
-        return float(params.pop(key, default))
+        value = float(params.pop(key, default))
+        if not math.isfinite(value):
+            raise MetricDefinitionError(
+                f"param {key!r} must be a finite float")
+        return value
 
     if name == "flat":
         doc = _doc("flat", "bfh", {}, _zeros(BFH_KEYS, {

@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from g2inv import catalog, jets, point_jets
+from g2inv.einstein import onshell_relations
 from g2inv.invariants1 import relations_first
+from g2inv.invariants2 import relations_second
 from g2inv.metrics import default_domain, grid_points
 
 VDB = catalog("vdb")
@@ -23,6 +25,13 @@ POINT = (0.6, 1.1)
 # a 12-point batch, the size of a grid op
 BATCH = tuple(np.array(t) for t in zip(*grid_points(
     default_domain(VDB), 3, 4, margin=0.05)))
+# a 6-point batch, the size of a check op
+CHECK_BATCH = tuple(np.array(t) for t in zip(*grid_points(
+    default_domain(VDB), 2, 3, margin=0.05)))
+LK = catalog("lambda_kundu")
+LK_POINT = (0.9, 0.1)
+LK_BATCH = tuple(np.array(t) for t in zip(*grid_points(
+    default_domain(LK), 2, 3, margin=0.05)))
 
 
 def _operands(order, width):
@@ -63,6 +72,23 @@ def test_second(benchmark, point):
     assert np.isfinite(sec.C_ric).all()
 
 
-def test_relations_first(benchmark):
-    row = benchmark(lambda: relations_first(point_jets(VDB, POINT)))
-    assert all(v is None or np.isfinite(v) for v in row.values())
+def _finite(row):
+    return all(np.isfinite(np.array(v, dtype=float)).all()
+               for v in row.values() if v is not None)
+
+
+@pytest.mark.parametrize("point", [POINT, CHECK_BATCH], ids=["float", "B6"])
+def test_relations_first(benchmark, point):
+    assert _finite(benchmark(lambda: relations_first(point_jets(VDB, point))))
+
+
+@pytest.mark.parametrize("point", [POINT, CHECK_BATCH], ids=["float", "B6"])
+def test_relations_second(benchmark, point):
+    assert _finite(benchmark(
+        lambda: relations_second(point_jets(VDB, point))))
+
+
+@pytest.mark.parametrize("point", [LK_POINT, LK_BATCH], ids=["float", "B6"])
+def test_onshell_relations(benchmark, point):
+    assert _finite(benchmark(
+        lambda: onshell_relations(point_jets(LK, point), 3.0)))

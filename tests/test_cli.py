@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,10 +13,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import g2inv
-from g2inv import catalog, cli, metrics, point_jets
+from g2inv import catalog, cli, einstein, metrics, point_jets
 from g2inv.cli import SECOND_ORDER_COLUMNS, SECOND_ORDER_NAMES, dumps, run
 from g2inv.errors import G2InvError
-from g2inv.invariants1 import FUNDAMENTAL_IDS
+from g2inv.invariants1 import FUNDAMENTAL_IDS, relations_first
+from g2inv.invariants2 import relations_second
 from g2inv.metrics import CATALOG_NAMES
 from g2inv.transform import apply_to_metric, make_transform
 
@@ -276,6 +279,23 @@ def test_relation_suite_overflow_is_one_error_line(tmp_path):
     assert r.stdout == ""
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, \
         r.stderr
+
+
+def test_a_batch_prints_no_numpy_warning(tmp_path):
+    # exp(400*t1)^2 overflows at t1 = 1: numpy warns on a batch holding
+    # that point, while the point alone fails without a warning
+    doc = catalog("flat").to_document()
+    doc["components"]["h11"] = "exp(400*t1)*exp(400*t1)"
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    r = _module_run("grid", str(path), "--t1", "0:1:2", "--t2", "0:0:1",
+                    "--json")
+    assert r.returncode == 0 and r.stderr == ""
+    rows = json.loads(r.stdout)["rows"]
+    assert rows[0]["C_rho"] is not None and rows[1]["C_rho"] is None
+    r = _module_run("check-relations", str(path), "--points", "0,0;1,0")
+    assert r.returncode == 2 and r.stderr == \
+        "error: singular h for metric 'flat' at (1.0, 0.0)\n"
 
 
 UNDERFLOW = {"gt11": "t2*exp(-150*t1)", "gt12": "0", "gt22": "1",
@@ -636,6 +656,155 @@ def test_batched_grid_has_the_bits_of_its_points(grid_files, name, u1, u2,
         assert fh.read() == want
 
 
+# h11 = exp(t1 t2) gives C_rho = t1^2 + t2^2 and F11 = t1 t2 gives
+# ell_C = exp(t1 t2) t1^2: at t1 = 0 ell_C is 0, at the origin C_rho too
+MIXED_STRATA = {**FLAT_SUBMERSION, "F11": "t1*t2", "h11": "exp(t1*t2)"}
+CHECK_DOMAINS = {"mixed_strata": ((-1.0, 1.0), (-1.0, 1.0))}
+
+
+@pytest.fixture(scope="module")
+def check_files(grid_files):
+    (grid_files / "mixed_strata").write_text(json.dumps({
+        "name": "mixed_strata", "form": "submersion", "params": {},
+        "components": MIXED_STRATA}))
+    return grid_files
+
+
+def _captured(command, argv):
+    """(exit code, stdout, stderr) of command(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = command(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_point_by_point(argv):
+    """The exit code of a check command as one point_jets call per point
+    gives it, its report written to stdout, its error to stderr."""
+    args = cli.build_parser().parse_args(argv)
+    m = metrics.load_metric(args.metric)
+    try:
+        points = cli._resolve_points(args, m)
+        if args.cmd == "check-einstein":
+            rows = []
+            for pt in points:
+                res = einstein.residual(point_jets(
+                    m, pt, order=2, method=args.method), args.lam)
+                rows.append({"point": list(pt), "normalized": res.normalized,
+                             "max_abs": res.max_abs, "scale": res.scale})
+            worst, ok = cli._worst((r["normalized"] for r in rows), args.tol)
+            cli._emit(args, {"command": "check-einstein", "metric": m.name,
+                             "lambda": args.lam, "tol": args.tol,
+                             "max_normalized": worst, "pass": ok,
+                             "points": rows})
+            return 0 if ok else 1
+        if not (args.first or args.second or args.onshell):
+            args.first = args.second = True
+        suites = [(key, suite) for key, suite, chosen in (
+            ("first_order", relations_first, args.first),
+            ("second_order", relations_second, args.second),
+            ("onshell", lambda pj: einstein.onshell_relations(pj, args.lam),
+             args.onshell)) if chosen]
+        rows = {key: [] for key, _ in suites}
+        for pt in points:
+            pj = point_jets(m, pt, order=2, method=args.method)
+            for key, suite in suites:
+                with metrics.singular_on_overflow(key):
+                    rows[key].append(suite(pj))
+        report = {"command": "check-relations", "metric": m.name}
+        for key, suite_rows in rows.items():
+            worst, ok = cli._worst((v for row in suite_rows
+                                    for k, v in row.items()
+                                    if k != "einstein_normalized"), args.tol)
+            if key == "first_order":
+                suite_rows = [{k: "skipped" if v is None else v
+                               for k, v in row.items()} for row in suite_rows]
+            report[key] = {"max_residual": worst, "pass": ok, "points": [
+                {"point": list(pt), **row}
+                for pt, row in zip(points, suite_rows)]}
+        report["pass"] = all(report[key]["pass"] for key in rows)
+        cli._emit(args, report)
+        return 0 if report["pass"] else 1
+    except G2InvError as err:
+        sys.stderr.write(f"error: {err}\n")
+        return 2
+
+
+# fractions of a metric's domain, widened by half its size on either
+# side, so some points fail; the lattice hits diag_t1's singular line
+# t1 = 0 (-1/4) and mixed_strata's degenerate line t1 = 0 (1/2)
+fractions = st.one_of(st.integers(-4, 12).map(lambda k: k / 8),
+                      st.floats(-0.5, 1.5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(GRID_METRICS + ("mixed_strata",)),
+       st.lists(st.tuples(fractions, fractions), min_size=1, max_size=8),
+       st.sampled_from(("check-einstein", "--first", "--second",
+                        "--onshell", "--first --second",
+                        "--first --second --onshell", "")),
+       st.sampled_from(("analytic", "fd")), st.sampled_from(("0", "3")),
+       st.booleans())
+@example("diag_t1", [(0.0, 0.5), (-0.25, 0.5), (0.25, 0.5)],
+         "--first --second --onshell", "analytic", "0", True)
+@example("diag_t1", [(0.5, 0.5)] * 3 + [(-0.25, 0.5)] + [(0.5, 0.5)] * 2,
+         "--first --second", "fd", "0", False)
+@example("diag_t1", [(0.5, 0.5)] * 3 + [(-0.25, 0.5)] + [(0.5, 0.5)] * 2,
+         "check-einstein", "analytic", "0", True)
+@example("mixed_strata", [(0.75, 0.75), (0.5, 0.75), (0.5, 0.5),
+                          (0.625, 0.375)],
+         "--first --second --onshell", "analytic", "0", True)
+def test_batched_checks_have_the_bits_of_their_points(
+        check_files, name, fracs, command, method, lam, json_out):
+    path = str(check_files / name)
+    m = metrics.load_metric(path)
+    (a, b), (c, d) = CHECK_DOMAINS.get(name) or metrics.default_domain(m)
+    points = ";".join("%r,%r" % (a + u * (b - a), c + v * (d - c))
+                      for u, v in fracs)
+    argv = ([command] if command == "check-einstein"
+            else ["check-relations", *command.split()])
+    argv += [path, "--points=" + points, "--method", method, "--lambda", lam,
+             *(["--json"] * json_out)]
+    assert _captured(run, argv) == _captured(_check_point_by_point, argv)
+
+
+def test_check_raises_the_error_of_its_first_failing_point(check_files,
+                                                           capsys):
+    # diag_t1 is singular on t1 = 0: the 4th and 6th of six points
+    path = str(check_files / "diag_t1")
+    points = "--points=1,0;1.5,0.5;2,-0.5;0,0.25;0.75,0;-0,1"
+    for argv in (["check-relations", path, points, "--first", "--second"],
+                 ["check-einstein", path, points, "--json"]):
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: singular h for metric 'diag_t1' at (0.0, 0.25)\n")
+
+
+def test_mixed_strata_run_as_one_batch(check_files, capsys, monkeypatch):
+    # generic points with ell_C = 0 (t1 = 0) and C_rho = 0 (the origin)
+    # points: each relation skipped where its stratum says so, in one
+    # point_jets call
+    calls = []
+    build = metrics.point_jets
+    monkeypatch.setattr(metrics, "point_jets", lambda m, point, **kw: (
+        calls.append(np.shape(point[0])) or build(m, point, **kw)))
+    assert run(["check-relations", str(check_files / "mixed_strata"),
+                "--points=0.5,0.5;0,0.5;0,0;0.25,-0.25", "--first",
+                "--second", "--onshell", "--json"]) in (0, 1)
+    assert calls == [(4,)]
+    report = json.loads(capsys.readouterr().out)
+    skipped = [[k for k, v in row.items() if v == "skipped"]
+               for row in report["first_order"]["points"]]
+    assert skipped[0] == skipped[3] == []
+    assert skipped[1] == skipped[2] == [
+        "theta_II_T342_Qchi", "theta_sum_vs_gamma_root",
+        "theta_II_sq_closure"]
+    assert [row["commutator"] is None
+            for row in report["second_order"]["points"]] \
+        == [False, False, True, False]
+
+
 GOOD_TRANSFORM = {"phi1": "t1", "phi2": "t2", "psi1": "0", "psi2": "0",
                   "alpha": [[1, 0], [0, 1]]}
 
@@ -678,7 +847,11 @@ def test_malformed_transform_document_is_an_input_error(
     ({"components": 5}, "components"),
     ({"params": [1, 2]}, "params"),
     ({"params": {"c": True}}, "params"),
-], ids=["components_number", "params_list", "params_boolean"])
+    ({"params": {"c": math.nan}}, "'c' must be a finite float"),
+    ({"params": {"c": math.inf}}, "'c' must be a finite float"),
+    ({"params": {"c": 10 ** 400}}, "'c' must be a finite float"),
+], ids=["components_number", "params_list", "params_boolean", "params_nan",
+        "params_infinity", "params_int_past_float"])
 def test_malformed_metric_document_is_an_input_error(tmp_path, capsys,
                                                      change, key):
     path = tmp_path / "metric.json"
@@ -688,6 +861,16 @@ def test_malformed_metric_document_is_an_input_error(tmp_path, capsys,
     err = _one_error_line(["invariants", str(path), "--at", "0.5,0.5"],
                           capsys)
     assert key in err, err
+
+
+@pytest.mark.parametrize("value", ["nan", "1e400", "-inf"])
+def test_catalog_non_finite_param_is_an_input_error(tmp_path, capsys, value):
+    # float() reads these, and json once wrote them out as "c": nan
+    path = tmp_path / "ppwave2.json"
+    err = _one_error_line(["catalog", "ppwave2", "--param", "c=" + value,
+                           "--emit", str(path)], capsys)
+    assert "'c' must be a finite float" in err
+    assert not path.exists()
 
 
 def _defs_file(tmp_path, defs, params=None, **components):

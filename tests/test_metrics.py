@@ -308,13 +308,14 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
     assert cli.run(["grid", str(path), "--t1", "0.4:1.0:2", "--t2",
                     "0.8:1.4:2", "--order", "2", "--csv", "--out",
                     str(tmp_path / "grid.csv")]) == 0
-    # a check builds one PointJets per point and runs every selected
-    # suite on it
+    # a check evaluates each point once, in one batch PointJets, and runs
+    # every selected suite on it
     point_calls = Counter()
     build = metrics.point_jets
 
     def counting_point_jets(m, point, *args, **kwargs):
-        point_calls[point] += 1
+        for column in zip(*map(np.atleast_1d, point)):
+            point_calls[tuple(map(float, column))] += 1
         return build(m, point, *args, **kwargs)
 
     monkeypatch.setattr(metrics, "point_jets", counting_point_jets)
@@ -528,3 +529,31 @@ def test_each_point_evaluates_a_failing_item_alone():
     others = pts[:3] + pts[4:]
     batch = evaluate(tuple(np.array(others).T))
     assert np.array(got[:3] + got[4:]).tobytes() == np.array(batch).tobytes()
+
+
+def test_each_point_caps_its_batches(monkeypatch):
+    # more items than MAX_BATCH run in chunks of at most MAX_BATCH
+    # columns, one failing item among them, with the results of one batch
+    monkeypatch.setattr(metrics, "MAX_BATCH", 4)
+    widths = []
+
+    def evaluate(point):
+        x = np.atleast_1d(point[0])
+        widths.append(len(x))
+        if (x == 5.0).any():
+            raise SingularEvaluationError("div", 0.0)
+        return list(np.sqrt(x) * np.atleast_1d(point[1]))
+
+    items = [(float(k), 0.5 + k) for k in range(11)]
+    got = metrics.each_point(evaluate, items)
+    assert max(widths) == 4
+    assert type(got[5]) is SingularEvaluationError
+    want = evaluate(tuple(np.array(items[:5] + items[6:]).T))
+    assert np.array(got[:5] + got[6:]).tobytes() == np.array(want).tobytes()
+    # with stop, the chunk after the failing item's chunk does not run,
+    # and the results end with its error
+    widths.clear()
+    stopped = metrics.each_point(evaluate, items, stop=True)
+    assert len(stopped) == 6 and type(stopped[5]) is SingularEvaluationError
+    assert np.array(stopped[:5]).tobytes() == np.array(got[:5]).tobytes()
+    assert widths == [4, 4, 2, 1, 1]

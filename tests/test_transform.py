@@ -290,6 +290,17 @@ def _perfbench_workloads():
     return sys.modules[name]
 
 
+def test_image_documents_name_equal_subtrees_once():
+    # apply_to_metric builds t1 - b afresh in each row of its inverse map
+    # and a fresh Num for each coefficient; equal subtrees are one def
+    p = _perfbench_workloads().affine_transform(np.random.default_rng(2))
+    doc = apply_to_metric(catalog("vdb"), p).to_document()
+    texts = [*doc["defs"].values(), *doc["components"].values()]
+    assert doc["defs"]["d1"] == "t1 - 0.06006"
+    assert sum(text.count("t1 - 0.06006") for text in texts) == 1
+    assert len(set(doc["defs"].values())) == len(doc["defs"])
+
+
 def test_image_documents_keep_the_bits_of_their_tree_text():
     # the image document names its shared subtrees; the same image written
     # out as a tree, one text per component, loads to jets with the same bits

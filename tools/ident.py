@@ -1,0 +1,94 @@
+"""Byte-identity record of every benchmark op, for comparing two checkouts.
+
+    python3 tools/ident.py CHECKOUT subproc|inproc SEEDS [WORKLOAD ...]
+
+SEEDS is a comma-separated list, e.g. ``1,5``; the workloads default to
+all four of ``perfbench/workloads.py``.  For each workload and seed the
+script writes the inputs of ``generate(w, s, rounds_for(w, 20), dir)``
+with CHECKOUT's ``perfbench/workloads.py`` and ``src/g2inv`` into a
+fresh temporary directory, runs every op against CHECKOUT's program and
+prints one JSON line per op,
+
+    ["op", workload, seed, argv, exit code, stdout, stderr]
+
+with the directory written as DIR, then one line per file left in the
+directory, ``["file", workload, seed, name, sha256]``.  ``subproc`` runs
+each op as ``python -m g2inv`` in its own process (a fresh warnings
+registry per op, as a shell sees it); ``inproc`` runs them through
+``g2inv.cli.run`` in this process, which is much faster.  Compare two
+checkouts with
+
+    python3 tools/ident.py OLD inproc 1,5 > old.jsonl
+    python3 tools/ident.py NEW inproc 1,5 > new.jsonl
+    cmp old.jsonl new.jsonl || diff old.jsonl new.jsonl
+
+Nothing in CHECKOUT is written.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+SECONDS = 20
+
+
+def _ops_inproc(cli, ops):
+    for op in ops:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(op.argv)
+        yield code, out.getvalue(), err.getvalue()
+
+
+def _ops_subproc(src, ops):
+    env = {**os.environ, "PYTHONPATH": src}
+    for op in ops:
+        done = subprocess.run([sys.executable, "-m", "g2inv", *op.argv],
+                              env=env, capture_output=True, text=True)
+        yield done.returncode, done.stdout, done.stderr
+
+
+def main(argv):
+    if len(argv) < 3 or argv[1] not in ("subproc", "inproc"):
+        sys.stderr.write(__doc__)
+        return 2
+    checkout = os.path.abspath(argv[0])
+    src = os.path.join(checkout, "src")
+    sys.path[:0] = [src, os.path.join(checkout, "perfbench")]
+    sys.dont_write_bytecode = True  # leave the checkout as it was
+    import workloads
+    from g2inv import cli
+
+    seeds = [int(s) for s in argv[2].split(",")]
+    for w in argv[3:] or workloads.WORKLOADS:
+        for seed in seeds:
+            directory = tempfile.mkdtemp(prefix="ident-")
+            try:
+                ops = workloads.generate(w, seed, workloads.rounds_for(
+                    w, SECONDS), directory)
+                results = (_ops_inproc(cli, ops) if argv[1] == "inproc"
+                           else _ops_subproc(src, ops))
+                for op, (code, out, err) in zip(ops, results):
+                    print(json.dumps(["op", w, seed, [
+                        a.replace(directory, "DIR") for a in op.argv],
+                        code, out.replace(directory, "DIR"),
+                        err.replace(directory, "DIR")]))
+                for name in sorted(os.listdir(directory)):
+                    with open(os.path.join(directory, name), "rb") as fh:
+                        digest = hashlib.sha256(fh.read()).hexdigest()
+                    print(json.dumps(["file", w, seed, name, digest]))
+            finally:
+                shutil.rmtree(directory)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
