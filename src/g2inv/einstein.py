@@ -149,15 +149,12 @@ def _christoffel(g, ginv, order):
     bracket = dg.swapaxes(1, 2) + dg.swapaxes(1, 2).swapaxes(2, 3) - dg
     # the terms of each d are summed in turn, as a per-entry jet loop
     # over d would; at order 1 the values are then that loop's, bit for
-    # bit.  One point takes them from one einsum call; a batch from one
-    # call per d, so that its terms never all exist at once
+    # bit.  One einsum call per d, so that its terms never all exist at
+    # once on a batch
     mul = jets.MUL_TENSOR[order]
-    if g.ndim == 3:
-        terms = np.einsum("opq,pad,qdbc->doabc", mul, ginv, bracket)
-    else:
-        terms = (np.einsum("opq,pa...,qbc...->oabc...", mul, ginv[:, :, d],
-                           bracket[:, d]) for d in range(n))
-    return 0.5 * sum(terms)
+    return 0.5 * sum(np.einsum("opq,pa...,qbc...->oabc...", mul,
+                               ginv[:, :, d], bracket[:, d])
+                     for d in range(n))
 
 
 def christoffel4(pj):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets, metrics
-from .errors import InsufficientCoverageError
+from .errors import G2InvError, InsufficientCoverageError
 from .invariants1 import FUNDAMENTAL_IDS
 from .invariants2 import DELTA_TOL
 
@@ -81,6 +81,9 @@ def build_signature(m, rect=None, n=12):
     skipped where the metric cannot be evaluated, is not generic, or its
     fundamentals do not have rank 2 there.
     """
+    if n * n < MIN_SAMPLES:
+        raise G2InvError(f"a grid of {n} x {n} points is smaller than the "
+                         f"{MIN_SAMPLES} samples a signature needs")
     rect = rect or metrics.default_domain(m)
     if rect is None:
         # unknown user metric: scan a default box; invalid or

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -211,12 +212,12 @@ class _Parser:
                 if text2 != ")":
                     raise ExprSyntaxError("expected ')'", pos2)
                 return self.node(Call, text, arg)
+            if text in self.defs:
+                return self.defs[text]
             if text == "t1":
                 return self.node(Var, 0)
             if text == "t2":
                 return self.node(Var, 1)
-            if text in self.defs:
-                return self.defs[text]
             return self.node(Param, text)
         raise ExprSyntaxError(f"expected a value, got {text!r}", pos)
 
@@ -228,8 +229,11 @@ def parse(text, table=None, defs=None):
 
     ``table`` is the intern table; texts parsed with the same table share
     their common subtrees (one table per metric or transform load).
-    ``defs`` maps a name to a node parsed with the same table: the name
-    stands for that node, as a parenthesized copy of its text would.
+    This is the one place expression nodes are built.  ``defs`` maps a
+    name to a node parsed with the same table: the name stands for that
+    node, as a parenthesized copy of its text would.  A def may bind t1
+    or t2, which substitutes a map into the text (metric documents may
+    not name a def so; transform binds its maps this way).
     """
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
@@ -285,8 +289,11 @@ def _renderer(names, memo):
         text = memo.get(id(node))
         if text is None:
             text = memo[id(node)] = spell(node)
+        # a negative number reads back as a Neg, so it binds as one
+        negative = isinstance(node, Num) \
+            and math.copysign(1.0, node.value) < 0.0
         prec = (_PREC[node.op] if isinstance(node, BinOp)
-                else 3 if isinstance(node, Neg) else 9)
+                else 3 if isinstance(node, Neg) or negative else 9)
         return f"({text})" if prec < minimum else text
 
     def spell(node):
@@ -315,8 +322,9 @@ def _renderer(names, memo):
 
 @_depth_checked
 def to_string(e):
-    """Render an AST back to parseable text (parse(to_string(e)) == e),
-    written out as a tree."""
+    """Render an AST back to parseable text, written out as a tree:
+    parse(to_string(e)) == e for a parsed e (a negative number reads
+    back as the Neg of its magnitude)."""
     return _renderer({}, {})[0](e)
 
 
@@ -326,12 +334,13 @@ def to_strings(asts, reserved=()):
     subtrees, with parse(texts[k], table, parsed defs) the node structure
     of parse(to_string(asts[k]), table).
 
-    Each compound subtree that occurs twice or more across the ASTs, as
-    one node or as equal ones, is one def, name -> text, in post-order,
-    so a def uses only earlier ones.  The names d1, d2, ... skip any
-    parameter of the ASTs and any name in reserved.
+    Each compound node that occurs twice or more across the ASTs is one
+    def, name -> text, in post-order, so a def uses only earlier ones.
+    Parsed ASTs have each distinct subtree as one node, so equal
+    subtrees are one def.  A negative literal, -x, is never named.  The
+    names d1, d2, ... skip any parameter of the ASTs and any name in
+    reserved.
     """
-    asts = _interned(asts)
     refs, order = {}, []
 
     def visit(node):
@@ -346,30 +355,12 @@ def to_strings(asts, reserved=()):
     taken = {*reserved, *(n.name for n in order if isinstance(n, Param))}
     fresh = (name for name in map("d{}".format, itertools.count(1))
              if name not in taken)
-    shared = [n for n in order if refs[id(n)] > 1 and _children(n)]
+    shared = [n for n in order if refs[id(n)] > 1 and _children(n)
+              and not (isinstance(n, Neg) and isinstance(n.arg, Num))]
     names = {id(n): next(fresh) for n in shared}
     render, spell = _renderer(names, {})
     return ({names[id(n)]: spell(n) for n in shared},
             [render(e) for e in asts])
-
-
-def _interned(asts):
-    """The ASTs with equal subtrees made one node, as parse makes them."""
-    table, memo = {}, {}
-
-    def intern(node, kids):
-        kids = iter(kids)
-        fields = [next(kids) if isinstance(f, Expr) else f
-                  for f in vars(node).values()]
-        # repr keeps Num(-0.0) apart from Num(0.0)
-        key = (type(node), *[id(f) if isinstance(f, Expr) else repr(f)
-                             for f in fields])
-        found = table.get(key)
-        if found is None:
-            found = table[key] = type(node)(*fields)
-        return found
-
-    return [_fold(e, intern, memo) for e in asts]
 
 
 # the longest expression an error message writes out as a tree; defs let
@@ -388,36 +379,6 @@ def _quote(e):
         return to_string(e)
     defs, (text,) = to_strings([e])
     return "; ".join([*(f"{k} = {v}" for k, v in defs.items()), text])
-
-
-@_depth_checked
-def substitute(e, replacement, memo=None):
-    """The expression with t1, t2 replaced by the two ASTs given.
-
-    Each distinct node is rewritten once, so a subtree shared in ``e``
-    stays one shared node in the result.  ``memo`` (node id -> result)
-    carries that sharing across calls with the same replacement.
-    """
-    memo = {} if memo is None else memo
-
-    def sub(node):
-        done = memo.get(id(node))
-        if done is not None:
-            return done
-        if isinstance(node, Var):
-            done = replacement[node.index]
-        elif isinstance(node, Neg):
-            done = Neg(sub(node.arg))
-        elif isinstance(node, Call):
-            done = Call(node.fn, sub(node.arg))
-        elif isinstance(node, BinOp):
-            done = BinOp(node.op, sub(node.left), sub(node.right))
-        else:
-            done = node
-        memo[id(node)] = done
-        return done
-
-    return sub(e)
 
 
 def _is_constant(e, memo=None):

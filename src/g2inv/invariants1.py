@@ -207,13 +207,13 @@ def oneill_tensors(pj):
     ver, hor = _projection_matrices(pj)
     G = pj.christoffel[0]
     T = np.zeros((4,) + ver.shape)
-    # ver @ x and hor @ x of each column: stacked matmuls on a batch
+    # ver @ x and hor @ x of each column as stacked matmuls
     stacks = [einstein._stack(p, 2) for p in (ver, hor)]
-    if pj.batch:
-        mv = lambda m, x: (  # noqa: E731
-            m @ einstein._stack(x, 1)[..., None])[..., 0].T
-    else:
-        mv = lambda m, x: m[0] @ x  # noqa: E731
+
+    def mv(m, x):
+        return einstein._unstack(
+            (m @ einstein._stack(x, 1)[..., None])[..., 0], pj)
+
     for b in range(4):
         for c in range(4):
             # nabla along ver(d_b): vertical directions kill t-derivatives

@@ -357,10 +357,8 @@ ELEMENTARY_FUNCTIONS = ("exp", "ln", "sqrt", "sin", "cos", "tan",
                         "sinh", "cosh", "tanh")
 
 
-def elementary(fname, a, p=None):
-    """Jet of f(a) for a named elementary function (or pow_const with p)."""
-    if fname == "pow_const":
-        return a ** p
+def elementary(fname, a):
+    """Jet of f(a) for a named elementary function."""
     v, n = a.value, a.order
     try:
         return _compose(a, _derivatives(fname, v, n) if isinstance(v, float)

@@ -210,8 +210,10 @@ def apply_to_metric(m, p, name=None):
     """Transformed metric as a new G2Metric (affine transforms only).
 
     phi must be affine and psi have constant gradient so that the
-    transformed components are again closed-form expressions; the
-    result is built by substituting the inverse map into the ASTs.
+    transformed components are again closed-form expressions: the
+    source's texts are parsed again with t1, t2 bound to the inverse
+    map, and each image component is parsed from its linear combination
+    of the source components, bound by name.
     """
     probe_points = [(0.1, 0.2), (-0.3, 0.7)]
     jphi = [expr.eval_jet(p.phi[i], {}, probe_points[0], 2)
@@ -233,68 +235,38 @@ def apply_to_metric(m, p, name=None):
     if abs(np.linalg.det(J)) < 1e-14:
         raise DegenerateTransformError("J_phi = 0")
     Minv = np.linalg.inv(J)
-
-    # inverse map t^i = Minv (tbar - b) as ASTs
-    def num(x):
-        return expr.Num(float(x))
-
-    tbar = (expr.Var(0), expr.Var(1))
-    inv_map = []
-    for i in range(2):
-        terms = expr.BinOp("+", expr.BinOp(
-            "*", num(Minv[i][0]), expr.BinOp("-", tbar[0], num(b[0]))),
-            expr.BinOp("*", num(Minv[i][1]),
-                       expr.BinOp("-", tbar[1], num(b[1]))))
-        inv_map.append(terms)
-
     if m.form == "bfh":
         m = to_submersion_document(m)
-    memo = {}
-    comp = {k: expr.substitute(m.asts[k], inv_map, memo)
-            for k in m.components}
+    # the inverse map t^i = Minv (tbar - b) substituted into the source
+    table = {}
+    comp = _reread(m, table, {f"t{i + 1}": expr.parse(" + ".join(
+        f"{_num(Minv[i][j])}*(t{j + 1} - {_num(b[j])})" for j in range(2)),
+        table) for i in range(2)})
     a = np.array(p.alpha)
     ai = np.linalg.inv(a)
 
-    def lin(coeffs, nodes, shift=0.0):
-        acc = num(shift) if shift else None
-        for cc, node in zip(coeffs, nodes):
-            if cc == 0.0:
-                continue
-            term = expr.BinOp("*", num(cc), node)
-            acc = term if acc is None else expr.BinOp("+", acc, term)
-        return acc if acc is not None else num(0.0)
+    def lin(terms, shift=0.0):
+        """shift + c1*name1 + c2*name2 + ..., zero terms left out."""
+        texts = [_num(shift)] if shift else []
+        texts += [f"{_num(c)}*{name}" for c, name in terms if c != 0.0]
+        return " + ".join(texts) or "0.0"
 
-    gt = [[comp["gt11"], comp["gt12"]], [comp["gt12"], comp["gt22"]]]
-    F = [[comp["F11"], comp["F12"]], [comp["F21"], comp["F22"]]]
-    h = [[comp["h11"], comp["h12"]], [comp["h12"], comp["h22"]]]
+    # the laws of the module docstring; entry (i, j) of gt or h is named
+    # by sym, of F by its indices
+    pairs = ((0, 0), (0, 1), (1, 0), (1, 1))
+    sym = {(0, 0): "11", (0, 1): "12", (1, 0): "12", (1, 1): "22"}
     out = {}
-    for (mm, nn), key in (((0, 0), "gt11"), ((0, 1), "gt12"),
-                          ((1, 1), "gt22")):
-        nodes, coeffs = [], []
-        for i in range(2):
-            for j in range(2):
-                nodes.append(gt[i][j])
-                coeffs.append(Minv[i][mm] * Minv[j][nn])
-        out[key] = lin(coeffs, nodes)
-    for mm in range(2):
-        for r in range(2):
-            nodes, coeffs = [], []
-            shift = 0.0
-            for i in range(2):
-                for k in range(2):
-                    nodes.append(F[i][k])
-                    coeffs.append(Minv[i][mm] * a[r][k])
-                shift -= Minv[i][mm] * Jpsi[r][i]
-            out[f"F{mm + 1}{r + 1}"] = lin(coeffs, nodes, shift)
-    for (r, s), key in (((0, 0), "h11"), ((0, 1), "h12"), ((1, 1), "h22")):
-        nodes, coeffs = [], []
-        for k in range(2):
-            for l in range(2):
-                nodes.append(h[k][l])
-                coeffs.append(ai[k][r] * ai[l][s])
-        out[key] = lin(coeffs, nodes)
-    loaded = _submersion_metric(name or f"{m.name}_transformed",
-                                m.params, out)
+    for (i, j), key in zip(((0, 0), (0, 1), (1, 1)), ("11", "12", "22")):
+        out["gt" + key] = lin((Minv[k][i] * Minv[l][j], "gt" + sym[k, l])
+                              for k, l in pairs)
+        out["h" + key] = lin((ai[k][i] * ai[l][j], "h" + sym[k, l])
+                             for k, l in pairs)
+    for mm, r in pairs:
+        out[f"F{mm + 1}{r + 1}"] = lin(
+            ((Minv[i][mm] * a[r][k], f"F{i + 1}{k + 1}") for i, k in pairs),
+            0.0 - Minv[0][mm] * Jpsi[r][0] - Minv[1][mm] * Jpsi[r][1])
+    loaded = _submersion_metric(name or f"{m.name}_transformed", m.params, {
+        k: expr.parse(out[k], table, comp) for k in metrics.SUBMERSION_KEYS})
     domain = metrics.default_domain(m)
     if domain is not None:
         # image bounding box of a slightly shrunken source rectangle;
@@ -311,10 +283,23 @@ def apply_to_metric(m, p, name=None):
     return loaded
 
 
+def _num(x):
+    return repr(float(x))
+
+
+def _reread(m, table, named):
+    """The component ASTs of m parsed again from its texts into table,
+    with each name in named bound to its node."""
+    named = dict(named)
+    for key, text in m.defs.items():
+        named[key] = expr.parse(text, table, named)
+    return {k: expr.parse(m.components[k], table, named)
+            for k in m.components}
+
+
 def _submersion_metric(name, params, asts):
     """The submersion-form metric of the component ASTs, loaded from the
-    document that names their shared subtrees: its parse normalizes the
-    nodes (Num(-x) is read back as Neg(Num(x))) and validates them."""
+    document that names their shared subtrees (which validates them)."""
     defs, texts = expr.to_strings(list(asts.values()), params)
     return metrics.load_metric({"name": name, "form": "submersion",
                                 "params": dict(params), "defs": defs,
@@ -322,42 +307,28 @@ def _submersion_metric(name, params, asts):
 
 
 def to_submersion_document(m):
-    """Rewrite a bfh metric document in submersion form (AST level)."""
+    """Rewrite a bfh metric document in submersion form: each law of the
+    module docstring of metrics is parsed with the components bound by
+    name."""
     if m.form == "submersion":
         return m
-    comp = {k: m.asts[k] for k in m.components}
-
-    def bin_(op, x, y):
-        return expr.BinOp(op, x, y)
-
-    b = [[comp["b11"], comp["b12"]], [comp["b12"], comp["b22"]]]
-    f = [[comp["f11"], comp["f12"]], [comp["f21"], comp["f22"]]]
-    h = [[comp["h11"], comp["h12"]], [comp["h12"], comp["h22"]]]
-    det = bin_("-", bin_("*", h[0][0], h[1][1]), bin_("*", h[0][1], h[0][1]))
-    hi = [[bin_("/", h[1][1], det), expr.Neg(bin_("/", h[0][1], det))],
-          [expr.Neg(bin_("/", h[0][1], det)), bin_("/", h[0][0], det)]]
-    F = [[None] * 2 for _ in range(2)]
-    for i in range(2):
-        for k in range(2):
-            F[i][k] = bin_("+", bin_("*", f[i][0], hi[0][k]),
-                           bin_("*", f[i][1], hi[1][k]))
-    out = {}
-    for (i, j), key in (((0, 0), "gt11"), ((0, 1), "gt12"),
-                        ((1, 1), "gt22")):
-        quad = bin_("+", bin_("*", f[i][0], F[j][0]),
-                    bin_("*", f[i][1], F[j][1]))
-        out[key] = bin_("-", b[i][j], quad)
-    for i in range(2):
-        for k in range(2):
-            out[f"F{i + 1}{k + 1}"] = F[i][k]
-    for (k, l), key in (((0, 0), "h11"), ((0, 1), "h12"), ((1, 1), "h22")):
-        out[key] = h[k][l]
-    return _submersion_metric(m.name, m.params, out)
+    table = {}
+    named = _reread(m, table, {})
+    laws = {"det": "h11*h22 - h12*h12",
+            "hi11": "h22/det", "hi12": "-(h12/det)", "hi22": "h11/det",
+            "F11": "f11*hi11 + f12*hi12", "F12": "f11*hi12 + f12*hi22",
+            "F21": "f21*hi11 + f22*hi12", "F22": "f21*hi12 + f22*hi22"}
+    laws.update((f"gt{i}{j}", f"b{i}{j} - (f{i}1*F{j}1 + f{i}2*F{j}2)")
+                for i, j in ((1, 1), (1, 2), (2, 2)))
+    for key, text in laws.items():
+        named[key] = expr.parse(text, table, named)
+    return _submersion_metric(m.name, m.params,
+                              {k: named[k] for k in metrics.SUBMERSION_KEYS})
 
 
-def random_transform(seed, nonlinear=0.05):
-    """A random pseudogroup element, mildly nonlinear with J_phi != 0
-    on moderate boxes."""
+def random_transform(seed):
+    """A random pseudogroup element, mildly nonlinear (a sine term of
+    amplitude at most 0.05) with J_phi != 0 on moderate boxes."""
     rng = np.random.default_rng(seed)
     while True:
         A = rng.uniform(-1.5, 1.5, (2, 2))
@@ -371,7 +342,7 @@ def random_transform(seed, nonlinear=0.05):
     def phi(row):
         return (f"{A[row][0]:.6f}*t1 + {A[row][1]:.6f}*t2"
                 f" + {rng.uniform(-1, 1):.6f}"
-                f" + {rng.uniform(-1, 1) * nonlinear:.6f}"
+                f" + {rng.uniform(-1, 1) * 0.05:.6f}"
                 f"*sin({rng.uniform(0.5, 1.5):.6f}*t1"
                 f" + {rng.uniform(0.5, 1.5):.6f}*t2)")
 

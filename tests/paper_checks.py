@@ -1,8 +1,9 @@
 """Checks of the paper's results and of the pseudogroup law, built on the
 live pipeline: the Kundu constancy of A = sqrt|det h| (C . h), the
 O'Neill tensors A and T in the semi-invariant frame, the signature
-partials of one invariant along an invariant pair, and the composition
-of two pseudogroup elements."""
+partials of one invariant along an invariant pair, the composition of
+two pseudogroup elements, and AST substitution, the reference for the
+parser's binding of t1, t2."""
 
 from dataclasses import dataclass
 
@@ -159,10 +160,39 @@ def directional_partials(pj, phi_id, i1_id, i2_id):
             (a11 * b2 - a21 * b1) / delta)
 
 
+def substitute(e, replacement, memo=None):
+    """The expression with t1, t2 replaced by the two ASTs given.
+
+    Each distinct node is rewritten once, so a subtree shared in ``e``
+    stays one shared node in the result.  ``memo`` (node id -> result)
+    carries that sharing across calls with the same replacement.
+    """
+    memo = {} if memo is None else memo
+
+    def sub(node):
+        done = memo.get(id(node))
+        if done is not None:
+            return done
+        if isinstance(node, expr.Var):
+            done = replacement[node.index]
+        elif isinstance(node, expr.Neg):
+            done = expr.Neg(sub(node.arg))
+        elif isinstance(node, expr.Call):
+            done = expr.Call(node.fn, sub(node.arg))
+        elif isinstance(node, expr.BinOp):
+            done = expr.BinOp(node.op, sub(node.left), sub(node.right))
+        else:
+            done = node
+        memo[id(node)] = done
+        return done
+
+    return sub(e)
+
+
 def compose_transforms(p2, p1):
     """The transform acting as p2 after p1 (AST substitution, exact)."""
     memo = {}
-    phi = tuple(expr.substitute(p2.phi[m], p1.phi, memo) for m in range(2))
+    phi = tuple(substitute(p2.phi[m], p1.phi, memo) for m in range(2))
     a2 = np.array(p2.alpha)
     a1 = np.array(p1.alpha)
     psi = []
@@ -172,7 +202,7 @@ def compose_transforms(p2, p1):
             expr.BinOp("*", expr.Num(float(a2[r][0])), p1.psi[0]),
             expr.BinOp("*", expr.Num(float(a2[r][1])), p1.psi[1]))
         psi.append(expr.BinOp(
-            "+", scaled, expr.substitute(p2.psi[r], p1.phi, memo)))
+            "+", scaled, substitute(p2.psi[r], p1.phi, memo)))
     alpha = a2 @ a1
     return PseudoTransform(phi=phi, psi=tuple(psi),
                            alpha=tuple(tuple(float(x) for x in row)

@@ -387,6 +387,18 @@ def test_empty_point_list_is_an_input_error(vdb_file, transform_file, capsys,
     assert captured.err == "error: --points names no point: ';'\n"
 
 
+@pytest.mark.parametrize("grid", ["1", "2"])
+def test_equiv_grid_too_small_for_a_signature_is_an_input_error(
+        vdb_file, capsys, grid):
+    # n x n grid points can never give the 8 samples a signature needs
+    capsys.readouterr()
+    assert run(["equiv", vdb_file, vdb_file, "--grid", grid, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: a grid of {grid} x {grid} points is " \
+        "smaller than the 8 samples a signature needs\n"
+
+
 @pytest.mark.parametrize("rect", ["0.3:1.2", "0.3:1.2,0.7", "0.3:x,0.7:1.5",
                                   "nan:1,0.7:1.5", "0.3:1.2,0.7:inf"])
 def test_malformed_or_non_finite_rect_is_a_usage_error(vdb_file, capsys,

@@ -5,6 +5,7 @@ import pytest
 
 from g2inv import expr, jets
 from g2inv.errors import ExprSyntaxError, SingularEvaluationError
+from paper_checks import substitute
 
 
 def test_parse_call_structure():
@@ -133,12 +134,20 @@ def test_eval_jet_vs_finite_differences(text):
 
 
 def test_substitute_replaces_both_coordinates():
-    e = expr.parse("sin(t1)*t2 - t1^2/(-t2)")
-    r1, r2 = expr.parse("t2 + 1"), expr.parse("2*t1")
-    assert expr.substitute(e, (r1, r2)) == expr.parse(
-        "sin(t2 + 1)*(2*t1) - (t2 + 1)^2/(-(2*t1))")
-    assert expr.substitute(expr.parse("3 + c"), (r1, r2)) \
-        == expr.parse("3 + c")
+    # a def bound to t1 or t2 substitutes it, as the reference does
+    text = "sin(t1)*t2 - t1^2/(-t2)"
+    table = {}
+    r1, r2 = expr.parse("t2 + 1", table), expr.parse("2*t1", table)
+    bound = {"t1": r1, "t2": r2}
+    want = expr.parse("sin(t2 + 1)*(2*t1) - (t2 + 1)^2/(-(2*t1))")
+    assert expr.parse(text, table, bound) == want \
+        == substitute(expr.parse(text), (r1, r2))
+    assert expr.parse("3 + c", table, bound) == expr.parse("3 + c")
+
+
+def test_to_strings_names_no_negative_number():
+    defs, texts = expr.to_strings([expr.parse("-3.0*t1 + -3.0/t2")])
+    assert defs == {} and texts == ["-3.0 * t1 + -3.0 / t2"]
 
 
 def _doubled(text, times):

@@ -13,6 +13,7 @@ from g2inv.errors import (MetricDefinitionError, SingularEvaluationError,
 from g2inv.metrics import (CATALOG_NAMES, component_scale, default_domain,
                            grid_points)
 from g2inv.transform import apply_to_metric, make_transform
+from paper_checks import substitute
 
 FLAT_DOC = {
     "name": "flat", "form": "bfh", "params": {},
@@ -409,21 +410,22 @@ def test_point_jets_evaluates_each_unique_node_once(monkeypatch):
     calls = Counter()
     elementary = jets.elementary
 
-    def counting(fname, a, p=None):
+    def counting(fname, a):
         calls[fname] += 1
-        return elementary(fname, a, p)
+        return elementary(fname, a)
 
     monkeypatch.setattr(jets, "elementary", counting)
     point_jets(image, (0.64, 0.79))  # the image of vdb's (0.6, 1.1)
     assert 0 < sum(calls.values()) <= unique_calls
 
-    # substitution keeps a shared subtree one shared node, also across
-    # expressions parsed with one table and rewritten with one memo
-    e = expr.parse("sin(t1)*sin(t1)")
-    out = expr.substitute(e, p.phi)
+    # parsing with t1, t2 bound to phi keeps a shared subtree one shared
+    # node, also across texts parsed with one table
+    bound = {"t1": p.phi[0], "t2": p.phi[1]}
+    table = {}
+    out = expr.parse("sin(t1)*sin(t1)", table, bound)
     assert out.left is out.right
-    table, memo = {}, {}
-    x, y = (expr.substitute(expr.parse(text, table), p.phi, memo)
+    assert out == substitute(expr.parse("sin(t1)*sin(t1)"), p.phi)
+    x, y = (expr.parse(text, table, bound)
             for text in ("sin(t1) + 1", "2*sin(t1)"))
     assert x.left is y.right
 

@@ -1,5 +1,6 @@
 """Property tests: the expression printer round-trips through the parser,
-the parsed DAG evaluates exactly like the tree it prints, each column
+the parsed DAG evaluates exactly like the tree it prints, parsing with
+t1, t2 bound to two ASTs is substitution, each column
 of a batch order-0 jet has the bits of eval_scalar at its point and the
 fd oracle reports the error met first, order-2 jets obey the ring
 laws and the chain rule, the dense product table multiplies like Jet2,
@@ -8,6 +9,7 @@ they unroll, and each column of a batch of points, packed jets or a
 batch point of a metric, has the bits of its own point, over generated
 inputs."""
 
+import math
 import struct
 import warnings
 from unittest import mock
@@ -22,12 +24,12 @@ from g2inv.invariants1 import _pack, _unpack, random_point_jets
 from g2inv.invariants2 import order2_invariant_vector
 from g2inv.metrics import CATALOG_NAMES, default_domain, grid_points
 from g2inv.transform import apply_to_metric, make_transform
+from paper_checks import substitute
 from test_jets import reference_divide, reference_mul
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
-numbers = st.floats(min_value=0.0, allow_nan=False,
-                    allow_infinity=False).map(abs).map(expr.Num)
+numbers = st.floats(allow_nan=False, allow_infinity=False).map(expr.Num)
 leaves = st.one_of(numbers, st.integers(0, 1).map(expr.Var),
                    st.sampled_from(("a", "c", "Lambda", "k_2")).map(expr.Param))
 
@@ -43,10 +45,48 @@ def _compound(children):
 asts = st.recursive(leaves, _compound, max_leaves=12)
 
 
+def _read_back(e):
+    """e as the parser reads its text: a negative number, -x, as the Neg
+    of x."""
+    if isinstance(e, expr.Num) and math.copysign(1.0, e.value) < 0.0:
+        return expr.Neg(expr.Num(-e.value))
+    return type(e)(*(_read_back(f) if isinstance(f, expr.Expr) else f
+                     for f in vars(e).values()))
+
+
 @SETTINGS
 @given(asts)
+@example(expr.BinOp("^", expr.Num(-2.0), expr.Num(2.0)))
+@example(expr.BinOp("^", expr.Num(-0.0), expr.Var(0)))
 def test_parse_inverts_to_string(e):
-    assert expr.parse(expr.to_string(e)) == e
+    assert expr.parse(expr.to_string(e)) == _read_back(e)
+
+
+def _nodes(roots):
+    """The distinct node objects of the ASTs."""
+    seen, todo = {}, list(roots)
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            todo.extend(expr._children(node))
+    return list(seen.values())
+
+
+@SETTINGS
+@given(asts, asts, asts)
+@example(expr.BinOp("*", expr.Call("sin", expr.Var(0)),
+                    expr.Call("sin", expr.Var(0))),
+         expr.Var(1), expr.Num(2.0))
+def test_parse_with_bound_coordinates_substitutes(e, r1, r2):
+    # parsed, so that a negative number is a Neg as in the parser's output
+    table = {}
+    e, r1, r2 = (expr.parse(expr.to_string(x), table) for x in (e, r1, r2))
+    got = expr.parse(expr.to_string(e), table, {"t1": r1, "t2": r2})
+    assert got == substitute(e, (r1, r2))
+    # each distinct subtree is one node: a shared one stays shared
+    nodes = _nodes([got])
+    assert len(set(nodes)) == len(nodes)
 
 
 coeff = st.floats(-2.0, 2.0, allow_nan=False)
@@ -187,16 +227,32 @@ PARAMS = {"a": 0.7, "c": -1.3, "Lambda": 3.0, "k_2": 2.5}
 points = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 
 
+def _values(evaluate):
+    """The error of evaluate(), or its coefficients, to compare with ==
+    (NaN written "nan"): a number -x is a constant jet, while the Neg of
+    x has derivatives -0.0."""
+    try:
+        value = evaluate()
+    except (G2InvError, ArithmeticError, ValueError) as err:
+        return type(err).__name__, str(err)
+    coeffs = value.coeffs if isinstance(value, jets.Jet2) else (value,)
+    return tuple("nan" if math.isnan(c) else c for c in coeffs)
+
+
 @SETTINGS
 @given(asts, points)
+@example(expr.BinOp("^", expr.Num(-2.0), expr.Num(2.0)), (0.0, 0.0))
 def test_parsed_dag_evaluates_exactly_like_the_tree(e, point):
-    # e is built by hand, so unshared; its parse is the interned DAG
-    dag = expr.parse(expr.to_string(e))
-    for order in range(3):
-        assert _outcome(lambda: expr.eval_jet(dag, PARAMS, point, order)) \
-            == _outcome(lambda: expr.eval_jet(e, PARAMS, point, order))
-    assert _outcome(lambda: expr.eval_scalar(dag, PARAMS, point)) \
-        == _outcome(lambda: expr.eval_scalar(e, PARAMS, point))
+    # e is built by hand, so unshared; its parse is the interned DAG, with
+    # the bits of the tree it prints and the values of e
+    dag, tree = expr.parse(expr.to_string(e)), _read_back(e)
+    evaluations = [lambda x, k=k: expr.eval_jet(x, PARAMS, point, k)
+                   for k in range(3)]
+    for evaluate in evaluations + [
+            lambda x: expr.eval_scalar(x, PARAMS, point)]:
+        assert _outcome(lambda: evaluate(dag)) \
+            == _outcome(lambda: evaluate(tree))
+        assert _values(lambda: evaluate(dag)) == _values(lambda: evaluate(e))
 
 
 def test_parse_interns_repeated_subtrees():
@@ -462,16 +518,6 @@ def shared_components(draw):
     return [pick() for _ in metrics.SUBMERSION_KEYS]
 
 
-def _distinct_nodes(m):
-    seen, todo = set(), list(m.asts.values())
-    while todo:
-        node = todo.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            todo.extend(expr._children(node))
-    return len(seen)
-
-
 @SETTINGS
 @given(shared_components(), points)
 def test_defs_document_round_trips(roots, point):
@@ -486,8 +532,8 @@ def test_defs_document_round_trips(roots, point):
         k: expr.to_string(e) for k, e in zip(metrics.SUBMERSION_KEYS,
                                              roots)}})
     assert m.to_document() == doc and again.defs == defs
-    assert _distinct_nodes(m) == _distinct_nodes(again) \
-        == _distinct_nodes(tree)
+    assert len(_nodes(m.asts.values())) \
+        == len(_nodes(again.asts.values())) == len(_nodes(tree.asts.values()))
     for key in metrics.SUBMERSION_KEYS:
         for order in range(4):
             want = _outcome(lambda: expr.eval_jet(

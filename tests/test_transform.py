@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import sys
@@ -299,6 +300,25 @@ def test_image_documents_name_equal_subtrees_once():
     assert doc["defs"]["d1"] == "t1 - 0.06006"
     assert sum(text.count("t1 - 0.06006") for text in texts) == 1
     assert len(set(doc["defs"].values())) == len(doc["defs"])
+
+
+# the hash of the image documents below as apply_to_metric wrote them
+# when it built their nodes by hand and substituted into the ASTs
+IMAGE_DOCUMENTS_SHA256 = \
+    "866ac888dd959741e7be0907d32a551eb6a6b8945bf6c27ea4228ddccd453f7e"
+
+
+def test_image_documents_are_unchanged_by_parsing_the_laws():
+    affine_transform = _perfbench_workloads().affine_transform
+    sources = [catalog("vdb")] \
+        + [catalog("random_analytic", {"seed": s}) for s in range(8)]
+    digest = hashlib.sha256()
+    for s in range(6):
+        p = affine_transform(np.random.default_rng(s))
+        for m in sources:
+            digest.update(json.dumps(
+                apply_to_metric(m, p).to_document()).encode() + b"\n")
+    assert digest.hexdigest() == IMAGE_DOCUMENTS_SHA256
 
 
 def test_image_documents_keep_the_bits_of_their_tree_text():
