@@ -158,8 +158,8 @@ def _rows(pj, order):
     """The grid row of each column of pj: t1, t2, the fundamentals and,
     at order 2, X_k and Xperp_k of each and the other second-order
     invariants, with J1, J2 None where C_rho ~ 0."""
-    row = {"t1": pj.point[0], "t2": pj.point[1],
-           **{k: pj.fields[k].value for k in invariants1.FUNDAMENTAL_IDS}}
+    row = {"t1": pj.point[0], "t2": pj.point[1], **{
+        k: pj.fundamentals[k].value for k in invariants1.FUNDAMENTAL_IDS}}
     if order >= 2:
         sec = pj.second
         for k in invariants1.FUNDAMENTAL_IDS:
@@ -335,7 +335,7 @@ def cmd_transform(args):
         pj = transform_mod.pushforward_jets(
             metrics.point_jets(m, pt, order=2), p)
         rows.append({"point": list(pt), "image": list(pj.point),
-                     **{k: pj.fields[k].value
+                     **{k: pj.fundamentals[k].value
                         for k in invariants1.FUNDAMENTAL_IDS}})
     _emit(args, {"command": "transform", "metric": m.name, "points": rows})
     return 0

@@ -41,7 +41,7 @@ MIN_SAMPLES = 8
 
 def _fundamentals(pj):
     """The six fundamentals at a point and their 6x2 t-Jacobian."""
-    jv = pj.fields
+    jv = pj.fundamentals
     values = np.array([jv[k].value for k in FUNDAMENTAL_IDS])
     jac = np.array([[jets.t_derivative(jv[k], s).value for s in (0, 1)]
                     for k in FUNDAMENTAL_IDS])

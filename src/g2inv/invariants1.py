@@ -55,8 +55,11 @@ def _det3(rows):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def first_invariant_jets(pj):
-    """All first-order invariant fields as jets of order pj.order - 1."""
+def fundamental_jets(pj):
+    """The six fundamentals as jets of order pj.order - 1, then the pieces
+    first_invariant_jets builds on: h, det_h, det_gt at that order, sigma,
+    rho, dh[s][k] = d h_k/dt^(s+1), gi = (gt^11, gt^12, gt^22), sq_gt =
+    sqrt|det gt|, sq_h = sqrt|det h|, C1, C2 and Theta_I."""
     if pj.order < 1:
         raise ValueError("invariants need jets of order >= 1")
     n = pj.order - 1
@@ -70,9 +73,7 @@ def first_invariant_jets(pj):
     dh = [[d(pj.h[k], s) for k in range(3)] for s in range(2)]
     ddet_h = [d(pj.det_h, s) for s in range(2)]
 
-    gi11 = gt22 / det_gt
-    gi12 = -gt12 / det_gt
-    gi22 = gt11 / det_gt
+    gi = (gt22 / det_gt, -gt12 / det_gt, gt11 / det_gt)
 
     sigma = (ddet_h[0] / det_h, ddet_h[1] / det_h)
     rho = (sigma[0] * sigma[0], sigma[0] * sigma[1], sigma[1] * sigma[1])
@@ -83,28 +84,39 @@ def first_invariant_jets(pj):
     gamma = tuple(chi[k] - 0.25 * rho[k] for k in range(3))
 
     def trace(mu):
-        return mu[0] * gi11 + 2.0 * mu[1] * gi12 + mu[2] * gi22
+        return mu[0] * gi[0] + 2.0 * mu[1] * gi[1] + mu[2] * gi[2]
 
     def qdet(mu):
         return (mu[0] * mu[2] - mu[1] * mu[1]) / det_gt
-
-    C_rho = trace(rho)
-    C_chi = trace(chi)
-    Q_chi = qdet(chi)
-    Q_gamma = qdet(gamma)
-    Q_rho = qdet(rho)
 
     sq_gt = jets.sqrt_abs(det_gt)
     sq_h = jets.sqrt_abs(det_h)
     C1 = (d(pj.F[0], 1) - d(pj.F[2], 0)) / sq_gt
     C2 = (d(pj.F[1], 1) - d(pj.F[3], 0)) / sq_gt
-    ell_C = (h11 * C1 * C1 + 2.0 * h12 * C1 * C2 + h22 * C2 * C2)
+    Theta_I = _det3([dh[0], dh[1],
+                     (C2 * C2, -C1 * C2, C1 * C1)]) / (sq_h * sq_gt)
+    return {
+        "C_rho": trace(rho), "C_chi": trace(chi),
+        "Q_chi": qdet(chi), "Q_gamma": qdet(gamma),
+        "ell_C": h11 * C1 * C1 + 2.0 * h12 * C1 * C2 + h22 * C2 * C2,
+        "Theta_I_sq": Theta_I * Theta_I,
+        "h": (h11, h12, h22), "det_h": det_h, "det_gt": det_gt,
+        "sigma": sigma, "rho": rho, "dh": dh, "gi": gi,
+        "sq_gt": sq_gt, "sq_h": sq_h, "C1": C1, "C2": C2, "Theta_I": Theta_I,
+    }
+
+
+def first_invariant_jets(pj):
+    """All first-order invariant fields as jets of order pj.order - 1,
+    built on pj.fundamentals."""
+    f = pj.fundamentals
+    (h11, h12, h22), det_h, dh = f["h"], f["det_h"], f["dh"]
+    sigma, rho, gi = f["sigma"], f["rho"], f["gi"]
+    sq_gt, sq_h, C1, C2 = f["sq_gt"], f["sq_h"], f["C1"], f["C2"]
 
     hc1 = h11 * C1 + h12 * C2
     hc2 = h12 * C1 + h22 * C2
 
-    Theta_I = _det3([dh[0], dh[1],
-                     (C2 * C2, -C1 * C2, C1 * C1)]) / (sq_h * sq_gt)
     Theta_II = _det3([dh[0], dh[1],
                       (-2.0 * hc1 * C2,
                        h11 * C1 * C1 - h22 * C2 * C2,
@@ -116,21 +128,15 @@ def first_invariant_jets(pj):
     htriple_det = _det3([(h11, h12, h22), dh[0], dh[1]])
     q_gamma_root = htriple_det / (2.0 * sq_h * sq_h * sq_h * sq_gt)
 
-    X1 = gi11 * sigma[0] + gi12 * sigma[1]
-    X2 = gi12 * sigma[0] + gi22 * sigma[1]
-    Xp1 = sigma[1] / sq_gt
-    Xp2 = -sigma[0] / sq_gt
-
     return {
-        "C_rho": C_rho, "C_chi": C_chi, "Q_chi": Q_chi,
-        "Q_gamma": Q_gamma, "Q_rho": Q_rho,
-        "C_gamma": C_chi - 0.25 * C_rho,
-        "ell_C": ell_C,
-        "Theta_I": Theta_I, "Theta_II": Theta_II, "Theta_III": Theta_III,
-        "Theta_I_sq": Theta_I * Theta_I,
+        **{k: f[k] for k in (*FUNDAMENTAL_IDS, "Theta_I", "C1", "C2")},
+        "Q_rho": (rho[0] * rho[2] - rho[1] * rho[1]) / f["det_gt"],
+        "C_gamma": f["C_chi"] - 0.25 * f["C_rho"],
+        "Theta_II": Theta_II, "Theta_III": Theta_III,
         "q_gamma_root": q_gamma_root,
-        "C1": C1, "C2": C2,
-        "X1": X1, "X2": X2, "Xp1": Xp1, "Xp2": Xp2,
+        "X1": gi[0] * sigma[0] + gi[1] * sigma[1],
+        "X2": gi[1] * sigma[0] + gi[2] * sigma[1],
+        "Xp1": sigma[1] / sq_gt, "Xp2": -sigma[0] / sq_gt,
         "sigma1": sigma[0], "sigma2": sigma[1],
     }
 
@@ -358,7 +364,7 @@ def _unpack(x, order):
 
 def _invariant_vector(pj, which):
     if which in ("fundamental6", "fundamental6_transitive"):
-        jv = pj.fields
+        jv = pj.fundamentals
         return np.array([jv[k].value for k in FUNDAMENTAL_IDS])
     if which == "order2_20":
         from .invariants2 import order2_invariant_vector

@@ -17,6 +17,14 @@ ch. 13): the product from the product table, each coefficient
 recurrence, (n_k - c*q*g - ...) / g_0.  Either is the floating-point
 sequence of the plain loop over its table, term for term, less the
 exact multiplications by a unit weight.
+
+A product with a constant (a number, or a float jet with zero
+derivatives against a batch jet) scales instead: coefficient k is
+0.0 + c*a_k, the kernel's sum without its zero terms.  That is the
+kernel's bits wherever a is finite and below DBL_MAX/3; where a holds
+inf or NaN, or a weighted zero term w*a_p*0.0 would overflow, the
+kernel gives NaN in derivative slots that scaling leaves c*a_k.  The
+test is a class comparison of the values, free for two float jets.
 """
 
 from __future__ import annotations
@@ -218,11 +226,20 @@ class Jet2:
                     _SUB_KERNEL[self.order](o.coeffs, self.coeffs))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if type(other) is not Jet2:
+            if isinstance(other, (int, float)):
+                return _scale(float(other), self.coeffs, self.order)
             return NotImplemented
-        return _jet(self.order,
-                    _MUL_KERNEL[self.order](self.coeffs, o.coeffs))
+        a, b, order = self.coeffs, other.coeffs, self.order
+        if other.order != order:
+            raise ValueError(f"jet order mismatch: {order} vs {other.order}")
+        # a float and a batch jet, past order 0 (where the kernel scales)
+        if a[0].__class__ is not b[0].__class__ and order:
+            if a[0].__class__ is float and not any(a[1:]):
+                a, b = b, a
+            if b[0].__class__ is float and not any(b[1:]):
+                return _scale(b[0], a, order)
+        return _jet(order, _MUL_KERNEL[order](a, b))
 
     __rmul__ = __mul__
 
@@ -271,6 +288,11 @@ def _jet(order, coeffs):
     _set_order(jet, order)
     _set_coeffs(jet, coeffs)
     return jet
+
+
+def _scale(c, a, order):
+    """c * a for a constant c: the kernel's sum less its zero terms."""
+    return _jet(order, tuple([0.0 + c * x for x in a]))
 
 
 def constant(value, order):

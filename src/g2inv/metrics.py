@@ -96,14 +96,15 @@ class PointJets:
 
     The layers derived from the jets are cached properties, each computed
     at most once per point by the one function that owns it, in the
-    order of the construction: fields (first-order invariants), stratum
-    (classify: which frames and relations apply), g4 and christoffel
-    (coefficient arrays of the 4-metric and Christoffel jets), riemann,
-    frame, oneill_tensors, second (second-order invariants).  Callers
-    read them and never mutate them.  numpy overflow in the layers that
-    do numpy arithmetic (christoffel, riemann, frame, oneill_tensors,
-    second) is a SingularEvaluationError.  The imports are deferred
-    because those modules import this one.
+    order of the construction: fundamentals (the six fundamental
+    invariants), fields (all first-order invariants), stratum (classify:
+    which frames and relations apply), g4 and christoffel (coefficient
+    arrays of the 4-metric and Christoffel jets), riemann, frame,
+    oneill_tensors, second (second-order invariants).  Callers read them
+    and never mutate them.  numpy overflow in the layers that do numpy
+    arithmetic (christoffel, riemann, frame, oneill_tensors, second) is a
+    SingularEvaluationError.  The imports are deferred because those
+    modules import this one.
     """
     point: tuple
     order: int
@@ -122,9 +123,15 @@ class PointJets:
         return isinstance(self.det_h.value, np.ndarray)
 
     @cached_property
+    def fundamentals(self):
+        from .invariants1 import fundamental_jets
+        with np.errstate(all="ignore"):  # batch jets: silent, as floats
+            return fundamental_jets(self)
+
+    @cached_property
     def fields(self):
         from .invariants1 import first_invariant_jets
-        with np.errstate(all="ignore"):  # batch jets: silent, as floats
+        with np.errstate(all="ignore"):
             return first_invariant_jets(self)
 
     @cached_property
@@ -373,30 +380,32 @@ def each_point(evaluate, items, stop=False):
     MAX_BATCH, and a batch that raises is halved, down to single items
     evaluated alone as floats: a failing item fails alone, with its own
     error.  With stop, the results end with the first failing item's
-    error, and items after it run only in the batches that failed with
-    it.  numpy overflow, invalid arithmetic and zero division raise in a
-    batch, so an item that would print a numpy warning runs alone and
-    prints it as alone."""
+    error, a failing batch runs its first item alone before it is
+    halved, and items after the first failing one run only in the
+    batches that failed with it.  numpy overflow, invalid arithmetic and
+    zero division raise in a batch, so an item that would print a numpy
+    warning runs alone and prints it as alone."""
     if len(items) > MAX_BATCH:
-        got = []
-        for start in range(0, len(items), MAX_BATCH):
-            got += each_point(evaluate, items[start:start + MAX_BATCH], stop)
-            if stop and isinstance(got[-1], Exception):
-                break
-        return got
-    try:
-        if len(items) == 1:
-            return evaluate(items[0])
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return evaluate(np.array(items).T)
-    except (G2InvError, ArithmeticError) as err:
-        if len(items) == 1:
-            return [err]
-    half = len(items) // 2
-    got = each_point(evaluate, items[:half], stop)
-    if stop and isinstance(got[-1], Exception):
-        return got
-    return got + each_point(evaluate, items[half:], stop)
+        parts = [items[start:start + MAX_BATCH]
+                 for start in range(0, len(items), MAX_BATCH)]
+    else:
+        try:
+            if len(items) == 1:
+                return evaluate(items[0])
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return evaluate(np.array(items).T)
+        except (G2InvError, ArithmeticError) as err:
+            if len(items) == 1:
+                return [err]
+        half = len(items) // 2
+        parts = ([items[:1], items[1:half], items[half:]] if stop
+                 else [items[:half], items[half:]])
+    got = []
+    for part in filter(len, parts):
+        got += each_point(evaluate, part, stop)
+        if stop and isinstance(got[-1], Exception):
+            break
+    return got
 
 
 def each_point_or_raise(evaluate, items):
@@ -415,7 +424,7 @@ def component_scale(pj):
 def classify(pj):
     """Stratum flags deciding which frames and relations apply."""
     tol = GENERIC_TOL * np.maximum(1.0, component_scale(pj))
-    jv = pj.fields
+    jv = pj.fundamentals
     curl1 = jets.t_derivative(pj.F[0], 1).value - jets.t_derivative(pj.F[2], 0).value
     curl2 = jets.t_derivative(pj.F[1], 1).value - jets.t_derivative(pj.F[3], 0).value
     c_rho_zero = abs(jv["C_rho"].value) < tol

@@ -211,9 +211,10 @@ def apply_to_metric(m, p, name=None):
 
     phi must be affine and psi have constant gradient so that the
     transformed components are again closed-form expressions: the
-    source's texts are parsed again with t1, t2 bound to the inverse
-    map, and each image component is parsed from its linear combination
-    of the source components, bound by name.
+    source's texts (and a bfh source's submersion laws) are parsed again
+    with t1, t2 bound to the inverse map, and each image component is
+    parsed from its linear combination of the source's submersion
+    components, bound by name.
     """
     probe_points = [(0.1, 0.2), (-0.3, 0.7)]
     jphi = [expr.eval_jet(p.phi[i], {}, probe_points[0], 2)
@@ -235,8 +236,6 @@ def apply_to_metric(m, p, name=None):
     if abs(np.linalg.det(J)) < 1e-14:
         raise DegenerateTransformError("J_phi = 0")
     Minv = np.linalg.inv(J)
-    if m.form == "bfh":
-        m = to_submersion_document(m)
     # the inverse map t^i = Minv (tbar - b) substituted into the source
     table = {}
     comp = _reread(m, table, {f"t{i + 1}": expr.parse(" + ".join(
@@ -287,14 +286,30 @@ def _num(x):
     return repr(float(x))
 
 
+# the laws of the module docstring of metrics, bfh to submersion, each
+# parsed with the components and the laws before it bound by name
+_SUBMERSION_LAWS = {
+    "det": "h11*h22 - h12*h12",
+    "hi11": "h22/det", "hi12": "-(h12/det)", "hi22": "h11/det",
+    "F11": "f11*hi11 + f12*hi12", "F12": "f11*hi12 + f12*hi22",
+    "F21": "f21*hi11 + f22*hi12", "F22": "f21*hi12 + f22*hi22",
+    **{f"gt{i}{j}": f"b{i}{j} - (f{i}1*F{j}1 + f{i}2*F{j}2)"
+       for i, j in ((1, 1), (1, 2), (2, 2))}}
+
+
 def _reread(m, table, named):
-    """The component ASTs of m parsed again from its texts into table,
-    with each name in named bound to its node."""
+    """The submersion components of m, parsed again from its texts (and a
+    bfh source's laws) into table, with each name in named bound to its
+    node."""
     named = dict(named)
     for key, text in m.defs.items():
         named[key] = expr.parse(text, table, named)
-    return {k: expr.parse(m.components[k], table, named)
+    comp = {k: expr.parse(m.components[k], table, named)
             for k in m.components}
+    if m.form == "bfh":
+        for key, text in _SUBMERSION_LAWS.items():
+            comp[key] = expr.parse(text, table, comp)
+    return {k: comp[k] for k in metrics.SUBMERSION_KEYS}
 
 
 def _submersion_metric(name, params, asts):
@@ -307,23 +322,10 @@ def _submersion_metric(name, params, asts):
 
 
 def to_submersion_document(m):
-    """Rewrite a bfh metric document in submersion form: each law of the
-    module docstring of metrics is parsed with the components bound by
-    name."""
+    """Rewrite a bfh metric document in submersion form."""
     if m.form == "submersion":
         return m
-    table = {}
-    named = _reread(m, table, {})
-    laws = {"det": "h11*h22 - h12*h12",
-            "hi11": "h22/det", "hi12": "-(h12/det)", "hi22": "h11/det",
-            "F11": "f11*hi11 + f12*hi12", "F12": "f11*hi12 + f12*hi22",
-            "F21": "f21*hi11 + f22*hi12", "F22": "f21*hi12 + f22*hi22"}
-    laws.update((f"gt{i}{j}", f"b{i}{j} - (f{i}1*F{j}1 + f{i}2*F{j}2)")
-                for i, j in ((1, 1), (1, 2), (2, 2)))
-    for key, text in laws.items():
-        named[key] = expr.parse(text, table, named)
-    return _submersion_metric(m.name, m.params,
-                              {k: named[k] for k in metrics.SUBMERSION_KEYS})
+    return _submersion_metric(m.name, m.params, _reread(m, {}, {}))
 
 
 def random_transform(seed):
@@ -370,8 +372,8 @@ def invariance_report(m, p, points, tol=1e-7):
         J = np.array([[j.d(1, 0), j.d(0, 1)] for j in phi_jets])
         Jpsi = np.array([[j.d(1, 0), j.d(0, 1)] for j in psi_jets])
         eps1 = 1 if J[0][0] * J[1][1] - J[0][1] * J[1][0] > 0 else -1
-        inv = np.array([pj.fields[k].value for k in FUNDAMENTAL_IDS])
-        inv_bar = np.array([pj_bar.fields[k].value for k in FUNDAMENTAL_IDS])
+        inv, inv_bar = (np.array([q.fundamentals[k].value for k in
+                                  FUNDAMENTAL_IDS]) for q in (pj, pj_bar))
         denom = np.maximum(np.abs(inv), np.maximum(np.abs(inv_bar), 1.0))
         inv_residual = float(np.max(np.abs(inv - inv_bar) / denom))
 

@@ -11,6 +11,8 @@ Each layer case builds a fresh PointJets, so its time includes the
 layers it reads.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from g2inv.einstein import onshell_relations
 from g2inv.invariants1 import relations_first
 from g2inv.invariants2 import relations_second
 from g2inv.metrics import default_domain, grid_points
+from g2inv.transform import apply_to_metric, make_transform
 
 VDB = catalog("vdb")
 POINT = (0.6, 1.1)
@@ -28,6 +31,13 @@ BATCH = tuple(np.array(t) for t in zip(*grid_points(
 # a 6-point batch, the size of a check op
 CHECK_BATCH = tuple(np.array(t) for t in zip(*grid_points(
     default_domain(VDB), 2, 3, margin=0.05)))
+# an affine image of vdb (a defs document) on a 14-point batch, the
+# size of an equiv Gauss-Newton round
+VDB_IMAGE = apply_to_metric(VDB, make_transform(
+    "0.8*t1 + 0.1*t2 + 0.05", "-0.2*t1 + 1.1*t2 - 0.3", "0.5*t1 - 0.2*t2",
+    "0.3*t2", [[2.0, 1.0], [0.0, 1.0]]))
+IMAGE_BATCH = tuple(np.array(t) for t in zip(*grid_points(
+    VDB_IMAGE.domain, 2, 7, margin=0.05)))
 LK = catalog("lambda_kundu")
 LK_POINT = (0.9, 0.1)
 LK_BATCH = tuple(np.array(t) for t in zip(*grid_points(
@@ -57,6 +67,16 @@ def test_jet2_arithmetic(benchmark, op, order, width):
     assert benchmark(fn).order == order
 
 
+@pytest.mark.parametrize("width", [None, 36], ids=["float", "B36"])
+@pytest.mark.parametrize("constant", ["number", "jet"])
+def test_jet2_mul_by_constant(benchmark, constant, width):
+    # a number or a constant float jet times an order-2 jet: a batch jet
+    # is scaled, two float jets run the product kernel
+    a, _ = _operands(2, width)
+    c = 0.1628 if constant == "number" else jets.constant(0.1628, 2)
+    assert benchmark(lambda: c * a).order == 2
+
+
 def test_point_jets(benchmark):
     assert benchmark(point_jets, VDB, POINT).det_h.is_finite()
 
@@ -75,6 +95,16 @@ def test_second(benchmark, point):
 def _finite(row):
     return all(np.isfinite(np.array(v, dtype=float)).all()
                for v in row.values() if v is not None)
+
+
+@pytest.mark.parametrize("layer", ["fundamentals", "fields"])
+def test_first_order_layer(benchmark, layer):
+    # the layer alone: each round reads it on a fresh copy of one
+    # PointJets of the vdb image's 14-point batch (fields includes the
+    # fundamentals it builds on)
+    pj = point_jets(VDB_IMAGE, IMAGE_BATCH)
+    got = benchmark(lambda: getattr(dataclasses.replace(pj), layer))
+    assert np.isfinite(got["ell_C"].value).all()
 
 
 @pytest.mark.parametrize("point", [POINT, CHECK_BATCH], ids=["float", "B6"])

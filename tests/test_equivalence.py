@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2inv import catalog, equivalence, metrics, point_jets
+from g2inv import catalog, equivalence, invariants1, metrics, point_jets
 from g2inv.equivalence import build_signature, compare_metrics
 from g2inv.errors import (G2InvError, InsufficientCoverageError,
                           SingularMetricError)
@@ -70,6 +70,31 @@ def test_compare_metrics_materialized_transform():
     v = compare_metrics(m, apply_to_metric(m, p, name="vdbt"))
     assert v.verdict == "Consistent"
     assert v.max_discrepancy < 1e-8
+
+
+def test_compare_metrics_builds_only_the_fundamentals(monkeypatch):
+    # the signatures, the stratum and every Gauss-Newton round read the
+    # fundamentals layer alone: no sample builds the other fields
+    calls = {"fundamental_jets": 0, "first_invariant_jets": 0}
+
+    def counting(name):
+        fn = getattr(invariants1, name)
+
+        def wrapper(pj):
+            calls[name] += 1
+            return fn(pj)
+
+        monkeypatch.setattr(invariants1, name, wrapper)
+
+    for name in calls:
+        counting(name)
+    m = catalog("vdb")
+    image = apply_to_metric(m, make_transform(
+        "0.8*t1 + 0.1*t2 + 0.05", "-0.2*t1 + 1.1*t2 - 0.3", "0.5*t1 - 0.2*t2",
+        "0.3*t2", [[2.0, 1.0], [0.0, 1.0]]))
+    assert compare_metrics(m, image, n=4).verdict == "Consistent"
+    assert calls["fundamental_jets"] > 2
+    assert calls["first_invariant_jets"] == 0
 
 
 def test_discrimination_against_catalog():

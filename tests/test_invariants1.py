@@ -108,6 +108,33 @@ def test_vdb_matches_closed_forms(pt):
         assert jv[key].value == pytest.approx(want, rel=1e-12)
 
 
+def _bits(jet):
+    return np.asarray(jet.coeffs, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_fundamentals_are_the_fields_bit_for_bit(name):
+    # read before fields or after them, on a point or a batch, the
+    # fundamentals layer holds the fields' jets; a batch column holds its
+    # point's
+    m = catalog(name)
+    pts = grid_points(default_domain(m), 3, margin=0.1)
+    batch = tuple(np.array(t) for t in zip(*pts))
+    for fundamentals_first in (True, False):
+        for point in [*pts, batch]:
+            pj = point_jets(m, point)
+            if fundamentals_first:
+                pj.fundamentals
+            for key in FUNDAMENTAL_IDS:
+                assert _bits(pj.fundamentals[key]) == _bits(pj.fields[key])
+    pj = point_jets(m, batch)
+    for k, pt in enumerate(pts):
+        fields = point_jets(m, pt).fields
+        for key in FUNDAMENTAL_IDS:
+            column = [np.asarray(c)[k] for c in pj.fundamentals[key].coeffs]
+            assert np.array(column).tobytes() == _bits(fields[key]), key
+
+
 def test_identities_q_rho_and_c_gamma():
     for seed in GENERIC_SEEDS[:3]:
         m, pts = generic_random_points(seed, 4)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import operator
 from math import comb
 
 import numpy as np
@@ -57,6 +58,13 @@ def test_jets_built_from_numpy_values_hold_python_floats():
                point_jets(catalog("vdb"), (0.6, 1.1), method="fd")):
         for j in pj.all_component_jets() + (pj.det_h, pj.det_gt):
             assert all(type(c) is float for c in j.coeffs)
+
+
+def test_operands_of_different_orders_are_rejected():
+    a, b = jets.seed(0.5, 0, 1), jets.seed(np.array([0.5, 0.7]), 1, 2)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(ValueError, match="jet order mismatch: 1 vs 2"):
+            op(a, b)
 
 
 def test_product_rule():

@@ -286,7 +286,8 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((invariants1, "first_invariant_jets"),
+    for module, name in ((invariants1, "fundamental_jets"),
+                         (invariants1, "first_invariant_jets"),
                          (invariants1, "frame"),
                          (invariants1, "oneill_tensors"),
                          (einstein, "four_metric"),
@@ -374,7 +375,8 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
     assert derivatives == []
 
     assert {name for name, _ in calls} == {
-        "first_invariant_jets", "frame", "oneill_tensors", "four_metric",
+        "fundamental_jets", "first_invariant_jets", "frame",
+        "oneill_tensors", "four_metric",
         "christoffel4", "riemann4", "second_invariants_from_jets"}
     assert max(calls.values()) == 1, calls.most_common(3)
 
@@ -382,6 +384,31 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
 VDB_IMAGE = make_transform("0.8*t1 + 0.1*t2 + 0.05",
                            "-0.2*t1 + 1.1*t2 - 0.3", "0.5*t1 - 0.2*t2",
                            "0.3*t2", [[2.0, 1.0], [0.0, 1.0]])
+
+
+def test_commands_that_report_only_the_fundamentals_build_no_fields(
+        monkeypatch, tmp_path):
+    calls = Counter()
+    for name in ("fundamental_jets", "first_invariant_jets"):
+        def counting(pj, name=name, fn=getattr(invariants1, name)):
+            calls[name] += 1
+            return fn(pj)
+
+        monkeypatch.setattr(invariants1, name, counting)
+    vdb, tr = tmp_path / "vdb.json", tmp_path / "tr.json"
+    vdb.write_text(json.dumps(catalog("vdb").to_document()))
+    tr.write_text(json.dumps(VDB_IMAGE.strings))
+    out = ["--out", str(tmp_path / "out.txt")]
+    for argv in (["grid", str(vdb), "--t1", "0.4:1.0:3", "--t2", "0.8:1.4:3",
+                  "--order", "1", "--csv", *out],
+                 ["invariants", str(vdb), "--at", "0.6,1.1", "--order", "1",
+                  *out],
+                 ["transform", str(vdb), str(tr), "--points", "0.6,1.1",
+                  *out]):
+        calls.clear()
+        assert cli.run(argv) == 0, argv
+        assert calls["fundamental_jets"] > 0 and not calls[
+            "first_invariant_jets"], argv
 
 
 def _call_nodes(m):
@@ -533,6 +560,29 @@ def test_each_point_evaluates_a_failing_item_alone():
     assert np.array(got[:3] + got[4:]).tobytes() == np.array(batch).tobytes()
 
 
+def test_check_with_its_first_point_singular_evaluates_it_alone(
+        monkeypatch, tmp_path, capsys):
+    # 100 points, the first singular (det h = t1^2): the failing batch runs
+    # its first point alone and stops there, with that point's own error
+    path = tmp_path / "diag_t1.json"
+    path.write_text(json.dumps(catalog("diag_t1").to_document()))
+    points = ";".join(["0,0"] + [f"{1 + k / 100},0.1" for k in range(1, 100)])
+    argv = ["check-relations", str(path), "--points"]
+    assert cli.run([*argv, "0,0"]) == 2
+    alone = capsys.readouterr().err
+    assert "singular h" in alone
+    columns, build = [], metrics.point_jets
+
+    def counting_point_jets(m, point, *args, **kwargs):
+        columns.append(np.size(point[0]))
+        return build(m, point, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "point_jets", counting_point_jets)
+    assert cli.run([*argv, points]) == 2
+    assert capsys.readouterr().err == alone
+    assert columns == [100, 1]
+
+
 def test_each_point_caps_its_batches(monkeypatch):
     # more items than MAX_BATCH run in chunks of at most MAX_BATCH
     # columns, one failing item among them, with the results of one batch
@@ -553,9 +603,10 @@ def test_each_point_caps_its_batches(monkeypatch):
     want = evaluate(tuple(np.array(items[:5] + items[6:]).T))
     assert np.array(got[:5] + got[6:]).tobytes() == np.array(want).tobytes()
     # with stop, the chunk after the failing item's chunk does not run,
-    # and the results end with its error
+    # a failing batch runs its first item alone before it is halved, and
+    # the results end with the error
     widths.clear()
     stopped = metrics.each_point(evaluate, items, stop=True)
     assert len(stopped) == 6 and type(stopped[5]) is SingularEvaluationError
     assert np.array(stopped[:5]).tobytes() == np.array(got[:5]).tobytes()
-    assert widths == [4, 4, 2, 1, 1]
+    assert widths == [4, 4, 1, 1]

@@ -5,7 +5,8 @@ of a batch order-0 jet has the bits of eval_scalar at its point and the
 fd oracle reports the error met first, order-2 jets obey the ring
 laws and the chain rule, the dense product table multiplies like Jet2,
 the generated product and quotient kernels give the bits of the loops
-they unroll, and each column of a batch of points, packed jets or a
+they unroll, a product with a constant gives the product kernel's bits,
+and each column of a batch of points, packed jets or a
 batch point of a metric, has the bits of its own point, over generated
 inputs."""
 
@@ -211,6 +212,60 @@ def test_quotient_kernel_is_the_recurrence_bit_for_bit(operands):
     order, a, b = operands
     _assert_same_bits(_run(jets._DIV_KERNEL[order], a, b),
                       _run(reference_divide, a, b, order))
+
+
+# finite, with magnitudes below DBL_MAX/3: past that a weighted zero term
+# of the product kernel, w*a_p*0.0, overflows into NaN, where scaling by
+# a constant leaves c*a_k (the jets module docstring)
+finite = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, -5e-324, -1e-310)),
+                   st.floats(-1e150, 1e150))
+
+
+@st.composite
+def scale_operands(draw):
+    """An order, a float or batch jet of that order (its value a vector
+    and its derivatives floats or vectors, as seed mixes them), c (an
+    int, a float, or a float jet whose derivatives are zeros of either
+    sign, or now and then not all zero) and which side c multiplies
+    from."""
+    order = draw(st.integers(0, jets.MAX_ORDER))
+    width = draw(st.integers(2, 4))
+    size = len(jets._IDX[order])
+    batch = draw(st.booleans())
+
+    def coefficient(k):
+        if batch and (k == 0 or draw(st.booleans())):
+            return np.array(draw(st.lists(finite, min_size=width,
+                                          max_size=width)))
+        return draw(finite)
+
+    a = jets._jet(order, tuple(map(coefficient, range(size))))
+    c = draw(st.one_of(st.integers(-10 ** 6, 10 ** 6), finite))
+    if draw(st.booleans()):
+        zeros = st.sampled_from((0.0, -0.0))
+        derivatives = st.lists(st.one_of(zeros, finite) if draw(st.booleans())
+                               else zeros, min_size=size - 1,
+                               max_size=size - 1)
+        c = jets._jet(order, (float(c), *draw(derivatives)))
+    return order, width, a, c, draw(st.booleans())
+
+
+@settings(max_examples=500, deadline=None)
+@given(scale_operands())
+@example((2, 3, jets._jet(2, (np.array([1.0, -2.0, 0.0]), -0.0, 1.0, 3.0,
+                               np.array([-0.0, 5.0, 1e-300]), 0.0)),
+          -0.0, True))
+def test_product_with_a_constant_is_the_kernel_bit_for_bit(operands):
+    order, width, a, c, left = operands
+    k = c.coeffs if isinstance(c, jets.Jet2) else jets.constant(c, order).coeffs
+    got = c * a if left else a * c
+    want = jets._MUL_KERNEL[order](*((k, a.coeffs) if left else (a.coeffs, k)))
+    assert len(got.coeffs) == len(want)
+    # column by column: a float coefficient stands for the same float in
+    # every column
+    for x, y in zip(got.coeffs, want):
+        assert np.broadcast_to(x, width).tobytes() \
+            == np.broadcast_to(y, width).tobytes()
 
 
 def _outcome(evaluate):
