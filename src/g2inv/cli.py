@@ -330,13 +330,13 @@ def cmd_transform(args):
                                  "frame_residual": r["frame_residual"]}
                                 for r in rep["points"]]})
         return 0 if rep["pass"] else 1
-    rows = []
-    for pt in points:
-        pj = transform_mod.pushforward_jets(
-            metrics.point_jets(m, pt, order=2), p)
-        rows.append({"point": list(pt), "image": list(pj.point),
-                     **{k: pj.fundamentals[k].value
-                        for k in invariants1.FUNDAMENTAL_IDS}})
+    # the fundamentals read values alone: order-1 jets, one batch
+    got = metrics.each_point_or_raise(lambda point: _rows(
+        transform_mod.pushforward_jets(metrics.point_jets(
+            m, point, order=1), p), 1), points)
+    rows = [{"point": list(pt), "image": [row["t1"], row["t2"]],
+             **{k: row[k] for k in invariants1.FUNDAMENTAL_IDS}}
+            for pt, row in zip(points, got)]
     _emit(args, {"command": "transform", "metric": m.name, "points": rows})
     return 0
 

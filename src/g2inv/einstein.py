@@ -34,14 +34,14 @@ def _coeffs(rows):
 def _stack(a, core):
     """(B,) + core stack of a batch's columns (one point: a stack of one)."""
     return a[None] if a.ndim == core \
-        else np.ascontiguousarray(np.moveaxis(a, -1, 0))
+        else np.ascontiguousarray(a.transpose(-1, *range(a.ndim - 1)))
 
 
 def _unstack(s, pj):
     """A stack back in pj's layout: a batch's with a trailing point axis,
     one point's entry (a float for a scalar)."""
     if pj.batch:
-        return np.moveaxis(s, 0, -1)
+        return s.transpose(*range(1, s.ndim), 0)
     return float(s[0]) if s.ndim == 1 else s[0]
 
 

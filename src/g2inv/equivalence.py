@@ -13,6 +13,7 @@ not that every sample did.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,18 +69,41 @@ def _evaluate(m, pts):
         return list(zip(zip(*(np.atleast_1d(t).tolist() for t in pj.point)),
                         np.atleast_1d(pj.stratum.generic),
                         values.reshape(6, -1).T.copy(),
-                        np.moveaxis(jac.reshape(6, 2, -1), 2, 0).copy()))
+                        jac.reshape(6, 2, -1).transpose(2, 0, 1).copy()))
 
     return [None if isinstance(got, Exception) else got
             for got in metrics.each_point(at, pts)]
+
+
+# why build_signature skips a grid point, in the order it tests them,
+# each with its words after a count of points
+SKIP_REASONS = {"unevaluable": "where the metric cannot be evaluated",
+                "non-generic": "on a non-generic stratum (C_rho or ell_C 0)",
+                "non-finite": "with non-finite fundamentals",
+                "rank-deficient": "where the fundamentals have rank < 2"}
+
+
+def _skip_reason(got):
+    """The key of SKIP_REASONS that skips an _evaluate result, None for a
+    sample."""
+    if got is None:
+        return "unevaluable"
+    _, generic, values, jac = got
+    if not generic:
+        return "non-generic"
+    if not (np.isfinite(values).all() and np.isfinite(jac).all()):
+        return "non-finite"
+    return None if _rank2(jac) else "rank-deficient"
 
 
 def build_signature(m, rect=None, n=12):
     """Sample the classifying manifold of a metric over a rectangle.
 
     The n x n grid is evaluated as one batch of points.  A grid point is
-    skipped where the metric cannot be evaluated, is not generic, or its
-    fundamentals do not have rank 2 there.
+    skipped for a reason of SKIP_REASONS: the metric cannot be evaluated
+    there, it is not generic, its fundamentals are not finite, or they do
+    not have rank 2 there.  Too few samples raise an
+    InsufficientCoverageError that counts the points skipped by reason.
     """
     if n * n < MIN_SAMPLES:
         raise G2InvError(f"a grid of {n} x {n} points is smaller than the "
@@ -90,16 +114,20 @@ def build_signature(m, rect=None, n=12):
         # non-generic grid points are skipped anyway
         rect = ((-1.5, 1.5), (-1.5, 1.5))
     grid = metrics.grid_points(rect, n, margin=0.02)
-    samples = [Sample(point, tuple(values), jac)
-               for point, generic, values, jac
-               in filter(None, _evaluate(m, grid))
-               if generic and np.isfinite(values).all()
-               and np.isfinite(jac).all() and _rank2(jac)]
+    samples, skipped = [], Counter()
+    for got in _evaluate(m, grid):
+        reason = _skip_reason(got)
+        if reason:
+            skipped[reason] += 1
+        else:
+            samples.append(Sample(got[0], tuple(got[2]), got[3]))
     if len(samples) < MIN_SAMPLES:
+        why = ", ".join(f"{skipped[key]} {words}" for key, words
+                        in SKIP_REASONS.items() if key in skipped)
         raise InsufficientCoverageError(
             f"only {len(samples)} generic samples retained for {m.name!r} "
-            f"(need {MIN_SAMPLES}); the signature criterion is unavailable "
-            "on this stratum")
+            f"(need {MIN_SAMPLES}); of its {len(grid)} grid points, {why}",
+            len(samples), skipped)
     return Signature(samples=samples)
 
 
@@ -223,28 +251,33 @@ def compare_metrics(ma, mb, n=12, tol=1e-4, rect_a=None, rect_b=None):
     does; its witness is the sample with the smallest residual and the
     point where that residual is reached, with both sets of
     fundamentals.
-    Stratum mismatches are verdicts of their own: if exactly one side
-    is degenerate the metrics cannot be equivalent, if both are, the
-    criterion does not apply.
+    A side with too few samples decides the verdict on its own.  Where
+    exactly one side has too few and it is degenerate (a grid point on a
+    non-generic stratum, and no generic one), the strata differ and the
+    metrics cannot be equivalent.  Otherwise the criterion does not
+    apply: Inconclusive, with the reasons the points were skipped.
     """
-    try:
-        sig_a = build_signature(ma, rect=rect_a, n=n)
-    except InsufficientCoverageError:
-        sig_a = None
-    try:
-        sig_b = build_signature(mb, rect=rect_b, n=n)
-    except InsufficientCoverageError:
-        sig_b = None
-    if sig_a is None and sig_b is None:
-        return Verdict("Inconclusive", 0.0, 0.0, 0.0,
-                       note="neither metric is generic on the sampled "
-                            "domain; the signature criterion does not apply")
-    if sig_a is None or sig_b is None:
-        degenerate = ma.name if sig_a is None else mb.name
-        return Verdict("Inconsistent", 0.0, 0.0, 0.0,
-                       note=f"{degenerate!r} is degenerate "
-                            "(no generic samples) while the other metric "
-                            "is generic: different strata")
+    def signature(m, rect):
+        try:
+            return build_signature(m, rect=rect, n=n)
+        except InsufficientCoverageError as err:
+            return err
+
+    sig_a, sig_b = signature(ma, rect_a), signature(mb, rect_b)
+    short = [(m, sig) for m, sig in ((ma, sig_a), (mb, sig_b))
+             if isinstance(sig, InsufficientCoverageError)]
+    if len(short) == 1:
+        (m, err), = short
+        if "non-generic" in err.skipped and not err.kept and not (
+                err.skipped.keys() & {"non-finite", "rank-deficient"}):
+            return Verdict("Inconsistent", 0.0, 0.0, 0.0,
+                           note=f"{m.name!r} is degenerate "
+                                "(no generic samples) while the other "
+                                "metric is generic: different strata")
+    if short:
+        return Verdict("Inconclusive", 0.0, 0.0, 0.0, note="; ".join(
+            dict.fromkeys(str(err) for _, err in short))
+            + "; the signature criterion does not apply")
 
     scales = _scales(np.array([s.values for s in
                                sig_a.samples + sig_b.samples]))

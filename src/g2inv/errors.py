@@ -44,4 +44,11 @@ class DegenerateTransformError(G2InvError):
 
 
 class InsufficientCoverageError(G2InvError):
-    """Too few generic samples were retained to build a signature."""
+    """Too few generic samples were retained to build a signature; kept
+    counts the samples retained, skipped the grid points skipped, by
+    reason."""
+
+    def __init__(self, message, kept=0, skipped=None):
+        super().__init__(message)
+        self.kept = kept
+        self.skipped = dict(skipped or {})

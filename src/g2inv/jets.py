@@ -295,6 +295,16 @@ def _scale(c, a, order):
     return _jet(order, tuple([0.0 + c * x for x in a]))
 
 
+def _spread(a, point):
+    """a with every coefficient a vector as long as the coordinates of a
+    batch point (np.full, not + 0.0, which would turn -0.0 into 0.0), so
+    that constants and jets of one variable carry the point axis too; a
+    itself at a float point."""
+    if not isinstance(point[0], np.ndarray):
+        return a
+    return _jet(a.order, tuple(np.full(len(point[0]), c) for c in a.coeffs))
+
+
 def constant(value, order):
     c = [0.0] * len(_IDX[order])
     c[0] = float(value)
@@ -485,8 +495,9 @@ def compose_map(u, iota1, iota2):
     n = u.order
     if iota1.order != n or iota2.order != n:
         raise ValueError("component jets must share the jet order")
-    d1 = iota1 - iota1.value
-    d2 = iota2 - iota2.value
+    # iota - iota.value, coefficient by coefficient (x - 0.0 is x)
+    d1, d2 = (_jet(n, (c[0] - c[0], *c[1:]))
+              for c in (iota1.coeffs, iota2.coeffs))
     out = constant(0.0, n)
     pow1 = [constant(1.0, n)]
     pow2 = [constant(1.0, n)]
@@ -495,7 +506,8 @@ def compose_map(u, iota1, iota2):
         pow2.append(pow2[-1] * d2)
     for (i, j) in _IDX[n]:
         c = u.d(i, j) / (math.factorial(i) * math.factorial(j))
-        out = out + c * (pow1[i] * pow2[j])
+        # c * jet, which a vector c would make a numpy object array
+        out = out + _scale(c, (pow1[i] * pow2[j]).coeffs, n)
     return out
 
 

@@ -325,13 +325,8 @@ def point_jets(m, point, order=2, method="analytic"):
     batch = isinstance(point[0], np.ndarray)
     point = tuple(np.array(t, dtype=float) if batch else float(t)
                   for t in (point[0], point[1]))
-    comp = _eval_components(m, point, order, method)
-    if batch:
-        # constants and jets of one variable carry the point axis too;
-        # np.full, not + 0.0, which would turn -0.0 into 0.0
-        comp = {key: jets._jet(j.order, tuple(np.full(len(point[0]), c)
-                                              for c in j.coeffs))
-                for key, j in comp.items()}
+    comp = {key: jets._spread(j, point) for key, j in
+            _eval_components(m, point, order, method).items()}
     h = (comp["h11"], comp["h12"], comp["h22"])
     det_h = h[0] * h[2] - h[1] * h[1]
     if jets._any(det_h.value == 0.0) or not det_h.is_finite():
@@ -385,6 +380,8 @@ def each_point(evaluate, items, stop=False):
     batches that failed with it.  numpy overflow, invalid arithmetic and
     zero division raise in a batch, so an item that would print a numpy
     warning runs alone and prints it as alone."""
+    if not items:
+        return []
     if len(items) > MAX_BATCH:
         parts = [items[start:start + MAX_BATCH]
                  for start in range(0, len(items), MAX_BATCH)]
@@ -411,7 +408,7 @@ def each_point(evaluate, items, stop=False):
 def each_point_or_raise(evaluate, items):
     """each_point's results, raising the first failing item's error."""
     got = each_point(evaluate, items, stop=True)
-    if isinstance(got[-1], Exception):
+    if got and isinstance(got[-1], Exception):
         raise got[-1]
     return got
 

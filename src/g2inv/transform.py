@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr, jets, metrics
+from . import einstein, expr, jets, metrics
 from .errors import DegenerateTransformError, MetricDefinitionError
 from .invariants1 import FUNDAMENTAL_IDS
 
@@ -92,13 +92,19 @@ def load_transform(document):
 
 
 def _inverse_map_jets(phi_jets, order):
-    """Jets (in t-bar) of phi^-1 from order-(order+1) jets of phi (in t)."""
-    J = np.array([[jets.t_derivative(phi_jets[m], i).value
-                   for i in range(2)] for m in range(2)])
-    det = float(np.linalg.det(J))
-    if det == 0.0:
+    """Jets (in t-bar) of phi^-1 from order-(order+1) jets of phi (in t).
+
+    On a batch, J_phi's determinant and inverse are taken on the (B, 2, 2)
+    stack of its columns, one np.linalg call each, with the bits of one
+    call per matrix."""
+    d = jets.t_derivative
+    batch = isinstance(phi_jets[0].value, np.ndarray)
+    J = einstein._stack(np.array([[d(phi_jets[m], i).value for i in range(2)]
+                                  for m in range(2)]), 2)
+    if (np.linalg.det(J) == 0.0).any():
         raise DegenerateTransformError("J_phi = 0")
-    M = np.linalg.inv(J)
+    stack = np.linalg.inv(J)
+    M = stack.transpose(1, 2, 0) if batch else stack[0]
     iotas = [[0.0] * len(jets._IDX[order]) for _ in range(2)]
     # d iota^i / d tbar^a = M^i_a; second derivatives from
     # d2 iota^i = -M^i_c K^c_jk M^j_a M^k_b
@@ -107,29 +113,28 @@ def _inverse_map_jets(phi_jets, order):
             iotas[i][1] = M[i][0]
             iotas[i][2] = M[i][1]
     if order >= 2:
-        K = np.zeros((2, 2, 2))
-        for c in range(2):
-            d1 = jets.t_derivative(phi_jets[c], 0)
-            d2 = jets.t_derivative(phi_jets[c], 1)
-            K[c][0][0] = jets.t_derivative(d1, 0).value
-            K[c][0][1] = K[c][1][0] = jets.t_derivative(d1, 1).value
-            K[c][1][1] = jets.t_derivative(d2, 1).value
-        D2 = -np.einsum("ic,cjk,ja,kb->iab", M, K, M, M)
+        K = np.array([[[d(d(phi_jets[c], j), k).value for k in range(2)]
+                       for j in range(2)] for c in range(2)])
+        D2 = -np.einsum("ic...,cjk...,ja...,kb...->iab...", M, K, M, M)
         for i in range(2):
             iotas[i][3] = D2[i][0][0]
             iotas[i][4] = D2[i][0][1]
             iotas[i][5] = D2[i][1][1]
-    return [jets.Jet2(order, c) for c in iotas]
+    lift = (lambda c: np.full(J.shape[0], c)) if batch else float
+    return [jets._jet(order, tuple(map(lift, c))) for c in iotas]
 
 
 def _map_jets(p, t, order):
-    """Jets of (phi1, phi2) and of (psi1, psi2) at t."""
-    return ([expr.eval_jet(f, {}, t, order) for f in p.phi],
-            [expr.eval_jet(f, {}, t, order) for f in p.psi])
+    """Jets of (phi1, phi2) and of (psi1, psi2) at t; at a batch point
+    every coefficient is a vector, as in point_jets, so each product
+    runs the kernel a float point runs."""
+    return ([jets._spread(expr.eval_jet(f, {}, t, order), t) for f in p.phi],
+            [jets._spread(expr.eval_jet(f, {}, t, order), t) for f in p.psi])
 
 
 def pushforward_jets(pj, p):
-    """PointJets of the transformed metric at the image point phi(t).
+    """PointJets of the transformed metric at the image point phi(t), for
+    one point or a batch.
 
     Order-k output needs order-(k+1) jets of phi and psi; the base
     change to t-bar derivatives uses the inverse-map jets of phi.
@@ -147,7 +152,7 @@ def _pushforward(pj, p, phi_jets, psi_jets):
     Jpsi = [[jets.t_derivative(psi_jets[r], i) for i in range(2)]
             for r in range(2)]
     det_J = J[0][0] * J[1][1] - J[0][1] * J[1][0]
-    if det_J.value == 0.0:
+    if jets._any(det_J.value == 0.0):
         raise DegenerateTransformError(f"J_phi = 0 at {t}")
     Jinv = [[J[1][1] / det_J, -J[0][1] / det_J],
             [-J[1][0] / det_J, J[0][0] / det_J]]  # Jinv[i][m] = dt^i/dtbar^m
@@ -321,13 +326,6 @@ def _submersion_metric(name, params, asts):
                                 "components": dict(zip(asts, texts))})
 
 
-def to_submersion_document(m):
-    """Rewrite a bfh metric document in submersion form."""
-    if m.form == "submersion":
-        return m
-    return _submersion_metric(m.name, m.params, _reread(m, {}, {}))
-
-
 def random_transform(seed):
     """A random pseudogroup element, mildly nonlinear (a sine term of
     amplitude at most 0.05) with J_phi != 0 on moderate boxes."""
@@ -358,54 +356,73 @@ def random_transform(seed):
 
 
 def invariance_report(m, p, points, tol=1e-7):
-    """Invariance of the six fundamentals plus the frame sign laws."""
-    rows = []
-    sign_laws_ok = True
+    """Invariance of the six fundamentals plus the frame sign laws.
+
+    Both read values alone, so each point takes order-1 component jets
+    and order-2 jets of phi and psi.  The points are evaluated as batches
+    by metrics.each_point_or_raise, which raises the error of the first
+    failing point, and each column's signs and residuals are computed
+    from the floats of its own point.
+    """
     a = np.array(p.alpha)
     eps2 = 1 if a[0][0] * a[1][1] - a[0][1] * a[1][0] > 0 else -1
-    for pt in points:
-        pj = metrics.point_jets(m, pt, order=2)
-        phi_jets, psi_jets = _map_jets(p, pt, 3)
-        pj_bar = _pushforward(pj, p, phi_jets, psi_jets)
-        # the first derivatives of phi and psi at pt: J_phi's sign and
-        # the pushforward of a 4-vector (v_t, v_z) -> (J v_t, Jpsi v_t + a v_z)
-        J = np.array([[j.d(1, 0), j.d(0, 1)] for j in phi_jets])
-        Jpsi = np.array([[j.d(1, 0), j.d(0, 1)] for j in psi_jets])
-        eps1 = 1 if J[0][0] * J[1][1] - J[0][1] * J[1][0] > 0 else -1
-        inv, inv_bar = (np.array([q.fundamentals[k].value for k in
-                                  FUNDAMENTAL_IDS]) for q in (pj, pj_bar))
-        denom = np.maximum(np.abs(inv), np.maximum(np.abs(inv_bar), 1.0))
-        inv_residual = float(np.max(np.abs(inv - inv_bar) / denom))
 
-        frame_residual = None
-        if pj.stratum.generic:
-            fr = pj.frame
-            fr_bar = pj_bar.frame
-            sgn = (1.0, eps1, eps1, eps1 * eps2)
-            frame_residual = 0.0
-            for s, v, vbar in zip(
-                    sgn,
-                    (fr.H4, fr.Hperp4, fr.C4, fr.Cperp4),
-                    (fr_bar.H4, fr_bar.Hperp4, fr_bar.C4, fr_bar.Cperp4)):
-                pushed = np.concatenate([J @ v[:2], Jpsi @ v[:2] + a @ v[2:]])
-                target = s * np.array(vbar)
-                norm = max(float(np.linalg.norm(target)), 1e-300)
-                frame_residual = max(
-                    frame_residual,
-                    float(np.linalg.norm(pushed - target)) / norm)
-            if frame_residual > tol:
-                sign_laws_ok = False
-        rows.append({
-            "point": pt,
-            "eps1": eps1,
-            "eps2": eps2,
-            "invariant_residual": inv_residual,
-            "frame_residual": frame_residual,
-            "pass": inv_residual < tol and (frame_residual is None
-                                            or frame_residual < tol),
-        })
+    def evaluate(point):
+        pj = metrics.point_jets(m, point, order=1)
+        phi_jets, psi_jets = _map_jets(p, pj.point, 2)
+        pj_bar = _pushforward(pj, p, phi_jets, psi_jets)
+
+        def columns(x, core):
+            """x, nested lists of floats or of (B,) vectors `core` levels
+            deep, as one nested list of floats per column."""
+            return einstein._stack(np.array(x), core).tolist()
+
+        # the first derivatives of phi and psi: J_phi's sign and the
+        # pushforward of a 4-vector (v_t, v_z) -> (J v_t, Jpsi v_t + a v_z)
+        Js, Jpsis = (columns([[j.d(1, 0), j.d(0, 1)] for j in js], 2)
+                     for js in (phi_jets, psi_jets))
+        invs, invs_bar = (columns([q.fundamentals[k].value for k in
+                                   FUNDAMENTAL_IDS], 1) for q in (pj, pj_bar))
+        generic = np.atleast_1d(pj.stratum.generic).tolist()
+        if any(generic):
+            frames, frames_bar = (columns([fr.H4, fr.Hperp4, fr.C4,
+                                           fr.Cperp4], 2)
+                                  for fr in (pj.frame, pj_bar.frame))
+        rows = []
+        for k, J in enumerate(Js):
+            J, Jpsi = np.array(J), np.array(Jpsis[k])
+            eps1 = 1 if J[0][0] * J[1][1] - J[0][1] * J[1][0] > 0 else -1
+            inv, inv_bar = np.array(invs[k]), np.array(invs_bar[k])
+            denom = np.maximum(np.abs(inv), np.maximum(np.abs(inv_bar), 1.0))
+            inv_residual = float(np.max(np.abs(inv - inv_bar) / denom))
+            frame_residual = None
+            if generic[k]:
+                sgn = (1.0, eps1, eps1, eps1 * eps2)
+                frame_residual = 0.0
+                for s, v, vbar in zip(sgn, frames[k], frames_bar[k]):
+                    pushed = np.concatenate([J @ v[:2],
+                                             Jpsi @ v[:2] + a @ v[2:]])
+                    target = s * np.array(vbar)
+                    norm = max(float(np.linalg.norm(target)), 1e-300)
+                    frame_residual = max(
+                        frame_residual,
+                        float(np.linalg.norm(pushed - target)) / norm)
+            rows.append({
+                "eps1": eps1,
+                "eps2": eps2,
+                "invariant_residual": inv_residual,
+                "frame_residual": frame_residual,
+                "pass": inv_residual < tol and (frame_residual is None
+                                                or frame_residual < tol),
+            })
+        return rows
+
+    rows = [{"point": pt, **row} for pt, row in zip(
+        points, metrics.each_point_or_raise(evaluate, points))]
     return {"points": rows, "tol": tol,
             "max_invariant_residual": max(r["invariant_residual"]
                                           for r in rows),
-            "sign_laws_pass": sign_laws_ok,
+            "sign_laws_pass": not any(
+                r["frame_residual"] is not None and r["frame_residual"] > tol
+                for r in rows),
             "pass": all(r["pass"] for r in rows)}

@@ -21,16 +21,17 @@ from g2inv.einstein import onshell_relations
 from g2inv.invariants1 import relations_first
 from g2inv.invariants2 import relations_second
 from g2inv.metrics import default_domain, grid_points
-from g2inv.transform import apply_to_metric, make_transform
+from g2inv.transform import (apply_to_metric, invariance_report,
+                             make_transform, random_transform)
 
 VDB = catalog("vdb")
 POINT = (0.6, 1.1)
 # a 12-point batch, the size of a grid op
 BATCH = tuple(np.array(t) for t in zip(*grid_points(
     default_domain(VDB), 3, 4, margin=0.05)))
-# a 6-point batch, the size of a check op
-CHECK_BATCH = tuple(np.array(t) for t in zip(*grid_points(
-    default_domain(VDB), 2, 3, margin=0.05)))
+# a 6-point batch, the size of a check op and of a transform op
+CHECK_POINTS = grid_points(default_domain(VDB), 2, 3, margin=0.05)
+CHECK_BATCH = tuple(np.array(t) for t in zip(*CHECK_POINTS))
 # an affine image of vdb (a defs document) on a 14-point batch, the
 # size of an equiv Gauss-Newton round
 VDB_IMAGE = apply_to_metric(VDB, make_transform(
@@ -122,3 +123,11 @@ def test_relations_second(benchmark, point):
 def test_onshell_relations(benchmark, point):
     assert _finite(benchmark(
         lambda: onshell_relations(point_jets(LK, point), 3.0)))
+
+
+@pytest.mark.parametrize("points", [[POINT], CHECK_POINTS],
+                         ids=["float", "B6"])
+def test_invariance_report(benchmark, points):
+    # one point alone, or the six points of a transform op as one batch
+    p = random_transform(3)
+    assert benchmark(invariance_report, VDB, p, points)["pass"]

@@ -13,13 +13,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import g2inv
-from g2inv import catalog, cli, einstein, metrics, point_jets
+from g2inv import catalog, cli, einstein, expr, jets, metrics, point_jets
 from g2inv.cli import SECOND_ORDER_COLUMNS, SECOND_ORDER_NAMES, dumps, run
 from g2inv.errors import G2InvError
 from g2inv.invariants1 import FUNDAMENTAL_IDS, relations_first
 from g2inv.invariants2 import relations_second
 from g2inv.metrics import CATALOG_NAMES
-from g2inv.transform import apply_to_metric, make_transform
+from g2inv.transform import (apply_to_metric, load_transform, make_transform,
+                             pushforward_jets, random_transform)
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +149,36 @@ def test_equiv_not_consistent(vdb_file, kundu_file, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["verdict"] == "Inconsistent"
     assert code == 1
+
+
+@pytest.mark.parametrize("rect, skipped", [
+    # all 9 points generic, the fundamentals of rank 1 on t1 = 0
+    ("0:0,0.7:1.5", "9 where the fundamentals have rank < 2"),
+    ("0:1e-300,0:1e-300", "9 where the metric cannot be evaluated")])
+def test_equiv_of_a_metric_with_itself_without_samples_is_inconclusive(
+        vdb_file, capsys, rect, skipped):
+    # no point is on a non-generic stratum: the strata cannot differ
+    capsys.readouterr()
+    assert run(["equiv", vdb_file, vdb_file, "--grid", "3",
+                "--rect-a=" + rect, "--json"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"] == "Inconclusive"
+    assert out["note"] == (
+        "only 0 generic samples retained for 'vdb' (need 8); of its 9 grid "
+        f"points, {skipped}; the signature criterion does not apply")
+
+
+def test_equiv_against_a_metric_of_another_stratum_is_inconsistent(
+        vdb_file, kundu_file, capsys):
+    # lambda_kundu's 9 grid points are all non-generic
+    capsys.readouterr()
+    assert run(["equiv", vdb_file, kundu_file, "--grid", "3", "--json"]) == 1
+    assert capsys.readouterr().out == dumps({
+        "command": "equiv", "metric_a": "vdb", "metric_b": "lambda_kundu",
+        "verdict": "Inconsistent", "coverage_a": 0, "coverage_b": 0,
+        "max_discrepancy": 0, "witness": None,
+        "note": "'lambda_kundu' is degenerate (no generic samples) while "
+                "the other metric is generic: different strata"}) + "\n"
 
 
 def test_usage_error_exit_code():
@@ -815,6 +846,117 @@ def test_mixed_strata_run_as_one_batch(check_files, capsys, monkeypatch):
     assert [row["commutator"] is None
             for row in report["second_order"]["points"]] \
         == [False, False, True, False]
+
+
+# laws of drawn transforms besides random_transform's: constant and
+# linear laws keep float coefficients in the jets of a batch point
+TRANSFORM_LAWS = {
+    "law0": ("t1 + 0.1*t2^2", "t2", "sin(t1)", "0", [[2, 1], [0, 1]]),
+    "law1": ("t2", "t1", "0", "0.3", [[1, 0], [0, -1]]),
+    "law2": ("0.9*t1 - 0.2*t2 + 0.3", "0.1*t1 + 1.1*t2", "0.4*t1", "1",
+             [[0, 1], [1, 0]]),
+}
+
+
+def _transform_point_by_point(argv):
+    """The exit code of transform as one point_jets call per point gives
+    it, at the orders it took before it read values alone (order-2
+    component jets, order-3 jets of phi and psi), its report written to
+    stdout, its error to stderr."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        m = metrics.load_metric(args.metric)
+        p = load_transform(args.transform)
+        points = cli._resolve_points(args, m)
+        if not args.report_invariance:
+            rows = []
+            for pt in points:
+                q = pushforward_jets(point_jets(m, pt, order=2), p)
+                rows.append({"point": list(pt), "image": list(q.point), **{
+                    k: q.fundamentals[k].value for k in FUNDAMENTAL_IDS}})
+            cli._emit(args, {"command": "transform", "metric": m.name,
+                             "points": rows})
+            return 0
+        a = np.array(p.alpha)
+        eps2 = 1 if a[0][0] * a[1][1] - a[0][1] * a[1][0] > 0 else -1
+        rows, tol = [], args.tol
+        for pt in points:
+            pj = point_jets(m, pt, order=2)
+            pj_bar = pushforward_jets(pj, p)
+            J, Jpsi = (np.array([[jets.t_derivative(expr.eval_jet(
+                f, {}, pt, 1), i).value for i in range(2)] for f in laws])
+                for laws in (p.phi, p.psi))
+            eps1 = 1 if J[0][0] * J[1][1] - J[0][1] * J[1][0] > 0 else -1
+            inv, inv_bar = (np.array([q.fundamentals[k].value for k in
+                                      FUNDAMENTAL_IDS]) for q in (pj, pj_bar))
+            denom = np.maximum(np.abs(inv), np.maximum(np.abs(inv_bar), 1.0))
+            inv_residual = float(np.max(np.abs(inv - inv_bar) / denom))
+            frame_residual = None
+            if pj.stratum.generic:
+                fr, fr_bar = pj.frame, pj_bar.frame
+                frame_residual = 0.0
+                for s, v, vbar in zip(
+                        (1.0, eps1, eps1, eps1 * eps2),
+                        (fr.H4, fr.Hperp4, fr.C4, fr.Cperp4),
+                        (fr_bar.H4, fr_bar.Hperp4, fr_bar.C4, fr_bar.Cperp4)):
+                    pushed = np.concatenate([J @ v[:2],
+                                             Jpsi @ v[:2] + a @ v[2:]])
+                    target = s * np.array(vbar)
+                    norm = max(float(np.linalg.norm(target)), 1e-300)
+                    frame_residual = max(
+                        frame_residual,
+                        float(np.linalg.norm(pushed - target)) / norm)
+            rows.append({"point": list(pt), "eps1": eps1, "eps2": eps2,
+                         "invariant_residual": inv_residual,
+                         "frame_residual": frame_residual})
+        ok = all(r["invariant_residual"] < tol and (
+            r["frame_residual"] is None or r["frame_residual"] < tol)
+            for r in rows)
+        cli._emit(args, {
+            "command": "transform", "metric": m.name,
+            "max_invariant_residual": max(r["invariant_residual"]
+                                          for r in rows),
+            "sign_laws_pass": not any(
+                r["frame_residual"] is not None and r["frame_residual"] > tol
+                for r in rows),
+            "pass": ok, "points": rows})
+        return 0 if ok else 1
+    except G2InvError as err:
+        sys.stderr.write(f"error: {err}\n")
+        return 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from(GRID_METRICS + ("mixed_strata",)),
+                 st.integers(1, 99).map("random_analytic_{}".format)),
+       st.one_of(st.integers(0, 199), st.sampled_from(list(TRANSFORM_LAWS))),
+       st.lists(st.tuples(fractions, fractions), min_size=1, max_size=8),
+       st.booleans(), st.booleans())
+@example("mixed_strata", "law0", [(0.75, 0.75), (0.5, 0.75), (0.5, 0.5),
+                                  (0.625, 0.375)], True, True)
+@example("diag_t1", "law1", [(0.5, 0.5)] * 3 + [(-0.25, 0.5)]
+         + [(0.5, 0.5)] * 2, True, False)
+@example("diag_t1", 3, [(0.5, 0.5)] * 3 + [(-0.25, 0.5)] + [(0.5, 0.5)] * 2,
+         False, True)
+@example("random_analytic_7", "law2", [(0.25, 0.5), (0.75, 0.5)], False,
+         False)
+def test_batched_transform_has_the_bits_of_its_points(
+        check_files, name, law, fracs, report, json_out):
+    path = check_files / name
+    if not path.exists():  # a random_analytic seed
+        path.write_text(json.dumps(catalog("random_analytic", {
+            "seed": int(name.rsplit("_", 1)[1])}).to_document()))
+    tr = check_files / f"transform_{law}"
+    tr.write_text(json.dumps((make_transform(*TRANSFORM_LAWS[law])
+                              if law in TRANSFORM_LAWS
+                              else random_transform(law)).strings))
+    m = metrics.load_metric(str(path))
+    (a, b), (c, d) = CHECK_DOMAINS.get(name) or metrics.default_domain(m)
+    points = ";".join("%r,%r" % (a + u * (b - a), c + v * (d - c))
+                      for u, v in fracs)
+    argv = ["transform", str(path), str(tr), "--points=" + points,
+            *(["--report-invariance"] * report), *(["--json"] * json_out)]
+    assert _captured(run, argv) == _captured(_transform_point_by_point, argv)
 
 
 GOOD_TRANSFORM = {"phi1": "t1", "phi2": "t2", "psi1": "0", "psi2": "0",

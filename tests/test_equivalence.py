@@ -35,8 +35,10 @@ def test_build_signature_skips_rank_deficient_fundamentals():
                          "F22": "0.5*t1", "h11": "2+0.4*cos(t1)",
                          "h12": "0.2*t1", "h22": "-1-0.1*t1^2"}})
     assert metrics.classify(point_jets(m, (0.3, 0.2))).generic
-    with pytest.raises(InsufficientCoverageError, match="only 0 generic"):
+    with pytest.raises(InsufficientCoverageError, match="only 0 generic") \
+            as err:
         build_signature(m, n=4)
+    assert (err.value.kept, err.value.skipped) == (0, {"rank-deficient": 16})
 
 
 def test_compare_reflexive():

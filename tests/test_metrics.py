@@ -334,7 +334,7 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
                                        (1.2, 0.3): 1}), argv
 
     # transform --report-invariance evaluates each of phi1, phi2, psi1
-    # and psi2 once per point
+    # and psi2 once per point, counted by column of its batch point
     loaded, evals = [], Counter()
     load, evaluate = transform.load_transform, expr.eval_jet
 
@@ -346,7 +346,8 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
         for key, node in zip(("phi1", "phi2", "psi1", "psi2"),
                              loaded[-1].phi + loaded[-1].psi):
             if node is e:
-                evals[key, tuple(point)] += 1
+                for column in zip(*map(np.atleast_1d, point)):
+                    evals[key, tuple(map(float, column))] += 1
         return evaluate(e, params, point, *args, **kwargs)
 
     monkeypatch.setattr(transform, "load_transform", loading)
@@ -610,3 +611,11 @@ def test_each_point_caps_its_batches(monkeypatch):
     assert len(stopped) == 6 and type(stopped[5]) is SingularEvaluationError
     assert np.array(stopped[:5]).tobytes() == np.array(got[:5]).tobytes()
     assert widths == [4, 4, 1, 1]
+
+
+def test_each_point_of_no_items_evaluates_nothing():
+    def evaluate(point):
+        raise AssertionError("evaluated")
+
+    assert metrics.each_point(evaluate, []) == []
+    assert metrics.each_point_or_raise(evaluate, []) == []

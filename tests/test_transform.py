@@ -16,7 +16,7 @@ from g2inv.metrics import (CATALOG_NAMES, default_domain, grid_points,
                            load_metric)
 from g2inv.transform import (apply_to_metric, invariance_report,
                              load_transform, make_transform, pushforward_jets,
-                             random_transform, to_submersion_document)
+                             random_transform)
 from paper_checks import compose_transforms
 
 IDENTITY = dict(phi1="t1", phi2="t2", psi1="0", psi2="0",
@@ -174,9 +174,10 @@ def test_apply_to_metric_rejects_nonaffine():
                                        [[1, 0], [0, 1]]))
 
 
-def test_to_submersion_document_roundtrip():
+def test_identity_image_keeps_the_fundamentals():
+    # apply_to_metric rewrites a bfh source in submersion form
     m = catalog("vdb")
-    ms = to_submersion_document(m)
+    ms = apply_to_metric(m, load_transform(IDENTITY))
     assert ms.form == "submersion"
     for pt in [(0.5, 1.0), (1.0, 1.4)]:
         a = six(point_jets(m, pt))
