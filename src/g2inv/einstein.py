@@ -101,10 +101,10 @@ def four_metric(pj):
     return _coeffs(g)
 
 
-def inverse_four_metric(pj, order):
-    """(ncoeffs, 4, 4) coefficient array of the order-`order` jets of
-    g^{ab}, via the submersion block formula."""
-    tr = lambda j: jets.truncate(j, order)
+def inverse_four_metric(pj):
+    """(ncoeffs, 4, 4) coefficient array of the jets of g^{ab}, of order
+    pj.order - 1, via the submersion block formula."""
+    tr = lambda j: jets.truncate(j, pj.order - 1)
     gt11, gt12, gt22 = (tr(j) for j in pj.gt)
     h11, h12, h22 = (tr(j) for j in pj.h)
     det_gt = tr(pj.det_gt)
@@ -162,8 +162,7 @@ def christoffel4(pj):
     jets, of order pj.order - 1."""
     if pj.order < 1:
         raise ValueError("christoffel4 needs jets of order >= 1")
-    n = pj.order - 1
-    return _christoffel(pj.g4, inverse_four_metric(pj, n), n)
+    return _christoffel(pj.g4, inverse_four_metric(pj), pj.order - 1)
 
 
 def _riemann(gamma):

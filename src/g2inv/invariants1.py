@@ -22,32 +22,12 @@ Conventions fixed here (signs matter):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import einstein, jets, metrics
 
 FUNDAMENTAL_IDS = ("C_rho", "C_chi", "Q_chi", "Q_gamma", "ell_C",
                    "Theta_I_sq")
-
-
-@dataclass
-class FrameData:
-    X: tuple
-    Xperp: tuple
-    H: tuple          # base components on the orbit space
-    Hperp: tuple
-    C: tuple          # vertical components
-    Cperp: tuple
-    H4: tuple         # horizontal lifts / vertical vectors as 4-vectors
-    Hperp4: tuple
-    C4: tuple
-    Cperp4: tuple
-    ell_H: float
-    ell_Hperp: float
-    ell_C: float
-    ell_Cperp: float
 
 
 def _det3(rows):
@@ -142,22 +122,17 @@ def first_invariant_jets(pj):
 
 
 def frame(pj):
-    """Semi-invariant frame {H, Hperp, C, Cperp}; lengths via the 4-metric.
+    """Semi-invariant frame (Y, ell): the 4-vectors H, Hperp, C, Cperp as
+    the rows of Y ((4, 4), or (4, 4, B) on a batch), H and Hperp the
+    horizontal lifts of -X/2 and -Xperp/2, and ell their g-lengths.
 
     Components are always returned; they form a frame only where
     pj.stratum is generic.
     """
     jv = pj.fields
-    X = (jv["X1"].value, jv["X2"].value)
-    Xp = (jv["Xp1"].value, jv["Xp2"].value)
-    H = (-0.5 * X[0], -0.5 * X[1])
-    Hp = (-0.5 * Xp[0], -0.5 * Xp[1])
     C = (jv["C1"].value, jv["C2"].value)
     h11, h12, h22 = (j.value for j in pj.h)
     sq_h = jets._pow(abs(pj.det_h.value), 0.5)
-    Cp = ((h12 * C[0] + h22 * C[1]) / sq_h,
-          -(h11 * C[0] + h12 * C[1]) / sq_h)
-
     Fv = [j.value for j in pj.F]
 
     def lift(v):
@@ -165,26 +140,17 @@ def frame(pj):
                 -(v[0] * Fv[0] + v[1] * Fv[2]),
                 -(v[0] * Fv[1] + v[1] * Fv[3]))
 
-    H4 = lift(H)
-    Hp4 = lift(Hp)
     o = np.zeros(np.shape(C[0]))
-    C4 = (o, o, C[0], C[1])
-    Cp4 = (o, o, Cp[0], Cp[1])
-
+    Y = np.array([
+        lift((-0.5 * jv["X1"].value, -0.5 * jv["X2"].value)),
+        lift((-0.5 * jv["Xp1"].value, -0.5 * jv["Xp2"].value)),
+        (o, o, C[0], C[1]),
+        (o, o, (h12 * C[0] + h22 * C[1]) / sq_h,
+         -(h11 * C[0] + h12 * C[1]) / sq_h)])
     g4 = einstein._stack(pj.g4[0], 2)
-
-    def gdot(u, v):
-        u, v = (einstein._stack(np.array(x), 1) for x in (u, v))
-        return einstein._unstack(einstein._form(u, g4, v), pj)
-
-    ell_H = gdot(H4, H4)
-    ell_Hp = gdot(Hp4, Hp4)
-    ell_C = gdot(C4, C4)
-    ell_Cp = gdot(Cp4, Cp4)
-    return FrameData(X=X, Xperp=Xp, H=H, Hperp=Hp, C=C, Cperp=Cp,
-                     H4=H4, Hperp4=Hp4, C4=C4, Cperp4=Cp4,
-                     ell_H=ell_H, ell_Hperp=ell_Hp,
-                     ell_C=ell_C, ell_Cperp=ell_Cp)
+    ell = np.array([einstein._unstack(einstein._form(y, g4, y), pj)
+                    for y in (einstein._stack(v, 1) for v in Y)])
+    return Y, ell
 
 
 def _projection_matrices(pj):
@@ -227,10 +193,9 @@ def oneill_tensors(pj):
             nv_h = np.einsum("a...,daf...,f...->d...", vb, G, hor[:, c])
             nv_v = np.einsum("a...,daf...,f...->d...", vb, G, ver[:, c])
             T[:, b, c] = mv(stacks[0], nv_h) + mv(stacks[1], nv_v)
-    fr = pj.frame
-    TC, TCp = (einstein._stack(np.einsum("dcb...,c...->db...", T,
-                                         np.array(v)), 2)
-               for v in (fr.C4, fr.Cperp4))
+    Y, _ = pj.frame
+    TC, TCp = (einstein._stack(np.einsum("dcb...,c...->db...", T, v), 2)
+               for v in (Y[2], Y[3]))
     # T_C is skew-adjoint w.r.t. g, so det(T_C) = Pf(g T_C)^2 / det(g)
     # carries the sign of det(g) = det(gt) det(h).  Theta_C is the
     # nonnegative normalization (making Theta_I^2 = 16 Theta_C exact),
@@ -277,7 +242,6 @@ def relations_first(pj):
                      sgn_h * sq(T342),
                      sgn_gt * 0.25 * (Q_chi - Q_gamma)])
 
-    fr = pj.frame
     # exact identities on every stratum (from the componentwise identity
     # r3 = ell_C w - det(h) c_I of the Theta bottom rows); for det h > 0
     # they reduce to the displayed +-free forms
@@ -286,10 +250,8 @@ def relations_first(pj):
         "theta_III_sq_vs_theta_Cperp":
             norm([sq(th3), -sgn_gt * sgn_h * 16.0 * Theta_Cp]),
         "theta_II_T342_Qchi": einstein._defined(
-            st.generic, theta_II_T342_Qchi, T,
-            np.array([fr.H4, fr.Hperp4, fr.C4, fr.Cperp4]),
-            np.array([fr.ell_H, fr.ell_Hperp, fr.ell_C, fr.ell_Cperp]),
-            pj.g4[0], th2, ell_C, Q_chi, Q_gamma, sgn_h, sgn_gt),
+            st.generic, theta_II_T342_Qchi, T, *pj.frame, pj.g4[0], th2,
+            ell_C, Q_chi, Q_gamma, sgn_h, sgn_gt),
         "theta_sum_vs_gamma_root": einstein._defined(
             ~st.ell_c_zero,
             lambda ell_C, root, th1, th3, sgn_h: norm(

@@ -186,8 +186,8 @@ class StratumFlags:
     generic: bool
 
 
-def load_metric(document):
-    """Build a validated G2Metric from a JSON document, dict, or path."""
+def read_document(document, kind):
+    """The JSON object at a path, or a dict; else MetricDefinitionError."""
     if isinstance(document, (str, bytes)):
         with open(document, "r", encoding="utf-8") as fh:
             try:
@@ -195,7 +195,13 @@ def load_metric(document):
             except (json.JSONDecodeError, RecursionError) as err:
                 raise MetricDefinitionError(f"malformed JSON: {err}") from None
     if not isinstance(document, dict):
-        raise MetricDefinitionError("metric document must be a JSON object")
+        raise MetricDefinitionError(f"{kind} document must be a JSON object")
+    return document
+
+
+def load_metric(document):
+    """Build a validated G2Metric from a JSON document, dict, or path."""
+    document = read_document(document, "metric")
     unknown = set(document) - {"name", "form", "params", "defs",
                                "components"}
     if unknown:
@@ -414,8 +420,10 @@ def each_point_or_raise(evaluate, items):
 
 
 def component_scale(pj):
-    """Largest raw coefficient magnitude over the ten component jets."""
-    return np.abs([j.coeffs for j in pj.all_component_jets()]).max((0, 1))
+    """Largest magnitude of the value and first derivatives over the ten
+    component jets: the same at every jet order, so the stratum is."""
+    return np.abs([j.coeffs[:3]
+                   for j in pj.all_component_jets()]).max((0, 1))
 
 
 def classify(pj):

@@ -17,7 +17,6 @@ phi^-1.
 from __future__ import annotations
 
 import dataclasses
-import json
 import numbers
 import sys
 from dataclasses import dataclass
@@ -74,14 +73,7 @@ def _alpha(rows):
 
 def load_transform(document):
     """Transform from a JSON document/dict {phi1, phi2, psi1, psi2, alpha}."""
-    if isinstance(document, (str, bytes)):
-        with open(document, "r", encoding="utf-8") as fh:
-            try:
-                document = json.load(fh)
-            except (json.JSONDecodeError, RecursionError) as err:
-                raise MetricDefinitionError(f"malformed JSON: {err}") from None
-    if not isinstance(document, dict):
-        raise MetricDefinitionError("transform document must be a JSON object")
+    document = metrics.read_document(document, "transform")
     keys = {"phi1", "phi2", "psi1", "psi2", "alpha"}
     if set(document) != keys:
         raise MetricDefinitionError(
@@ -385,9 +377,8 @@ def invariance_report(m, p, points, tol=1e-7):
                                    FUNDAMENTAL_IDS], 1) for q in (pj, pj_bar))
         generic = np.atleast_1d(pj.stratum.generic).tolist()
         if any(generic):
-            frames, frames_bar = (columns([fr.H4, fr.Hperp4, fr.C4,
-                                           fr.Cperp4], 2)
-                                  for fr in (pj.frame, pj_bar.frame))
+            frames, frames_bar = (columns(q.frame[0], 2)
+                                  for q in (pj, pj_bar))
         rows = []
         for k, J in enumerate(Js):
             J, Jpsi = np.array(J), np.array(Jpsis[k])

@@ -7,6 +7,9 @@ Run with pytest-benchmark:
     PYTHONPATH=src python -m pytest -q tests/bench_layers.py
 
 and add --benchmark-disable to run every case once, as a smoke test.
+pytest's `pythonpath = ["src"]` in pyproject.toml puts this checkout's
+`src` first on the path, ahead of PYTHONPATH, so PYTHONPATH cannot
+select another checkout: to time one, run pytest from its root.
 Each layer case builds a fresh PointJets, so its time includes the
 layers it reads.
 """

@@ -118,12 +118,10 @@ def oneill(pj):
     if not pj.stratum.generic:
         raise FrameRequiredError(
             "frame required: C_rho*ell_C vanishes at this point")
-    fr = pj.frame
+    Y, ell = pj.frame
     T, Theta_C, _ = pj.oneill_tensors
     A, _ = oneill_AT(pj)
     g4 = pj.g4[0]
-    Y = np.array([fr.H4, fr.Hperp4, fr.C4, fr.Cperp4])
-    ell = np.array([fr.ell_H, fr.ell_Hperp, fr.ell_C, fr.ell_Cperp])
 
     def expand(tensor):
         vec = np.einsum("dbc,ib,jc->dij", tensor, Y, Y)

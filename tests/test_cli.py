@@ -234,6 +234,31 @@ def _submersion_file(tmp_path, components):
     return str(path)
 
 
+def test_stratum_does_not_depend_on_the_jet_order(tmp_path, capsys):
+    # ell_C ~ 1e-6 at the point: generic against the largest value or
+    # first derivative (1), not against gt12's second derivative (2e6)
+    path = _submersion_file(tmp_path, {
+        "gt11": "1", "gt12": "1e6*(t2 - 0.5)^2", "gt22": "1",
+        "F11": "t1*t2", "F12": "0", "F21": "0", "F22": "0",
+        "h11": "exp(t1*t2)", "h12": "0", "h22": "1"})
+    m, pt = metrics.load_metric(path), (0.001, 0.5)
+    strata = [point_jets(m, pt, order=n).stratum for n in (1, 2)]
+    assert strata[0] == strata[1] and strata[0].generic
+    identity = tmp_path / "identity.json"
+    identity.write_text(json.dumps(GOOD_TRANSFORM))
+    capsys.readouterr()
+    assert run(["transform", path, str(identity), "--report-invariance",
+                "--points", "0.001,0.5", "--json"]) == 0
+    row, = json.loads(capsys.readouterr().out)["points"]
+    assert isinstance(row["frame_residual"], (int, float))
+    assert run(["check-relations", path, "--first", "--points", "0.001,0.5",
+                "--json"]) == 0
+    row, = json.loads(capsys.readouterr().out)["first_order"]["points"]
+    for key in ("theta_II_T342_Qchi", "theta_sum_vs_gamma_root",
+                "theta_II_sq_closure"):
+        assert isinstance(row[key], (int, float)), key
+
+
 def test_non_finite_report_value_is_an_input_error(tmp_path, capsys):
     # the Einstein residual of this metric is NaN at the point, which
     # max(0.0, nan) == 0.0 once let through as a pass
@@ -893,12 +918,9 @@ def _transform_point_by_point(argv):
             inv_residual = float(np.max(np.abs(inv - inv_bar) / denom))
             frame_residual = None
             if pj.stratum.generic:
-                fr, fr_bar = pj.frame, pj_bar.frame
                 frame_residual = 0.0
-                for s, v, vbar in zip(
-                        (1.0, eps1, eps1, eps1 * eps2),
-                        (fr.H4, fr.Hperp4, fr.C4, fr.Cperp4),
-                        (fr_bar.H4, fr_bar.Hperp4, fr_bar.C4, fr_bar.Cperp4)):
+                for s, v, vbar in zip((1.0, eps1, eps1, eps1 * eps2),
+                                      pj.frame[0], pj_bar.frame[0]):
                     pushed = np.concatenate([J @ v[:2],
                                              Jpsi @ v[:2] + a @ v[2:]])
                     target = s * np.array(vbar)

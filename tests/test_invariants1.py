@@ -152,37 +152,37 @@ def test_frame_orthogonality_and_lengths_vdb():
     for _ in range(5):
         pt = (rng.uniform(0.35, 1.15), rng.uniform(0.75, 1.45))
         pj = point_jets(m, pt)
-        fr = frame(pj)
+        Y, ell = frame(pj)
         assert pj.stratum.generic
         C_rho = pj.fields["C_rho"].value
         ell_C = pj.fields["ell_C"].value
         # g(H,H) = C_rho/4, and the +-sign laws for the other lengths
-        assert fr.ell_H == pytest.approx(0.25 * C_rho, rel=1e-10)
-        assert fr.ell_Hperp == pytest.approx(-0.25 * C_rho, rel=1e-10)
-        assert fr.ell_C == pytest.approx(ell_C, rel=1e-10)
-        assert fr.ell_Cperp == pytest.approx(ell_C, rel=1e-10)
+        assert ell[0] == pytest.approx(0.25 * C_rho, rel=1e-10)
+        assert ell[1] == pytest.approx(-0.25 * C_rho, rel=1e-10)
+        assert ell[2] == pytest.approx(ell_C, rel=1e-10)
+        assert ell[3] == pytest.approx(ell_C, rel=1e-10)
         g4 = pj.g4[0]
-        vecs = (fr.H4, fr.Hperp4, fr.C4, fr.Cperp4)
-        scale = max(abs(fr.ell_H), abs(fr.ell_C))
+        scale = max(abs(ell[0]), abs(ell[2]))
         for i in range(4):
             for j in range(i + 1, 4):
-                prod = float(np.array(vecs[i]) @ g4 @ np.array(vecs[j]))
+                prod = float(Y[i] @ g4 @ Y[j])
                 assert abs(prod) < 1e-10 * scale
         # gt(X, Xperp) = 0 on the base
+        X, Xp = (np.array([pj.fields[k].value for k in pair])
+                 for pair in (("X1", "X2"), ("Xp1", "Xp2")))
         gt = np.array([[pj.gt[0].value, pj.gt[1].value],
                        [pj.gt[1].value, pj.gt[2].value]])
-        assert abs(np.array(fr.X) @ gt @ np.array(fr.Xperp)) \
-            < 1e-10 * max(1.0, abs(C_rho))
+        assert abs(X @ gt @ Xp) < 1e-10 * max(1.0, abs(C_rho))
         # H is the lift of -X/2
-        assert fr.H == pytest.approx(tuple(-0.5 * x for x in fr.X),
-                                     rel=1e-14)
+        assert tuple(Y[0][:2]) == pytest.approx(tuple(-0.5 * X), rel=1e-14)
 
 
 def test_frame_flat_degenerate_stratum():
     # the frame components are returned, but the stratum says they are
     # not a frame there
     pj = point_jets(catalog("flat"), (0.0, 0.0))
-    assert frame(pj).C == (0.0, 0.0)
+    Y, _ = frame(pj)
+    assert tuple(Y[2][2:]) == (0.0, 0.0)
     assert pj.stratum.ell_c_zero and not pj.stratum.generic
 
 
@@ -199,11 +199,11 @@ def test_oneill_frame_components_vdb():
     assert od.A_frame[2][1][0] == pytest.approx(0.5 * ell_H, rel=1e-9)
     # Theta_II = 4 ell_C T^(3)_(3)(2) and = 4 g(T, C)
     g4 = pj.g4[0]
-    fr = frame(pj)
+    Y, _ = frame(pj)
     assert jv["Theta_II"].value == pytest.approx(
         4.0 * ell_C * od.T_frame[2][2][1], rel=1e-9)
     assert jv["Theta_II"].value == pytest.approx(
-        4.0 * float(np.array(od.Tvec) @ g4 @ np.array(fr.C4)), rel=1e-9)
+        4.0 * float(np.array(od.Tvec) @ g4 @ Y[2]), rel=1e-9)
     # ell_Tperp = +-_h ell_T
     assert od.ell_Tperp == pytest.approx(od.ell_T, rel=1e-9)
     # 16 Theta_C = Theta_I^2
@@ -220,9 +220,9 @@ def test_oneill_requires_frame():
 def _oneill_tensors_of_the_AT_loop(pj):
     """oneill_tensors with T from the loop that also builds A."""
     _, T = oneill_AT(pj)
-    fr = pj.frame
-    TC = np.einsum("dcb,c->db", T, np.array(fr.C4))
-    TCp = np.einsum("dcb,c->db", T, np.array(fr.Cperp4))
+    Y, _ = pj.frame
+    TC = np.einsum("dcb,c->db", T, Y[2])
+    TCp = np.einsum("dcb,c->db", T, Y[3])
     sgh = pj.stratum.sign_det_gt * pj.stratum.sign_det_h
     return T, sgh * float(np.linalg.det(TC)), float(np.linalg.det(TCp))
 

@@ -420,6 +420,9 @@ def _assert_columns_are_points(batch, points):
         for layer in layers:
             assert _bits(_column(getattr(batch, layer), k)) \
                 == _bits(getattr(pj, layer)), layer
+        for layer in ("frame", "oneill_tensors"):  # tuples of arrays
+            assert [_bits(_column(x, k)) for x in getattr(batch, layer)] \
+                == [_bits(x) for x in getattr(pj, layer)], layer
         if batch.order >= 2:
             assert _bits(order2_invariant_vector(batch)[:, k]) \
                 == _bits(order2_invariant_vector(pj))
