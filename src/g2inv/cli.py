@@ -179,7 +179,7 @@ def _columns(row):
 
 def cmd_invariants(args):
     m = metrics.load_metric(args.metric)
-    row, = _rows(metrics.point_jets(m, args.at, order=max(2, args.order),
+    row, = _rows(metrics.point_jets(m, args.at, order=args.order,
                                     method=args.method), args.order)
     report = {
         "command": "invariants",
@@ -199,7 +199,7 @@ def cmd_grid(args):
     points = [(x, y) for x in np.linspace(*args.t1)
               for y in np.linspace(*args.t2)]
     got = metrics.each_point(lambda point: _rows(metrics.point_jets(
-        m, point, order=2, method=args.method), args.order), points)
+        m, point, order=args.order, method=args.method), args.order), points)
     # a point that fails, or gives a non-finite value, is a row of nulls
     rows = [row if isinstance(row, dict) and not any(_non_finite(row))
             else {"t1": pt[0], "t2": pt[1],
@@ -258,9 +258,10 @@ def cmd_check_relations(args):
         ("second_order", invariants2.relations_second, args.second),
         ("onshell", lambda pj: einstein.onshell_relations(pj, args.lam),
          args.onshell)) if chosen]
+    order = 2 if args.second or args.onshell else 1  # --first: values alone
 
     def evaluate(point):
-        pj = metrics.point_jets(m, point, order=2, method=args.method)
+        pj = metrics.point_jets(m, point, order=order, method=args.method)
         rows = []
         for key, suite in suites:
             with metrics.singular_on_overflow(key):

@@ -393,9 +393,12 @@ def elementary(fname, a):
     """Jet of f(a) for a named elementary function."""
     v, n = a.value, a.order
     try:
-        return _compose(a, _derivatives(fname, v, n) if isinstance(v, float)
-                        else list(np.array([_derivatives(fname, x, n)
-                                            for x in v.tolist()]).T))
+        if isinstance(v, float):
+            derivs = _derivatives(fname, v, n)
+        else:
+            with np.errstate(all="ignore"):  # inf and nan, as on floats
+                derivs = _derivatives(fname, v, n)
+        return _compose(a, derivs)
     except (OverflowError, ZeroDivisionError) as err:
         # on ZeroDivisionError a derivative's denominator (v * s, v ** 2,
         # ...) underflowed to 0; _derivatives builds every derivative it
@@ -405,41 +408,56 @@ def elementary(fname, a):
             else "underflow") from None
 
 
+def _map(f, v):
+    """f(v), per element on a batch: each column gets its float's call."""
+    return f(v) if isinstance(v, float) \
+        else np.fromiter(map(f, v.tolist()), float, len(v))
+
+
+def _over(x, y):
+    """x / y, with float division's ZeroDivisionError on a batch too."""
+    if not isinstance(y, float) and (y == 0.0).any():
+        raise ZeroDivisionError("float division by zero")
+    return x / y
+
+
 def _derivatives(fname, v, n):
-    """[f(v), f'(v), ..., f^(n)(v)] for a named elementary function."""
+    """[f(v), f'(v), ..., f^(n)(v)] of a float, or of each batch column."""
     if fname == "exp":
-        e = math.exp(v)
+        e = _map(math.exp, v)
         d = [e] * (n + 1)
     elif fname == "ln":
-        if v <= 0.0:
+        if _any(v <= 0.0):
             raise SingularEvaluationError("ln", v)
-        d = [math.log(v), 1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3][:n + 1]
+        d = [_map(math.log, v), 1.0 / v, _over(-1.0, _pow(v, 2)),
+             _over(2.0, _pow(v, 3))][:n + 1]
     elif fname == "sqrt":
-        if v <= 0.0:
+        if _any(v <= 0.0):
             raise SingularEvaluationError("sqrt", v)
-        s = math.sqrt(v)
-        d = [s, 0.5 / s, -0.25 / (v * s), 0.375 / (v * v * s)][:n + 1]
+        s = _map(math.sqrt, v)
+        d = [s, 0.5 / s, _over(-0.25, v * s),
+             _over(0.375, v * v * s)][:n + 1]
     elif fname == "sin":
-        s, c = math.sin(v), math.cos(v)
+        s, c = _map(math.sin, v), _map(math.cos, v)
         d = [s, c, -s, -c][:n + 1]
     elif fname == "cos":
-        s, c = math.sin(v), math.cos(v)
+        s, c = _map(math.sin, v), _map(math.cos, v)
         d = [c, -s, -c, s][:n + 1]
     elif fname == "tan":
-        c = math.cos(v)
-        if c == 0.0:
+        c = _map(math.cos, v)
+        if _any(c == 0.0):
             raise SingularEvaluationError("tan", v)
-        t = math.tan(v)
+        t = _map(math.tan, v)
         u = 1.0 + t * t
         d = [t, u, 2.0 * t * u, u * (2.0 + 6.0 * t * t)][:n + 1]
     elif fname == "sinh":
-        s, c = math.sinh(v), math.cosh(v)
+        s, c = _map(math.sinh, v), _map(math.cosh, v)
         d = [s, c, s, c][:n + 1]
     elif fname == "cosh":
-        s, c = math.sinh(v), math.cosh(v)
+        s, c = _map(math.sinh, v), _map(math.cosh, v)
         d = [c, s, c, s][:n + 1]
     elif fname == "tanh":
-        t = math.tanh(v)
+        t = _map(math.tanh, v)
         u = 1.0 - t * t
         d = [t, u, -2.0 * t * u, -2.0 * u * (1.0 - 3.0 * t * t)][:n + 1]
     else:

@@ -85,9 +85,18 @@ def test_point_jets(benchmark):
     assert benchmark(point_jets, VDB, POINT).det_h.is_finite()
 
 
+@pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("point", [POINT, BATCH], ids=["float", "B12"])
-def test_point_jets_fd(benchmark, point):
-    assert benchmark(point_jets, VDB, point, method="fd").det_h.is_finite()
+def test_point_jets_fd(benchmark, point, order):
+    assert benchmark(point_jets, VDB, point, order=order,
+                     method="fd").det_h.is_finite()
+
+
+def test_elementary_batch(benchmark):
+    # sin at order 0 on the 12-point grid's 17-point stencils, the
+    # columns of an fd grid op's one stencil batch
+    a = jets.seed(np.linspace(-0.9, 0.9, 12 * 17), 0, 0)
+    assert benchmark(jets.elementary, "sin", a).value.shape == (204,)
 
 
 @pytest.mark.parametrize("point", [POINT, BATCH], ids=["float", "B12"])
@@ -111,9 +120,11 @@ def test_first_order_layer(benchmark, layer):
     assert np.isfinite(got["ell_C"].value).all()
 
 
+@pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("point", [POINT, CHECK_BATCH], ids=["float", "B6"])
-def test_relations_first(benchmark, point):
-    assert _finite(benchmark(lambda: relations_first(point_jets(VDB, point))))
+def test_relations_first(benchmark, point, order):
+    assert _finite(benchmark(
+        lambda: relations_first(point_jets(VDB, point, order=order))))
 
 
 @pytest.mark.parametrize("point", [POINT, CHECK_BATCH], ids=["float", "B6"])

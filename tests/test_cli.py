@@ -724,6 +724,78 @@ def test_batched_grid_has_the_bits_of_its_points(grid_files, name, u1, u2,
         assert fh.read() == want
 
 
+ORDER_PARITY_METRICS = [pytest.param(name, {}, id=name)
+                        for name in CATALOG_NAMES] + [
+    pytest.param("random_analytic", {"seed": s}, id=f"random_analytic_{s}")
+    for s in (1, 3, 5)]
+
+
+@pytest.mark.parametrize("method", ["analytic", "fd"])
+@pytest.mark.parametrize("name, params", ORDER_PARITY_METRICS)
+def test_first_order_reports_evaluate_order_1_jets_with_the_bits_of_order_2(
+        tmp_path, monkeypatch, name, params, method):
+    # truncation commutes with every layer, and the fd quotients of order
+    # <= 1 do not read the diagonal stencil points: each first-order
+    # report is byte for byte the report of order-2 component jets
+    m = catalog(name, params)
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps(m.to_document()))
+    (a1, b1), (a2, b2) = metrics.default_domain(m)
+    at = ((a1 + b1) / 2, (a2 + b2) / 2)
+    one, two = (metrics._eval_components(m, at, n, method) for n in (1, 2))
+    for key, jet in one.items():
+        assert [c.hex() for c in jet.coeffs] \
+            == [c.hex() for c in two[key].coeffs[:3]], key
+    argvs = [
+        ["check-relations", str(path), "--first", "--grid", "3", "--json"],
+        ["grid", str(path), f"--t1={a1!r}:{b1!r}:3", f"--t2={a2!r}:{b2!r}:3",
+         "--order", "1", "--json"],
+        ["invariants", str(path), "--at=%r,%r" % at, "--order", "1", "--json"]]
+    build, orders = metrics.point_jets, []
+
+    def order_2(m, point, order, method):
+        orders.append(order)
+        return build(m, point, order=2, method=method)
+
+    for argv in argvs:
+        argv += ["--method", method]
+        got = _captured(run, argv)
+        monkeypatch.setattr(metrics, "point_jets", order_2)
+        assert _captured(run, argv) == got, argv
+        monkeypatch.undo()
+        assert set(orders) == {1}, argv
+        orders.clear()
+
+
+@pytest.mark.parametrize("term, method, error", [
+    # the order-2 coefficient of sin(1e200*t1) squares 1e200
+    ("sin(1e200*t1)", "analytic",
+     "error: singular evaluation in 'sin' at value 5.999999999999999e+199"
+     " (overflow)\n"),
+    # negative at the diagonal stencil points (0.6 +- h, 1.1 -+ h) alone
+    ("sqrt(5e-5 + (t1 - 0.6)*(t2 - 1.1))", "fd",
+     "error: singular evaluation in 'sqrt' at value -5.000000000000018e-05"
+     "\n")])
+def test_a_point_singular_only_at_order_2_gets_a_first_order_report(
+        vdb_file, tmp_path, term, method, error):
+    # vdb with h11 + 0*term: its order-1 jets are vdb's, its order-2 jets
+    # fail; the first-order reports are vdb's, the second-order ones exit 2
+    doc = catalog("vdb").to_document()
+    doc["components"]["h11"] += f" + 0*{term}"
+    path = tmp_path / "order2_singular.json"
+    path.write_text(json.dumps(doc))
+    at = ["--method", method, "--json"]
+    for argv in (["invariants", "--at", "0.6,1.1", "--order", "1", *at],
+                 ["check-relations", "--first", "--points", "0.6,1.1", *at]):
+        got = _captured(run, [argv[0], str(path), *argv[1:]])
+        assert got[0] == 0
+        assert got == _captured(run, [argv[0], vdb_file, *argv[1:]])
+    for argv in (["invariants", "--at", "0.6,1.1", "--order", "2", *at],
+                 ["check-relations", "--points", "0.6,1.1", *at]):
+        assert _captured(run, [argv[0], str(path), *argv[1:]]) \
+            == (2, "", error)
+
+
 # h11 = exp(t1 t2) gives C_rho = t1^2 + t2^2 and F11 = t1 t2 gives
 # ell_C = exp(t1 t2) t1^2: at t1 = 0 ell_C is 0, at the origin C_rho too
 MIXED_STRATA = {**FLAT_SUBMERSION, "F11": "t1*t2", "h11": "exp(t1*t2)"}

@@ -179,6 +179,16 @@ def test_fd_jet_constant():
     assert all(c == 0.0 for c in fd.coeffs[1:])
 
 
+def test_order_1_fd_jets_are_the_order_2_jets_truncated():
+    point = (0.64, 0.79)
+    assert len(jets.fd_points(point, 1)) == 9
+    assert set(jets.fd_points(point, 1)) < set(jets.fd_points(point, 2))
+    for fn in (lambda p: math.sin(p[0] * p[1]), lambda p: p[0] / p[1]):
+        one, two = (jets.finite_difference_jet(fn, point, n) for n in (1, 2))
+        assert [c.hex() for c in one.coeffs] \
+            == [c.hex() for c in two.coeffs[:3]]
+
+
 def test_t_derivative_shifts():
     j = jets.elementary("exp", jets.seed(0.2, 0, 3) * jets.seed(0.5, 1, 3))
     d1 = jets.t_derivative(j, 0)
@@ -210,6 +220,50 @@ def test_underflow_is_a_singular_evaluation():
         jets.elementary("sqrt", jets.seed(1e-300, 0, 2))
     with pytest.raises(SingularEvaluationError, match="underflow"):
         jets.elementary("ln", jets.seed(5e-324, 0, 2))
+
+
+# columns of every kind: ordinary values, -0.0 and 0.0, subnormals, and
+# values where some function's float evaluation raises (sqrt and ln of
+# 1e-300 and 5e-324 underflow, ln of 1e200 overflows in v ** 2, exp,
+# sinh and cosh of 800 overflow, sqrt and ln of a value <= 0)
+PARITY_VALUES = (0.3, -1.7, 2.5, 40.0, -0.0, 0.0, 5e-324, 2.2e-310, -2.2e-310,
+                 1e-300, 1e200, 800.0, -800.0, -2.0)
+
+
+def _float_elementary(fname, coeffs, order):
+    """The float branch's coefficients, or None where it raises."""
+    try:
+        return jets.elementary(fname, jets.Jet2(order, coeffs)).coeffs
+    except SingularEvaluationError:
+        return None
+
+
+@pytest.mark.parametrize("order", range(4))
+@pytest.mark.parametrize("fname", jets.ELEMENTARY_FUNCTIONS)
+def test_batch_elementary_has_the_bits_and_errors_of_each_float(fname,
+                                                                order):
+    rng = np.random.default_rng(order)
+    size = len(jets._IDX[order])
+    columns = [[v, *rng.uniform(-1.0, 1.0, size - 1)] for v in PARITY_VALUES]
+    alone = [_float_elementary(fname, c, order) for c in columns]
+    ok = [k for k, got in enumerate(alone) if got is not None]
+    assert ok  # every function has columns that evaluate
+    # the whole mix, the columns that evaluate, and each that raises
+    # among those that evaluate
+    batches = [list(range(len(columns))), ok] + [
+        ok + [k] for k, got in enumerate(alone) if got is None]
+    for batch in batches:
+        a = jets._jet(order, tuple(np.array([columns[k][i] for k in batch])
+                                   for i in range(size)))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if any(alone[k] is None for k in batch):
+                with pytest.raises(SingularEvaluationError):
+                    jets.elementary(fname, a)
+                continue
+            got = jets.elementary(fname, a).coeffs
+        for col, k in enumerate(batch):
+            assert [float(c[col]).hex() for c in got] \
+                == [c.hex() for c in alone[k]], (fname, order, columns[k])
 
 
 # -- the table loops the generated kernels unroll: the reference ------------

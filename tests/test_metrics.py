@@ -496,20 +496,24 @@ def test_fd_point_jets_evaluate_each_stencil_point_once(monkeypatch):
     assert len(set(asked)) == 17
     vdb = catalog("vdb")
     for m in (vdb, apply_to_metric(vdb, VDB_IMAGE)):
-        calls = Counter()
-        derivatives = jets._derivatives
+        for order, width in ((1, 9), (2, 17)):
+            calls = Counter()
+            elementary = jets.elementary
 
-        def counting(fname, v, n):
-            calls[fname] += 1
-            return derivatives(fname, v, n)
+            def counting(fname, a):
+                calls[fname, a.order, None if isinstance(a.value, float)
+                      else len(a.value)] += 1
+                return elementary(fname, a)
 
-        monkeypatch.setattr(jets, "_derivatives", counting)
-        point_jets(m, (0.64, 0.79), method="fd")
-        monkeypatch.undo()
-        # each distinct Call node once at each of the 17 stencil points,
-        # one that depends on neither t1 nor t2 (sqrt(6)) once in all
-        assert sum(calls.values()) == sum(
-            1 if expr._is_constant(node) else 17 for node in _call_nodes(m))
+            monkeypatch.setattr(jets, "elementary", counting)
+            point_jets(m, (0.64, 0.79), order=order, method="fd")
+            monkeypatch.undo()
+            # each distinct Call node once, at order 0, on one batch of
+            # the stencil's points; one that depends on neither t1 nor t2
+            # (sqrt(6)) once in all, as a float
+            assert calls == Counter(
+                (node.fn, 0, None if expr._is_constant(node) else width)
+                for node in _call_nodes(m))
 
         for order in (1, 2):
             got = metrics._eval_components(m, (0.64, 0.79), order, "fd")
