@@ -162,10 +162,11 @@ def _rows(pj, order):
         k: pj.fundamentals[k].value for k in invariants1.FUNDAMENTAL_IDS}}
     if order >= 2:
         sec = pj.second
+        values = {**vars(sec), **pj.sectional}
         for k in invariants1.FUNDAMENTAL_IDS:
             row["X_" + k], row["Xperp_" + k] = sec.XI[k], sec.XperpI[k]
         for k in SECOND_ORDER_NAMES:
-            row[k] = getattr(sec, k)
+            row[k] = values[k]
         for k in ("J1", "J2"):  # a batch gives NaN where C_rho ~ 0
             row[k] = np.where(pj.stratum.c_rho_zero, None, row[k])
     return _columns(row)

@@ -251,6 +251,7 @@ def onshell_relations(pj, lam):
     _pow = jets._pow  # x ** k per element, as on one point's floats
     jv = pj.fields
     sec = pj.second
+    K = pj.sectional
     sg = pj.stratum.sign_det_gt
     sgh = sg * pj.stratum.sign_det_h
 
@@ -313,6 +314,6 @@ def onshell_relations(pj, lam):
                     (3.0 * abs(Q_chi) + 2.0 * abs(Q_gamma))
                     * abs(C_rho * ell_C * X_ellC))),
     }
-    row["gauss_equality"] = _normalized([sec.K_Xiperp, -sec.K_Xi])
+    row["gauss_equality"] = _normalized([K["K_Xiperp"], -K["K_Xi"]])
     row["einstein_normalized"] = residual(pj, lam).normalized
     return row

@@ -122,9 +122,9 @@ def first_invariant_jets(pj):
 
 
 def frame(pj):
-    """Semi-invariant frame (Y, ell): the 4-vectors H, Hperp, C, Cperp as
-    the rows of Y ((4, 4), or (4, 4, B) on a batch), H and Hperp the
-    horizontal lifts of -X/2 and -Xperp/2, and ell their g-lengths.
+    """Semi-invariant frame Y: the 4-vectors H, Hperp, C, Cperp as its
+    rows ((4, 4), or (4, 4, B) on a batch), H and Hperp the horizontal
+    lifts of -X/2 and -Xperp/2.
 
     Components are always returned; they form a frame only where
     pj.stratum is generic.
@@ -141,16 +141,20 @@ def frame(pj):
                 -(v[0] * Fv[1] + v[1] * Fv[3]))
 
     o = np.zeros(np.shape(C[0]))
-    Y = np.array([
+    return np.array([
         lift((-0.5 * jv["X1"].value, -0.5 * jv["X2"].value)),
         lift((-0.5 * jv["Xp1"].value, -0.5 * jv["Xp2"].value)),
         (o, o, C[0], C[1]),
         (o, o, (h12 * C[0] + h22 * C[1]) / sq_h,
          -(h11 * C[0] + h12 * C[1]) / sq_h)])
+
+
+def frame_lengths(pj):
+    """ell, the g-lengths g(Y_a, Y_a) of the rows of pj.frame ((4,), or
+    (4, B) on a batch)."""
     g4 = einstein._stack(pj.g4[0], 2)
-    ell = np.array([einstein._unstack(einstein._form(y, g4, y), pj)
-                    for y in (einstein._stack(v, 1) for v in Y)])
-    return Y, ell
+    return np.array([einstein._unstack(einstein._form(y, g4, y), pj)
+                     for y in (einstein._stack(v, 1) for v in pj.frame)])
 
 
 def _projection_matrices(pj):
@@ -193,7 +197,7 @@ def oneill_tensors(pj):
             nv_h = np.einsum("a...,daf...,f...->d...", vb, G, hor[:, c])
             nv_v = np.einsum("a...,daf...,f...->d...", vb, G, ver[:, c])
             T[:, b, c] = mv(stacks[0], nv_h) + mv(stacks[1], nv_v)
-    Y, _ = pj.frame
+    Y = pj.frame
     TC, TCp = (einstein._stack(np.einsum("dcb...,c...->db...", T, v), 2)
                for v in (Y[2], Y[3]))
     # T_C is skew-adjoint w.r.t. g, so det(T_C) = Pf(g T_C)^2 / det(g)
@@ -218,6 +222,7 @@ def relations_first(pj):
     st = pj.stratum
     sgn_gt, sgn_h = st.sign_det_gt, st.sign_det_h
     T, Theta_C, Theta_Cp = pj.oneill_tensors
+    ell = frame_lengths(pj)  # on every column, before _defined picks some
     norm = einstein._normalized
     sq = lambda x: jets._pow(x, 2)  # noqa: E731  (x ** 2 per element)
 
@@ -250,7 +255,7 @@ def relations_first(pj):
         "theta_III_sq_vs_theta_Cperp":
             norm([sq(th3), -sgn_gt * sgn_h * 16.0 * Theta_Cp]),
         "theta_II_T342_Qchi": einstein._defined(
-            st.generic, theta_II_T342_Qchi, T, *pj.frame, pj.g4[0], th2,
+            st.generic, theta_II_T342_Qchi, T, pj.frame, ell, pj.g4[0], th2,
             ell_C, Q_chi, Q_gamma, sgn_h, sgn_gt),
         "theta_sum_vs_gamma_root": einstein._defined(
             ~st.ell_c_zero,

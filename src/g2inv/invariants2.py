@@ -28,8 +28,6 @@ class Invariants2:
     C_nu: float
     C_nu_prime: float
     Q_nu: float
-    K_Xi: float
-    K_Xiperp: float
     J1: float = None   # None where C_rho ~ 0 (pj.stratum.c_rho_zero)
     J2: float = None
 
@@ -81,7 +79,8 @@ def _hessian_log_det_h(pj, gamma2):
 
 
 def second_invariants_from_jets(pj):
-    """All second-order invariants from order-2 component jets."""
+    """The second-order invariants from order-2 component jets, all but
+    the sectional curvatures: those are the layer pj.sectional."""
     if pj.order < 2:
         raise ValueError("second-order invariants need order-2 jets")
     jv = pj.fields
@@ -96,13 +95,7 @@ def second_invariants_from_jets(pj):
     C_chi = jv["C_chi"].value
     C_nu_prime = C_nu - 2.0 * C_chi + C_rho
 
-    Fv = [j.value for j in pj.F]
     batch = isinstance(C_rho, np.ndarray)  # J1, J2 NaN where C_rho ~ 0
-    o, i = (np.full(C_rho.shape, c) for c in (0.0, 1.0)) if batch else (0, 1)
-    K_Xi = einstein.sectional_curvature(pj, (o, o, i, o), (o, o, o, i))
-    K_Xiperp = einstein.sectional_curvature(pj, (i, o, -Fv[0], -Fv[1]),
-                                            (o, i, -Fv[2], -Fv[3]))
-
     J1 = J2 = None
     if batch or not pj.stratum.c_rho_zero:
         c = np.where(pj.stratum.c_rho_zero, np.nan, C_rho) if batch else C_rho
@@ -112,7 +105,18 @@ def second_invariants_from_jets(pj):
     return Invariants2(XI=XI, XperpI=XpI, C_ric=c_ric, Q_ric=q_ric,
                        ric_scale=ric_scale,
                        C_nu=C_nu, C_nu_prime=C_nu_prime, Q_nu=Q_nu,
-                       K_Xi=K_Xi, K_Xiperp=K_Xiperp, J1=J1, J2=J2)
+                       J1=J1, J2=J2)
+
+
+def sectional_curvatures(pj):
+    """K_Xi and K_Xiperp by name: the sectional curvatures of the Killing
+    plane and of the horizontal one, the invariants that read riemann."""
+    Fv = [j.value for j in pj.F]
+    o, i = np.zeros_like(Fv[0]), np.ones_like(Fv[0])
+    return {"K_Xi": einstein.sectional_curvature(pj, (o, o, i, o),
+                                                 (o, o, o, i)),
+            "K_Xiperp": einstein.sectional_curvature(
+                pj, (i, o, -Fv[0], -Fv[1]), (o, i, -Fv[2], -Fv[3]))}
 
 
 def order2_invariant_vector(pj):

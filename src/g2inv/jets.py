@@ -256,6 +256,9 @@ class Jet2:
         return _divide(o, self)
 
     def __pow__(self, p):
+        if isinstance(p, float) and not math.isfinite(p):
+            raise SingularEvaluationError("pow", self.value,
+                                          f"non-finite exponent {p}")
         if isinstance(p, int) or (isinstance(p, float) and p == int(p)):
             return _int_power(self, int(p))
         if not isinstance(p, (int, float)):

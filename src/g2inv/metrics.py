@@ -99,12 +99,14 @@ class PointJets:
     order of the construction: fundamentals (the six fundamental
     invariants), fields (all first-order invariants), stratum (classify:
     which frames and relations apply), g4 and christoffel (coefficient
-    arrays of the 4-metric and Christoffel jets), riemann, frame,
-    oneill_tensors, second (second-order invariants).  Callers read them
-    and never mutate them.  numpy overflow in the layers that do numpy
-    arithmetic (christoffel, riemann, frame, oneill_tensors, second) is a
-    SingularEvaluationError.  The imports are deferred because those
-    modules import this one.
+    arrays of the 4-metric and Christoffel jets), riemann, frame (the
+    semi-invariant frame Y), oneill_tensors, second (the second-order
+    invariants of the orbit space), sectional (K_Xi and K_Xiperp, the
+    second-order invariants that read riemann).  Callers read them and
+    never mutate them.  numpy overflow in the layers that do numpy
+    arithmetic (christoffel, riemann, frame, oneill_tensors, second,
+    sectional) is a SingularEvaluationError.  The imports are deferred
+    because those modules import this one.
     """
     point: tuple
     order: int
@@ -174,6 +176,12 @@ class PointJets:
         from .invariants2 import second_invariants_from_jets
         with singular_on_overflow("second_invariants_from_jets"):
             return second_invariants_from_jets(self)
+
+    @cached_property
+    def sectional(self):
+        from .invariants2 import sectional_curvatures
+        with singular_on_overflow("sectional_curvatures"):
+            return sectional_curvatures(self)
 
 
 @dataclass(frozen=True)

@@ -377,7 +377,7 @@ def invariance_report(m, p, points, tol=1e-7):
                                    FUNDAMENTAL_IDS], 1) for q in (pj, pj_bar))
         generic = np.atleast_1d(pj.stratum.generic).tolist()
         if any(generic):
-            frames, frames_bar = (columns(q.frame[0], 2)
+            frames, frames_bar = (columns(q.frame, 2)
                                   for q in (pj, pj_bar))
         rows = []
         for k, J in enumerate(Js):
@@ -385,7 +385,8 @@ def invariance_report(m, p, points, tol=1e-7):
             eps1 = 1 if J[0][0] * J[1][1] - J[0][1] * J[1][0] > 0 else -1
             inv, inv_bar = np.array(invs[k]), np.array(invs_bar[k])
             denom = np.maximum(np.abs(inv), np.maximum(np.abs(inv_bar), 1.0))
-            inv_residual = float(np.max(np.abs(inv - inv_bar) / denom))
+            with np.errstate(invalid="ignore"):  # inf/inf: NaN, an error
+                inv_residual = float(np.max(np.abs(inv - inv_bar) / denom))
             frame_residual = None
             if generic[k]:
                 sgn = (1.0, eps1, eps1, eps1 * eps2)

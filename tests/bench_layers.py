@@ -21,7 +21,8 @@ import pytest
 
 from g2inv import catalog, jets, point_jets
 from g2inv.einstein import onshell_relations
-from g2inv.invariants1 import relations_first
+from g2inv.invariants1 import (jacobian_rank, random_point_jets,
+                               relations_first)
 from g2inv.invariants2 import relations_second
 from g2inv.metrics import default_domain, grid_points
 from g2inv.transform import (apply_to_metric, invariance_report,
@@ -145,3 +146,10 @@ def test_invariance_report(benchmark, points):
     # one point alone, or the six points of a transform op as one batch
     p = random_transform(3)
     assert benchmark(invariance_report, VDB, p, points)["pass"]
+
+
+def test_jacobian_rank_order2(benchmark):
+    # a rank --random op: the 20 orbit-space invariants on the 120
+    # central-difference columns of one random order-2 probe
+    probe = random_point_jets(7, order=2)
+    assert benchmark(jacobian_rank, "order2_20", probe) == 20

@@ -11,7 +11,7 @@ import numpy as np
 
 from g2inv import expr, jets, metrics
 from g2inv.errors import G2InvError
-from g2inv.invariants1 import FUNDAMENTAL_IDS
+from g2inv.invariants1 import FUNDAMENTAL_IDS, frame_lengths
 from g2inv.invariants2 import DELTA_TOL
 from g2inv.transform import PseudoTransform
 
@@ -118,7 +118,7 @@ def oneill(pj):
     if not pj.stratum.generic:
         raise FrameRequiredError(
             "frame required: C_rho*ell_C vanishes at this point")
-    Y, ell = pj.frame
+    Y, ell = pj.frame, frame_lengths(pj)
     T, Theta_C, _ = pj.oneill_tensors
     A, _ = oneill_AT(pj)
     g4 = pj.g4[0]

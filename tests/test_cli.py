@@ -337,6 +337,59 @@ def test_relation_suite_overflow_is_one_error_line(tmp_path):
         r.stderr
 
 
+def test_an_overflowing_four_metric_fails_only_the_reports_that_read_it(
+        tmp_path, capsys):
+    # seed 3 under the z-shift psi^1 = 5e159 (t1^2 + t2^2): the same
+    # invariants, but F of order 1e160 overflows the 4-metric, while gt,
+    # h and the orbit-space layers stay finite
+    doc = catalog("random_analytic", {"seed": 3}).to_document()
+    doc["components"]["F11"] += " + 1e160*t1"
+    doc["components"]["F21"] += " + 1e160*t2"
+    path = tmp_path / "big_f.json"
+    path.write_text(json.dumps(doc))
+    points = "--points=0.1,0.2;0.3,0.1"
+    capsys.readouterr()
+    assert run(["check-relations", str(path), "--second", points,
+                "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["second_order"]["pass"]
+    assert run(["rank", str(path), "--at=0.1,0.2", "--set", "order2_20",
+                "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 20
+    # K_Xi, K_Xiperp and the first-order suite's T read the 4-metric
+    for argv, layer in (
+            (["invariants", str(path), "--at=0.1,0.2", "--order", "2"],
+             "christoffel4"),
+            (["check-relations", str(path), "--first", points],
+             "oneill_tensors")):
+        assert run(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(
+            f"error: singular evaluation in {layer!r} at value nan"), argv
+    # the stratum is not generic, so no frame is built, and the
+    # pushforward's fundamentals overflow: a non-finite residual
+    tr = tmp_path / "tr.json"
+    tr.write_text(json.dumps(random_transform(3).strings))
+    r = _module_run("transform", str(path), str(tr), "--report-invariance",
+                    points)
+    assert r.returncode == 2 and r.stdout == "" and r.stderr == \
+        "error: non-finite value nan for 'invariant_residual'\n"
+
+
+@pytest.mark.parametrize("exponent", ["1e308*10", "0*(1e308*10)"])
+@pytest.mark.parametrize("method", ["analytic", "fd"])
+def test_a_non_finite_exponent_is_one_error_line(tmp_path, capsys, exponent,
+                                                 method):
+    doc = catalog("flat").to_document()
+    doc["components"]["h11"] = f"2 + t1^({exponent})"
+    path = tmp_path / "pow.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["invariants", str(path), "--at=0.1,0.2", "--order", "1",
+                "--method", method]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: singular evaluation in 'pow'") \
+        and "non-finite exponent" in err and err.count("\n") == 1, err
+
+
 def test_a_batch_prints_no_numpy_warning(tmp_path):
     # exp(400*t1)^2 overflows at t1 = 1: numpy warns on a batch holding
     # that point, while the point alone fails without a warning
@@ -672,11 +725,12 @@ def _grid_point_by_point(m, t1, t2, order, method):
                 row[k] = pj.fields[k].value
             if order >= 2:
                 sec = pj.second
+                values = {**vars(sec), **pj.sectional}
                 for k in FUNDAMENTAL_IDS:
                     row["X_" + k] = sec.XI[k]
                     row["Xperp_" + k] = sec.XperpI[k]
                 for k in SECOND_ORDER_NAMES:
-                    row[k] = getattr(sec, k)
+                    row[k] = values[k]
             if not all(v is None or math.isfinite(v) for v in row.values()):
                 raise G2InvError("non-finite value")
         except G2InvError:
@@ -992,7 +1046,7 @@ def _transform_point_by_point(argv):
             if pj.stratum.generic:
                 frame_residual = 0.0
                 for s, v, vbar in zip((1.0, eps1, eps1, eps1 * eps2),
-                                      pj.frame[0], pj_bar.frame[0]):
+                                      pj.frame, pj_bar.frame):
                     pushed = np.concatenate([J @ v[:2],
                                              Jpsi @ v[:2] + a @ v[2:]])
                     target = s * np.array(vbar)

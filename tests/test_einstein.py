@@ -195,9 +195,9 @@ def test_gauss_curvature_equality_on_shell():
     for name, lam in (("lambda_kundu", 3.0), ("lambda_kundu_c0", 3.0)):
         m = catalog(name)
         for pt in grid_points(default_domain(m), 3, 2, margin=0.1):
-            sec = point_jets(m, pt).second
-            scale = max(abs(sec.K_Xi), abs(sec.K_Xiperp), 1.0)
-            assert abs(sec.K_Xi - sec.K_Xiperp) < 1e-7 * scale
+            K = point_jets(m, pt).sectional
+            scale = max(abs(K["K_Xi"]), abs(K["K_Xiperp"]), 1.0)
+            assert abs(K["K_Xi"] - K["K_Xiperp"]) < 1e-7 * scale
 
 
 def _catalog_points():

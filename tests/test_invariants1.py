@@ -8,7 +8,7 @@ from g2inv import (catalog, classify, invariants1, jets, load_metric,
 from g2inv.errors import SingularEvaluationError
 from g2inv.invariants1 import (FUNDAMENTAL_IDS, RANK_STEP, _assemble,
                                _invariant_vector, _pack, first_invariant_jets,
-                               frame, jacobian, jacobian_rank,
+                               frame, frame_lengths, jacobian, jacobian_rank,
                                oneill_tensors, random_point_jets,
                                relations_first)
 from g2inv.metrics import CATALOG_NAMES, default_domain, grid_points
@@ -152,7 +152,7 @@ def test_frame_orthogonality_and_lengths_vdb():
     for _ in range(5):
         pt = (rng.uniform(0.35, 1.15), rng.uniform(0.75, 1.45))
         pj = point_jets(m, pt)
-        Y, ell = frame(pj)
+        Y, ell = frame(pj), frame_lengths(pj)
         assert pj.stratum.generic
         C_rho = pj.fields["C_rho"].value
         ell_C = pj.fields["ell_C"].value
@@ -181,7 +181,7 @@ def test_frame_flat_degenerate_stratum():
     # the frame components are returned, but the stratum says they are
     # not a frame there
     pj = point_jets(catalog("flat"), (0.0, 0.0))
-    Y, _ = frame(pj)
+    Y = frame(pj)
     assert tuple(Y[2][2:]) == (0.0, 0.0)
     assert pj.stratum.ell_c_zero and not pj.stratum.generic
 
@@ -199,7 +199,7 @@ def test_oneill_frame_components_vdb():
     assert od.A_frame[2][1][0] == pytest.approx(0.5 * ell_H, rel=1e-9)
     # Theta_II = 4 ell_C T^(3)_(3)(2) and = 4 g(T, C)
     g4 = pj.g4[0]
-    Y, _ = frame(pj)
+    Y = frame(pj)
     assert jv["Theta_II"].value == pytest.approx(
         4.0 * ell_C * od.T_frame[2][2][1], rel=1e-9)
     assert jv["Theta_II"].value == pytest.approx(
@@ -220,7 +220,7 @@ def test_oneill_requires_frame():
 def _oneill_tensors_of_the_AT_loop(pj):
     """oneill_tensors with T from the loop that also builds A."""
     _, T = oneill_AT(pj)
-    Y, _ = pj.frame
+    Y = pj.frame
     TC = np.einsum("dcb,c->db", T, Y[2])
     TCp = np.einsum("dcb,c->db", T, Y[3])
     sgh = pj.stratum.sign_det_gt * pj.stratum.sign_det_h

@@ -6,7 +6,8 @@ import pytest
 from g2inv import catalog, jets, point_jets
 from g2inv.invariants1 import FUNDAMENTAL_IDS, first_invariant_jets
 from g2inv.invariants2 import (bracket_residual, relations_second,
-                               second_invariants_from_jets)
+                               second_invariants_from_jets,
+                               sectional_curvatures)
 from g2inv.metrics import default_domain, grid_points
 
 from paper_checks import DependentPairError, directional_partials
@@ -92,10 +93,11 @@ def test_gauss_curvature_propositions_vdb():
         pj = point_jets(m, pt)
         jv = first_invariant_jets(pj)
         sec = second_invariants_from_jets(pj)
-        assert sec.K_Xi == pytest.approx(-0.25 * jv["C_chi"].value,
-                                         rel=1e-8)
+        K = sectional_curvatures(pj)
+        assert K["K_Xi"] == pytest.approx(-0.25 * jv["C_chi"].value,
+                                          rel=1e-8)
         sg = 1.0 if pj.det_gt.value > 0 else -1.0
-        assert sec.K_Xiperp == pytest.approx(
+        assert K["K_Xiperp"] == pytest.approx(
             0.5 * sec.C_ric - sg * 0.75 * jv["ell_C"].value, rel=1e-8)
 
 
@@ -106,11 +108,12 @@ def test_gauss_curvature_propositions_random():
             pj = point_jets(m, pt)
             jv = first_invariant_jets(pj)
             sec = second_invariants_from_jets(pj)
-            scale = max(1.0, abs(sec.K_Xi))
-            assert abs(sec.K_Xi + 0.25 * jv["C_chi"].value) < 1e-7 * scale
+            K = sectional_curvatures(pj)
+            scale = max(1.0, abs(K["K_Xi"]))
+            assert abs(K["K_Xi"] + 0.25 * jv["C_chi"].value) < 1e-7 * scale
             sg = 1.0 if pj.det_gt.value > 0 else -1.0
             want = 0.5 * sec.C_ric - sg * 0.75 * jv["ell_C"].value
-            assert abs(sec.K_Xiperp - want) < 1e-7 * max(1.0, abs(want))
+            assert abs(K["K_Xiperp"] - want) < 1e-7 * max(1.0, abs(want))
 
 
 def test_flat_second_invariants_vanish():

@@ -307,10 +307,11 @@ def _flat_bits(x):
 
 
 def _layers(m, pt):
-    """Bits of pj.second, pj.riemann and the fundamentals with their
-    Jacobian at a point."""
+    """Bits of pj.second, pj.sectional, pj.riemann and the fundamentals
+    with their Jacobian at a point."""
     pj = point_jets(m, pt, order=2)
-    return _flat_bits([pj.second, pj.riemann, equivalence._fundamentals(pj)])
+    return _flat_bits([pj.second, pj.sectional, pj.riemann,
+                       equivalence._fundamentals(pj)])
 
 
 def test_reference_kernels_give_every_catalog_layer_bit_for_bit(monkeypatch):

@@ -293,7 +293,8 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
                          (einstein, "four_metric"),
                          (einstein, "christoffel4"),
                          (einstein, "riemann4"),
-                         (invariants2, "second_invariants_from_jets")):
+                         (invariants2, "second_invariants_from_jets"),
+                         (invariants2, "sectional_curvatures")):
         counting(module, name)
 
     vdb = catalog("vdb")
@@ -378,7 +379,8 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
     assert {name for name, _ in calls} == {
         "fundamental_jets", "first_invariant_jets", "frame",
         "oneill_tensors", "four_metric",
-        "christoffel4", "riemann4", "second_invariants_from_jets"}
+        "christoffel4", "riemann4", "second_invariants_from_jets",
+        "sectional_curvatures"}
     assert max(calls.values()) == 1, calls.most_common(3)
 
 
@@ -410,6 +412,38 @@ def test_commands_that_report_only_the_fundamentals_build_no_fields(
         assert cli.run(argv) == 0, argv
         assert calls["fundamental_jets"] > 0 and not calls[
             "first_invariant_jets"], argv
+
+
+def test_commands_that_report_no_sectional_curvature_build_no_4d_curvature(
+        monkeypatch, tmp_path):
+    # the orbit-space second-order invariants and the frame Y read no
+    # 4-metric; K_Xi, K_Xiperp, the Einstein residual and the
+    # first-order suite (the frame lengths and T) do
+    calls = Counter()
+    for name in ("four_metric", "inverse_four_metric", "christoffel4",
+                 "riemann4"):
+        def counting(pj, name=name, fn=getattr(einstein, name)):
+            calls[name] += 1
+            return fn(pj)
+
+        monkeypatch.setattr(einstein, name, counting)
+    vdb, tr = tmp_path / "vdb.json", tmp_path / "tr.json"
+    vdb.write_text(json.dumps(catalog("vdb").to_document()))
+    tr.write_text(json.dumps(VDB_IMAGE.strings))
+    points = ["--points", "0.6,1.1;0.8,1.3"]
+    out = ["--out", str(tmp_path / "out.txt")]
+    for argv in (["rank", "--random", "7", "--set", "order2_20", *out],
+                 ["rank", str(vdb), "--at", "0.6,1.1", "--set", "order2_20",
+                  *out],
+                 ["check-relations", str(vdb), "--second", *points, *out],
+                 ["transform", str(vdb), str(tr), "--report-invariance",
+                  *points, *out]):
+        assert cli.run(argv) == 0, argv
+        assert not calls, (argv, calls)
+    assert cli.run(["invariants", str(vdb), "--at", "0.6,1.1", "--order",
+                    "2", *out]) == 0
+    assert set(calls) == {"four_metric", "inverse_four_metric",
+                          "christoffel4", "riemann4"}
 
 
 def _call_nodes(m):

@@ -21,7 +21,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from g2inv import catalog, equivalence, expr, jets, metrics, point_jets
 from g2inv.errors import G2InvError, SingularMetricError
-from g2inv.invariants1 import _pack, _unpack, random_point_jets
+from g2inv.invariants1 import (_pack, _unpack, frame_lengths,
+                               random_point_jets)
 from g2inv.invariants2 import order2_invariant_vector
 from g2inv.metrics import CATALOG_NAMES, default_domain, grid_points
 from g2inv.transform import apply_to_metric, make_transform
@@ -410,7 +411,8 @@ def _column(x, k):
 
 def _assert_columns_are_points(batch, points):
     """Every layer of the batch, column k, has the bits of points[k]."""
-    layers = ["g4", "christoffel"] + ["riemann"] * (batch.order >= 2)
+    layers = ["g4", "christoffel", "frame"] + ["riemann"] * (batch.order >= 2)
+    ell = frame_lengths(batch)
     for k, pj in enumerate(points):
         for key, jet in pj.fields.items():
             assert _bits([_column(c, k) for c in batch.fields[key].coeffs]) \
@@ -420,12 +422,16 @@ def _assert_columns_are_points(batch, points):
         for layer in layers:
             assert _bits(_column(getattr(batch, layer), k)) \
                 == _bits(getattr(pj, layer)), layer
-        for layer in ("frame", "oneill_tensors"):  # tuples of arrays
-            assert [_bits(_column(x, k)) for x in getattr(batch, layer)] \
-                == [_bits(x) for x in getattr(pj, layer)], layer
+        assert _bits(_column(ell, k)) == _bits(frame_lengths(pj)), "ell"
+        assert [_bits(_column(x, k)) for x in batch.oneill_tensors] \
+            == [_bits(x) for x in pj.oneill_tensors], "oneill_tensors"
         if batch.order >= 2:
             assert _bits(order2_invariant_vector(batch)[:, k]) \
                 == _bits(order2_invariant_vector(pj))
+            assert {key: _bits(_column(K, k))
+                    for key, K in batch.sectional.items()} \
+                == {key: _bits(K) for key, K in pj.sectional.items()}, \
+                "sectional"
 
 
 def _batch(points):

@@ -124,7 +124,7 @@ def test_cperp_flips_under_alpha_reflection():
     pj = point_jets(m, pt)
     p = make_transform("t1", "t2", "0", "0", [[1.0, 0.0], [0.0, -1.0]])
     out = pushforward_jets(pj, p)
-    (Y, _), (Y_bar, _) = frame(pj), frame(out)
+    Y, Y_bar = frame(pj), frame(out)
     C, Cp = Y[2][2:], Y[3][2:]  # the z-components of C and Cperp
     pushed_c = (C[0], -C[1])  # alpha acting on the z-components
     assert tuple(Y_bar[2][2:]) == pytest.approx(pushed_c, rel=1e-12)
@@ -225,7 +225,7 @@ def _order1_row(m, p, pt):
     if pj.stratum.generic:
         sgn = (1.0, eps1, eps1, eps1 * eps2)
         frame_residual = 0.0
-        for s, v, vbar in zip(sgn, pj.frame[0], pj_bar.frame[0]):
+        for s, v, vbar in zip(sgn, pj.frame, pj_bar.frame):
             pushed = np.array(_order1_pushforward_vector(p, pt, v))
             target = s * np.array(vbar)
             norm = max(float(np.linalg.norm(target)), 1e-300)
