@@ -162,11 +162,9 @@ def _rows(pj, order):
         k: pj.fundamentals[k].value for k in invariants1.FUNDAMENTAL_IDS}}
     if order >= 2:
         sec = pj.second
-        values = {**vars(sec), **pj.sectional}
         for k in invariants1.FUNDAMENTAL_IDS:
             row["X_" + k], row["Xperp_" + k] = sec.XI[k], sec.XperpI[k]
-        for k in SECOND_ORDER_NAMES:
-            row[k] = values[k]
+        row.update({k: getattr(sec, k) for k in SECOND_ORDER_NAMES})
         for k in ("J1", "J2"):  # a batch gives NaN where C_rho ~ 0
             row[k] = np.where(pj.stratum.c_rho_zero, None, row[k])
     return _columns(row)
@@ -325,11 +323,8 @@ def cmd_transform(args):
                      "max_invariant_residual": rep["max_invariant_residual"],
                      "sign_laws_pass": rep["sign_laws_pass"],
                      "pass": rep["pass"],
-                     "points": [{"point": list(r["point"]),
-                                 "eps1": r["eps1"], "eps2": r["eps2"],
-                                 "invariant_residual":
-                                     r["invariant_residual"],
-                                 "frame_residual": r["frame_residual"]}
+                     "points": [{k: list(v) if k == "point" else v
+                                 for k, v in r.items() if k != "pass"}
                                 for r in rep["points"]]})
         return 0 if rep["pass"] else 1
     # the fundamentals read values alone: order-1 jets, one batch
@@ -366,7 +361,13 @@ def cmd_catalog(args):
     params = {}
     for item in args.param or []:
         key, _, val = item.partition("=")
-        params[key] = float(val)
+        try:
+            params[key] = float(val)
+        except ValueError:
+            params[key] = math.nan
+        if not math.isfinite(params[key]):
+            raise G2InvError(f"--param {key!r} must be a finite float "
+                             f"given as k=v, got {item!r}")
     m = metrics.catalog(args.name, params)
     doc = m.to_document()
     if args.emit:

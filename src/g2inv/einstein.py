@@ -251,7 +251,13 @@ def onshell_relations(pj, lam):
     _pow = jets._pow  # x ** k per element, as on one point's floats
     jv = pj.fields
     sec = pj.second
-    K = pj.sectional
+    # K of the Killing and the horizontal plane by the Riemann tensor, a
+    # check of the 4D curvature (pj.second's are the propositions')
+    F = [-j.value for j in pj.F]
+    o, i = np.zeros_like(F[0]), np.ones_like(F[0])
+    with metrics.singular_on_overflow("sectional_curvatures"):
+        K_Xi, K_Xiperp = (sectional_curvature(pj, u, v) for u, v in (
+            ((o, o, i, o), (o, o, o, i)), ((i, o, *F[:2]), (o, i, *F[2:]))))
     sg = pj.stratum.sign_det_gt
     sgh = sg * pj.stratum.sign_det_h
 
@@ -314,6 +320,6 @@ def onshell_relations(pj, lam):
                     (3.0 * abs(Q_chi) + 2.0 * abs(Q_gamma))
                     * abs(C_rho * ell_C * X_ellC))),
     }
-    row["gauss_equality"] = _normalized([K["K_Xiperp"], -K["K_Xi"]])
+    row["gauss_equality"] = _normalized([K_Xiperp, -K_Xi])
     row["einstein_normalized"] = residual(pj, lam).normalized
     return row

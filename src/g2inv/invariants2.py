@@ -28,6 +28,8 @@ class Invariants2:
     C_nu: float
     C_nu_prime: float
     Q_nu: float
+    K_Xi: float        # -C_chi/4: the Killing leaf's sectional curvature
+    K_Xiperp: float    # C_ric/2 - sg 3 ell_C/4: the horizontal plane's
     J1: float = None   # None where C_rho ~ 0 (pj.stratum.c_rho_zero)
     J2: float = None
 
@@ -79,8 +81,9 @@ def _hessian_log_det_h(pj, gamma2):
 
 
 def second_invariants_from_jets(pj):
-    """The second-order invariants from order-2 component jets, all but
-    the sectional curvatures: those are the layer pj.sectional."""
+    """The second-order invariants from order-2 component jets; K_Xi and
+    K_Xiperp by the paper's Gauss-curvature propositions, with no 4D
+    curvature (sg = sgn det gt)."""
     if pj.order < 2:
         raise ValueError("second-order invariants need order-2 jets")
     jv = pj.fields
@@ -94,6 +97,8 @@ def second_invariants_from_jets(pj):
     C_rho = jv["C_rho"].value
     C_chi = jv["C_chi"].value
     C_nu_prime = C_nu - 2.0 * C_chi + C_rho
+    sg = pj.stratum.sign_det_gt
+    K_Xiperp = 0.5 * c_ric - sg * 0.75 * jv["ell_C"].value
 
     batch = isinstance(C_rho, np.ndarray)  # J1, J2 NaN where C_rho ~ 0
     J1 = J2 = None
@@ -105,18 +110,7 @@ def second_invariants_from_jets(pj):
     return Invariants2(XI=XI, XperpI=XpI, C_ric=c_ric, Q_ric=q_ric,
                        ric_scale=ric_scale,
                        C_nu=C_nu, C_nu_prime=C_nu_prime, Q_nu=Q_nu,
-                       J1=J1, J2=J2)
-
-
-def sectional_curvatures(pj):
-    """K_Xi and K_Xiperp by name: the sectional curvatures of the Killing
-    plane and of the horizontal one, the invariants that read riemann."""
-    Fv = [j.value for j in pj.F]
-    o, i = np.zeros_like(Fv[0]), np.ones_like(Fv[0])
-    return {"K_Xi": einstein.sectional_curvature(pj, (o, o, i, o),
-                                                 (o, o, o, i)),
-            "K_Xiperp": einstein.sectional_curvature(
-                pj, (i, o, -Fv[0], -Fv[1]), (o, i, -Fv[2], -Fv[3]))}
+                       K_Xi=-0.25 * C_chi, K_Xiperp=K_Xiperp, J1=J1, J2=J2)
 
 
 def order2_invariant_vector(pj):

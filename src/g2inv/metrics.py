@@ -34,8 +34,8 @@ BFH_KEYS = ("b11", "b12", "b22", "f11", "f12", "f21", "f22",
 SUBMERSION_KEYS = ("gt11", "gt12", "gt22", "F11", "F12", "F21", "F22",
                    "h11", "h12", "h22")
 
-# relative tolerance (times max(1, component_scale)) below which C_rho,
-# ell_C or the curl of F count as zero: the stratum decision of classify
+# relative tolerance (times max(1, component_scale)) below which C_rho
+# or ell_C count as zero: the stratum decision of classify
 GENERIC_TOL = 1e-10
 
 CATALOG_NAMES = ("flat", "diag_t1", "vdb", "ppwave1", "ppwave2", "ppwave3",
@@ -101,12 +101,11 @@ class PointJets:
     which frames and relations apply), g4 and christoffel (coefficient
     arrays of the 4-metric and Christoffel jets), riemann, frame (the
     semi-invariant frame Y), oneill_tensors, second (the second-order
-    invariants of the orbit space), sectional (K_Xi and K_Xiperp, the
-    second-order invariants that read riemann).  Callers read them and
-    never mutate them.  numpy overflow in the layers that do numpy
-    arithmetic (christoffel, riemann, frame, oneill_tensors, second,
-    sectional) is a SingularEvaluationError.  The imports are deferred
-    because those modules import this one.
+    invariants, K_Xi and K_Xiperp by the Gauss-curvature propositions).
+    Callers read them and never mutate them.  numpy overflow in the
+    layers that do numpy arithmetic (christoffel, riemann, frame,
+    oneill_tensors, second) is a SingularEvaluationError.  The imports
+    are deferred because those modules import this one.
     """
     point: tuple
     order: int
@@ -177,12 +176,6 @@ class PointJets:
         with singular_on_overflow("second_invariants_from_jets"):
             return second_invariants_from_jets(self)
 
-    @cached_property
-    def sectional(self):
-        from .invariants2 import sectional_curvatures
-        with singular_on_overflow("sectional_curvatures"):
-            return sectional_curvatures(self)
-
 
 @dataclass(frozen=True)
 class StratumFlags:
@@ -190,7 +183,6 @@ class StratumFlags:
     sign_det_gt: int
     c_rho_zero: bool
     ell_c_zero: bool
-    orthogonally_transitive: bool
     generic: bool
 
 
@@ -438,8 +430,6 @@ def classify(pj):
     """Stratum flags deciding which frames and relations apply."""
     tol = GENERIC_TOL * np.maximum(1.0, component_scale(pj))
     jv = pj.fundamentals
-    curl1 = jets.t_derivative(pj.F[0], 1).value - jets.t_derivative(pj.F[2], 0).value
-    curl2 = jets.t_derivative(pj.F[1], 1).value - jets.t_derivative(pj.F[3], 0).value
     c_rho_zero = abs(jv["C_rho"].value) < tol
     ell_c_zero = abs(jv["ell_C"].value) < tol
     return StratumFlags(
@@ -447,7 +437,6 @@ def classify(pj):
         sign_det_gt=(pj.det_gt.value > 0) * 2 - 1,
         c_rho_zero=c_rho_zero,
         ell_c_zero=ell_c_zero,
-        orthogonally_transitive=(abs(curl1) < tol) & (abs(curl2) < tol),
         generic=~(c_rho_zero | ell_c_zero),
     )
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import einstein, expr, jets, metrics
-from .errors import DegenerateTransformError, MetricDefinitionError
+from .errors import (DegenerateTransformError, MetricDefinitionError,
+                     SingularEvaluationError)
 from .invariants1 import FUNDAMENTAL_IDS
 
 
@@ -379,14 +380,20 @@ def invariance_report(m, p, points, tol=1e-7):
         if any(generic):
             frames, frames_bar = (columns(q.frame, 2)
                                   for q in (pj, pj_bar))
-        rows = []
+        rows, ts = [], columns(pj.point, 1)  # ts[k]: column k's point
         for k, J in enumerate(Js):
             J, Jpsi = np.array(J), np.array(Jpsis[k])
             eps1 = 1 if J[0][0] * J[1][1] - J[0][1] * J[1][0] > 0 else -1
             inv, inv_bar = np.array(invs[k]), np.array(invs_bar[k])
+            for what, x in (("fundamentals", inv),
+                            ("pushforward fundamentals", inv_bar)):
+                if not np.isfinite(x).all():  # an overflow: name it
+                    bad = int(np.argmin(np.isfinite(x)))
+                    raise SingularEvaluationError(
+                        what, float(x[bad]), f"{FUNDAMENTAL_IDS[bad]} at "
+                        f"{tuple(ts[k])}")
             denom = np.maximum(np.abs(inv), np.maximum(np.abs(inv_bar), 1.0))
-            with np.errstate(invalid="ignore"):  # inf/inf: NaN, an error
-                inv_residual = float(np.max(np.abs(inv - inv_bar) / denom))
+            inv_residual = float(np.max(np.abs(inv - inv_bar) / denom))
             frame_residual = None
             if generic[k]:
                 sgn = (1.0, eps1, eps1, eps1 * eps2)

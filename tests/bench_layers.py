@@ -19,7 +19,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from g2inv import catalog, jets, point_jets
+from g2inv import catalog, cli, jets, point_jets
 from g2inv.einstein import onshell_relations
 from g2inv.invariants1 import (jacobian_rank, random_point_jets,
                                relations_first)
@@ -109,6 +109,13 @@ def test_second(benchmark, point):
 def _finite(row):
     return all(np.isfinite(np.array(v, dtype=float)).all()
                for v in row.values() if v is not None)
+
+
+def test_grid_rows(benchmark):
+    # the rows of a grid --order 2 op on the 12-point batch: every layer
+    # they read, K_Xi and K_Xiperp included
+    rows = benchmark(lambda: cli._rows(point_jets(VDB, BATCH), 2))
+    assert len(rows) == 12 and all(map(_finite, rows))
 
 
 @pytest.mark.parametrize("layer", ["fundamentals", "fields"])

@@ -1,6 +1,7 @@
 """Checks of the paper's results and of the pseudogroup law, built on the
 live pipeline: the Kundu constancy of A = sqrt|det h| (C . h), the
-O'Neill tensors A and T in the semi-invariant frame, the signature
+O'Neill tensors A and T in the semi-invariant frame, K_Xi and K_Xiperp
+from the 4D Riemann tensor, the signature
 partials of one invariant along an invariant pair, the composition of
 two pseudogroup elements, and AST substitution, the reference for the
 parser's binding of t1, t2."""
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from g2inv import expr, jets, metrics
+from g2inv import einstein, expr, jets, metrics
 from g2inv.errors import G2InvError
 from g2inv.invariants1 import FUNDAMENTAL_IDS, frame_lengths
 from g2inv.invariants2 import DELTA_TOL
@@ -133,6 +134,20 @@ def oneill(pj):
                       Tvec=tuple(Tvec), ell_T=float(Tvec @ g4 @ Tvec),
                       ell_Tperp=float(Tvec_p @ g4 @ Tvec_p),
                       Theta_C=Theta_C)
+
+
+def riemann_sectional_curvatures(pj):
+    """K_Xi and K_Xiperp by name from the 4D Riemann tensor: the sectional
+    curvatures of the Killing plane (d_z1, d_z2) and of the horizontal one
+    (d_t1 - F_1^k d_zk, d_t2 - F_2^k d_zk), the route the on-shell Gauss
+    equality takes; pj.second has them from the Gauss-curvature
+    propositions."""
+    Fv = [j.value for j in pj.F]
+    o, i = np.zeros_like(Fv[0]), np.ones_like(Fv[0])
+    return {"K_Xi": einstein.sectional_curvature(pj, (o, o, i, o),
+                                                 (o, o, o, i)),
+            "K_Xiperp": einstein.sectional_curvature(
+                pj, (i, o, -Fv[0], -Fv[1]), (o, i, -Fv[2], -Fv[3]))}
 
 
 def directional_partials(pj, phi_id, i1_id, i2_id):

@@ -15,15 +15,14 @@ from g2inv import catalog, classify, einstein, point_jets
 from g2inv.equivalence import compare_metrics
 from g2inv.invariants1 import (first_invariant_jets, jacobian_rank,
                                random_point_jets, relations_first)
-from g2inv.invariants2 import (relations_second, second_invariants_from_jets,
-                               sectional_curvatures)
+from g2inv.invariants2 import relations_second, second_invariants_from_jets
 from g2inv.jets import finite_difference_jet
 from g2inv.metrics import default_domain, grid_points
 from g2inv.transform import (apply_to_metric, invariance_report,
                              make_transform, pushforward_jets,
                              random_transform)
 from g2inv.expr import eval_jet, eval_scalar
-from paper_checks import kundu_A
+from paper_checks import kundu_A, riemann_sectional_curvatures
 from vdb_signature import characterize_vdb
 
 VDB_GRID = grid_points(((0.3, 1.2), (0.7, 1.5)), 5, 4)
@@ -180,7 +179,7 @@ def test_criterion_05_second_order_suite():
             worst = max(worst, largest(relations_second(pj)))
             jv = first_invariant_jets(pj)
             sec = second_invariants_from_jets(pj)
-            K = sectional_curvatures(pj)
+            K = riemann_sectional_curvatures(pj)
             sg = 1.0 if pj.det_gt.value > 0 else -1.0
             k1 = abs(K["K_Xi"] + 0.25 * jv["C_chi"].value) \
                 / max(1.0, abs(K["K_Xi"]))

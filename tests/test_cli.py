@@ -48,6 +48,15 @@ def test_catalog_unknown_name_is_usage_error(capsys):
     assert run(["catalog", "nope"]) == 2
 
 
+@pytest.mark.parametrize("param", ["c=abc", "c", "c=nan", "c=-inf", "c="])
+def test_a_malformed_catalog_param_is_one_error_line(capsys, param):
+    assert run(["catalog", "ppwave2", "--param", param]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --param 'c' must be a finite float "
+                            f"given as k=v, got {param!r}\n")
+
+
 def test_invariants_at_point(vdb_file, capsys):
     assert run(["invariants", vdb_file, "--at", "0.5,1.0", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -272,19 +281,22 @@ def test_non_finite_report_value_is_an_input_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
-    # K_Xiperp comes out NaN here
-    k_nan = _submersion_file(tmp_path, {
-        "gt11": "exp(120*t1)", "gt12": "0", "gt22": "-1",
-        "F11": "exp(120*t1)", "F12": "0", "F21": "exp(120*t1)*t2",
-        "F22": "t2*exp(-120*t1)", "h11": "cosh(120*t1)",
-        "h12": "exp(120*t1)", "h22": "-1"})
-    assert run(["invariants", k_nan, "--at", "0.742,0.633", "--order", "2",
-                "--json"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert run(["grid", k_nan, "--t1", "0.742:0.742:1", "--t2",
-                "0.633:0.633:1", "--order", "2", "--json"]) == 0
+    # C^1 = C^2 = 1e200 and h = diag(1, -1): ell_C = C1^2 - C2^2 is
+    # inf - inf, a NaN in the report
+    ell_nan = _submersion_file(tmp_path, {
+        "gt11": "1", "gt12": "0", "gt22": "1",
+        "F11": "1e200*t2", "F12": "1e200*t2", "F21": "0", "F22": "0",
+        "h11": "1", "h12": "0", "h22": "-1"})
+    for order in ("1", "2"):
+        assert run(["invariants", ell_nan, "--at", "0.1,0.2", "--order",
+                    order, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: non-finite value nan for 'ell_C'\n"
+    assert run(["grid", ell_nan, "--t1", "0.1:0.1:1", "--t2",
+                "0.2:0.2:1", "--order", "2", "--json"]) == 0
     row, = json.loads(capsys.readouterr().out)["rows"]
-    assert row == {"t1": 0.742, "t2": 0.633, "C_rho": None, "C_chi": None,
+    assert row == {"t1": 0.1, "t2": 0.2, "C_rho": None, "C_chi": None,
                    "Q_chi": None, "Q_gamma": None, "ell_C": None,
                    "Theta_I_sq": None}
 
@@ -355,23 +367,25 @@ def test_an_overflowing_four_metric_fails_only_the_reports_that_read_it(
     assert run(["rank", str(path), "--at=0.1,0.2", "--set", "order2_20",
                 "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["rank"] == 20
-    # K_Xi, K_Xiperp and the first-order suite's T read the 4-metric
-    for argv, layer in (
-            (["invariants", str(path), "--at=0.1,0.2", "--order", "2"],
-             "christoffel4"),
-            (["check-relations", str(path), "--first", points],
-             "oneill_tensors")):
-        assert run(argv) == 2, argv
-        assert capsys.readouterr().err.startswith(
-            f"error: singular evaluation in {layer!r} at value nan"), argv
+    # K_Xi and K_Xiperp come from the orbit space and the fundamentals
+    assert run(["invariants", str(path), "--at=0.1,0.2", "--order", "2",
+                "--json"]) == 0
+    second = json.loads(capsys.readouterr().out)["second_order"]
+    assert all(math.isfinite(v) for v in second.values() if v is not None)
+    # the first-order suite's T reads the 4-metric
+    assert run(["check-relations", str(path), "--first", points]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: singular evaluation in 'oneill_tensors' at value nan")
     # the stratum is not generic, so no frame is built, and the
-    # pushforward's fundamentals overflow: a non-finite residual
+    # pushforward's fundamentals overflow at the second point: an error
+    # that names them, the invariant and the point
     tr = tmp_path / "tr.json"
     tr.write_text(json.dumps(random_transform(3).strings))
     r = _module_run("transform", str(path), str(tr), "--report-invariance",
                     points)
     assert r.returncode == 2 and r.stdout == "" and r.stderr == \
-        "error: non-finite value nan for 'invariant_residual'\n"
+        "error: singular evaluation in 'pushforward fundamentals' at " \
+        "value inf (Theta_I_sq at (0.3, 0.1))\n"
 
 
 @pytest.mark.parametrize("exponent", ["1e308*10", "0*(1e308*10)"])
@@ -725,12 +739,11 @@ def _grid_point_by_point(m, t1, t2, order, method):
                 row[k] = pj.fields[k].value
             if order >= 2:
                 sec = pj.second
-                values = {**vars(sec), **pj.sectional}
                 for k in FUNDAMENTAL_IDS:
                     row["X_" + k] = sec.XI[k]
                     row["Xperp_" + k] = sec.XperpI[k]
                 for k in SECOND_ORDER_NAMES:
-                    row[k] = values[k]
+                    row[k] = getattr(sec, k)
             if not all(v is None or math.isfinite(v) for v in row.values()):
                 raise G2InvError("non-finite value")
         except G2InvError:

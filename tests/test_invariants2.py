@@ -6,11 +6,11 @@ import pytest
 from g2inv import catalog, jets, point_jets
 from g2inv.invariants1 import FUNDAMENTAL_IDS, first_invariant_jets
 from g2inv.invariants2 import (bracket_residual, relations_second,
-                               second_invariants_from_jets,
-                               sectional_curvatures)
+                               second_invariants_from_jets)
 from g2inv.metrics import default_domain, grid_points
 
-from paper_checks import DependentPairError, directional_partials
+from paper_checks import (DependentPairError, directional_partials,
+                          riemann_sectional_curvatures)
 from test_invariants1 import GENERIC_SEEDS, generic_random_points, \
     vdb_closed_forms
 
@@ -93,7 +93,7 @@ def test_gauss_curvature_propositions_vdb():
         pj = point_jets(m, pt)
         jv = first_invariant_jets(pj)
         sec = second_invariants_from_jets(pj)
-        K = sectional_curvatures(pj)
+        K = riemann_sectional_curvatures(pj)
         assert K["K_Xi"] == pytest.approx(-0.25 * jv["C_chi"].value,
                                           rel=1e-8)
         sg = 1.0 if pj.det_gt.value > 0 else -1.0
@@ -108,7 +108,7 @@ def test_gauss_curvature_propositions_random():
             pj = point_jets(m, pt)
             jv = first_invariant_jets(pj)
             sec = second_invariants_from_jets(pj)
-            K = sectional_curvatures(pj)
+            K = riemann_sectional_curvatures(pj)
             scale = max(1.0, abs(K["K_Xi"]))
             assert abs(K["K_Xi"] + 0.25 * jv["C_chi"].value) < 1e-7 * scale
             sg = 1.0 if pj.det_gt.value > 0 else -1.0

@@ -10,6 +10,7 @@ from g2inv import catalog, equivalence, invariants1, jets, point_jets, \
     transform
 from g2inv.errors import SingularEvaluationError
 from g2inv.metrics import CATALOG_NAMES, default_domain, grid_points
+from paper_checks import riemann_sectional_curvatures
 
 
 def test_seed_constant():
@@ -307,11 +308,11 @@ def _flat_bits(x):
 
 
 def _layers(m, pt):
-    """Bits of pj.second, pj.sectional, pj.riemann and the fundamentals
-    with their Jacobian at a point."""
+    """Bits of pj.second, the Riemann-route K_Xi and K_Xiperp, pj.riemann
+    and the fundamentals with their Jacobian at a point."""
     pj = point_jets(m, pt, order=2)
-    return _flat_bits([pj.second, pj.sectional, pj.riemann,
-                       equivalence._fundamentals(pj)])
+    return _flat_bits([pj.second, riemann_sectional_curvatures(pj),
+                       pj.riemann, equivalence._fundamentals(pj)])
 
 
 def test_reference_kernels_give_every_catalog_layer_bit_for_bit(monkeypatch):

@@ -111,18 +111,25 @@ def test_bfh_roundtrip():
             assert g4[0, a, b] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def _orthogonally_transitive(pj):
+    """C^1 = C^2 = 0, the curl of F over sqrt|det gt|, from the live
+    fundamentals layer."""
+    jv = pj.fundamentals
+    return jv["C1"].value == 0.0 and jv["C2"].value == 0.0
+
+
 def test_classify_flat():
     pj = point_jets(catalog("flat"), (0.1, 0.2), order=1)
     flags = classify(pj)
     assert flags.c_rho_zero and flags.ell_c_zero
-    assert flags.orthogonally_transitive and not flags.generic
+    assert _orthogonally_transitive(pj) and not flags.generic
 
 
 def test_classify_vdb_generic():
     pj = point_jets(catalog("vdb"), (0.5, 1.0), order=1)
     flags = classify(pj)
     assert flags.generic
-    assert not flags.orthogonally_transitive
+    assert not _orthogonally_transitive(pj)
     assert flags.sign_det_h == 1 and flags.sign_det_gt == -1
 
 
@@ -133,12 +140,15 @@ def test_classify_ppwave1_degenerate():
 
 
 def test_classify_transitive_implies_null_curvature():
+    transitive = []
     for name in CATALOG_NAMES[:-1]:
         m = catalog(name)
         pt = grid_points(default_domain(m), 2, margin=0.2)[1]
-        flags = classify(point_jets(m, pt, order=1))
-        if flags.orthogonally_transitive:
-            assert flags.ell_c_zero
+        pj = point_jets(m, pt, order=1)
+        if _orthogonally_transitive(pj):
+            transitive.append(name)
+            assert classify(pj).ell_c_zero, name
+    assert {"flat", "diag_t1", "ppwave1"} <= set(transitive)
 
 
 CURL_ONLY = load_metric({
@@ -293,8 +303,7 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
                          (einstein, "four_metric"),
                          (einstein, "christoffel4"),
                          (einstein, "riemann4"),
-                         (invariants2, "second_invariants_from_jets"),
-                         (invariants2, "sectional_curvatures")):
+                         (invariants2, "second_invariants_from_jets")):
         counting(module, name)
 
     vdb = catalog("vdb")
@@ -379,8 +388,7 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
     assert {name for name, _ in calls} == {
         "fundamental_jets", "first_invariant_jets", "frame",
         "oneill_tensors", "four_metric",
-        "christoffel4", "riemann4", "second_invariants_from_jets",
-        "sectional_curvatures"}
+        "christoffel4", "riemann4", "second_invariants_from_jets"}
     assert max(calls.values()) == 1, calls.most_common(3)
 
 
@@ -416,8 +424,9 @@ def test_commands_that_report_only_the_fundamentals_build_no_fields(
 
 def test_commands_that_report_no_sectional_curvature_build_no_4d_curvature(
         monkeypatch, tmp_path):
-    # the orbit-space second-order invariants and the frame Y read no
-    # 4-metric; K_Xi, K_Xiperp, the Einstein residual and the
+    # the second-order invariants (K_Xi and K_Xiperp from the
+    # Gauss-curvature propositions) and the frame Y read no 4-metric;
+    # the Einstein residual, the on-shell Gauss equality and the
     # first-order suite (the frame lengths and T) do
     calls = Counter()
     for name in ("four_metric", "inverse_four_metric", "christoffel4",
@@ -437,13 +446,22 @@ def test_commands_that_report_no_sectional_curvature_build_no_4d_curvature(
                   *out],
                  ["check-relations", str(vdb), "--second", *points, *out],
                  ["transform", str(vdb), str(tr), "--report-invariance",
-                  *points, *out]):
+                  *points, *out],
+                 ["invariants", str(vdb), "--at", "0.6,1.1", "--order", "2",
+                  *out],
+                 ["grid", str(vdb), "--t1", "0.4:1.0:2", "--t2", "0.8:1.4:2",
+                  "--order", "2", "--csv", *out]):
         assert cli.run(argv) == 0, argv
         assert not calls, (argv, calls)
-    assert cli.run(["invariants", str(vdb), "--at", "0.6,1.1", "--order",
-                    "2", *out]) == 0
-    assert set(calls) == {"four_metric", "inverse_four_metric",
-                          "christoffel4", "riemann4"}
+    lk = tmp_path / "lk.json"
+    lk.write_text(json.dumps(catalog("lambda_kundu").to_document()))
+    for argv in (["check-einstein", str(lk), "--lambda", "3", *points, *out],
+                 ["check-relations", str(lk), "--onshell", "--lambda", "3",
+                  *points, *out]):
+        calls.clear()
+        assert cli.run(argv) == 0, argv
+        assert set(calls) == {"four_metric", "inverse_four_metric",
+                              "christoffel4", "riemann4"}, (argv, calls)
 
 
 def _call_nodes(m):

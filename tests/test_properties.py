@@ -26,7 +26,7 @@ from g2inv.invariants1 import (_pack, _unpack, frame_lengths,
 from g2inv.invariants2 import order2_invariant_vector
 from g2inv.metrics import CATALOG_NAMES, default_domain, grid_points
 from g2inv.transform import apply_to_metric, make_transform
-from paper_checks import substitute
+from paper_checks import riemann_sectional_curvatures, substitute
 from test_jets import reference_divide, reference_mul
 
 SETTINGS = settings(max_examples=200, deadline=None)
@@ -428,10 +428,14 @@ def _assert_columns_are_points(batch, points):
         if batch.order >= 2:
             assert _bits(order2_invariant_vector(batch)[:, k]) \
                 == _bits(order2_invariant_vector(pj))
-            assert {key: _bits(_column(K, k))
-                    for key, K in batch.sectional.items()} \
-                == {key: _bits(K) for key, K in pj.sectional.items()}, \
-                "sectional"
+            assert [_bits(_column(getattr(batch.second, key), k))
+                    for key in ("K_Xi", "K_Xiperp")] \
+                == [_bits(getattr(pj.second, key))
+                    for key in ("K_Xi", "K_Xiperp")], "K"
+            assert {key: _bits(_column(K, k)) for key, K in
+                    riemann_sectional_curvatures(batch).items()} \
+                == {key: _bits(K) for key, K in
+                    riemann_sectional_curvatures(pj).items()}, "riemann K"
 
 
 def _batch(points):
