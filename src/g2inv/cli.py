@@ -26,36 +26,42 @@ SECOND_ORDER_COLUMNS = (
     + list(SECOND_ORDER_NAMES))
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return format(value, ".17g")
+def _fmt(value, key="report"):
+    """A report leaf, a float at 17 significant digits.  A non-finite
+    number is an input error, named by the nearest dict key above it."""
+    if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise G2InvError(f"non-finite value {float(value)} for {key!r}")
+        return format(float(value), ".17g")
     return value
 
 
-def dumps(obj, indent=0):
+def dumps(obj, indent=0, key="report"):
     """Deterministic JSON with floats at 17 significant digits."""
     pad = " " * indent
     if isinstance(obj, dict):
-        items = ",\n".join(f'{pad} "{k}": {dumps(v, indent + 1).lstrip()}'
+        items = ",\n".join(f'{pad} "{k}": {dumps(v, indent + 1, k).lstrip()}'
                            for k, v in obj.items())
         return f"{pad}{{\n{items}\n{pad}}}"
     if isinstance(obj, (list, tuple)):
-        items = ",\n".join(dumps(v, indent + 1) for v in obj)
+        items = ",\n".join(dumps(v, indent + 1, key) for v in obj)
         return f"{pad}[\n{items}\n{pad}]"
     if isinstance(obj, (bool, np.bool_)) or obj is None:
         return pad + {True: "true", False: "false", None: "null"}[obj]
     if isinstance(obj, (int, np.integer)):
         return pad + str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return pad + _fmt(float(obj))
+        return pad + _fmt(obj, key)
     return pad + '"' + str(obj).replace('"', '\\"') + '"'
 
 
 def _parse_point(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected t1,t2 got {text!r}")
-    return (float(parts[0]), float(parts[1]))
+    try:
+        t1, t2 = map(float, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected t1,t2 got {text!r}") from None
+    return (t1, t2)
 
 
 def _parse_range(text):
@@ -109,18 +115,6 @@ def _resolve_points(args, m):
     return metrics.grid_points(rect, args.grid, margin=0.05)
 
 
-def _non_finite(obj, key="report"):
-    """(key, value) of each non-finite number in a report."""
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            yield from _non_finite(v, k)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            yield from _non_finite(v, key)
-    elif isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
-        yield key, float(obj)
-
-
 def _write(path, text):
     """text to the file at path, or to stdout without one."""
     if path:
@@ -131,27 +125,25 @@ def _write(path, text):
 
 
 def _emit(args, report):
-    for key, value in _non_finite(report):  # an input error
-        raise G2InvError(f"non-finite value {value} for {key!r}")
     _write(args.out, dumps(report) + "\n" if getattr(args, "json", False)
            else _plain(report) + "\n")
 
 
-def _plain(obj, key="", depth=0):
+def _plain(obj, key="report", depth=0):
     pad = "  " * depth
     if isinstance(obj, dict):
         lines = []
         for k, v in obj.items():
             if isinstance(v, (dict, list, tuple)):
                 lines.append(f"{pad}{k}:")
-                lines.append(_plain(v, depth=depth + 1))
+                lines.append(_plain(v, k, depth + 1))
             else:
-                lines.append(f"{pad}{k}: {_fmt(v)}")
+                lines.append(f"{pad}{k}: {_fmt(v, k)}")
         return "\n".join(lines)
     if isinstance(obj, (list, tuple)):
-        return "\n".join(_plain(v, depth=depth) if isinstance(v, (dict, list))
-                         else f"{pad}- {_fmt(v)}" for v in obj)
-    return f"{pad}{_fmt(obj)}"
+        return "\n".join(_plain(v, key, depth) if isinstance(v, (dict, list))
+                         else f"{pad}- {_fmt(v, key)}" for v in obj)
+    return f"{pad}{_fmt(obj, key)}"
 
 
 def _rows(pj, order):
@@ -200,7 +192,8 @@ def cmd_grid(args):
     got = metrics.each_point(lambda point: _rows(metrics.point_jets(
         m, point, order=args.order, method=args.method), args.order), points)
     # a point that fails, or gives a non-finite value, is a row of nulls
-    rows = [row if isinstance(row, dict) and not any(_non_finite(row))
+    rows = [row if isinstance(row, dict) and all(
+                v is None or math.isfinite(v) for v in row.values())
             else {"t1": pt[0], "t2": pt[1],
                   **dict.fromkeys(invariants1.FUNDAMENTAL_IDS)}
             for pt, row in zip(points, got)]

@@ -261,8 +261,6 @@ def onshell_relations(pj, lam):
     sg = pj.stratum.sign_det_gt
     sgh = sg * pj.stratum.sign_det_h
 
-    X = (jv["X1"].value, jv["X2"].value)
-    Xp = (jv["Xp1"].value, jv["Xp2"].value)
     C_rho = jv["C_rho"].value
     C_chi = jv["C_chi"].value
     Q_chi = jv["Q_chi"].value
@@ -270,10 +268,8 @@ def onshell_relations(pj, lam):
     ell_C = jv["ell_C"].value
     th1 = jv["Theta_I"].value
     root = jv["q_gamma_root"].value
-    X_Crho = jets.along(X, jv["C_rho"])
-    Xp_Crho = jets.along(Xp, jv["C_rho"])
-    X_ellC = jets.along(X, jv["ell_C"])
-    Xp_ellC = jets.along(Xp, jv["ell_C"])
+    X_Crho, Xp_Crho = sec.XI["C_rho"], sec.XperpI["C_rho"]
+    X_ellC, Xp_ellC = sec.XI["ell_C"], sec.XperpI["ell_C"]
 
     dq = Q_chi - Q_gamma
     big = _max(abs(C_rho), abs(C_chi), 4.0 * abs(lam), abs(ell_C))

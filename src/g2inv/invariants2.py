@@ -38,19 +38,16 @@ def _orbit_curvature(pj):
     """(C_ric, Q_ric) of the 2D orbit metric from order-2 jets, the size
     of the terms C_ric sums (|g^-1| (|dGamma| + |Gamma|^2)), and its
     Christoffel coefficient array (order-(pj.order - 1) jets)."""
-    n = pj.order - 1
-    g11, g12, g22 = (jets.truncate(j, n) for j in pj.gt)
-    det = jets.truncate(pj.det_gt, n)
+    gi = pj.fundamentals["gi"]
     gamma = einstein._christoffel(
         einstein._coeffs(((pj.gt[0], pj.gt[1]), (pj.gt[1], pj.gt[2]))),
-        einstein._coeffs(((g22 / det, -g12 / det), (-g12 / det, g11 / det))),
-        n)
-    c_ric, q_ric, gi = _trace_det(
+        einstein._coeffs(((gi[0], gi[1]), (gi[1], gi[2]))), pj.order - 1)
+    c_ric, q_ric, gi_stack = _trace_det(
         pj, np.einsum("abad...->bd...", einstein._riemann(gamma)))
     with np.errstate(over="ignore", invalid="ignore"):  # inf, as on floats
         size = np.abs(gamma[0]).max((0, 1, 2))
-        scale = np.abs(gi).max((1, 2)) * (np.abs(gamma[1:3]).max((0, 1, 2, 3))
-                                          + size * size)
+        scale = np.abs(gi_stack).max((1, 2)) * (
+            np.abs(gamma[1:3]).max((0, 1, 2, 3)) + size * size)
     return c_ric, q_ric, einstein._unstack(scale, pj), gamma
 
 

@@ -17,6 +17,7 @@ bfh input is converted eagerly at jet level via
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 from contextlib import contextmanager
@@ -86,6 +87,20 @@ def singular_on_overflow(what):
         raise SingularEvaluationError(what, math.nan, str(err)) from None
 
 
+def _layer(module, name, guarded=False):
+    """A cached PointJets layer: g2inv.<module>.<name>(pj), looked up the
+    first time the layer is read (those modules import this one, and a
+    patched or traced function is the one called).  A guarded layer does
+    numpy arithmetic, and overflow or invalid arithmetic in it is a
+    SingularEvaluationError; the others run silent, as on floats."""
+    def layer(pj):
+        fn = getattr(importlib.import_module(f"g2inv.{module}"), name)
+        with (singular_on_overflow(name) if guarded
+              else np.errstate(all="ignore")):
+            return fn(pj)
+    return cached_property(layer)
+
+
 @dataclass(frozen=True)
 class PointJets:
     """Jets of the canonical submersion components at one point (or a
@@ -102,10 +117,7 @@ class PointJets:
     arrays of the 4-metric and Christoffel jets), riemann, frame (the
     semi-invariant frame Y), oneill_tensors, second (the second-order
     invariants, K_Xi and K_Xiperp by the Gauss-curvature propositions).
-    Callers read them and never mutate them.  numpy overflow in the
-    layers that do numpy arithmetic (christoffel, riemann, frame,
-    oneill_tensors, second) is a SingularEvaluationError.  The imports
-    are deferred because those modules import this one.
+    Callers read them and never mutate them.
     """
     point: tuple
     order: int
@@ -123,58 +135,16 @@ class PointJets:
         """Whether the jets are a batch (coefficients are vectors)."""
         return isinstance(self.det_h.value, np.ndarray)
 
-    @cached_property
-    def fundamentals(self):
-        from .invariants1 import fundamental_jets
-        with np.errstate(all="ignore"):  # batch jets: silent, as floats
-            return fundamental_jets(self)
-
-    @cached_property
-    def fields(self):
-        from .invariants1 import first_invariant_jets
-        with np.errstate(all="ignore"):
-            return first_invariant_jets(self)
-
-    @cached_property
-    def stratum(self):
-        with np.errstate(all="ignore"):
-            return classify(self)
-
-    @cached_property
-    def g4(self):
-        from .einstein import four_metric
-        with np.errstate(all="ignore"):
-            return four_metric(self)
-
-    @cached_property
-    def christoffel(self):
-        from .einstein import christoffel4
-        with singular_on_overflow("christoffel4"):
-            return christoffel4(self)
-
-    @cached_property
-    def riemann(self):
-        from .einstein import riemann4
-        with singular_on_overflow("riemann4"):
-            return riemann4(self)
-
-    @cached_property
-    def frame(self):
-        from .invariants1 import frame
-        with singular_on_overflow("frame"):
-            return frame(self)
-
-    @cached_property
-    def oneill_tensors(self):
-        from .invariants1 import oneill_tensors
-        with singular_on_overflow("oneill_tensors"):
-            return oneill_tensors(self)
-
-    @cached_property
-    def second(self):
-        from .invariants2 import second_invariants_from_jets
-        with singular_on_overflow("second_invariants_from_jets"):
-            return second_invariants_from_jets(self)
+    fundamentals = _layer("invariants1", "fundamental_jets")
+    fields = _layer("invariants1", "first_invariant_jets")
+    stratum = _layer("metrics", "classify")
+    g4 = _layer("einstein", "four_metric")
+    christoffel = _layer("einstein", "christoffel4", guarded=True)
+    riemann = _layer("einstein", "riemann4", guarded=True)
+    frame = _layer("invariants1", "frame", guarded=True)
+    oneill_tensors = _layer("invariants1", "oneill_tensors", guarded=True)
+    second = _layer("invariants2", "second_invariants_from_jets",
+                    guarded=True)
 
 
 @dataclass(frozen=True)
@@ -192,7 +162,8 @@ def read_document(document, kind):
         with open(document, "r", encoding="utf-8") as fh:
             try:
                 document = json.load(fh)
-            except (json.JSONDecodeError, RecursionError) as err:
+            except (json.JSONDecodeError, UnicodeDecodeError,
+                    RecursionError) as err:
                 raise MetricDefinitionError(f"malformed JSON: {err}") from None
     if not isinstance(document, dict):
         raise MetricDefinitionError(f"{kind} document must be a JSON object")

@@ -15,14 +15,15 @@ layers it reads.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from g2inv import catalog, cli, jets, point_jets
 from g2inv.einstein import onshell_relations
-from g2inv.invariants1 import (jacobian_rank, random_point_jets,
-                               relations_first)
+from g2inv.invariants1 import (FUNDAMENTAL_IDS, jacobian_rank,
+                               random_point_jets, relations_first)
 from g2inv.invariants2 import relations_second
 from g2inv.metrics import default_domain, grid_points
 from g2inv.transform import (apply_to_metric, invariance_report,
@@ -116,6 +117,29 @@ def test_grid_rows(benchmark):
     # they read, K_Xi and K_Xiperp included
     rows = benchmark(lambda: cli._rows(point_jets(VDB, BATCH), 2))
     assert len(rows) == 12 and all(map(_finite, rows))
+
+
+@pytest.mark.parametrize("command", ["grid", "check-relations"])
+def test_render_reports(benchmark, tmp_path, command):
+    # the report walker alone: dumps of a grid --order 2 op's report on
+    # the 12-point batch, the plain text of a check-relations --first
+    # --second op's report on the 6-point batch
+    if command == "grid":
+        report = {"command": "grid", "metric": VDB.name,
+                  "columns": ["t1", "t2", *FUNDAMENTAL_IDS,
+                              *cli.SECOND_ORDER_COLUMNS],
+                  "rows": cli._rows(point_jets(VDB, BATCH), 2)}
+        render = cli.dumps
+    else:
+        metric, out = tmp_path / "vdb.json", tmp_path / "report.json"
+        metric.write_text(json.dumps(VDB.to_document()))
+        points = ";".join(f"{t1!r},{t2!r}" for t1, t2 in CHECK_POINTS)
+        assert cli.run(["check-relations", str(metric), "--first",
+                        "--second", f"--points={points}", "--json",
+                        "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        render = cli._plain
+    assert benchmark(render, report).count("\n") > 50
 
 
 @pytest.mark.parametrize("layer", ["fundamentals", "fields"])

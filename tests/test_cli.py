@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import g2inv
 from g2inv import catalog, cli, einstein, expr, jets, metrics, point_jets
 from g2inv.cli import SECOND_ORDER_COLUMNS, SECOND_ORDER_NAMES, dumps, run
-from g2inv.errors import G2InvError
+from g2inv.errors import G2InvError, MetricDefinitionError
 from g2inv.invariants1 import FUNDAMENTAL_IDS, relations_first
 from g2inv.invariants2 import relations_second
 from g2inv.metrics import CATALOG_NAMES
@@ -287,9 +287,9 @@ def test_non_finite_report_value_is_an_input_error(tmp_path, capsys):
         "gt11": "1", "gt12": "0", "gt22": "1",
         "F11": "1e200*t2", "F12": "1e200*t2", "F21": "0", "F22": "0",
         "h11": "1", "h12": "0", "h22": "-1"})
-    for order in ("1", "2"):
-        assert run(["invariants", ell_nan, "--at", "0.1,0.2", "--order",
-                    order, "--json"]) == 2
+    for options in (["--order", "1", "--json"], ["--order", "2", "--json"],
+                    ["--order", "1"]):  # the last: the plain renderer
+        assert run(["invariants", ell_nan, "--at", "0.1,0.2", *options]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: non-finite value nan for 'ell_C'\n"
@@ -480,20 +480,24 @@ def test_fd_error_names_the_stencil_value_without_context(tmp_path,
                             "-9.999999999998899e-05\n")
 
 
+@pytest.mark.parametrize("points, entry", [("0.5,1;0.7", "0.7"),
+                                           ("abc,1", "abc,1")],
+                         ids=["one_part", "not_a_number"])
 @pytest.mark.parametrize("command", ["check-einstein", "check-relations",
                                      "transform"])
 def test_malformed_points_entry_is_an_input_error(vdb_file, tmp_path,
-                                                  capsys, command):
+                                                  capsys, command, points,
+                                                  entry):
     tr = tmp_path / "tr.json"
     tr.write_text(json.dumps({"phi1": "t1", "phi2": "t2", "psi1": "0",
                               "psi2": "0", "alpha": [[1, 0], [0, 1]]}))
     argv = [command, vdb_file, *([str(tr)] if command == "transform" else []),
-            "--points", "0.5,1;0.7"]
+            f"--points={points}"]
     capsys.readouterr()
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: expected t1,t2 got '0.7'\n"
+    assert captured.err == f"error: expected t1,t2 got {entry!r}\n"
 
 
 @pytest.mark.parametrize("command", ["check-einstein", "check-relations",
@@ -1176,6 +1180,22 @@ def test_malformed_metric_document_is_an_input_error(tmp_path, capsys,
     err = _one_error_line(["invariants", str(path), "--at", "0.5,0.5"],
                           capsys)
     assert key in err, err
+
+
+@pytest.mark.parametrize("command", ["invariants", "transform"])
+def test_non_utf8_document_is_a_metric_definition_error(tmp_path, capsys,
+                                                        command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(MetricDefinitionError):
+        metrics.read_document(str(bad), "metric")
+    argv = (["invariants", str(bad), "--at", "0.5,0.5"]
+            if command == "invariants" else
+            ["transform", _submersion_file(tmp_path, FLAT_SUBMERSION),
+             str(bad), "--points", "0.5,0.5"])
+    assert _one_error_line(argv, capsys) == (
+        "error: malformed JSON: 'utf-8' codec can't decode byte 0xff in "
+        "position 0: invalid start byte\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "1e400", "-inf"])

@@ -303,7 +303,8 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
                          (einstein, "four_metric"),
                          (einstein, "christoffel4"),
                          (einstein, "riemann4"),
-                         (invariants2, "second_invariants_from_jets")):
+                         (invariants2, "second_invariants_from_jets"),
+                         (metrics, "classify")):
         counting(module, name)
 
     vdb = catalog("vdb")
@@ -387,8 +388,8 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
 
     assert {name for name, _ in calls} == {
         "fundamental_jets", "first_invariant_jets", "frame",
-        "oneill_tensors", "four_metric",
-        "christoffel4", "riemann4", "second_invariants_from_jets"}
+        "oneill_tensors", "four_metric", "christoffel4", "riemann4",
+        "second_invariants_from_jets", "classify"}
     assert max(calls.values()) == 1, calls.most_common(3)
 
 
