@@ -16,14 +16,7 @@ import numpy as np
 from . import einstein, equivalence, invariants1, invariants2, metrics
 from . import transform as transform_mod
 from .errors import G2InvError, InsufficientCoverageError
-
-# the second-order invariants of a report besides X_k and Xperp_k
-SECOND_ORDER_NAMES = ("C_ric", "Q_ric", "C_nu", "C_nu_prime", "Q_nu",
-                      "K_Xi", "K_Xiperp", "J1", "J2")
-SECOND_ORDER_COLUMNS = (
-    ["X_" + k for k in invariants1.FUNDAMENTAL_IDS]
-    + ["Xperp_" + k for k in invariants1.FUNDAMENTAL_IDS]
-    + list(SECOND_ORDER_NAMES))
+from .invariants2 import SECOND_ORDER_COLUMNS
 
 
 def _fmt(value, key="report"):
@@ -65,13 +58,16 @@ def _parse_point(text):
 
 
 def _parse_range(text):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected a:b:n got {text!r}")
-    if (count := int(parts[2])) < 1:
+    try:
+        a, b, n = text.split(":")
+        bounds, count = (float(a), float(b)), int(n)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a:b:n got {text!r}") from None
+    if count < 1:
         raise argparse.ArgumentTypeError(
             f"the count n of a:b:n must be at least 1, got {text!r}")
-    if not all(map(math.isfinite, bounds := tuple(map(float, parts[:2])))):
+    if not all(map(math.isfinite, bounds)):
         raise argparse.ArgumentTypeError(
             f"the bounds of a:b:n must be finite, got {text!r}")
     return (*bounds, count)
@@ -102,7 +98,7 @@ def _within(kind, high=math.inf):
 
 
 def _resolve_points(args, m):
-    spec = args.points or "grid"
+    spec = args.points
     if spec != "grid":
         if not (points := [_parse_point(p) for p in spec.split(";") if p]):
             raise G2InvError(f"--points names no point: {spec!r}")
@@ -153,10 +149,7 @@ def _rows(pj, order):
     row = {"t1": pj.point[0], "t2": pj.point[1], **{
         k: pj.fundamentals[k].value for k in invariants1.FUNDAMENTAL_IDS}}
     if order >= 2:
-        sec = pj.second
-        for k in invariants1.FUNDAMENTAL_IDS:
-            row["X_" + k], row["Xperp_" + k] = sec.XI[k], sec.XperpI[k]
-        row.update({k: getattr(sec, k) for k in SECOND_ORDER_NAMES})
+        row.update({k: pj.second[k] for k in SECOND_ORDER_COLUMNS})
         for k in ("J1", "J2"):  # a batch gives NaN where C_rho ~ 0
             row[k] = np.where(pj.stratum.c_rho_zero, None, row[k])
     return _columns(row)
@@ -191,17 +184,15 @@ def cmd_grid(args):
               for y in np.linspace(*args.t2)]
     got = metrics.each_point(lambda point: _rows(metrics.point_jets(
         m, point, order=args.order, method=args.method), args.order), points)
+    columns = ["t1", "t2", *invariants1.FUNDAMENTAL_IDS,
+               *(SECOND_ORDER_COLUMNS if args.order >= 2 else ())]
     # a point that fails, or gives a non-finite value, is a row of nulls
     rows = [row if isinstance(row, dict) and all(
                 v is None or math.isfinite(v) for v in row.values())
-            else {"t1": pt[0], "t2": pt[1],
-                  **dict.fromkeys(invariants1.FUNDAMENTAL_IDS)}
+            else {**dict.fromkeys(columns), "t1": pt[0], "t2": pt[1]}
             for pt, row in zip(points, got)]
-    columns = ["t1", "t2"] + list(invariants1.FUNDAMENTAL_IDS)
-    if args.order >= 2:
-        columns += SECOND_ORDER_COLUMNS
     if args.csv:
-        lines = [columns] + [["nan" if row.get(c) is None
+        lines = [columns] + [["nan" if row[c] is None
                               else _fmt(float(row[c])) for c in columns]
                              for row in rows]
         _write(args.out, "".join(",".join(line) + "\n" for line in lines))
@@ -227,10 +218,8 @@ def cmd_check_einstein(args):
     points = _resolve_points(args, m)
 
     def evaluate(point):
-        res = einstein.residual(metrics.point_jets(
-            m, point, order=2, method=args.method), args.lam)
-        return _columns({"normalized": res.normalized,
-                         "max_abs": res.max_abs, "scale": res.scale})
+        return _columns(einstein.residual(metrics.point_jets(
+            m, point, order=2, method=args.method), args.lam))
     rows = [{"point": list(pt), **row} for pt, row in zip(
         points, metrics.each_point_or_raise(evaluate, points))]
     worst, ok = _worst((r["normalized"] for r in rows), args.tol)

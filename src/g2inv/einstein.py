@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -203,24 +202,16 @@ def sectional_curvature(pj, u, v):
     return _unstack(_form(w, g, u) / den, pj)
 
 
-@dataclass
-class Residual:
-    matrix: np.ndarray        # R_ab - Lambda g_ab
-    max_abs: float
-    scale: float              # max |4-metric jet coefficient|
-    normalized: float
-
-
 def residual(pj, lam):
-    """Lambda-vacuum residual R_ab - Lambda g_ab at the point of pj."""
+    """Lambda-vacuum residual R_ab - Lambda g_ab at the point of pj, as a
+    row: normalized = max_abs (largest |entry|) / scale (max |g4 coef|)."""
     with metrics.singular_on_overflow("residual"):
-        mat = ricci4(pj) - lam * pj.g4[0]
-        max_abs = np.abs(mat).max((0, 1))
+        max_abs = np.abs(ricci4(pj) - lam * pj.g4[0]).max((0, 1))
     scale = np.abs(pj.g4).max((0, 1, 2))
     if not pj.batch:
         max_abs, scale = float(max_abs), float(scale)
-    return Residual(matrix=mat, max_abs=max_abs, scale=scale,
-                    normalized=max_abs / scale)
+    return {"normalized": max_abs / scale, "max_abs": max_abs,
+            "scale": scale}
 
 
 def _normalized(terms, scales=()):
@@ -268,16 +259,16 @@ def onshell_relations(pj, lam):
     ell_C = jv["ell_C"].value
     th1 = jv["Theta_I"].value
     root = jv["q_gamma_root"].value
-    X_Crho, Xp_Crho = sec.XI["C_rho"], sec.XperpI["C_rho"]
-    X_ellC, Xp_ellC = sec.XI["ell_C"], sec.XperpI["ell_C"]
+    X_Crho, Xp_Crho = sec["X_C_rho"], sec["Xperp_C_rho"]
+    X_ellC, Xp_ellC = sec["X_ell_C"], sec["Xperp_ell_C"]
 
     dq = Q_chi - Q_gamma
     big = _max(abs(C_rho), abs(C_chi), 4.0 * abs(lam), abs(ell_C))
     row = {
         "ric_chi_ellC": _normalized(
-            [sec.C_ric, 0.5 * C_chi, -sg * 1.5 * ell_C]),
+            [sec["C_ric"], 0.5 * C_chi, -sg * 1.5 * ell_C]),
         "nu_ellC_rho": _normalized(
-            [sec.C_nu, -sg * ell_C, 4.0 * lam, 0.5 * C_rho]),
+            [sec["C_nu"], -sg * ell_C, 4.0 * lam, 0.5 * C_rho]),
         "Xperp_Crho_sq": _normalized(
             [sg * _pow(Xp_Crho, 2), 4.0 * Q_chi * _pow(C_rho, 2),
              -16.0 * dq * C_chi * C_rho, 64.0 * _pow(dq, 2)],
@@ -317,5 +308,5 @@ def onshell_relations(pj, lam):
                     * abs(C_rho * ell_C * X_ellC))),
     }
     row["gauss_equality"] = _normalized([K_Xiperp, -K_Xi])
-    row["einstein_normalized"] = residual(pj, lam).normalized
+    row["einstein_normalized"] = residual(pj, lam)["normalized"]
     return row

@@ -330,13 +330,15 @@ def _unpack(x, order):
 
 
 def _invariant_vector(pj, which):
-    if which in ("fundamental6", "fundamental6_transitive"):
-        jv = pj.fundamentals
-        return np.array([jv[k].value for k in FUNDAMENTAL_IDS])
+    """The six fundamentals, or order2_20's 20 invariants of order <= 2."""
+    if which not in ("fundamental6", "fundamental6_transitive", "order2_20"):
+        raise ValueError(f"unknown invariant set {which!r}")
+    vals = [pj.fundamentals[k].value for k in FUNDAMENTAL_IDS]
     if which == "order2_20":
-        from .invariants2 import order2_invariant_vector
-        return order2_invariant_vector(pj)
-    raise ValueError(f"unknown invariant set {which!r}")
+        from .invariants2 import SECOND_ORDER_COLUMNS
+        vals += [pj.second[k]
+                 for k in (*SECOND_ORDER_COLUMNS[:12], "C_ric", "C_nu")]
+    return np.array(vals)
 
 
 # central-difference step of jacobian_rank, relative to max(1, |coordinate|)

@@ -9,8 +9,6 @@ higher-order metric jets are involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import einstein, jets, metrics
@@ -18,20 +16,13 @@ from . import einstein, jets, metrics
 from .invariants1 import FUNDAMENTAL_IDS, first_invariant_jets  # noqa: F401
 
 
-@dataclass
-class Invariants2:
-    XI: dict
-    XperpI: dict
-    C_ric: float
-    Q_ric: float
-    ric_scale: float
-    C_nu: float
-    C_nu_prime: float
-    Q_nu: float
-    K_Xi: float        # -C_chi/4: the Killing leaf's sectional curvature
-    K_Xiperp: float    # C_ric/2 - sg 3 ell_C/4: the horizontal plane's
-    J1: float = None   # None where C_rho ~ 0 (pj.stratum.c_rho_zero)
-    J2: float = None
+# the report columns of the second-order invariants: X and Xperp of each
+# fundamental, then the scalars of the paper's second-order construction
+SECOND_ORDER_COLUMNS = (
+    *("X_" + k for k in FUNDAMENTAL_IDS),
+    *("Xperp_" + k for k in FUNDAMENTAL_IDS),
+    "C_ric", "Q_ric", "C_nu", "C_nu_prime", "Q_nu", "K_Xi", "K_Xiperp",
+    "J1", "J2")
 
 
 def _orbit_curvature(pj):
@@ -78,47 +69,39 @@ def _hessian_log_det_h(pj, gamma2):
 
 
 def second_invariants_from_jets(pj):
-    """The second-order invariants from order-2 component jets; K_Xi and
-    K_Xiperp by the paper's Gauss-curvature propositions, with no 4D
-    curvature (sg = sgn det gt)."""
+    """The second-order invariants from order-2 component jets, keyed by
+    SECOND_ORDER_COLUMNS, and ric_scale, the size of the terms C_ric sums;
+    K_Xi and K_Xiperp by the paper's Gauss-curvature propositions, with no
+    4D curvature (sg = sgn det gt)."""
     if pj.order < 2:
         raise ValueError("second-order invariants need order-2 jets")
     jv = pj.fields
     X = (jv["X1"].value, jv["X2"].value)
     Xp = (jv["Xp1"].value, jv["Xp2"].value)
-    XI = {k: jets.along(X, jv[k]) for k in FUNDAMENTAL_IDS}
-    XpI = {k: jets.along(Xp, jv[k]) for k in FUNDAMENTAL_IDS}
+    # X_k, then Xperp_k: the first twelve columns
+    sec = dict(zip(SECOND_ORDER_COLUMNS, [
+        jets.along(v, jv[k]) for v in (X, Xp) for k in FUNDAMENTAL_IDS]))
 
     c_ric, q_ric, ric_scale, gamma2 = _orbit_curvature(pj)
     C_nu, Q_nu, _ = _trace_det(pj, _hessian_log_det_h(pj, gamma2))
     C_rho = jv["C_rho"].value
     C_chi = jv["C_chi"].value
-    C_nu_prime = C_nu - 2.0 * C_chi + C_rho
     sg = pj.stratum.sign_det_gt
-    K_Xiperp = 0.5 * c_ric - sg * 0.75 * jv["ell_C"].value
+    sec.update(
+        C_ric=c_ric, Q_ric=q_ric, C_nu=C_nu,
+        C_nu_prime=C_nu - 2.0 * C_chi + C_rho, Q_nu=Q_nu,
+        K_Xi=-0.25 * C_chi,  # the Killing leaf's sectional curvature
+        # the horizontal plane's sectional curvature
+        K_Xiperp=0.5 * c_ric - sg * 0.75 * jv["ell_C"].value,
+        J1=None, J2=None,  # None where C_rho ~ 0 (pj.stratum.c_rho_zero)
+        ric_scale=ric_scale)
 
     batch = isinstance(C_rho, np.ndarray)  # J1, J2 NaN where C_rho ~ 0
-    J1 = J2 = None
     if batch or not pj.stratum.c_rho_zero:
         c = np.where(pj.stratum.c_rho_zero, np.nan, C_rho) if batch else C_rho
-        J1 = -XpI["C_rho"] / c
-        J2 = XI["C_rho"] / c - C_nu
-
-    return Invariants2(XI=XI, XperpI=XpI, C_ric=c_ric, Q_ric=q_ric,
-                       ric_scale=ric_scale,
-                       C_nu=C_nu, C_nu_prime=C_nu_prime, Q_nu=Q_nu,
-                       K_Xi=-0.25 * C_chi, K_Xiperp=K_Xiperp, J1=J1, J2=J2)
-
-
-def order2_invariant_vector(pj):
-    """The 20 functionally independent invariants of order <= 2."""
-    jv = pj.fields
-    sec = pj.second
-    vals = [jv[k].value for k in FUNDAMENTAL_IDS]
-    vals += [sec.XI[k] for k in FUNDAMENTAL_IDS]
-    vals += [sec.XperpI[k] for k in FUNDAMENTAL_IDS]
-    vals += [sec.C_ric, sec.C_nu]
-    return np.array(vals)
+        sec["J1"] = -sec["Xperp_C_rho"] / c
+        sec["J2"] = sec["X_C_rho"] / c - C_nu
+    return sec
 
 
 # relative size below which the Jacobian of an invariant pair along
@@ -149,7 +132,7 @@ def bracket_residual(pj):
 
     value = einstein._defined(
         ~pj.stratum.c_rho_zero, residual,
-        *(vals[k] for k in ("X1", "X2", "Xp1", "Xp2")), sec.J1, sec.J2,
+        *(vals[k] for k in ("X1", "X2", "Xp1", "Xp2")), sec["J1"], sec["J2"],
         *(d(k, s) for k in ("X1", "X2", "Xp1", "Xp2") for s in range(2)))
     return value if pj.batch or value is None else float(value)
 
@@ -166,15 +149,15 @@ def relations_second(pj):
     sec = pj.second
     sg = pj.stratum.sign_det_gt
     C_rho = pj.fields["C_rho"].value
-    floor = metrics.GENERIC_TOL * sec.ric_scale
+    floor = metrics.GENERIC_TOL * sec["ric_scale"]
     return {
         "q_ric": einstein._normalized(
-            [sec.Q_ric, -0.25 * sq(sec.C_ric)],
+            [sec["Q_ric"], -0.25 * sq(sec["C_ric"])],
             scales=(floor * floor,)),
-        "q_nu": einstein._normalized([4.0 * sq(C_rho) * sec.Q_nu,
-                                      sq(sec.XI["C_rho"]),
-                                      sg * sq(sec.XperpI["C_rho"]),
-                                      -2.0 * sec.C_nu * C_rho
-                                      * sec.XI["C_rho"]]),
+        "q_nu": einstein._normalized([4.0 * sq(C_rho) * sec["Q_nu"],
+                                      sq(sec["X_C_rho"]),
+                                      sg * sq(sec["Xperp_C_rho"]),
+                                      -2.0 * sec["C_nu"] * C_rho
+                                      * sec["X_C_rho"]]),
         "commutator": bracket_residual(pj),
     }

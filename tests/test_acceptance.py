@@ -107,7 +107,7 @@ def test_criterion_01_vdb_invariants_match_closed_forms():
     "closed-form invariants of criterion 1"))
 def test_criterion_02_vdb_ricci_flat():
     m = catalog("vdb")
-    worst = max(einstein.residual(point_jets(m, pt), 0.0).normalized
+    worst = max(einstein.residual(point_jets(m, pt), 0.0)["normalized"]
                 for pt in VDB_GRID)
     report(2, worst < 1e-8, f"vdb Einstein residual (Lambda=0): "
                             f"{worst:.2e}")
@@ -125,7 +125,7 @@ def test_criterion_03_catalog_vacuum_residuals():
         pts = grid_points(default_domain(m), 5, 2, margin=0.05)
         assert len(pts) == 10
         worst = max(worst, max(einstein.residual(point_jets(m, pt),
-                                                 lam).normalized
+                                                 lam)["normalized"]
                                for pt in pts))
     report(3, worst < 1e-8,
            f"catalog Lambda-vacuum residuals, 10 pts each: {worst:.2e} "
@@ -149,7 +149,7 @@ def test_criterion_03b_ppwave1_exponential_instance():
         **Z, "b12": "1/2", "h11": "exp(2*t1)", "h12": "2*t1*exp(2*t1)",
         "h22": "(4*t1^2 + 1)*exp(2*t1)"})
     m = load_metric(doc)
-    worst = max(einstein.residual(point_jets(m, pt), 0.0).normalized
+    worst = max(einstein.residual(point_jets(m, pt), 0.0)["normalized"]
                 for pt in grid_points(((-0.5, 0.5), (-0.5, 0.5)), 5, 2))
     report("3b", worst < 1e-8, f"ppwave1 exponential instance: {worst:.2e}")
     assert worst < 1e-8
@@ -183,7 +183,7 @@ def test_criterion_05_second_order_suite():
             sg = 1.0 if pj.det_gt.value > 0 else -1.0
             k1 = abs(K["K_Xi"] + 0.25 * jv["C_chi"].value) \
                 / max(1.0, abs(K["K_Xi"]))
-            want = 0.5 * sec.C_ric - sg * 0.75 * jv["ell_C"].value
+            want = 0.5 * sec["C_ric"] - sg * 0.75 * jv["ell_C"].value
             k2 = abs(K["K_Xiperp"] - want) / max(1.0, abs(want))
             worst = max(worst, k1, k2)
     report(5, worst < 1e-7, f"Q_ric, Q_nu, K(Xi), K(Xi-perp), commutator: "

@@ -14,10 +14,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import g2inv
 from g2inv import catalog, cli, einstein, expr, jets, metrics, point_jets
-from g2inv.cli import SECOND_ORDER_COLUMNS, SECOND_ORDER_NAMES, dumps, run
+from g2inv.cli import dumps, run
 from g2inv.errors import G2InvError, MetricDefinitionError
 from g2inv.invariants1 import FUNDAMENTAL_IDS, relations_first
-from g2inv.invariants2 import relations_second
+from g2inv.invariants2 import SECOND_ORDER_COLUMNS, relations_second
 from g2inv.metrics import CATALOG_NAMES
 from g2inv.transform import (apply_to_metric, load_transform, make_transform,
                              pushforward_jets, random_transform)
@@ -295,10 +295,11 @@ def test_non_finite_report_value_is_an_input_error(tmp_path, capsys):
         assert captured.err == "error: non-finite value nan for 'ell_C'\n"
     assert run(["grid", ell_nan, "--t1", "0.1:0.1:1", "--t2",
                 "0.2:0.2:1", "--order", "2", "--json"]) == 0
-    row, = json.loads(capsys.readouterr().out)["rows"]
-    assert row == {"t1": 0.1, "t2": 0.2, "C_rho": None, "C_chi": None,
-                   "Q_chi": None, "Q_gamma": None, "ell_C": None,
-                   "Theta_I_sq": None}
+    report = json.loads(capsys.readouterr().out)
+    row, = report["rows"]
+    assert list(row) == report["columns"]
+    assert row == {"t1": 0.1, "t2": 0.2, **dict.fromkeys(
+        (*FUNDAMENTAL_IDS, *SECOND_ORDER_COLUMNS))}
 
 
 def _module_run(*argv):
@@ -504,14 +505,50 @@ def test_malformed_points_entry_is_an_input_error(vdb_file, tmp_path,
                                      "transform"])
 def test_empty_point_list_is_an_input_error(vdb_file, transform_file, capsys,
                                             command):
-    argv = [command, vdb_file,
-            *([transform_file] if command == "transform" else []),
-            "--points", ";"]
+    for spec in (";", ""):  # "" is not the default grid
+        argv = [command, vdb_file,
+                *([transform_file] if command == "transform" else []),
+                "--points", spec]
+        capsys.readouterr()
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --points names no point: {spec!r}\n"
+
+
+@pytest.fixture(scope="module")
+def unnamed_vdb_file(tmp_path_factory):
+    """vdb under a name with no sampling domain."""
+    path = tmp_path_factory.mktemp("cli") / "mine.json"
+    path.write_text(json.dumps({**catalog("vdb").to_document(),
+                                "name": "mine"}))
+    return str(path)
+
+
+def test_rank_without_at_uses_the_domain_centre(vdb_file, capsys,
+                                                monkeypatch):
+    seen, real = [], metrics.point_jets
+    monkeypatch.setattr(metrics, "point_jets", lambda m, at, **kw: (
+        seen.append(at) or real(m, at, **kw)))
     capsys.readouterr()
-    assert run(argv) == 2
+    assert run(["rank", vdb_file, "--set", "fundamental6", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 6
+    (a, b), (c, d) = metrics.default_domain(catalog("vdb"))
+    assert seen == [((a + b) / 2, (c + d) / 2)]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rank", "--set", "fundamental6"], "pass --at t1,t2"),
+    (["check-einstein"], "pass explicit --points t1,t2;t1,t2;..."),
+])
+def test_metric_with_no_sampling_domain_needs_explicit_points(
+        unnamed_vdb_file, capsys, argv, message):
+    capsys.readouterr()
+    assert run([argv[0], unnamed_vdb_file, *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --points names no point: ';'\n"
+    assert captured.err == \
+        f"error: metric has no known sampling domain; {message}\n"
 
 
 @pytest.mark.parametrize("grid", ["1", "2"])
@@ -659,6 +696,17 @@ def test_grid_range_bounds_not_finite_is_a_usage_error(option, bounds,
                   "--csv"], option, capsys)
 
 
+@pytest.mark.parametrize("text", ["0:1:2.5", "0:x:2", "0:1"])
+def test_malformed_grid_range_is_a_usage_error(text, vdb_file, capsys):
+    capsys.readouterr()
+    assert run(["grid", vdb_file, f"--t1={text}", "--t2", "1:1:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f": error: argument --t1: expected a:b:n got {text!r}\n"), \
+        captured.err
+
+
 @pytest.mark.parametrize("given", [["--at", "5,5"], ["METRIC"],
                                    ["--at", "5,5", "METRIC"]])
 def test_rank_random_with_a_metric_or_point_is_an_error(given, vdb_file,
@@ -735,23 +783,20 @@ def _grid_point_by_point(m, t1, t2, order, method):
     """The rows of grid as one point_jets call per point gives them: a
     point that fails, or gives a non-finite value, is a row of nulls."""
     rows = []
+    second = SECOND_ORDER_COLUMNS if order >= 2 else ()
     for pt in [(x, y) for x in np.linspace(*t1) for y in np.linspace(*t2)]:
         row = {"t1": pt[0], "t2": pt[1]}
         try:
             pj = point_jets(m, pt, order=2, method=method)
             for k in FUNDAMENTAL_IDS:
                 row[k] = pj.fields[k].value
-            if order >= 2:
-                sec = pj.second
-                for k in FUNDAMENTAL_IDS:
-                    row["X_" + k] = sec.XI[k]
-                    row["Xperp_" + k] = sec.XperpI[k]
-                for k in SECOND_ORDER_NAMES:
-                    row[k] = getattr(sec, k)
+            for k in second:
+                row[k] = pj.second[k]
             if not all(v is None or math.isfinite(v) for v in row.values()):
                 raise G2InvError("non-finite value")
         except G2InvError:
-            row = {"t1": pt[0], "t2": pt[1], **dict.fromkeys(FUNDAMENTAL_IDS)}
+            row = {"t1": pt[0], "t2": pt[1],
+                   **dict.fromkeys((*FUNDAMENTAL_IDS, *second))}
         rows.append(row)
     return rows
 
@@ -901,8 +946,9 @@ def _check_point_by_point(argv):
             for pt in points:
                 res = einstein.residual(point_jets(
                     m, pt, order=2, method=args.method), args.lam)
-                rows.append({"point": list(pt), "normalized": res.normalized,
-                             "max_abs": res.max_abs, "scale": res.scale})
+                rows.append({"point": list(pt),
+                             "normalized": res["normalized"],
+                             "max_abs": res["max_abs"], "scale": res["scale"]})
             worst, ok = cli._worst((r["normalized"] for r in rows), args.tol)
             cli._emit(args, {"command": "check-einstein", "metric": m.name,
                              "lambda": args.lam, "tol": args.tol,

@@ -83,13 +83,13 @@ def test_schwarzschild_is_ricci_flat():
     m = load_metric(doc)
     for pt in [(3.0, 0.8), (5.5, 1.2), (10.0, 2.0)]:
         res = einstein.residual(point_jets(m, pt), 0.0)
-        assert res.normalized < 1e-12
+        assert res["normalized"] < 1e-12
 
 
 def test_residual_matrix_symmetric():
-    res = einstein.residual(point_jets(catalog("lambda_kundu"), (0.9, 0.1)),
-                            3.0)
-    assert np.max(np.abs(res.matrix - res.matrix.T)) < 1e-12
+    pj = point_jets(catalog("lambda_kundu"), (0.9, 0.1))
+    mat = einstein.ricci4(pj) - 3.0 * pj.g4[0]
+    assert np.max(np.abs(mat - mat.T)) < 1e-12
 
 
 @pytest.mark.parametrize("name,lam", [
@@ -99,7 +99,8 @@ def test_residual_matrix_symmetric():
 def test_catalog_vacuum_residuals(name, lam):
     m = catalog(name)
     for pt in grid_points(default_domain(m), 5, 2, margin=0.05):
-        assert einstein.residual(point_jets(m, pt), lam).normalized < 1e-8
+        assert einstein.residual(point_jets(m, pt), lam)["normalized"] \
+            < 1e-8
 
 
 def test_ppwave2_explicit_instance():
@@ -107,7 +108,8 @@ def test_ppwave2_explicit_instance():
     m = catalog("ppwave2", {"c": 2.0})
     assert m.components["h11"] == "c^2*t1^2/2"
     for pt in [(0.4, -0.7), (1.1, 0.3)]:
-        assert einstein.residual(point_jets(m, pt), 0.0).normalized < 1e-12
+        assert einstein.residual(point_jets(m, pt), 0.0)["normalized"] \
+            < 1e-12
 
 
 def test_vdb_is_not_vacuum_but_einstein_scalar():

@@ -61,7 +61,7 @@ def test_gauss_curvature_propositions_against_40_digits(name, params):
         pj = point_jets(m, pt)
         riemann = riemann_sectional_curvatures(pj)
         for key in ("K_Xi", "K_Xiperp"):
-            got = getattr(pj.second, key)
+            got = pj.second[key]
             assert math.isfinite(got)
             for route, value in (("propositions", got),
                                  ("riemann", riemann[key])):

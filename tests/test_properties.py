@@ -21,9 +21,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from g2inv import catalog, equivalence, expr, jets, metrics, point_jets
 from g2inv.errors import G2InvError, SingularMetricError
-from g2inv.invariants1 import (_pack, _unpack, frame_lengths,
-                               random_point_jets)
-from g2inv.invariants2 import order2_invariant_vector
+from g2inv.invariants1 import (_invariant_vector, _pack, _unpack,
+                               frame_lengths, random_point_jets)
 from g2inv.metrics import CATALOG_NAMES, default_domain, grid_points
 from g2inv.transform import apply_to_metric, make_transform
 from paper_checks import riemann_sectional_curvatures, substitute
@@ -426,11 +425,11 @@ def _assert_columns_are_points(batch, points):
         assert [_bits(_column(x, k)) for x in batch.oneill_tensors] \
             == [_bits(x) for x in pj.oneill_tensors], "oneill_tensors"
         if batch.order >= 2:
-            assert _bits(order2_invariant_vector(batch)[:, k]) \
-                == _bits(order2_invariant_vector(pj))
-            assert [_bits(_column(getattr(batch.second, key), k))
+            assert _bits(_invariant_vector(batch, "order2_20")[:, k]) \
+                == _bits(_invariant_vector(pj, "order2_20"))
+            assert [_bits(_column(batch.second[key], k))
                     for key in ("K_Xi", "K_Xiperp")] \
-                == [_bits(getattr(pj.second, key))
+                == [_bits(pj.second[key])
                     for key in ("K_Xi", "K_Xiperp")], "K"
             assert {key: _bits(_column(K, k)) for key, K in
                     riemann_sectional_curvatures(batch).items()} \
@@ -468,7 +467,8 @@ def test_catalog_points_batch_like_their_points(order):
     _assert_columns_are_points(batch, points)
     sec = batch.second
     for k, pj in enumerate(points):
-        for j, value in ((sec.J1, pj.second.J1), (sec.J2, pj.second.J2)):
+        for j, value in ((sec["J1"], pj.second["J1"]),
+                         (sec["J2"], pj.second["J2"])):
             assert (np.isnan(j[k]) and value is None) \
                 or _bits(j[k]) == _bits(value)
 
