@@ -193,7 +193,7 @@ def cmd_grid(args):
             for pt, row in zip(points, got)]
     if args.csv:
         lines = [columns] + [["nan" if row[c] is None
-                              else _fmt(float(row[c])) for c in columns]
+                              else format(row[c], ".17g") for c in columns]
                              for row in rows]
         _write(args.out, "".join(",".join(line) + "\n" for line in lines))
     else:

@@ -37,9 +37,9 @@ def _det3(rows):
 
 def fundamental_jets(pj):
     """The six fundamentals as jets of order pj.order - 1, then the pieces
-    first_invariant_jets builds on: h, det_h, det_gt at that order, sigma,
-    rho, dh[s][k] = d h_k/dt^(s+1), gi = (gt^11, gt^12, gt^22), sq_gt =
-    sqrt|det gt|, sq_h = sqrt|det h|, C1, C2 and Theta_I."""
+    derivations and first_invariant_jets build on: h, det_h, det_gt at
+    that order, sigma, rho, dh[s][k] = d h_k/dt^(s+1), gi = (gt^11, gt^12,
+    gt^22), sq_gt = sqrt|det gt|, sq_h = sqrt|det h|, C1, C2 and Theta_I."""
     if pj.order < 1:
         raise ValueError("invariants need jets of order >= 1")
     n = pj.order - 1
@@ -86,12 +86,22 @@ def fundamental_jets(pj):
     }
 
 
+def derivations(pj):
+    """The invariant differentiations X = (X1, X2) and Xperp = (Xp1, Xp2)
+    as jets of order pj.order - 1, built on pj.fundamentals."""
+    f = pj.fundamentals
+    gi, sigma, sq_gt = f["gi"], f["sigma"], f["sq_gt"]
+    return {"X1": gi[0] * sigma[0] + gi[1] * sigma[1],
+            "X2": gi[1] * sigma[0] + gi[2] * sigma[1],
+            "Xp1": sigma[1] / sq_gt, "Xp2": -sigma[0] / sq_gt}
+
+
 def first_invariant_jets(pj):
     """All first-order invariant fields as jets of order pj.order - 1,
-    built on pj.fundamentals."""
+    built on pj.fundamentals and pj.derivations."""
     f = pj.fundamentals
     (h11, h12, h22), det_h, dh = f["h"], f["det_h"], f["dh"]
-    sigma, rho, gi = f["sigma"], f["rho"], f["gi"]
+    sigma, rho = f["sigma"], f["rho"]
     sq_gt, sq_h, C1, C2 = f["sq_gt"], f["sq_h"], f["C1"], f["C2"]
 
     hc1 = h11 * C1 + h12 * C2
@@ -113,10 +123,7 @@ def first_invariant_jets(pj):
         "Q_rho": (rho[0] * rho[2] - rho[1] * rho[1]) / f["det_gt"],
         "C_gamma": f["C_chi"] - 0.25 * f["C_rho"],
         "Theta_II": Theta_II, "Theta_III": Theta_III,
-        "q_gamma_root": q_gamma_root,
-        "X1": gi[0] * sigma[0] + gi[1] * sigma[1],
-        "X2": gi[1] * sigma[0] + gi[2] * sigma[1],
-        "Xp1": sigma[1] / sq_gt, "Xp2": -sigma[0] / sq_gt,
+        "q_gamma_root": q_gamma_root, **pj.derivations,
         "sigma1": sigma[0], "sigma2": sigma[1],
     }
 
@@ -129,8 +136,8 @@ def frame(pj):
     Components are always returned; they form a frame only where
     pj.stratum is generic.
     """
-    jv = pj.fields
-    C = (jv["C1"].value, jv["C2"].value)
+    f, X = pj.fundamentals, pj.derivations
+    C = (f["C1"].value, f["C2"].value)
     h11, h12, h22 = (j.value for j in pj.h)
     sq_h = jets._pow(abs(pj.det_h.value), 0.5)
     Fv = [j.value for j in pj.F]
@@ -142,8 +149,8 @@ def frame(pj):
 
     o = np.zeros(np.shape(C[0]))
     return np.array([
-        lift((-0.5 * jv["X1"].value, -0.5 * jv["X2"].value)),
-        lift((-0.5 * jv["Xp1"].value, -0.5 * jv["Xp2"].value)),
+        lift((-0.5 * X["X1"].value, -0.5 * X["X2"].value)),
+        lift((-0.5 * X["Xp1"].value, -0.5 * X["Xp2"].value)),
         (o, o, C[0], C[1]),
         (o, o, (h12 * C[0] + h22 * C[1]) / sq_h,
          -(h11 * C[0] + h12 * C[1]) / sq_h)])

@@ -75,9 +75,9 @@ def second_invariants_from_jets(pj):
     4D curvature (sg = sgn det gt)."""
     if pj.order < 2:
         raise ValueError("second-order invariants need order-2 jets")
-    jv = pj.fields
-    X = (jv["X1"].value, jv["X2"].value)
-    Xp = (jv["Xp1"].value, jv["Xp2"].value)
+    jv, d = pj.fundamentals, pj.derivations
+    X = (d["X1"].value, d["X2"].value)
+    Xp = (d["Xp1"].value, d["Xp2"].value)
     # X_k, then Xperp_k: the first twelve columns
     sec = dict(zip(SECOND_ORDER_COLUMNS, [
         jets.along(v, jv[k]) for v in (X, Xp) for k in FUNDAMENTAL_IDS]))
@@ -112,9 +112,8 @@ DELTA_TOL = 1e-8
 def bracket_residual(pj):
     """Commutator check: [X, Xperp] against J1 X + J2 Xperp (None where
     J1, J2 are undefined; on a batch, in those columns)."""
-    jv = pj.fields
     sec = pj.second
-    comp = {k: jv[k] for k in ("X1", "X2", "Xp1", "Xp2")}
+    comp = pj.derivations
     vals = {k: v.value for k, v in comp.items()}
 
     def d(key, s):
@@ -148,7 +147,7 @@ def relations_second(pj):
     sq = lambda x: jets._pow(x, 2)  # noqa: E731  (x ** 2 per element)
     sec = pj.second
     sg = pj.stratum.sign_det_gt
-    C_rho = pj.fields["C_rho"].value
+    C_rho = pj.fundamentals["C_rho"].value
     floor = metrics.GENERIC_TOL * sec["ric_scale"]
     return {
         "q_ric": einstein._normalized(

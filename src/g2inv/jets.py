@@ -352,12 +352,13 @@ def _int_power(a, p):
         return _divide(constant(1.0, a.order), _int_power(a, -p))
     result = None
     base = a
-    while p:
+    while True:
         if p & 1:
             result = base if result is None else result * base
-        base = base * base
         p >>= 1
-    return result
+        if not p:  # no square past the highest bit
+            return result
+        base = base * base
 
 
 def _compose(a, derivs):

@@ -112,7 +112,9 @@ class PointJets:
     The layers derived from the jets are cached properties, each computed
     at most once per point by the one function that owns it, in the
     order of the construction: fundamentals (the six fundamental
-    invariants), fields (all first-order invariants), stratum (classify:
+    invariants), derivations (the invariant differentiations X and
+    Xperp), fields (all first-order invariants, read only by the
+    first-order and on-shell relation suites), stratum (classify:
     which frames and relations apply), g4 and christoffel (coefficient
     arrays of the 4-metric and Christoffel jets), riemann, frame (the
     semi-invariant frame Y), oneill_tensors, second (the second-order
@@ -136,6 +138,7 @@ class PointJets:
         return isinstance(self.det_h.value, np.ndarray)
 
     fundamentals = _layer("invariants1", "fundamental_jets")
+    derivations = _layer("invariants1", "derivations")
     fields = _layer("invariants1", "first_invariant_jets")
     stratum = _layer("metrics", "classify")
     g4 = _layer("einstein", "four_metric")

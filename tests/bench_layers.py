@@ -112,11 +112,13 @@ def _finite(row):
                for v in row.values() if v is not None)
 
 
-def test_grid_rows(benchmark):
-    # the rows of a grid --order 2 op on the 12-point batch: every layer
-    # they read, K_Xi and K_Xiperp included
-    rows = benchmark(lambda: cli._rows(point_jets(VDB, BATCH), 2))
-    assert len(rows) == 12 and all(map(_finite, rows))
+@pytest.mark.parametrize("point", [POINT, BATCH], ids=["float", "B12"])
+def test_grid_rows(benchmark, point):
+    # the rows of an invariants --order 2 op at one point, or of a grid
+    # --order 2 op on the 12-point batch: every layer they read, K_Xi and
+    # K_Xiperp included
+    rows = benchmark(lambda: cli._rows(point_jets(VDB, point), 2))
+    assert len(rows) == np.size(point[0]) and all(map(_finite, rows))
 
 
 @pytest.mark.parametrize("command", ["grid", "check-relations"])
@@ -142,14 +144,15 @@ def test_render_reports(benchmark, tmp_path, command):
     assert benchmark(render, report).count("\n") > 50
 
 
-@pytest.mark.parametrize("layer", ["fundamentals", "fields"])
+@pytest.mark.parametrize("layer", ["fundamentals", "derivations", "fields"])
 def test_first_order_layer(benchmark, layer):
     # the layer alone: each round reads it on a fresh copy of one
-    # PointJets of the vdb image's 14-point batch (fields includes the
-    # fundamentals it builds on)
+    # PointJets of the vdb image's 14-point batch (derivations and fields
+    # include the layers they build on)
     pj = point_jets(VDB_IMAGE, IMAGE_BATCH)
     got = benchmark(lambda: getattr(dataclasses.replace(pj), layer))
-    assert np.isfinite(got["ell_C"].value).all()
+    assert np.isfinite(got["Xp1" if layer == "derivations"
+                           else "ell_C"].value).all()
 
 
 @pytest.mark.parametrize("order", [1, 2])

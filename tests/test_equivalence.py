@@ -76,8 +76,10 @@ def test_compare_metrics_materialized_transform():
 
 def test_compare_metrics_builds_only_the_fundamentals(monkeypatch):
     # the signatures, the stratum and every Gauss-Newton round read the
-    # fundamentals layer alone: no sample builds the other fields
-    calls = {"fundamental_jets": 0, "first_invariant_jets": 0}
+    # fundamentals layer alone: no sample builds X, Xperp or the other
+    # fields
+    calls = {"fundamental_jets": 0, "derivations": 0,
+             "first_invariant_jets": 0}
 
     def counting(name):
         fn = getattr(invariants1, name)
@@ -96,7 +98,7 @@ def test_compare_metrics_builds_only_the_fundamentals(monkeypatch):
         "0.3*t2", [[2.0, 1.0], [0.0, 1.0]]))
     assert compare_metrics(m, image, n=4).verdict == "Consistent"
     assert calls["fundamental_jets"] > 2
-    assert calls["first_invariant_jets"] == 0
+    assert calls["derivations"] == calls["first_invariant_jets"] == 0
 
 
 def test_discrimination_against_catalog():

@@ -149,6 +149,21 @@ def test_int_power_negative_base():
     assert j.value == -8.0 and j.d(1, 0) == 12.0 and j.d(2, 0) == -12.0
 
 
+def test_int_power_takes_no_square_past_its_highest_bit(monkeypatch):
+    # a batch square under each_point's errstate: an unused a^4 of 1e400
+    # would raise, and the batch would be split into single points
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        j = jets.seed(np.array([1e100, 2e100]), 0, 2) ** 2.0
+    assert j.value.tolist() == [1e200, 4e200]
+    a = jets.seed(1.5, 0, 2)
+    square = a * a
+    products, mul = [], jets.Jet2.__mul__
+    monkeypatch.setattr(jets.Jet2, "__mul__",
+                        lambda x, y: products.append(y) or mul(x, y))
+    assert (a ** 4.0).coeffs == mul(square, square).coeffs
+    assert len(products) == 2
+
+
 @pytest.mark.parametrize("fn,point", [
     ("exp", 0.4), ("ln", 1.7), ("sqrt", 2.3), ("sin", 0.9), ("cos", 0.9),
     ("tan", 0.5), ("sinh", 0.8), ("cosh", 0.8), ("tanh", 0.6),

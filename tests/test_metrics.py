@@ -297,6 +297,7 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
         monkeypatch.setattr(module, name, wrapper)
 
     for module, name in ((invariants1, "fundamental_jets"),
+                         (invariants1, "derivations"),
                          (invariants1, "first_invariant_jets"),
                          (invariants1, "frame"),
                          (invariants1, "oneill_tensors"),
@@ -387,7 +388,7 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
     assert derivatives == []
 
     assert {name for name, _ in calls} == {
-        "fundamental_jets", "first_invariant_jets", "frame",
+        "fundamental_jets", "derivations", "first_invariant_jets", "frame",
         "oneill_tensors", "four_metric", "christoffel4", "riemann4",
         "second_invariants_from_jets", "classify"}
     assert max(calls.values()) == 1, calls.most_common(3)
@@ -423,20 +424,24 @@ def test_commands_that_report_only_the_fundamentals_build_no_fields(
             "first_invariant_jets"], argv
 
 
-def test_commands_that_report_no_sectional_curvature_build_no_4d_curvature(
+def test_only_the_relation_suites_build_the_fields_and_the_4d_curvature(
         monkeypatch, tmp_path):
     # the second-order invariants (K_Xi and K_Xiperp from the
-    # Gauss-curvature propositions) and the frame Y read no 4-metric;
+    # Gauss-curvature propositions) and the frame Y read no 4-metric and,
+    # beside the fundamentals, only X and Xperp of the first-order fields;
     # the Einstein residual, the on-shell Gauss equality and the
-    # first-order suite (the frame lengths and T) do
+    # first-order suite (the frame lengths and T) read the 4-metric, and
+    # the on-shell and first-order suites the other first-order fields
     calls = Counter()
-    for name in ("four_metric", "inverse_four_metric", "christoffel4",
-                 "riemann4"):
-        def counting(pj, name=name, fn=getattr(einstein, name)):
+    for module, name in ((einstein, "four_metric"),
+                         (einstein, "inverse_four_metric"),
+                         (einstein, "christoffel4"), (einstein, "riemann4"),
+                         (invariants1, "first_invariant_jets")):
+        def counting(pj, name=name, fn=getattr(module, name)):
             calls[name] += 1
             return fn(pj)
 
-        monkeypatch.setattr(einstein, name, counting)
+        monkeypatch.setattr(module, name, counting)
     vdb, tr = tmp_path / "vdb.json", tmp_path / "tr.json"
     vdb.write_text(json.dumps(catalog("vdb").to_document()))
     tr.write_text(json.dumps(VDB_IMAGE.strings))
@@ -456,13 +461,21 @@ def test_commands_that_report_no_sectional_curvature_build_no_4d_curvature(
         assert not calls, (argv, calls)
     lk = tmp_path / "lk.json"
     lk.write_text(json.dumps(catalog("lambda_kundu").to_document()))
-    for argv in (["check-einstein", str(lk), "--lambda", "3", *points, *out],
-                 ["check-relations", str(lk), "--onshell", "--lambda", "3",
-                  *points, *out]):
+    curvature = {"four_metric", "inverse_four_metric", "christoffel4",
+                 "riemann4"}
+    # the two points are one batch, so a layer they read is built once
+    for argv, want in (
+            (["check-einstein", str(lk), "--lambda", "3", *points, *out],
+             curvature),
+            (["check-relations", str(lk), "--onshell", "--lambda", "3",
+              *points, *out], curvature | {"first_invariant_jets"}),
+            (["check-relations", str(vdb), "--first", *points, *out],
+             curvature - {"riemann4"} | {"first_invariant_jets"})):
         calls.clear()
         assert cli.run(argv) == 0, argv
-        assert set(calls) == {"four_metric", "inverse_four_metric",
-                              "christoffel4", "riemann4"}, (argv, calls)
+        assert set(calls) == want, (argv, calls)
+        assert calls["first_invariant_jets"] == (
+            "first_invariant_jets" in want), (argv, calls)
 
 
 def _call_nodes(m):
