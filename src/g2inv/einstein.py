@@ -22,14 +22,6 @@ from . import jets, metrics
 from .errors import SingularMetricError
 
 
-def _coeffs(rows):
-    """(ncoeffs, n, m) coefficient array of an n x m nested list of jets,
-    C-contiguous, so its value slice [0] multiplies like a fresh matrix."""
-    return np.ascontiguousarray(
-        np.array([[j.coeffs for j in row] for row in rows])
-        .swapaxes(1, 2).swapaxes(0, 1))
-
-
 def _stack(a, core):
     """(B,) + core stack of a batch's columns (one point: a stack of one)."""
     return a[None] if a.ndim == core \
@@ -71,69 +63,56 @@ def _defined(where, relation, *columns):
     return out
 
 
+# the (i, j) of the upper triangle of a symmetric 2x2 block, and each
+# entry's position among them
+UPPER = (np.array([0, 0, 1]), np.array([0, 1, 1]))
+_MIRROR = np.array([[0, 1], [1, 2]])
+
+
+def _symmetric(tt, tz, zz):
+    """(ncoeffs, 4, 4) coefficients of [[tt, tz], [tz^T, zz]], 2x2 blocks."""
+    tt, tz, zz = (np.array(b.coeffs) for b in (tt, tz, zz))
+    return np.concatenate((np.concatenate((tt, tz), 2),
+                           np.concatenate((tz.swapaxes(1, 2), zz), 2)), 1)
+
+
 def four_metric(pj):
     """(ncoeffs, 4, 4) coefficient array of the 4-metric jets in
-    (t1, t2, z1, z2) order."""
-    gt11, gt12, gt22 = pj.gt
-    h11, h12, h22 = pj.h
-    F = pj.F  # (f_1^1, f_1^2, f_2^1, f_2^2)
-
-    def f(i, k):
-        return F[2 * i + k]
-
-    g = [[None] * 4 for _ in range(4)]
-    h = ((h11, h12), (h12, h22))
-    gt = ((gt11, gt12), (gt12, gt22))
-    for i in range(2):
-        for j in range(i, 2):
-            acc = gt[i][j]
-            for k in range(2):
-                for l in range(2):
-                    acc = acc + f(i, k) * f(j, l) * h[k][l]
-            g[i][j] = g[j][i] = acc
-        for k in range(2):
-            acc = f(i, 0) * h[0][k] + f(i, 1) * h[1][k]
-            g[i][2 + k] = g[2 + k][i] = acc
-    for k in range(2):
-        for l in range(k, 2):
-            g[2 + k][2 + l] = g[2 + l][2 + k] = h[k][l]
-    return _coeffs(g)
+    (t1, t2, z1, z2) order, by 2x2 block jets: each entry the per-entry
+    jet loop's, diagonal blocks as upper triangles."""
+    part, i, j = jets.part, *UPPER
+    Ft = jets.block([pj.F[0::2], pj.F[1::2]])  # Ft[k, i] = f_i^k
+    h = jets.block([pj.h[:2], pj.h[1:]])
+    with jets.block_errstate(pj.batch):
+        # gt_ij + (f_ik f_jl) h_kl over (k, l), and f_ik h_kl over k
+        tt = jets.fold(jets.block(pj.gt), part(Ft, np.s_[:, None, i])
+                       * part(Ft, np.s_[None, :, j])
+                       * part(h, np.s_[:, :, None]), 2)
+        fh = part(Ft, np.s_[:, :, None]) * part(h, np.s_[:, None])
+        return _symmetric(part(tt, _MIRROR), part(fh, 0) + part(fh, 1), h)
 
 
 def inverse_four_metric(pj):
     """(ncoeffs, 4, 4) coefficient array of the jets of g^{ab}, of order
-    pj.order - 1, via the submersion block formula."""
+    pj.order - 1, via the submersion block formula, by 2x2 block jets as
+    four_metric."""
     tr = lambda j: jets.truncate(j, pj.order - 1)
     gt11, gt12, gt22 = (tr(j) for j in pj.gt)
     h11, h12, h22 = (tr(j) for j in pj.h)
-    det_gt = tr(pj.det_gt)
-    det_h = tr(pj.det_h)
-    F = [tr(j) for j in pj.F]
-
-    gi = ((gt22 / det_gt, -gt12 / det_gt),
-          (-gt12 / det_gt, gt11 / det_gt))
-    hi = ((h22 / det_h, -h12 / det_h),
-          (-h12 / det_h, h11 / det_h))
-
-    def f(i, k):
-        return F[2 * i + k]
-
-    ginv = [[None] * 4 for _ in range(4)]
-    for i in range(2):
-        for j in range(i, 2):
-            ginv[i][j] = ginv[j][i] = gi[i][j]
-    for i in range(2):
-        for k in range(2):
-            acc = gi[i][0] * f(0, k) + gi[i][1] * f(1, k)
-            ginv[i][2 + k] = ginv[2 + k][i] = -acc
-    for k in range(2):
-        for l in range(k, 2):
-            acc = hi[k][l]
-            for i in range(2):
-                for j in range(2):
-                    acc = acc + f(i, k) * gi[i][j] * f(j, l)
-            ginv[2 + k][2 + l] = ginv[2 + l][2 + k] = acc
-    return _coeffs(ginv)
+    part, k, l = jets.part, *UPPER
+    F = jets.block([[tr(j) for j in pj.F[:2]], [tr(j) for j in pj.F[2:]]])
+    with jets.block_errstate(pj.batch):
+        gi = jets.block([[gt22, -gt12], [-gt12, gt11]]) / tr(pj.det_gt)
+        hi = jets.block([[h22, -h12], [-h12, h11]]) / tr(pj.det_h)
+        # -(gt^ij f_j^k over j) as gf[j, i, k] = gt^ji f_j^k (gt^ij and
+        # gt^ji are the same quotient, bit for bit), and h^kl +
+        # (f_i^k gt^ij) f_j^l over (i, j)
+        gf = part(gi, np.s_[:, :, None]) * part(F, np.s_[:, None])
+        zz = jets.fold(part(hi, np.s_[k, l]), part(F, np.s_[:, None, k])
+                       * part(gi, np.s_[:, :, None])
+                       * part(F, np.s_[None, :, l]), 2)
+        return _symmetric(gi, -(part(gf, 0) + part(gf, 1)),
+                          part(zz, _MIRROR))
 
 
 def _christoffel(g, ginv, order):
@@ -240,7 +219,7 @@ def onshell_relations(pj, lam):
     non-vacuum metric attributable.
     """
     _pow = jets._pow  # x ** k per element, as on one point's floats
-    jv = pj.fields
+    jv = pj.fundamentals
     sec = pj.second
     # K of the Killing and the horizontal plane by the Riemann tensor, a
     # check of the 4D curvature (pj.second's are the propositions')
@@ -258,7 +237,7 @@ def onshell_relations(pj, lam):
     Q_gamma = jv["Q_gamma"].value
     ell_C = jv["ell_C"].value
     th1 = jv["Theta_I"].value
-    root = jv["q_gamma_root"].value
+    root = pj.q_gamma_root.value
     X_Crho, Xp_Crho = sec["X_C_rho"], sec["Xperp_C_rho"]
     X_ellC, Xp_ellC = sec["X_ell_C"], sec["Xperp_ell_C"]
 

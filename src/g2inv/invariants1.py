@@ -96,12 +96,18 @@ def derivations(pj):
             "Xp1": sigma[1] / sq_gt, "Xp2": -sigma[0] / sq_gt}
 
 
+def q_gamma_root(pj):
+    """q_gamma_root as a jet of order pj.order - 1, on pj.fundamentals."""
+    f = pj.fundamentals
+    sq_h = f["sq_h"]
+    return _det3([f["h"], *f["dh"]]) / (2.0 * sq_h * sq_h * sq_h * f["sq_gt"])
+
+
 def first_invariant_jets(pj):
     """All first-order invariant fields as jets of order pj.order - 1,
-    built on pj.fundamentals and pj.derivations."""
+    built on pj.fundamentals, pj.derivations and pj.q_gamma_root."""
     f = pj.fundamentals
     (h11, h12, h22), det_h, dh = f["h"], f["det_h"], f["dh"]
-    sigma, rho = f["sigma"], f["rho"]
     sq_gt, sq_h, C1, C2 = f["sq_gt"], f["sq_h"], f["C1"], f["C2"]
 
     hc1 = h11 * C1 + h12 * C2
@@ -114,17 +120,10 @@ def first_invariant_jets(pj):
     Theta_III = _det3([dh[0], dh[1],
                        (hc1 * hc1, hc1 * hc2, hc2 * hc2)]) \
         / (sq_h * sq_h * sq_h * sq_gt)
-
-    htriple_det = _det3([(h11, h12, h22), dh[0], dh[1]])
-    q_gamma_root = htriple_det / (2.0 * sq_h * sq_h * sq_h * sq_gt)
-
     return {
         **{k: f[k] for k in (*FUNDAMENTAL_IDS, "Theta_I", "C1", "C2")},
-        "Q_rho": (rho[0] * rho[2] - rho[1] * rho[1]) / f["det_gt"],
-        "C_gamma": f["C_chi"] - 0.25 * f["C_rho"],
         "Theta_II": Theta_II, "Theta_III": Theta_III,
-        "q_gamma_root": q_gamma_root, **pj.derivations,
-        "sigma1": sigma[0], "sigma2": sigma[1],
+        "q_gamma_root": pj.q_gamma_root, **pj.derivations,
     }
 
 

@@ -30,9 +30,8 @@ def _orbit_curvature(pj):
     of the terms C_ric sums (|g^-1| (|dGamma| + |Gamma|^2)), and its
     Christoffel coefficient array (order-(pj.order - 1) jets)."""
     gi = pj.fundamentals["gi"]
-    gamma = einstein._christoffel(
-        einstein._coeffs(((pj.gt[0], pj.gt[1]), (pj.gt[1], pj.gt[2]))),
-        einstein._coeffs(((gi[0], gi[1]), (gi[1], gi[2]))), pj.order - 1)
+    gamma = einstein._christoffel(*(np.array(jets.block(
+        [m[:2], m[1:]]).coeffs) for m in (pj.gt, gi)), pj.order - 1)
     c_ric, q_ric, gi_stack = _trace_det(
         pj, np.einsum("abad...->bd...", einstein._riemann(gamma)))
     with np.errstate(over="ignore", invalid="ignore"):  # inf, as on floats

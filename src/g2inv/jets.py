@@ -9,6 +9,13 @@ curvature and invariant computation exact as well.
 
 A coefficient is a float, or a length-B float64 vector for a batch of B
 points, each column computed with the bits of its own point's floats.
+A block jet (block, part, fold) holds the jets of a matrix of functions
+as one jet: each coefficient carries leading index axes (2x2, or
+2x2x3 for the terms of three sums) in front of a batch's point axis.
+The kernels are elementwise and broadcast, so one block operation gives
+each entry the bits of its own operation; at a float point it runs
+silent (block_errstate), as Python floats do, and part gives the
+entries back as Python floats.
 
 Products and quotients run as straight-line code, one kernel per order
 generated at import (Griewank & Walther, Evaluating Derivatives, 2008,
@@ -29,6 +36,7 @@ test is a class comparison of the values, free for two float jets.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from math import comb
@@ -306,6 +314,43 @@ def _spread(a, point):
     if not isinstance(point[0], np.ndarray):
         return a
     return _jet(a.order, tuple(np.full(len(point[0]), c) for c in a.coeffs))
+
+
+def block(rows):
+    """The block jet of a nested list of jets of one order and kind
+    (floats, or vectors of one batch), the nesting its index axes."""
+    first, depth = rows, 0
+    while type(first) is not Jet2:
+        first, depth = first[0], depth + 1
+
+    def nest(x):
+        return x.coeffs if type(x) is Jet2 else [nest(r) for r in x]
+    c = np.array(nest(rows))
+    return _jet(first.order, tuple(
+        c.transpose(depth, *range(depth), *range(depth + 1, c.ndim))))
+
+
+def part(a, index):
+    """The block jet a at index of its index axes (numpy indexing, each
+    coefficient alike); coefficients left single floats are Python
+    floats, as at a float point."""
+    coeffs = tuple([c[index] for c in a.coeffs])
+    return _jet(a.order, coeffs if coeffs[0].ndim
+                else tuple(map(float, coeffs)))
+
+
+def fold(acc, terms, n):
+    """acc + terms[index] + ... over the block jet's first n index axes,
+    one at a time in row-major order, as a per-entry loop sums."""
+    for index in np.ndindex(np.shape(terms.value)[:n]):
+        acc = acc + part(terms, index)
+    return acc
+
+
+def block_errstate(batch):
+    """Where block arithmetic runs: under a batch's own errstate, and
+    silent at a float point, whose Python floats overflow silently."""
+    return contextlib.nullcontext() if batch else np.errstate(all="ignore")
 
 
 def constant(value, order):

@@ -113,12 +113,13 @@ class PointJets:
     at most once per point by the one function that owns it, in the
     order of the construction: fundamentals (the six fundamental
     invariants), derivations (the invariant differentiations X and
-    Xperp), fields (all first-order invariants, read only by the
-    first-order and on-shell relation suites), stratum (classify:
-    which frames and relations apply), g4 and christoffel (coefficient
-    arrays of the 4-metric and Christoffel jets), riemann, frame (the
-    semi-invariant frame Y), oneill_tensors, second (the second-order
-    invariants, K_Xi and K_Xiperp by the Gauss-curvature propositions).
+    Xperp), q_gamma_root (read by the first-order and on-shell relation
+    suites), fields (the first-order invariants of the first-order
+    relation suite), stratum (classify: which frames and relations
+    apply), g4 and christoffel (coefficient arrays of the 4-metric and
+    Christoffel jets), riemann, frame (the semi-invariant frame Y),
+    oneill_tensors, second (the second-order invariants, K_Xi and
+    K_Xiperp by the Gauss-curvature propositions).
     Callers read them and never mutate them.
     """
     point: tuple
@@ -139,6 +140,7 @@ class PointJets:
 
     fundamentals = _layer("invariants1", "fundamental_jets")
     derivations = _layer("invariants1", "derivations")
+    q_gamma_root = _layer("invariants1", "q_gamma_root")
     fields = _layer("invariants1", "first_invariant_jets")
     stratum = _layer("metrics", "classify")
     g4 = _layer("einstein", "four_metric")

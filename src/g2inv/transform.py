@@ -103,16 +103,13 @@ def _inverse_map_jets(phi_jets, order):
     # d2 iota^i = -M^i_c K^c_jk M^j_a M^k_b
     if order >= 1:
         for i in range(2):
-            iotas[i][1] = M[i][0]
-            iotas[i][2] = M[i][1]
+            iotas[i][1:3] = M[i]
     if order >= 2:
         K = np.array([[[d(d(phi_jets[c], j), k).value for k in range(2)]
                        for j in range(2)] for c in range(2)])
         D2 = -np.einsum("ic...,cjk...,ja...,kb...->iab...", M, K, M, M)
         for i in range(2):
-            iotas[i][3] = D2[i][0][0]
-            iotas[i][4] = D2[i][0][1]
-            iotas[i][5] = D2[i][1][1]
+            iotas[i][3:6] = D2[i][0][0], D2[i][0][1], D2[i][1][1]
     lift = (lambda c: np.full(J.shape[0], c)) if batch else float
     return [jets._jet(order, tuple(map(lift, c))) for c in iotas]
 
@@ -136,72 +133,50 @@ def pushforward_jets(pj, p):
 
 
 def _pushforward(pj, p, phi_jets, psi_jets):
-    k = pj.order
-    t = pj.point
-    tbar = (phi_jets[0].value, phi_jets[1].value)
-
-    J = [[jets.t_derivative(phi_jets[m], i) for i in range(2)]
-         for m in range(2)]          # J[m][i] = d phi^m / dt^i, order k
-    Jpsi = [[jets.t_derivative(psi_jets[r], i) for i in range(2)]
-            for r in range(2)]
+    """The component law by 2x2 block jets, each entry the per-entry jet
+    loop's, then one base change of the ten components stacked: the
+    upper triangles of gt-bar and h-bar, and F-bar."""
+    k, part, d = pj.order, jets.part, jets.t_derivative
+    J = [[d(phi, i) for i in range(2)]
+         for phi in phi_jets]        # J[m][i] = d phi^m / dt^i, order k
     det_J = J[0][0] * J[1][1] - J[0][1] * J[1][0]
     if jets._any(det_J.value == 0.0):
-        raise DegenerateTransformError(f"J_phi = 0 at {t}")
-    Jinv = [[J[1][1] / det_J, -J[0][1] / det_J],
-            [-J[1][0] / det_J, J[0][0] / det_J]]  # Jinv[i][m] = dt^i/dtbar^m
-
-    a = np.array(p.alpha)
-    ai = np.linalg.inv(a)
-
-    gt = ((pj.gt[0], pj.gt[1]), (pj.gt[1], pj.gt[2]))
-    gt_bar = [[None] * 2 for _ in range(2)]
-    for m in range(2):
-        for n in range(m, 2):
-            acc = jets.constant(0.0, k)
-            for i in range(2):
-                for j in range(2):
-                    acc = acc + Jinv[i][m] * Jinv[j][n] * gt[i][j]
-            gt_bar[m][n] = gt_bar[n][m] = acc
-
-    def F(i, kk):
-        return pj.F[2 * i + kk]
-
-    F_bar = [[None] * 2 for _ in range(2)]  # F_bar[m][r] = fbar_m^r
-    for m in range(2):
-        for r in range(2):
-            acc = jets.constant(0.0, k)
-            for i in range(2):
-                inner = -Jpsi[r][i]
-                for kk in range(2):
-                    inner = inner + a[r][kk] * F(i, kk)
-                acc = acc + Jinv[i][m] * inner
-            F_bar[m][r] = acc
-
-    h = ((pj.h[0], pj.h[1]), (pj.h[1], pj.h[2]))
-    h_bar = [[None] * 2 for _ in range(2)]
-    for r in range(2):
-        for s in range(r, 2):
-            acc = jets.constant(0.0, k)
-            for kk in range(2):
-                for ll in range(2):
-                    acc = acc + ai[kk][r] * ai[ll][s] * h[kk][ll]
-            h_bar[r][s] = h_bar[s][r] = acc
-
+        raise DegenerateTransformError(f"J_phi = 0 at {pj.point}")
+    # index axes before a batch's point axis: gt_ij and h_kk,ll at
+    # [i, j, 0], Ft[kk, i] = f_i^kk, Jpsi[i, r] = d psi^r / dt^i,
+    # alpha^r_kk at [kk, 0, r] and ai^kk_r ai^ll_s at [kk, ll, (r, s)]
+    gt, h = (part(jets.block([c[:2], c[1:]]), np.s_[:, :, None])
+             for c in (pj.gt, pj.h))
+    Ft = jets.block([pj.F[0::2], pj.F[1::2]])
+    Jpsi = jets.block([[d(psi, i) for psi in psi_jets] for i in range(2)])
+    m, n = einstein.UPPER
+    ai, ones = np.linalg.inv(p.alpha), [1] * pj.batch
+    a = np.array(p.alpha).T.reshape(2, 1, 2, *ones)
+    w = (ai[:, None, m] * ai[None, :, n]).reshape(2, 2, 3, *ones)
+    with jets.block_errstate(pj.batch):
+        Jinv = jets.block([[J[1][1], -J[0][1]], [-J[1][0], J[0][0]]]) \
+            / det_J                  # Jinv[i, m] = dt^i / dtbar^m
+        # the law's sums, from 0.0 (inner[i, r] from -Jpsi[i, r]) over
+        # (i, j), kk, i and (kk, ll) in turn
+        gt_bar = jets.fold(0.0, part(Jinv, np.s_[:, None, m])
+                           * part(Jinv, np.s_[None, :, n]) * gt, 2)
+        inner = jets.fold(-Jpsi, jets._scale(
+            a, part(Ft, np.s_[:, :, None]).coeffs, k), 1)
+        F_bar = jets.fold(0.0, part(Jinv, np.s_[:, :, None])
+                          * part(inner, np.s_[:, None]), 1)
+        h_bar = jets.fold(0.0, jets._scale(w, h.coeffs, k), 2)
     iotas = _inverse_map_jets(phi_jets, k)
-
-    def rebase(u):
-        return jets.compose_map(u, iotas[0], iotas[1])
-
-    gt_out = (rebase(gt_bar[0][0]), rebase(gt_bar[0][1]),
-              rebase(gt_bar[1][1]))
-    F_out = (rebase(F_bar[0][0]), rebase(F_bar[0][1]),
-             rebase(F_bar[1][0]), rebase(F_bar[1][1]))
-    h_out = (rebase(h_bar[0][0]), rebase(h_bar[0][1]),
-             rebase(h_bar[1][1]))
-    det_h = h_out[0] * h_out[2] - h_out[1] * h_out[1]
-    det_gt = gt_out[0] * gt_out[2] - gt_out[1] * gt_out[1]
-    return metrics.PointJets(point=tbar, order=k, gt=gt_out, F=F_out,
-                             h=h_out, det_h=det_h, det_gt=det_gt)
+    with jets.block_errstate(pj.batch):
+        out = jets.compose_map(jets._jet(k, tuple(
+            np.concatenate((g, f.reshape(4, *g.shape[1:]), h))
+            for g, f, h in zip(gt_bar.coeffs, F_bar.coeffs, h_bar.coeffs))),
+            *iotas)
+    out = [part(out, q) for q in range(10)]
+    gt, F, h = out[:3], out[3:7], out[7:]
+    return metrics.PointJets(
+        point=(phi_jets[0].value, phi_jets[1].value), order=k, gt=tuple(gt),
+        F=tuple(F), h=tuple(h), det_h=h[0] * h[2] - h[1] * h[1],
+        det_gt=gt[0] * gt[2] - gt[1] * gt[1])
 
 
 def apply_to_metric(m, p, name=None):

@@ -20,14 +20,15 @@ import json
 import numpy as np
 import pytest
 
-from g2inv import catalog, cli, jets, point_jets
+from g2inv import catalog, cli, einstein, jets, point_jets
 from g2inv.einstein import onshell_relations
 from g2inv.invariants1 import (FUNDAMENTAL_IDS, jacobian_rank,
                                random_point_jets, relations_first)
 from g2inv.invariants2 import SECOND_ORDER_COLUMNS, relations_second
 from g2inv.metrics import default_domain, grid_points
-from g2inv.transform import (apply_to_metric, invariance_report,
-                             make_transform, random_transform)
+from g2inv.transform import (_map_jets, _pushforward, apply_to_metric,
+                             invariance_report, make_transform,
+                             random_transform)
 
 VDB = catalog("vdb")
 POINT = (0.6, 1.1)
@@ -153,6 +154,25 @@ def test_first_order_layer(benchmark, layer):
     got = benchmark(lambda: getattr(dataclasses.replace(pj), layer))
     assert np.isfinite(got["Xp1" if layer == "derivations"
                            else "ell_C"].value).all()
+
+
+@pytest.mark.parametrize("point", [POINT, CHECK_BATCH], ids=["float", "B6"])
+@pytest.mark.parametrize("layer", ["four_metric", "inverse_four_metric"])
+def test_four_metric_layers(benchmark, layer, point):
+    # the block layer alone, on one order-2 PointJets of vdb: one point,
+    # or the six points of a check op as one batch
+    pj = point_jets(VDB, point)
+    assert np.isfinite(benchmark(getattr(einstein, layer), pj)).all()
+
+
+@pytest.mark.parametrize("point", [POINT, CHECK_BATCH], ids=["float", "B6"])
+def test_pushforward(benchmark, point):
+    # the pushforward of a transform --report-invariance op alone: order-1
+    # jets of vdb by random_transform(3), its phi and psi jets given
+    p = random_transform(3)
+    pj = point_jets(VDB, point, order=1)
+    maps = _map_jets(p, pj.point, 2)
+    assert benchmark(_pushforward, pj, p, *maps).det_h.is_finite()
 
 
 @pytest.mark.parametrize("order", [1, 2])

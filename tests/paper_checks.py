@@ -24,8 +24,8 @@ class FrameRequiredError(G2InvError):
     """Operation needs the full semi-invariant frame but C_rho*ell_C ~ 0."""
 
 
-FIELD_IDS = FUNDAMENTAL_IDS + ("C_gamma", "Theta_I", "Theta_II",
-                               "Theta_III", "q_gamma_root")
+FIELD_IDS = FUNDAMENTAL_IDS + ("Theta_I", "Theta_II", "Theta_III",
+                               "q_gamma_root")
 
 
 def kundu_A(m, points, method="analytic"):

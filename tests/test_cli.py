@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -350,16 +351,21 @@ def test_relation_suite_overflow_is_one_error_line(tmp_path):
         r.stderr
 
 
-def test_an_overflowing_four_metric_fails_only_the_reports_that_read_it(
-        tmp_path, capsys):
-    # seed 3 under the z-shift psi^1 = 5e159 (t1^2 + t2^2): the same
-    # invariants, but F of order 1e160 overflows the 4-metric, while gt,
-    # h and the orbit-space layers stay finite
+def _big_f(tmp_path):
+    """seed 3 under the z-shift psi^1 = 5e159 (t1^2 + t2^2): the same
+    invariants, but F of order 1e160 overflows the 4-metric, while gt,
+    h and the orbit-space layers stay finite."""
     doc = catalog("random_analytic", {"seed": 3}).to_document()
     doc["components"]["F11"] += " + 1e160*t1"
     doc["components"]["F21"] += " + 1e160*t2"
     path = tmp_path / "big_f.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+def test_an_overflowing_four_metric_fails_only_the_reports_that_read_it(
+        tmp_path, capsys):
+    path = _big_f(tmp_path)
     points = "--points=0.1,0.2;0.3,0.1"
     capsys.readouterr()
     assert run(["check-relations", str(path), "--second", points,
@@ -387,6 +393,36 @@ def test_an_overflowing_four_metric_fails_only_the_reports_that_read_it(
     assert r.returncode == 2 and r.stdout == "" and r.stderr == \
         "error: singular evaluation in 'pushforward fundamentals' at " \
         "value inf (Theta_I_sq at (0.3, 0.1))\n"
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["check-einstein"], 2, "'christoffel4' at value nan (invalid value "
+     "encountered in subtract)"),
+    (["check-relations", "--first"], 2, "'oneill_tensors' at value nan "
+     "(invalid value encountered in det)"),
+    (["check-relations", "--onshell"], 2, "'christoffel4' at value nan "
+     "(invalid value encountered in subtract)"),
+    (["transform", "tr.json", "--report-invariance", "--json"], 1, None)])
+def test_the_overflowing_four_metric_at_a_float_point_is_silent(
+        tmp_path, capsys, argv, code, err):
+    # one point runs alone, on Python floats, which overflow silently:
+    # the block arithmetic of the 4-metric, its inverse and the
+    # pushforward warns nowhere, and each report ends as its per-entry
+    # arithmetic made it end
+    path = _big_f(tmp_path)
+    (tmp_path / "tr.json").write_text(json.dumps(random_transform(3).strings))
+    argv = [argv[0], str(path), *(str(tmp_path / a) if a == "tr.json" else a
+                                  for a in argv[1:]), "--points=0.1,0.2"]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == code
+    got = capsys.readouterr()
+    if err is None:
+        assert got.err == "" and json.loads(got.out)[
+            "max_invariant_residual"] == 0.0038540699923066413
+    else:
+        assert got.err == f"error: singular evaluation in {err}\n"
 
 
 @pytest.mark.parametrize("exponent", ["1e308*10", "0*(1e308*10)"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from g2inv import catalog, einstein, load_metric, point_jets
-from g2inv.metrics import default_domain, grid_points
+from g2inv.metrics import CATALOG_NAMES, default_domain, grid_points
 from paper_checks import kundu_A, riemann_sectional_curvatures
 
 Z = {k: "0" for k in ("b11", "b12", "b22", "f11", "f12", "f21", "f22",
@@ -255,13 +255,71 @@ def _nested_four_metric(pj):
     return g
 
 
+def _nested_inverse_four_metric(pj):
+    """g^{ab} as a 4x4 nested list of jets, of order pj.order - 1, by
+    per-entry jet arithmetic on the submersion block formula."""
+    from g2inv import jets
+    tr = lambda j: jets.truncate(j, pj.order - 1)
+    gt11, gt12, gt22 = (tr(j) for j in pj.gt)
+    h11, h12, h22 = (tr(j) for j in pj.h)
+    det_gt, det_h = tr(pj.det_gt), tr(pj.det_h)
+    F = [tr(j) for j in pj.F]
+    gi = ((gt22 / det_gt, -gt12 / det_gt), (-gt12 / det_gt, gt11 / det_gt))
+    hi = ((h22 / det_h, -h12 / det_h), (-h12 / det_h, h11 / det_h))
+    ginv = [[None] * 4 for _ in range(4)]
+    for i in range(2):
+        for j in range(i, 2):
+            ginv[i][j] = ginv[j][i] = gi[i][j]
+        for k in range(2):
+            acc = gi[i][0] * F[k] + gi[i][1] * F[2 + k]
+            ginv[i][2 + k] = ginv[2 + k][i] = -acc
+    for k in range(2):
+        for l in range(k, 2):
+            acc = hi[k][l]
+            for i in range(2):
+                for j in range(2):
+                    acc = acc + F[2 * i + k] * gi[i][j] * F[2 * j + l]
+            ginv[2 + k][2 + l] = ginv[2 + l][2 + k] = acc
+    return ginv
+
+
+def _array(rows):
+    """(ncoeffs, n, m) coefficient array of an n x m nested list of jets
+    (a batch's point axis last)."""
+    return np.moveaxis(np.array([[j.coeffs for j in row] for row in rows]),
+                       2, 0)
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def block_layer_points():
+    """Every catalog metric and random_analytic seeds 0-5, each with the
+    points of a 2 x 3 grid of its domain alone and as one batch."""
+    ms = [catalog(n) for n in CATALOG_NAMES if n != "random_analytic"]
+    ms += [catalog("random_analytic", {"seed": s}) for s in range(6)]
+    for m in ms:
+        pts = grid_points(default_domain(m), 2, 3, margin=0.05)
+        yield m, [*pts, tuple(np.array(t) for t in zip(*pts))]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_block_metric_layers_are_the_per_entry_loops_bit_for_bit(order):
+    for m, points in block_layer_points():
+        for point in points:
+            pj = point_jets(m, point, order=order)
+            assert _same_bits(pj.g4, _array(_nested_four_metric(pj)))
+            assert _same_bits(einstein.inverse_four_metric(pj),
+                              _array(_nested_inverse_four_metric(pj)))
+
+
 def _nested_christoffel(pj):
     """Christoffel jets by the per-entry jet loop (the oracle)."""
     from g2inv import jets
     n = pj.order - 1
     g = _nested_four_metric(pj)
-    gi = einstein.inverse_four_metric(pj)
-    ginv = [[jets.Jet2(n, gi[:, a, b]) for b in range(4)] for a in range(4)]
+    ginv = _nested_inverse_four_metric(pj)
     zero = jets.constant(0.0, n)
 
     def pd(c, a, b):
@@ -310,9 +368,6 @@ def test_curvature_matches_the_nested_jet_loops():
         want = np.array([[[[j.coeffs[k] for j in row] for row in plane]
                           for plane in nested]
                          for k in range(len(nested[0][0][0].coeffs))])
-        g = np.array([[[j.coeffs[k] for j in row]
-                       for row in _nested_four_metric(pj)]
-                      for k in range(len(pj.gt[0].coeffs))])
-        assert _rel_err(pj.g4, g) <= 1e-13
+        assert _same_bits(pj.g4, _array(_nested_four_metric(pj)))
         assert _rel_err(pj.christoffel, want) <= 1e-13
         assert _rel_err(pj.riemann, _nested_riemann(nested)) <= 1e-13

@@ -51,24 +51,29 @@ def generic_random_points(seed, count=10):
     return m, pts
 
 
-# the base forms sigma, rho, chi, gamma, read through sigma and the
-# traces and determinants against gt that the invariant fields carry
-BASE_FORM_KEYS = ("sigma1", "sigma2", "C_rho", "C_chi", "C_gamma", "Q_rho",
-                  "Q_chi", "Q_gamma")
+def base_forms(pj):
+    """sigma1, sigma2, C_rho, C_chi, C_gamma, Q_rho, Q_chi and Q_gamma:
+    the base forms sigma, rho, chi and gamma read through sigma and the
+    traces and determinants against gt, from pj.fundamentals (C_gamma
+    the trace of gamma = chi - rho/4)."""
+    f = pj.fundamentals
+    rho = f["rho"]
+    return (f["sigma"][0].value, f["sigma"][1].value, f["C_rho"].value,
+            f["C_chi"].value, (f["C_chi"] - 0.25 * f["C_rho"]).value,
+            ((rho[0] * rho[2] - rho[1] * rho[1]) / f["det_gt"]).value,
+            f["Q_chi"].value, f["Q_gamma"].value)
 
 
 def test_base_forms_flat():
-    jv = point_jets(catalog("flat"), (0.3, 0.4)).fields
-    assert all(jv[k].value == 0.0 for k in BASE_FORM_KEYS)
+    assert base_forms(point_jets(catalog("flat"), (0.3, 0.4))) == (0.0,) * 8
 
 
 def test_base_forms_diag_t1():
     # h = diag(t1, t1): det h = t1^2, sigma = (2/t1, 0), and gt = 1, so
     # rho = diag(1, 0), chi = diag(1/4, 0) and gamma = 0 at t1 = 2
-    jv = point_jets(catalog("diag_t1"), (2.0, 0.3)).fields
+    got = base_forms(point_jets(catalog("diag_t1"), (2.0, 0.3)))
     want = (1.0, 0.0, 1.0, 0.25, 0.0, 0.0, 0.0, 0.0)
-    for key, w in zip(BASE_FORM_KEYS, want):
-        assert jv[key].value == pytest.approx(w, rel=1e-14, abs=1e-15), key
+    assert got == pytest.approx(want, rel=1e-14, abs=1e-15)
 
 
 def test_fundamental_flat_all_zero():
@@ -136,14 +141,21 @@ def test_fundamentals_are_the_fields_bit_for_bit(name):
 
 
 def test_identities_q_rho_and_c_gamma():
+    # rho = sigma x sigma has rank one, so Q_rho = det rho / det gt
+    # vanishes, and its trace C_rho, which C_gamma = C_chi - C_rho/4
+    # reads, is sigma_i gt^ij sigma_j
     for seed in GENERIC_SEEDS[:3]:
         m, pts = generic_random_points(seed, 4)
         for pt in pts:
-            jv = first_invariant_jets(point_jets(m, pt, order=1))
-            scale = max(1.0, abs(jv["Q_chi"].value))
-            assert abs(jv["Q_rho"].value) < 1e-12 * scale
-            assert jv["C_gamma"].value == pytest.approx(
-                jv["C_chi"].value - 0.25 * jv["C_rho"].value, rel=1e-12)
+            pj = point_jets(m, pt, order=1)
+            f = pj.fundamentals
+            sigma, gi = ([j.value for j in f[k]] for k in ("sigma", "gi"))
+            _, _, C_rho, _, _, Q_rho, Q_chi, _ = base_forms(pj)
+            assert abs(Q_rho) < 1e-12 * max(1.0, abs(Q_chi))
+            assert C_rho == pytest.approx(
+                sigma[0] * (gi[0] * sigma[0] + gi[1] * sigma[1])
+                + sigma[1] * (gi[1] * sigma[0] + gi[2] * sigma[1]),
+                rel=1e-12)
 
 
 def test_frame_orthogonality_and_lengths_vdb():

@@ -298,6 +298,7 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
 
     for module, name in ((invariants1, "fundamental_jets"),
                          (invariants1, "derivations"),
+                         (invariants1, "q_gamma_root"),
                          (invariants1, "first_invariant_jets"),
                          (invariants1, "frame"),
                          (invariants1, "oneill_tensors"),
@@ -388,9 +389,10 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
     assert derivatives == []
 
     assert {name for name, _ in calls} == {
-        "fundamental_jets", "derivations", "first_invariant_jets", "frame",
-        "oneill_tensors", "four_metric", "christoffel4", "riemann4",
-        "second_invariants_from_jets", "classify"}
+        "fundamental_jets", "derivations", "q_gamma_root",
+        "first_invariant_jets", "frame", "oneill_tensors", "four_metric",
+        "christoffel4", "riemann4", "second_invariants_from_jets",
+        "classify"}
     assert max(calls.values()) == 1, calls.most_common(3)
 
 
@@ -431,7 +433,8 @@ def test_only_the_relation_suites_build_the_fields_and_the_4d_curvature(
     # beside the fundamentals, only X and Xperp of the first-order fields;
     # the Einstein residual, the on-shell Gauss equality and the
     # first-order suite (the frame lengths and T) read the 4-metric, and
-    # the on-shell and first-order suites the other first-order fields
+    # only the first-order suite the other first-order fields (the
+    # on-shell suite reads q_gamma_root, its own layer)
     calls = Counter()
     for module, name in ((einstein, "four_metric"),
                          (einstein, "inverse_four_metric"),
@@ -468,7 +471,7 @@ def test_only_the_relation_suites_build_the_fields_and_the_4d_curvature(
             (["check-einstein", str(lk), "--lambda", "3", *points, *out],
              curvature),
             (["check-relations", str(lk), "--onshell", "--lambda", "3",
-              *points, *out], curvature | {"first_invariant_jets"}),
+              *points, *out], curvature),
             (["check-relations", str(vdb), "--first", *points, *out],
              curvature - {"riemann4"} | {"first_invariant_jets"})):
         calls.clear()

@@ -18,6 +18,7 @@ from g2inv.transform import (apply_to_metric, invariance_report,
                              load_transform, make_transform, pushforward_jets,
                              random_transform)
 from paper_checks import compose_transforms
+from test_einstein import block_layer_points
 
 IDENTITY = dict(phi1="t1", phi2="t2", psi1="0", psi2="0",
                 alpha=[[1.0, 0.0], [0.0, 1.0]])
@@ -69,6 +70,74 @@ def test_identity_pushforward_is_identity():
     assert out.point == pj.point
     for a, b in zip(pj.all_component_jets(), out.all_component_jets()):
         assert np.allclose(a.coeffs, b.coeffs, rtol=1e-12, atol=1e-12)
+
+
+def _nested_pushforward(pj, p, phi_jets, psi_jets):
+    """transform._pushforward by per-entry jet arithmetic: the component
+    law one entry at a time, then one base change per component."""
+    from g2inv import metrics
+    from g2inv.transform import _inverse_map_jets
+    k = pj.order
+    J = [[jets.t_derivative(phi_jets[m], i) for i in range(2)]
+         for m in range(2)]
+    Jpsi = [[jets.t_derivative(psi_jets[r], i) for i in range(2)]
+            for r in range(2)]
+    det_J = J[0][0] * J[1][1] - J[0][1] * J[1][0]
+    Jinv = [[J[1][1] / det_J, -J[0][1] / det_J],
+            [-J[1][0] / det_J, J[0][0] / det_J]]
+    a = np.array(p.alpha)
+    ai = np.linalg.inv(a)
+    gt = ((pj.gt[0], pj.gt[1]), (pj.gt[1], pj.gt[2]))
+    h = ((pj.h[0], pj.h[1]), (pj.h[1], pj.h[2]))
+    gt_bar, h_bar, F_bar = [], [], []
+    for m, n in ((0, 0), (0, 1), (1, 1)):
+        acc, acc_h = jets.constant(0.0, k), jets.constant(0.0, k)
+        for i in range(2):
+            for j in range(2):
+                acc = acc + Jinv[i][m] * Jinv[j][n] * gt[i][j]
+                acc_h = acc_h + ai[i][m] * ai[j][n] * h[i][j]
+        gt_bar.append(acc)
+        h_bar.append(acc_h)
+    for m in range(2):
+        for r in range(2):
+            acc = jets.constant(0.0, k)
+            for i in range(2):
+                inner = -Jpsi[r][i]
+                for kk in range(2):
+                    inner = inner + a[r][kk] * pj.F[2 * i + kk]
+                acc = acc + Jinv[i][m] * inner
+            F_bar.append(acc)
+    iotas = _inverse_map_jets(phi_jets, k)
+    gt_out, F_out, h_out = ([jets.compose_map(u, *iotas) for u in us]
+                            for us in (gt_bar, F_bar, h_bar))
+    return metrics.PointJets(
+        point=(phi_jets[0].value, phi_jets[1].value), order=k,
+        gt=tuple(gt_out), F=tuple(F_out), h=tuple(h_out),
+        det_h=h_out[0] * h_out[2] - h_out[1] * h_out[1],
+        det_gt=gt_out[0] * gt_out[2] - gt_out[1] * gt_out[1])
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_block_pushforward_is_the_per_entry_loop_bit_for_bit(order):
+    from g2inv.transform import _map_jets, _pushforward
+    p = random_transform(3)
+    for m, points in block_layer_points():
+        for point in points:
+            pj = point_jets(m, point, order=order)
+            maps = _map_jets(p, pj.point, order + 1)
+            got = _pushforward(pj, p, *maps)
+            want = _nested_pushforward(pj, p, *maps)
+            assert got.point == want.point
+            for a, b in zip((*got.all_component_jets(), got.det_h,
+                             got.det_gt),
+                            (*want.all_component_jets(), want.det_h,
+                             want.det_gt)):
+                assert np.array(a.coeffs).tobytes() \
+                    == np.array(b.coeffs).tobytes()
+                if isinstance(point[0], float):
+                    # a float point's jets hold Python floats, as its
+                    # per-entry arithmetic gives them
+                    assert {type(c) for c in a.coeffs} == {float}
 
 
 def test_pure_alpha_det_h_law():
