@@ -54,6 +54,9 @@ def _parse_point(text):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected t1,t2 got {text!r}") from None
+    if not all(map(math.isfinite, (t1, t2))):
+        raise argparse.ArgumentTypeError(
+            f"the coordinates of t1,t2 must be finite, got {text!r}")
     return (t1, t2)
 
 
@@ -272,6 +275,9 @@ def cmd_rank(args):
         if args.metric is not None or args.at is not None:
             raise G2InvError(
                 "rank --random SEED takes no metric file and no --at")
+        if args.random < 0:
+            raise G2InvError(f"--random SEED must be a non-negative "
+                             f"integer, got {args.random}")
         probe = invariants1.random_point_jets(args.random, order=order,
                                               transitive=which.endswith(
                                                   "transitive"))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import jets, metrics
 from .errors import G2InvError, InsufficientCoverageError
-from .invariants1 import FUNDAMENTAL_IDS
+from .invariants1 import FUNDAMENTAL_IDS, numerical_rank
 from .invariants2 import DELTA_TOL
 
 
@@ -47,15 +47,6 @@ def _fundamentals(pj):
     jac = np.array([[jets.t_derivative(jv[k], s).value for s in (0, 1)]
                     for k in FUNDAMENTAL_IDS])
     return values, jac
-
-
-def _rank2(jac):
-    """Do the fundamentals have two independent gradients?  Rows are
-    normalised first, so no invariant's size weighs in."""
-    norms = np.linalg.norm(jac, axis=1)
-    keep = norms > 0.0
-    s = np.linalg.svd(jac[keep] / norms[keep, None], compute_uv=False)
-    return len(s) == 2 and s[1] >= DELTA_TOL * s[0]
 
 
 def _evaluate(m, pts):
@@ -93,7 +84,7 @@ def _skip_reason(got):
         return "non-generic"
     if not (np.isfinite(values).all() and np.isfinite(jac).all()):
         return "non-finite"
-    return None if _rank2(jac) else "rank-deficient"
+    return None if numerical_rank(jac, DELTA_TOL) == 2 else "rank-deficient"
 
 
 def build_signature(m, rect=None, n=12):

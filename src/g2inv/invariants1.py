@@ -284,41 +284,32 @@ def relations_first(pj):
 # ----------------------------------------------------------------------
 
 def random_point_jets(seed, order=1, transitive=False):
-    """Synthetic jet-space probe with nondegenerate h and gt blocks."""
+    """Synthetic jet-space probe with nondegenerate h and gt blocks: its
+    packed coordinates drawn gt, h, then F, each jet's value first."""
     rng = np.random.default_rng(seed)
     size = len(jets._IDX[order])
 
-    def jet(first, spread=1.0):
-        c = rng.uniform(-spread, spread, size)
+    def jet(first):  # first is drawn before the coefficients it replaces
+        c = rng.uniform(-1.0, 1.0, size)
         c[0] = first
-        return jets.Jet2(order, c)
+        return c
 
-    gt = (jet(2.0 + rng.uniform(-0.5, 0.5)),
-          jet(rng.uniform(-0.4, 0.4)),
-          jet(2.0 + rng.uniform(-0.5, 0.5)))
-    h = (jet(2.0 + rng.uniform(-0.5, 0.5)),
-         jet(rng.uniform(-0.4, 0.4)),
-         jet(2.0 + rng.uniform(-0.5, 0.5)))
-    F = tuple(jet(rng.uniform(-0.8, 0.8)) for _ in range(4))
+    gt, h = ([jet(2.0 + rng.uniform(-0.5, 0.5)), jet(rng.uniform(-0.4, 0.4)),
+              jet(2.0 + rng.uniform(-0.5, 0.5))] for _ in range(2))
+    x = np.concatenate(gt + [jet(rng.uniform(-0.8, 0.8)) for _ in range(4)]
+                       + h)
     if transitive:
-        F = _symmetrize_curl(F)
-    return _assemble(gt, F, h, order)
+        for i, j in _curl_ties(order).items():
+            x[i] = x[j] = 0.5 * (x[i] + x[j])
+    return _unpack(x, order)
 
 
-def _symmetrize_curl(F):
-    c = [list(j.coeffs) for j in F]
-    p12, p21 = (jets._POS[F[0].order][ij] for ij in ((0, 1), (1, 0)))
-    for k in range(2):
-        c[k][p12] = c[2 + k][p21] = 0.5 * (c[k][p12] + c[2 + k][p21])
-    return tuple(jets.Jet2(F[0].order, ck) for ck in c)
-
-
-def _assemble(gt, F, h, order):
-    with np.errstate(all="ignore"):  # silent on a batch, as on floats
-        det_h = h[0] * h[2] - h[1] * h[1]
-        det_gt = gt[0] * gt[2] - gt[1] * gt[1]
-    return metrics.PointJets(point=(0.0, 0.0), order=order,
-                             gt=gt, F=F, h=h, det_h=det_h, det_gt=det_gt)
+def _curl_ties(order):
+    """{packed slot of d/dt2 F_1^k: packed slot of d/dt1 F_2^k} for k = 1,
+    2: the coordinates a transitive probe (d2 F_1^k = d1 F_2^k) ties."""
+    size, pos = len(jets._IDX[order]), jets._POS[order]
+    return {(3 + k) * size + pos[0, 1]: (5 + k) * size + pos[1, 0]
+            for k in range(2)}
 
 
 def _pack(pj):
@@ -330,9 +321,8 @@ def _unpack(x, order):
     """PointJets of packed coordinates: (ncoords,) or a batch (ncoords, B)."""
     size = len(jets._IDX[order])
     coerce = jets.Jet2 if x.ndim == 1 else jets._jet  # floats or vectors
-    js = [coerce(order, tuple(x[i * size:(i + 1) * size]))
-          for i in range(10)]
-    return _assemble(tuple(js[0:3]), tuple(js[3:7]), tuple(js[7:10]), order)
+    return metrics.assemble((0.0, 0.0), order, [
+        coerce(order, tuple(x[i:i + size])) for i in range(0, len(x), size)])
 
 
 def _invariant_vector(pj, which):
@@ -359,13 +349,10 @@ def jacobian(which, probe):
     """
     order = probe.order
     x0 = _pack(probe)
-    size = len(jets._IDX[order])
 
     directions = list(np.eye(len(x0)))
     if which == "fundamental6_transitive":
-        # tie the d/dt2 slot of F_1^k to the d/dt1 slot of F_2^k
-        tied = {(3 + k) * size + jets._POS[order][(0, 1)]:
-                (5 + k) * size + jets._POS[order][(1, 0)] for k in range(2)}
+        tied = _curl_ties(order)
         directions = [e + directions[tied[i]] if i in tied else e
                       for i, e in enumerate(directions)
                       if i not in tied.values()]
@@ -381,9 +368,14 @@ def jacobian(which, probe):
 
 def jacobian_rank(which, probe, eps=1e-6):
     """Numerical rank of the jacobian of the invariant set at the probe."""
-    J = jacobian(which, probe)
-    # per-invariant row scaling: the invariants span wildly different
-    # magnitudes, and the rank should reflect relative sensitivities
+    return numerical_rank(jacobian(which, probe), eps)
+
+
+def numerical_rank(J, eps):
+    """The number of singular values of J above eps times the largest,
+    its zero rows dropped and the others scaled to unit norm: the
+    invariants span wildly different magnitudes, and the rank should
+    reflect relative sensitivities."""
     norms = np.linalg.norm(J, axis=1)
     keep = norms > 0.0
     J = J[keep] / norms[keep, None]

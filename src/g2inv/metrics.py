@@ -294,6 +294,19 @@ def _eval_components(m, point, order, method):
     raise ValueError(f"unknown jet method {method!r}")
 
 
+def assemble(point, order, components):
+    """The PointJets at point of the ten submersion component jets, in
+    SUBMERSION_KEYS order, with det h and det gt formed from them
+    silently, as on floats.  Nothing is checked: point_jets is the
+    validating producer."""
+    gt, F, h = (tuple(components[s]) for s in np.s_[0:3, 3:7, 7:10])
+    with np.errstate(all="ignore"):
+        det_h = h[0] * h[2] - h[1] * h[1]
+        det_gt = gt[0] * gt[2] - gt[1] * gt[1]
+    return PointJets(point=point, order=order, gt=gt, F=F, h=h,
+                     det_h=det_h, det_gt=det_gt)
+
+
 def point_jets(m, point, order=2, method="analytic"):
     """Canonical submersion-form jets of the metric at a point.
 
@@ -302,7 +315,9 @@ def point_jets(m, point, order=2, method="analytic"):
     with the bits of point_jets(m, (t1s[k], t2s[k])), and one singular
     column fails the whole batch.  method="fd" replaces analytic jets
     with central finite differences (order <= 2), the independent
-    cross-check path.
+    cross-check path.  It builds its PointJets itself, not by assemble:
+    det h is formed and checked before the bfh law divides by it, and
+    assemble would form it a second time.
     """
     batch = isinstance(point[0], np.ndarray)
     point = tuple(np.array(t, dtype=float) if batch else float(t)
@@ -568,8 +583,11 @@ def catalog(name, params=None):
                        "h12": "-1/t1^2",
                    }))
     elif name == "random_analytic":
-        seed = int(take("seed", 0))
-        doc = _random_analytic_document(seed)
+        seed = take("seed", 0)
+        if seed < 0 or seed != int(seed):
+            raise MetricDefinitionError(
+                f"param 'seed' must be a non-negative integer, got {seed!r}")
+        doc = _random_analytic_document(int(seed))
     else:
         raise MetricDefinitionError(f"unknown catalog metric {name!r}")
     if params:

@@ -171,12 +171,8 @@ def _pushforward(pj, p, phi_jets, psi_jets):
             np.concatenate((g, f.reshape(4, *g.shape[1:]), h))
             for g, f, h in zip(gt_bar.coeffs, F_bar.coeffs, h_bar.coeffs))),
             *iotas)
-    out = [part(out, q) for q in range(10)]
-    gt, F, h = out[:3], out[3:7], out[7:]
-    return metrics.PointJets(
-        point=(phi_jets[0].value, phi_jets[1].value), order=k, gt=tuple(gt),
-        F=tuple(F), h=tuple(h), det_h=h[0] * h[2] - h[1] * h[1],
-        det_gt=gt[0] * gt[2] - gt[1] * gt[1])
+    return metrics.assemble((phi_jets[0].value, phi_jets[1].value), k,
+                            [part(out, q) for q in range(10)])
 
 
 def apply_to_metric(m, p, name=None):

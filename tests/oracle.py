@@ -2,10 +2,14 @@
 
 A metric's expression ASTs are evaluated in mpmath at ``DPS`` digits,
 their partial derivatives taken by ``mp.diff``, and the 4-metric and its
-Riemann tensor built from those jets.  Nothing here calls jets.py or
-einstein.py, so the float results can be measured against it: a
-high-precision reference for float results (Higham, *Accuracy and
+Riemann tensor built from those jets; a bfh metric is converted to the
+submersion form in mpmath too.  Nothing here computes a value with
+jets.py or einstein.py, so the float results can be measured against
+it: a high-precision reference for float results (Higham, *Accuracy and
 Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, §27).
+oracle_point_jets rounds the 40-digit submersion jets to floats and
+builds a PointJets of them with metrics.assemble, so every layer the
+float pipeline derives from component jets can be checked from there.
 
 A jet here is a dict {(i, j): d^(i+j) f / dt1^i dt2^j} of mpf values,
 over i + j <= its order.
@@ -17,7 +21,8 @@ from math import comb
 
 from mpmath import mp
 
-from g2inv import expr
+from g2inv import expr, jets, metrics
+from g2inv.metrics import SUBMERSION_KEYS
 
 DPS = 40
 
@@ -87,6 +92,47 @@ def _mul(f, g):
 
 def _add(*fs):
     return {k: mp.fsum(f[k] for f in fs) for k in fs[0]}
+
+
+def _div(f, g):
+    """The jet of a quotient q = f / g: Leibniz's rule for f = q g solved
+    for each coefficient of q, lower orders first."""
+    q = {}
+    for i, j in sorted(f, key=sum):
+        q[i, j] = (f[i, j] - mp.fsum(
+            comb(i, a) * comb(j, b) * q[a, b] * g[i - a, j - b]
+            for a in range(i + 1) for b in range(j + 1)
+            if (a, b) != (i, j))) / g[0, 0]
+    return q
+
+
+def submersion_jets(m, t):
+    """The ten order-2 submersion component jets at t, in SUBMERSION_KEYS
+    order; a bfh metric's by h^-1 = adj h / det h, F_j^k = f_js h^sk and
+    gt_ij = b_ij - f_ik F_j^k in jet arithmetic at DPS digits."""
+    c = component_jets(m, t)
+    if m.form == "submersion":
+        return [c[key] for key in SUBMERSION_KEYS]
+    with mp.workdps(DPS):
+        neg = lambda f: {k: -v for k, v in f.items()}  # noqa: E731
+        det = _add(_mul(c["h11"], c["h22"]), neg(_mul(c["h12"], c["h12"])))
+        hi = [[_div(c["h22"], det), _div(neg(c["h12"]), det)],
+              [_div(neg(c["h12"]), det), _div(c["h11"], det)]]
+        f = [[c["f11"], c["f12"]], [c["f21"], c["f22"]]]
+        F = [[_add(*(_mul(f[j][s], hi[s][k]) for s in range(2)))
+              for k in range(2)] for j in range(2)]
+        gt = [_add(c[f"b{i + 1}{j + 1}"],
+                   *(neg(_mul(f[i][k], F[j][k])) for k in range(2)))
+              for i, j in ((0, 0), (0, 1), (1, 1))]
+        return [*gt, *F[0], *F[1], c["h11"], c["h12"], c["h22"]]
+
+
+def oracle_point_jets(m, t):
+    """The PointJets at t of the 40-digit submersion component jets,
+    rounded to floats."""
+    return metrics.assemble(t, 2, [jets.Jet2(2, [float(jet[ij]) for ij in
+                                                 jets._IDX[2]])
+                                   for jet in submersion_jets(m, t)])
 
 
 def four_metric_jets(m, t):

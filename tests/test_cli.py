@@ -16,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 import g2inv
 from g2inv import catalog, cli, einstein, expr, jets, metrics, point_jets
 from g2inv.cli import dumps, run
-from g2inv.errors import G2InvError, MetricDefinitionError
+from g2inv.errors import (G2InvError, MetricDefinitionError,
+                          SingularMetricError)
 from g2inv.invariants1 import FUNDAMENTAL_IDS, relations_first
 from g2inv.invariants2 import SECOND_ORDER_COLUMNS, relations_second
 from g2inv.metrics import CATALOG_NAMES
@@ -56,6 +57,32 @@ def test_a_malformed_catalog_param_is_one_error_line(capsys, param):
     assert captured.out == ""
     assert captured.err == ("error: --param 'c' must be a finite float "
                             f"given as k=v, got {param!r}\n")
+
+
+@pytest.mark.parametrize("seed", ["1.5", "-1", "-0.5", "1e-300"])
+def test_a_random_analytic_seed_not_a_non_negative_integer_is_one_error_line(
+        capsys, seed):
+    assert run(["catalog", "random_analytic", "--param", f"seed={seed}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: param 'seed' must be a non-negative "
+                            f"integer, got {float(seed)!r}\n")
+
+
+def test_an_integral_random_analytic_seed_given_as_a_float_is_that_seed(
+        capsys):
+    assert run(["catalog", "random_analytic", "--param", "seed=3.0",
+                "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) \
+        == catalog("random_analytic", {"seed": 3}).to_document()
+
+
+def test_a_negative_rank_seed_is_one_error_line(capsys):
+    assert run(["rank", "--random", "-1", "--set", "fundamental6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --random SEED must be a non-negative "
+                            "integer, got -1\n")
 
 
 def test_invariants_at_point(vdb_file, capsys):
@@ -494,12 +521,19 @@ def test_equiv_skips_samples_whose_fields_fail(tmp_path, capsys):
     ["check-relations", "--first", "--second", "--points", "0.5,nan"],
 ])
 def test_nan_point_on_the_fd_path_is_an_input_error(vdb_file, capsys, argv):
-    # every stencil point around a NaN is NaN; the jets read as singular h
+    # the CLI rejects a NaN coordinate as it parses the point, and names
+    # the point, not the metric; past the CLI, every stencil point around
+    # a NaN is NaN, and the fd jets read as singular h
     assert run([argv[0], vdb_file, *argv[1:], "--method", "fd"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: singular h") \
-        and captured.err.count("\n") == 1, captured.err
+    lines = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(lines) == 1 and lines[0].endswith(
+        f"the coordinates of t1,t2 must be finite, got {argv[-1]!r}"), \
+        captured.err
+    with pytest.raises(SingularMetricError, match="^singular h"):
+        point_jets(g2inv.load_metric(vdb_file),
+                   tuple(map(float, argv[-1].split(","))), method="fd")
 
 
 def test_fd_error_names_the_stencil_value_without_context(tmp_path,
@@ -517,14 +551,18 @@ def test_fd_error_names_the_stencil_value_without_context(tmp_path,
                             "-9.999999999998899e-05\n")
 
 
-@pytest.mark.parametrize("points, entry", [("0.5,1;0.7", "0.7"),
-                                           ("abc,1", "abc,1")],
-                         ids=["one_part", "not_a_number"])
+@pytest.mark.parametrize("points, message", [
+    ("0.5,1;0.7", "expected t1,t2 got '0.7'"),
+    ("abc,1", "expected t1,t2 got 'abc,1'"),
+    ("0.5,1;nan,1", "the coordinates of t1,t2 must be finite, got 'nan,1'"),
+    ("0.5,inf", "the coordinates of t1,t2 must be finite, got '0.5,inf'"),
+    ("-inf,1", "the coordinates of t1,t2 must be finite, got '-inf,1'")],
+    ids=["one_part", "not_a_number", "nan", "inf", "minus_inf"])
 @pytest.mark.parametrize("command", ["check-einstein", "check-relations",
                                      "transform"])
 def test_malformed_points_entry_is_an_input_error(vdb_file, tmp_path,
                                                   capsys, command, points,
-                                                  entry):
+                                                  message):
     tr = tmp_path / "tr.json"
     tr.write_text(json.dumps({"phi1": "t1", "phi2": "t2", "psi1": "0",
                               "psi2": "0", "alpha": [[1, 0], [0, 1]]}))
@@ -534,7 +572,15 @@ def test_malformed_points_entry_is_an_input_error(vdb_file, tmp_path,
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: expected t1,t2 got {entry!r}\n"
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("at", ["nan,1.0", "0.5,inf", "-inf,-inf"])
+@pytest.mark.parametrize("command", ["invariants", "rank"])
+def test_a_non_finite_at_is_a_usage_error(vdb_file, capsys, command, at):
+    _usage_error([command, vdb_file, f"--at={at}",
+                  *(["--set", "fundamental6"] if command == "rank" else [])],
+                 "--at", capsys)
 
 
 @pytest.mark.parametrize("command", ["check-einstein", "check-relations",

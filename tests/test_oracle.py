@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp
 
 import oracle
-from g2inv import catalog, load_metric, point_jets
+from g2inv import catalog, cli, load_metric, point_jets
 from g2inv.expr import eval_jet
 from g2inv.metrics import CATALOG_NAMES, default_domain, grid_points
 from paper_checks import riemann_sectional_curvatures
@@ -71,3 +71,30 @@ def test_gauss_curvature_propositions_against_40_digits(name, params):
         mine, theirs = worst["propositions", key], worst["riemann", key]
         assert mine <= 2e-13, (key, worst)
         assert mine <= 1.5 * theirs or mine <= 1e-15, (key, worst)
+
+
+# the eight fixed catalog metrics and random_analytic at seeds 0-5
+ROW_METRICS = [(name, {}) for name in CATALOG_NAMES[:-1]] + [
+    ("random_analytic", {"seed": seed}) for seed in range(6)]
+
+
+@pytest.mark.parametrize("name, params", ROW_METRICS,
+                         ids=[n + "".join(f"_{v}" for v in p.values())
+                              for n, p in ROW_METRICS])
+def test_every_order_2_report_value_against_40_digit_component_jets(
+        name, params):
+    # the 40-digit submersion jets, rounded to floats, through the live
+    # pipeline: every grid-row value within 1e-12 (floor-1 relative) of
+    # point_jets' own, None in the same places
+    m = catalog(name, params)
+    for pt in grid_points(default_domain(m), 3, margin=0.05):
+        (want,), (got,) = (cli._rows(pj, 2) for pj in (
+            point_jets(m, pt), oracle.oracle_point_jets(m, pt)))
+        assert want.keys() == got.keys()
+        for key, value in want.items():
+            if value is None or got[key] is None:
+                assert value is got[key], (pt, key)
+            else:
+                err = abs(got[key] - value) / max(1, abs(got[key]),
+                                                   abs(value))
+                assert err <= 1e-12, (pt, key, value, got[key])

@@ -3,16 +3,21 @@
     python3 tools/ident.py CHECKOUT subproc|inproc SEEDS [WORKLOAD ...]
 
 SEEDS is a comma-separated list, e.g. ``1,5``; the workloads default to
-all four of ``perfbench/workloads.py``.  For each workload and seed the
-script writes the inputs of ``generate(w, s, rounds_for(w, 20), dir)``
-with CHECKOUT's ``perfbench/workloads.py`` and ``src/g2inv`` into a
-fresh temporary directory, runs every op against CHECKOUT's program and
-prints one JSON line per op,
+all four of ``perfbench/workloads.py`` and then the fixed pseudo-workload
+``rank``.  For each workload and seed the script writes the inputs of
+``generate(w, s, rounds_for(w, 20), dir)`` with CHECKOUT's
+``perfbench/workloads.py`` and ``src/g2inv`` into a fresh temporary
+directory, runs every op against CHECKOUT's program and prints one JSON
+line per op,
 
     ["op", workload, seed, argv, exit code, stdout, stderr]
 
 with the directory written as DIR, then one line per file left in the
-directory, ``["file", workload, seed, name, sha256]``.  ``subproc`` runs
+directory, ``["file", workload, seed, name, sha256]``.  ``rank`` covers
+the rank code no benchmark op runs; it takes no seed (its seed field is
+null) and runs once: ``catalog NAME --emit`` of every catalog metric,
+then ``rank --random S --set X`` for S = 0..9 and ``rank FILE --set X``
+for every file written, each for all three invariant sets X.  ``subproc`` runs
 each op as ``python -m g2inv`` in its own process (a fresh warnings
 registry per op, as a shell sees it); ``inproc`` runs them through
 ``g2inv.cli.run`` in this process, which is much faster.  Compare two
@@ -38,20 +43,33 @@ import sys
 import tempfile
 
 SECONDS = 20
+RANK_SETS = ("fundamental6", "fundamental6_transitive", "order2_20")
 
 
-def _ops_inproc(cli, ops):
-    for op in ops:
+def _rank_argvs(names, directory):
+    """The argv of each op of the rank pseudo-workload, for the catalog
+    metrics of these names written into directory."""
+    files = [os.path.join(directory, f"{name}.json") for name in names]
+    return ([["catalog", name, "--emit", path]
+             for name, path in zip(names, files)]
+            + [["rank", "--random", str(seed), "--set", which]
+               for which in RANK_SETS for seed in range(10)]
+            + [["rank", path, "--set", which]
+               for which in RANK_SETS for path in files])
+
+
+def _ops_inproc(cli, argvs):
+    for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.run(op.argv)
+            code = cli.run(argv)
         yield code, out.getvalue(), err.getvalue()
 
 
-def _ops_subproc(src, ops):
+def _ops_subproc(src, argvs):
     env = {**os.environ, "PYTHONPATH": src}
-    for op in ops:
-        done = subprocess.run([sys.executable, "-m", "g2inv", *op.argv],
+    for argv in argvs:
+        done = subprocess.run([sys.executable, "-m", "g2inv", *argv],
                               env=env, capture_output=True, text=True)
         yield done.returncode, done.stdout, done.stderr
 
@@ -65,20 +83,23 @@ def main(argv):
     sys.path[:0] = [src, os.path.join(checkout, "perfbench")]
     sys.dont_write_bytecode = True  # leave the checkout as it was
     import workloads
-    from g2inv import cli
+    from g2inv import cli, metrics
 
     seeds = [int(s) for s in argv[2].split(",")]
-    for w in argv[3:] or workloads.WORKLOADS:
-        for seed in seeds:
+    for w in argv[3:] or (*workloads.WORKLOADS, "rank"):
+        for seed in [None] if w == "rank" else seeds:
             directory = tempfile.mkdtemp(prefix="ident-")
             try:
-                ops = workloads.generate(w, seed, workloads.rounds_for(
-                    w, SECONDS), directory)
-                results = (_ops_inproc(cli, ops) if argv[1] == "inproc"
-                           else _ops_subproc(src, ops))
-                for op, (code, out, err) in zip(ops, results):
+                argvs = (_rank_argvs(metrics.CATALOG_NAMES, directory)
+                         if w == "rank" else
+                         [op.argv for op in workloads.generate(
+                             w, seed, workloads.rounds_for(w, SECONDS),
+                             directory)])
+                results = (_ops_inproc(cli, argvs) if argv[1] == "inproc"
+                           else _ops_subproc(src, argvs))
+                for args, (code, out, err) in zip(argvs, results):
                     print(json.dumps(["op", w, seed, [
-                        a.replace(directory, "DIR") for a in op.argv],
+                        a.replace(directory, "DIR") for a in args],
                         code, out.replace(directory, "DIR"),
                         err.replace(directory, "DIR")]))
                 for name in sorted(os.listdir(directory)):
