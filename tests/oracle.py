@@ -114,7 +114,9 @@ def submersion_jets(m, t):
     if m.form == "submersion":
         return [c[key] for key in SUBMERSION_KEYS]
     with mp.workdps(DPS):
-        neg = lambda f: {k: -v for k, v in f.items()}  # noqa: E731
+        def neg(f):
+            return {k: -v for k, v in f.items()}
+
         det = _add(_mul(c["h11"], c["h22"]), neg(_mul(c["h12"], c["h12"])))
         hi = [[_div(c["h22"], det), _div(neg(c["h12"]), det)],
               [_div(neg(c["h12"]), det), _div(c["h11"], det)]]
@@ -130,9 +132,9 @@ def submersion_jets(m, t):
 def oracle_point_jets(m, t):
     """The PointJets at t of the 40-digit submersion component jets,
     rounded to floats."""
-    return metrics.assemble(t, 2, [jets.Jet2(2, [float(jet[ij]) for ij in
-                                                 jets._IDX[2]])
-                                   for jet in submersion_jets(m, t)])
+    return metrics.assemble(t, 2, [
+        jets.Jet2(2, [float(jet[ij]) for ij in jets._IDX[2]])
+        for jet in submersion_jets(m, t)])
 
 
 def four_metric_jets(m, t):

@@ -14,6 +14,14 @@ from paper_checks import riemann_sectional_curvatures
 # every catalog metric, random_analytic at seeds 0-3
 ORACLE_METRICS = [(name, {}) for name in CATALOG_NAMES[:-1]] + [
     ("random_analytic", {"seed": seed}) for seed in range(4)]
+# the same with random_analytic at seeds 0-5
+ROW_METRICS = ORACLE_METRICS + [("random_analytic", {"seed": seed})
+                                for seed in (4, 5)]
+
+
+def _ids(metrics):
+    return [name + "".join(f"_{v}" for v in params.values())
+            for name, params in metrics]
 
 
 def test_component_jets_match_eval_jet():
@@ -45,8 +53,7 @@ def test_sphere_plane_has_curvature_one():
 
 
 @pytest.mark.parametrize("name, params", ORACLE_METRICS,
-                         ids=[n + "".join(f"_{v}" for v in p.values())
-                              for n, p in ORACLE_METRICS])
+                         ids=_ids(ORACLE_METRICS))
 def test_gauss_curvature_propositions_against_40_digits(name, params):
     # K_Xi = -C_chi/4 and K_Xiperp = C_ric/2 - sg 3 ell_C/4, as pj.second
     # has them, within 2e-13 of the 40-digit Riemann K (floor-1 relative
@@ -73,14 +80,7 @@ def test_gauss_curvature_propositions_against_40_digits(name, params):
         assert mine <= 1.5 * theirs or mine <= 1e-15, (key, worst)
 
 
-# the eight fixed catalog metrics and random_analytic at seeds 0-5
-ROW_METRICS = [(name, {}) for name in CATALOG_NAMES[:-1]] + [
-    ("random_analytic", {"seed": seed}) for seed in range(6)]
-
-
-@pytest.mark.parametrize("name, params", ROW_METRICS,
-                         ids=[n + "".join(f"_{v}" for v in p.values())
-                              for n, p in ROW_METRICS])
+@pytest.mark.parametrize("name, params", ROW_METRICS, ids=_ids(ROW_METRICS))
 def test_every_order_2_report_value_against_40_digit_component_jets(
         name, params):
     # the 40-digit submersion jets, rounded to floats, through the live

@@ -17,11 +17,11 @@ directory, ``["file", workload, seed, name, sha256]``.  ``rank`` covers
 the rank code no benchmark op runs; it takes no seed (its seed field is
 null) and runs once: ``catalog NAME --emit`` of every catalog metric,
 then ``rank --random S --set X`` for S = 0..9 and ``rank FILE --set X``
-for every file written, each for all three invariant sets X.  ``subproc`` runs
-each op as ``python -m g2inv`` in its own process (a fresh warnings
-registry per op, as a shell sees it); ``inproc`` runs them through
-``g2inv.cli.run`` in this process, which is much faster.  Compare two
-checkouts with
+for every file written, each for all three invariant sets X.
+``subproc`` runs each op as ``python -m g2inv`` in its own process (a
+fresh warnings registry per op, as a shell sees it); ``inproc`` runs
+them through ``g2inv.cli.run`` in this process, which is much faster.
+Compare two checkouts with
 
     python3 tools/ident.py OLD inproc 1,5 > old.jsonl
     python3 tools/ident.py NEW inproc 1,5 > new.jsonl
