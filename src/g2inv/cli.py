@@ -270,7 +270,7 @@ def cmd_check_relations(args):
 
 def cmd_rank(args):
     which = args.set
-    order = 2 if which == "order2_20" else 1
+    order, expected, transitive = invariants1.RANK_SETS[which]
     if args.random is not None:
         if args.metric is not None or args.at is not None:
             raise G2InvError(
@@ -279,8 +279,7 @@ def cmd_rank(args):
             raise G2InvError(f"--random SEED must be a non-negative "
                              f"integer, got {args.random}")
         probe = invariants1.random_point_jets(args.random, order=order,
-                                              transitive=which.endswith(
-                                                  "transitive"))
+                                              transitive=transitive)
     else:
         if args.metric is None:
             raise G2InvError("rank needs a metric file or --random SEED")
@@ -294,8 +293,6 @@ def cmd_rank(args):
             at = (sum(dom[0]) / 2, sum(dom[1]) / 2)
         probe = metrics.point_jets(m, at, order=order)
     rank = invariants1.jacobian_rank(which, probe, eps=args.eps)
-    expected = {"fundamental6": 6, "fundamental6_transitive": 4,
-                "order2_20": 20}[which]
     _emit(args, {"command": "rank", "set": which, "rank": rank,
                  "expected_generic": expected})
     return 0 if rank == expected else 1
@@ -425,9 +422,7 @@ def build_parser():
     p.add_argument("metric", nargs="?")
     p.add_argument("--random", type=int, metavar="SEED")
     p.add_argument("--at", type=_parse_point)
-    p.add_argument("--set", required=True,
-                   choices=("fundamental6", "fundamental6_transitive",
-                            "order2_20"))
+    p.add_argument("--set", required=True, choices=invariants1.RANK_SETS)
     p.add_argument("--eps", type=_within(float, 1.0), default=1e-6)
     common(p, method=False)
 

@@ -22,9 +22,12 @@ Conventions fixed here (signs matter):
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
 from . import einstein, jets, metrics
+from .errors import G2InvError
 
 FUNDAMENTAL_IDS = ("C_rho", "C_chi", "Q_chi", "Q_gamma", "ell_C",
                    "Theta_I_sq")
@@ -283,6 +286,15 @@ def relations_first(pj):
 # numerical independence ranks
 # ----------------------------------------------------------------------
 
+# the invariant sets whose rank `rank` measures: the jet order of their
+# probe, their rank at a generic point, and whether the probe must lie on
+# the transitive subspace d2 F_1^k = d1 F_2^k
+RankSet = namedtuple("RankSet", "order generic transitive")
+RANK_SETS = {"fundamental6": RankSet(1, 6, False),
+             "fundamental6_transitive": RankSet(1, 4, True),
+             "order2_20": RankSet(2, 20, False)}
+
+
 def random_point_jets(seed, order=1, transitive=False):
     """Synthetic jet-space probe with nondegenerate h and gt blocks: its
     packed coordinates drawn gt, h, then F, each jet's value first."""
@@ -327,10 +339,10 @@ def _unpack(x, order):
 
 def _invariant_vector(pj, which):
     """The six fundamentals, or order2_20's 20 invariants of order <= 2."""
-    if which not in ("fundamental6", "fundamental6_transitive", "order2_20"):
+    if which not in RANK_SETS:
         raise ValueError(f"unknown invariant set {which!r}")
     vals = [pj.fundamentals[k].value for k in FUNDAMENTAL_IDS]
-    if which == "order2_20":
+    if RANK_SETS[which].order == 2:
         from .invariants2 import SECOND_ORDER_COLUMNS
         vals += [pj.second[k]
                  for k in (*SECOND_ORDER_COLUMNS[:12], "C_ric", "C_nu")]
@@ -344,15 +356,22 @@ RANK_STEP = 1e-6
 def jacobian(which, probe):
     """d(invariants)/d(jet coordinates) at the probe, central differences.
 
-    For the transitive variant, perturbations stay inside the subspace
-    d2 F_1^k = d1 F_2^k; the curl-mean coordinates move in lockstep.
+    For the transitive variant, the probe must lie in the subspace
+    d2 F_1^k = d1 F_2^k (to GENERIC_TOL), and perturbations stay inside
+    it; the curl-mean coordinates move in lockstep.
     """
     order = probe.order
     x0 = _pack(probe)
 
     directions = list(np.eye(len(x0)))
-    if which == "fundamental6_transitive":
+    if RANK_SETS[which].transitive:
         tied = _curl_ties(order)
+        for k, (i, j) in enumerate(tied.items(), 1):
+            curl = float(x0[i] - x0[j])
+            if abs(curl) > metrics.GENERIC_TOL * (abs(x0[i]) + abs(x0[j])):
+                raise G2InvError(
+                    f"invariant set {which!r} needs a probe with zero "
+                    f"curl, but d2 F_1^{k} - d1 F_2^{k} = {curl!r}")
         directions = [e + directions[tied[i]] if i in tied else e
                       for i, e in enumerate(directions)
                       if i not in tied.values()]

@@ -39,22 +39,6 @@ SUBMERSION_KEYS = ("gt11", "gt12", "gt22", "F11", "F12", "F21", "F22",
 # or ell_C count as zero: the stratum decision of classify
 GENERIC_TOL = 1e-10
 
-CATALOG_NAMES = ("flat", "diag_t1", "vdb", "ppwave1", "ppwave2", "ppwave3",
-                 "lambda_kundu", "lambda_kundu_c0", "random_analytic")
-
-# sampling rectangles where each catalog family is smooth and nondegenerate
-CATALOG_DOMAINS = {
-    "flat": ((-1.0, 1.0), (-1.0, 1.0)),
-    "diag_t1": ((0.5, 2.5), (-1.0, 1.0)),
-    "vdb": ((0.3, 1.2), (0.7, 1.5)),
-    "ppwave1": ((-0.5, 0.5), (-0.5, 0.5)),
-    "ppwave2": ((-1.0, 1.0), (-1.0, 1.0)),
-    "ppwave3": ((-1.0, 1.0), (-1.0, 1.0)),
-    "lambda_kundu": ((0.6, 1.4), (-0.4, 0.4)),
-    "lambda_kundu_c0": ((0.6, 1.4), (-0.4, 0.4)),
-    "random_analytic": ((-0.9, 0.9), (-0.9, 0.9)),
-}
-
 
 @dataclass(frozen=True)
 class G2Metric:
@@ -436,30 +420,72 @@ def classify(pj):
 # catalog
 # ----------------------------------------------------------------------
 
-def _doc(name, form, params, components):
-    return {"name": name, "form": form, "params": params,
-            "components": components}
+_C6 = "cosh(sqrt(6)*t1)"
 
-
-def _zeros(keys, given):
-    out = {k: "0" for k in keys}
-    out.update(given)
-    return out
-
-
-def _vdb_document():
-    c6 = "cosh(sqrt(6)*t1)"
-    return _doc("vdb", "bfh", {}, _zeros(BFH_KEYS, {
-        "b11": f"{c6}*sinh(t2)^4 + 2*{c6}*sinh(t2)^2*cosh(t2)^2"
-               f" + 3*cosh(t2)^4/{c6}",
-        "b22": f"-{c6}*sinh(t2)^4",
-        "f11": f"6*cosh(t2)^2/{c6}",
-        "f12": f"2*{c6}*sinh(t2)^2*cosh(t2) + 6*cosh(t2)^3/{c6}",
-        "h11": f"12/{c6}",
-        "h12": f"12*cosh(t2)/{c6}",
-        "h22": f"2*{c6}*sinh(t2)^2 + 12*cosh(t2)^2/{c6}",
-    }))
-
+# the catalog families: name -> (sampling rectangle where the family is
+# smooth and nondegenerate, params with their defaults, nonzero bfh
+# components); random_analytic's components are drawn from its seed
+_FAMILIES = {
+    "flat": (((-1.0, 1.0), (-1.0, 1.0)), {}, {
+        "b11": "1", "b22": "1", "h11": "1", "h22": "1"}),
+    "diag_t1": (((0.5, 2.5), (-1.0, 1.0)), {}, {
+        "b11": "1", "b22": "1", "h11": "t1", "h22": "t1"}),
+    "vdb": (((0.3, 1.2), (0.7, 1.5)), {}, {
+        "b11": f"{_C6}*sinh(t2)^4 + 2*{_C6}*sinh(t2)^2*cosh(t2)^2"
+               f" + 3*cosh(t2)^4/{_C6}",
+        "b22": f"-{_C6}*sinh(t2)^4",
+        "f11": f"6*cosh(t2)^2/{_C6}",
+        "f12": f"2*{_C6}*sinh(t2)^2*cosh(t2) + 6*cosh(t2)^3/{_C6}",
+        "h11": f"12/{_C6}",
+        "h12": f"12*cosh(t2)/{_C6}",
+        "h22": f"2*{_C6}*sinh(t2)^2 + 12*cosh(t2)^2/{_C6}",
+    }),
+    # dt1 dt2 + R^2 (dz1 + W dz2)^2 + S^2 (dz2)^2 with R = S = cos(t1),
+    # W = 2 t1; vacuum requires (W')^2 = -(2 S^2/R^2)(R''/R + S''/S),
+    # here 4 = -2(-1 - 1)
+    "ppwave1": (((-0.5, 0.5), (-0.5, 0.5)), {}, {
+        "b12": "1/2",
+        "h11": "cos(t1)^2",
+        "h12": "2*t1*cos(t1)^2",
+        "h22": "(4*t1^2 + 1)*cos(t1)^2",
+    }),
+    "ppwave2": (((-1.0, 1.0), (-1.0, 1.0)), {"c": 2.0}, {
+        "b11": "1", "b22": "1",
+        "f21": "c*t1",
+        "h11": "c^2*t1^2/2",  # forced: psi_11 + psi_22 = c^2
+        "h12": "1",
+    }),
+    "ppwave3": (((-1.0, 1.0), (-1.0, 1.0)), {"c": 1.0}, {
+        "b11": "exp(t1)", "b22": "exp(t1)",
+        "f21": "c*exp(t1)",
+        "h11": "c^2*exp(t1)",  # forced: psi_11 + psi_22 = c^2 e^t1
+        "h12": "1",
+    }),
+    # coordinates (r, y, u, v); psi = 0 solves the linear psi-equation
+    # 2r(c+r^{3/2})^2 psi_rr + (c+r^{3/2})(2c+5r^{3/2}) psi_r
+    # + 2r psi_yy = 0 trivially
+    "lambda_kundu": (((0.6, 1.4), (-0.4, 0.4)), {"c": 1.0, "Lambda": 3.0}, {
+        "b11": "-3/(4*Lambda*sqrt(t1)*(sqrt(t1)^3 + c))",
+        "b22": "-3*(sqrt(t1)^3 + c)/(4*Lambda*sqrt(t1))",
+        "f21": "-1/(sqrt(t1)*Lambda)",
+        "h11": "-4/(3*Lambda*c*sqrt(t1))",
+        "h12": "-t1",
+    }),
+    # coordinates (x, y, u, v); overall sign chosen so that the
+    # residual R_ab - Lambda g_ab vanishes in the sphere-positive
+    # Ricci convention; psi = x^3 solves the cylindrical equation
+    # psi_xx - (2/x) psi_x + (3/Lambda) psi_yy = 0
+    "lambda_kundu_c0": (((0.6, 1.4), (-0.4, 0.4)), {"Lambda": 3.0}, {
+        "b11": "-3/(Lambda*t1^2)",
+        "b22": "-1/t1^2",
+        "f21": "-t1",
+        "h11": "-(t1^6 + t1^3)/(2*t1^2)",  # psi = t1^3
+        "h12": "-1/t1^2",
+    }),
+    "random_analytic": (((-0.9, 0.9), (-0.9, 0.9)), {"seed": 0}, None),
+}
+CATALOG_NAMES = tuple(_FAMILIES)
+CATALOG_DOMAINS = {name: f[0] for name, f in _FAMILIES.items()}
 
 _RANDOM_FORMS = (
     "{a:.6f}*sin({b:.6f}*t1 + {c:.6f}*t2 + {d:.6f})",
@@ -502,98 +528,37 @@ def _random_analytic_document(seed):
     }
     # sign_g only controls gt22; gt11 stays near +2, so det gt keeps the
     # sign of gt22 on the box (|off-diagonal| <= 0.5 < 1.3*1.3)
-    return _doc(f"random_analytic_{seed}", "submersion", {}, comps)
+    return {"name": f"random_analytic_{seed}", "form": "submersion",
+            "params": {}, "components": comps}
 
 
 def catalog(name, params=None):
     """Instantiate a built-in metric; params override family defaults."""
     params = dict(params or {})
-
-    def take(key, default):
-        value = float(params.pop(key, default))
-        if not math.isfinite(value):
+    if name not in _FAMILIES:
+        raise MetricDefinitionError(f"unknown catalog metric {name!r}")
+    _, defaults, comps = _FAMILIES[name]
+    values = {}
+    for key, default in defaults.items():
+        values[key] = float(params.pop(key, default))
+        if not math.isfinite(values[key]):
             raise MetricDefinitionError(
                 f"param {key!r} must be a finite float")
-        return value
-
-    if name == "flat":
-        doc = _doc("flat", "bfh", {}, _zeros(BFH_KEYS, {
-            "b11": "1", "b22": "1", "h11": "1", "h22": "1"}))
-    elif name == "diag_t1":
-        doc = _doc("diag_t1", "bfh", {}, _zeros(BFH_KEYS, {
-            "b11": "1", "b22": "1", "h11": "t1", "h22": "t1"}))
-    elif name == "vdb":
-        doc = _vdb_document()
-    elif name == "ppwave1":
-        # dt1 dt2 + R^2 (dz1 + W dz2)^2 + S^2 (dz2)^2 with R = S = cos(t1),
-        # W = 2 t1; vacuum requires (W')^2 = -(2 S^2/R^2)(R''/R + S''/S),
-        # here 4 = -2(-1 - 1)
-        doc = _doc("ppwave1", "bfh", {}, _zeros(BFH_KEYS, {
-            "b12": "1/2",
-            "h11": "cos(t1)^2",
-            "h12": "2*t1*cos(t1)^2",
-            "h22": "(4*t1^2 + 1)*cos(t1)^2",
-        }))
-    elif name == "ppwave2":
-        c = take("c", 2.0)
-        doc = _doc("ppwave2", "bfh", {"c": c}, _zeros(BFH_KEYS, {
-            "b11": "1", "b22": "1",
-            "f21": "c*t1",
-            "h11": "c^2*t1^2/2",  # forced: psi_11 + psi_22 = c^2
-            "h12": "1",
-        }))
-    elif name == "ppwave3":
-        c = take("c", 1.0)
-        doc = _doc("ppwave3", "bfh", {"c": c}, _zeros(BFH_KEYS, {
-            "b11": "exp(t1)", "b22": "exp(t1)",
-            "f21": "c*exp(t1)",
-            "h11": "c^2*exp(t1)",  # forced: psi_11 + psi_22 = c^2 e^t1
-            "h12": "1",
-        }))
-    elif name == "lambda_kundu":
-        c = take("c", 1.0)
-        lam = take("Lambda", 3.0)
-        if c == 0.0 or lam == 0.0:
-            raise MetricDefinitionError("lambda_kundu needs c != 0, Lambda != 0")
-        # coordinates (r, y, u, v); psi = 0 solves the linear psi-equation
-        # 2r(c+r^{3/2})^2 psi_rr + (c+r^{3/2})(2c+5r^{3/2}) psi_r
-        # + 2r psi_yy = 0 trivially
-        doc = _doc("lambda_kundu", "bfh", {"c": c, "Lambda": lam},
-                   _zeros(BFH_KEYS, {
-                       "b11": "-3/(4*Lambda*sqrt(t1)*(sqrt(t1)^3 + c))",
-                       "b22": "-3*(sqrt(t1)^3 + c)/(4*Lambda*sqrt(t1))",
-                       "f21": "-1/(sqrt(t1)*Lambda)",
-                       "h11": "-4/(3*Lambda*c*sqrt(t1))",
-                       "h12": "-t1",
-                   }))
-    elif name == "lambda_kundu_c0":
-        lam = take("Lambda", 3.0)
-        if lam == 0.0:
-            raise MetricDefinitionError("lambda_kundu_c0 needs Lambda != 0")
-        # coordinates (x, y, u, v); overall sign chosen so that the
-        # residual R_ab - Lambda g_ab vanishes in the sphere-positive
-        # Ricci convention; psi = x^3 solves the cylindrical equation
-        # psi_xx - (2/x) psi_x + (3/Lambda) psi_yy = 0
-        doc = _doc("lambda_kundu_c0", "bfh", {"Lambda": lam},
-                   _zeros(BFH_KEYS, {
-                       "b11": "-3/(Lambda*t1^2)",
-                       "b22": "-1/t1^2",
-                       "f21": "-t1",
-                       "h11": "-(t1^6 + t1^3)/(2*t1^2)",  # psi = t1^3
-                       "h12": "-1/t1^2",
-                   }))
-    elif name == "random_analytic":
-        seed = take("seed", 0)
-        if seed < 0 or seed != int(seed):
-            raise MetricDefinitionError(
-                f"param 'seed' must be a non-negative integer, got {seed!r}")
-        doc = _random_analytic_document(int(seed))
-    else:
-        raise MetricDefinitionError(f"unknown catalog metric {name!r}")
+    # the Kundu families divide by each of their params
+    if name.startswith("lambda_kundu") and 0.0 in values.values():
+        raise MetricDefinitionError(
+            f"{name} needs " + ", ".join(f"{k} != 0" for k in values))
+    seed = values.pop("seed", 0.0)
+    if seed < 0 or seed != int(seed):
+        raise MetricDefinitionError(
+            f"param 'seed' must be a non-negative integer, got {seed!r}")
     if params:
         raise MetricDefinitionError(
             f"unknown parameters for {name!r}: {sorted(params)}")
-    return load_metric(doc)
+    if comps is None:
+        return load_metric(_random_analytic_document(int(seed)))
+    return load_metric({"name": name, "form": "bfh", "params": values,
+                        "components": dict.fromkeys(BFH_KEYS, "0") | comps})
 
 
 def default_domain(m):

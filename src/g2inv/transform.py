@@ -186,18 +186,15 @@ def apply_to_metric(m, p, name=None):
     components, bound by name.
     """
     probe_points = [(0.1, 0.2), (-0.3, 0.7)]
-    jphi = [expr.eval_jet(p.phi[i], {}, probe_points[0], 2)
-            for i in range(2)]
-    jpsi = [expr.eval_jet(p.psi[i], {}, probe_points[0], 2)
-            for i in range(2)]
+    probes = []  # at each point, the jets of (phi1, phi2) and (psi1, psi2)
     for pt in probe_points:
-        for i in range(2):
-            j2 = expr.eval_jet(p.phi[i], {}, pt, 2)
-            j2p = expr.eval_jet(p.psi[i], {}, pt, 2)
-            if any(abs(j2.d(a, b)) > 1e-13 or abs(j2p.d(a, b)) > 1e-13
-                   for (a, b) in ((2, 0), (1, 1), (0, 2))):
-                raise MetricDefinitionError(
-                    "apply_to_metric needs affine phi and linear psi")
+        probes.append([[expr.eval_jet(f, {}, pt, 2) for f in fs]
+                       for fs in (p.phi, p.psi)])
+        if any(abs(j.d(a, b)) > 1e-13 for js in probes[-1] for j in js
+               for (a, b) in ((2, 0), (1, 1), (0, 2))):
+            raise MetricDefinitionError(
+                "apply_to_metric needs affine phi and linear psi")
+    jphi, jpsi = probes[0]
     J = np.array([[jphi[i].d(1, 0), jphi[i].d(0, 1)] for i in range(2)])
     b = np.array([jphi[i].value for i in range(2)]) - J @ np.array(
         probe_points[0])

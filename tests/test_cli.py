@@ -156,6 +156,25 @@ def test_rank_subcommand(capsys):
                 "fundamental6_transitive"]) == 0
 
 
+def test_a_transitive_rank_needs_a_probe_with_zero_curl(
+        vdb_file, tmp_path, capsys):
+    # vdb is not orthogonally transitive: at its domain centre
+    # d2 F_1^1 != d1 F_2^1, so the transitive set has no rank to report
+    assert run(["rank", vdb_file, "--set", "fundamental6_transitive"]) == 2
+    captured = capsys.readouterr()
+    prefix = ("error: invariant set 'fundamental6_transitive' needs a probe "
+              "with zero curl, but d2 F_1^1 - d1 F_2^1 = ")
+    assert captured.out == "" and captured.err.startswith(prefix)
+    assert captured.err.count("\n") == 1
+    assert float(captured.err[len(prefix):]) == pytest.approx(-2.2285525853)
+    # ppwave1 has F = 0: its probe passes, and its rank is reported
+    pp = tmp_path / "ppwave1.json"
+    assert run(["catalog", "ppwave1", "--emit", str(pp)]) == 0
+    assert run(["rank", str(pp), "--set", "fundamental6_transitive",
+                "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["rank"] == 1
+
+
 def test_transform_invariance(vdb_file, tmp_path):
     tr = tmp_path / "tr.json"
     tr.write_text(json.dumps({

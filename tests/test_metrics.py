@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from collections import Counter
@@ -210,6 +211,69 @@ def test_catalog_unknown_name():
 def test_catalog_unknown_param():
     with pytest.raises(MetricDefinitionError):
         catalog("ppwave2", {"zz": 1.0})
+
+
+# sha256 of cli.dumps(catalog(name, params).to_document()), each family at
+# its defaults and each parameterised family at one override, as first
+# recorded
+CATALOG_SHA256 = [
+    ("flat", {},
+     "61f66909e86a255cf5c3b6c075e8ed48dd7534d556b1e9d8a543905f2be52932"),
+    ("diag_t1", {},
+     "4569650b06472f9c291524c1d75b4942a508fe0568ed50e2479255cda75621d6"),
+    ("vdb", {},
+     "278438c393270519c52b85ae51e9a85bbe29a6e55e2653f3f842899b78542a2e"),
+    ("ppwave1", {},
+     "485de81418ef60f0b5d5a5c380ad903b808d69a78620a92f9b0b7dc7082dd8ab"),
+    ("ppwave2", {},
+     "c68fe86afe223a5a1166af817d3c8b3ed79b2e08ef26298b4a41dc5cd6072211"),
+    ("ppwave3", {},
+     "a4b1b45741faceb7349d72ef7129d86bdc497a7a1dc7782668212b4d20c613ef"),
+    ("lambda_kundu", {},
+     "8b85aefd7159972e836bde364ba537ce479bd37b2ec3359df05c22f76a7e2ad3"),
+    ("lambda_kundu_c0", {},
+     "a3be1a9237c79c07ea4760250d9db073ef8a259a6017a6341957993ea531a337"),
+    ("random_analytic", {},
+     "b2e8892997458b3ef32aa7556c6942829b033788335ffdff27c2dce07ac488cb"),
+    ("ppwave2", {"c": 3.0},
+     "24c0e1a904082387d0873b4acb1c1a6380e5dd692f7e6f21dc9948c78e2f6af9"),
+    ("ppwave3", {"c": 0.5},
+     "29f93f57cd9eb5be8659df78856b083ce7458546b530bc7a949357a5925aba52"),
+    ("lambda_kundu", {"c": 2.0, "Lambda": -1.0},
+     "8414e437d2909ccc20bd756240d44e2e9b86f42044af9bfd6a2217a9f44720b0"),
+    ("lambda_kundu_c0", {"Lambda": 1.0},
+     "4d219123473da748c31a3f15c8e9111c3e76461fc78664d17c9d9f62c76f27a4"),
+    ("random_analytic", {"seed": 7.0},
+     "b5c65d72a5b96736a18ab624b37f69be97591a8119b182c0e823ac76ace1e442"),
+]
+
+
+@pytest.mark.parametrize("name, params, sha256", CATALOG_SHA256)
+def test_catalog_documents_keep_their_bytes(name, params, sha256):
+    text = cli.dumps(catalog(name, params).to_document())
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("nope", {"c": 1.0}, "unknown catalog metric 'nope'"),
+    ("ppwave2", {"zz": math.nan}, "unknown parameters for 'ppwave2': ['zz']"),
+    ("ppwave2", {"c": math.nan, "zz": 1.0},
+     "param 'c' must be a finite float"),
+    ("lambda_kundu", {"c": 0.0, "zz": 1.0},
+     "lambda_kundu needs c != 0, Lambda != 0"),
+    ("lambda_kundu", {"Lambda": math.nan, "c": 0.0},
+     "param 'Lambda' must be a finite float"),
+    ("random_analytic", {"seed": 1.5, "zz": 1.0},
+     "param 'seed' must be a non-negative integer, got 1.5"),
+    ("random_analytic", {"zz": 1.0, "seed": math.inf},
+     "param 'seed' must be a finite float"),
+    ("lambda_kundu_c0", {"Lambda": -0.0}, "lambda_kundu_c0 needs Lambda != 0"),
+    ("flat", {"c": 1.0}, "unknown parameters for 'flat': ['c']"),
+])
+def test_catalog_errors_keep_their_text_and_precedence(name, params, message):
+    with pytest.raises(MetricDefinitionError) as err:
+        catalog(name, params)
+    assert str(err.value) == message
 
 
 def test_catalog_vdb_spot_values():

@@ -16,8 +16,12 @@ with the directory written as DIR, then one line per file left in the
 directory, ``["file", workload, seed, name, sha256]``.  ``rank`` covers
 the rank code no benchmark op runs; it takes no seed (its seed field is
 null) and runs once: ``catalog NAME --emit`` of every catalog metric,
-then ``rank --random S --set X`` for S = 0..9 and ``rank FILE --set X``
-for every file written, each for all three invariant sets X.
+``catalog NAME --param k=v --emit`` of one override of each
+parameterised family (``CATALOG_PARAMS``), two malformed ``catalog
+--param`` calls (``CATALOG_MALFORMED``, recorded by exit code and
+stderr), then ``rank --random S --set X`` for S = 0..9 and ``rank FILE
+--set X`` for the file of every catalog metric at its defaults, each for
+all three invariant sets X.
 ``subproc`` runs each op as ``python -m g2inv`` in its own process (a
 fresh warnings registry per op, as a shell sees it); ``inproc`` runs
 them through ``g2inv.cli.run`` in this process, which is much faster.
@@ -44,6 +48,17 @@ import tempfile
 
 SECONDS = 20
 RANK_SETS = ("fundamental6", "fundamental6_transitive", "order2_20")
+# the --param overrides of the parameterised catalog families, then two
+# malformed --param calls
+CATALOG_PARAMS = (("ppwave2", "c=3"), ("ppwave3", "c=0.5"),
+                  ("lambda_kundu", "c=2", "Lambda=-1"),
+                  ("lambda_kundu_c0", "Lambda=1"),
+                  ("random_analytic", "seed=7"))
+CATALOG_MALFORMED = (("ppwave2", "c"), ("random_analytic", "seed=1.5"))
+
+
+def _param_argv(name, *items):
+    return ["catalog", name, *(a for kv in items for a in ("--param", kv))]
 
 
 def _rank_argvs(names, directory):
@@ -52,6 +67,10 @@ def _rank_argvs(names, directory):
     files = [os.path.join(directory, f"{name}.json") for name in names]
     return ([["catalog", name, "--emit", path]
              for name, path in zip(names, files)]
+            + [_param_argv(*call) + ["--emit", os.path.join(
+                directory, f"{call[0]}-params.json")]
+               for call in CATALOG_PARAMS]
+            + [_param_argv(*call) for call in CATALOG_MALFORMED]
             + [["rank", "--random", str(seed), "--set", which]
                for which in RANK_SETS for seed in range(10)]
             + [["rank", path, "--set", which]
