@@ -10,6 +10,7 @@ import argparse
 import functools
 import math
 import sys
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -30,10 +31,12 @@ def _fmt(value, key="report"):
 
 
 def dumps(obj, indent=0, key="report"):
-    """Deterministic JSON with floats at 17 significant digits."""
+    """Deterministic JSON: floats at 17 significant digits, and strings,
+    keys too, quoted as json.dumps(s, ensure_ascii=False) quotes them."""
     pad = " " * indent
     if isinstance(obj, dict):
-        items = ",\n".join(f'{pad} "{k}": {dumps(v, indent + 1, k).lstrip()}'
+        items = ",\n".join(f"{pad} {encode_basestring(str(k))}: "
+                           f"{dumps(v, indent + 1, k).lstrip()}"
                            for k, v in obj.items())
         return f"{pad}{{\n{items}\n{pad}}}"
     if isinstance(obj, (list, tuple)):
@@ -45,7 +48,7 @@ def dumps(obj, indent=0, key="report"):
         return pad + str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return pad + _fmt(obj, key)
-    return pad + '"' + str(obj).replace('"', '\\"') + '"'
+    return pad + encode_basestring(str(obj))
 
 
 def _parse_point(text):
@@ -89,12 +92,12 @@ def _parse_rect(text):
     return ((a, b), (c, d))
 
 
-def _within(kind, high=math.inf):
-    """An argparse type: a kind(text) strictly between 0 and high."""
+def _within(kind, low=0, high=math.inf):
+    """An argparse type: a kind(text) strictly between low and high."""
     def parse(text):
-        if not 0 < (value := kind(text)) < high:
+        if not low < (value := kind(text)) < high:
             raise argparse.ArgumentTypeError(
-                f"must be in (0, {high}), got {text!r}")
+                f"must be in ({low}, {high}), got {text!r}")
         return value
     parse.__name__ = kind.__name__  # argparse: "invalid float value: ..."
     return parse
@@ -400,7 +403,8 @@ def build_parser():
 
     p = sub.add_parser("check-einstein", help="Lambda-vacuum residuals")
     p.add_argument("metric")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=_within(float, -math.inf),
+                   default=0.0)
     p.add_argument("--points", default="grid",
                    help='"t1,t2;t1,t2;..." or "grid"')
     p.add_argument("--grid", type=_within(int), default=4)
@@ -412,7 +416,8 @@ def build_parser():
     p.add_argument("--first", action="store_true")
     p.add_argument("--second", action="store_true")
     p.add_argument("--onshell", action="store_true")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=_within(float, -math.inf),
+                   default=0.0)
     p.add_argument("--points", default="grid")
     p.add_argument("--grid", type=_within(int), default=4)
     p.add_argument("--tol", type=_within(float), default=1e-7)
@@ -423,7 +428,7 @@ def build_parser():
     p.add_argument("--random", type=int, metavar="SEED")
     p.add_argument("--at", type=_parse_point)
     p.add_argument("--set", required=True, choices=invariants1.RANK_SETS)
-    p.add_argument("--eps", type=_within(float, 1.0), default=1e-6)
+    p.add_argument("--eps", type=_within(float, high=1.0), default=1e-6)
     common(p, method=False)
 
     p = sub.add_parser("transform", help="pushforward and invariance")

@@ -67,19 +67,23 @@ def _defined(where, relation, *columns):
 # entry's position among them
 UPPER = (np.array([0, 0, 1]), np.array([0, 1, 1]))
 _MIRROR = np.array([[0, 1], [1, 2]])
+# entry (a, b) of [[tt, tz], [tz^T, zz]] as entry (block, i, j) of the
+# stack [tt, tz, zz] of its 2x2 blocks
+_HALF, _X = np.divmod(np.arange(4), 2)
+_LOWER = _HALF[:, None] > _HALF
+_BLOCKS = (_HALF[:, None] + _HALF, np.where(_LOWER, _X, _X[:, None]),
+           np.where(_LOWER, _X[:, None], _X))
 
 
 def _symmetric(tt, tz, zz):
-    """(ncoeffs, 4, 4) coefficients of [[tt, tz], [tz^T, zz]], 2x2 blocks."""
-    tt, tz, zz = (np.array(b.coeffs) for b in (tt, tz, zz))
-    return np.concatenate((np.concatenate((tt, tz), 2),
-                           np.concatenate((tz.swapaxes(1, 2), zz), 2)), 1)
+    """The 4x4 block jet [[tt, tz], [tz^T, zz]] of 2x2 block jets."""
+    return jets.part(jets.block([tt, tz, zz]), _BLOCKS)
 
 
 def four_metric(pj):
-    """(ncoeffs, 4, 4) coefficient array of the 4-metric jets in
-    (t1, t2, z1, z2) order, by 2x2 block jets: each entry the per-entry
-    jet loop's, diagonal blocks as upper triangles."""
+    """The 4x4 block jet of the 4-metric in (t1, t2, z1, z2) order, by
+    2x2 block jets: each entry the per-entry jet loop's, diagonal blocks
+    as upper triangles."""
     part, i, j = jets.part, *UPPER
     Ft = jets.block([pj.F[0::2], pj.F[1::2]])  # Ft[k, i] = f_i^k
     h = jets.block([pj.h[:2], pj.h[1:]])
@@ -93,9 +97,8 @@ def four_metric(pj):
 
 
 def inverse_four_metric(pj):
-    """(ncoeffs, 4, 4) coefficient array of the jets of g^{ab}, of order
-    pj.order - 1, via the submersion block formula, by 2x2 block jets as
-    four_metric."""
+    """The 4x4 block jet of g^{ab}, of order pj.order - 1, via the
+    submersion block formula, by 2x2 block jets as four_metric."""
     tr = lambda j: jets.truncate(j, pj.order - 1)
     gt11, gt12, gt22 = (tr(j) for j in pj.gt)
     h11, h12, h22 = (tr(j) for j in pj.h)
@@ -115,41 +118,39 @@ def inverse_four_metric(pj):
                           part(zz, _MIRROR))
 
 
-def _christoffel(g, ginv, order):
-    """Gamma^a_bc = 1/2 g^ad (d_b g_dc + d_c g_db - d_d g_bc) as a
-    (ncoeffs, n, n, n) array of order-`order` jets, from the coefficient
-    arrays of the metric g (order > `order`) and of its inverse ginv
-    (order `order`).  Only the first two coordinates, (t1, t2), carry
-    derivatives."""
-    n = g.shape[1]
-    dg = np.zeros((len(ginv), n) + g.shape[1:])  # dg[:, e, b, c] = d_e g_bc
-    dg[:, :2] = np.take(g, jets._DIFF[order + 1], axis=0).swapaxes(0, 1)
-    bracket = dg.swapaxes(1, 2) + dg.swapaxes(1, 2).swapaxes(2, 3) - dg
-    # the terms of each d are summed in turn, as a per-entry jet loop
-    # over d would; at order 1 the values are then that loop's, bit for
-    # bit.  One einsum call per d, so that its terms never all exist at
-    # once on a batch
-    mul = jets.MUL_TENSOR[order]
-    return 0.5 * sum(np.einsum("opq,pa...,qbc...->oabc...", mul,
-                               ginv[:, :, d], bracket[:, d])
-                     for d in range(n))
+def _christoffel(g, ginv):
+    """Gamma^a_bc = 1/2 g^ad (d_b g_dc + d_c g_db - d_d g_bc) as the
+    n x n x n block jet, of ginv's order, from the n x n block jets of
+    the metric g (one order higher) and of its inverse ginv.  Only the
+    first two coordinates, (t1, t2), carry derivatives."""
+    n, part = len(ginv.value), jets.part
+    dg = jets.gradient(g, n)  # dg[e, b, c] = d_e g_bc
+    d, b, c = np.ix_(*[range(n)] * 3)
+    bracket = part(dg, (b, d, c)) + part(dg, (c, d, b)) - dg
+    # summed over d in turn, one d at a time (the per-entry jet loop's
+    # bits, without every d's terms at once on a batch); a product
+    # overflows silently, and its inf or NaN fails the sum or a reader
+    acc = jets.constant(0.0, ginv.order)
+    for k in range(n):
+        with np.errstate(over="ignore", invalid="ignore"):
+            term = part(ginv, np.s_[:, k, None, None]) * part(bracket, k)
+        acc = acc + term
+    return 0.5 * acc
 
 
 def christoffel4(pj):
-    """(ncoeffs, 4, 4, 4) coefficient array of the Christoffel symbol
-    jets, of order pj.order - 1."""
+    """The 4x4x4 block jet of the Christoffel symbols, of pj.order - 1."""
     if pj.order < 1:
         raise ValueError("christoffel4 needs jets of order >= 1")
-    return _christoffel(pj.g4, inverse_four_metric(pj), pj.order - 1)
+    return _christoffel(pj.g4, inverse_four_metric(pj))
 
 
 def _riemann(gamma):
-    """R^a_bcd values from a Christoffel coefficient array of order >= 1;
-    only the first two coordinates, (t1, t2), carry derivatives."""
-    dG = np.zeros((gamma.shape[1],) + gamma.shape[1:])  # dG[e] = d_e Gamma
-    dG[:2] = gamma[1:3]
+    """R^a_bcd values from a Christoffel block jet of order >= 1; only
+    the first two coordinates, (t1, t2), carry derivatives."""
+    dG = jets.gradient(gamma, len(gamma.value)).value  # dG[e] = d_e Gamma
     D = np.einsum("cadb...->abcd...", dG)
-    P = np.einsum("ace...,edb...->abcd...", gamma[0], gamma[0])
+    P = np.einsum("ace...,edb...->abcd...", gamma.value, gamma.value)
     return D - D.swapaxes(2, 3) + P - P.swapaxes(2, 3)
 
 
@@ -167,7 +168,7 @@ def ricci4(pj):
 
 def sectional_curvature(pj, u, v):
     """K of the plane spanned by 4-vectors u, v (each (4, B) on a batch)."""
-    g = _stack(pj.g4[0], 2)
+    g = _stack(pj.g4.value, 2)
     u, v = (np.asarray(x, dtype=float) for x in (u, v))
     # K = g(R(u, v) v, u) / (|u|^2 |v|^2 - g(u, v)^2), normalized so the
     # unit 2-sphere plane has K = +1
@@ -185,8 +186,8 @@ def residual(pj, lam):
     """Lambda-vacuum residual R_ab - Lambda g_ab at the point of pj, as a
     row: normalized = max_abs (largest |entry|) / scale (max |g4 coef|)."""
     with metrics.singular_on_overflow("residual"):
-        max_abs = np.abs(ricci4(pj) - lam * pj.g4[0]).max((0, 1))
-    scale = np.abs(pj.g4).max((0, 1, 2))
+        max_abs = np.abs(ricci4(pj) - lam * pj.g4.value).max((0, 1))
+    scale = np.abs(pj.g4.coeffs).max((0, 1, 2))
     if not pj.batch:
         max_abs, scale = float(max_abs), float(scale)
     return {"normalized": max_abs / scale, "max_abs": max_abs,

@@ -161,7 +161,7 @@ def frame(pj):
 def frame_lengths(pj):
     """ell, the g-lengths g(Y_a, Y_a) of the rows of pj.frame ((4,), or
     (4, B) on a batch)."""
-    g4 = einstein._stack(pj.g4[0], 2)
+    g4 = einstein._stack(pj.g4.value, 2)
     return np.array([einstein._unstack(einstein._form(y, g4, y), pj)
                      for y in (einstein._stack(v, 1) for v in pj.frame)])
 
@@ -190,7 +190,7 @@ def oneill_tensors(pj):
     (1,1) maps T(C, .) and T(Cperp, .)), which exist on every stratum.
     """
     ver, hor = _projection_matrices(pj)
-    G = pj.christoffel[0]
+    G = pj.christoffel.value
     T = np.zeros((4,) + ver.shape)
     # ver @ x and hor @ x of each column as stacked matmuls
     stacks = [einstein._stack(p, 2) for p in (ver, hor)]
@@ -264,8 +264,8 @@ def relations_first(pj):
         "theta_III_sq_vs_theta_Cperp":
             norm([sq(th3), -sgn_gt * sgn_h * 16.0 * Theta_Cp]),
         "theta_II_T342_Qchi": einstein._defined(
-            st.generic, theta_II_T342_Qchi, T, pj.frame, ell, pj.g4[0], th2,
-            ell_C, Q_chi, Q_gamma, sgn_h, sgn_gt),
+            st.generic, theta_II_T342_Qchi, T, pj.frame, ell, pj.g4.value,
+            th2, ell_C, Q_chi, Q_gamma, sgn_h, sgn_gt),
         "theta_sum_vs_gamma_root": einstein._defined(
             ~st.ell_c_zero,
             lambda ell_C, root, th1, th3, sgn_h: norm(

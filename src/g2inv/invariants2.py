@@ -25,32 +25,14 @@ SECOND_ORDER_COLUMNS = (
     "J1", "J2")
 
 
-def _orbit_curvature(pj):
-    """(C_ric, Q_ric) of the 2D orbit metric from order-2 jets, the size
-    of the terms C_ric sums (|g^-1| (|dGamma| + |Gamma|^2)), and its
-    Christoffel coefficient array (order-(pj.order - 1) jets)."""
-    gi = pj.fundamentals["gi"]
-    gamma = einstein._christoffel(*(np.array(jets.block(
-        [m[:2], m[1:]]).coeffs) for m in (pj.gt, gi)), pj.order - 1)
-    c_ric, q_ric, gi_stack = _trace_det(
-        pj, np.einsum("abad...->bd...", einstein._riemann(gamma)))
-    with np.errstate(over="ignore", invalid="ignore"):  # inf, as on floats
-        size = np.abs(gamma[0]).max((0, 1, 2))
-        scale = np.abs(gi_stack).max((1, 2)) * (
-            np.abs(gamma[1:3]).max((0, 1, 2, 3)) + size * size)
-    return c_ric, q_ric, einstein._unstack(scale, pj), gamma
-
-
-def _trace_det(pj, mu):
-    """C_mu = tr(gt^-1 mu), Q_mu = det mu / det gt and the stack gt^-1."""
-    gt = einstein._stack(np.array([[pj.gt[0].value, pj.gt[1].value],
-                                   [pj.gt[1].value, pj.gt[2].value]]), 2)
+def _trace_det(pj, mu, gi, det_gt):
+    """C_mu = tr(gt^-1 mu) and Q_mu = det mu / det gt, from the stacks
+    of gt^-1 and det gt."""
     mu = einstein._stack(mu, 2)
-    gi = np.linalg.inv(gt)
     # a 1x4 by 4x1 product per column: np.tensordot's sum for one point
     c = (gi.reshape(-1, 1, 4) @ mu.reshape(-1, 4, 1))[:, 0, 0]
-    q = np.linalg.det(mu) / np.linalg.det(gt)
-    return einstein._unstack(c, pj), einstein._unstack(q, pj), gi
+    q = np.linalg.det(mu) / det_gt
+    return einstein._unstack(c, pj), einstein._unstack(q, pj)
 
 
 def _hessian_log_det_h(pj, gamma2):
@@ -63,7 +45,7 @@ def _hessian_log_det_h(pj, gamma2):
             second = jets.t_derivative(dL[i], j).value if L.order >= 2 \
                 else 0.0
             nu[i][j] = second - sum(
-                gamma2[0, k, i, j] * dL[k].value for k in range(2))
+                gamma2.value[k, i, j] * dL[k].value for k in range(2))
     return nu
 
 
@@ -81,8 +63,22 @@ def second_invariants_from_jets(pj):
     sec = dict(zip(SECOND_ORDER_COLUMNS, [
         jets.along(v, jv[k]) for v in (X, Xp) for k in FUNDAMENTAL_IDS]))
 
-    c_ric, q_ric, ric_scale, gamma2 = _orbit_curvature(pj)
-    C_nu, Q_nu, _ = _trace_det(pj, _hessian_log_det_h(pj, gamma2))
+    # the orbit metric's Christoffel block jet (order pj.order - 1), and
+    # C and Q of its Ricci tensor and of nu from one gt^-1 and det gt
+    gt, gi = (jets.block([m[:2], m[1:]]) for m in (pj.gt, jv["gi"]))
+    gamma = einstein._christoffel(gt, gi)
+    stack = einstein._stack(gt.value, 2)
+    inv_det = np.linalg.inv(stack), np.linalg.det(stack)
+    c_ric, q_ric = _trace_det(pj, np.einsum(
+        "abad...->bd...", einstein._riemann(gamma)), *inv_det)
+    C_nu, Q_nu = _trace_det(pj, _hessian_log_det_h(pj, gamma), *inv_det)
+    # ric_scale, the size of the terms C_ric sums: |g^-1| (|dGamma| +
+    # |Gamma|^2), inf as on floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = np.abs(gamma.value).max((0, 1, 2))
+        ric_scale = einstein._unstack(np.abs(inv_det[0]).max((1, 2)) * (
+            np.abs(jets.gradient(gamma, 2).value).max((0, 1, 2, 3))
+            + size * size), pj)
     C_rho = jv["C_rho"].value
     C_chi = jv["C_chi"].value
     sg = pj.stratum.sign_det_gt

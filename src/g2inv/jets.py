@@ -9,9 +9,10 @@ curvature and invariant computation exact as well.
 
 A coefficient is a float, or a length-B float64 vector for a batch of B
 points, each column computed with the bits of its own point's floats.
-A block jet (block, part, fold) holds the jets of a matrix of functions
-as one jet: each coefficient carries leading index axes (2x2, or
-2x2x3 for the terms of three sums) in front of a batch's point axis.
+A block jet (block, part, fold, gradient) holds the jets of an array of
+functions as one jet: each coefficient carries leading index axes (2x2,
+4x4x4, or 2x2x3 for the terms of three sums) in front of a batch's
+point axis.
 The kernels are elementwise and broadcast, so one block operation gives
 each entry the bits of its own operation; at a float point it runs
 silent (block_errstate), as Python floats do, and part gives the
@@ -135,22 +136,8 @@ _MUL_KERNEL = {n: _mul_kernel(n) for n in _IDX}
 _DIV_KERNEL = {n: _div_kernel(n) for n in _IDX}
 
 
-def _dense(table, size):
-    out = np.zeros((size, size, size))
-    for pos, pa, pb, w in table:
-        out[pos, pa, pb] = w
-    return out
-
-
-# MUL_TENSOR[n][o, p, q]: weight of a_p * b_q in coefficient o of the
-# product of two order-n jets, so on coefficient arrays (ncoeffs, ...)
-# the product is np.einsum("opq,p...,q...->o...", MUL_TENSOR[n], a, b)
-MUL_TENSOR = {n: _dense(_MUL[n], len(_IDX[n])) for n in _MUL}
-
 # _DIFF[n][s]: positions, in the order-n layout, of the coefficients of
-# the order-(n - 1) jet d/dt^(s+1); the layout is graded, so they serve
-# every order >= n as well (np.take(c, _DIFF[n], axis=0) differentiates
-# a coefficient array c along both t at once)
+# the order-(n - 1) jet d/dt^(s+1)
 _DIFF = {n: tuple(tuple(_POS[n][(i + 1 - s, j + s)] for (i, j) in _IDX[n - 1])
                   for s in (0, 1))
          for n in range(1, MAX_ORDER + 1)}
@@ -318,7 +305,8 @@ def _spread(a, point):
 
 def block(rows):
     """The block jet of a nested list of jets of one order and kind
-    (floats, or vectors of one batch), the nesting its index axes."""
+    (floats, or vectors of one batch), the nesting its index axes, or of
+    block jets of one shape, whose index axes follow the nesting's."""
     first, depth = rows, 0
     while type(first) is not Jet2:
         first, depth = first[0], depth + 1
@@ -536,6 +524,15 @@ def t_derivative(a, s):
     return _jet(a.order - 1, tuple([c[k] for k in _DIFF[a.order][s]]))
 
 
+def gradient(a, n):
+    """The block jet of da/dx^e over e < n as a new first index axis, one
+    order lower than a: x = (t1, t2, ...), and a depends on t1 and t2
+    alone, so the entries e >= 2 are zeros."""
+    c, zeros = a.coeffs, np.zeros((n - 2, *np.shape(a.value)))
+    return _jet(a.order - 1, tuple(np.concatenate(([c[p], c[q]], zeros))
+                                   for p, q in zip(*_DIFF[a.order])))
+
+
 def along(vec, jet):
     """Value of the derivative of the jet along the base vector (v1, v2)."""
     return (vec[0] * t_derivative(jet, 0).value
@@ -582,9 +579,12 @@ def compose_map(u, iota1, iota2):
 FD_STEP = 1e-2
 
 
-def _fd_quotients(at, order, h):
+def _fd_quotients(at, order):
     """The jet coefficients as Richardson-extrapolated central differences
-    of at(i, j, s), the value at (t1 + i*s, t2 + j*s), for s = h and h/2."""
+    of at(i, j, s), the value at (t1 + i*s, t2 + j*s), for s = h and h/2,
+    h = FD_STEP as it is at the call."""
+    h = FD_STEP
+
     def richardson(est):
         return (4.0 * est(h / 2.0) - est(h)) / 3.0
 
@@ -609,11 +609,12 @@ def _fd_quotients(at, order, h):
 @functools.cache
 def _fd_stencil(order, h):
     """The distinct (i, j, s) the quotients ask for, in the order they
-    first ask: 1, 9 and 17 at orders 0, 1 and 2."""
+    first ask: 1, 9 and 17 at orders 0, 1 and 2.  h is FD_STEP at the
+    call, the step the quotients read, and keys the cache."""
     if order > 2:
         raise ValueError("finite-difference jets support order <= 2 only")
     asked = {}
-    _fd_quotients(lambda *k: asked.setdefault(k, 0.0), order, h)
+    _fd_quotients(lambda *k: asked.setdefault(k, 0.0), order)
     return tuple(asked)
 
 
@@ -621,28 +622,25 @@ def _shift(t, i, s):
     return t if i == 0 else t + s if i > 0 else t - s
 
 
-def _stencil_points(point, order, h):
-    return [(_shift(point[0], i, s), _shift(point[1], j, s))
-            for i, j, s in _fd_stencil(order, h)]
-
-
 def fd_points(point, order):
-    """The points finite_difference_jet evaluates at its default step,
-    once each and in this order (each a batch, for a batch point)."""
-    return _stencil_points(point, order, FD_STEP)
+    """The points finite_difference_jet evaluates, once each and in this
+    order (each a batch, for a batch point)."""
+    return [(_shift(point[0], i, s), _shift(point[1], j, s))
+            for i, j, s in _fd_stencil(order, FD_STEP)]
 
 
-def finite_difference_jet(evalfn, point, order, h=FD_STEP):
-    """Central-difference jet (order <= 2) with one Richardson level.
+def finite_difference_jet(evalfn, point, order):
+    """Central-difference jet (order <= 2) with one Richardson level, at
+    the step FD_STEP.
 
     Independent oracle for the analytic jet arithmetic; evalfn maps a
     (t1, t2) pair to a float and is called once on each stencil point, in
     the order of fd_points.  An evalfn giving a float64 vector, the
     values of several functions, gives their jets as one batch jet.
     """
-    values = dict(zip(_fd_stencil(order, h),
-                      map(evalfn, _stencil_points(point, order, h))))
-    coeffs = _fd_quotients(lambda *k: values[k], order, h)
+    values = dict(zip(_fd_stencil(order, FD_STEP),
+                      map(evalfn, fd_points(point, order))))
+    coeffs = _fd_quotients(lambda *k: values[k], order)
     if isinstance(coeffs[0], np.ndarray):
         return _jet(order, tuple(coeffs))
     return Jet2(order, coeffs)

@@ -100,10 +100,10 @@ class PointJets:
     Xperp), q_gamma_root (read by the first-order and on-shell relation
     suites), fields (the first-order invariants of the first-order
     relation suite), stratum (classify: which frames and relations
-    apply), g4 and christoffel (coefficient arrays of the 4-metric and
-    Christoffel jets), riemann, frame (the semi-invariant frame Y),
-    oneill_tensors, second (the second-order invariants, K_Xi and
-    K_Xiperp by the Gauss-curvature propositions).
+    apply), g4 and christoffel (the 4x4 and 4x4x4 block jets of the
+    4-metric and the Christoffel symbols), riemann, frame (the
+    semi-invariant frame Y), oneill_tensors, second (the second-order
+    invariants, K_Xi and K_Xiperp by the Gauss-curvature propositions).
     Callers read them and never mutate them.
     """
     point: tuple
@@ -272,9 +272,7 @@ def _eval_components(m, point, order, method):
         jet = jets.finite_difference_jet(
             lambda p, columns=iter(values.swapaxes(0, 1)): next(columns),
             point, order)
-        coeffs = np.swapaxes(jet.coeffs, 0, 1)  # component, coefficient[, point]
-        return {key: jets._jet(order, tuple(c)) for key, c in zip(
-            m.asts, coeffs if coeffs.ndim == 3 else coeffs.tolist())}
+        return {key: jets.part(jet, k) for k, key in enumerate(m.asts)}
     raise ValueError(f"unknown jet method {method!r}")
 
 

@@ -162,7 +162,16 @@ def test_four_metric_layers(benchmark, layer, point):
     # the block layer alone, on one order-2 PointJets of vdb: one point,
     # or the six points of a check op as one batch
     pj = point_jets(VDB, point)
-    assert np.isfinite(benchmark(getattr(einstein, layer), pj)).all()
+    assert benchmark(getattr(einstein, layer), pj).is_finite()
+
+
+@pytest.mark.parametrize("point", [POINT, CHECK_BATCH], ids=["float", "B6"])
+def test_christoffel4(benchmark, point):
+    # the Christoffel block jet and the inverse 4-metric it builds, on one
+    # order-2 PointJets of vdb whose 4-metric is read once beforehand
+    pj = point_jets(VDB, point)
+    pj.g4
+    assert benchmark(einstein.christoffel4, pj).is_finite()
 
 
 @pytest.mark.parametrize("point", [POINT, CHECK_BATCH], ids=["float", "B6"])

@@ -80,7 +80,7 @@ def oneill_AT(pj):
                 dhor[s][2 + k][j] = -dF[s][2 * j + k]
     for k in range(2):
         ver[2 + k][2 + k] = 1.0
-    G = pj.christoffel[0]
+    G = pj.christoffel.value
     T = np.zeros((4, 4, 4))
     A = np.zeros((4, 4, 4))
     for b in range(4):
@@ -122,7 +122,7 @@ def oneill(pj):
     Y, ell = pj.frame, frame_lengths(pj)
     T, Theta_C, _ = pj.oneill_tensors
     A, _ = oneill_AT(pj)
-    g4 = pj.g4[0]
+    g4 = pj.g4.value
 
     def expand(tensor):
         vec = np.einsum("dbc,ib,jc->dij", tensor, Y, Y)

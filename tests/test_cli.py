@@ -250,6 +250,21 @@ def test_float_formatting_17_digits():
     assert json.loads(text)["x"] == x
 
 
+@pytest.mark.parametrize("name", ["a\\q", "two\nlines", "a\ttab",
+                                  'a "quote"', "\x01", "caf\u00e9"])
+def test_a_json_report_is_json_whatever_the_metric_name(tmp_path, capsys,
+                                                        name):
+    # every string, keys too, is escaped as json.dumps escapes it
+    doc = catalog("flat").to_document()
+    doc["name"] = name
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["invariants", str(path), "--at=0.1,0.2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["metric"] == name
+    assert json.loads(dumps({name: [name]})) == {name: [name]}
+
+
 def test_pass_flag_from_numpy_values_is_a_json_boolean(tmp_path, capsys):
     # the theta_II_T342_Qchi residual is a numpy float; when it is the
     # worst residual, the pass flag is a numpy bool
@@ -765,6 +780,16 @@ def test_tolerance_not_finite_and_positive_is_a_usage_error(
     second = {"transform": [transform_file], "equiv": [vdb_file]}
     _usage_error([command, vdb_file, *second.get(command, []),
                   "--tol", value], "--tol", capsys)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [["check-einstein"],
+                                  ["check-relations", "--onshell"]])
+def test_a_non_finite_lambda_is_a_usage_error(argv, value, kundu_file,
+                                              capsys):
+    # the option is named, not a singular residual or a NaN report key
+    _usage_error([argv[0], kundu_file, *argv[1:], "--points=0.9,0.1",
+                  f"--lambda={value}"], "--lambda", capsys)
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

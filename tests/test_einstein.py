@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from g2inv import catalog, einstein, load_metric, point_jets
+from g2inv import catalog, einstein, jets, load_metric, point_jets
 from g2inv.metrics import CATALOG_NAMES, default_domain, grid_points
 from paper_checks import kundu_A, riemann_sectional_curvatures
 
@@ -12,7 +12,7 @@ Z = {k: "0" for k in ("b11", "b12", "b22", "f11", "f12", "f21", "f22",
 
 
 def test_four_metric_flat_is_identity():
-    g = point_jets(catalog("flat"), (0.5, 0.5)).g4[0]
+    g = point_jets(catalog("flat"), (0.5, 0.5)).g4.value
     assert np.allclose(g, np.eye(4))
 
 
@@ -20,7 +20,7 @@ def test_four_metric_blocks_match_expressions():
     m = catalog("vdb")
     from g2inv.expr import eval_scalar
     pt = (0.5, 1.0)
-    g = point_jets(m, pt).g4[0]
+    g = point_jets(m, pt).g4.value
     vals = {k: eval_scalar(m.asts[k], m.params, pt) for k in m.components}
     assert g[0, 0] == pytest.approx(vals["b11"], rel=1e-13)
     assert g[0, 2] == pytest.approx(vals["f11"], rel=1e-13)
@@ -29,20 +29,20 @@ def test_four_metric_blocks_match_expressions():
 
 def test_inverse_four_metric():
     pj = point_jets(catalog("vdb"), (0.7, 1.1))
-    g = pj.g4[0]
-    gi = einstein.inverse_four_metric(pj)[0]
+    g = pj.g4.value
+    gi = einstein.inverse_four_metric(pj).value
     assert np.allclose(g @ gi, np.eye(4), atol=1e-12)
 
 
 def test_christoffels_flat_vanish():
     chris = einstein.christoffel4(point_jets(catalog("flat"), (0.2, 0.9)))
-    assert chris.shape == (3, 4, 4, 4)
-    assert np.all(chris[0] == 0.0)
+    assert np.array(chris.coeffs).shape == (3, 4, 4, 4)
+    assert np.all(chris.value == 0.0)
 
 
 def test_christoffel_symmetry():
     pj = point_jets(catalog("vdb"), (0.6, 1.2))
-    values = einstein.christoffel4(pj)[0]
+    values = einstein.christoffel4(pj).value
     assert np.array_equal(values, values.transpose(0, 2, 1))
 
 
@@ -50,11 +50,11 @@ def test_metricity():
     # d_c g_ab = G^e_ca g_eb + G^e_cb g_ae reconstructed from the jets
     pj = point_jets(catalog("vdb"), (0.5, 1.0))
     g = einstein.four_metric(pj)
-    gv = g[0]
-    Gv = einstein.christoffel4(pj)[0]
+    gv = g.value
+    Gv = einstein.christoffel4(pj).value
     scale = np.max(np.abs(gv))
     for c in range(2):
-        dg = g[1 + c]  # coefficients 1 and 2 are d/dt1 and d/dt2
+        dg = jets.t_derivative(g, c).value
         rebuilt = np.einsum("ea,eb->ab", Gv[:, c, :], gv) \
             + np.einsum("eb,ae->ab", Gv[:, c, :], gv)
         assert np.max(np.abs(dg - rebuilt)) < 1e-10 * scale
@@ -88,7 +88,7 @@ def test_schwarzschild_is_ricci_flat():
 
 def test_residual_matrix_symmetric():
     pj = point_jets(catalog("lambda_kundu"), (0.9, 0.1))
-    mat = einstein.ricci4(pj) - 3.0 * pj.g4[0]
+    mat = einstein.ricci4(pj) - 3.0 * pj.g4.value
     assert np.max(np.abs(mat - mat.T)) < 1e-12
 
 
@@ -134,14 +134,14 @@ def test_divergence_of_einstein_tensor():
 
     def einstein_tensor_mixed(p):
         pj = point_jets(m, p)
-        g = pj.g4[0]
+        g = pj.g4.value
         ric = einstein.ricci4(pj)
         gi = np.linalg.inv(g)
         sc = np.tensordot(gi, ric)
         return gi @ ric - 0.5 * sc * np.eye(4), pj
 
     G0, pj0 = einstein_tensor_mixed(pt)
-    Gv = einstein.christoffel4(pj0)[0]
+    Gv = einstein.christoffel4(pj0).value
     dG = [(einstein_tensor_mixed((pt[0] + h, pt[1]))[0]
            - einstein_tensor_mixed((pt[0] - h, pt[1]))[0]) / (2 * h),
           (einstein_tensor_mixed((pt[0], pt[1] + h))[0]
@@ -218,15 +218,16 @@ def test_riemann_identities():
     for pj in _catalog_points():
         R = pj.riemann
         gamma = pj.christoffel
-        scale = max(1.0, np.abs(R).max(), np.abs(gamma[1:3]).max(),
-                    np.abs(gamma[0]).max() ** 2)
+        dgamma = [jets.t_derivative(gamma, s).value for s in (0, 1)]
+        scale = max(1.0, np.abs(R).max(), np.abs(dgamma).max(),
+                    np.abs(gamma.value).max() ** 2)
         # antisymmetry in the last pair
         assert np.abs(R + R.transpose(0, 1, 3, 2)).max() <= 1e-13 * scale
         # first Bianchi identity R^a_bcd + R^a_cdb + R^a_dbc = 0
         bianchi = R + np.einsum("acdb->abcd", R) + np.einsum("adbc->abcd", R)
         assert np.abs(bianchi).max() <= 1e-12 * scale
         # pair symmetry of R_abcd = g_ae R^e_bcd
-        g = pj.g4[0]
+        g = pj.g4.value
         low = np.einsum("ae,ebcd->abcd", g, R)
         assert np.abs(low - low.transpose(2, 3, 0, 1)).max() \
             <= 1e-12 * scale * np.abs(g).max()
@@ -258,7 +259,6 @@ def _nested_four_metric(pj):
 def _nested_inverse_four_metric(pj):
     """g^{ab} as a 4x4 nested list of jets, of order pj.order - 1, by
     per-entry jet arithmetic on the submersion block formula."""
-    from g2inv import jets
     tr = lambda j: jets.truncate(j, pj.order - 1)
     gt11, gt12, gt22 = (tr(j) for j in pj.gt)
     h11, h12, h22 = (tr(j) for j in pj.h)
@@ -284,10 +284,16 @@ def _nested_inverse_four_metric(pj):
 
 
 def _array(rows):
-    """(ncoeffs, n, m) coefficient array of an n x m nested list of jets
-    (a batch's point axis last)."""
-    return np.moveaxis(np.array([[j.coeffs for j in row] for row in rows]),
-                       2, 0)
+    """(ncoeffs, n, ...) coefficient array of an n x ... nested list of
+    jets (a batch's point axis last)."""
+    depth, first = 0, rows
+    while not isinstance(first, jets.Jet2):
+        depth, first = depth + 1, first[0]
+
+    def coeffs(x):
+        return x.coeffs if isinstance(x, jets.Jet2) \
+            else [coeffs(r) for r in x]
+    return np.moveaxis(np.array(coeffs(rows)), depth, 0)
 
 
 def _same_bits(got, want):
@@ -309,14 +315,15 @@ def test_block_metric_layers_are_the_per_entry_loops_bit_for_bit(order):
     for m, points in block_layer_points():
         for point in points:
             pj = point_jets(m, point, order=order)
-            assert _same_bits(pj.g4, _array(_nested_four_metric(pj)))
-            assert _same_bits(einstein.inverse_four_metric(pj),
-                              _array(_nested_inverse_four_metric(pj)))
+            assert _same_bits(np.array(pj.g4.coeffs),
+                              _array(_nested_four_metric(pj)))
+            assert _same_bits(
+                np.array(einstein.inverse_four_metric(pj).coeffs),
+                _array(_nested_inverse_four_metric(pj)))
 
 
 def _nested_christoffel(pj):
     """Christoffel jets by the per-entry jet loop (the oracle)."""
-    from g2inv import jets
     n = pj.order - 1
     g = _nested_four_metric(pj)
     ginv = _nested_inverse_four_metric(pj)
@@ -337,9 +344,19 @@ def _nested_christoffel(pj):
     return gamma
 
 
+@pytest.mark.parametrize("order", [2, 3])
+def test_christoffel_is_the_per_entry_loop_bit_for_bit(order):
+    # the kernel product of block jets, summed one d at a time, is the
+    # per-entry loop's product and sum, at every jet order
+    for m, points in block_layer_points():
+        for point in points:
+            pj = point_jets(m, point, order=order)
+            assert _same_bits(np.array(pj.christoffel.coeffs),
+                              _array(_nested_christoffel(pj)))
+
+
 def _nested_riemann(gamma):
     """R^a_bcd by the per-component loop over Christoffel jets."""
-    from g2inv import jets
     Gv = np.array([[[gamma[a][b][c].value for c in range(4)]
                     for b in range(4)] for a in range(4)])
 
@@ -368,6 +385,7 @@ def test_curvature_matches_the_nested_jet_loops():
         want = np.array([[[[j.coeffs[k] for j in row] for row in plane]
                           for plane in nested]
                          for k in range(len(nested[0][0][0].coeffs))])
-        assert _same_bits(pj.g4, _array(_nested_four_metric(pj)))
-        assert _rel_err(pj.christoffel, want) <= 1e-13
+        assert _same_bits(np.array(pj.g4.coeffs),
+                          _array(_nested_four_metric(pj)))
+        assert _rel_err(np.array(pj.christoffel.coeffs), want) <= 1e-13
         assert _rel_err(pj.riemann, _nested_riemann(nested)) <= 1e-13

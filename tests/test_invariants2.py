@@ -38,21 +38,23 @@ def test_invariant_field_jet_matches_analytic_derivative():
 
 
 @pytest.mark.parametrize("key", FUNDAMENTAL_IDS)
-def test_field_jets_match_finite_differences(key):
+def test_field_jets_match_finite_differences(key, monkeypatch):
+    monkeypatch.setattr(jets, "FD_STEP", 1e-3)
     m = catalog("vdb")
     pt = (0.7, 1.1)
     j = point_jets(m, pt).fields[key]
     fd = jets.finite_difference_jet(
         lambda p: first_invariant_jets(point_jets(m, p, order=1))[key].value,
-        pt, 1, h=1e-3)
+        pt, 1)
     for k in range(3):
         assert j.coeffs[k] == pytest.approx(fd.coeffs[k], rel=1e-6,
                                             abs=1e-8)
 
 
-def test_order3_jets_give_second_derivatives():
+def test_order3_jets_give_second_derivatives(monkeypatch):
     # cross-validation path: order-3 component jets carry exact second
     # derivatives of the invariant fields
+    monkeypatch.setattr(jets, "FD_STEP", 1e-3)
     m = catalog("vdb")
     pt = (0.6, 1.2)
     pj = point_jets(m, pt, order=3)
@@ -60,7 +62,7 @@ def test_order3_jets_give_second_derivatives():
     assert j2.order == 2
     fd = jets.finite_difference_jet(
         lambda p: first_invariant_jets(
-            point_jets(m, p, order=1))["ell_C"].value, pt, 2, h=1e-3)
+            point_jets(m, p, order=1))["ell_C"].value, pt, 2)
     for k in range(6):
         assert j2.coeffs[k] == pytest.approx(fd.coeffs[k], rel=2e-5,
                                              abs=1e-7)

@@ -91,7 +91,7 @@ def test_det_identity_four_metric():
     for _ in range(10):
         pt = (rng.uniform(0.3, 1.2), rng.uniform(0.7, 1.5))
         pj = point_jets(m, pt, order=1)
-        g4 = pj.g4[0]
+        g4 = pj.g4.value
         lhs = np.linalg.det(g4)
         rhs = pj.det_gt.value * pj.det_h.value
         assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -102,14 +102,14 @@ def test_bfh_roundtrip():
     m = catalog("vdb")
     from g2inv.expr import eval_scalar
     for pt in [(0.5, 1.0), (0.9, 1.3)]:
-        g4 = point_jets(m, pt, order=1).g4
+        g4 = point_jets(m, pt, order=1).g4.value
         for key, (a, b) in (("b11", (0, 0)), ("b12", (0, 1)),
                             ("b22", (1, 1)), ("f11", (0, 2)),
                             ("f12", (0, 3)), ("f21", (1, 2)),
                             ("f22", (1, 3)), ("h11", (2, 2)),
                             ("h12", (2, 3)), ("h22", (3, 3))):
             want = eval_scalar(m.asts[key], m.params, pt)
-            assert g4[0, a, b] == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert g4[a, b] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def _orthogonally_transitive(pj):
@@ -591,11 +591,11 @@ def test_point_jets_evaluates_each_unique_node_once(monkeypatch):
     assert x.left is y.right
 
 
-def _fd_jet_one_quotient_at_a_time(evalfn, point, order, h=jets.FD_STEP):
+def _fd_jet_one_quotient_at_a_time(evalfn, point, order):
     """The finite-difference jet as each difference quotient writes it,
     calling evalfn afresh for every term (25 calls at order 2): the
     formula finite_difference_jet must reproduce bit for bit."""
-    t1, t2 = float(point[0]), float(point[1])
+    t1, t2, h = float(point[0]), float(point[1]), jets.FD_STEP
 
     def richardson(est):
         return (4.0 * est(h / 2.0) - est(h)) / 3.0
@@ -619,6 +619,18 @@ def _fd_jet_one_quotient_at_a_time(evalfn, point, order, h=jets.FD_STEP):
             lambda s: (evalfn((t1, t2 + s)) - 2 * f0 + evalfn((t1, t2 - s)))
             / s ** 2))
     return jets.Jet2(order, coeffs)
+
+
+def test_fd_jets_take_the_step_of_the_call(monkeypatch):
+    # the stencil and the quotients read the one FD_STEP: at 5e-3, h11 of
+    # vdb has the analytic derivatives, not the 5e-3 stencil's values
+    # over the 1e-2 step (d/dt1 -4.80 for -9.61, d2/dt1^2 4.75 for 19.0)
+    m, pt = catalog("vdb"), (0.7, 1.1)
+    want = point_jets(m, pt).h[0]
+    monkeypatch.setattr(jets, "FD_STEP", 5e-3)
+    got = point_jets(m, pt, method="fd").h[0]
+    assert got.d(1, 0) == pytest.approx(want.d(1, 0), rel=1e-6)
+    assert got.d(2, 0) == pytest.approx(want.d(2, 0), rel=1e-6)
 
 
 def test_fd_point_jets_evaluate_each_stencil_point_once(monkeypatch):

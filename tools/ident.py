@@ -14,14 +14,18 @@ line per op,
 
 with the directory written as DIR, then one line per file left in the
 directory, ``["file", workload, seed, name, sha256]``.  ``rank`` covers
-the rank code no benchmark op runs; it takes no seed (its seed field is
-null) and runs once: ``catalog NAME --emit`` of every catalog metric,
+code no benchmark op runs; it takes no seed (its seed field is null)
+and runs once: ``catalog NAME --emit`` of every catalog metric,
 ``catalog NAME --param k=v --emit`` of one override of each
 parameterised family (``CATALOG_PARAMS``), two malformed ``catalog
 --param`` calls (``CATALOG_MALFORMED``, recorded by exit code and
 stderr), then ``rank --random S --set X`` for S = 0..9 and ``rank FILE
 --set X`` for the file of every catalog metric at its defaults, each for
-all three invariant sets X.
+all three invariant sets X, and last ``check-einstein FILE --points=C``
+and ``check-relations FILE --first --second --onshell --points=C`` for
+each of those files, C the centre of the metric's domain: the 4D
+curvature at a single point, which no benchmark op builds (each passes
+its points as one batch).
 ``subproc`` runs each op as ``python -m g2inv`` in its own process (a
 fresh warnings registry per op, as a shell sees it); ``inproc`` runs
 them through ``g2inv.cli.run`` in this process, which is much faster.
@@ -61,10 +65,14 @@ def _param_argv(name, *items):
     return ["catalog", name, *(a for kv in items for a in ("--param", kv))]
 
 
-def _rank_argvs(names, directory):
+def _rank_argvs(domains, directory):
     """The argv of each op of the rank pseudo-workload, for the catalog
-    metrics of these names written into directory."""
+    metrics of these domains ({name: ((a, b), (c, d))}) written into
+    directory."""
+    names = list(domains)
     files = [os.path.join(directory, f"{name}.json") for name in names]
+    centres = [",".join(repr(sum(side) / 2) for side in domains[name])
+               for name in names]
     return ([["catalog", name, "--emit", path]
              for name, path in zip(names, files)]
             + [_param_argv(*call) + ["--emit", os.path.join(
@@ -74,7 +82,11 @@ def _rank_argvs(names, directory):
             + [["rank", "--random", str(seed), "--set", which]
                for which in RANK_SETS for seed in range(10)]
             + [["rank", path, "--set", which]
-               for which in RANK_SETS for path in files])
+               for which in RANK_SETS for path in files]
+            + [argv for path, centre in zip(files, centres) for argv in (
+                ["check-einstein", path, f"--points={centre}"],
+                ["check-relations", path, "--first", "--second",
+                 "--onshell", f"--points={centre}"])])
 
 
 def _ops_inproc(cli, argvs):
@@ -109,7 +121,7 @@ def main(argv):
         for seed in [None] if w == "rank" else seeds:
             directory = tempfile.mkdtemp(prefix="ident-")
             try:
-                argvs = (_rank_argvs(metrics.CATALOG_NAMES, directory)
+                argvs = (_rank_argvs(metrics.CATALOG_DOMAINS, directory)
                          if w == "rank" else
                          [op.argv for op in workloads.generate(
                              w, seed, workloads.rounds_for(w, SECONDS),
