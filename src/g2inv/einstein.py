@@ -19,7 +19,7 @@ import operator
 import numpy as np
 
 from . import jets, metrics
-from .errors import SingularMetricError
+from .errors import G2InvError, SingularMetricError
 
 
 def _stack(a, core):
@@ -182,9 +182,19 @@ def sectional_curvature(pj, u, v):
     return _unstack(_form(w, g, u) / den, pj)
 
 
+def _check_lambda(pj, lam, size):
+    """A G2InvError naming --lambda where |lam| times a finite size, the
+    largest magnitude lam multiplies in a row, overflows at a point of pj."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if (np.isfinite(size) & np.isinf(abs(lam) * size)).any():
+            raise G2InvError(f"--lambda {lam!r} is too large: its terms "
+                             f"overflow at {pj.point}")
+
+
 def residual(pj, lam):
     """Lambda-vacuum residual R_ab - Lambda g_ab at the point of pj, as a
     row: normalized = max_abs (largest |entry|) / scale (max |g4 coef|)."""
+    _check_lambda(pj, lam, np.abs(pj.g4.value).max((0, 1)))
     with metrics.singular_on_overflow("residual"):
         max_abs = np.abs(ricci4(pj) - lam * pj.g4.value).max((0, 1))
     scale = np.abs(pj.g4.coeffs).max((0, 1, 2))
@@ -242,6 +252,7 @@ def onshell_relations(pj, lam):
     X_Crho, Xp_Crho = sec["X_C_rho"], sec["Xperp_C_rho"]
     X_ellC, Xp_ellC = sec["X_ell_C"], sec["Xperp_ell_C"]
 
+    _check_lambda(pj, lam, 4.0 * _max(abs(C_rho), 1.0))  # 4 lam C_rho
     dq = Q_chi - Q_gamma
     big = _max(abs(C_rho), abs(C_chi), 4.0 * abs(lam), abs(ell_C))
     row = {

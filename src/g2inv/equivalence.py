@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets, metrics
+from . import metrics
 from .errors import G2InvError, InsufficientCoverageError
 from .invariants1 import FUNDAMENTAL_IDS, numerical_rank
 from .invariants2 import DELTA_TOL
@@ -44,26 +44,27 @@ def _fundamentals(pj):
     """The six fundamentals at a point and their 6x2 t-Jacobian."""
     jv = pj.fundamentals
     values = np.array([jv[k].value for k in FUNDAMENTAL_IDS])
-    jac = np.array([[jets.t_derivative(jv[k], s).value for s in (0, 1)]
-                    for k in FUNDAMENTAL_IDS])
+    jac = np.array([jv[k].coeffs[1:3] for k in FUNDAMENTAL_IDS])  # d/dt
     return values, jac
 
 
 def _evaluate(m, pts):
-    """(point, generic, values, jac) at each of the points, None where
-    the metric cannot be evaluated: the six fundamentals, their 6x2
-    t-Jacobian and the stratum's generic flag, the points evaluated by
-    metrics.each_point."""
+    """(ok, generic, values, jac) at N points, as arrays: whether the
+    metric can be evaluated there, the stratum's generic flag, the six
+    fundamentals (N, 6) and their t-Jacobian (N, 6, 2), NaN where not ok;
+    the points evaluated by metrics.each_point."""
     def at(point):
         pj = metrics.point_jets(m, point, order=2)
         values, jac = _fundamentals(pj)
-        return list(zip(zip(*(np.atleast_1d(t).tolist() for t in pj.point)),
-                        np.atleast_1d(pj.stratum.generic),
-                        values.reshape(6, -1).T.copy(),
-                        jac.reshape(6, 2, -1).transpose(2, 0, 1).copy()))
+        return list(zip(np.atleast_1d(pj.stratum.generic),
+                        values.reshape(6, -1).T,
+                        np.moveaxis(jac.reshape(6, 2, -1), 2, 0)))
 
-    return [None if isinstance(got, Exception) else got
-            for got in metrics.each_point(at, pts)]
+    got = metrics.each_point(at, pts)
+    ok = np.array([not isinstance(g, Exception) for g in got])
+    failed = (False, np.full(6, np.nan), np.full((6, 2), np.nan))
+    return (ok, *map(np.array, zip(*(g if k else failed
+                                      for g, k in zip(got, ok)))))
 
 
 # why build_signature skips a grid point, in the order it tests them,
@@ -74,27 +75,13 @@ SKIP_REASONS = {"unevaluable": "where the metric cannot be evaluated",
                 "rank-deficient": "where the fundamentals have rank < 2"}
 
 
-def _skip_reason(got):
-    """The key of SKIP_REASONS that skips an _evaluate result, None for a
-    sample."""
-    if got is None:
-        return "unevaluable"
-    _, generic, values, jac = got
-    if not generic:
-        return "non-generic"
-    if not (np.isfinite(values).all() and np.isfinite(jac).all()):
-        return "non-finite"
-    return None if numerical_rank(jac, DELTA_TOL) == 2 else "rank-deficient"
-
-
 def build_signature(m, rect=None, n=12):
     """Sample the classifying manifold of a metric over a rectangle.
 
-    The n x n grid is evaluated as one batch of points.  A grid point is
-    skipped for a reason of SKIP_REASONS: the metric cannot be evaluated
-    there, it is not generic, its fundamentals are not finite, or they do
-    not have rank 2 there.  Too few samples raise an
-    InsufficientCoverageError that counts the points skipped by reason.
+    The n x n grid is evaluated as one batch of points, and a grid point
+    is skipped for the first reason of SKIP_REASONS that holds there.
+    Too few samples raise an InsufficientCoverageError that counts the
+    points skipped by reason.
     """
     if n * n < MIN_SAMPLES:
         raise G2InvError(f"a grid of {n} x {n} points is smaller than the "
@@ -105,13 +92,15 @@ def build_signature(m, rect=None, n=12):
         # non-generic grid points are skipped anyway
         rect = ((-1.5, 1.5), (-1.5, 1.5))
     grid = metrics.grid_points(rect, n, margin=0.02)
-    samples, skipped = [], Counter()
-    for got in _evaluate(m, grid):
-        reason = _skip_reason(got)
-        if reason:
-            skipped[reason] += 1
-        else:
-            samples.append(Sample(got[0], tuple(got[2]), got[3]))
+    ok, generic, values, jac = _evaluate(m, grid)
+    finite = np.isfinite(values).all(1) & np.isfinite(jac).all((1, 2))
+    kept = ok & generic & finite
+    kept[kept] = [numerical_rank(j, DELTA_TOL) == 2 for j in jac[kept]]
+    reasons = np.select([~ok, ~generic, ~finite, ~kept], list(SKIP_REASONS),
+                        "")
+    skipped = Counter(reasons[~kept].tolist())
+    samples = [Sample(grid[i], tuple(values[i]), jac[i])
+               for i in np.flatnonzero(kept)]
     if len(samples) < MIN_SAMPLES:
         why = ", ".join(f"{skipped[key]} {words}" for key, words
                         in SKIP_REASONS.items() if key in skipped)
@@ -149,48 +138,22 @@ def _scales(values):
 CONVERGED = 1e-10
 
 
-@dataclass
-class _Run:
-    """Gauss-Newton from one start: the next point pt, its evaluation
-    (point None until then) and the best (residual, point, values) met."""
-    target: np.ndarray
-    pt: np.ndarray
-    point: tuple
-    values: np.ndarray
-    jac: np.ndarray
-    prev: float = np.inf
-    evals: int = 0
-    best: tuple = (np.inf, None, None)
-    converged: bool = False
+def _residual(values, targets, scales):
+    """The scaled differences r of stacked six-vectors from their
+    targets, and their norms."""
+    r = (values - targets) / scales
+    return r, np.linalg.norm(r, axis=-1)
 
 
-def _advance(run, scales):
-    """One Gauss-Newton iteration from the run's evaluation: True while
-    the run goes on, to be evaluated next at run.pt."""
-    r = (run.values - run.target) / scales
-    res = float(np.linalg.norm(r))
-    if not (np.isfinite(res) and np.isfinite(run.jac).all()):
-        return False
-    if res < run.best[0]:
-        run.best = (res, run.point, run.values)
-    run.converged = res < CONVERGED
-    run.evals += 1
-    if run.converged or res > 0.9 * run.prev or run.evals == 12:
-        return False
-    run.prev = res
-    step = np.linalg.lstsq(run.jac / scales[:, None], r, rcond=None)[0]
-    limit = 0.5 * (1.0 + np.linalg.norm(run.pt))
-    norm = np.linalg.norm(step)
-    if norm > limit:
-        step *= limit / norm
-    run.pt, run.point = run.pt - step, None
-    return True
-
-
-def _counted(runs):
-    """A target's runs that count: those up to the first that converged."""
-    return runs[:next((k + 1 for k, run in enumerate(runs) if run.converged),
-                      len(runs))]
+def _step(jac, r, pts, scales):
+    """Stacked Gauss-Newton steps from pts: the minimum-norm solutions of
+    (jac / scales) step = r, one SVD pseudo-inverse per stack with
+    lstsq's cutoff max(6, 2) eps, each cut to 0.5 (1 + |pt|) long."""
+    step = (np.linalg.pinv(jac / scales[:, None], rtol=None)
+            @ r[..., None])[..., 0]
+    limit = 0.5 * (1.0 + np.linalg.norm(pts, axis=-1))
+    norm = np.linalg.norm(step, axis=-1)
+    return step * (limit / np.maximum(norm, limit))[:, None]
 
 
 def _project(m, targets, starts, scales):
@@ -198,32 +161,56 @@ def _project(m, targets, starts, scales):
     manifold of m: (residual, point, values) of the nearest point found
     for each target.
 
-    starts[i] are samples of m, whose values and Jacobian serve as the
-    first evaluation of one run each towards targets[i].  The residual
-    is the norm of the scaled difference of the six fundamentals.  A run
-    ends when an evaluation fails, the residual converges or stalls, or
-    12 evaluations are spent.  The runs of all targets go in lockstep,
-    one batch evaluation per round for every run still going, and a run
-    is dropped once an earlier start of its target has converged.  Each
-    target gets what trying its starts in turn would give: the smallest
-    residual, the first of equals, over its starts up to the first that
-    converged.
+    starts[i] are samples of m, each the first evaluation of one run
+    towards targets[i].  The residual is the norm of the scaled
+    difference of the six fundamentals.  A run ends when an evaluation
+    fails, the residual converges or stalls, or 12 evaluations are spent,
+    and is dropped once an earlier start of its target has converged.
+    The runs are rows of arrays: a round is array arithmetic, one stacked
+    SVD least-squares solve (_step) and one batch evaluation over the
+    runs still going.  Each target gets what its starts tried in turn
+    with _residual and _step give: the smallest residual, the first of
+    equals, over its starts up to the first that converged.  Against a
+    per-run lstsq step, results move by roundoff: at most 4.3e-12
+    relative on the witnesses of the benchmark's equiv ops.
     """
-    groups = [[_Run(target, np.array(s.point), s.point, np.array(s.values),
-                    s.jac) for s in ss] for target, ss in zip(targets, starts)]
-    live = [run for runs in groups for run in runs]
-    while live:
-        live = [run for run in live if _advance(run, scales)]
-        counted = {id(run) for runs in groups for run in _counted(runs)}
-        live = [run for run in live if id(run) in counted]
-        if live:
-            for run, got in zip(live, _evaluate(m, [run.pt for run in live])):
-                if got is not None:
-                    run.point, _, run.values, run.jac = got
-            live = [run for run in live if run.point is not None]
-    # min keeps the first of equal residuals, as a strict < in turn would
-    return [min(_counted(runs), key=lambda run: run.best[0]).best
-            for runs in groups]
+    runs = [s for ss in starts for s in ss]
+    # each run's target, and each target's first run
+    group = np.array([i for i, ss in enumerate(starts) for _ in ss])
+    first = np.searchsorted(group, np.arange(len(starts)))
+    target = np.array(targets)[group]
+    pt, values, jac = (np.array([getattr(s, key) for s in runs], dtype=float)
+                       for key in ("point", "values", "jac"))
+    best_pt, best_values = pt.copy(), values.copy()
+    prev, best = np.full((2, len(runs)), np.inf)
+    converged = np.zeros(len(runs), dtype=bool)
+
+    def counted():  # each target's runs up to the first that converged
+        before = np.cumsum(converged) - converged
+        return before == before[first][group]
+
+    k = np.arange(len(runs))  # the runs still going
+    for evals in range(1, 13):  # the evaluations each of them has had
+        r, res = _residual(values[k], target[k], scales)
+        ok = np.isfinite(res) & np.isfinite(jac[k]).all(axis=(1, 2))
+        k, r, res = k[ok], r[ok], res[ok]
+        kb = k[res < best[k]]
+        best_pt[kb], best_values[kb] = pt[kb], values[kb]
+        best[k] = np.minimum(res, best[k])
+        converged[k] = res < CONVERGED
+        go = ~converged[k] & ~(res > 0.9 * prev[k]) & (evals < 12)
+        prev[k[go]] = res[go]
+        k = k[go]
+        pt[k] -= _step(jac[k], r[go], pt[k], scales)
+        k = k[counted()[k]]
+        if not k.size:
+            break
+        ok, _, values[k], jac[k] = _evaluate(m, list(pt[k]))
+        k = k[ok]
+    # the first of each target's smallest residuals, as a strict < in turn
+    pick = np.lexsort((np.where(counted(), best, np.inf), group))[first]
+    return [(float(best[i]), tuple(best_pt[i].tolist()), best_values[i])
+            for i in pick]
 
 
 def compare_metrics(ma, mb, n=12, tol=1e-4, rect_a=None, rect_b=None):
@@ -234,15 +221,14 @@ def compare_metrics(ma, mb, n=12, tol=1e-4, rect_a=None, rect_b=None):
     the other metric's classifying manifold by Gauss-Newton in (t1, t2),
     started from the four nearest samples of the other metric; each
     fundamental is scaled by its inter-quartile range over both sample
-    sets.  The projections of one side run in lockstep, one batch of
-    points per Gauss-Newton round, and each gives what its starts tried
-    in turn would give.  A sample matches when
-    its scaled residual is below tol.  The verdict is Consistent when at
-    least half the samples of each side match, Inconsistent when none
-    does; its witness is the sample with the smallest residual and the
-    point where that residual is reached, with both sets of
-    fundamentals.
-    A side with too few samples decides the verdict on its own.  Where
+    sets.  The projections of one side run in lockstep (_project), and
+    each gives what its starts tried in turn would give.  A sample
+    matches when its scaled residual is below tol.  The verdict is
+    Consistent when at least half the samples of each side match,
+    Inconsistent when none does; its witness is the sample with the
+    smallest residual and the point where that residual is reached, with
+    both sets of fundamentals.  A side with too few samples decides the
+    verdict on its own.  Where
     exactly one side has too few and it is degenerate (a grid point on a
     non-generic stratum, and no generic one), the strata differ and the
     metrics cannot be equivalent.  Otherwise the criterion does not

@@ -295,12 +295,14 @@ def _scale(c, a, order):
 
 def _spread(a, point):
     """a with every coefficient a vector as long as the coordinates of a
-    batch point (np.full, not + 0.0, which would turn -0.0 into 0.0), so
-    that constants and jets of one variable carry the point axis too; a
-    itself at a float point."""
+    batch point, so that constants and jets of one variable carry the
+    point axis too: a float by np.full (not + 0.0, which would turn -0.0
+    into 0.0), a vector as it is; a itself at a float point."""
     if not isinstance(point[0], np.ndarray):
         return a
-    return _jet(a.order, tuple(np.full(len(point[0]), c) for c in a.coeffs))
+    return _jet(a.order, tuple(c if getattr(c, "ndim", 0)
+                               else np.full(len(point[0]), c)
+                               for c in a.coeffs))
 
 
 def block(rows):

@@ -792,6 +792,29 @@ def test_a_non_finite_lambda_is_a_usage_error(argv, value, kundu_file,
                   f"--lambda={value}"], "--lambda", capsys)
 
 
+@pytest.mark.parametrize("value", ["1e308", "-1e308", repr(sys.float_info.max),
+                                   repr(-sys.float_info.max)])
+@pytest.mark.parametrize("points", ["0.9,0.1", "0.9,0.1;0.5,0.2"])
+@pytest.mark.parametrize("argv", [["check-einstein"],
+                                  ["check-relations", "--onshell"]])
+def test_a_huge_finite_lambda_gives_finite_rows_or_names_the_option(
+        argv, points, value, kundu_file, capsys):
+    # exit 1 with finite rows, or exit 2 with one error line naming
+    # --lambda; never a NaN blamed on a report key
+    capsys.readouterr()
+    code = run([argv[0], kundu_file, *argv[1:], f"--points={points}",
+                f"--lambda={value}", "--json"])
+    captured = capsys.readouterr()
+    if code == 1:
+        json.loads(captured.out, parse_constant=pytest.fail)
+        assert captured.err == ""
+    else:
+        lines = [line for line in captured.err.splitlines()
+                 if "error:" in line]
+        assert code == 2 and captured.out == "", captured.err
+        assert len(lines) == 1 and "--lambda" in lines[0], captured.err
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 @pytest.mark.parametrize("command", ["check-einstein", "check-relations",
                                      "transform", "equiv"])

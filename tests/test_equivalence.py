@@ -137,8 +137,9 @@ def test_inconsistent_witness_states_its_own_discrepancy():
 
 
 def _project_in_turn(m, target, starts, scales):
-    """Gauss-Newton from one start after another, one point at a time:
-    what the lockstep projector must give, bit for bit."""
+    """Gauss-Newton from one start after another, one point at a time,
+    with the projector's residual and step on stacks of one: what the
+    lockstep projector must give, bit for bit."""
     best = (np.inf, None, None)
     for start in starts:
         pt, prev = np.array(start.point), np.inf
@@ -151,20 +152,15 @@ def _project_in_turn(m, target, starts, scales):
                 except (G2InvError, ArithmeticError):
                     break
                 point = pj.point
-            r = (values - target) / scales
-            res = float(np.linalg.norm(r))
-            if not (np.isfinite(res) and np.isfinite(jac).all()):
+            r, res = equivalence._residual(values[None], target, scales)
+            if not (np.isfinite(res[0]) and np.isfinite(jac).all()):
                 break
-            if res < best[0]:
-                best = (res, point, values)
-            if res < equivalence.CONVERGED or res > 0.9 * prev:
+            if res[0] < best[0]:
+                best = (float(res[0]), point, values)
+            if res[0] < equivalence.CONVERGED or res[0] > 0.9 * prev:
                 break
-            prev = res
-            step = np.linalg.lstsq(jac / scales[:, None], r, rcond=None)[0]
-            limit = 0.5 * (1.0 + np.linalg.norm(pt))
-            norm = np.linalg.norm(step)
-            if norm > limit:
-                step *= limit / norm
+            prev = res[0]
+            step = equivalence._step(jac[None], r, pt[None], scales)[0]
             pt, point = pt - step, None
         if best[0] < equivalence.CONVERGED:
             break
@@ -223,20 +219,20 @@ def _evaluate_point_by_point(m, pts):
     time: what halving it must give."""
     def at(point):
         pj = point_jets(m, point, order=2)
-        return (pj.point, pj.stratum.generic) + equivalence._fundamentals(pj)
+        return (True, pj.stratum.generic) + equivalence._fundamentals(pj)
 
     try:
-        (t1s, t2s), generic, values, jac = at(tuple(np.array(pts).T))
+        _, generic, values, jac = at(tuple(np.array(pts).T))
     except (G2InvError, ArithmeticError):
         out = []
         for pt in pts:
             try:
                 out.append(at(pt))
             except (G2InvError, ArithmeticError):
-                out.append(None)
-        return out
-    return list(zip(zip(t1s.tolist(), t2s.tolist()), generic,
-                    values.T.copy(), np.moveaxis(jac, 2, 0).copy()))
+                out.append((False, False, np.full(6, np.nan),
+                            np.full((6, 2), np.nan)))
+        return tuple(map(np.array, zip(*out)))
+    return np.ones(len(pts), bool), generic, values.T, np.moveaxis(jac, 2, 0)
 
 
 def test_failing_batch_is_halved_down_to_its_failing_point(monkeypatch):
@@ -349,3 +345,75 @@ def test_build_signature_propagates_programming_errors(monkeypatch):
         monkeypatch.setattr(metrics, "point_jets", broken)
         with pytest.raises(TypeError):
             build_signature(catalog("vdb"), n=4)
+
+
+def _step_unlimited(jac, r, scales):
+    """equivalence._step on one 6x2 system, its point so far out that no
+    step is cut."""
+    return equivalence._step(jac[None], r[None], np.array([[1e100, 0.0]]),
+                             scales)[0]
+
+
+def test_stacked_step_is_lstsq_on_well_conditioned_systems():
+    rng = np.random.default_rng(0)
+    scales = rng.uniform(0.1, 10.0, 6)
+    jac = rng.normal(size=(50, 6, 2)) * rng.uniform(0.01, 100.0, (50, 6, 1))
+    r = rng.normal(size=(50, 6))
+    got = equivalence._step(jac, r, np.full((50, 2), 1e100), scales)
+    for k in range(50):
+        assert np.linalg.cond(jac[k] / scales[:, None]) < 1e4
+        want = np.linalg.lstsq(jac[k] / scales[:, None], r[k], rcond=None)[0]
+        assert np.abs(got[k] - want).max() <= 1e-12 * np.abs(want).max()
+        # a stack of one gives the bits of the same row in a stack of 50
+        assert _step_unlimited(jac[k], r[k], scales).tobytes() \
+            == got[k].tobytes()
+
+
+@pytest.mark.parametrize("column", [
+    lambda a: np.zeros(6),  # a zero column
+    lambda a: -3.0 * a])    # two parallel columns
+def test_stacked_step_is_the_minimum_norm_lstsq_on_rank_one_systems(column):
+    rng = np.random.default_rng(1)
+    scales = rng.uniform(0.1, 10.0, 6)
+    for _ in range(20):
+        a = rng.normal(size=6) * scales
+        jac, r = np.stack([a, column(a)], axis=1), rng.normal(size=6)
+        want, _, rank, _ = np.linalg.lstsq(jac / scales[:, None], r,
+                                           rcond=None)
+        assert rank == 1
+        got = _step_unlimited(jac, r, scales)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_step_is_cut_to_half_of_one_plus_the_distance_from_the_origin():
+    jac = np.array([[[1.0, 0.0], [0.0, 1.0]] + [[0.0, 0.0]] * 4])
+    r = np.array([[30.0, 40.0, 0.0, 0.0, 0.0, 0.0]])
+    step = equivalence._step(jac, r, np.array([[3.0, 4.0]]), np.ones(6))
+    # the step (30, 40) along itself, 3 = 0.5 (1 + 5) long
+    assert step[0] == pytest.approx([1.8, 2.4], rel=1e-15)
+
+
+def _random_metric_and_image():
+    m = catalog("random_analytic", {"seed": 3})
+    return m, apply_to_metric(m, _affine(
+        [[0.9, 0.1], [-0.1, 1.1]], [0.05, -0.1], [[0.3, -0.2], [0.1, 0.4]],
+        [[1.0, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("pair", [
+    # Consistent; Inconsistent, with a witness; Consistent, with
+    # coverages that differ
+    lambda: (catalog("vdb"), _vdb_image()),
+    lambda: (catalog("vdb"), catalog("random_analytic", {"seed": 1})),
+    _random_metric_and_image])
+def test_swapping_the_metrics_swaps_the_sides_of_the_verdict(pair):
+    a, b = pair()
+    ab, ba = compare_metrics(a, b, n=5), compare_metrics(b, a, n=5)
+    assert (ab.verdict, ab.max_discrepancy) == (ba.verdict, ba.max_discrepancy)
+    assert (ab.coverage_a, ab.coverage_b) == (ba.coverage_b, ba.coverage_a)
+    assert (ab.witness is None) == (ba.witness is None)
+    if ab.witness is not None:
+        swap = {"a_point": "b_point", "b_point": "a_point",
+                "a_values": "b_values", "b_values": "a_values"}
+        assert ab.witness == {swap.get(key, key): value
+                              for key, value in ba.witness.items()}

@@ -494,8 +494,9 @@ BATCH_METRICS = {"vdb": catalog("vdb"),
 
 
 def _assert_evaluation_is_the_point(got, pj):
-    """got, (point, generic, values, jac) of equivalence._evaluate, has
-    the bits of the evaluation of the PointJets pj."""
+    """got, (point, generic, values, jac) at one point of
+    equivalence._evaluate, has the bits of the evaluation of the
+    PointJets pj."""
     point, generic, values, jac = got
     want_values, want_jac = equivalence._fundamentals(pj)
     assert _bits(point) == _bits(pj.point)
@@ -520,8 +521,11 @@ def test_batch_point_columns_have_the_bits_of_their_points(name, units):
         _assert_evaluation_is_the_point(
             ((batch.point[0][k], batch.point[1][k]), batch.stratum.generic[k],
              values[:, k], jac[..., k]), pj)
-    for got, pj in zip(equivalence._evaluate(m, pts), points):
-        _assert_evaluation_is_the_point(got, pj)
+    ok, generic, values, jac = equivalence._evaluate(m, pts)
+    assert ok.all()
+    for k, pj in enumerate(points):
+        _assert_evaluation_is_the_point(
+            (pts[k], generic[k], values[k], jac[k]), pj)
 
 
 def test_singular_batch_column_fails_alone():
@@ -531,10 +535,12 @@ def test_singular_batch_column_fails_alone():
     pts = [(0.7, 0.1), (0.0, 0.3), (1.2, -0.4)]
     with pytest.raises(SingularMetricError):
         point_jets(m, tuple(np.array(pts).T))
-    got = equivalence._evaluate(m, pts)
-    assert got[1] is None
+    ok, generic, values, jac = equivalence._evaluate(m, pts)
+    assert ok.tolist() == [True, False, True]
+    assert np.isnan(values[1]).all() and np.isnan(jac[1]).all()
     for k in (0, 2):
-        _assert_evaluation_is_the_point(got[k], point_jets(m, pts[k]))
+        _assert_evaluation_is_the_point(
+            (pts[k], generic[k], values[k], jac[k]), point_jets(m, pts[k]))
 
 
 
