@@ -401,10 +401,12 @@ def build_parser():
     p.add_argument("--csv", action="store_true")
     common(p)
 
+    lam = dict(dest="lam", type=_within(float, -math.inf), default=0.0,
+               help="the cosmological constant (0); a negative one is "
+                    "given with =, as in --lambda=-1e3")
     p = sub.add_parser("check-einstein", help="Lambda-vacuum residuals")
     p.add_argument("metric")
-    p.add_argument("--lambda", dest="lam", type=_within(float, -math.inf),
-                   default=0.0)
+    p.add_argument("--lambda", **lam)
     p.add_argument("--points", default="grid",
                    help='"t1,t2;t1,t2;..." or "grid"')
     p.add_argument("--grid", type=_within(int), default=4)
@@ -416,8 +418,7 @@ def build_parser():
     p.add_argument("--first", action="store_true")
     p.add_argument("--second", action="store_true")
     p.add_argument("--onshell", action="store_true")
-    p.add_argument("--lambda", dest="lam", type=_within(float, -math.inf),
-                   default=0.0)
+    p.add_argument("--lambda", **lam)
     p.add_argument("--points", default="grid")
     p.add_argument("--grid", type=_within(int), default=4)
     p.add_argument("--tol", type=_within(float), default=1e-7)

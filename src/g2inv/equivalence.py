@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics
+from . import jets, metrics
 from .errors import G2InvError, InsufficientCoverageError
 from .invariants1 import FUNDAMENTAL_IDS, numerical_rank
 from .invariants2 import DELTA_TOL
@@ -48,19 +48,37 @@ def _fundamentals(pj):
     return values, jac
 
 
-def _evaluate(m, pts):
-    """(ok, generic, values, jac) at N points, as arrays: whether the
-    metric can be evaluated there, the stratum's generic flag, the six
-    fundamentals (N, 6) and their t-Jacobian (N, 6, 2), NaN where not ok;
-    the points evaluated by metrics.each_point."""
-    def at(point):
-        pj = metrics.point_jets(m, point, order=2)
+def _evaluate(ms, cols, stratum=False):
+    """(ok, generic, values, jac) at N columns (k, t1, t2), each a point
+    of the metric ms[k], as arrays: whether that metric can be evaluated
+    there, with stratum the generic flag of its stratum (True without),
+    the six fundamentals (N, 6) and their t-Jacobian (N, 6, 2), NaN where
+    not ok.  The columns are evaluated by metrics.each_point; a batch has
+    one point_jets per run of columns of one metric (a column alone at
+    its float point), joined along the point axis, and one fundamentals
+    pass."""
+    def at(col):
+        k, t1, t2 = col
+        if not np.ndim(k):
+            pj = metrics.point_jets(ms[int(k)], (t1, t2), order=2)
+        else:
+            cuts = np.flatnonzero(np.diff(k)) + 1
+            pjs = [metrics.point_jets(ms[int(kk[0])], (a, b) if len(a) > 1
+                                      else (a[0], b[0]), order=2)
+                   for kk, a, b in zip(*(np.split(row, cuts) for row in col))]
+            pj = pjs[0]
+            if len(pjs) > 1:  # (component, coefficient, column) of each
+                c = np.concatenate([np.atleast_3d(
+                    [j.coeffs for j in p.all_component_jets()]) for p in pjs],
+                    axis=2)
+                pj = metrics.assemble((t1, t2), 2,
+                                      [jets._jet(2, tuple(j)) for j in c])
         values, jac = _fundamentals(pj)
-        return list(zip(np.atleast_1d(pj.stratum.generic),
-                        values.reshape(6, -1).T,
+        generic = pj.stratum.generic if stratum else np.ones(np.size(k), bool)
+        return list(zip(np.atleast_1d(generic), values.reshape(6, -1).T,
                         np.moveaxis(jac.reshape(6, 2, -1), 2, 0)))
 
-    got = metrics.each_point(at, pts)
+    got = metrics.each_point(at, cols)
     ok = np.array([not isinstance(g, Exception) for g in got])
     failed = (False, np.full(6, np.nan), np.full((6, 2), np.nan))
     return (ok, *map(np.array, zip(*(g if k else failed
@@ -92,7 +110,8 @@ def build_signature(m, rect=None, n=12):
         # non-generic grid points are skipped anyway
         rect = ((-1.5, 1.5), (-1.5, 1.5))
     grid = metrics.grid_points(rect, n, margin=0.02)
-    ok, generic, values, jac = _evaluate(m, grid)
+    ok, generic, values, jac = _evaluate(
+        [m], [(0, *p) for p in grid], stratum=True)
     finite = np.isfinite(values).all(1) & np.isfinite(jac).all((1, 2))
     kept = ok & generic & finite
     kept[kept] = [numerical_rank(j, DELTA_TOL) == 2 for j in jac[kept]]
@@ -156,29 +175,29 @@ def _step(jac, r, pts, scales):
     return step * (limit / np.maximum(norm, limit))[:, None]
 
 
-def _project(m, targets, starts, scales):
-    """Gauss-Newton projection of six-vectors onto the classifying
-    manifold of m: (residual, point, values) of the nearest point found
-    for each target.
+def _project(ms, onto, targets, starts, scales):
+    """Gauss-Newton projection of six-vectors onto classifying manifolds:
+    (residual, point, values) of the nearest point found for targets[i]
+    on that of ms[onto[i]], from starts[i], samples of that metric.
 
-    starts[i] are samples of m, each the first evaluation of one run
-    towards targets[i].  The residual is the norm of the scaled
-    difference of the six fundamentals.  A run ends when an evaluation
-    fails, the residual converges or stalls, or 12 evaluations are spent,
-    and is dropped once an earlier start of its target has converged.
-    The runs are rows of arrays: a round is array arithmetic, one stacked
-    SVD least-squares solve (_step) and one batch evaluation over the
-    runs still going.  Each target gets what its starts tried in turn
-    with _residual and _step give: the smallest residual, the first of
-    equals, over its starts up to the first that converged.  Against a
-    per-run lstsq step, results move by roundoff: at most 4.3e-12
-    relative on the witnesses of the benchmark's equiv ops.
+    Each start is the first evaluation of one run.  The residual is the
+    norm of the scaled difference of the six fundamentals.  A run ends
+    when an evaluation fails, the residual converges or stalls, or 12
+    evaluations are spent, and is dropped once an earlier start of its
+    target has converged.  The runs are rows of arrays, each with the
+    metric it is projected onto: a round is array arithmetic, one stacked
+    SVD least-squares solve (_step) and one _evaluate of the runs still
+    going.  Each target gets what its starts tried in turn with _residual
+    and _step give, whatever shares its rounds: the smallest residual,
+    the first of equals, over its starts up to the first that converged.
+    Against a per-run lstsq step, results move by roundoff: at most
+    4.3e-12 relative on the witnesses of the benchmark's equiv ops.
     """
     runs = [s for ss in starts for s in ss]
     # each run's target, and each target's first run
     group = np.array([i for i, ss in enumerate(starts) for _ in ss])
     first = np.searchsorted(group, np.arange(len(starts)))
-    target = np.array(targets)[group]
+    target, which = np.array(targets)[group], np.array(onto)[group]
     pt, values, jac = (np.array([getattr(s, key) for s in runs], dtype=float)
                        for key in ("point", "values", "jac"))
     best_pt, best_values = pt.copy(), values.copy()
@@ -205,7 +224,8 @@ def _project(m, targets, starts, scales):
         k = k[counted()[k]]
         if not k.size:
             break
-        ok, _, values[k], jac[k] = _evaluate(m, list(pt[k]))
+        ok, _, values[k], jac[k] = _evaluate(
+            ms, list(np.column_stack((which[k], pt[k]))))
         k = k[ok]
     # the first of each target's smallest residuals, as a strict < in turn
     pick = np.lexsort((np.where(counted(), best, np.inf), group))[first]
@@ -221,9 +241,11 @@ def compare_metrics(ma, mb, n=12, tol=1e-4, rect_a=None, rect_b=None):
     the other metric's classifying manifold by Gauss-Newton in (t1, t2),
     started from the four nearest samples of the other metric; each
     fundamental is scaled by its inter-quartile range over both sample
-    sets.  The projections of one side run in lockstep (_project), and
-    each gives what its starts tried in turn would give.  A sample
-    matches when its scaled residual is below tol.  The verdict is
+    sets.  The projections of both sides run in one lockstep (_project):
+    a round evaluates each metric's components on its own columns and
+    the fundamentals of all its columns once, and each projection gives
+    what its starts tried in turn would give.  A sample matches when its
+    scaled residual is below tol.  The verdict is
     Consistent when at least half the samples of each side match,
     Inconsistent when none does; its witness is the sample with the
     smallest residual and the point where that residual is reached, with
@@ -259,23 +281,28 @@ def compare_metrics(ma, mb, n=12, tol=1e-4, rect_a=None, rect_b=None):
     scales = _scales(np.array([s.values for s in
                                sig_a.samples + sig_b.samples]))
 
-    def match(samples_from, m_to, samples_to, cap=48):
-        """(residual, from point, to point, from values, to values) of
-        each sample of samples_from, projected onto m_to."""
+    def match(samples_from, samples_to, cap=48):
+        """The samples of samples_from projected (at most cap), their
+        six-vectors as targets, and the starts of each: the four nearest
+        samples of samples_to."""
         v_to = np.array([s.values for s in samples_to])
         sources = samples_from[::max(1, len(samples_from) // cap)]
         targets = [np.array(s.values) for s in sources]
         starts = [[samples_to[j] for j in np.argsort(
                       np.linalg.norm((v_to - v) / scales, axis=1))[:4]]
                   for v in targets]
-        return [(res, s.point, point, v, values) for s, v, (res, point, values)
-                in zip(sources, targets,
-                       _project(m_to, targets, starts, scales))]
+        return sources, targets, starts
 
-    rows_a = match(sig_a.samples, mb, sig_b.samples)
-    # B's samples projected onto A, with A's side first
-    rows_b = [(res, pa, pb, a, b) for res, pb, pa, b, a
-              in match(sig_b.samples, ma, sig_a.samples)]
+    sources_a, targets_a, starts_a = match(sig_a.samples, sig_b.samples)
+    sources_b, targets_b, starts_b = match(sig_b.samples, sig_a.samples)
+    # A's samples projected onto B (ms[1]), then B's onto A (ms[0])
+    got = _project([ma, mb], [1] * len(targets_a) + [0] * len(targets_b),
+                   targets_a + targets_b, starts_a + starts_b, scales)
+    rows_a = [(res, s.point, point, v, values) for s, v, (res, point, values)
+              in zip(sources_a, targets_a, got)]
+    # with A's side first
+    rows_b = [(res, point, s.point, values, v) for s, v, (res, point, values)
+              in zip(sources_b, targets_b, got[len(targets_a):])]
     coverage_a, coverage_b = (sum(r[0] < tol for r in rows) / len(rows)
                               for rows in (rows_a, rows_b))
     max_disc = max((r[0] for r in rows_a + rows_b if r[0] < tol),

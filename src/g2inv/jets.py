@@ -289,7 +289,13 @@ def _jet(order, coeffs):
 
 
 def _scale(c, a, order):
-    """c * a for a constant c: the kernel's sum less its zero terms."""
+    """c * a for a constant c: the kernel's sum less its zero terms, 0.0 +
+    c*x per coefficient x (one product of a batch jet's stacked vectors)."""
+    if c.__class__ is float and a[0].__class__ is np.ndarray \
+            and a[0].ndim == 1 and all(x.__class__ is np.ndarray for x in a):
+        out = np.multiply(c, a)
+        out += 0.0
+        return _jet(order, tuple(out))
     return _jet(order, tuple([0.0 + c * x for x in a]))
 
 

@@ -20,7 +20,7 @@ import json
 import numpy as np
 import pytest
 
-from g2inv import catalog, cli, einstein, jets, point_jets
+from g2inv import catalog, cli, einstein, equivalence, jets, point_jets
 from g2inv.einstein import onshell_relations
 from g2inv.invariants1 import (FUNDAMENTAL_IDS, jacobian_rank,
                                random_point_jets, relations_first)
@@ -45,6 +45,11 @@ VDB_IMAGE = apply_to_metric(VDB, make_transform(
     "0.3*t2", [[2.0, 1.0], [0.0, 1.0]]))
 IMAGE_BATCH = tuple(np.array(t) for t in zip(*grid_points(
     VDB_IMAGE.domain, 2, 7, margin=0.05)))
+# 18 points of vdb and 18 of its image, the columns of one equiv
+# Gauss-Newton round of both directions: (metric index, t1, t2)
+ROUND_COLUMNS = [(k, *pt) for k, m in enumerate((VDB, VDB_IMAGE))
+                 for pt in grid_points(m.domain or default_domain(m), 3, 6,
+                                       margin=0.05)]
 LK = catalog("lambda_kundu")
 LK_POINT = (0.9, 0.1)
 LK_BATCH = tuple(np.array(t) for t in zip(*grid_points(
@@ -82,6 +87,12 @@ def test_jet2_mul_by_constant(benchmark, constant, width):
     a, _ = _operands(2, width)
     c = 0.1628 if constant == "number" else jets.constant(0.1628, 2)
     assert benchmark(lambda: c * a).order == 2
+
+
+def test_scale_batch(benchmark):
+    # a float times an order-2 batch jet of 36 columns
+    a, _ = _operands(2, 36)
+    assert benchmark(jets._scale, 0.1628, a.coeffs, 2).order == 2
 
 
 def test_point_jets(benchmark):
@@ -154,6 +165,14 @@ def test_first_order_layer(benchmark, layer):
     got = benchmark(lambda: getattr(dataclasses.replace(pj), layer))
     assert np.isfinite(got["Xp1" if layer == "derivations"
                            else "ell_C"].value).all()
+
+
+def test_joined_round(benchmark):
+    # one round of both projection directions: each metric's point_jets
+    # on its 18 columns, one fundamentals pass over all 36
+    ok, _, values, _ = benchmark(equivalence._evaluate, [VDB, VDB_IMAGE],
+                                 ROUND_COLUMNS)
+    assert ok.all() and np.isfinite(values).all()
 
 
 @pytest.mark.parametrize("point", [POINT, CHECK_BATCH], ids=["float", "B6"])

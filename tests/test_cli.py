@@ -815,6 +815,19 @@ def test_a_huge_finite_lambda_gives_finite_rows_or_names_the_option(
         assert len(lines) == 1 and "--lambda" in lines[0], captured.err
 
 
+@pytest.mark.parametrize("argv", [["check-einstein"],
+                                  ["check-relations", "--onshell"]])
+def test_a_negative_lambda_with_an_exponent_is_given_with_equals(
+        argv, kundu_file, capsys):
+    # argparse may read a separate -1e3 as an option; given with = it is
+    # the value, with the report of -1000 byte for byte
+    base = [argv[0], kundu_file, *argv[1:], "--points=0.9,0.1"]
+    capsys.readouterr()
+    got = _outcome(base + ["--lambda=-1e3"], capsys)
+    assert got == _outcome(base + ["--lambda", "-1000"], capsys)
+    assert got[0] in (0, 1) and got[1] and got[2] == ""
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 @pytest.mark.parametrize("command", ["check-einstein", "check-relations",
                                      "transform", "equiv"])

@@ -77,27 +77,39 @@ def test_compare_metrics_materialized_transform():
 def test_compare_metrics_builds_only_the_fundamentals(monkeypatch):
     # the signatures, the stratum and every Gauss-Newton round read the
     # fundamentals layer alone: no sample builds X, Xperp or the other
-    # fields
+    # fields; a round evaluates the columns of both metrics with one
+    # fundamentals pass, and only the signatures read the stratum
     calls = {"fundamental_jets": 0, "derivations": 0,
-             "first_invariant_jets": 0}
+             "first_invariant_jets": 0, "classify": 0}
 
-    def counting(name):
-        fn = getattr(invariants1, name)
+    def counting(module, name):
+        fn = getattr(module, name)
 
         def wrapper(pj):
             calls[name] += 1
             return fn(pj)
 
-        monkeypatch.setattr(invariants1, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
     for name in calls:
-        counting(name)
+        counting(metrics if name == "classify" else invariants1, name)
+    rounds, live = [], equivalence._evaluate
+
+    def evaluate(ms, cols, stratum=False):
+        if not stratum:
+            rounds.append({int(col[0]) for col in cols})
+        return live(ms, cols, stratum)
+
+    monkeypatch.setattr(equivalence, "_evaluate", evaluate)
     m = catalog("vdb")
     image = apply_to_metric(m, make_transform(
         "0.8*t1 + 0.1*t2 + 0.05", "-0.2*t1 + 1.1*t2 - 0.3", "0.5*t1 - 0.2*t2",
         "0.3*t2", [[2.0, 1.0], [0.0, 1.0]]))
     assert compare_metrics(m, image, n=4).verdict == "Consistent"
-    assert calls["fundamental_jets"] > 2
+    assert rounds[0] == {0, 1}
+    # one pass for each round and one for each signature
+    assert calls["fundamental_jets"] == len(rounds) + 2
+    assert calls["classify"] == 2
     assert calls["derivations"] == calls["first_invariant_jets"] == 0
 
 
@@ -184,11 +196,11 @@ def _cut_random_metric():
         domain=((-0.45, 0.9), (-0.9, 0.9)))
 
 
-def _projection_of_vdb(mb):
-    """vdb's samples (n = 5) as targets on mb, each with the four nearest
+def _projection(ma, mb):
+    """ma's samples (n = 5) as targets on mb, each with the four nearest
     samples of mb as starts, and the scales of both sample sets."""
-    from_a = build_signature(catalog("vdb"), n=5).samples
-    to_b = build_signature(mb, rect=mb.domain, n=5).samples
+    from_a, to_b = (build_signature(m, rect=m.domain, n=5).samples
+                    for m in (ma, mb))
     scales = equivalence._scales(np.array([s.values for s in from_a + to_b]))
     v_b = np.array([s.values for s in to_b])
     targets = [np.array(s.values) for s in from_a]
@@ -197,42 +209,79 @@ def _projection_of_vdb(mb):
     return targets, starts, scales
 
 
-@pytest.mark.parametrize("make_b", [
+def _project_onto(m, targets, starts, scales):
+    """equivalence._project of every target onto m alone."""
+    return equivalence._project([m], [0] * len(targets), targets, starts,
+                                scales)
+
+
+MAKE_B = [
     # most samples converge at the first start, four at the second, one
     # at the fourth, two never do
     _vdb_image,
     # no sample converges; Newton steps from the samples of vdb leave the
     # valid set, so batches fail and are halved down to the failing point
-    _cut_random_metric])
+    _cut_random_metric]
+
+
+@pytest.mark.parametrize("make_b", MAKE_B)
 def test_lockstep_projection_is_the_projection_start_by_start(make_b):
     mb = make_b()
-    targets, starts, scales = _projection_of_vdb(mb)
-    got = equivalence._project(mb, targets, starts, scales)
+    targets, starts, scales = _projection(catalog("vdb"), mb)
+    got = _project_onto(mb, targets, starts, scales)
     for (res, point, values), target, ss in zip(got, targets, starts):
         want = _project_in_turn(mb, target, ss, scales)
         assert (res, point) == want[:2]
         assert np.array(values).tobytes() == np.array(want[2]).tobytes()
 
 
-def _evaluate_point_by_point(m, pts):
-    """equivalence._evaluate with a failing batch redone one point at a
-    time: what halving it must give."""
-    def at(point):
+@pytest.mark.parametrize("make_b", MAKE_B)
+def test_joined_projection_is_each_side_projected_alone(make_b):
+    # vdb's samples onto mb and mb's onto vdb in one lockstep, as
+    # compare_metrics runs them: every projection keeps its bits
+    ma, mb = catalog("vdb"), make_b()
+    targets_a, starts_a, scales = _projection(ma, mb)
+    targets_b, starts_b, scales_b = _projection(mb, ma)
+    assert scales.tobytes() == scales_b.tobytes()
+    got = equivalence._project(
+        [ma, mb], [1] * len(targets_a) + [0] * len(targets_b),
+        targets_a + targets_b, starts_a + starts_b, scales)
+    want = (_project_onto(mb, targets_a, starts_a, scales)
+            + _project_onto(ma, targets_b, starts_b, scales))
+    assert len(got) == len(want)
+    for (res, point, values), want_best in zip(got, want):
+        assert (res, point) == want_best[:2]
+        assert values.tobytes() == want_best[2].tobytes()
+
+
+def _evaluate_point_by_point(ms, cols, stratum=False):
+    """equivalence._evaluate with the columns of each metric as one batch,
+    and a failing batch redone one point at a time: what halving it must
+    give."""
+    def at(m, point):
         pj = point_jets(m, point, order=2)
         return (True, pj.stratum.generic) + equivalence._fundamentals(pj)
 
-    try:
-        _, generic, values, jac = at(tuple(np.array(pts).T))
-    except (G2InvError, ArithmeticError):
-        out = []
-        for pt in pts:
-            try:
-                out.append(at(pt))
-            except (G2InvError, ArithmeticError):
-                out.append((False, False, np.full(6, np.nan),
-                            np.full((6, 2), np.nan)))
-        return tuple(map(np.array, zip(*out)))
-    return np.ones(len(pts), bool), generic, values.T, np.moveaxis(jac, 2, 0)
+    cols, out = np.array(cols, dtype=float), {}
+    for k, m in enumerate(ms):
+        rows = np.flatnonzero(cols[:, 0] == k)
+        pts = [tuple(col) for col in cols[rows, 1:]]
+        if not pts:
+            continue
+        try:
+            _, generic, values, jac = at(m, tuple(np.array(pts).T))
+            got = zip([True] * len(pts), generic, values.T,
+                      np.moveaxis(jac, 2, 0))
+        except (G2InvError, ArithmeticError):
+            got = []
+            for pt in pts:
+                try:
+                    got.append(at(m, pt))
+                except (G2InvError, ArithmeticError):
+                    got.append((False, False, np.full(6, np.nan),
+                                np.full((6, 2), np.nan)))
+        out.update(zip(rows, got))
+    return tuple(map(np.array, zip(*(out[i] for i in range(len(cols))))))
 
 
 def test_failing_batch_is_halved_down_to_its_failing_point(monkeypatch):
@@ -240,7 +289,7 @@ def test_failing_batch_is_halved_down_to_its_failing_point(monkeypatch):
     # 100 runs holds one point left of t1 = -0.5
     ma, mb = catalog("vdb"), _cut_random_metric()
     want = compare_metrics(ma, mb, n=5, rect_b=mb.domain)
-    targets, starts, scales = _projection_of_vdb(mb)
+    targets, starts, scales = _projection(ma, mb)
     calls = []
     live = metrics.point_jets
 
@@ -249,7 +298,7 @@ def test_failing_batch_is_halved_down_to_its_failing_point(monkeypatch):
         return live(m, point, *args, **kwargs)
 
     monkeypatch.setattr(metrics, "point_jets", counted)
-    got = equivalence._project(mb, targets, starts, scales)
+    got = _project_onto(mb, targets, starts, scales)
     # 4 rounds, 4 batch calls; the failing batch of 100, redone point by
     # point, made 100 point calls more, and halved it makes 11 batch calls
     # (6 failing) and 3 calls on single points, evaluated alone as floats,
@@ -258,10 +307,37 @@ def test_failing_batch_is_halved_down_to_its_failing_point(monkeypatch):
     monkeypatch.setattr(metrics, "point_jets", live)
     monkeypatch.setattr(equivalence, "_evaluate", _evaluate_point_by_point)
     for (res, point, values), want_best in zip(
-            got, equivalence._project(mb, targets, starts, scales)):
+            got, _project_onto(mb, targets, starts, scales)):
         assert (res, point) == want_best[:2]
         assert np.array(values).tobytes() == np.array(want_best[2]).tobytes()
     assert compare_metrics(ma, mb, n=5, rect_b=mb.domain) == want
+
+
+def test_joined_round_fails_only_its_failing_column(monkeypatch):
+    # a round of three vdb columns and three of the cut metric, one of
+    # them left of t1 = -0.5: the joined batch is halved down to that
+    # column, which fails alone, and every other column keeps its bits
+    ma, mb = catalog("vdb"), _cut_random_metric()
+    cols = [(0, 0.5, 1.0), (0, 0.8, 1.2), (0, 1.1, 0.8),
+            (1, 0.1, 0.2), (1, -0.7, 0.3), (1, 0.4, -0.5)]
+    alone, live = [], metrics.point_jets
+
+    def counted(m, point, *args, **kwargs):
+        if not isinstance(point[0], np.ndarray):
+            alone.append((m.name, tuple(map(float, point))))
+        return live(m, point, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "point_jets", counted)
+    ok, generic, values, jac = equivalence._evaluate([ma, mb], cols)
+    monkeypatch.setattr(metrics, "point_jets", live)
+    assert ok.tolist() == [True, True, True, True, False, True]
+    assert ("cut", (-0.7, 0.3)) in alone
+    assert np.isnan(values[4]).all() and np.isnan(jac[4]).all()
+    for i, (k, *pt) in enumerate(cols):
+        if ok[i]:
+            want = equivalence._fundamentals(point_jets((ma, mb)[k], pt))
+            assert values[i].tobytes() == want[0].tobytes()
+            assert jac[i].tobytes() == want[1].tobytes()
 
 
 def _affine(a, shift, grad, alpha):

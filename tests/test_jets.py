@@ -350,3 +350,58 @@ def test_number_and_jet_sums_and_differences():
     assert (a - 2.0).coeffs == (0.3 - 2.0, 1.1, -0.7, 0.2, 0.9, -1.3)
     assert (2.0 + a).coeffs == (a + 2.0).coeffs \
         == (2.3, 1.1, -0.7, 0.2, 0.9, -1.3)
+
+
+# batch columns for scaling: -0.0 (0.0 + c*x makes it +0.0), the
+# infinities, NaN, a subnormal and a value a large c overflows
+SCALE_COLUMNS = (0.3, -1.7, -0.0, 0.0, math.inf, -math.inf, math.nan,
+                 5e-324, 1.7e308)
+
+
+def _scaled_bits(c, x):
+    """The bits of 0.0 + c*x in Python floats, entry by entry of x (c a
+    float, or an array of x's shape)."""
+    c = np.broadcast_to(c, np.shape(x)).ravel().tolist()
+    return np.array([0.0 + ci * xi for ci, xi
+                     in zip(c, np.ravel(x).tolist())]).tobytes()
+
+
+@pytest.mark.parametrize("c", [1.0, -2.5, 0.0, -0.0, 1e300, math.inf,
+                               math.nan])
+@pytest.mark.parametrize("order", range(4))
+def test_batch_scaling_is_zero_plus_c_times_each_coefficient(order, c):
+    rng = np.random.default_rng(order)
+    a = tuple(rng.permutation(SCALE_COLUMNS)
+              for _ in range(len(jets._IDX[order])))
+    with np.errstate(all="ignore"):
+        got = jets._scale(c, a, order).coeffs
+    assert len(got) == len(a)
+    for x, y in zip(a, got):
+        assert y.shape == x.shape and y.tobytes() == _scaled_bits(c, x)
+        if c in (1.0, -0.0):
+            assert not np.signbit(y[x == 0.0]).any()
+
+
+def test_batch_scaling_raises_where_a_column_overflows():
+    a = (np.array([1.0, 1.7e308]), np.array([2.0, 3.0]), np.zeros(2))
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        jets._scale(2.0, a, 1)
+
+
+def test_mixed_block_and_vector_factor_scaling_is_per_coefficient():
+    # a seed's vector value and float derivatives, a block jet's 2x2
+    # entries and a vector c (as compose_map scales) are scaled one
+    # coefficient at a time: floats stay Python floats, and each array is
+    # its own, not a row of one stacked product
+    t1 = np.array([0.3, -0.0, math.inf])
+    got = (2.5 * jets.seed(t1, 0, 2)).coeffs
+    assert got[0].tobytes() == _scaled_bits(2.5, t1)
+    assert got[1:] == (2.5, 0.0, 0.0, 0.0, 0.0)
+    assert all(type(x) is float for x in got[1:])
+    rng = np.random.default_rng(0)
+    block = tuple(rng.normal(size=(2, 2, 3)) for _ in range(3))
+    c = np.array([0.5, -0.0, 2.0])
+    for factor, a in ((-1.5, block), (c, tuple(rng.normal(size=(3, 3))))):
+        got = jets._scale(factor, a, 1).coeffs
+        for x, y in zip(a, got):
+            assert y.base is None and y.tobytes() == _scaled_bits(factor, x)

@@ -521,7 +521,8 @@ def test_batch_point_columns_have_the_bits_of_their_points(name, units):
         _assert_evaluation_is_the_point(
             ((batch.point[0][k], batch.point[1][k]), batch.stratum.generic[k],
              values[:, k], jac[..., k]), pj)
-    ok, generic, values, jac = equivalence._evaluate(m, pts)
+    ok, generic, values, jac = equivalence._evaluate(
+        [m], [(0, *pt) for pt in pts], stratum=True)
     assert ok.all()
     for k, pj in enumerate(points):
         _assert_evaluation_is_the_point(
@@ -535,7 +536,8 @@ def test_singular_batch_column_fails_alone():
     pts = [(0.7, 0.1), (0.0, 0.3), (1.2, -0.4)]
     with pytest.raises(SingularMetricError):
         point_jets(m, tuple(np.array(pts).T))
-    ok, generic, values, jac = equivalence._evaluate(m, pts)
+    ok, generic, values, jac = equivalence._evaluate(
+        [m], [(0, *pt) for pt in pts], stratum=True)
     assert ok.tolist() == [True, False, True]
     assert np.isnan(values[1]).all() and np.isnan(jac[1]).all()
     for k in (0, 2):
