@@ -307,13 +307,7 @@ def cmd_transform(args):
     points = _resolve_points(args, m)
     if args.report_invariance:
         rep = transform_mod.invariance_report(m, p, points, tol=args.tol)
-        _emit(args, {"command": "transform", "metric": m.name,
-                     "max_invariant_residual": rep["max_invariant_residual"],
-                     "sign_laws_pass": rep["sign_laws_pass"],
-                     "pass": rep["pass"],
-                     "points": [{k: list(v) if k == "point" else v
-                                 for k, v in r.items() if k != "pass"}
-                                for r in rep["points"]]})
+        _emit(args, {"command": "transform", "metric": m.name, **rep})
         return 0 if rep["pass"] else 1
     # the fundamentals read values alone: order-1 jets, one batch
     got = metrics.each_point_or_raise(lambda point: _rows(

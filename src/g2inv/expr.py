@@ -434,20 +434,7 @@ def _eval(e, params, point, order, memo):
     done = memo.get(id(e))
     if done is not None:
         return done
-    if isinstance(e, Num):
-        done = jets.constant(e.value, order)
-    elif isinstance(e, Var):
-        done = jets.seed(point[e.index], e.index, order)
-    elif isinstance(e, Param):
-        try:
-            done = jets.constant(params[e.name], order)
-        except KeyError:
-            raise KeyError(f"parameter {e.name!r} has no value") from None
-    elif isinstance(e, Neg):
-        done = -_eval(e.arg, params, point, order, memo)
-    elif isinstance(e, Call):
-        done = jets.elementary(e.fn, _eval(e.arg, params, point, order, memo))
-    elif isinstance(e, BinOp):
+    if isinstance(e, BinOp):
         if e.op == "^":
             p = eval_scalar(e.right, params, point)
             done = _eval(e.left, params, point, order, memo) ** p
@@ -462,6 +449,19 @@ def _eval(e, params, point, order, memo):
                 done = a * b
             else:
                 done = a / b
+    elif isinstance(e, Num):
+        done = jets.constant(e.value, order)
+    elif isinstance(e, Var):
+        done = jets.seed(point[e.index], e.index, order)
+    elif isinstance(e, Param):
+        try:
+            done = jets.constant(params[e.name], order)
+        except KeyError:
+            raise KeyError(f"parameter {e.name!r} has no value") from None
+    elif isinstance(e, Neg):
+        done = -_eval(e.arg, params, point, order, memo)
+    elif isinstance(e, Call):
+        done = jets.elementary(e.fn, _eval(e.arg, params, point, order, memo))
     else:
         raise TypeError(f"not an expression node: {e!r}")
     memo[id(e)] = done

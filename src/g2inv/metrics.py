@@ -10,9 +10,12 @@ or in the submersion form
     gt_ij dt^i dt^j + h_kl (dz^k + F_i^k dt^i)(dz^l + F_j^l dt^j)
 
 with gt the orbit metric.  The submersion form is canonical internally;
-bfh input is converted eagerly at jet level via
+bfh input is converted eagerly by the law
 
-    gt_ij = b_ij - f_ik f_jl h^kl,    F_j^k = f_js h^sk.
+    gt_ij = b_ij - f_ik f_jl h^kl,    F_j^k = f_js h^sk,
+
+written once, as the texts of SUBMERSION_LAWS: point_jets evaluates them
+on jets, and transform.apply_to_metric parses them on a source's nodes.
 """
 
 from __future__ import annotations
@@ -34,6 +37,30 @@ BFH_KEYS = ("b11", "b12", "b22", "f11", "f12", "f21", "f22",
             "h11", "h12", "h22")
 SUBMERSION_KEYS = ("gt11", "gt12", "gt22", "F11", "F12", "F21", "F22",
                    "h11", "h12", "h22")
+
+# the bfh -> submersion law of the module docstring, h^kl by the
+# adjugate: each text names the bfh components and the laws before it
+SUBMERSION_LAWS = {
+    "det": "h11*h22 - h12*h12",
+    "hi11": "h22/det", "hi12": "-(h12/det)", "hi22": "h11/det",
+    "F11": "f11*hi11 + f12*hi12", "F12": "f11*hi12 + f12*hi22",
+    "F21": "f21*hi11 + f22*hi12", "F22": "f21*hi12 + f22*hi22",
+    **{f"gt{i}{j}": f"b{i}{j} - (f{i}1*F{j}1 + f{i}2*F{j}2)"
+       for i, j in ((1, 1), (1, 2), (2, 2))}}
+
+
+def parse_laws(table, named):
+    """named and each law parsed into table, with the names in named and
+    the laws before it bound to their nodes."""
+    named = dict(named)
+    for key, text in SUBMERSION_LAWS.items():
+        named[key] = expr.parse(text, table, named)
+    return named
+
+
+# the laws parsed once on the bfh components as Param nodes, which
+# point_jets binds to their jets in the evaluation memo
+_LAWS = parse_laws({}, {k: expr.parse(k) for k in BFH_KEYS})
 
 # relative tolerance (times max(1, component_scale)) below which C_rho
 # or ell_C count as zero: the stratum decision of classify
@@ -297,9 +324,10 @@ def point_jets(m, point, order=2, method="analytic"):
     with the bits of point_jets(m, (t1s[k], t2s[k])), and one singular
     column fails the whole batch.  method="fd" replaces analytic jets
     with central finite differences (order <= 2), the independent
-    cross-check path.  It builds its PointJets itself, not by assemble:
-    det h is formed and checked before the bfh law divides by it, and
-    assemble would form it a second time.
+    cross-check path.  A bfh metric's jets are converted by evaluating
+    SUBMERSION_LAWS on them.  It builds its PointJets itself, not by
+    assemble: det h is formed and checked before the law divides by it,
+    and assemble would form it a second time.
     """
     batch = isinstance(point[0], np.ndarray)
     point = tuple(np.array(t, dtype=float) if batch else float(t)
@@ -311,24 +339,13 @@ def point_jets(m, point, order=2, method="analytic"):
     if jets._any(det_h.value == 0.0) or not det_h.is_finite():
         raise SingularMetricError(
             f"singular h for metric {m.name!r} at {point}")
-    if m.form == "submersion":
-        gt = (comp["gt11"], comp["gt12"], comp["gt22"])
-        F = (comp["F11"], comp["F12"], comp["F21"], comp["F22"])
-    else:
-        # h^{-1} via adjugate, then F_j^k = f_js h^sk and
-        # gt_ij = b_ij - f_ik F_j^k, all in jet arithmetic
-        hi11 = h[2] / det_h
-        hi12 = -h[1] / det_h
-        hi22 = h[0] / det_h
-        f11, f12, f21, f22 = (comp["f11"], comp["f12"],
-                              comp["f21"], comp["f22"])
-        F = (f11 * hi11 + f12 * hi12,   # f_1^1
-             f11 * hi12 + f12 * hi22,   # f_1^2
-             f21 * hi11 + f22 * hi12,   # f_2^1
-             f21 * hi12 + f22 * hi22)   # f_2^2
-        gt = (comp["b11"] - (f11 * F[0] + f12 * F[1]),
-              comp["b12"] - (f11 * F[2] + f12 * F[3]),
-              comp["b22"] - (f21 * F[2] + f22 * F[3]))
+    if m.form == "bfh":
+        # the law on the jets, its inputs and det bound to checked jets
+        memo = {id(_LAWS[k]): j for k, j in (*comp.items(), ("det", det_h))}
+        comp = {k: expr.eval_jet(_LAWS[k], {}, point, order, memo)
+                for k in SUBMERSION_KEYS[:7]}
+    gt = tuple(comp[k] for k in SUBMERSION_KEYS[:3])
+    F = tuple(comp[k] for k in SUBMERSION_KEYS[3:7])
     det_gt = gt[0] * gt[2] - gt[1] * gt[1]
     if jets._any(det_gt.value == 0.0) or not det_gt.is_finite():
         raise SingularMetricError(

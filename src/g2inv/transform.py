@@ -252,29 +252,17 @@ def _num(x):
     return repr(float(x))
 
 
-# the laws of the module docstring of metrics, bfh to submersion, each
-# parsed with the components and the laws before it bound by name
-_SUBMERSION_LAWS = {
-    "det": "h11*h22 - h12*h12",
-    "hi11": "h22/det", "hi12": "-(h12/det)", "hi22": "h11/det",
-    "F11": "f11*hi11 + f12*hi12", "F12": "f11*hi12 + f12*hi22",
-    "F21": "f21*hi11 + f22*hi12", "F22": "f21*hi12 + f22*hi22",
-    **{f"gt{i}{j}": f"b{i}{j} - (f{i}1*F{j}1 + f{i}2*F{j}2)"
-       for i, j in ((1, 1), (1, 2), (2, 2))}}
-
-
 def _reread(m, table, named):
     """The submersion components of m, parsed again from its texts (and a
-    bfh source's laws) into table, with each name in named bound to its
-    node."""
+    bfh source's metrics.SUBMERSION_LAWS) into table, with each name in
+    named bound to its node."""
     named = dict(named)
     for key, text in m.defs.items():
         named[key] = expr.parse(text, table, named)
     comp = {k: expr.parse(m.components[k], table, named)
             for k in m.components}
     if m.form == "bfh":
-        for key, text in _SUBMERSION_LAWS.items():
-            comp[key] = expr.parse(text, table, comp)
+        comp = metrics.parse_laws(table, comp)
     return {k: comp[k] for k in metrics.SUBMERSION_KEYS}
 
 
@@ -317,13 +305,15 @@ def random_transform(seed):
 
 
 def invariance_report(m, p, points, tol=1e-7):
-    """Invariance of the six fundamentals plus the frame sign laws.
+    """Invariance of the six fundamentals plus the frame sign laws: the
+    report transform --report-invariance prints.
 
     Both read values alone, so each point takes order-1 component jets
     and order-2 jets of phi and psi.  The points are evaluated as batches
     by metrics.each_point_or_raise, which raises the error of the first
-    failing point, and each column's signs and residuals are computed
-    from the floats of its own point.
+    failing point.  A batch is reduced as (B, ...) stacks of its columns,
+    elementwise and by one matrix product per column, so each column's
+    signs and residuals have the bits of its own point.
     """
     a = np.array(p.alpha)
     eps2 = 1 if a[0][0] * a[1][1] - a[0][1] * a[1][0] > 0 else -1
@@ -332,64 +322,54 @@ def invariance_report(m, p, points, tol=1e-7):
         pj = metrics.point_jets(m, point, order=1)
         phi_jets, psi_jets = _map_jets(p, pj.point, 2)
         pj_bar = _pushforward(pj, p, phi_jets, psi_jets)
-
-        def columns(x, core):
-            """x, nested lists of floats or of (B,) vectors `core` levels
-            deep, as one nested list of floats per column."""
-            return einstein._stack(np.array(x), core).tolist()
-
         # the first derivatives of phi and psi: J_phi's sign and the
         # pushforward of a 4-vector (v_t, v_z) -> (J v_t, Jpsi v_t + a v_z)
-        Js, Jpsis = (columns([[j.d(1, 0), j.d(0, 1)] for j in js], 2)
-                     for js in (phi_jets, psi_jets))
-        invs, invs_bar = (columns([q.fundamentals[k].value for k in
-                                   FUNDAMENTAL_IDS], 1) for q in (pj, pj_bar))
-        generic = np.atleast_1d(pj.stratum.generic).tolist()
-        if any(generic):
-            frames, frames_bar = (columns(q.frame, 2)
-                                  for q in (pj, pj_bar))
-        rows, ts = [], columns(pj.point, 1)  # ts[k]: column k's point
-        for k, J in enumerate(Js):
-            J, Jpsi = np.array(J), np.array(Jpsis[k])
-            eps1 = 1 if J[0][0] * J[1][1] - J[0][1] * J[1][0] > 0 else -1
-            inv, inv_bar = np.array(invs[k]), np.array(invs_bar[k])
-            for what, x in (("fundamentals", inv),
-                            ("pushforward fundamentals", inv_bar)):
-                if not np.isfinite(x).all():  # an overflow: name it
-                    bad = int(np.argmin(np.isfinite(x)))
-                    raise SingularEvaluationError(
-                        what, float(x[bad]), f"{FUNDAMENTAL_IDS[bad]} at "
-                        f"{tuple(ts[k])}")
-            denom = np.maximum(np.abs(inv), np.maximum(np.abs(inv_bar), 1.0))
-            inv_residual = float(np.max(np.abs(inv - inv_bar) / denom))
-            frame_residual = None
-            if generic[k]:
-                sgn = (1.0, eps1, eps1, eps1 * eps2)
-                frame_residual = 0.0
-                for s, v, vbar in zip(sgn, frames[k], frames_bar[k]):
-                    pushed = np.concatenate([J @ v[:2],
-                                             Jpsi @ v[:2] + a @ v[2:]])
-                    target = s * np.array(vbar)
-                    norm = max(float(np.linalg.norm(target)), 1e-300)
-                    frame_residual = max(
-                        frame_residual,
-                        float(np.linalg.norm(pushed - target)) / norm)
-            rows.append({
-                "eps1": eps1,
-                "eps2": eps2,
-                "invariant_residual": inv_residual,
-                "frame_residual": frame_residual,
-                "pass": inv_residual < tol and (frame_residual is None
-                                                or frame_residual < tol),
-            })
-        return rows
+        J, Jpsi = (einstein._stack(np.array(
+            [[j.d(1, 0), j.d(0, 1)] for j in js]), 2)
+            for js in (phi_jets, psi_jets))
+        eps1 = np.where(J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+                        > 0, 1, -1)
+        # inv[k, 0] and inv[k, 1]: column k's fundamentals and its image's
+        inv = np.stack([einstein._stack(np.array(
+            [q.fundamentals[k].value for k in FUNDAMENTAL_IDS]), 1)
+            for q in (pj, pj_bar)], 1)
+        if not np.isfinite(inv).all():  # an overflow: name the first
+            k, q, i = np.unravel_index(np.argmin(np.isfinite(inv)), inv.shape)
+            raise SingularEvaluationError(
+                ("fundamentals", "pushforward fundamentals")[q],
+                float(inv[k, q, i]), f"{FUNDAMENTAL_IDS[i]} at "
+                f"{tuple(float(np.atleast_1d(t)[k]) for t in pj.point)}")
+        inv_residual = np.max(np.abs(inv[:, 0] - inv[:, 1]) / np.maximum(
+            np.abs(inv[:, 0]), np.maximum(np.abs(inv[:, 1]), 1.0)), 1)
+        generic = np.atleast_1d(pj.stratum.generic)
+        frame_residual = [None] * len(generic)
+        if generic.any():
+            # [column, row, 4-vector, 1] frames: the rows H, Hperp, C and
+            # Cperp push to the image's times 1, eps1, eps1 and eps1*eps2
+            v, v_bar = (einstein._stack(q.frame, 2)[..., None]
+                        for q in (pj, pj_bar))
+            vt = v[:, :, :2]
+            pushed = np.concatenate(
+                (J[:, None] @ vt, Jpsi[:, None] @ vt + a @ v[:, :, 2:]), 2)
+            sign = np.stack([np.ones_like(eps1), eps1, eps1, eps1 * eps2], 1)
+            target = sign[..., None, None] * v_bar
 
-    rows = [{"point": pt, **row} for pt, row in zip(
+            def norm(x):  # np.linalg.norm's sqrt(x . x), per column and row
+                return np.sqrt(x.swapaxes(2, 3) @ x)[..., 0, 0]
+            ratio = norm(pushed - target) / np.maximum(norm(target), 1e-300)
+            # the worst row, from 0.0 and skipping a NaN, as Python's max
+            got = np.fmax.reduce(ratio, 1, initial=0.0).tolist()
+            frame_residual = [r if g else None for r, g in zip(got, generic)]
+        return [{"eps1": e, "eps2": eps2, "invariant_residual": r,
+                 "frame_residual": f} for e, r, f in zip(
+            eps1.tolist(), inv_residual.tolist(), frame_residual)]
+
+    rows = [{"point": list(pt), **row} for pt, row in zip(
         points, metrics.each_point_or_raise(evaluate, points))]
-    return {"points": rows, "tol": tol,
-            "max_invariant_residual": max(r["invariant_residual"]
-                                          for r in rows),
-            "sign_laws_pass": not any(
-                r["frame_residual"] is not None and r["frame_residual"] > tol
-                for r in rows),
-            "pass": all(r["pass"] for r in rows)}
+    frames = [r["frame_residual"] for r in rows
+              if r["frame_residual"] is not None]
+    worst = max(r["invariant_residual"] for r in rows)
+    return {"max_invariant_residual": worst,
+            "sign_laws_pass": not any(r > tol for r in frames),
+            "pass": worst < tol and all(r < tol for r in frames),
+            "points": rows}

@@ -64,6 +64,18 @@ def test_unknown_domain_falls_back_to_default_box():
     assert len(sig.samples) >= 8
 
 
+def test_a_metric_with_no_domain_is_sampled_on_the_default_box():
+    # a random_analytic document renamed has no sampling domain; its
+    # components are smooth on the whole plane, so its samples spread
+    # across the default box (-1.5, 1.5)^2 in both t1 and t2
+    doc = catalog("random_analytic", {"seed": 1}).to_document()
+    m = load_metric({**doc, "name": "custom"})
+    assert default_domain(m) is None
+    pts = np.array([s.point for s in build_signature(m, n=8).samples])
+    assert (np.abs(pts) < 1.5).all()
+    assert (pts.max(0) - pts.min(0) > 2.8).all()
+
+
 def test_compare_metrics_materialized_transform():
     m = catalog("vdb")
     p = make_transform("0.8*t1 + 0.1*t2 + 0.05", "-0.2*t1 + 1.1*t2 - 0.3",

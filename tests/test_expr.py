@@ -63,6 +63,27 @@ def test_eval_jet_bilinear():
     assert j.coeffs == (6.0, 3.0, 2.0)
 
 
+def _falling(p, k):
+    """p (p - 1) ... (p - k + 1), the k-th derivative factor of x^p."""
+    return math.prod(p - n for n in range(k))
+
+
+@pytest.mark.parametrize("text, a, b", [
+    ("t1^0.5", 0.5, 0.0), ("t1^-1.5", -1.5, 0.0),
+    ("(t1*t2)^2.5", 2.5, 2.5)])
+def test_non_integer_power_jets_are_the_closed_form_derivatives(text, a, b):
+    # text is t1^a t2^b: d^(i+j)/dt1^i dt2^j of it is
+    # falling(a, i) t1^(a-i) falling(b, j) t2^(b-j)
+    t1, t2 = 1.7, 0.6
+    jet = expr.eval_jet(expr.parse(text), {}, (t1, t2), 3)
+    for i in range(4):
+        for j in range(4 - i):
+            want = (_falling(a, i) * t1 ** (a - i)
+                    * _falling(b, j) * t2 ** (b - j))
+            assert jet.d(i, j) == pytest.approx(want, rel=1e-13, abs=1e-15), \
+                (i, j)
+
+
 def test_eval_scalar_matches_math():
     val = expr.eval_scalar(expr.parse("cosh(sqrt(6)*t1)"), {}, (0.5, 0.0))
     assert val == pytest.approx(math.cosh(math.sqrt(6) * 0.5), rel=1e-15)

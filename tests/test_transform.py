@@ -22,6 +22,8 @@ from test_einstein import block_layer_points
 
 IDENTITY = dict(phi1="t1", phi2="t2", psi1="0", psi2="0",
                 alpha=[[1.0, 0.0], [0.0, 1.0]])
+AFFINE = make_transform("0.9*t1 + 0.1*t2 + 0.02", "1.2*t2 - 0.1*t1",
+                        "0.4*t1", "0.7*t2", [[1.0, 1.0], [0.0, 1.0]])
 
 
 def six(pj):
@@ -224,9 +226,7 @@ def test_theta_semi_invariant_sign_laws():
 
 
 def test_apply_to_metric_affine():
-    m = catalog("vdb")
-    p = make_transform("0.9*t1 + 0.1*t2 + 0.02", "1.2*t2 - 0.1*t1",
-                       "0.4*t1", "0.7*t2", [[1.0, 1.0], [0.0, 1.0]])
+    m, p = catalog("vdb"), AFFINE
     mt = apply_to_metric(m, p)
     from g2inv.expr import eval_scalar
     for pt in [(0.5, 1.0), (0.8, 1.3)]:
@@ -244,14 +244,40 @@ def test_apply_to_metric_rejects_nonaffine():
 
 
 def test_identity_image_keeps_the_fundamentals():
-    # apply_to_metric rewrites a bfh source in submersion form
-    m = catalog("vdb")
-    ms = apply_to_metric(m, load_transform(IDENTITY))
-    assert ms.form == "submersion"
-    for pt in [(0.5, 1.0), (1.0, 1.4)]:
-        a = six(point_jets(m, pt))
-        b = six(point_jets(ms, pt))
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+    # apply_to_metric rewrites a bfh source in submersion form by the bfh
+    # law on its nodes, and point_jets converts the source by the same
+    # law on its jets: for every bfh family, the ten component jets (so
+    # the fundamentals) are equal, coefficient for coefficient, at each
+    # point and as one batch
+    for name in CATALOG_NAMES:
+        m = catalog(name)
+        if m.form != "bfh":
+            continue
+        ms = apply_to_metric(m, load_transform(IDENTITY))
+        assert ms.form == "submersion"
+        pts = grid_points(default_domain(m), 3, margin=0.15)
+        for pt in [*pts, tuple(np.array(pts).T)]:
+            for a, b in zip(point_jets(m, pt).all_component_jets(),
+                            point_jets(ms, pt).all_component_jets()):
+                assert all(np.all(x == y) for x, y in
+                           zip(a.coeffs, b.coeffs)), (name, pt)
+
+
+@pytest.mark.parametrize("m", [catalog("vdb"),
+                               catalog("random_analytic", {"seed": 3})],
+                         ids=["vdb", "random_analytic_3"])
+def test_image_domain_is_the_box_of_the_shrunken_source_rectangle(m):
+    # J t + b over the corners of the source rectangle, each side cut by
+    # a tenth of its length at both ends
+    J, b = np.array([[0.9, 0.1], [-0.1, 1.2]]), np.array([0.02, 0.0])
+    (a0, a1), (c0, c1) = default_domain(m)
+    da, dc = 0.1 * (a1 - a0), 0.1 * (c1 - c0)
+    images = np.array([J @ (x, y) + b for x in (a0 + da, a1 - da)
+                       for y in (c0 + dc, c1 - dc)])
+    want = tuple(zip(images.min(0), images.max(0)))
+    got = apply_to_metric(m, AFFINE).domain
+    assert np.array(got) == pytest.approx(np.array(want), rel=1e-14,
+                                          abs=1e-15)
 
 
 # The order-1 evaluation of phi and psi that invariance_report made at
