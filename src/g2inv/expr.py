@@ -1,4 +1,4 @@
-"""Recursive-descent parser and jet evaluator for component expressions.
+"""Parser and jet evaluator for component expressions.
 
 Parsed expressions are hash-consed DAGs: every distinct subtree is one
 node object, and evaluation at a point, or at a batch point of two
@@ -109,117 +109,122 @@ def _token_regex(text):
         re.VERBOSE)
 
 
-_ATOMS = {str, int, float}
+_END = ("", "", "", "")  # findall's (op, num, ident, bad) past the end
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_NEG = (3, "-", None, 0)  # unary minus: tighter than '*', looser than '^'
+_COORDS = {"t1": (Var, 0), "t2": (Var, 1)}
+
+
+class Table:
+    """An intern table, one per metric or transform load: nodes maps
+    (type or operator, fields) to the one node with that content and its
+    facts, found from its children's as it is interned (children keyed by
+    identity): 2 * its depth (1 for a leaf), + 1 if it holds t1 or t2.
+    facts holds them by the id of each node parse returned, and suspects
+    each Param and each '^' whose exponent holds t1 or t2."""
+
+    def __init__(self):
+        self.nodes, self.facts, self.suspects = {}, {}, []
+
+    def depth(self, node):  # of a node parse returned
+        return self.facts[id(node)] >> 1
 
 
 class _Parser:
-    """Builds the hash-consed AST: ``table`` maps (type, fields) to the one
-    node with that content, children keyed by identity since they are
-    already interned."""
+    """Reads one text into the table: a call per parenthesized group, in
+    which one loop stacks each operator with its left operand."""
 
     def __init__(self, text, table, defs):
         # tokenized in one pass; a bad character raises only once the
         # parser reaches it, so an earlier syntax error is reported first
-        self.tokens = [(m.lastgroup, m.group(m.lastgroup),
-                        m.start(m.lastgroup))
-                       for m in _token_regex(text).finditer(text)]
-        self.tokens.append(("eof", "", len(text)))
-        self.i = 0
-        self.table = table
-        self.defs = defs
+        self.text, self.table, self.nodes, self.defs = (text, table,
+                                                        table.nodes, defs)
+        self.tokens = _token_regex(text).findall(text) + [_END]
 
-    def peek(self):
-        tok = self.tokens[self.i]
-        if tok[0] == "bad":
-            raise ExprSyntaxError(f"unexpected character {tok[1]!r}", tok[2])
-        return tok
+    def fail(self, message, k):
+        """Raise the error at token k, its offset found by the same regex."""
+        starts = [m.start(m.lastindex)
+                  for m in _token_regex(self.text).finditer(self.text)]
+        raise ExprSyntaxError(message, (starts + [len(self.text)])[k])
 
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
+    def leaf(self, cls, field):
+        """(node, facts) of a number, t1, t2 or a Param."""
+        entry = self.nodes.get((cls, field))
+        if entry is None:
+            entry = self.nodes[cls, field] = (cls(field), 2 + (cls is Var))
+            if cls is Param:
+                self.table.suspects.append(entry[0])
+        return entry
 
-    def node(self, cls, *fields):
-        key = (cls, *[f if f.__class__ in _ATOMS else id(f) for f in fields])
-        found = self.table.get(key)
-        if found is None:
-            found = self.table[key] = cls(*fields)
-        return found
+    def unary(self, fn, arg, facts):
+        """(node, facts) of the Neg (fn '-') or the Call of fn on arg."""
+        entry = self.nodes.get((fn, id(arg)))
+        if entry is None:
+            entry = self.nodes[fn, id(arg)] = (
+                Neg(arg) if fn == "-" else Call(fn, arg), facts + 2)
+        return entry
 
-    def parse(self):
-        e = self.expr()
-        kind, text, pos = self.peek()
-        if kind != "eof":
-            raise ExprSyntaxError(f"unexpected trailing input {text!r}", pos)
-        return e
-
-    def expr(self):
-        left = self.term()
+    def group(self, i):
+        """(node, facts, index of the next token) of the operands and
+        operators from token i to one that continues none (a ')' or the
+        end, in a well-formed text)."""
+        tokens, nodes, stack = self.tokens, self.nodes, []
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.i += 1
-                left = self.node(BinOp, text, left, self.term())
+            op, num, name, bad = tokens[i]
+            i += 1
+            if op == "-":
+                stack.append(_NEG)
+                continue
+            if num:
+                try:
+                    node, facts = self.leaf(Num, float(num))
+                except ValueError:
+                    self.fail(f"bad number {num!r}", i - 1)
+            elif name and tokens[i][0] != "(":
+                node = self.defs.get(name)
+                node, facts = (self.leaf(*_COORDS.get(name, (Param, name)))
+                               if node is None
+                               else (node, self.table.facts[id(node)]))
             else:
-                return left
-
-    def term(self):
-        left = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.i += 1
-                left = self.node(BinOp, text, left, self.factor())
-            else:
-                return left
-
-    def factor(self):
-        base = self.base()
-        kind, text, pos = self.peek()
-        if kind == "op" and text == "^":
-            self.i += 1
-            exponent = self.base()
-            kind, text, pos = self.peek()
-            if kind == "op" and text == "^":
-                raise ExprSyntaxError(
-                    "chained '^' is ambiguous, use parentheses", pos)
-            return self.node(BinOp, "^", base, exponent)
-        return base
-
-    def base(self):
-        kind, text, pos = self.take()
-        if kind == "num":
-            try:
-                return self.node(Num, float(text))
-            except ValueError:
-                raise ExprSyntaxError(f"bad number {text!r}", pos) from None
-        if kind == "op" and text == "-":
-            return self.node(Neg, self.factor())
-        if kind == "op" and text == "(":
-            e = self.expr()
-            kind, text, pos = self.take()
-            if text != ")":
-                raise ExprSyntaxError("expected ')'", pos)
-            return e
-        if kind == "ident":
-            nxt_kind, nxt_text, _ = self.peek()
-            if nxt_kind == "op" and nxt_text == "(":
-                if text not in FUNCTIONS:
-                    raise ExprSyntaxError(f"unknown function {text!r}", pos)
-                self.i += 1
-                arg = self.expr()
-                kind2, text2, pos2 = self.take()
-                if text2 != ")":
-                    raise ExprSyntaxError("expected ')'", pos2)
-                return self.node(Call, text, arg)
-            if text in self.defs:
-                return self.defs[text]
-            if text == "t1":
-                return self.node(Var, 0)
-            if text == "t2":
-                return self.node(Var, 1)
-            return self.node(Param, text)
-        raise ExprSyntaxError(f"expected a value, got {text!r}", pos)
+                if name:
+                    if name not in FUNCTIONS:
+                        self.fail(f"unknown function {name!r}", i - 1)
+                    i += 1
+                elif op != "(":
+                    self.fail(f"unexpected character {bad!r}" if bad
+                              else f"expected a value, got {op!r}", i - 1)
+                node, facts, i = self.group(i)
+                if tokens[i][0] != ")":
+                    self.fail("expected ')'", i)
+                i += 1
+                if name:
+                    node, facts = self.unary(name, node, facts)
+            # the operator after it; past the last one, prec 0 applies all
+            op = tokens[i][0]
+            prec = _PREC.get(op, 0)
+            if op == "^" and stack and stack[-1][1] == "^":
+                self.fail("chained '^' is ambiguous, use parentheses", i)
+            while stack and stack[-1][0] >= prec:
+                _, top, left, lf = stack.pop()
+                if left is None:
+                    node, facts = self.unary("-", node, facts)
+                    continue
+                key = (top, id(left), id(node))
+                entry = nodes.get(key)
+                if entry is None:
+                    entry = nodes[key] = (BinOp(top, left, node),
+                                          (lf if lf > facts else facts) + 2
+                                          | (lf | facts) & 1)
+                    if top == "^" and facts & 1:
+                        self.table.suspects.append(entry[0])
+                node, facts = entry
+            if not prec:
+                break
+            stack.append((prec, op, node, facts))
+            i += 1
+        if tokens[i][3]:
+            self.fail(f"unexpected character {tokens[i][3]!r}", i)
+        return node, facts, i
 
 
 @_depth_checked
@@ -227,7 +232,7 @@ def parse(text, table=None, defs=None):
     """Parse expression text into an AST in which every distinct subtree
     is one node object.
 
-    ``table`` is the intern table; texts parsed with the same table share
+    ``table`` is the intern Table; texts parsed with the same table share
     their common subtrees (one table per metric or transform load).
     This is the one place expression nodes are built.  ``defs`` maps a
     name to a node parsed with the same table: the name stands for that
@@ -237,21 +242,19 @@ def parse(text, table=None, defs=None):
     """
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return _Parser(text, {} if table is None else table,
-                   {} if defs is None else defs).parse()
+    parser = _Parser(text, Table() if table is None else table,
+                     {} if defs is None else defs)
+    node, parser.table.facts[id(node)], i = parser.group(0)
+    if i < len(parser.tokens) - 1:
+        parser.fail("unexpected trailing input "
+                    f"{''.join(parser.tokens[i])!r}", i)
+    return node
 
 
-# the deepest a metric's def may nest.  A chain of defs, each one short
-# text, could nest past what validate and the evaluator (a frame a level,
-# under Python's recursion limit of 1000) can walk; this leaves room for
-# a component's own nesting on top
+# the deepest a def may nest, so that a chain of short defs leaves the
+# evaluator (a frame a level, under the recursion limit of 1000) room
+# for a component's nesting; and the deepest text validate need not walk
 MAX_DEPTH = 500
-
-
-@_depth_checked
-def depth(e, memo):
-    """Nesting depth of the expression, 1 for a leaf."""
-    return _fold(e, lambda node, kids: 1 + max(kids, default=0), memo)
 
 
 def _children(node):
@@ -271,9 +274,6 @@ def _fold(e, combine, memo):
         return done
 
     return walk(e)
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 
 
 def _renderer(names, memo):
@@ -388,14 +388,15 @@ def _is_constant(e, memo=None):
 
 
 @_depth_checked
-def validate(e, params, seen=None):
+def validate(e, params, table=None):
     """Return a list of problems (empty when the expression is usable).
-
-    ``seen`` holds the ids of nodes checked before against the same
-    params, which are skipped: the texts of one document share one.
-    """
-    problems, constant = [], {}
-    seen = set() if seen is None else seen
+    Given the Table e was parsed with, they are looked for only if e nests
+    deeper than MAX_DEPTH (a text too deep to walk is an error) or a Param
+    not in params or a '^' with a non-constant exponent was interned."""
+    if table is not None and table.depth(e) <= MAX_DEPTH and all(
+            isinstance(n, Param) and n.name in params for n in table.suspects):
+        return []
+    problems, constant, seen = [], {}, set()
 
     def walk(node):
         if id(node) in seen:

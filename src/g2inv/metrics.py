@@ -50,9 +50,9 @@ SUBMERSION_LAWS = {
 
 
 def parse_laws(table, named):
-    """named and each law parsed into table, with the names in named and
-    the laws before it bound to their nodes."""
-    named = dict(named)
+    """Each bfh component (its node in named, else a Param) and each law,
+    naming them and the laws before it, parsed into table."""
+    named = {k: expr.parse(k, table, named) for k in BFH_KEYS} | named
     for key, text in SUBMERSION_LAWS.items():
         named[key] = expr.parse(text, table, named)
     return named
@@ -60,7 +60,7 @@ def parse_laws(table, named):
 
 # the laws parsed once on the bfh components as Param nodes, which
 # point_jets binds to their jets in the evaluation memo
-_LAWS = parse_laws({}, {k: expr.parse(k) for k in BFH_KEYS})
+_LAWS = parse_laws(expr.Table(), {})
 
 # relative tolerance (times max(1, component_scale)) below which C_rho
 # or ell_C count as zero: the stratum decision of classify
@@ -230,10 +230,10 @@ def load_metric(document):
     _check_names("param", params, _RESERVED)
     _check_names("def", defs,
                  {**_RESERVED, **dict.fromkeys(params, "a param")})
-    table, depths, named, seen = {}, {}, {}, set()
+    table, named = expr.Table(), {}
 
     def validated(where, ast):
-        problems = expr.validate(ast, set(params), seen)
+        problems = expr.validate(ast, params, table)
         if problems:
             raise MetricDefinitionError(f"{where}: " + "; ".join(problems))
         return ast
@@ -242,7 +242,7 @@ def load_metric(document):
         if not isinstance(text, str):
             raise MetricDefinitionError(f"def {key} must be a string")
         ast = expr.parse(text, table, named)
-        if expr.depth(ast, depths) > expr.MAX_DEPTH:
+        if table.depth(ast) > expr.MAX_DEPTH:
             raise MetricDefinitionError(
                 f"def {key}: nested deeper than {expr.MAX_DEPTH} levels")
         named[key] = validated(f"def {key}", ast)

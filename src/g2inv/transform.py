@@ -39,15 +39,14 @@ class PseudoTransform:
 
 def make_transform(phi1, phi2, psi1, psi2, alpha):
     strings = {"phi1": phi1, "phi2": phi2, "psi1": psi1, "psi2": psi2}
-    asts, table = {}, {}
+    asts, table = {}, expr.Table()
     for key, text in strings.items():
         if not isinstance(text, str):
             raise MetricDefinitionError(f"{key} must be a string")
-        ast = expr.parse(text, table)
-        problems = expr.validate(ast, set())
+        asts[key] = expr.parse(text, table)
+        problems = expr.validate(asts[key], (), table)
         if problems:
             raise MetricDefinitionError(f"{key}: " + "; ".join(problems))
-        asts[key] = ast
     alpha = _alpha(alpha)
     det = alpha[0][0] * alpha[1][1] - alpha[0][1] * alpha[1][0]
     if det == 0.0:
@@ -203,7 +202,7 @@ def apply_to_metric(m, p, name=None):
         raise DegenerateTransformError("J_phi = 0")
     Minv = np.linalg.inv(J)
     # the inverse map t^i = Minv (tbar - b) substituted into the source
-    table = {}
+    table = expr.Table()
     comp = _reread(m, table, {f"t{i + 1}": expr.parse(" + ".join(
         f"{_num(Minv[i][j])}*(t{j + 1} - {_num(b[j])})" for j in range(2)),
         table) for i in range(2)})

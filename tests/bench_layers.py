@@ -20,7 +20,8 @@ import json
 import numpy as np
 import pytest
 
-from g2inv import catalog, cli, einstein, equivalence, jets, point_jets
+from g2inv import (catalog, cli, einstein, equivalence, jets, load_metric,
+                   point_jets)
 from g2inv.einstein import onshell_relations
 from g2inv.invariants1 import (FUNDAMENTAL_IDS, jacobian_rank,
                                random_point_jets, relations_first)
@@ -93,6 +94,19 @@ def test_scale_batch(benchmark):
     # a float times an order-2 batch jet of 36 columns
     a, _ = _operands(2, 36)
     assert benchmark(jets._scale, 0.1628, a.coeffs, 2).order == 2
+
+
+@pytest.mark.parametrize("name", ["vdb", "random_analytic", "vdb_image"])
+def test_load_metric(benchmark, tmp_path, name):
+    # the front end each op starts with: a metric file read, its texts
+    # parsed and checked; vdb's catalog file, a random_analytic one and
+    # an affine image of vdb, a defs document
+    m = {"vdb": VDB, "random_analytic": catalog("random_analytic",
+                                                {"seed": 3}),
+         "vdb_image": VDB_IMAGE}[name]
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps(m.to_document()))
+    assert benchmark(load_metric, str(path)).asts == m.asts
 
 
 def test_point_jets(benchmark):

@@ -720,6 +720,20 @@ def test_deep_component_is_an_input_error(tmp_path, capsys, gt11, method):
         and captured.err.count("\n") == 1, captured.err
 
 
+@pytest.mark.parametrize("gt11", ["1" + "+t1" * 3000, "-" * 3000 + "t1"],
+                         ids=["sum", "negations"])
+def test_deep_component_fails_the_load_of_grid_and_equiv(tmp_path, capsys,
+                                                          gt11):
+    # an input error when the metric is read, not a grid of null rows or
+    # an inconclusive verdict when each point fails to evaluate
+    path = _submersion_file(tmp_path, {**FLAT_SUBMERSION, "gt11": gt11})
+    for argv in (["grid", path, "--t1=0.1:0.5:2", "--t2=0.1:0.5:2"],
+                 ["equiv", path, path, "--rect-a=0:1,0:1",
+                  "--rect-b=0:1,0:1", "--grid", "3"]):
+        assert _one_error_line(argv, capsys) \
+            == "error: expression nested too deeply\n"
+
+
 @pytest.mark.parametrize("transform", [
     json.dumps({"phi1": "t1" + "+0*t1" * 3000, "phi2": "t2", "psi1": "0",
                 "psi2": "0", "alpha": [[1, 0], [0, 1]]}),

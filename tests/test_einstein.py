@@ -202,6 +202,36 @@ def test_gauss_curvature_equality_on_shell():
             assert abs(K["K_Xi"] - K["K_Xiperp"]) < 1e-7 * scale
 
 
+def _homothetic(m, k):
+    """m with g -> 4^k g: each component times 4^k, except F, which a
+    constant rescaling of the metric leaves as it is."""
+    keep = ("F11", "F12", "F21", "F22") if m.form == "submersion" else ()
+    return load_metric({
+        "name": m.name, "form": m.form, "params": m.params, "defs": m.defs,
+        "components": {key: text if key in keep else f"{4.0 ** k!r}*({text})"
+                       for key, text in m.components.items()}})
+
+
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("name", ["vdb", "random_analytic"])
+def test_onshell_rows_are_invariant_under_homothety(name, k):
+    # g -> 4^k g with lam -> lam / 4^k: every term of a relation, and
+    # every scale of its normalizer, has the relation's degree, so each
+    # normalized residual stays put; the normalized Einstein residual
+    # scales by 4^-k.  A scale of another degree moves its row: with
+    # C_chi*C_rho/Q_chi for C_chi*C_rho*Q_chi, X_ellC_long on
+    # random_analytic seed 3 moves by up to 5e-4
+    m = catalog(name, {"seed": 3} if name == "random_analytic" else None)
+    scaled, lam = _homothetic(m, k), 1.5
+    for pt in grid_points(default_domain(m), 3, 1, margin=0.1):
+        want = einstein.onshell_relations(point_jets(m, pt), lam)
+        got = einstein.onshell_relations(point_jets(scaled, pt),
+                                         lam / 4.0 ** k)
+        assert got.pop("einstein_normalized") == pytest.approx(
+            want.pop("einstein_normalized") / 4.0 ** k, rel=1e-12)
+        assert got == pytest.approx(want, rel=0.0, abs=1e-12), pt
+
+
 def _catalog_points():
     """Every catalog metric (random_analytic seeds 0-3) at three points
     of its domain, and five synthetic jet-space probes."""

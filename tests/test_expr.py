@@ -157,7 +157,7 @@ def test_eval_jet_vs_finite_differences(text):
 def test_substitute_replaces_both_coordinates():
     # a def bound to t1 or t2 substitutes it, as the reference does
     text = "sin(t1)*t2 - t1^2/(-t2)"
-    table = {}
+    table = expr.Table()
     r1, r2 = expr.parse("t2 + 1", table), expr.parse("2*t1", table)
     bound = {"t1": r1, "t2": r2}
     want = expr.parse("sin(t2 + 1)*(2*t1) - (t2 + 1)^2/(-(2*t1))")

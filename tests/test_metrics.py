@@ -581,8 +581,9 @@ def test_point_jets_evaluates_each_unique_node_once(monkeypatch):
 
     # parsing with t1, t2 bound to phi keeps a shared subtree one shared
     # node, also across texts parsed with one table
-    bound = {"t1": p.phi[0], "t2": p.phi[1]}
-    table = {}
+    table = expr.Table()
+    bound = {"t1": expr.parse(p.strings["phi1"], table),
+             "t2": expr.parse(p.strings["phi2"], table)}
     out = expr.parse("sin(t1)*sin(t1)", table, bound)
     assert out.left is out.right
     assert out == substitute(expr.parse("sin(t1)*sin(t1)"), p.phi)

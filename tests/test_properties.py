@@ -81,7 +81,7 @@ def _nodes(roots):
          expr.Var(1), expr.Num(2.0))
 def test_parse_with_bound_coordinates_substitutes(e, r1, r2):
     # parsed, so that a negative number is a Neg as in the parser's output
-    table = {}
+    table = expr.Table()
     e, r1, r2 = (expr.parse(expr.to_string(x), table) for x in (e, r1, r2))
     got = expr.parse(expr.to_string(e), table, {"t1": r1, "t2": r2})
     assert got == substitute(e, (r1, r2))
