@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import einstein, jets, metrics
+from .errors import SingularMetricError
 # perfbench/bench_selftest.py checks that its tracer rewraps this binding
 from .invariants1 import FUNDAMENTAL_IDS, first_invariant_jets  # noqa: F401
 
@@ -42,9 +43,7 @@ def _hessian_log_det_h(pj, gamma2):
     nu = np.zeros((2, 2) + np.shape(L.value))
     for i in range(2):
         for j in range(2):
-            second = jets.t_derivative(dL[i], j).value if L.order >= 2 \
-                else 0.0
-            nu[i][j] = second - sum(
+            nu[i][j] = jets.t_derivative(dL[i], j).value - sum(
                 gamma2.value[k, i, j] * dL[k].value for k in range(2))
     return nu
 
@@ -68,7 +67,12 @@ def second_invariants_from_jets(pj):
     gt, gi = (jets.block([m[:2], m[1:]]) for m in (pj.gt, jv["gi"]))
     gamma = einstein._christoffel(gt, gi)
     stack = einstein._stack(gt.value, 2)
-    inv_det = np.linalg.inv(stack), np.linalg.det(stack)
+    try:  # LU can find a zero pivot where det gt, as a product, is not 0
+        inv_det = np.linalg.inv(stack), np.linalg.det(stack)
+    except np.linalg.LinAlgError:
+        raise SingularMetricError(
+            f"singular orbit metric: gt = {stack[0].tolist()} has no "
+            "inverse") from None
     c_ric, q_ric = _trace_det(pj, np.einsum(
         "abad...->bd...", einstein._riemann(gamma)), *inv_det)
     C_nu, Q_nu = _trace_det(pj, _hessian_log_det_h(pj, gamma), *inv_det)

@@ -244,12 +244,6 @@ class Jet2:
             return NotImplemented
         return _divide(self, o)
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _divide(o, self)
-
     def __pow__(self, p):
         if isinstance(p, float) and not math.isfinite(p):
             raise SingularEvaluationError("pow", self.value,
@@ -468,6 +462,8 @@ def _over(x, y):
 
 def _derivatives(fname, v, n):
     """[f(v), f'(v), ..., f^(n)(v)] of a float, or of each batch column."""
+    if fname in ("sin", "cos", "tan") and _any(abs(v) == math.inf):
+        raise SingularEvaluationError(fname, v)  # math's raise ValueError
     if fname == "exp":
         e = _map(math.exp, v)
         d = [e] * (n + 1)
@@ -489,10 +485,7 @@ def _derivatives(fname, v, n):
         s, c = _map(math.sin, v), _map(math.cos, v)
         d = [c, -s, -c, s][:n + 1]
     elif fname == "tan":
-        c = _map(math.cos, v)
-        if _any(c == 0.0):
-            raise SingularEvaluationError("tan", v)
-        t = _map(math.tan, v)
+        t = _map(math.tan, v)  # finite: no double is an odd multiple of pi/2
         u = 1.0 + t * t
         d = [t, u, 2.0 * t * u, u * (2.0 + 6.0 * t * t)][:n + 1]
     elif fname == "sinh":
@@ -551,8 +544,6 @@ def truncate(a, order):
     """Drop coefficients above the requested order."""
     if order > a.order:
         raise ValueError("cannot raise jet order by truncation")
-    if order == a.order:
-        return a
     return _jet(order, a.coeffs[:len(_IDX[order])])
 
 

@@ -49,8 +49,9 @@ def make_transform(phi1, phi2, psi1, psi2, alpha):
             raise MetricDefinitionError(f"{key}: " + "; ".join(problems))
     alpha = _alpha(alpha)
     det = alpha[0][0] * alpha[1][1] - alpha[0][1] * alpha[1][0]
-    if det == 0.0:
-        raise DegenerateTransformError("alpha must be invertible")
+    with np.errstate(over="ignore"):  # LU can find a zero pivot, too
+        if det == 0.0 or np.linalg.det(alpha) == 0.0:
+            raise DegenerateTransformError("alpha must be invertible")
     return PseudoTransform(phi=(asts["phi1"], asts["phi2"]),
                            psi=(asts["psi1"], asts["psi2"]),
                            alpha=alpha,
@@ -83,19 +84,19 @@ def load_transform(document):
                           document["alpha"])
 
 
-def _inverse_map_jets(phi_jets, order):
-    """Jets (in t-bar) of phi^-1 from order-(order+1) jets of phi (in t).
+def _inverse_map_jets(J, order):
+    """Jets (in t-bar) of phi^-1 from the jets J[m][i] = d phi^m / dt^i.
 
-    On a batch, J_phi's determinant and inverse are taken on the (B, 2, 2)
-    stack of its columns, one np.linalg call each, with the bits of one
-    call per matrix."""
+    J_phi's inverse is taken on the (B, 2, 2) stack of its columns, with
+    the bits of one np.linalg call per matrix; LU can find a zero pivot
+    where det J, as a product, is not 0."""
     d = jets.t_derivative
-    batch = isinstance(phi_jets[0].value, np.ndarray)
-    J = einstein._stack(np.array([[d(phi_jets[m], i).value for i in range(2)]
-                                  for m in range(2)]), 2)
-    if (np.linalg.det(J) == 0.0).any():
-        raise DegenerateTransformError("J_phi = 0")
-    stack = np.linalg.inv(J)
+    batch = isinstance(J[0][0].value, np.ndarray)
+    try:
+        stack = np.linalg.inv(einstein._stack(np.array(
+            [[J[m][i].value for i in range(2)] for m in range(2)]), 2))
+    except np.linalg.LinAlgError:
+        raise DegenerateTransformError("J_phi = 0") from None
     M = stack.transpose(1, 2, 0) if batch else stack[0]
     iotas = [[0.0] * len(jets._IDX[order]) for _ in range(2)]
     # d iota^i / d tbar^a = M^i_a; second derivatives from
@@ -104,12 +105,12 @@ def _inverse_map_jets(phi_jets, order):
         for i in range(2):
             iotas[i][1:3] = M[i]
     if order >= 2:
-        K = np.array([[[d(d(phi_jets[c], j), k).value for k in range(2)]
+        K = np.array([[[d(J[c][j], k).value for k in range(2)]
                        for j in range(2)] for c in range(2)])
         D2 = -np.einsum("ic...,cjk...,ja...,kb...->iab...", M, K, M, M)
         for i in range(2):
             iotas[i][3:6] = D2[i][0][0], D2[i][0][1], D2[i][1][1]
-    lift = (lambda c: np.full(J.shape[0], c)) if batch else float
+    lift = (lambda c: np.full(stack.shape[0], c)) if batch else float
     return [jets._jet(order, tuple(map(lift, c))) for c in iotas]
 
 
@@ -164,7 +165,7 @@ def _pushforward(pj, p, phi_jets, psi_jets):
         F_bar = jets.fold(0.0, part(Jinv, np.s_[:, :, None])
                           * part(inner, np.s_[:, None]), 1)
         h_bar = jets.fold(0.0, jets._scale(w, h.coeffs, k), 2)
-    iotas = _inverse_map_jets(phi_jets, k)
+    iotas = _inverse_map_jets(J, k)
     with jets.block_errstate(pj.batch):
         out = jets.compose_map(jets._jet(k, tuple(
             np.concatenate((g, f.reshape(4, *g.shape[1:]), h))
@@ -314,8 +315,9 @@ def invariance_report(m, p, points, tol=1e-7):
     elementwise and by one matrix product per column, so each column's
     signs and residuals have the bits of its own point.
     """
+    (a11, a12), (a21, a22) = p.alpha  # floats: an overflow is silent
+    eps2 = 1 if a11 * a22 - a12 * a21 > 0 else -1
     a = np.array(p.alpha)
-    eps2 = 1 if a[0][0] * a[1][1] - a[0][1] * a[1][0] > 0 else -1
 
     def evaluate(point):
         pj = metrics.point_jets(m, point, order=1)

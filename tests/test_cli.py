@@ -156,6 +156,16 @@ def test_rank_subcommand(capsys):
                 "fundamental6_transitive"]) == 0
 
 
+def test_the_constant_fundamentals_of_flat_space_have_rank_zero(
+        tmp_path, capsys):
+    # every row of the Jacobian is zero, so no singular value is left
+    path = str(tmp_path / "flat.json")
+    assert run(["catalog", "flat", "--emit", path]) == 0
+    capsys.readouterr()
+    assert run(["rank", path, "--set", "fundamental6", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["rank"] == 0
+
+
 def test_a_transitive_rank_needs_a_probe_with_zero_curl(
         vdb_file, tmp_path, capsys):
     # vdb is not orthogonally transitive: at its domain centre
@@ -680,7 +690,9 @@ def test_equiv_grid_too_small_for_a_signature_is_an_input_error(
 
 
 @pytest.mark.parametrize("rect", ["0.3:1.2", "0.3:1.2,0.7", "0.3:x,0.7:1.5",
-                                  "nan:1,0.7:1.5", "0.3:1.2,0.7:inf"])
+                                  "nan:1,0.7:1.5", "0.3:1.2,0.7:inf",
+                                  "1e308:-1e308,0.7:1.5",
+                                  "0.3:1.2,1e308:-1e308"])
 def test_malformed_or_non_finite_rect_is_a_usage_error(vdb_file, capsys,
                                                        rect):
     capsys.readouterr()
@@ -770,7 +782,8 @@ def transform_file(tmp_path_factory):
 
 
 def _usage_error(argv, option, capsys):
-    """argv exits 2 at parse time with one error line naming option."""
+    """argv exits 2 at parse time with one error line naming option, and
+    nothing else on stderr but argparse's usage block."""
     capsys.readouterr()
     assert run(argv) == 2
     captured = capsys.readouterr()
@@ -778,6 +791,9 @@ def _usage_error(argv, option, capsys):
     lines = [line for line in captured.err.splitlines() if "error:" in line]
     assert len(lines) == 1 and f"argument {option}:" in lines[0], \
         captured.err
+    usage = [line for line in captured.err.splitlines() if line != lines[0]]
+    assert usage[0].startswith("usage: ") and all(
+        line.startswith(" ") for line in usage[1:]), captured.err
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "0", "1", "inf", "-inf"])
@@ -842,14 +858,25 @@ def test_a_negative_lambda_with_an_exponent_is_given_with_equals(
     assert got[0] in (0, 1) and got[1] and got[2] == ""
 
 
-@pytest.mark.parametrize("value", ["0", "-3"])
+# 317 x 317 points is past MAX_POINTS; a usage error samples nothing
+@pytest.mark.parametrize("value", ["0", "-3", "317", "100000000000"])
 @pytest.mark.parametrize("command", ["check-einstein", "check-relations",
                                      "transform", "equiv"])
-def test_grid_below_one_is_a_usage_error(command, value, vdb_file,
-                                         transform_file, capsys):
+def test_grid_out_of_range_is_a_usage_error(command, value, vdb_file,
+                                            transform_file, capsys):
     second = {"transform": [transform_file], "equiv": [vdb_file]}
     _usage_error([command, vdb_file, *second.get(command, []),
                   "--grid", value], "--grid", capsys)
+
+
+@pytest.mark.parametrize("argv", [["check-einstein", "m"],
+                                  ["check-relations", "m"],
+                                  ["transform", "m", "t"],
+                                  ["equiv", "a", "b"]])
+def test_a_grid_at_the_point_bound_is_parsed(argv):
+    # 316 x 316 points is at most MAX_POINTS
+    assert math.isqrt(cli.MAX_POINTS) == 316
+    assert cli.build_parser().parse_args(argv + ["--grid", "316"]).grid == 316
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])
@@ -862,7 +889,8 @@ def test_grid_range_count_below_one_is_a_usage_error(option, count,
                   "--t2", ranges["--t2"]], option, capsys)
 
 
-@pytest.mark.parametrize("bounds", ["nan:1", "0.3:inf", "-inf:1"])
+@pytest.mark.parametrize("bounds", ["nan:1", "0.3:inf", "-inf:1",
+                                    "1e308:-1e308", "-1e308:1e308"])
 @pytest.mark.parametrize("option", ["--t1", "--t2"])
 def test_grid_range_bounds_not_finite_is_a_usage_error(option, bounds,
                                                        vdb_file, capsys):
@@ -1370,8 +1398,10 @@ def _one_error_line(argv, capsys):
     (json.dumps({**GOOD_TRANSFORM, "alpha": [[math.nan, 0], [0, 1]]}),
      "alpha"),
     (json.dumps({**GOOD_TRANSFORM, "alpha": ["10", "01"]}), "alpha"),
+    (json.dumps({**GOOD_TRANSFORM, "phi1": "q*t1"}),
+     "phi1: undeclared identifier 'q'"),
 ], ids=["not_an_object", "alpha_number", "alpha_one_row", "phi1_number",
-        "alpha_2x3", "alpha_nan", "alpha_strings"])
+        "alpha_2x3", "alpha_nan", "alpha_strings", "phi1_undeclared"])
 @pytest.mark.parametrize("report", [False, True], ids=["plain", "report"])
 def test_malformed_transform_document_is_an_input_error(
         tmp_path, capsys, document, key, report):
@@ -1391,14 +1421,19 @@ def test_malformed_transform_document_is_an_input_error(
     ({"params": {"c": math.nan}}, "'c' must be a finite float"),
     ({"params": {"c": math.inf}}, "'c' must be a finite float"),
     ({"params": {"c": 10 ** 400}}, "'c' must be a finite float"),
+    ({"form": ...}, "error: missing key 'form'\n"),
+    ({"form": "abc"}, "error: form must be bfh|submersion, got 'abc'\n"),
 ], ids=["components_number", "params_list", "params_boolean", "params_nan",
-        "params_infinity", "params_int_past_float"])
+        "params_infinity", "params_int_past_float", "form_missing",
+        "form_unknown"])
 def test_malformed_metric_document_is_an_input_error(tmp_path, capsys,
                                                      change, key):
+    # a key changed to ... is left out
+    doc = {"name": "x", "form": "submersion", "params": {},
+           "components": FLAT_SUBMERSION, **change}
     path = tmp_path / "metric.json"
-    path.write_text(json.dumps({"name": "x", "form": "submersion",
-                                "params": {}, "components": FLAT_SUBMERSION,
-                                **change}))
+    path.write_text(json.dumps({k: v for k, v in doc.items()
+                                if v is not ...}))
     err = _one_error_line(["invariants", str(path), "--at", "0.5,0.5"],
                           capsys)
     assert key in err, err
@@ -1537,3 +1572,124 @@ def test_catalog_emit_is_unchanged_by_defs(tmp_path, name):
     assert run(["catalog", name, "--emit", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() \
         == CATALOG_EMIT_SHA256[name]
+
+
+def test_a_grid_command_past_the_point_bound_is_one_error_line(
+        vdb_file, capsys, monkeypatch):
+    # the count is checked before any point is made
+    for t1, size in (("0:1:100000000000000000000", 10**20),
+                     (f"0:1:{cli.MAX_POINTS + 1}", cli.MAX_POINTS + 1)):
+        assert _one_error_line(["grid", vdb_file, "--t1", t1, "--t2",
+                                "0:1:1"], capsys) \
+            == f"error: --t1 and --t2 ask for {size} points, more than " \
+               f"the {cli.MAX_POINTS} a run samples\n"
+    # at a bound of 6 points, 3 x 2 runs and 7 x 1 does not
+    monkeypatch.setattr(cli, "MAX_POINTS", 6)
+    capsys.readouterr()
+    assert run(["grid", vdb_file, "--t1", "0.3:0.7:3", "--t2", "0.9:1.2:2",
+                "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 6
+    assert _one_error_line(["grid", vdb_file, "--t1", "0.3:0.7:7", "--t2",
+                            "0.9:1.2:1"], capsys).startswith(
+        "error: --t1 and --t2 ask for 7 points, more than the 6 ")
+
+
+def test_an_overflowing_alpha_is_one_error_line_without_a_warning(
+        vdb_file, tmp_path, capsys):
+    # alpha's determinant overflows to -inf: eps2 is -1, with no warning
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps({**GOOD_TRANSFORM, "alpha": [
+        [1e308, 1e308], [1e308, -1e308]]}))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert _one_error_line(["transform", vdb_file, str(path),
+                                "--report-invariance"], capsys) \
+            == "error: singular evaluation in 'div' at value 0.0\n"
+    assert not seen, [str(w.message) for w in seen]
+
+
+# gt with a zero LU pivot, where det gt as a product is -1.1e-16
+LU_SINGULAR_GT = {"gt11": "1.6726349282588393", "gt12": "0.8774783591014064",
+                  "gt22": "0.4603325314345848"}
+
+
+@pytest.mark.parametrize("components, argv, message", [
+    ({"gt11": "t1"}, ["--at", "0,0.5"],
+     "singular orbit metric for 'x' at (0.0, 0.5)"),
+    ({"F11": "1e308*1e308*t2"}, ["--at", "0.5,0.5"],
+     "non-finite component jet for 'x' at (0.5, 0.5)"),
+    ({"F11": "sin(1e308*1e308*t2)"}, ["--at", "0.5,0.5"],
+     "singular evaluation in 'sin' at value inf "
+     "(in 'sin(1e+308 * 1e+308 * t2)')"),
+    ({"F11": "cos(1e308*1e308*t2)"}, ["--at", "0.5,0.5", "--method", "fd"],
+     "singular evaluation in 'cos' at value inf"),
+    (LU_SINGULAR_GT, ["--at", "0.5,0.5", "--order", "2"],
+     "singular orbit metric: gt = [[1.6726349282588393, 0.8774783591014064], "
+     "[0.8774783591014064, 0.4603325314345848]] has no inverse")])
+def test_a_singular_or_overflowing_component_is_one_error_line(
+        tmp_path, capsys, components, argv, message):
+    path = _submersion_file(tmp_path, {**FLAT_SUBMERSION, **components})
+    assert _one_error_line(["invariants", path, *argv], capsys) \
+        == f"error: {message}\n"
+
+
+def test_an_lu_singular_gt_fails_only_its_own_point(tmp_path, capsys):
+    # the batch raises, and each_point evaluates its points alone
+    path = _submersion_file(tmp_path, {**FLAT_SUBMERSION, **LU_SINGULAR_GT,
+                                       "gt22": "0.4603325314345848 + t1"})
+    capsys.readouterr()
+    assert run(["grid", path, "--t1", "0:0.5:2", "--t2", "0.5:0.5:1",
+                "--order", "2", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows[0]["C_ric"] is None and rows[1]["C_ric"] is not None
+
+
+@pytest.mark.parametrize("change, argv, message", [
+    ({"psi1": "1e308*t1*t1"}, ["--report-invariance", "--points", "0.5,1.0"],
+     "singular evaluation in 'pushforward fundamentals' at value nan "
+     "(ell_C at (0.5, 1.0))"),
+    # LU finds a zero pivot where the determinant as a product is -2.8e-17
+    ({"phi1": "1.4527156893995463*t1 + 0.16584488099636685*t2",
+      "phi2": "-1.297377517589764*t1 + -0.1481111697093119*t2"},
+     ["--points", "0.5,1;0.6,1.1"], "J_phi = 0"),
+    ({"alpha": [[1.4527156893995463, 0.16584488099636685],
+                [-1.297377517589764, -0.1481111697093119]]},
+     ["--points", "0.5,1"], "alpha must be invertible")])
+def test_a_bad_transform_is_one_error_line(vdb_file, tmp_path, capsys,
+                                           change, argv, message):
+    path = tmp_path / "transform.json"
+    path.write_text(json.dumps({**GOOD_TRANSFORM, **change}))
+    assert _one_error_line(["transform", vdb_file, str(path), *argv],
+                           capsys) == f"error: {message}\n"
+
+
+def test_rank_without_a_metric_file_or_a_seed_is_one_error_line(capsys):
+    assert _one_error_line(["rank", "--set", "fundamental6"], capsys) \
+        == "error: rank needs a metric file or --random SEED\n"
+
+
+def test_equiv_overlapping_on_part_of_the_samples_is_inconclusive(
+        vdb_file, capsys):
+    # A's rectangle (t1 from 1 down to 0) and vdb's default one, B's,
+    # overlap in part: a third of A's samples and two thirds of B's match
+    capsys.readouterr()
+    assert run(["equiv", vdb_file, vdb_file, "--grid", "3",
+                "--rect-a=1:0,0.7:1.5", "--json"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert (out["verdict"], out["coverage_a"], out["coverage_b"]) \
+        == ("Inconclusive", 1 / 3, 2 / 3)
+    assert out["note"].startswith("the classifying manifolds overlap only "
+                                  "on part of the samples")
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "{vdb}", "--at", "0.5,1"],
+    ["check-relations", "{vdb}", "--grid", "2"]])
+def test_a_value_error_inside_a_layer_is_a_traceback(vdb_file, monkeypatch,
+                                                     argv):
+    # a programming error, not an input error: run lets it propagate
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("a layer's own bug")
+    monkeypatch.setattr(metrics, "point_jets", broken)
+    with pytest.raises(np.linalg.LinAlgError, match="a layer's own bug"):
+        run([a.format(vdb=vdb_file) for a in argv])

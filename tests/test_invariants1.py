@@ -356,7 +356,7 @@ def _central_differences(which, probe):
 
 
 # 20 seeded probes and four near-degenerate ones (order2_20 reads 17-19
-# at the rank cut on these: ROADMAP item 3, neither mended nor pinned here)
+# at the rank cut on these: ROADMAP item 6, neither mended nor pinned here)
 ORACLE_SEEDS = list(range(20)) + [805613740, 1784766621, 47042523, 1077118507]
 
 

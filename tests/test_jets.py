@@ -6,8 +6,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from g2inv import catalog, equivalence, invariants1, jets, point_jets, \
-    transform
+from g2inv import catalog, equivalence, expr, invariants1, jets, \
+    point_jets, transform
 from g2inv.errors import SingularEvaluationError
 from g2inv.metrics import CATALOG_NAMES, default_domain, grid_points
 from paper_checks import riemann_sectional_curvatures
@@ -103,6 +103,14 @@ def test_ln_domain_error():
         jets.elementary("ln", jets.seed(-1.0, 0, 1))
 
 
+@pytest.mark.parametrize("fname", ["sin", "cos", "tan"])
+@pytest.mark.parametrize("v", [math.inf, -math.inf, np.array([0.5, math.inf])])
+def test_trig_of_an_infinity_is_a_singular_evaluation(fname, v):
+    # math's sin, cos and tan raise a ValueError there
+    with pytest.raises(SingularEvaluationError, match=f"'{fname}'"):
+        jets.elementary(fname, jets.seed(v, 0, 1))
+
+
 def test_polynomial_exactness():
     # jets of t1^a t2^b reproduce the exact derivative table
     for a in range(3):
@@ -142,6 +150,21 @@ def test_division_inverts_multiplication():
         a, b = jets.Jet2(3, c[0]), jets.Jet2(3, c[1])
         back = (a / b) * b
         assert np.allclose(back.coeffs, a.coeffs, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("text, a, b", [("t1^-2", -2, 0),
+                                        ("(t1*t2)^-3", -3, -3)])
+def test_negative_integer_powers_are_the_closed_form(text, a, b):
+    # t1^a t2^b differentiated in closed form: the falling factorials of
+    # a and b, at a point and as a batch
+    def falling(n, k):
+        return math.prod(n - i for i in range(k))
+    for t1, t2 in ((1.3, 0.7), (np.array([1.3, -0.6]), np.array([0.7, 2.1]))):
+        j = expr.eval_jet(expr.parse(text), {}, (t1, t2), 2)
+        for i, k in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
+            expected = falling(a, i) * t1 ** (a - i) \
+                * falling(b, k) * t2 ** (b - k)
+            assert np.allclose(j.d(i, k), expected, rtol=1e-13, atol=0.0)
 
 
 def test_int_power_negative_base():

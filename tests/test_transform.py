@@ -109,7 +109,7 @@ def _nested_pushforward(pj, p, phi_jets, psi_jets):
                     inner = inner + a[r][kk] * pj.F[2 * i + kk]
                 acc = acc + Jinv[i][m] * inner
             F_bar.append(acc)
-    iotas = _inverse_map_jets(phi_jets, k)
+    iotas = _inverse_map_jets(J, k)
     gt_out, F_out, h_out = ([jets.compose_map(u, *iotas) for u in us]
                             for us in (gt_bar, F_bar, h_bar))
     return metrics.PointJets(
@@ -432,3 +432,19 @@ def test_image_documents_keep_the_bits_of_their_tree_text():
                 loaded, grid, order=3).all_component_jets()])
                 for loaded in (tree, load_metric(doc)))
             assert got.tobytes() == want.tobytes(), (m.name, s)
+
+
+def test_the_image_of_an_image_keeps_the_fundamentals():
+    # the first image names its shared subtrees as defs, so the second
+    # apply_to_metric parses them again on the inverse map's nodes
+    m = catalog("vdb")
+    affine_transform = _perfbench_workloads().affine_transform
+    p1, p2 = (affine_transform(np.random.default_rng(s)) for s in (3, 4))
+    image = apply_to_metric(m, p1)
+    assert image.defs
+    twice = apply_to_metric(image, p2)
+    for pt in grid_points(default_domain(m), 3, margin=0.1):
+        q = tuple(expr.eval_scalar(f, {}, pt) for f in p1.phi)
+        r = tuple(expr.eval_scalar(f, {}, q) for f in p2.phi)
+        want, got = six(point_jets(m, pt)), six(point_jets(twice, r))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), pt

@@ -4,9 +4,10 @@
 
 The ops of the two records are paired by workload, seed, argv and
 occurrence.  For each workload and op kind (the command, argv[0]) the
-script prints how many ops differ, then each change of exit code or
-``verdict``, each op only one record has, and, for each JSON key of the
-ops' stdout whose value moved, the worst floor-1 relative difference
+script prints how many ops differ and names the first of them (in the
+order of their keys), then each change of exit code or ``verdict``,
+each op only one record has, and, for each JSON key of the ops' stdout
+whose value moved, the worst floor-1 relative difference
 |old - new| / max(1, |old|, |new|) (perfbench's ``rel_err``) and the
 worst plain relative difference |old - new| / max(|old|, |new|).  Keys
 name nested values by their path, list indices dropped
@@ -96,8 +97,8 @@ def report(old_path, new_path):
     """The lines of the drift summary."""
     (old_ops, old_files), (new_ops, new_files) = (
         _records(old_path), _records(new_path))
-    groups = defaultdict(lambda: {"ops": 0, "differ": 0, "notes": [],
-                                  "worst": {}})
+    groups = defaultdict(lambda: {"ops": 0, "differ": 0, "first": None,
+                                  "notes": [], "worst": {}})
     for key in sorted(old_ops.keys() | new_ops.keys(), key=repr):
         workload, seed, argv, _ = key
         g = groups[(workload, argv[0])]
@@ -107,6 +108,7 @@ def report(old_path, new_path):
             continue
         g["differ"] += 1
         where = f"seed {seed}: `{' '.join(argv)}`"
+        g["first"] = g["first"] or where
         if old is None or new is None:
             g["notes"].append(f"only in {'NEW' if old is None else 'OLD'}, "
                               f"{where}")
@@ -127,6 +129,7 @@ def report(old_path, new_path):
             continue
         lines.append(f"{workload} {kind}: {g['differ']} of {g['ops']} ops "
                      "differ")
+        lines.append(f"  first: {g['first']}")
         lines += [f"  {note}" for note in g["notes"]]
         lines += [f"  {name}: worst floor-1 relative {f1:.2g}, relative "
                   f"{rel:.2g}"
