@@ -53,10 +53,11 @@ def _evaluate(ms, cols, stratum=False):
     of the metric ms[k], as arrays: whether that metric can be evaluated
     there, with stratum the generic flag of its stratum (True without),
     the six fundamentals (N, 6) and their t-Jacobian (N, 6, 2), NaN where
-    not ok.  The columns are evaluated by metrics.each_point; a batch has
-    one point_jets per run of columns of one metric (a column alone at
-    its float point), joined along the point axis, and one fundamentals
-    pass."""
+    not ok.  The columns are evaluated by metrics.each_point, cut into
+    lists of whole runs of columns of one metric where a run fits in
+    MAX_BATCH columns; a batch has one point_jets per run (a column alone
+    at its float point), joined along the point axis, and one
+    fundamentals pass."""
     def at(col):
         k, t1, t2 = col
         if not np.ndim(k):
@@ -78,7 +79,17 @@ def _evaluate(ms, cols, stratum=False):
         return list(zip(np.atleast_1d(generic), values.reshape(6, -1).T,
                         np.moveaxis(jac.reshape(6, 2, -1), 2, 0)))
 
-    got = metrics.each_point(at, cols)
+    # each_point would cut a longer list every MAX_BATCH columns, and a
+    # cut inside a run costs a point_jets call
+    parts, start, prev = [], 0, 0
+    for end in (*np.flatnonzero(np.diff([col[0] for col in cols])) + 1,
+                len(cols)):
+        if end - start > metrics.MAX_BATCH and prev > start:
+            parts.append(cols[start:prev])
+            start = prev
+        prev = end
+    got = [g for part in (*parts, cols[start:])
+           for g in metrics.each_point(at, part)]
     ok = np.array([not isinstance(g, Exception) for g in got])
     failed = (False, np.full(6, np.nan), np.full((6, 2), np.nan))
     return (ok, *map(np.array, zip(*(g if k else failed

@@ -99,19 +99,34 @@ def derivations(pj):
             "Xp1": sigma[1] / sq_gt, "Xp2": -sigma[0] / sq_gt}
 
 
-def q_gamma_root(pj):
-    """q_gamma_root as a jet of order pj.order - 1, on pj.fundamentals."""
+def _values(pj, *keys):
+    """The pieces of pj.fundamentals named, as order-0 jets: truncated
+    at pj.order >= 2, as they are at pj.order 1."""
     f = pj.fundamentals
-    sq_h = f["sq_h"]
-    return _det3([f["h"], *f["dh"]]) / (2.0 * sq_h * sq_h * sq_h * f["sq_gt"])
+    if pj.order < 2:
+        return [f[k] for k in keys]
+
+    def value(x):
+        return jets.truncate(x, 0) if type(x) is jets.Jet2 \
+            else [value(y) for y in x]
+    return [value(f[k]) for k in keys]
+
+
+def q_gamma_root(pj):
+    """q_gamma_root as an order-0 jet, its value (no reader takes its
+    derivatives), on pj.fundamentals."""
+    h, dh, sq_h, sq_gt = _values(pj, "h", "dh", "sq_h", "sq_gt")
+    return _det3([h, *dh]) / (2.0 * sq_h * sq_h * sq_h * sq_gt)
 
 
 def first_invariant_jets(pj):
-    """All first-order invariant fields as jets of order pj.order - 1,
-    built on pj.fundamentals, pj.derivations and pj.q_gamma_root."""
+    """All first-order invariant fields, built on pj.fundamentals,
+    pj.derivations and pj.q_gamma_root: jets of order pj.order - 1, but
+    Theta_II, Theta_III and q_gamma_root order-0 jets, their values (no
+    reader takes their derivatives)."""
     f = pj.fundamentals
-    (h11, h12, h22), det_h, dh = f["h"], f["det_h"], f["dh"]
-    sq_gt, sq_h, C1, C2 = f["sq_gt"], f["sq_h"], f["C1"], f["C2"]
+    (h11, h12, h22), det_h, dh, sq_gt, sq_h, C1, C2 = _values(
+        pj, "h", "det_h", "dh", "sq_gt", "sq_h", "C1", "C2")
 
     hc1 = h11 * C1 + h12 * C2
     hc2 = h12 * C1 + h22 * C2
@@ -160,8 +175,8 @@ def frame(pj):
 
 def frame_lengths(pj):
     """ell, the g-lengths g(Y_a, Y_a) of the rows of pj.frame ((4,), or
-    (4, B) on a batch)."""
-    g4 = einstein._stack(pj.g4.value, 2)
+    (4, B) on a batch), by the values of pj.order1.g4."""
+    g4 = einstein._stack(pj.order1.g4.value, 2)
     return np.array([einstein._unstack(einstein._form(y, g4, y), pj)
                      for y in (einstein._stack(v, 1) for v in pj.frame)])
 
@@ -188,9 +203,10 @@ def oneill_tensors(pj):
     Returns T as a (4,4,4) array with T[e][b][c] the dt^e-component of
     T(d_b, d_c), plus Theta_C and Theta_Cperp (determinants of the
     (1,1) maps T(C, .) and T(Cperp, .)), which exist on every stratum.
+    It reads the values of pj.order1.christoffel, of order 0.
     """
     ver, hor = _projection_matrices(pj)
-    G = pj.christoffel.value
+    G = pj.order1.christoffel.value
     T = np.zeros((4,) + ver.shape)
     # ver @ x and hor @ x of each column as stacked matmuls
     stacks = [einstein._stack(p, 2) for p in (ver, hor)]
@@ -264,8 +280,8 @@ def relations_first(pj):
         "theta_III_sq_vs_theta_Cperp":
             norm([sq(th3), -sgn_gt * sgn_h * 16.0 * Theta_Cp]),
         "theta_II_T342_Qchi": einstein._defined(
-            st.generic, theta_II_T342_Qchi, T, pj.frame, ell, pj.g4.value,
-            th2, ell_C, Q_chi, Q_gamma, sgn_h, sgn_gt),
+            st.generic, theta_II_T342_Qchi, T, pj.frame, ell,
+            pj.order1.g4.value, th2, ell_C, Q_chi, Q_gamma, sgn_h, sgn_gt),
         "theta_sum_vs_gamma_root": einstein._defined(
             ~st.ell_c_zero,
             lambda ell_C, root, th1, th3, sgn_h: norm(
@@ -394,8 +410,10 @@ def numerical_rank(J, eps):
     """The number of singular values of J above eps times the largest,
     its zero rows dropped and the others scaled to unit norm: the
     invariants span wildly different magnitudes, and the rank should
-    reflect relative sensitivities."""
-    norms = np.linalg.norm(J, axis=1)
+    reflect relative sensitivities.  A row whose norm overflows scales
+    to zeros, silently."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(J, axis=1)
     keep = norms > 0.0
     J = J[keep] / norms[keep, None]
     if J.size == 0:

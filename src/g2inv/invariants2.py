@@ -32,7 +32,8 @@ def _trace_det(pj, mu, gi, det_gt):
     mu = einstein._stack(mu, 2)
     # a 1x4 by 4x1 product per column: np.tensordot's sum for one point
     c = (gi.reshape(-1, 1, 4) @ mu.reshape(-1, 4, 1))[:, 0, 0]
-    q = np.linalg.det(mu) / det_gt
+    with np.errstate(divide="ignore"):  # a zero pivot: log 0 in det, det 0
+        q = np.linalg.det(mu) / det_gt
     return einstein._unstack(c, pj), einstein._unstack(q, pj)
 
 

@@ -460,6 +460,12 @@ def _over(x, y):
     return x / y
 
 
+# sin, cos, sinh and cosh: f' is sign1 times the partner named, and
+# f'' and f''' are sign2 times f and f'
+_CYCLES = {"sin": ("cos", 1, -1), "cos": ("sin", -1, -1),
+           "sinh": ("cosh", 1, 1), "cosh": ("sinh", 1, 1)}
+
+
 def _derivatives(fname, v, n):
     """[f(v), f'(v), ..., f^(n)(v)] of a float, or of each batch column."""
     if fname in ("sin", "cos", "tan") and _any(abs(v) == math.inf):
@@ -478,22 +484,18 @@ def _derivatives(fname, v, n):
         s = _map(math.sqrt, v)
         d = [s, 0.5 / s, _over(-0.25, v * s),
              _over(0.375, v * v * s)][:n + 1]
-    elif fname == "sin":
-        s, c = _map(math.sin, v), _map(math.cos, v)
-        d = [s, c, -s, -c][:n + 1]
-    elif fname == "cos":
-        s, c = _map(math.sin, v), _map(math.cos, v)
-        d = [c, -s, -c, s][:n + 1]
+    elif fname in _CYCLES:
+        partner, sign1, sign2 = _CYCLES[fname]
+        f = _map(getattr(math, fname), v)
+        if not n:  # the value alone: the partner is not evaluated
+            return [f]
+        g = _map(getattr(math, partner), v)
+        g = g if sign1 > 0 else -g
+        d = [f, g, f if sign2 > 0 else -f, g if sign2 > 0 else -g][:n + 1]
     elif fname == "tan":
         t = _map(math.tan, v)  # finite: no double is an odd multiple of pi/2
         u = 1.0 + t * t
         d = [t, u, 2.0 * t * u, u * (2.0 + 6.0 * t * t)][:n + 1]
-    elif fname == "sinh":
-        s, c = _map(math.sinh, v), _map(math.cosh, v)
-        d = [s, c, s, c][:n + 1]
-    elif fname == "cosh":
-        s, c = _map(math.sinh, v), _map(math.cosh, v)
-        d = [c, s, c, s][:n + 1]
     elif fname == "tanh":
         t = _map(math.tanh, v)
         u = 1.0 - t * t
@@ -639,7 +641,10 @@ def finite_difference_jet(evalfn, point, order):
     """
     values = dict(zip(_fd_stencil(order, FD_STEP),
                       map(evalfn, fd_points(point, order))))
-    coeffs = _fd_quotients(lambda *k: values[k], order)
+    # silent at a float point, as Python floats are, where an evalfn
+    # giving vectors would warn of an infinite stencil value
+    with block_errstate(isinstance(point[0], np.ndarray)):
+        coeffs = _fd_quotients(lambda *k: values[k], order)
     if isinstance(coeffs[0], np.ndarray):
         return _jet(order, tuple(coeffs))
     return Jet2(order, coeffs)

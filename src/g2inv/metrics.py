@@ -131,7 +131,11 @@ class PointJets:
     4-metric and the Christoffel symbols), riemann, frame (the
     semi-invariant frame Y), oneill_tensors, second (the second-order
     invariants, K_Xi and K_Xiperp by the Gauss-curvature propositions).
-    Callers read them and never mutate them.
+    Callers read them and never mutate them.  order1 is the same point
+    at jet order 1, whose g4 and christoffel the first-order relation
+    suite reads for their values: a coefficient of truncated Taylor
+    arithmetic reads only coefficients of equal or lower degree, so
+    those values carry the bits of this PointJets' own.
     """
     point: tuple
     order: int
@@ -161,6 +165,17 @@ class PointJets:
     oneill_tensors = _layer("invariants1", "oneill_tensors", guarded=True)
     second = _layer("invariants2", "second_invariants_from_jets",
                     guarded=True)
+
+    @property
+    def order1(self):
+        """The PointJets of the ten component jets truncated to order 1,
+        built once; this PointJets itself at order <= 1."""
+        return self if self.order <= 1 else self._order1
+
+    @cached_property
+    def _order1(self):
+        return assemble(self.point, 1, [jets.truncate(j, 1)
+                                        for j in self.all_component_jets()])
 
 
 @dataclass(frozen=True)
@@ -328,12 +343,20 @@ def point_jets(m, point, order=2, method="analytic"):
     SUBMERSION_LAWS on them.  It builds its PointJets itself, not by
     assemble: det h is formed and checked before the law divides by it,
     and assemble would form it a second time.
+
+    On a batch, a constant component (a float jet, such as a "0") stays
+    one through det h and the law, and is spread to the point axis after
+    them: a product with it scales, as a product with a number does.
+    That is the kernel's bits wherever the other factor is finite and
+    below DBL_MAX/3 (the jets.py docstring).  Where that factor holds a
+    larger coefficient, the kernel's NaN in a derivative slot, which
+    fails the point alone, is a finite scaled coefficient in a batch.
     """
     batch = isinstance(point[0], np.ndarray)
     point = tuple(np.array(t, dtype=float) if batch else float(t)
                   for t in (point[0], point[1]))
-    comp = {key: jets._spread(j, point) for key, j in
-            _eval_components(m, point, order, method).items()}
+    comp = {key: j if j.value.__class__ is float else jets._spread(j, point)
+            for key, j in _eval_components(m, point, order, method).items()}
     h = (comp["h11"], comp["h12"], comp["h22"])
     det_h = h[0] * h[2] - h[1] * h[1]
     if jets._any(det_h.value == 0.0) or not det_h.is_finite():
@@ -342,10 +365,15 @@ def point_jets(m, point, order=2, method="analytic"):
     if m.form == "bfh":
         # the law on the jets, its inputs and det bound to checked jets
         memo = {id(_LAWS[k]): j for k, j in (*comp.items(), ("det", det_h))}
-        comp = {k: expr.eval_jet(_LAWS[k], {}, point, order, memo)
-                for k in SUBMERSION_KEYS[:7]}
-    gt = tuple(comp[k] for k in SUBMERSION_KEYS[:3])
-    F = tuple(comp[k] for k in SUBMERSION_KEYS[3:7])
+        comp |= {k: expr.eval_jet(_LAWS[k], {}, point, order, memo)
+                 for k in SUBMERSION_KEYS[:7]}
+
+    def spread(j):  # a constant, still a float jet on a batch
+        return jets._spread(j, point) if j.value.__class__ is float else j
+
+    gt, F, h = (tuple(spread(comp[k]) for k in SUBMERSION_KEYS[s])
+                for s in np.s_[0:3, 3:7, 7:10])
+    det_h = spread(det_h)
     det_gt = gt[0] * gt[2] - gt[1] * gt[1]
     if jets._any(det_gt.value == 0.0) or not det_gt.is_finite():
         raise SingularMetricError(

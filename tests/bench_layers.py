@@ -225,6 +225,17 @@ def test_relations_first(benchmark, point, order):
 
 
 @pytest.mark.parametrize("point", [POINT, CHECK_BATCH], ids=["float", "B6"])
+def test_relations_first_layers(benchmark, point):
+    # the first-order suite alone, on a fresh copy of one order-2
+    # PointJets of vdb, as check-relations --first --second reads it:
+    # every layer it builds, the order-1 4-metric and Christoffel symbols
+    # of pj.order1 among them
+    pj = point_jets(VDB, point)
+    assert _finite(benchmark(
+        lambda: relations_first(dataclasses.replace(pj))))
+
+
+@pytest.mark.parametrize("point", [POINT, CHECK_BATCH], ids=["float", "B6"])
 def test_relations_second(benchmark, point):
     assert _finite(benchmark(
         lambda: relations_second(point_jets(VDB, point))))

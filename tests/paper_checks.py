@@ -24,8 +24,9 @@ class FrameRequiredError(G2InvError):
     """Operation needs the full semi-invariant frame but C_rho*ell_C ~ 0."""
 
 
-FIELD_IDS = FUNDAMENTAL_IDS + ("Theta_I", "Theta_II", "Theta_III",
-                               "q_gamma_root")
+# the fields that carry their t-derivatives (Theta_II, Theta_III and
+# q_gamma_root are values alone)
+FIELD_IDS = FUNDAMENTAL_IDS + ("Theta_I",)
 
 
 def kundu_A(m, points, method="analytic"):

@@ -466,6 +466,30 @@ def test_an_overflowing_four_metric_fails_only_the_reports_that_read_it(
         "value inf (Theta_I_sq at (0.3, 0.1))\n"
 
 
+def test_an_overflow_in_second_derivatives_fails_only_the_curvature(
+        tmp_path, capsys):
+    # F11 = 1e155 t1 puts 2 (F11')^2 h11 ~ 2e310 in the 4-metric's second
+    # derivatives: the first-order suite reads the values of the
+    # Christoffel symbols of pj.order1 and passes; the Riemann tensor of
+    # the on-shell suite reads those derivatives and fails
+    path = _submersion_file(tmp_path, {
+        "gt11": "1 + t1^2", "gt12": "0.1*t2", "gt22": "2 + t2",
+        "F11": "1e155*t1", "F12": "t1*t2", "F21": "sin(t1)", "F22": "t1",
+        "h11": "exp(t1)", "h12": "0.2*t1*t2", "h22": "-1 - t2^2"})
+    capsys.readouterr()
+    for points in ("--points=1e-155,0.5", "--points=1e-155,0.5;2e-155,0.6"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["check-relations", path, "--first", "--second",
+                        points, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"]
+    assert run(["check-relations", path, "--onshell",
+                "--points=1e-155,0.5"]) == 2
+    assert capsys.readouterr().err == (
+        "error: singular evaluation in 'christoffel4' at value nan "
+        "(invalid value encountered in subtract)\n")
+
+
 @pytest.mark.parametrize("argv, code, err", [
     (["check-einstein"], 2, "'christoffel4' at value nan (invalid value "
      "encountered in subtract)"),
@@ -494,6 +518,46 @@ def test_the_overflowing_four_metric_at_a_float_point_is_silent(
             "max_invariant_residual"] == 0.0038540699923066413
     else:
         assert got.err == f"error: singular evaluation in {err}\n"
+
+
+# flat but for the entries given, and the three reproducers that numpy
+# warned on: their exit code, and a check of their stdout
+_FLAT = {"gt11": "1", "gt12": "0", "gt22": "1", "F11": "0", "F12": "0",
+         "F21": "0", "F22": "0", "h11": "1", "h12": "0", "h22": "1"}
+_BIG_SLOPE = "((1e200) / ((t1) / (1e-160))) / (cosh(((1e-160) + (2)) - (t1)))"
+
+
+@pytest.mark.parametrize("components, argv, code, check", [
+    # the fd stencil subtracts infinite component values
+    ({**_FLAT, "gt11": "1e308*1e308"},
+     ["invariants", "--at", "0.5,0.5", "--method", "fd"], 2,
+     lambda out, err: out == "" and err ==
+     "error: singular orbit metric for 'x' at (0.5, 0.5)\n"),
+    # a zero pivot in the determinant of the orbit Ricci tensor
+    ({"gt11": "1 + t1^2", "gt12": "(1e154) - (2)", "gt22": "2 + t2",
+      "F11": "1", "F12": "t1*t2", "F21": "sin(t1)", "F22": "t1",
+      "h11": "exp(t1)", "h12": "0.2*t1*t2", "h22": "-1 - t2^2"},
+     ["grid", "--t1", "0.1:0.9:2", "--t2", "0.2:1.1:2", "--order", "2",
+      "--json"], 0,
+     lambda out, err: err == "" and all(
+         v is not None for row in json.loads(out)["rows"]
+         for k, v in row.items() if k not in ("J1", "J2"))),
+    # the norm of a Jacobian row overflows
+    ({"gt11": "1 + t1^2", "gt12": "0.1*t2", "gt22": "2 + t2", "F11": "t2",
+      "F12": "t1*t2", "F21": "sin(t1)", "F22": _BIG_SLOPE, "h11": "-1",
+      "h12": "0.2*t1*t2", "h22": "-1 - t2^2"},
+     ["rank", "--at", "0.3,1.2", "--set", "order2_20"], 1,
+     lambda out, err: err == "" and "rank: 17\n" in out)])
+def test_numpy_warns_nowhere_on_overflowing_inputs(tmp_path, capsys,
+                                                   components, argv, code,
+                                                   check):
+    path = _submersion_file(tmp_path, components)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([argv[0], path, *argv[1:]]) == code
+    got = capsys.readouterr()
+    assert check(got.out, got.err), got
 
 
 @pytest.mark.parametrize("exponent", ["1e308*10", "0*(1e308*10)"])

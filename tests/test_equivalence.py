@@ -125,6 +125,26 @@ def test_compare_metrics_builds_only_the_fundamentals(monkeypatch):
     assert calls["derivations"] == calls["first_invariant_jets"] == 0
 
 
+def test_a_joined_round_is_cut_between_the_runs_of_its_metrics(monkeypatch):
+    # at n = 12 the first rounds hold 384, 327 and 326 runs: cut at
+    # MAX_BATCH columns, each would split one metric's run into two
+    # point_jets calls, 19 in all; cut where the metric changes, 16
+    m = catalog("vdb")
+    image = apply_to_metric(m, make_transform(
+        "0.8*t1 + 0.1*t2 + 0.05", "-0.2*t1 + 1.1*t2 - 0.3", "0.5*t1 - 0.2*t2",
+        "0.3*t2", [[2.0, 1.0], [0.0, 1.0]]))
+    sizes, live = [], metrics.point_jets
+
+    def counted(metric, point, *args, **kwargs):
+        sizes.append(np.size(point[0]))
+        return live(metric, point, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "point_jets", counted)
+    assert compare_metrics(m, image, n=12).verdict == "Consistent"
+    assert len(sizes) == 16 and sum(sizes) == 1590, sizes
+    assert max(sizes) <= metrics.MAX_BATCH
+
+
 def test_discrimination_against_catalog():
     m = catalog("vdb")
     for other in ("flat", "diag_t1", "ppwave1", "ppwave2", "ppwave3",

@@ -305,6 +305,19 @@ def test_batch_elementary_has_the_bits_and_errors_of_each_float(fname,
                 == [c.hex() for c in alone[k]], (fname, order, columns[k])
 
 
+@pytest.mark.parametrize("fname", ["sin", "cos", "sinh", "cosh"])
+def test_an_order_0_jet_is_the_function_alone(fname, monkeypatch):
+    # its partner (cos of sin, sinh of cosh, ...) is not called, and a
+    # batch column and a float point both have the math function's bits
+    f = getattr(math, fname)
+    monkeypatch.setattr(math, jets._CYCLES[fname][0], None)
+    values = [v for v in PARITY_VALUES if abs(v) < 100.0]
+    batch = jets.elementary(fname, jets.seed(np.array(values), 0, 0))
+    for k, v in enumerate(values):
+        alone, = jets.elementary(fname, jets.seed(v, 0, 0)).coeffs
+        assert alone.hex() == float(batch.value[k]).hex() == f(v).hex()
+
+
 # -- the table loops the generated kernels unroll: the reference ------------
 
 def reference_mul(a, b, order):

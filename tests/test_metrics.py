@@ -442,7 +442,7 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
     # t-derivative (A(d_b, d_c) needs those of F, T does not)
     pjs = [point_jets(vdb, pt) for pt in pts]
     for pj in pjs:
-        pj.christoffel, pj.frame, pj.stratum  # the layers T reads
+        pj.order1.christoffel, pj.frame, pj.stratum  # the layers T reads
     derivatives, derive = [], jets.t_derivative
     monkeypatch.setattr(jets, "t_derivative",
                         lambda a, s: derivatives.append(s) or derive(a, s))
@@ -543,6 +543,42 @@ def test_only_the_relation_suites_build_the_fields_and_the_4d_curvature(
         assert set(calls) == want, (argv, calls)
         assert calls["first_invariant_jets"] == (
             "first_invariant_jets" in want), (argv, calls)
+
+
+def test_the_first_order_suite_reads_the_4d_layers_at_order_1(
+        monkeypatch, tmp_path):
+    # check-relations --first --second builds order-2 jets, and its
+    # first-order suite reads the values of the 4-metric and of the
+    # Christoffel symbols: those of pj.order1, g4 at order 1 and Gamma at
+    # order 0, which carry the order-2 layers' bits; --onshell reads the
+    # order-2 layers as well
+    built = []
+    for name in ("four_metric", "christoffel4"):
+        def recording(pj, name=name, fn=getattr(einstein, name)):
+            jet = fn(pj)
+            built.append((name, jet.order))
+            return jet
+
+        monkeypatch.setattr(einstein, name, recording)
+    lk = tmp_path / "lk.json"
+    lk.write_text(json.dumps(catalog("lambda_kundu").to_document()))
+    argv = ["check-relations", str(lk), "--first", "--second", "--lambda",
+            "3", "--points", "0.7,-0.2;0.9,0.1;1.2,0.3", "--out",
+            str(tmp_path / "report.txt")]
+    assert cli.run(argv) == 0
+    assert sorted(built) == [("christoffel4", 0), ("four_metric", 1)]
+    built.clear()
+    assert cli.run([*argv, "--onshell"]) == 0
+    assert sorted(built) == [("christoffel4", 0), ("christoffel4", 1),
+                             ("four_metric", 1), ("four_metric", 2)]
+    monkeypatch.undo()
+    for point in ((0.9, 0.1), (np.array([0.7, 0.9]), np.array([-0.2, 0.1]))):
+        pj = point_jets(catalog("lambda_kundu"), point)
+        assert pj.order1.order == 1 and pj.order1.order1 is pj.order1
+        for layer in ("g4", "christoffel"):
+            want, got = (np.array(getattr(p, layer).value)
+                         for p in (pj, pj.order1))
+            assert got.tobytes() == want.tobytes(), (point, layer)
 
 
 def _call_nodes(m):
