@@ -38,6 +38,9 @@ class Signature:
 
 # fewest generic samples a signature needs
 MIN_SAMPLES = 8
+# the samples of a side compare_metrics projects onto the other side's
+# classifying manifold: every (n // PROJECTED)-th of n, < 2 * PROJECTED
+PROJECTED = 48
 
 
 def _fundamentals(pj):
@@ -53,11 +56,11 @@ def _evaluate(ms, cols, stratum=False):
     of the metric ms[k], as arrays: whether that metric can be evaluated
     there, with stratum the generic flag of its stratum (True without),
     the six fundamentals (N, 6) and their t-Jacobian (N, 6, 2), NaN where
-    not ok.  The columns are evaluated by metrics.each_point, cut into
-    lists of whole runs of columns of one metric where a run fits in
-    MAX_BATCH columns; a batch has one point_jets per run (a column alone
-    at its float point), joined along the point axis, and one
-    fundamentals pass."""
+    not ok.  The columns are evaluated by metrics.each_point, first cut
+    where the metric changes when there are more than MAX_BATCH of them
+    (a round holds at most two runs of one metric, a signature one); a
+    batch has one point_jets per run (a column alone at its float
+    point), joined along the point axis, and one fundamentals pass."""
     def at(col):
         k, t1, t2 = col
         if not np.ndim(k):
@@ -79,17 +82,13 @@ def _evaluate(ms, cols, stratum=False):
         return list(zip(np.atleast_1d(generic), values.reshape(6, -1).T,
                         np.moveaxis(jac.reshape(6, 2, -1), 2, 0)))
 
-    # each_point would cut a longer list every MAX_BATCH columns, and a
-    # cut inside a run costs a point_jets call
-    parts, start, prev = [], 0, 0
-    for end in (*np.flatnonzero(np.diff([col[0] for col in cols])) + 1,
-                len(cols)):
-        if end - start > metrics.MAX_BATCH and prev > start:
-            parts.append(cols[start:prev])
-            start = prev
-        prev = end
-    got = [g for part in (*parts, cols[start:])
-           for g in metrics.each_point(at, part)]
+    # each_point cuts a longer list every MAX_BATCH columns, and a cut
+    # inside a run costs a point_jets call: cut first where ms[k] changes
+    cuts = [0, len(cols)]
+    if len(cols) > metrics.MAX_BATCH:
+        cuts[1:1] = np.flatnonzero(np.diff([col[0] for col in cols])) + 1
+    got = [g for a, b in zip(cuts, cuts[1:])
+           for g in metrics.each_point(at, cols[a:b])]
     ok = np.array([not isinstance(g, Exception) for g in got])
     failed = (False, np.full(6, np.nan), np.full((6, 2), np.nan))
     return (ok, *map(np.array, zip(*(g if k else failed
@@ -248,9 +247,10 @@ def compare_metrics(ma, mb, n=12, tol=1e-4, rect_a=None, rect_b=None):
     """Signature comparison on the classifying manifolds.
 
     Both signatures are sampled, each grid as one batch of points, then
-    every sample of one metric (at most 48 per side) is projected onto
-    the other metric's classifying manifold by Gauss-Newton in (t1, t2),
-    started from the four nearest samples of the other metric; each
+    the samples of one metric, thinned to about PROJECTED per side, are
+    projected onto the other metric's classifying manifold by
+    Gauss-Newton in (t1, t2), started from the four nearest samples of
+    the other metric; each
     fundamental is scaled by its inter-quartile range over both sample
     sets.  The projections of both sides run in one lockstep (_project):
     a round evaluates each metric's components on its own columns and
@@ -292,12 +292,12 @@ def compare_metrics(ma, mb, n=12, tol=1e-4, rect_a=None, rect_b=None):
     scales = _scales(np.array([s.values for s in
                                sig_a.samples + sig_b.samples]))
 
-    def match(samples_from, samples_to, cap=48):
-        """The samples of samples_from projected (at most cap), their
-        six-vectors as targets, and the starts of each: the four nearest
-        samples of samples_to."""
+    def match(samples_from, samples_to):
+        """The samples of samples_from projected (thinned to about
+        PROJECTED), their six-vectors as targets, and the starts of each:
+        the four nearest samples of samples_to."""
         v_to = np.array([s.values for s in samples_to])
-        sources = samples_from[::max(1, len(samples_from) // cap)]
+        sources = samples_from[::max(1, len(samples_from) // PROJECTED)]
         targets = [np.array(s.values) for s in sources]
         starts = [[samples_to[j] for j in np.argsort(
                       np.linalg.norm((v_to - v) / scales, axis=1))[:4]]

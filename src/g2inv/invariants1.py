@@ -173,14 +173,6 @@ def frame(pj):
          -(h11 * C[0] + h12 * C[1]) / sq_h)])
 
 
-def frame_lengths(pj):
-    """ell, the g-lengths g(Y_a, Y_a) of the rows of pj.frame ((4,), or
-    (4, B) on a batch), by the values of pj.order1.g4."""
-    g4 = einstein._stack(pj.order1.g4.value, 2)
-    return np.array([einstein._unstack(einstein._form(y, g4, y), pj)
-                     for y in (einstein._stack(v, 1) for v in pj.frame)])
-
-
 def _projection_matrices(pj):
     """ver/hor projectors (values)."""
     Fv = [j.value for j in pj.F]
@@ -198,16 +190,15 @@ def _projection_matrices(pj):
 
 
 def oneill_tensors(pj):
-    """Coordinate components of the O'Neill tensor T.
-
-    Returns T as a (4,4,4) array with T[e][b][c] the dt^e-component of
-    T(d_b, d_c), plus Theta_C and Theta_Cperp (determinants of the
-    (1,1) maps T(C, .) and T(Cperp, .)), which exist on every stratum.
-    It reads the values of pj.order1.christoffel, of order 0.
-    """
+    """The O'Neill tensor T on the Killing directions, as a (4, 2, 4)
+    array, T[e][k][c] the dt^e-component of T(d_zk, d_c): T_E = T_{VE}
+    (O'Neill, Michigan Math. J. 13, 1966), so T(d_tj, .) = F_j^k T(d_zk,
+    .).  Also Theta_C and Theta_Cperp, the determinants of the (1,1) maps
+    T(C, .) and T(Cperp, .) of the vertical C and Cperp, which exist on
+    every stratum.  It reads the values of pj.order1.christoffel."""
     ver, hor = _projection_matrices(pj)
     G = pj.order1.christoffel.value
-    T = np.zeros((4,) + ver.shape)
+    T = np.zeros((4, 2) + ver.shape[1:])
     # ver @ x and hor @ x of each column as stacked matmuls
     stacks = [einstein._stack(p, 2) for p in (ver, hor)]
 
@@ -215,16 +206,16 @@ def oneill_tensors(pj):
         return einstein._unstack(
             (m @ einstein._stack(x, 1)[..., None])[..., 0], pj)
 
-    for b in range(4):
+    for k in range(2):
         for c in range(4):
-            # nabla along ver(d_b): vertical directions kill t-derivatives
-            vb = ver[:, b]
+            # nabla along ver(d_zk) = d_zk, which kills t-derivatives
+            vb = ver[:, 2 + k]
             nv_h = np.einsum("a...,daf...,f...->d...", vb, G, hor[:, c])
             nv_v = np.einsum("a...,daf...,f...->d...", vb, G, ver[:, c])
-            T[:, b, c] = mv(stacks[0], nv_h) + mv(stacks[1], nv_v)
+            T[:, k, c] = mv(stacks[0], nv_h) + mv(stacks[1], nv_v)
     Y = pj.frame
-    TC, TCp = (einstein._stack(np.einsum("dcb...,c...->db...", T, v), 2)
-               for v in (Y[2], Y[3]))
+    TC, TCp = (einstein._stack(np.einsum("dkb...,k...->db...", T, v[2:]),
+                               2) for v in (Y[2], Y[3]))
     # T_C is skew-adjoint w.r.t. g, so det(T_C) = Pf(g T_C)^2 / det(g)
     # carries the sign of det(g) = det(gt) det(h).  Theta_C is the
     # nonnegative normalization (making Theta_I^2 = 16 Theta_C exact),
@@ -247,7 +238,6 @@ def relations_first(pj):
     st = pj.stratum
     sgn_gt, sgn_h = st.sign_det_gt, st.sign_det_h
     T, Theta_C, Theta_Cp = pj.oneill_tensors
-    ell = frame_lengths(pj)  # on every column, before _defined picks some
     norm = einstein._normalized
     sq = lambda x: jets._pow(x, 2)  # noqa: E731  (x ** 2 per element)
 
@@ -259,15 +249,16 @@ def relations_first(pj):
     Q_gamma = jv["Q_gamma"].value
     root = jv["q_gamma_root"].value
 
-    def theta_II_T342_Qchi(T, Y, ell, g4, th2, ell_C, Q_chi, Q_gamma,
-                           sgn_h, sgn_gt):
-        # T^(a)_(b)(c): the Y_a-coefficient of T(Y_b, Y_c) in the
-        # orthogonal frame Y = {H, Hperp, C, Cperp}
-        vec = np.einsum("dbc...,ib...,jc...->dij...", T, Y, Y)
-        Yg = einstein._unstack(einstein._stack(Y, 2)
-                               @ einstein._stack(g4, 2), pj)
-        T342 = np.einsum("dij...,ad...,a...->aij...", vec, Yg,
-                         1.0 / ell)[2][3][1]
+    def theta_II_T342_Qchi(T, Y, g4, th2, ell_C, Q_chi, Q_gamma, sgn_h,
+                           sgn_gt):
+        # T^(3)_(4)(2) = g(T(Cperp, Hperp), C) / g(C, C): the
+        # C-coefficient of T(Cperp, Hperp) in the orthogonal frame
+        # Y = {H, Hperp, C, Cperp}, whose C and Cperp are vertical
+        C, g = einstein._stack(Y[2], 1), einstein._stack(g4, 2)
+        Cg, ell = (einstein._unstack(x, pj) for x in (
+            (C[:, None] @ g)[:, 0], einstein._form(C, g, C)))
+        T342 = np.einsum("d...,d...,...->...", np.einsum(
+            "dkc...,k...,c...->d...", T, Y[3][2:], Y[1]), Cg, 1.0 / ell)
         return norm([sq(th2) / (16.0 * sq(ell_C)),
                      sgn_h * sq(T342),
                      sgn_gt * 0.25 * (Q_chi - Q_gamma)])
@@ -280,8 +271,8 @@ def relations_first(pj):
         "theta_III_sq_vs_theta_Cperp":
             norm([sq(th3), -sgn_gt * sgn_h * 16.0 * Theta_Cp]),
         "theta_II_T342_Qchi": einstein._defined(
-            st.generic, theta_II_T342_Qchi, T, pj.frame, ell,
-            pj.order1.g4.value, th2, ell_C, Q_chi, Q_gamma, sgn_h, sgn_gt),
+            st.generic, theta_II_T342_Qchi, T, pj.frame, pj.order1.g4.value,
+            th2, ell_C, Q_chi, Q_gamma, sgn_h, sgn_gt),
         "theta_sum_vs_gamma_root": einstein._defined(
             ~st.ell_c_zero,
             lambda ell_C, root, th1, th3, sgn_h: norm(

@@ -20,8 +20,8 @@ import json
 import numpy as np
 import pytest
 
-from g2inv import (catalog, cli, einstein, equivalence, jets, load_metric,
-                   point_jets)
+from g2inv import (catalog, cli, einstein, equivalence, invariants1, jets,
+                   load_metric, point_jets)
 from g2inv.einstein import onshell_relations
 from g2inv.invariants1 import (FUNDAMENTAL_IDS, jacobian_rank,
                                random_point_jets, relations_first)
@@ -233,6 +233,16 @@ def test_relations_first_layers(benchmark, point):
     pj = point_jets(VDB, point)
     assert _finite(benchmark(
         lambda: relations_first(dataclasses.replace(pj))))
+
+
+@pytest.mark.parametrize("point", [POINT, CHECK_BATCH], ids=["float", "B6"])
+def test_oneill_tensors(benchmark, point):
+    # the O'Neill layer alone, on a fresh order-2 PointJets of vdb whose
+    # order-0 Christoffel symbols, frame and stratum are read beforehand
+    pj = point_jets(VDB, point)
+    pj.order1.christoffel, pj.frame, pj.stratum
+    T, theta_c, theta_cp = benchmark(invariants1.oneill_tensors, pj)
+    assert np.isfinite(T).all() and np.isfinite([theta_c, theta_cp]).all()
 
 
 @pytest.mark.parametrize("point", [POINT, CHECK_BATCH], ids=["float", "B6"])

@@ -12,7 +12,7 @@ import numpy as np
 
 from g2inv import einstein, expr, jets, metrics
 from g2inv.errors import G2InvError
-from g2inv.invariants1 import FUNDAMENTAL_IDS, frame_lengths
+from g2inv.invariants1 import FUNDAMENTAL_IDS
 from g2inv.invariants2 import DELTA_TOL
 from g2inv.transform import PseudoTransform
 
@@ -57,6 +57,14 @@ def kundu_A(m, points, method="analytic"):
         dev = max(dev, float(np.linalg.norm(aligned - ref)) / top)
     return {"samples": samples, "max_deviation": dev, "vacuous": False,
             "notice": None}
+
+
+def frame_lengths(pj):
+    """ell, the g-lengths g(Y_a, Y_a) of the rows of pj.frame ((4,), or
+    (4, B) on a batch), by the values of pj.order1.g4."""
+    g4 = einstein._stack(pj.order1.g4.value, 2)
+    return np.array([einstein._unstack(einstein._form(y, g4, y), pj)
+                     for y in (einstein._stack(v, 1) for v in pj.frame)])
 
 
 def oneill_AT(pj):
@@ -112,7 +120,7 @@ class ONeillData:
 
 def oneill(pj):
     """O'Neill tensor frame components in the {H,Hperp,C,Cperp} frame:
-    A from oneill_AT, T and Theta_C from the live pj.oneill_tensors.
+    A and T from oneill_AT, Theta_C from the live pj.oneill_tensors.
 
     T_frame[a][b][c] is the Y_a-coefficient of T(Y_b, Y_c) in the
     orthogonal-frame expansion T(Y_b,Y_c) = sum_a T^(a)_(b)(c) Y_a.
@@ -121,8 +129,8 @@ def oneill(pj):
         raise FrameRequiredError(
             "frame required: C_rho*ell_C vanishes at this point")
     Y, ell = pj.frame, frame_lengths(pj)
-    T, Theta_C, _ = pj.oneill_tensors
-    A, _ = oneill_AT(pj)
+    _, Theta_C, _ = pj.oneill_tensors
+    A, T = oneill_AT(pj)
     g4 = pj.g4.value
 
     def expand(tensor):

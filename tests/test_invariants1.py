@@ -9,12 +9,11 @@ from g2inv import (catalog, classify, invariants1, jets, load_metric,
 from g2inv.errors import SingularEvaluationError
 from g2inv.invariants1 import (FUNDAMENTAL_IDS, RANK_STEP, _invariant_vector,
                                _pack, first_invariant_jets, frame,
-                               frame_lengths, jacobian, jacobian_rank,
-                               oneill_tensors, random_point_jets,
-                               relations_first)
+                               jacobian, jacobian_rank, oneill_tensors,
+                               random_point_jets, relations_first)
 from g2inv.metrics import (CATALOG_NAMES, assemble, default_domain,
                            grid_points)
-from paper_checks import FrameRequiredError, oneill, oneill_AT
+from paper_checks import FrameRequiredError, frame_lengths, oneill, oneill_AT
 
 
 def vdb_closed_forms(t1, t2):
@@ -232,11 +231,11 @@ def test_oneill_requires_frame():
 
 
 def _oneill_tensors_of_the_AT_loop(pj):
-    """oneill_tensors with T from the loop that also builds A."""
-    _, T = oneill_AT(pj)
+    """oneill_tensors with T(d_zk, .) from the loop that also builds A."""
+    T = oneill_AT(pj)[1][:, 2:]
     Y = pj.frame
-    TC = np.einsum("dcb,c->db", T, Y[2])
-    TCp = np.einsum("dcb,c->db", T, Y[3])
+    TC = np.einsum("dkb,k->db", T, Y[2][2:])
+    TCp = np.einsum("dkb,k->db", T, Y[3][2:])
     sgh = pj.stratum.sign_det_gt * pj.stratum.sign_det_h
     return T, sgh * float(np.linalg.det(TC)), float(np.linalg.det(TCp))
 
@@ -256,12 +255,29 @@ def test_relations_first_rows_match_the_A_and_T_loop(monkeypatch):
 
     for m, pt in cases:
         pj = point_jets(m, pt)
-        assert pj.oneill_tensors[0].tobytes() == oneill_AT(pj)[1].tobytes()
+        assert pj.oneill_tensors[0].tobytes() \
+            == oneill_AT(pj)[1][:, 2:].tobytes()
     live = rows()
     assert sum(r["theta_II_T342_Qchi"] is not None for r in live) >= 15
     monkeypatch.setattr(invariants1, "oneill_tensors",
                         _oneill_tensors_of_the_AT_loop)
     assert rows() == live
+
+
+def test_oneill_t_rows_are_the_f_combinations_of_the_killing_rows():
+    # T_E = T_{VE}: T(d_tj, .) = F_j^k T(d_zk, .), so the live layer's
+    # two Killing rows carry the whole tensor (the worst error seen is
+    # 1.7e-15 of max |T|)
+    ms = [catalog(name) for name in CATALOG_NAMES] + [
+        catalog("random_analytic", {"seed": seed}) for seed in range(6)]
+    for m in ms:
+        for pt in grid_points(default_domain(m), 3, margin=0.1):
+            pj = point_jets(m, pt)
+            T = pj.oneill_tensors[0]
+            F = np.array([j.value for j in pj.F]).reshape(2, 2)
+            error = np.einsum("jk,dkc->djc", F, T) - oneill_AT(pj)[1][:, :2]
+            assert np.abs(error).max() <= 1e-13 * np.abs(T).max(), \
+                (m.name, pt)
 
 
 def test_oneill_tensors_defined_on_degenerate_strata():

@@ -448,7 +448,7 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
                         lambda a, s: derivatives.append(s) or derive(a, s))
     for pj in pjs:
         T, _, _ = invariants1.oneill_tensors(pj)
-        assert T.shape == (4, 4, 4)
+        assert T.shape == (4, 2, 4)
     monkeypatch.setattr(jets, "t_derivative", derive)
     assert derivatives == []
 

@@ -22,10 +22,11 @@ from hypothesis import example, given, settings, strategies as st
 from g2inv import catalog, equivalence, expr, jets, metrics, point_jets
 from g2inv.errors import G2InvError, SingularMetricError
 from g2inv.invariants1 import (_invariant_vector, _pack, _unpack,
-                               frame_lengths, random_point_jets)
+                               random_point_jets)
 from g2inv.metrics import CATALOG_NAMES, default_domain, grid_points
 from g2inv.transform import apply_to_metric, make_transform
-from paper_checks import riemann_sectional_curvatures, substitute
+from paper_checks import (frame_lengths, riemann_sectional_curvatures,
+                          substitute)
 from test_jets import reference_divide, reference_mul
 
 SETTINGS = settings(max_examples=200, deadline=None)

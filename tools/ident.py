@@ -89,7 +89,18 @@ def _rank_argvs(domains, directory):
                  "--onshell", f"--points={centre}"])])
 
 
-def _ops_inproc(cli, argvs):
+def load(checkout):
+    """CHECKOUT's ``perfbench/workloads.py`` and ``g2inv.cli``, imported
+    from the checkout without writing bytecode into it."""
+    sys.path[:0] = [os.path.join(checkout, "src"),
+                    os.path.join(checkout, "perfbench")]
+    sys.dont_write_bytecode = True  # leave the checkout as it was
+    import workloads
+    from g2inv import cli
+    return workloads, cli
+
+
+def ops_inproc(cli, argvs):
     for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -110,11 +121,8 @@ def main(argv):
         sys.stderr.write(__doc__)
         return 2
     checkout = os.path.abspath(argv[0])
-    src = os.path.join(checkout, "src")
-    sys.path[:0] = [src, os.path.join(checkout, "perfbench")]
-    sys.dont_write_bytecode = True  # leave the checkout as it was
-    import workloads
-    from g2inv import cli, metrics
+    workloads, cli = load(checkout)
+    from g2inv import metrics
 
     seeds = [int(s) for s in argv[2].split(",")]
     for w in argv[3:] or (*workloads.WORKLOADS, "rank"):
@@ -126,8 +134,9 @@ def main(argv):
                          [op.argv for op in workloads.generate(
                              w, seed, workloads.rounds_for(w, SECONDS),
                              directory)])
-                results = (_ops_inproc(cli, argvs) if argv[1] == "inproc"
-                           else _ops_subproc(src, argvs))
+                results = (ops_inproc(cli, argvs) if argv[1] == "inproc"
+                           else _ops_subproc(os.path.join(checkout, "src"),
+                                             argvs))
                 for args, (code, out, err) in zip(argvs, results):
                     print(json.dumps(["op", w, seed, [
                         a.replace(directory, "DIR") for a in args],
