@@ -18,6 +18,13 @@ Conventions fixed here (signs matter):
   is |Q_gamma| and it carries the same sign behaviour under the
   pseudogroup as Theta_I + Theta_III, which makes the relation suite
   orientation-independent.
+* O'Neill's T on the Killing fibres (O'Neill, Michigan Math. J. 13,
+  1966), their second fundamental form, in closed form: Koszul with
+  z-independence gives 2 g(nabla_zk d_zl, d_ti) = -d_i h_kl, so with
+  X_i = d_ti - F_i^n d_zn the horizontal lifts,
+  T(d_zk, d_zl) = -1/2 gt^ij d_j h_kl X_i,
+  T(d_zk, X_j) = 1/2 h^lm d_j h_kl d_zm, and
+  T(d_zk, d_tj) = T(d_zk, X_j) + F_j^l T(d_zk, d_zl).
 """
 
 from __future__ import annotations
@@ -173,46 +180,41 @@ def frame(pj):
          -(h11 * C[0] + h12 * C[1]) / sq_h)])
 
 
-def _projection_matrices(pj):
-    """ver/hor projectors (values)."""
-    Fv = [j.value for j in pj.F]
-    ver = np.zeros((4, 4) + np.shape(Fv[0]))
-    hor = np.zeros(ver.shape)
-    # F rows: (f_1^1, f_1^2, f_2^1, f_2^2); f[j][k] = F[2j + k]
-    for j in range(2):
-        hor[j][j] = 1.0
-        for k in range(2):
-            ver[2 + k][j] = Fv[2 * j + k]
-            hor[2 + k][j] = -Fv[2 * j + k]
-    for k in range(2):
-        ver[2 + k][2 + k] = 1.0
-    return ver, hor
-
-
 def oneill_tensors(pj):
     """The O'Neill tensor T on the Killing directions, as a (4, 2, 4)
-    array, T[e][k][c] the dt^e-component of T(d_zk, d_c): T_E = T_{VE}
-    (O'Neill, Michigan Math. J. 13, 1966), so T(d_tj, .) = F_j^k T(d_zk,
-    .).  Also Theta_C and Theta_Cperp, the determinants of the (1,1) maps
-    T(C, .) and T(Cperp, .) of the vertical C and Cperp, which exist on
-    every stratum.  It reads the values of pj.order1.christoffel."""
-    ver, hor = _projection_matrices(pj)
-    G = pj.order1.christoffel.value
-    T = np.zeros((4, 2) + ver.shape[1:])
-    # ver @ x and hor @ x of each column as stacked matmuls
-    stacks = [einstein._stack(p, 2) for p in (ver, hor)]
+    array, T[e][k][c] the d_e-component of T(d_zk, d_c), by the closed
+    form of the module docstring, entry by entry on the values of gi and
+    dh of pj.fundamentals, h, det h and F (a batch column has its
+    point's bits).  Also Theta_C and Theta_Cperp, the determinants of
+    the (1,1) maps T(C, .) and T(Cperp, .) of the vertical C and Cperp,
+    which exist on every stratum."""
+    f = pj.fundamentals
+    gi = [x.value for x in f["gi"]]
+    dh = [[x.value for x in row] for row in f["dh"]]
+    h, F = ([j.value for j in js] for js in (pj.h, pj.F))
+    det_h = pj.det_h.value
+    hi = (h[2] / det_h, -h[1] / det_h, h[0] / det_h)
+    # gt^ij, h^lm and d_j h_kl are entries i + j, l + m and k + l of the
+    # packed (11, 12, 22) triples gi, hi and dh[j]
 
-    def mv(m, x):
-        return einstein._unstack(
-            (m @ einstein._stack(x, 1)[..., None])[..., 0], pj)
+    def vertical(k, l):  # T(d_zk, d_zl) = a^i X_i
+        a = [-0.5 * (gi[i] * dh[0][k + l] + gi[i + 1] * dh[1][k + l])
+             for i in range(2)]
+        return a + [-(a[0] * F[n] + a[1] * F[2 + n]) for n in range(2)]
 
+    def mixed(k, j, zz):  # T(d_zk, X_j) + F_j^l T(d_zk, d_zl)
+        lifted = [F[2 * j] * zz[0][e] + F[2 * j + 1] * zz[1][e]
+                  for e in range(4)]
+        return lifted[:2] + [
+            0.5 * (hi[m] * dh[j][k] + hi[m + 1] * dh[j][k + 1])
+            + lifted[2 + m] for m in range(2)]
+
+    columns = []  # columns[k][c][e]
     for k in range(2):
-        for c in range(4):
-            # nabla along ver(d_zk) = d_zk, which kills t-derivatives
-            vb = ver[:, 2 + k]
-            nv_h = np.einsum("a...,daf...,f...->d...", vb, G, hor[:, c])
-            nv_v = np.einsum("a...,daf...,f...->d...", vb, G, ver[:, c])
-            T[:, k, c] = mv(stacks[0], nv_h) + mv(stacks[1], nv_v)
+        zz = [vertical(k, l) for l in range(2)]
+        columns.append([mixed(k, 0, zz), mixed(k, 1, zz), *zz])
+    T = np.array([[[columns[k][c][e] for c in range(4)] for k in range(2)]
+                  for e in range(4)])
     Y = pj.frame
     TC, TCp = (einstein._stack(np.einsum("dkb...,k...->db...", T, v[2:]),
                                2) for v in (Y[2], Y[3]))
@@ -249,16 +251,16 @@ def relations_first(pj):
     Q_gamma = jv["Q_gamma"].value
     root = jv["q_gamma_root"].value
 
-    def theta_II_T342_Qchi(T, Y, g4, th2, ell_C, Q_chi, Q_gamma, sgn_h,
+    def theta_II_T342_Qchi(T, Y, h, th2, ell_C, Q_chi, Q_gamma, sgn_h,
                            sgn_gt):
         # T^(3)_(4)(2) = g(T(Cperp, Hperp), C) / g(C, C): the
         # C-coefficient of T(Cperp, Hperp) in the orthogonal frame
-        # Y = {H, Hperp, C, Cperp}, whose C and Cperp are vertical
-        C, g = einstein._stack(Y[2], 1), einstein._stack(g4, 2)
-        Cg, ell = (einstein._unstack(x, pj) for x in (
-            (C[:, None] @ g)[:, 0], einstein._form(C, g, C)))
-        T342 = np.einsum("d...,d...,...->...", np.einsum(
-            "dkc...,k...,c...->d...", T, Y[3][2:], Y[1]), Cg, 1.0 / ell)
+        # Y = {H, Hperp, C, Cperp}; C and T(Cperp, Hperp) are vertical,
+        # so g(., C) is h(., C) on the z-components and g(C, C) is ell_C
+        v = np.einsum("dkc...,k...,c...->d...", T, Y[3][2:], Y[1])
+        C1, C2 = Y[2][2:]
+        T342 = (v[2] * (h[0] * C1 + h[1] * C2)
+                + v[3] * (h[1] * C1 + h[2] * C2)) / ell_C
         return norm([sq(th2) / (16.0 * sq(ell_C)),
                      sgn_h * sq(T342),
                      sgn_gt * 0.25 * (Q_chi - Q_gamma)])
@@ -271,7 +273,8 @@ def relations_first(pj):
         "theta_III_sq_vs_theta_Cperp":
             norm([sq(th3), -sgn_gt * sgn_h * 16.0 * Theta_Cp]),
         "theta_II_T342_Qchi": einstein._defined(
-            st.generic, theta_II_T342_Qchi, T, pj.frame, pj.order1.g4.value,
+            st.generic, theta_II_T342_Qchi, T, pj.frame,
+            np.array([j.value for j in pj.h]),
             th2, ell_C, Q_chi, Q_gamma, sgn_h, sgn_gt),
         "theta_sum_vs_gamma_root": einstein._defined(
             ~st.ell_c_zero,

@@ -131,11 +131,7 @@ class PointJets:
     4-metric and the Christoffel symbols), riemann, frame (the
     semi-invariant frame Y), oneill_tensors, second (the second-order
     invariants, K_Xi and K_Xiperp by the Gauss-curvature propositions).
-    Callers read them and never mutate them.  order1 is the same point
-    at jet order 1, whose g4 and christoffel the first-order relation
-    suite reads for their values: a coefficient of truncated Taylor
-    arithmetic reads only coefficients of equal or lower degree, so
-    those values carry the bits of this PointJets' own.
+    Callers read them and never mutate them.
     """
     point: tuple
     order: int
@@ -165,17 +161,6 @@ class PointJets:
     oneill_tensors = _layer("invariants1", "oneill_tensors", guarded=True)
     second = _layer("invariants2", "second_invariants_from_jets",
                     guarded=True)
-
-    @property
-    def order1(self):
-        """The PointJets of the ten component jets truncated to order 1,
-        built once; this PointJets itself at order <= 1."""
-        return self if self.order <= 1 else self._order1
-
-    @cached_property
-    def _order1(self):
-        return assemble(self.point, 1, [jets.truncate(j, 1)
-                                        for j in self.all_component_jets()])
 
 
 @dataclass(frozen=True)

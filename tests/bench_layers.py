@@ -228,8 +228,7 @@ def test_relations_first(benchmark, point, order):
 def test_relations_first_layers(benchmark, point):
     # the first-order suite alone, on a fresh copy of one order-2
     # PointJets of vdb, as check-relations --first --second reads it:
-    # every layer it builds, the order-1 4-metric and Christoffel symbols
-    # of pj.order1 among them
+    # every layer it builds
     pj = point_jets(VDB, point)
     assert _finite(benchmark(
         lambda: relations_first(dataclasses.replace(pj))))
@@ -238,9 +237,10 @@ def test_relations_first_layers(benchmark, point):
 @pytest.mark.parametrize("point", [POINT, CHECK_BATCH], ids=["float", "B6"])
 def test_oneill_tensors(benchmark, point):
     # the O'Neill layer alone, on a fresh order-2 PointJets of vdb whose
-    # order-0 Christoffel symbols, frame and stratum are read beforehand
+    # frame (and the fundamentals it reads) and stratum are read
+    # beforehand
     pj = point_jets(VDB, point)
-    pj.order1.christoffel, pj.frame, pj.stratum
+    pj.frame, pj.stratum
     T, theta_c, theta_cp = benchmark(invariants1.oneill_tensors, pj)
     assert np.isfinite(T).all() and np.isfinite([theta_c, theta_cp]).all()
 

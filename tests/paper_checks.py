@@ -61,8 +61,8 @@ def kundu_A(m, points, method="analytic"):
 
 def frame_lengths(pj):
     """ell, the g-lengths g(Y_a, Y_a) of the rows of pj.frame ((4,), or
-    (4, B) on a batch), by the values of pj.order1.g4."""
-    g4 = einstein._stack(pj.order1.g4.value, 2)
+    (4, B) on a batch), by the values of pj.g4."""
+    g4 = einstein._stack(pj.g4.value, 2)
     return np.array([einstein._unstack(einstein._form(y, g4, y), pj)
                      for y in (einstein._stack(v, 1) for v in pj.frame)])
 

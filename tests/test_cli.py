@@ -450,7 +450,8 @@ def test_an_overflowing_four_metric_fails_only_the_reports_that_read_it(
                 "--json"]) == 0
     second = json.loads(capsys.readouterr().out)["second_order"]
     assert all(math.isfinite(v) for v in second.values() if v is not None)
-    # the first-order suite's T reads the 4-metric
+    # the first-order suite's T has d_z-components of order F^2, past
+    # the float range
     assert run(["check-relations", str(path), "--first", points]) == 2
     assert capsys.readouterr().err.startswith(
         "error: singular evaluation in 'oneill_tensors' at value nan")
@@ -469,9 +470,9 @@ def test_an_overflowing_four_metric_fails_only_the_reports_that_read_it(
 def test_an_overflow_in_second_derivatives_fails_only_the_curvature(
         tmp_path, capsys):
     # F11 = 1e155 t1 puts 2 (F11')^2 h11 ~ 2e310 in the 4-metric's second
-    # derivatives: the first-order suite reads the values of the
-    # Christoffel symbols of pj.order1 and passes; the Riemann tensor of
-    # the on-shell suite reads those derivatives and fails
+    # derivatives: the first-order suite reads no 4-metric and passes;
+    # the Riemann tensor of the on-shell suite reads those derivatives
+    # and fails
     path = _submersion_file(tmp_path, {
         "gt11": "1 + t1^2", "gt12": "0.1*t2", "gt22": "2 + t2",
         "F11": "1e155*t1", "F12": "t1*t2", "F21": "sin(t1)", "F22": "t1",

@@ -439,10 +439,11 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
                              for pt in ((0.6, 1.1), (0.8, 1.3))})
 
     # nothing computes the O'Neill A tensor: the O'Neill layer takes no
-    # t-derivative (A(d_b, d_c) needs those of F, T does not)
+    # t-derivative (A(d_b, d_c) needs those of F; T reads those of h from
+    # the fundamentals)
     pjs = [point_jets(vdb, pt) for pt in pts]
     for pj in pjs:
-        pj.order1.christoffel, pj.frame, pj.stratum  # the layers T reads
+        pj.frame, pj.stratum  # the layers T reads, the fundamentals too
     derivatives, derive = [], jets.t_derivative
     monkeypatch.setattr(jets, "t_derivative",
                         lambda a, s: derivatives.append(s) or derive(a, s))
@@ -495,10 +496,9 @@ def test_only_the_relation_suites_build_the_fields_and_the_4d_curvature(
     # the second-order invariants (K_Xi and K_Xiperp from the
     # Gauss-curvature propositions) and the frame Y read no 4-metric and,
     # beside the fundamentals, only X and Xperp of the first-order fields;
-    # the Einstein residual, the on-shell Gauss equality and the
-    # first-order suite (the frame lengths and T) read the 4-metric, and
-    # only the first-order suite the other first-order fields (the
-    # on-shell suite reads q_gamma_root, its own layer)
+    # only the Einstein residual and the on-shell Gauss equality read the
+    # 4-metric, and only the first-order suite the other first-order
+    # fields (the on-shell suite reads q_gamma_root, its own layer)
     calls = Counter()
     for module, name in ((einstein, "four_metric"),
                          (einstein, "inverse_four_metric"),
@@ -537,7 +537,7 @@ def test_only_the_relation_suites_build_the_fields_and_the_4d_curvature(
             (["check-relations", str(lk), "--onshell", "--lambda", "3",
               *points, *out], curvature),
             (["check-relations", str(vdb), "--first", *points, *out],
-             curvature - {"riemann4"} | {"first_invariant_jets"})):
+             {"first_invariant_jets"})):
         calls.clear()
         assert cli.run(argv) == 0, argv
         assert set(calls) == want, (argv, calls)
@@ -545,40 +545,31 @@ def test_only_the_relation_suites_build_the_fields_and_the_4d_curvature(
             "first_invariant_jets" in want), (argv, calls)
 
 
-def test_the_first_order_suite_reads_the_4d_layers_at_order_1(
-        monkeypatch, tmp_path):
-    # check-relations --first --second builds order-2 jets, and its
-    # first-order suite reads the values of the 4-metric and of the
-    # Christoffel symbols: those of pj.order1, g4 at order 1 and Gamma at
-    # order 0, which carry the order-2 layers' bits; --onshell reads the
-    # order-2 layers as well
+def test_the_first_order_suite_builds_no_4d_layer(monkeypatch, tmp_path):
+    # the first-order suite takes T from its closed form in dh and g(., C)
+    # from h: --first and --first --second build no 4-metric, inverse,
+    # Christoffel symbols or Riemann tensor; --onshell builds each once,
+    # on the order-2 PointJets of the three points as one batch
     built = []
-    for name in ("four_metric", "christoffel4"):
+    for name in ("four_metric", "inverse_four_metric", "christoffel4",
+                 "riemann4"):
         def recording(pj, name=name, fn=getattr(einstein, name)):
-            jet = fn(pj)
-            built.append((name, jet.order))
-            return jet
+            built.append((name, pj.order, np.shape(pj.point[0])))
+            return fn(pj)
 
         monkeypatch.setattr(einstein, name, recording)
     lk = tmp_path / "lk.json"
     lk.write_text(json.dumps(catalog("lambda_kundu").to_document()))
-    argv = ["check-relations", str(lk), "--first", "--second", "--lambda",
-            "3", "--points", "0.7,-0.2;0.9,0.1;1.2,0.3", "--out",
+    argv = ["check-relations", str(lk), "--first", "--lambda", "3",
+            "--points", "0.7,-0.2;0.9,0.1;1.2,0.3", "--out",
             str(tmp_path / "report.txt")]
-    assert cli.run(argv) == 0
-    assert sorted(built) == [("christoffel4", 0), ("four_metric", 1)]
-    built.clear()
-    assert cli.run([*argv, "--onshell"]) == 0
-    assert sorted(built) == [("christoffel4", 0), ("christoffel4", 1),
-                             ("four_metric", 1), ("four_metric", 2)]
-    monkeypatch.undo()
-    for point in ((0.9, 0.1), (np.array([0.7, 0.9]), np.array([-0.2, 0.1]))):
-        pj = point_jets(catalog("lambda_kundu"), point)
-        assert pj.order1.order == 1 and pj.order1.order1 is pj.order1
-        for layer in ("g4", "christoffel"):
-            want, got = (np.array(getattr(p, layer).value)
-                         for p in (pj, pj.order1))
-            assert got.tobytes() == want.tobytes(), (point, layer)
+    for extra in ([], ["--second"]):
+        assert cli.run([*argv, *extra]) == 0
+        assert built == [], extra
+    assert cli.run([*argv, "--second", "--onshell"]) == 0
+    assert sorted(built) == [
+        (name, 2, (3,)) for name in ("christoffel4", "four_metric",
+                                     "inverse_four_metric", "riemann4")]
 
 
 def _call_nodes(m):
