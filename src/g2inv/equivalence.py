@@ -43,12 +43,49 @@ MIN_SAMPLES = 8
 PROJECTED = 48
 
 
+# the most columns of one metric's run a round evaluates at their float
+# points, one point_jets each, rather than as one batch: a batch costs
+# about as much at 2 columns as at 36, and _evaluate on a run of an
+# affine image of vdb took 0.82 ms as 4 float points, 0.85 ms as a batch
+# and 0.95 ms as 5 float points (2-CPU AMD EPYC VM)
+THIN = 4
+
+# an _evaluate column: whether its metric could be evaluated there, the
+# generic flag of its stratum, the six fundamentals and their t-Jacobian
+_COLUMN = np.dtype([("ok", bool), ("generic", bool), ("values", float, 6),
+                    ("jac", float, (6, 2))], align=True)
+_FAILED = np.array((False, False, np.nan, np.nan), _COLUMN)
+
+
 def _fundamentals(pj):
     """The six fundamentals at a point and their 6x2 t-Jacobian."""
     jv = pj.fundamentals
     values = np.array([jv[k].value for k in FUNDAMENTAL_IDS])
     jac = np.array([jv[k].coeffs[1:3] for k in FUNDAMENTAL_IDS])  # d/dt
     return values, jac
+
+
+def _joined(ms, col):
+    """The PointJets of a batch of columns (k, t1, t2), each a point of
+    the metric ms[k]: one point_jets per run of one metric, or one per
+    column of a run of at most THIN, joined along the point axis."""
+    runs = np.split(col, np.flatnonzero(np.diff(col[0])) + 1, axis=1)
+    pjs = []
+    for k, t1, t2 in runs:
+        m = ms[int(k[0])]
+        if len(k) > THIN:
+            pjs.append(metrics.point_jets(m, (t1, t2), order=2))
+        else:
+            pjs += [metrics.point_jets(m, p, order=2)
+                    for p in zip(t1.tolist(), t2.tolist())]
+    if len(pjs) == 1:
+        return pjs[0]
+    # (jet, coefficient, column) of the components and determinants
+    c = np.concatenate([np.array([j.coeffs for j in (
+        *pj.all_component_jets(), pj.det_h, pj.det_gt)]).reshape(12, 6, -1)
+        for pj in pjs], axis=2)
+    return metrics.assemble((col[1], col[2]), 2,
+                            [jets._jet(2, tuple(j)) for j in c])
 
 
 def _evaluate(ms, cols, stratum=False):
@@ -59,40 +96,30 @@ def _evaluate(ms, cols, stratum=False):
     not ok.  The columns are evaluated by metrics.each_point, first cut
     where the metric changes when there are more than MAX_BATCH of them
     (a round holds at most two runs of one metric, a signature one); a
-    batch has one point_jets per run (a column alone at its float
-    point), joined along the point axis, and one fundamentals pass."""
+    batch is _joined and has one fundamentals pass, and a column alone
+    is evaluated at its float point."""
     def at(col):
-        k, t1, t2 = col
-        if not np.ndim(k):
-            pj = metrics.point_jets(ms[int(k)], (t1, t2), order=2)
-        else:
-            cuts = np.flatnonzero(np.diff(k)) + 1
-            pjs = [metrics.point_jets(ms[int(kk[0])], (a, b) if len(a) > 1
-                                      else (a[0], b[0]), order=2)
-                   for kk, a, b in zip(*(np.split(row, cuts) for row in col))]
-            pj = pjs[0]
-            if len(pjs) > 1:  # (component, coefficient, column) of each
-                c = np.concatenate([np.atleast_3d(
-                    [j.coeffs for j in p.all_component_jets()]) for p in pjs],
-                    axis=2)
-                pj = metrics.assemble((t1, t2), 2,
-                                      [jets._jet(2, tuple(j)) for j in c])
+        pj = (_joined(ms, col) if col.ndim > 1 else
+              metrics.point_jets(ms[int(col[0])], tuple(col[1:]), order=2))
+        out = np.empty(col.size // 3, _COLUMN)
+        out["ok"] = True
+        out["generic"] = pj.stratum.generic if stratum else True
         values, jac = _fundamentals(pj)
-        generic = pj.stratum.generic if stratum else np.ones(np.size(k), bool)
-        return list(zip(np.atleast_1d(generic), values.reshape(6, -1).T,
-                        np.moveaxis(jac.reshape(6, 2, -1), 2, 0)))
+        out["values"] = values.reshape(6, -1).T
+        out["jac"] = np.moveaxis(jac.reshape(6, 2, -1), 2, 0)
+        return out
 
+    cols = np.asarray(cols, dtype=float)
     # each_point cuts a longer list every MAX_BATCH columns, and a cut
     # inside a run costs a point_jets call: cut first where ms[k] changes
     cuts = [0, len(cols)]
     if len(cols) > metrics.MAX_BATCH:
-        cuts[1:1] = np.flatnonzero(np.diff([col[0] for col in cols])) + 1
-    got = [g for a, b in zip(cuts, cuts[1:])
-           for g in metrics.each_point(at, cols[a:b])]
-    ok = np.array([not isinstance(g, Exception) for g in got])
-    failed = (False, np.full(6, np.nan), np.full((6, 2), np.nan))
-    return (ok, *map(np.array, zip(*(g if k else failed
-                                      for g, k in zip(got, ok)))))
+        cuts[1:1] = np.flatnonzero(np.diff(cols[:, 0])) + 1
+    got = [metrics.each_point(at, cols[a:b]) for a, b in zip(cuts, cuts[1:])]
+    out = np.concatenate([g if isinstance(g, np.ndarray) else np.array(
+        [_FAILED if isinstance(c, Exception) else c for c in g], _COLUMN)
+        for g in got])
+    return out["ok"], out["generic"], out["values"], out["jac"]
 
 
 # why build_signature skips a grid point, in the order it tests them,
@@ -121,10 +148,10 @@ def build_signature(m, rect=None, n=12):
         rect = ((-1.5, 1.5), (-1.5, 1.5))
     grid = metrics.grid_points(rect, n, margin=0.02)
     ok, generic, values, jac = _evaluate(
-        [m], [(0, *p) for p in grid], stratum=True)
+        [m], np.column_stack((np.zeros(len(grid)), grid)), stratum=True)
     finite = np.isfinite(values).all(1) & np.isfinite(jac).all((1, 2))
     kept = ok & generic & finite
-    kept[kept] = [numerical_rank(j, DELTA_TOL) == 2 for j in jac[kept]]
+    kept[kept] = numerical_rank(jac[kept], DELTA_TOL) == 2
     reasons = np.select([~ok, ~generic, ~finite, ~kept], list(SKIP_REASONS),
                         "")
     skipped = Counter(reasons[~kept].tolist())
@@ -167,21 +194,32 @@ def _scales(values):
 CONVERGED = 1e-10
 
 
+def _norm(x):
+    """The 2-norms along the last axis, as np.linalg.norm forms them."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
 def _residual(values, targets, scales):
     """The scaled differences r of stacked six-vectors from their
     targets, and their norms."""
     r = (values - targets) / scales
-    return r, np.linalg.norm(r, axis=-1)
+    return r, _norm(r)
 
 
 def _step(jac, r, pts, scales):
     """Stacked Gauss-Newton steps from pts: the minimum-norm solutions of
     (jac / scales) step = r, one SVD pseudo-inverse per stack with
     lstsq's cutoff max(6, 2) eps, each cut to 0.5 (1 + |pt|) long."""
-    step = (np.linalg.pinv(jac / scales[:, None], rtol=None)
+    # np.linalg.pinv's operations: each singular value above the cutoff
+    # inverted, the others 0, and v s^-1 u^T times r
+    u, s, vt = np.linalg.svd(jac / scales[:, None], full_matrices=False)
+    large = s > 6 * np.finfo(float).eps * s.max(-1, keepdims=True)
+    s = np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    step = (np.swapaxes(vt, -1, -2) @ (s[..., None] * np.swapaxes(u, -1, -2))
             @ r[..., None])[..., 0]
-    limit = 0.5 * (1.0 + np.linalg.norm(pts, axis=-1))
-    norm = np.linalg.norm(step, axis=-1)
+    limit = 0.5 * (1.0 + _norm(pts))
+    norm = _norm(step)
     return step * (limit / np.maximum(norm, limit))[:, None]
 
 
@@ -235,7 +273,7 @@ def _project(ms, onto, targets, starts, scales):
         if not k.size:
             break
         ok, _, values[k], jac[k] = _evaluate(
-            ms, list(np.column_stack((which[k], pt[k]))))
+            ms, np.column_stack((which[k], pt[k])))
         k = k[ok]
     # the first of each target's smallest residuals, as a strict < in turn
     pick = np.lexsort((np.where(counted(), best, np.inf), group))[first]
@@ -299,9 +337,9 @@ def compare_metrics(ma, mb, n=12, tol=1e-4, rect_a=None, rect_b=None):
         v_to = np.array([s.values for s in samples_to])
         sources = samples_from[::max(1, len(samples_from) // PROJECTED)]
         targets = [np.array(s.values) for s in sources]
-        starts = [[samples_to[j] for j in np.argsort(
-                      np.linalg.norm((v_to - v) / scales, axis=1))[:4]]
-                  for v in targets]
+        nearest = np.argsort(_norm((v_to - np.array(targets)[:, None])
+                                   / scales), axis=1)[:, :4]
+        starts = [[samples_to[j] for j in row] for row in nearest.tolist()]
         return sources, targets, starts
 
     sources_a, targets_a, starts_a = match(sig_a.samples, sig_b.samples)

@@ -397,20 +397,18 @@ def jacobian(which, probe):
 
 def jacobian_rank(which, probe, eps=1e-6):
     """Numerical rank of the jacobian of the invariant set at the probe."""
-    return numerical_rank(jacobian(which, probe), eps)
+    return int(numerical_rank(jacobian(which, probe), eps))
 
 
 def numerical_rank(J, eps):
     """The number of singular values of J above eps times the largest,
-    its zero rows dropped and the others scaled to unit norm: the
-    invariants span wildly different magnitudes, and the rank should
-    reflect relative sensitivities.  A row whose norm overflows scales
-    to zeros, silently."""
+    its nonzero rows scaled to unit norm: the invariants span wildly
+    different magnitudes, and the rank should reflect relative
+    sensitivities.  A row whose norm overflows scales to zeros,
+    silently.  J may be a stack of matrices (..., m, n), one rank each,
+    in one stacked SVD."""
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(J, axis=1)
-    keep = norms > 0.0
-    J = J[keep] / norms[keep, None]
-    if J.size == 0:
-        return 0
+        norms = np.linalg.norm(J, axis=-1)[..., None]
+    J = np.divide(J, norms, out=np.zeros_like(J), where=norms > 0.0)
     svals = np.linalg.svd(J, compute_uv=False)
-    return int(np.sum(svals > eps * svals[0]))
+    return np.sum(svals > eps * svals[..., :1], axis=-1)

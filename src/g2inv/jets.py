@@ -24,7 +24,10 @@ ch. 13): the product from the product table, each coefficient
 0.0 + w*a_p*b_q + ... in table order, and the quotient from the Leibniz
 recurrence, (n_k - c*q*g - ...) / g_0.  Either is the floating-point
 sequence of the plain loop over its table, term for term, less the
-exact multiplications by a unit weight.
+exact multiplications by a unit weight.  A product or quotient with a
+batch value runs the same code with its constants, the leading 0.0 and
+the weights, bound as 0-d float64 arrays: numpy adds a vector to one
+without first converting a Python float, and the sums are the same.
 
 A product with a constant (a number, or a float jet with zero
 derivatives against a batch jet) scales instead: coefficient k is
@@ -40,6 +43,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import types
 from math import comb
 from operator import neg
 
@@ -136,6 +140,20 @@ _MUL_KERNEL = {n: _mul_kernel(n) for n in _IDX}
 _DIV_KERNEL = {n: _div_kernel(n) for n in _IDX}
 
 
+def _on_arrays(kernel):
+    """The kernel's code with its number constants bound as 0-d float64
+    arrays (nothing is compiled again).  A term of float coefficients
+    alone is a numpy float64, with its bits."""
+    code = kernel.__code__
+    return types.FunctionType(code.replace(co_consts=tuple(
+        np.array(float(c)) if c.__class__ in (int, float) else c
+        for c in code.co_consts)), {}, kernel.__name__)
+
+
+_MUL_BATCH = {n: _on_arrays(k) for n, k in _MUL_KERNEL.items()}
+_DIV_BATCH = {n: _on_arrays(k) for n, k in _DIV_KERNEL.items()}
+
+
 # _DIFF[n][s]: positions, in the order-n layout, of the coefficients of
 # the order-(n - 1) jet d/dt^(s+1)
 _DIFF = {n: tuple(tuple(_POS[n][(i + 1 - s, j + s)] for (i, j) in _IDX[n - 1])
@@ -228,13 +246,17 @@ class Jet2:
         a, b, order = self.coeffs, other.coeffs, self.order
         if other.order != order:
             raise ValueError(f"jet order mismatch: {order} vs {other.order}")
+        kind = a[0].__class__
+        if kind is b[0].__class__:
+            return _jet(order, (_MUL_KERNEL if kind is float
+                                else _MUL_BATCH)[order](a, b))
         # a float and a batch jet, past order 0 (where the kernel scales)
-        if a[0].__class__ is not b[0].__class__ and order:
-            if a[0].__class__ is float and not any(a[1:]):
+        if order:
+            if kind is float and not any(a[1:]):
                 a, b = b, a
             if b[0].__class__ is float and not any(b[1:]):
                 return _scale(b[0], a, order)
-        return _jet(order, _MUL_KERNEL[order](a, b))
+        return _jet(order, _MUL_BATCH[order](a, b))
 
     __rmul__ = __mul__
 
@@ -375,9 +397,12 @@ def _pow(x, k):
 
 
 def _divide(num, den):
-    if _any(den.value == 0.0):
-        raise SingularEvaluationError("div", den.value)
-    return _jet(num.order, _DIV_KERNEL[num.order](num.coeffs, den.coeffs))
+    a, b = num.coeffs, den.coeffs
+    if _any(b[0] == 0.0):
+        raise SingularEvaluationError("div", b[0])
+    floats = a[0].__class__ is float and b[0].__class__ is float
+    return _jet(num.order, (_DIV_KERNEL if floats
+                            else _DIV_BATCH)[num.order](a, b))
 
 
 def _int_power(a, p):

@@ -305,15 +305,16 @@ def _eval_components(m, point, order, method):
 
 def assemble(point, order, components):
     """The PointJets at point of the ten submersion component jets, in
-    SUBMERSION_KEYS order, with det h and det gt formed from them
-    silently, as on floats.  Nothing is checked: point_jets is the
-    validating producer."""
-    gt, F, h = (tuple(components[s]) for s in np.s_[0:3, 3:7, 7:10])
-    with np.errstate(all="ignore"):
-        det_h = h[0] * h[2] - h[1] * h[1]
-        det_gt = gt[0] * gt[2] - gt[1] * gt[1]
+    SUBMERSION_KEYS order, then det h and det gt if given, else formed
+    from them silently, as on floats.  Nothing is checked: point_jets is
+    the validating producer."""
+    gt, F, h, dets = (tuple(components[s])
+                      for s in np.s_[0:3, 3:7, 7:10, 10:])
+    if not dets:
+        with np.errstate(all="ignore"):
+            dets = (h[0] * h[2] - h[1] * h[1], gt[0] * gt[2] - gt[1] * gt[1])
     return PointJets(point=point, order=order, gt=gt, F=F, h=h,
-                     det_h=det_h, det_gt=det_gt)
+                     det_h=dets[0], det_gt=dets[1])
 
 
 def point_jets(m, point, order=2, method="analytic"):
@@ -380,7 +381,9 @@ MAX_BATCH = 256
 def each_point(evaluate, items, stop=False):
     """evaluate's result at each item, or the G2InvError or
     ArithmeticError it raises there; evaluate(point) gives one result
-    per column of its point.  The items run as batches of at most
+    per column of its point, a sequence returned as it is when the items
+    (a list, or an array of rows) run as one batch that does not raise,
+    and else joined into a list.  The items run as batches of at most
     MAX_BATCH, and a batch that raises is halved, down to single items
     evaluated alone as floats: a failing item fails alone, with its own
     error.  With stop, the results end with the first failing item's
@@ -389,7 +392,7 @@ def each_point(evaluate, items, stop=False):
     batches that failed with it.  numpy overflow, invalid arithmetic and
     zero division raise in a batch, so an item that would print a numpy
     warning runs alone and prints it as alone."""
-    if not items:
+    if not len(items):
         return []
     if len(items) > MAX_BATCH:
         parts = [items[start:start + MAX_BATCH]
@@ -408,7 +411,7 @@ def each_point(evaluate, items, stop=False):
                  else [items[:half], items[half:]])
     got = []
     for part in filter(len, parts):
-        got += each_point(evaluate, part, stop)
+        got.extend(each_point(evaluate, part, stop))
         if stop and isinstance(got[-1], Exception):
             break
     return got

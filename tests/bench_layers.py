@@ -51,6 +51,9 @@ IMAGE_BATCH = tuple(np.array(t) for t in zip(*grid_points(
 ROUND_COLUMNS = [(k, *pt) for k, m in enumerate((VDB, VDB_IMAGE))
                  for pt in grid_points(m.domain or default_domain(m), 3, 6,
                                        margin=0.05)]
+# 2 points of vdb and 2 of its image: a thin round, each of its runs at
+# most equivalence.THIN columns
+THIN_COLUMNS = ROUND_COLUMNS[:2] + ROUND_COLUMNS[-2:]
 LK = catalog("lambda_kundu")
 LK_POINT = (0.9, 0.1)
 LK_BATCH = tuple(np.array(t) for t in zip(*grid_points(
@@ -187,6 +190,19 @@ def test_joined_round(benchmark):
     ok, _, values, _ = benchmark(equivalence._evaluate, [VDB, VDB_IMAGE],
                                  ROUND_COLUMNS)
     assert ok.all() and np.isfinite(values).all()
+
+
+def test_thin_round(benchmark):
+    # a round of 2 + 2 columns, as the last rounds of an equiv op run
+    ok, _, values, _ = benchmark(equivalence._evaluate, [VDB, VDB_IMAGE],
+                                 THIN_COLUMNS)
+    assert ok.all() and np.isfinite(values).all()
+
+
+def test_build_signature(benchmark):
+    # the signature of an equiv --grid 3 op: 9 grid points as one batch,
+    # their fundamentals, stratum and rank test
+    assert len(benchmark(equivalence.build_signature, VDB, n=3).samples) == 9
 
 
 @pytest.mark.parametrize("point", [POINT, CHECK_BATCH], ids=["float", "B6"])

@@ -322,20 +322,29 @@ def test_failing_batch_is_halved_down_to_its_failing_point(monkeypatch):
     ma, mb = catalog("vdb"), _cut_random_metric()
     want = compare_metrics(ma, mb, n=5, rect_b=mb.domain)
     targets, starts, scales = _projection(ma, mb)
-    calls = []
+    calls, failed = [], set()
     live = metrics.point_jets
 
     def counted(m, point, *args, **kwargs):
         calls.append(isinstance(point[0], np.ndarray))
-        return live(m, point, *args, **kwargs)
+        try:
+            return live(m, point, *args, **kwargs)
+        except G2InvError:
+            if not calls[-1]:
+                failed.add(point)
+            raise
 
     monkeypatch.setattr(metrics, "point_jets", counted)
     got = _project_onto(mb, targets, starts, scales)
-    # 4 rounds, 4 batch calls; the failing batch of 100, redone point by
-    # point, made 100 point calls more, and halved it makes 11 batch calls
-    # (6 failing) and 3 calls on single points, evaluated alone as floats,
-    # one of them its one failing point
-    assert calls.count(True) == 15 and calls.count(False) == 3
+    # 4 rounds, 4 batch calls and 2 float points (a last round of THIN
+    # columns or fewer); the failing batch of 100, redone point by point,
+    # made 100 point calls more, and halved it makes 7 batch calls (4
+    # failing) and 12 float points: halves of at most THIN columns run at
+    # their float points, and one point fails in each of the three
+    # batches that hold it, the last of them the point alone
+    assert calls.count(True) == 11 and calls.count(False) == 14
+    (t1, _), = failed
+    assert t1 < -0.5
     monkeypatch.setattr(metrics, "point_jets", live)
     monkeypatch.setattr(equivalence, "_evaluate", _evaluate_point_by_point)
     for (res, point, values), want_best in zip(
@@ -370,6 +379,44 @@ def test_joined_round_fails_only_its_failing_column(monkeypatch):
             want = equivalence._fundamentals(point_jets((ma, mb)[k], pt))
             assert values[i].tobytes() == want[0].tobytes()
             assert jac[i].tobytes() == want[1].tobytes()
+
+
+# rounds as runs (metric, columns, whether one column of the run is left
+# of t1 = -0.5), metric 0 vdb and 1 the cut metric: runs of 1 to 6
+# columns, thin (at most THIN) and batched, alone and joined, with a
+# failing column inside a thin run and inside a batched one
+ROUNDS = [[(0, 1, False)], [(1, 2, True)], [(0, 3, False), (1, 1, False)],
+          [(1, 4, True), (0, 2, False)], [(0, 5, False), (1, 3, True)],
+          [(1, 6, True), (0, 4, False)], [(0, 6, False), (1, 5, False)]]
+
+
+@pytest.mark.parametrize("runs", ROUNDS)
+def test_a_round_of_thin_runs_is_its_columns_point_by_point(runs):
+    ms = [catalog("vdb"), _cut_random_metric()]
+    cols, ok = [], []
+    for k, n, fails in runs:
+        pts = grid_points(ms[k].domain or default_domain(ms[k]), 3,
+                          margin=0.1)[:n]
+        if fails:
+            pts[n // 2] = (-0.7, 0.3)
+        cols += [(k, *pt) for pt in pts]
+        ok += [not fails or i != n // 2 for i in range(n)]
+    got = equivalence._evaluate(ms, cols, stratum=True)
+    want = _evaluate_point_by_point(ms, cols, stratum=True)
+    assert got[0].tolist() == ok
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("pair", [
+    lambda: (catalog("vdb"), _vdb_image()),
+    lambda: (catalog("vdb"), catalog("random_analytic", {"seed": 1}))])
+def test_the_verdict_is_the_same_without_thin_runs(pair, monkeypatch):
+    a, b = pair()
+    want = dataclasses.asdict(compare_metrics(a, b, n=5))
+    monkeypatch.setattr(equivalence, "THIN", 0)
+    assert dataclasses.asdict(compare_metrics(a, b, n=5)) == want
 
 
 def _affine(a, shift, grad, alpha):
@@ -491,6 +538,22 @@ def test_stacked_step_is_the_minimum_norm_lstsq_on_rank_one_systems(column):
         assert rank == 1
         got = _step_unlimited(jac, r, scales)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_step_is_the_pseudo_inverse_step_bit_for_bit():
+    # the pinv and norm operations, written out, give their bits: on
+    # rank-2 and rank-1 systems, each step short enough not to be cut
+    rng = np.random.default_rng(3)
+    scales = rng.uniform(0.1, 10.0, 6)
+    jac = rng.normal(size=(40, 6, 2)) * rng.uniform(0.01, 100.0, (40, 6, 1))
+    jac[::4, :, 1] = 2.0 * jac[::4, :, 0]
+    jac[1::4, :, 1] = 0.0
+    r, pts = rng.normal(size=(40, 6)), np.full((40, 2), 1e100)
+    want = (np.linalg.pinv(jac / scales[:, None], rtol=None)
+            @ r[..., None])[..., 0]
+    assert equivalence._step(jac, r, pts, scales).tobytes() == want.tobytes()
+    assert equivalence._norm(r).tobytes() \
+        == np.linalg.norm(r, axis=-1).tobytes()
 
 
 def test_step_is_cut_to_half_of_one_plus_the_distance_from_the_origin():

@@ -352,6 +352,37 @@ def test_jacobian_ranks():
                              random_point_jets(seed, order=2)) == 20
 
 
+def _rank_without_zero_rows(J, eps):
+    """numerical_rank as it was written for one matrix: the zero rows
+    dropped, the others scaled to unit norm, one SVD."""
+    norms = np.linalg.norm(J, axis=1)
+    J = J[norms > 0.0] / norms[norms > 0.0, None]
+    if J.size == 0:
+        return 0
+    svals = np.linalg.svd(J, compute_uv=False)
+    return int(np.sum(svals > eps * svals[0]))
+
+
+def test_a_stack_of_ranks_is_each_matrix_with_its_zero_rows_dropped():
+    # 6x2 Jacobians, as a signature's, of rank 2, 1 and 0: zero rows,
+    # parallel and nearly parallel columns, rows 16 orders of magnitude
+    # apart; a zero row, kept, leaves the nonzero singular values as
+    # they are
+    rng = np.random.default_rng(2)
+    jacs = rng.normal(size=(600, 6, 2)) * 10.0 ** rng.integers(
+        -8, 8, (600, 6, 1))
+    jacs[rng.random((600, 6)) < 0.3] = 0.0
+    jacs[::7, :, 1] = -3.0 * jacs[::7, :, 0]
+    jacs[1::7, :, 1] = jacs[1::7, :, 0] * (1.0 + 1e-9)
+    jacs[2::7, :, 1] = jacs[2::7, :, 0] * (1.0 + 1e-7)
+    jacs[3::50] = 0.0
+    want = [_rank_without_zero_rows(j, 1e-8) for j in jacs]
+    assert set(want) == {0, 1, 2}
+    assert invariants1.numerical_rank(jacs, 1e-8).tolist() == want
+    assert type(jacobian_rank("fundamental6",
+                              random_point_jets(0, order=1))) is int
+
+
 def _central_differences(which, probe):
     """The Jacobian probe by probe, as jacobian_rank computed it before the
     batch: x0 + h e and x0 - h e each through the whole pipeline as a

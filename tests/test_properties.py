@@ -5,7 +5,8 @@ of a batch order-0 jet has the bits of eval_scalar at its point and the
 fd oracle reports the error met first, order-2 jets obey the ring
 laws and the chain rule, the dense product table multiplies like Jet2,
 the generated product and quotient kernels give the bits of the loops
-they unroll, a product with a constant gives the product kernel's bits,
+they unroll and their batch forms the float kernels' bits column by
+column, a product with a constant gives the product kernel's bits,
 and each column of a batch of points, packed jets or a
 batch point of a metric, has the bits of its own point, over generated
 inputs."""
@@ -187,6 +188,83 @@ def test_quotient_kernel_is_the_recurrence_bit_for_bit(operands):
     order, a, b = operands
     _assert_same_bits(_run(jets._DIV_KERNEL[order], a, b),
                       _run(reference_divide, a, b, order))
+
+
+@st.composite
+def batch_kernel_operands(draw):
+    """An order, a width B and two coefficient tuples of that order for
+    the batch kernels: each value a length-B float64 vector, each
+    derivative a float or such a vector, mixed freely as seed mixes
+    them."""
+    order = draw(st.integers(0, jets.MAX_ORDER))
+    width = draw(st.integers(1, 4))
+
+    def coefficient(k):
+        if k and draw(st.booleans()):
+            return draw(any_float)
+        return np.array(draw(st.lists(any_float, min_size=width,
+                                      max_size=width)))
+
+    size = len(jets._IDX[order])
+    return order, width, *(tuple(map(coefficient, range(size)))
+                           for _ in range(2))
+
+
+def _float_column(coeffs, col):
+    """Column col of a batch jet's coefficients, as the float point's
+    Python floats."""
+    return tuple(float(c[col]) if isinstance(c, np.ndarray) else c
+                 for c in coeffs)
+
+
+@settings(max_examples=500, deadline=None)
+@given(batch_kernel_operands())
+@example((2, 3, (np.array([0.0, -0.0, 5e-324]), 1.0, -0.0, np.inf,
+                 np.array([np.nan, -1e-310, 2.0]), 0.0),
+          (np.array([-0.0, np.inf, -5e-324]), 0.0, 1.0, -0.0,
+           np.array([1e308, -0.0, np.nan]), 5e-324)))
+def test_batch_kernels_give_the_float_kernels_bits_column_by_column(
+        operands):
+    # the batch kernels are the float kernels' code with 0-d float64
+    # array constants; a column whose float quotient divides by zero is
+    # one _divide raises on before the kernel runs
+    order, width, a, b = operands
+    for batch, floats in ((jets._MUL_BATCH, jets._MUL_KERNEL),
+                          (jets._DIV_BATCH, jets._DIV_KERNEL)):
+        got = _run(batch[order], a, b)
+        for col in range(width):
+            want = _run(floats[order], _float_column(a, col),
+                        _float_column(b, col))
+            if want == "ZeroDivisionError":
+                assert b[0][col] == 0.0
+                continue
+            assert all(type(x) is float for x in want)
+            assert all(type(x) is np.ndarray and x.shape == (width,)
+                       for x in got)
+            _assert_same_bits(tuple(float(x[col]) for x in got), want)
+
+
+def test_float_points_keep_python_float_coefficients():
+    # a float point runs the float kernels: no numpy float64 reaches its
+    # component jets, determinants or fundamentals, as products and
+    # quotients of float jets give none
+    def walk(x):
+        if isinstance(x, jets.Jet2):
+            yield x
+        elif isinstance(x, (tuple, list, dict)):
+            for y in (x.values() if isinstance(x, dict) else x):
+                yield from walk(y)
+
+    for name in CATALOG_NAMES:
+        m = catalog(name)
+        pj = point_jets(m, grid_points(default_domain(m), 1)[0], order=3)
+        found = list(walk([pj.all_component_jets(), pj.det_h, pj.det_gt,
+                           pj.fundamentals]))
+        assert found and all(type(c) is float
+                             for j in found for c in j.coeffs), name
+    a = jets.Jet2(3, np.linspace(0.5, 2.0, 10))
+    for got in (a * a, a / a, a * jets.constant(2.0, 3), a ** -2):
+        assert all(type(c) is float for c in got.coeffs)
 
 
 # finite, with magnitudes below DBL_MAX/3: past that a weighted zero term
