@@ -44,10 +44,13 @@ PROJECTED = 48
 
 
 # the most columns of one metric's run a round evaluates at their float
-# points, one point_jets each, rather than as one batch: a batch costs
-# about as much at 2 columns as at 36, and _evaluate on a run of an
-# affine image of vdb took 0.82 ms as 4 float points, 0.85 ms as a batch
-# and 0.95 ms as 5 float points (2-CPU AMD EPYC VM)
+# points, one point_jets each, rather than as one batch, and the most
+# columns of a batch evaluated column by column, each with its own
+# fundamentals pass: a batch costs about as much at 2 columns as at 36,
+# and _evaluate on a run of an affine image of vdb took 0.82 ms as 4
+# float points, 0.85 ms as a batch and 0.95 ms as 5 float points; a
+# fundamentals pass took 229 us on a batch of 1-4 columns against 53 us
+# at a float point (2-CPU AMD EPYC VM)
 THIN = 4
 
 # an _evaluate column: whether its metric could be evaluated there, the
@@ -95,19 +98,26 @@ def _evaluate(ms, cols, stratum=False):
     the six fundamentals (N, 6) and their t-Jacobian (N, 6, 2), NaN where
     not ok.  The columns are evaluated by metrics.each_point, first cut
     where the metric changes when there are more than MAX_BATCH of them
-    (a round holds at most two runs of one metric, a signature one); a
-    batch is _joined and has one fundamentals pass, and a column alone
-    is evaluated at its float point."""
-    def at(col):
-        pj = (_joined(ms, col) if col.ndim > 1 else
-              metrics.point_jets(ms[int(col[0])], tuple(col[1:]), order=2))
-        out = np.empty(col.size // 3, _COLUMN)
+    (a round holds at most two runs of one metric, a signature one).  A
+    batch of more than THIN columns is _joined and has one fundamentals
+    pass; a smaller one, or a column alone, is evaluated column by
+    column at its float points, each with its own fundamentals pass."""
+    def fill(pj, n):  # the n columns of a PointJets
+        out = np.empty(n, _COLUMN)
         out["ok"] = True
         out["generic"] = pj.stratum.generic if stratum else True
         values, jac = _fundamentals(pj)
         out["values"] = values.reshape(6, -1).T
         out["jac"] = np.moveaxis(jac.reshape(6, 2, -1), 2, 0)
         return out
+
+    def at(col):
+        col = col.reshape(3, -1)
+        if col.shape[1] > THIN:
+            return fill(_joined(ms, col), col.shape[1])
+        return np.concatenate([
+            fill(metrics.point_jets(ms[int(k)], (t1, t2), order=2), 1)
+            for k, t1, t2 in col.T.tolist()])
 
     cols = np.asarray(cols, dtype=float)
     # each_point cuts a longer list every MAX_BATCH columns, and a cut
@@ -181,11 +191,22 @@ class Verdict:
             self.verdict]
 
 
+def _quartile(s, q):
+    """The q-quantile of each column of s, sorted along axis 0, by
+    numpy's "linear" rule (Hyndman & Fan 1996, definition 7), as
+    np.percentile forms it without the numpy.ma it imports: at the
+    virtual index (n - 1) q, with fraction t, a + (b - a) t of its
+    neighbours a <= b, and b - (b - a) (1 - t) where t >= 0.5."""
+    i, t = divmod((len(s) - 1) * q, 1)
+    a, b = s[int(i)], s[int(i) + 1]
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def _scales(values):
     """Inter-quartile range of each fundamental over the samples (its
     largest magnitude, at least 1, where that range is 0)."""
-    q75, q25 = np.percentile(values, [75, 25], axis=0)
-    iqr = q75 - q25
+    s = np.sort(values, axis=0)
+    iqr = _quartile(s, 0.75) - _quartile(s, 0.25)
     return np.where(iqr > 0, iqr,
                     np.maximum(np.max(np.abs(values), axis=0), 1.0))
 

@@ -195,7 +195,8 @@ class Jet2:
     def is_finite(self):
         if isinstance(self.value, float):
             return all(map(math.isfinite, self.coeffs))
-        return bool(np.isfinite(self.coeffs).all())
+        finite = np.isfinite(self.coeffs)
+        return np.count_nonzero(finite) == finite.size
 
     def __repr__(self):
         return f"Jet2(order={self.order}, coeffs={self.coeffs})"
@@ -387,7 +388,7 @@ def seed(value, var_index, order):
 
 
 def _any(hit):  # a test's bool for one point, any column for a batch
-    return hit if isinstance(hit, bool) else hit.any()
+    return hit if isinstance(hit, bool) else np.count_nonzero(hit) > 0
 
 
 def _pow(x, k):

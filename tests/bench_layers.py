@@ -199,6 +199,13 @@ def test_thin_round(benchmark):
     assert ok.all() and np.isfinite(values).all()
 
 
+def test_scales(benchmark):
+    # the IQR scales of an equiv op: 48 samples of each side, with the
+    # six fundamentals of each
+    values = np.random.default_rng(0).normal(size=(2 * 48, 6))
+    assert (benchmark(equivalence._scales, values) > 0).all()
+
+
 def test_build_signature(benchmark):
     # the signature of an equiv --grid 3 op: 9 grid points as one batch,
     # their fundamentals, stratum and rank test

@@ -217,6 +217,27 @@ def test_equiv_not_consistent(vdb_file, kundu_file, capsys):
     assert code == 1
 
 
+def test_a_fresh_equiv_process_does_not_import_numpy_ma(vdb_file, tmp_path):
+    # the first np.percentile call of a process imports numpy.ma (about
+    # 4 ms and 1.3 MB); the IQR scales take numpy's quartiles without it
+    other = tmp_path / "ra.json"
+    assert run(["catalog", "random_analytic", "--param", "seed=1",
+                "--emit", str(other)]) == 0
+    code = ("import json, sys\n"
+            "from g2inv.cli import run\n"
+            f"run(['equiv', {vdb_file!r}, {str(other)!r}, '--grid', '3', "
+            "'--json'])\n"
+            "print(json.dumps('numpy.ma' in sys.modules))\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(g2inv.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    *out, imported = done.stdout.splitlines()
+    # the verdict reports the scales: both signatures were sampled
+    assert "scales" in json.loads("\n".join(out))["witness"], done.stderr
+    assert json.loads(imported) is False
+
+
 @pytest.mark.parametrize("rect, skipped", [
     # all 9 points generic, the fundamentals of rank 1 on t1 = 0
     ("0:0,0.7:1.5", "9 where the fundamentals have rank < 2"),

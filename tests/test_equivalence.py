@@ -90,7 +90,8 @@ def test_compare_metrics_builds_only_the_fundamentals(monkeypatch):
     # the signatures, the stratum and every Gauss-Newton round read the
     # fundamentals layer alone: no sample builds X, Xperp or the other
     # fields; a round evaluates the columns of both metrics with one
-    # fundamentals pass, and only the signatures read the stratum
+    # fundamentals pass, or one per column in a round of at most THIN,
+    # and only the signatures read the stratum
     calls = {"fundamental_jets": 0, "derivations": 0,
              "first_invariant_jets": 0, "classify": 0}
 
@@ -109,7 +110,7 @@ def test_compare_metrics_builds_only_the_fundamentals(monkeypatch):
 
     def evaluate(ms, cols, stratum=False):
         if not stratum:
-            rounds.append({int(col[0]) for col in cols})
+            rounds.append([int(col[0]) for col in cols])
         return live(ms, cols, stratum)
 
     monkeypatch.setattr(equivalence, "_evaluate", evaluate)
@@ -118,9 +119,12 @@ def test_compare_metrics_builds_only_the_fundamentals(monkeypatch):
         "0.8*t1 + 0.1*t2 + 0.05", "-0.2*t1 + 1.1*t2 - 0.3", "0.5*t1 - 0.2*t2",
         "0.3*t2", [[2.0, 1.0], [0.0, 1.0]]))
     assert compare_metrics(m, image, n=4).verdict == "Consistent"
-    assert rounds[0] == {0, 1}
-    # one pass for each round and one for each signature
-    assert calls["fundamental_jets"] == len(rounds) + 2
+    assert set(rounds[0]) == {0, 1}
+    assert any(len(r) <= equivalence.THIN for r in rounds)
+    # one pass for each round, or for each column of a round of at most
+    # THIN, and one for each signature
+    assert calls["fundamental_jets"] == sum(
+        len(r) if len(r) <= equivalence.THIN else 1 for r in rounds) + 2
     assert calls["classify"] == 2
     assert calls["derivations"] == calls["first_invariant_jets"] == 0
 
@@ -226,6 +230,44 @@ def _cut_random_metric():
         load_metric({"name": "cut", "form": "submersion", "params": {},
                      "components": comps}),
         domain=((-0.45, 0.9), (-0.9, 0.9)))
+
+
+def _sample_sets():
+    """Seeded (n, 6) sample sets, n from MIN_SAMPLES to 200: magnitudes
+    from 1e-5 to 1e5, then repeated values, then repeated values with
+    zeros of both signs and a column of zeros alone."""
+    rng = np.random.default_rng(43)
+    for i in range(600):
+        n = int(rng.integers(equivalence.MIN_SAMPLES, 201))
+        v = rng.normal(size=(n, 6)) * 10.0 ** rng.uniform(-5, 5, 6)
+        if i % 3:
+            v = rng.choice(v[:4].ravel(), size=(n, 6))
+        if i % 3 == 2:
+            zeros = rng.choice([-0.0, 0.0], size=(n, 6))
+            v = np.where(rng.random((n, 6)) < 0.4, zeros, v)
+            v[:, 5] = zeros[:, 5]
+        yield v
+
+
+def test_scales_are_numpys_linear_quartiles_bit_for_bit():
+    # where zeros of both signs tie, numpy's partition and a sort may
+    # order them differently: a quartile may then differ in the sign of
+    # a zero, which no inter-quartile range or scale carries
+    signed = 0
+    for v in _sample_sets():
+        want = np.percentile(v, [75, 25], axis=0)
+        s = np.sort(v, axis=0)
+        got = np.array([equivalence._quartile(s, q) for q in (0.75, 0.25)])
+        if np.signbit(v[v == 0.0]).any():
+            signed += 1
+            assert (got == want).all()
+        else:
+            assert got.tobytes() == want.tobytes()
+        iqr = want[0] - want[1]
+        scales = np.where(iqr > 0, iqr,
+                          np.maximum(np.max(np.abs(v), axis=0), 1.0))
+        assert equivalence._scales(v).tobytes() == scales.tobytes()
+    assert signed == 200
 
 
 def _projection(ma, mb):
