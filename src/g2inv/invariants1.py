@@ -18,13 +18,15 @@ Conventions fixed here (signs matter):
   is |Q_gamma| and it carries the same sign behaviour under the
   pseudogroup as Theta_I + Theta_III, which makes the relation suite
   orientation-independent.
+* The frame and O'Neill's T are held in the adapted basis
+  (X1, X2, d_z1, d_z2), X_i = d_ti - F_i^n d_zn the horizontal lifts,
+  in which g = blockdiag(gt, h): they read gt, h and C, not F, so a
+  z-shift psi, which adds D psi to F, leaves them unchanged.
 * O'Neill's T on the Killing fibres (O'Neill, Michigan Math. J. 13,
   1966), their second fundamental form, in closed form: Koszul with
-  z-independence gives 2 g(nabla_zk d_zl, d_ti) = -d_i h_kl, so with
-  X_i = d_ti - F_i^n d_zn the horizontal lifts,
-  T(d_zk, d_zl) = -1/2 gt^ij d_j h_kl X_i,
-  T(d_zk, X_j) = 1/2 h^lm d_j h_kl d_zm, and
-  T(d_zk, d_tj) = T(d_zk, X_j) + F_j^l T(d_zk, d_zl).
+  z-independence gives 2 g(nabla_zk d_zl, d_ti) = -d_i h_kl, so
+  T(d_zk, d_zl) = -1/2 gt^ij d_j h_kl X_i and
+  T(d_zk, X_j) = 1/2 h^lm d_j h_kl d_zm.
 """
 
 from __future__ import annotations
@@ -153,9 +155,9 @@ def first_invariant_jets(pj):
 
 
 def frame(pj):
-    """Semi-invariant frame Y: the 4-vectors H, Hperp, C, Cperp as its
-    rows ((4, 4), or (4, 4, B) on a batch), H and Hperp the horizontal
-    lifts of -X/2 and -Xperp/2.
+    """Semi-invariant frame Y: the vectors H, Hperp, C, Cperp as its rows
+    ((4, 4), or (4, 4, B) on a batch) of components in the adapted basis
+    (X1, X2, d_z1, d_z2), H = -X/2 and Hperp = -Xperp/2 horizontal.
 
     Components are always returned; they form a frame only where
     pj.stratum is generic.
@@ -163,18 +165,11 @@ def frame(pj):
     f, X = pj.fundamentals, pj.derivations
     C = (f["C1"].value, f["C2"].value)
     h11, h12, h22 = (j.value for j in pj.h)
-    sq_h = jets._pow(abs(pj.det_h.value), 0.5)
-    Fv = [j.value for j in pj.F]
-
-    def lift(v):
-        return (v[0], v[1],
-                -(v[0] * Fv[0] + v[1] * Fv[2]),
-                -(v[0] * Fv[1] + v[1] * Fv[3]))
-
+    sq_h = f["sq_h"].value
     o = np.zeros(np.shape(C[0]))
     return np.array([
-        lift((-0.5 * X["X1"].value, -0.5 * X["X2"].value)),
-        lift((-0.5 * X["Xp1"].value, -0.5 * X["Xp2"].value)),
+        (-0.5 * X["X1"].value, -0.5 * X["X2"].value, o, o),
+        (-0.5 * X["Xp1"].value, -0.5 * X["Xp2"].value, o, o),
         (o, o, C[0], C[1]),
         (o, o, (h12 * C[0] + h22 * C[1]) / sq_h,
          -(h11 * C[0] + h12 * C[1]) / sq_h)])
@@ -182,39 +177,34 @@ def frame(pj):
 
 def oneill_tensors(pj):
     """The O'Neill tensor T on the Killing directions, as a (4, 2, 4)
-    array, T[e][k][c] the d_e-component of T(d_zk, d_c), by the closed
-    form of the module docstring, entry by entry on the values of gi and
-    dh of pj.fundamentals, h, det h and F (a batch column has its
-    point's bits).  Also Theta_C and Theta_Cperp, the determinants of
-    the (1,1) maps T(C, .) and T(Cperp, .) of the vertical C and Cperp,
-    which exist on every stratum."""
+    array in the adapted basis, T[e][k][c] the e-component of
+    T(d_zk, c) for c and e in (X1, X2, d_z1, d_z2), by the closed form of
+    the module docstring, entry by entry on the values of gi and dh of
+    pj.fundamentals, h and det h (a batch column has its point's bits).
+    Also Theta_C and Theta_Cperp, the determinants of the (1,1) maps
+    T(C, .) and T(Cperp, .) of the vertical C and Cperp, which exist on
+    every stratum."""
     f = pj.fundamentals
     gi = [x.value for x in f["gi"]]
     dh = [[x.value for x in row] for row in f["dh"]]
-    h, F = ([j.value for j in js] for js in (pj.h, pj.F))
+    h = [j.value for j in pj.h]
     det_h = pj.det_h.value
     hi = (h[2] / det_h, -h[1] / det_h, h[0] / det_h)
+    o = np.zeros(np.shape(det_h))
     # gt^ij, h^lm and d_j h_kl are entries i + j, l + m and k + l of the
     # packed (11, 12, 22) triples gi, hi and dh[j]
 
-    def vertical(k, l):  # T(d_zk, d_zl) = a^i X_i
-        a = [-0.5 * (gi[i] * dh[0][k + l] + gi[i + 1] * dh[1][k + l])
-             for i in range(2)]
-        return a + [-(a[0] * F[n] + a[1] * F[2 + n]) for n in range(2)]
+    def mixed(k, j):  # T(d_zk, X_j), vertical
+        return [o, o] + [0.5 * (hi[m] * dh[j][k] + hi[m + 1] * dh[j][k + 1])
+                         for m in range(2)]
 
-    def mixed(k, j, zz):  # T(d_zk, X_j) + F_j^l T(d_zk, d_zl)
-        lifted = [F[2 * j] * zz[0][e] + F[2 * j + 1] * zz[1][e]
-                  for e in range(4)]
-        return lifted[:2] + [
-            0.5 * (hi[m] * dh[j][k] + hi[m + 1] * dh[j][k + 1])
-            + lifted[2 + m] for m in range(2)]
+    def vertical(k, l):  # T(d_zk, d_zl), horizontal
+        return [-0.5 * (gi[i] * dh[0][k + l] + gi[i + 1] * dh[1][k + l])
+                for i in range(2)] + [o, o]
 
-    columns = []  # columns[k][c][e]
-    for k in range(2):
-        zz = [vertical(k, l) for l in range(2)]
-        columns.append([mixed(k, 0, zz), mixed(k, 1, zz), *zz])
-    T = np.array([[[columns[k][c][e] for c in range(4)] for k in range(2)]
-                  for e in range(4)])
+    # columns[k][c][e] -> T[e][k][c]
+    T = np.moveaxis(np.array([[mixed(k, 0), mixed(k, 1), vertical(k, 0),
+                               vertical(k, 1)] for k in range(2)]), 2, 0)
     Y = pj.frame
     TC, TCp = (einstein._stack(np.einsum("dkb...,k...->db...", T, v[2:]),
                                2) for v in (Y[2], Y[3]))

@@ -128,9 +128,11 @@ class PointJets:
     suites), fields (the first-order invariants of the first-order
     relation suite), stratum (classify: which frames and relations
     apply), g4 and christoffel (the 4x4 and 4x4x4 block jets of the
-    4-metric and the Christoffel symbols), riemann, frame (the
-    semi-invariant frame Y), oneill_tensors, second (the second-order
-    invariants, K_Xi and K_Xiperp by the Gauss-curvature propositions).
+    4-metric and the Christoffel symbols), riemann, frame and
+    oneill_tensors (the semi-invariant frame Y and O'Neill's T in the
+    adapted basis X_i = d_ti - F_i^n d_zn, d_zk, which read no F), second
+    (the second-order invariants, K_Xi and K_Xiperp by the
+    Gauss-curvature propositions).
     Callers read them and never mutate them.
     """
     point: tuple

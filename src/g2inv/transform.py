@@ -323,11 +323,11 @@ def invariance_report(m, p, points, tol=1e-7):
         pj = metrics.point_jets(m, point, order=1)
         phi_jets, psi_jets = _map_jets(p, pj.point, 2)
         pj_bar = _pushforward(pj, p, phi_jets, psi_jets)
-        # the first derivatives of phi and psi: J_phi's sign and the
-        # pushforward of a 4-vector (v_t, v_z) -> (J v_t, Jpsi v_t + a v_z)
-        J, Jpsi = (einstein._stack(np.array(
-            [[j.d(1, 0), j.d(0, 1)] for j in js]), 2)
-            for js in (phi_jets, psi_jets))
+        # the first derivatives of phi: J_phi's sign and the pushforward
+        # of a frame vector (v_t, v_z) -> (J v_t, a v_z) in the adapted
+        # basis (X1, X2, d_z1, d_z2), where psi drops out
+        J = einstein._stack(np.array(
+            [[j.d(1, 0), j.d(0, 1)] for j in phi_jets]), 2)
         eps1 = np.where(J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
                         > 0, 1, -1)
         # inv[k, 0] and inv[k, 1]: column k's fundamentals and its image's
@@ -349,9 +349,8 @@ def invariance_report(m, p, points, tol=1e-7):
             # Cperp push to the image's times 1, eps1, eps1 and eps1*eps2
             v, v_bar = (einstein._stack(q.frame, 2)[..., None]
                         for q in (pj, pj_bar))
-            vt = v[:, :, :2]
             pushed = np.concatenate(
-                (J[:, None] @ vt, Jpsi[:, None] @ vt + a @ v[:, :, 2:]), 2)
+                (J[:, None] @ v[:, :, :2], a @ v[:, :, 2:]), 2)
             sign = np.stack([np.ones_like(eps1), eps1, eps1, eps1 * eps2], 1)
             target = sign[..., None, None] * v_bar
 

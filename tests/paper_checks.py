@@ -61,10 +61,21 @@ def kundu_A(m, points, method="analytic"):
 
 def frame_lengths(pj):
     """ell, the g-lengths g(Y_a, Y_a) of the rows of pj.frame ((4,), or
-    (4, B) on a batch), by the values of pj.g4."""
-    g4 = einstein._stack(pj.g4.value, 2)
-    return np.array([einstein._unstack(einstein._form(y, g4, y), pj)
+    (4, B) on a batch), by g = blockdiag(gt, h) of the adapted basis."""
+    (a, b, c), (p, q, r) = ([j.value for j in js] for js in (pj.gt, pj.h))
+    o = np.zeros_like(a)
+    g = einstein._stack(np.array([[a, b, o, o], [b, c, o, o],
+                                  [o, o, p, q], [o, o, q, r]]), 2)
+    return np.array([einstein._unstack(einstein._form(y, g, y), pj)
                      for y in (einstein._stack(v, 1) for v in pj.frame)])
+
+
+def coordinate_frame(pj):
+    """The rows of pj.frame in coordinate components (v_t, v_z - F v_t),
+    from the adapted basis X_i = d_ti - F_i^k d_zk, d_zk."""
+    F = [j.value for j in pj.F]
+    return np.array([(v[0], v[1], v[2] - F[0] * v[0] - F[2] * v[1],
+                      v[3] - F[1] * v[0] - F[3] * v[1]) for v in pj.frame])
 
 
 def oneill_AT(pj):
@@ -120,7 +131,8 @@ class ONeillData:
 
 def oneill(pj):
     """O'Neill tensor frame components in the {H,Hperp,C,Cperp} frame:
-    A and T from oneill_AT, Theta_C from the live pj.oneill_tensors.
+    A and T from oneill_AT on the coordinate_frame, Theta_C from the live
+    pj.oneill_tensors.
 
     T_frame[a][b][c] is the Y_a-coefficient of T(Y_b, Y_c) in the
     orthogonal-frame expansion T(Y_b,Y_c) = sum_a T^(a)_(b)(c) Y_a.
@@ -128,7 +140,7 @@ def oneill(pj):
     if not pj.stratum.generic:
         raise FrameRequiredError(
             "frame required: C_rho*ell_C vanishes at this point")
-    Y, ell = pj.frame, frame_lengths(pj)
+    Y, ell = coordinate_frame(pj), frame_lengths(pj)
     _, Theta_C, _ = pj.oneill_tensors
     A, T = oneill_AT(pj)
     g4 = pj.g4.value

@@ -13,7 +13,8 @@ from g2inv.invariants1 import (FUNDAMENTAL_IDS, RANK_STEP, _invariant_vector,
                                random_point_jets, relations_first)
 from g2inv.metrics import (CATALOG_NAMES, assemble, default_domain,
                            grid_points)
-from paper_checks import FrameRequiredError, frame_lengths, oneill, oneill_AT
+from paper_checks import (FrameRequiredError, coordinate_frame,
+                          frame_lengths, oneill, oneill_AT)
 
 
 def vdb_closed_forms(t1, t2):
@@ -165,7 +166,7 @@ def test_frame_orthogonality_and_lengths_vdb():
     for _ in range(5):
         pt = (rng.uniform(0.35, 1.15), rng.uniform(0.75, 1.45))
         pj = point_jets(m, pt)
-        Y, ell = frame(pj), frame_lengths(pj)
+        Y, ell = coordinate_frame(pj), frame_lengths(pj)
         assert pj.stratum.generic
         C_rho = pj.fields["C_rho"].value
         ell_C = pj.fields["ell_C"].value
@@ -188,6 +189,7 @@ def test_frame_orthogonality_and_lengths_vdb():
         assert abs(X @ gt @ Xp) < 1e-10 * max(1.0, abs(C_rho))
         # H is the lift of -X/2
         assert tuple(Y[0][:2]) == pytest.approx(tuple(-0.5 * X), rel=1e-14)
+        assert tuple(frame(pj)[0]) == (*(-0.5 * X), 0.0, 0.0)
 
 
 def test_frame_flat_degenerate_stratum():
@@ -230,9 +232,19 @@ def test_oneill_requires_frame():
         oneill(pj)
 
 
+def _adapted(pj, T):
+    """T(d_zk, .) of oneill_AT's coordinate T in the adapted basis:
+    arguments X_j = d_tj - F_j^n d_zn, components w_z + F w_t."""
+    F = np.array([j.value for j in pj.F]).reshape(2, 2)  # F[j][n] = F_j^n
+    T = T[:, 2:]
+    T = np.concatenate(
+        [T[..., :2] - np.einsum("jn,ekn->ekj", F, T[..., 2:]), T[..., 2:]], 2)
+    return np.concatenate([T[:2], T[2:] + np.einsum("im,ikc->mkc", F, T[:2])])
+
+
 def _oneill_tensors_of_the_AT_loop(pj):
     """oneill_tensors with T(d_zk, .) from the loop that also builds A."""
-    T = oneill_AT(pj)[1][:, 2:]
+    T = _adapted(pj, oneill_AT(pj)[1])
     Y = pj.frame
     TC = np.einsum("dkb,k->db", T, Y[2][2:])
     TCp = np.einsum("dkb,k->db", T, Y[3][2:])
@@ -242,9 +254,9 @@ def _oneill_tensors_of_the_AT_loop(pj):
 
 @pytest.mark.parametrize("batch", [False, True], ids=["points", "batch"])
 def test_oneill_t_is_the_christoffel_route_t(batch):
-    # the closed form of T against T from the 4D Christoffel symbols,
-    # within 1e-13 of max |T| (the worst seen is 3.4e-15), each point
-    # alone or the grid as one batch
+    # the closed form of T against T from the 4D Christoffel symbols in
+    # the adapted basis, within 1e-13 of max |T| (the worst seen is
+    # 3.5e-15), each point alone or the grid as one batch
     ms = [catalog(name) for name in CATALOG_NAMES] + [
         catalog("random_analytic", {"seed": seed}) for seed in range(8)]
     for m in ms:
@@ -255,7 +267,8 @@ def test_oneill_t_is_the_christoffel_route_t(batch):
         else:
             Ts = [point_jets(m, pt).oneill_tensors[0] for pt in pts]
         for pt, T in zip(pts, Ts):
-            want = oneill_AT(point_jets(m, pt))[1][:, 2:]
+            pj = point_jets(m, pt)
+            want = _adapted(pj, oneill_AT(pj)[1])
             assert T.shape == want.shape
             assert np.abs(T - want).max() <= 1e-13 * np.abs(want).max(), \
                 (m.name, pt)
@@ -286,20 +299,35 @@ def test_relations_first_rows_match_the_A_and_T_loop(monkeypatch):
                              rel=0.0, abs=1e-12), case
 
 
-def test_oneill_t_rows_are_the_f_combinations_of_the_killing_rows():
-    # T_E = T_{VE}: T(d_tj, .) = F_j^k T(d_zk, .), so the live layer's
-    # two Killing rows carry the whole tensor (the worst error seen is
-    # 1.7e-15 of max |T|)
+def test_oneill_t_of_a_horizontal_x_j_vanishes():
+    # T_E = T_{VE}: T(X_j, .) = T(d_tj, .) - F_j^k T(d_zk, .) = 0 for the
+    # horizontal X_j = d_tj - F_j^k d_zk, so the live layer's two Killing
+    # rows carry the whole tensor (the worst error seen is 1.7e-15 of
+    # max |T(d_zk, .)|)
     ms = [catalog(name) for name in CATALOG_NAMES] + [
         catalog("random_analytic", {"seed": seed}) for seed in range(6)]
     for m in ms:
         for pt in grid_points(default_domain(m), 3, margin=0.1):
             pj = point_jets(m, pt)
-            T = pj.oneill_tensors[0]
+            T = oneill_AT(pj)[1]
             F = np.array([j.value for j in pj.F]).reshape(2, 2)
-            error = np.einsum("jk,dkc->djc", F, T) - oneill_AT(pj)[1][:, :2]
-            assert np.abs(error).max() <= 1e-13 * np.abs(T).max(), \
+            error = T[:, :2] - np.einsum("jk,dkc->djc", F, T[:, 2:])
+            assert np.abs(error).max() <= 1e-13 * np.abs(T[:, 2:]).max(), \
                 (m.name, pt)
+
+
+def test_frame_and_oneill_tensors_read_no_f():
+    # in the adapted basis the frame and T read gt, h and C alone: with
+    # F replaced by NaN once the fundamentals and the stratum are built,
+    # both keep their bits
+    m = catalog("random_analytic", {"seed": 3})
+    for point in [(0.1, 0.2), (np.array([0.1, 0.3]), np.array([0.2, 0.1]))]:
+        pj, bare = point_jets(m, point), point_jets(m, point)
+        bare.fundamentals, bare.derivations, bare.stratum
+        object.__setattr__(bare, "F", tuple(f * np.nan for f in bare.F))
+        assert frame(bare).tobytes() == pj.frame.tobytes()
+        assert [np.asarray(x).tobytes() for x in oneill_tensors(bare)] \
+            == [np.asarray(x).tobytes() for x in pj.oneill_tensors]
 
 
 def test_oneill_tensors_defined_on_degenerate_strata():

@@ -296,16 +296,15 @@ def _order1_signs(p, point):
 
 
 def _order1_pushforward_vector(p, point, v):
+    # a frame vector (v_t, v_z) in the adapted basis X_i = d_ti - F_i^k
+    # d_zk, d_zk pushes to (J v_t, alpha v_z): X_i goes to J^m_i X-bar_m
     Jv = np.array([[jets.t_derivative(
         expr.eval_jet(p.phi[m], {}, point, 1), i).value
         for i in range(2)] for m in range(2)])
-    Jpsi = np.array([[jets.t_derivative(
-        expr.eval_jet(p.psi[r], {}, point, 1), i).value
-        for i in range(2)] for r in range(2)])
     a = np.array(p.alpha)
     vt = np.array(v[:2])
     vz = np.array(v[2:])
-    return tuple(np.concatenate([Jv @ vt, Jpsi @ vt + a @ vz]))
+    return tuple(np.concatenate([Jv @ vt, a @ vz]))
 
 
 def _order1_row(m, p, pt):
