@@ -1,14 +1,16 @@
 """Full 4D curvature, Lambda-vacuum residuals and on-shell relations.
 
-Index order is (t1, t2, z1, z2); component fields depend on (t1, t2)
-only, so z-derivatives vanish identically and the block structure of
-the metric gives its inverse in closed form:
+The curvature is taken in the adapted frame (X1, X2, d_z1, d_z2), X_i =
+d_ti - F_i^k d_zk, where g = blockdiag(gt, h), g^-1 = blockdiag(gt^-1,
+h^-1) and the one bracket is [X1, X2] = W^k d_zk, W^k = d2 F_1^k -
+d1 F_2^k (Misner, Thorne & Wheeler, Gravitation, 1973, Box 14.5): F
+enters through W alone, which a z-shift psi leaves unchanged.  X_i
+differentiates a field of (t1, t2) as d_ti does, d_zk as 0.  The
+coordinate 4-metric and Ricci tensor of the residual carry F and F^2.
 
-    g    = [[gt + P^T h P, P^T h], [h P, h]],        P_ki = F_i^k
-    g^-1 = [[gt^-1, -gt^-1 P^T], [-P gt^-1, h^-1 + P gt^-1 P^T]]
-
-Curvature convention: R(d_c, d_d) d_b = R^a_bcd d_a with
-R^a_bcd = d_c G^a_db - d_d G^a_cb + G^a_ce G^e_db - G^a_de G^e_cb.
+Curvature convention: R(e_c, e_d) e_b = R^a_bcd e_a with R^a_bcd =
+e_c G^a_db - e_d G^a_cb + G^a_ce G^e_db - G^a_de G^e_cb - c^e_cd G^a_eb,
+[e_c, e_d] = c^e_cd e_e.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import operator
 import numpy as np
 
 from . import jets, metrics
-from .errors import G2InvError, SingularMetricError
+from .errors import G2InvError, SingularEvaluationError
 
 
 def _stack(a, core):
@@ -34,11 +36,6 @@ def _unstack(s, pj):
     if pj.batch:
         return s.transpose(*range(1, s.ndim), 0)
     return float(s[0]) if s.ndim == 1 else s[0]
-
-
-def _form(a, g, b):
-    """g(a, b) of stacks: a 1x4 @ 4x4 @ 4x1 product per column."""
-    return (a[:, None] @ g @ b[:, :, None])[:, 0, 0]
 
 
 def _max(first, *rest):
@@ -96,37 +93,19 @@ def four_metric(pj):
         return _symmetric(part(tt, _MIRROR), part(fh, 0) + part(fh, 1), h)
 
 
-def inverse_four_metric(pj):
-    """The 4x4 block jet of g^{ab}, of order pj.order - 1, via the
-    submersion block formula, by 2x2 block jets as four_metric."""
-    tr = lambda j: jets.truncate(j, pj.order - 1)
-    gt11, gt12, gt22 = (tr(j) for j in pj.gt)
-    h11, h12, h22 = (tr(j) for j in pj.h)
-    part, k, l = jets.part, *UPPER
-    F = jets.block([[tr(j) for j in pj.F[:2]], [tr(j) for j in pj.F[2:]]])
-    with jets.block_errstate(pj.batch):
-        gi = jets.block([[gt22, -gt12], [-gt12, gt11]]) / tr(pj.det_gt)
-        hi = jets.block([[h22, -h12], [-h12, h11]]) / tr(pj.det_h)
-        # -(gt^ij f_j^k over j) as gf[j, i, k] = gt^ji f_j^k (gt^ij and
-        # gt^ji are the same quotient, bit for bit), and h^kl +
-        # (f_i^k gt^ij) f_j^l over (i, j)
-        gf = part(gi, np.s_[:, :, None]) * part(F, np.s_[:, None])
-        zz = jets.fold(part(hi, np.s_[k, l]), part(F, np.s_[:, None, k])
-                       * part(gi, np.s_[:, :, None])
-                       * part(F, np.s_[None, :, l]), 2)
-        return _symmetric(gi, -(part(gf, 0) + part(gf, 1)),
-                          part(zz, _MIRROR))
-
-
-def _christoffel(g, ginv):
-    """Gamma^a_bc = 1/2 g^ad (d_b g_dc + d_c g_db - d_d g_bc) as the
-    n x n x n block jet, of ginv's order, from the n x n block jets of
-    the metric g (one order higher) and of its inverse ginv.  Only the
-    first two coordinates, (t1, t2), carry derivatives."""
+def _christoffel(g, ginv, koszul=None):
+    """Gamma^a_bc = 1/2 g^ad (e_b g_dc + e_c g_db - e_d g_bc + koszul_dbc)
+    as the n x n x n block jet of ginv's order, from the n x n block jets
+    of the metric g (one order higher) and its inverse ginv in a frame
+    whose first two vectors differentiate as d_t1 and d_t2, the rest as
+    0; koszul, if given, holds its bracket terms c_dbc - c_cbd - c_bcd,
+    c_dbc = g([e_b, e_c], e_d)."""
     n, part = len(ginv.value), jets.part
-    dg = jets.gradient(g, n)  # dg[e, b, c] = d_e g_bc
+    dg = jets.gradient(g, n)  # dg[e, b, c] = e_e g_bc
     d, b, c = np.ix_(*[range(n)] * 3)
     bracket = part(dg, (b, d, c)) + part(dg, (c, d, b)) - dg
+    if koszul is not None:
+        bracket = bracket + koszul
     # summed over d in turn, one d at a time (the per-entry jet loop's
     # bits, without every d's terms at once on a batch); a product
     # overflows silently, and its inf or NaN fails the sum or a reader
@@ -138,48 +117,66 @@ def _christoffel(g, ginv):
     return 0.5 * acc
 
 
+# Koszul's terms c_dbc - c_cbd - c_bcd of the frame's lowered bracket
+# c_(2+l)01 = w_l = -c_(2+l)10, as _KOSZUL[d, b, c, l] w_l
+_KOSZUL = np.zeros((4, 4, 4, 2))
+_KOSZUL[2:, 0, 1], _KOSZUL[2:, 1, 0] = np.eye(2), -np.eye(2)
+_KOSZUL -= np.einsum("cbdl->dbcl", _KOSZUL) + np.einsum("bcdl->dbcl", _KOSZUL)
+
+
 def christoffel4(pj):
-    """The 4x4x4 block jet of the Christoffel symbols, of pj.order - 1."""
-    if pj.order < 1:
-        raise ValueError("christoffel4 needs jets of order >= 1")
-    return _christoffel(pj.g4, inverse_four_metric(pj))
+    """The 4x4x4 block jet of the frame's Christoffel symbols, of
+    pj.order - 1, with the lowered bracket c_(2+l)01 = h_lk W^k."""
+    tr, d = (lambda j: jets.truncate(j, pj.order - 1)), jets.t_derivative
+    W = [d(pj.F[k], 1) - d(pj.F[2 + k], 0) for k in range(2)]
+    (g11, g12, g22), (h11, h12, h22) = ([tr(j) for j in m]
+                                        for m in (pj.gt, pj.h))
+    gt, h = (jets.block([m[:2], m[1:]]) for m in (pj.gt, pj.h))
+    with jets.block_errstate(pj.batch):
+        gi = jets.block([[g22, -g12], [-g12, g11]]) / tr(pj.det_gt)
+        hi = jets.block([[h22, -h12], [-h12, h11]]) / tr(pj.det_h)
+        w = jets.block([h11 * W[0] + h12 * W[1], h12 * W[0] + h22 * W[1]])
+        return _christoffel(
+            _symmetric(gt, 0.0 * gt, h), _symmetric(gi, 0.0 * gi, hi),
+            jets._jet(w.order, tuple(_KOSZUL @ x for x in w.coeffs)))
 
 
 def _riemann(gamma):
-    """R^a_bcd values from a Christoffel block jet of order >= 1; only
-    the first two coordinates, (t1, t2), carry derivatives."""
-    dG = jets.gradient(gamma, len(gamma.value)).value  # dG[e] = d_e Gamma
+    """R^a_bcd values from a Christoffel block jet of order >= 1, with
+    no bracket term; only the first two indices carry derivatives."""
+    dG = jets.gradient(gamma, len(gamma.value)).value  # dG[e] = e_e Gamma
     D = np.einsum("cadb...->abcd...", dG)
     P = np.einsum("ace...,edb...->abcd...", gamma.value, gamma.value)
     return D - D.swapaxes(2, 3) + P - P.swapaxes(2, 3)
 
 
 def riemann4(pj):
-    """R^a_bcd values (needs order >= 2 jets)."""
-    if pj.order < 2:
-        raise ValueError("riemann4 needs jets of order >= 2")
-    return _riemann(pj.christoffel)
+    """R^a_bcd values in the frame (order >= 2 jets): _riemann's less
+    c^e_cd G^a_eb, which is W^k G^a_(2+k)b at (c, d) = (0, 1)."""
+    G, (W1, W2) = pj.christoffel.value, (
+        pj.F[k].d(0, 1) - pj.F[2 + k].d(1, 0) for k in range(2))
+    R, term = _riemann(pj.christoffel), W1 * G[:, 2] + W2 * G[:, 3]
+    R[:, :, 0, 1] -= term
+    R[:, :, 1, 0] += term
+    return R
 
 
 def ricci4(pj):
-    """Ricci tensor values R_bd = R^a_bad."""
-    return np.einsum("abad...->bd...", pj.riemann)
+    """The Ricci tensor in (t1, t2, z1, z2) components, E^T R E of the
+    frame's R_bd = R^a_bad, E[a, m] the frame components of d_m."""
+    ric, F = np.einsum("abad...->bd...", pj.riemann), [j.value for j in pj.F]
+    E = np.zeros_like(ric)  # d_ti = X_i + F_i^k d_zk
+    E[range(4), range(4)], E[2:, :2] = 1.0, [[F[0], F[2]], [F[1], F[3]]]
+    return np.einsum("am...,ab...,bn...->mn...", E, ric, E)
 
 
-def sectional_curvature(pj, u, v):
-    """K of the plane spanned by 4-vectors u, v (each (4, B) on a batch)."""
-    g = _stack(pj.g4.value, 2)
-    u, v = (np.asarray(x, dtype=float) for x in (u, v))
-    # K = g(R(u, v) v, u) / (|u|^2 |v|^2 - g(u, v)^2), normalized so the
-    # unit 2-sphere plane has K = +1
-    w = np.einsum("abcd...,b...,c...,d...->a...", pj.riemann, v, u, v)
-    w, u, v = (_stack(x, 1) for x in (w, u, v))
-    # each column's products, and ** on its float64
-    den = _form(u, g, u) * _form(v, g, v) \
-        - np.array([x ** 2 for x in _form(u, g, v)])
-    if (den == 0.0).any():
-        raise SingularMetricError("degenerate plane for sectional curvature")
-    return _unstack(_form(w, g, u) / den, pj)
+def sectional_curvatures(pj):
+    """K_Xi and K_Xiperp: g(R(u, v) v, u) of the Killing plane (d_z1,
+    d_z2) and the horizontal one (X1, X2) over det h and det gt."""
+    R = pj.riemann
+    (a, b, _), (p, q, _) = ([j.value for j in js] for js in (pj.gt, pj.h))
+    return ((p * R[2, 3, 2, 3] + q * R[3, 3, 2, 3]) / pj.det_h.value,
+            (a * R[0, 1, 0, 1] + b * R[1, 1, 0, 1]) / pj.det_gt.value)
 
 
 def _check_lambda(pj, lam, size):
@@ -198,6 +195,10 @@ def residual(pj, lam):
     with metrics.singular_on_overflow("residual"):
         max_abs = np.abs(ricci4(pj) - lam * pj.g4.value).max((0, 1))
     scale = np.abs(pj.g4.coeffs).max((0, 1, 2))
+    for key, x in (("max_abs", max_abs), ("scale", scale)):  # F^2 terms
+        if not np.isfinite(x).all():
+            raise SingularEvaluationError("residual", float(np.max(x)),
+                                          f"non-finite {key}")
     if not pj.batch:
         max_abs, scale = float(max_abs), float(scale)
     return {"normalized": max_abs / scale, "max_abs": max_abs,
@@ -234,11 +235,7 @@ def onshell_relations(pj, lam):
     sec = pj.second
     # K of the Killing and the horizontal plane by the Riemann tensor, a
     # check of the 4D curvature (pj.second's are the propositions')
-    F = [-j.value for j in pj.F]
-    o, i = np.zeros_like(F[0]), np.ones_like(F[0])
-    with metrics.singular_on_overflow("sectional_curvatures"):
-        K_Xi, K_Xiperp = (sectional_curvature(pj, u, v) for u, v in (
-            ((o, o, i, o), (o, o, o, i)), ((i, o, *F[:2]), (o, i, *F[2:]))))
+    K_Xi, K_Xiperp = sectional_curvatures(pj)
     sg = pj.stratum.sign_det_gt
     sgh = sg * pj.stratum.sign_det_h
 

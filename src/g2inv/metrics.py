@@ -127,10 +127,10 @@ class PointJets:
     Xperp), q_gamma_root (read by the first-order and on-shell relation
     suites), fields (the first-order invariants of the first-order
     relation suite), stratum (classify: which frames and relations
-    apply), g4 and christoffel (the 4x4 and 4x4x4 block jets of the
-    4-metric and the Christoffel symbols), riemann, frame and
-    oneill_tensors (the semi-invariant frame Y and O'Neill's T in the
-    adapted basis X_i = d_ti - F_i^n d_zn, d_zk, which read no F), second
+    apply), g4 (the coordinate 4-metric's 4x4 block jet), christoffel,
+    riemann, frame and oneill_tensors (the Christoffel symbols, Riemann
+    tensor, semi-invariant frame Y and O'Neill's T in the adapted basis
+    X_i = d_ti - F_i^n d_zn, d_zk, which read F only by its curl), second
     (the second-order invariants, K_Xi and K_Xiperp by the
     Gauss-curvature propositions).
     Callers read them and never mutate them.

@@ -213,21 +213,29 @@ def test_build_signature(benchmark):
 
 
 @pytest.mark.parametrize("point", [POINT, CHECK_BATCH], ids=["float", "B6"])
-@pytest.mark.parametrize("layer", ["four_metric", "inverse_four_metric"])
-def test_four_metric_layers(benchmark, layer, point):
-    # the block layer alone, on one order-2 PointJets of vdb: one point,
-    # or the six points of a check op as one batch
+def test_four_metric(benchmark, point):
+    # the coordinate 4-metric alone, on one order-2 PointJets of vdb: one
+    # point, or the six points of a check op as one batch
     pj = point_jets(VDB, point)
-    assert benchmark(getattr(einstein, layer), pj).is_finite()
+    assert benchmark(einstein.four_metric, pj).is_finite()
 
 
 @pytest.mark.parametrize("point", [POINT, CHECK_BATCH], ids=["float", "B6"])
 def test_christoffel4(benchmark, point):
-    # the Christoffel block jet and the inverse 4-metric it builds, on one
-    # order-2 PointJets of vdb whose 4-metric is read once beforehand
+    # the Christoffel block jet alone, on one order-2 PointJets of vdb
+    # whose 4-metric and fundamentals are read once beforehand
     pj = point_jets(VDB, point)
-    pj.g4
+    pj.g4, pj.fundamentals
     assert benchmark(einstein.christoffel4, pj).is_finite()
+
+
+@pytest.mark.parametrize("point", [POINT, CHECK_BATCH], ids=["float", "B6"])
+def test_riemann4(benchmark, point):
+    # the Riemann tensor alone, on one order-2 PointJets of vdb whose
+    # Christoffel symbols are read once beforehand
+    pj = point_jets(VDB, point)
+    pj.christoffel
+    assert np.isfinite(benchmark(einstein.riemann4, pj)).all()
 
 
 @pytest.mark.parametrize("point", [POINT, CHECK_BATCH], ids=["float", "B6"])

@@ -1,10 +1,12 @@
 """Checks of the paper's results and of the pseudogroup law, built on the
 live pipeline: the Kundu constancy of A = sqrt|det h| (C . h), the
-O'Neill tensors A and T in the semi-invariant frame, K_Xi and K_Xiperp
-from the 4D Riemann tensor, the signature
-partials of one invariant along an invariant pair, the composition of
-two pseudogroup elements, and AST substitution, the reference for the
-parser's binding of t1, t2."""
+O'Neill tensors A and T in the semi-invariant frame, the coordinate 4D
+curvature (the inverse 4-metric, the Christoffel symbols, the Riemann
+tensor and the sectional curvature of a plane of coordinate vectors),
+the oracle of the adapted frame's, the signature partials of one
+invariant along an invariant pair, the composition of two pseudogroup
+elements, and AST substitution, the reference for the parser's binding
+of t1, t2."""
 
 from dataclasses import dataclass
 
@@ -59,6 +61,65 @@ def kundu_A(m, points, method="analytic"):
             "notice": None}
 
 
+def _form(a, g, b):
+    """g(a, b) of stacks: a 1x4 @ 4x4 @ 4x1 product per column."""
+    return (a[:, None] @ g @ b[:, :, None])[:, 0, 0]
+
+
+def inverse_four_metric(pj):
+    """The 4x4 block jet of the coordinate g^{ab}, of order pj.order - 1,
+    by 2x2 block jets as einstein.four_metric, by the block formula
+
+        g^-1 = [[gt^-1, -gt^-1 P^T], [-P gt^-1, h^-1 + P gt^-1 P^T]]
+
+    with P_ki = F_i^k."""
+    tr = lambda j: jets.truncate(j, pj.order - 1)
+    gt11, gt12, gt22 = (tr(j) for j in pj.gt)
+    h11, h12, h22 = (tr(j) for j in pj.h)
+    part, k, l = jets.part, *einstein.UPPER
+    F = jets.block([[tr(j) for j in pj.F[:2]], [tr(j) for j in pj.F[2:]]])
+    with jets.block_errstate(pj.batch):
+        gi = jets.block([[gt22, -gt12], [-gt12, gt11]]) / tr(pj.det_gt)
+        hi = jets.block([[h22, -h12], [-h12, h11]]) / tr(pj.det_h)
+        # -(gt^ij f_j^k over j) as gf[j, i, k] = gt^ji f_j^k (gt^ij and
+        # gt^ji are the same quotient, bit for bit), and h^kl +
+        # (f_i^k gt^ij) f_j^l over (i, j)
+        gf = part(gi, np.s_[:, :, None]) * part(F, np.s_[:, None])
+        zz = jets.fold(part(hi, np.s_[k, l]), part(F, np.s_[:, None, k])
+                       * part(gi, np.s_[:, :, None])
+                       * part(F, np.s_[None, :, l]), 2)
+        return einstein._symmetric(gi, -(part(gf, 0) + part(gf, 1)),
+                                   part(zz, einstein._MIRROR))
+
+
+def coordinate_christoffel(pj):
+    """The 4x4x4 block jet of the Christoffel symbols in (t1, t2, z1,
+    z2), of pj.order - 1, from pj.g4 and inverse_four_metric."""
+    return einstein._christoffel(pj.g4, inverse_four_metric(pj))
+
+
+def coordinate_riemann(pj):
+    """R^a_bcd values in (t1, t2, z1, z2) (order >= 2 jets)."""
+    return einstein._riemann(coordinate_christoffel(pj))
+
+
+def sectional_curvature(pj, u, v, riemann=None):
+    """K of the plane spanned by the coordinate 4-vectors u, v (each
+    (4, B) on a batch), by the coordinate Riemann tensor (riemann, if
+    given) and pj.g4."""
+    R = coordinate_riemann(pj) if riemann is None else riemann
+    g = einstein._stack(pj.g4.value, 2)
+    u, v = (np.asarray(x, dtype=float) for x in (u, v))
+    # K = g(R(u, v) v, u) / (|u|^2 |v|^2 - g(u, v)^2), normalized so the
+    # unit 2-sphere plane has K = +1
+    w = np.einsum("abcd...,b...,c...,d...->a...", R, v, u, v)
+    w, u, v = (einstein._stack(x, 1) for x in (w, u, v))
+    # each column's products, and ** on its float64
+    den = _form(u, g, u) * _form(v, g, v) \
+        - np.array([x ** 2 for x in _form(u, g, v)])
+    return einstein._unstack(_form(w, g, u) / den, pj)
+
+
 def frame_lengths(pj):
     """ell, the g-lengths g(Y_a, Y_a) of the rows of pj.frame ((4,), or
     (4, B) on a batch), by g = blockdiag(gt, h) of the adapted basis."""
@@ -66,7 +127,7 @@ def frame_lengths(pj):
     o = np.zeros_like(a)
     g = einstein._stack(np.array([[a, b, o, o], [b, c, o, o],
                                   [o, o, p, q], [o, o, q, r]]), 2)
-    return np.array([einstein._unstack(einstein._form(y, g, y), pj)
+    return np.array([einstein._unstack(_form(y, g, y), pj)
                      for y in (einstein._stack(v, 1) for v in pj.frame)])
 
 
@@ -100,7 +161,7 @@ def oneill_AT(pj):
                 dhor[s][2 + k][j] = -dF[s][2 * j + k]
     for k in range(2):
         ver[2 + k][2 + k] = 1.0
-    G = pj.christoffel.value
+    G = coordinate_christoffel(pj).value
     T = np.zeros((4, 4, 4))
     A = np.zeros((4, 4, 4))
     for b in range(4):
@@ -158,17 +219,16 @@ def oneill(pj):
 
 
 def riemann_sectional_curvatures(pj):
-    """K_Xi and K_Xiperp by name from the 4D Riemann tensor: the sectional
-    curvatures of the Killing plane (d_z1, d_z2) and of the horizontal one
-    (d_t1 - F_1^k d_zk, d_t2 - F_2^k d_zk), the route the on-shell Gauss
-    equality takes; pj.second has them from the Gauss-curvature
-    propositions."""
-    Fv = [j.value for j in pj.F]
+    """K_Xi and K_Xiperp by name from the coordinate Riemann tensor: the
+    sectional curvatures of the Killing plane (d_z1, d_z2) and of the
+    horizontal one (d_t1 - F_1^k d_zk, d_t2 - F_2^k d_zk), the oracle of
+    einstein.sectional_curvatures; pj.second has them from the
+    Gauss-curvature propositions."""
+    R, Fv = coordinate_riemann(pj), [j.value for j in pj.F]
     o, i = np.zeros_like(Fv[0]), np.ones_like(Fv[0])
-    return {"K_Xi": einstein.sectional_curvature(pj, (o, o, i, o),
-                                                 (o, o, o, i)),
-            "K_Xiperp": einstein.sectional_curvature(
-                pj, (i, o, -Fv[0], -Fv[1]), (o, i, -Fv[2], -Fv[3]))}
+    return {"K_Xi": sectional_curvature(pj, (o, o, i, o), (o, o, o, i), R),
+            "K_Xiperp": sectional_curvature(
+                pj, (i, o, -Fv[0], -Fv[1]), (o, i, -Fv[2], -Fv[3]), R)}
 
 
 def directional_partials(pj, phi_id, i1_id, i2_id):

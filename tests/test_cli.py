@@ -446,8 +446,9 @@ def test_relation_suite_overflow_is_one_error_line(tmp_path):
 def _big_f(tmp_path):
     """seed 3 under the z-shift psi^1 = 5e159 (t1^2 + t2^2): the same
     invariants, but F of order 1e160 overflows the 4-metric, while gt,
-    h, the orbit-space layers and the frame and O'Neill's T of the
-    adapted basis, which read no F, stay finite."""
+    h, the orbit-space layers and the frame, O'Neill's T and the 4D
+    curvature of the adapted basis, which read F only by its curl, stay
+    finite."""
     doc = catalog("random_analytic", {"seed": 3}).to_document()
     doc["components"]["F11"] += " + 1e160*t1"
     doc["components"]["F21"] += " + 1e160*t2"
@@ -494,9 +495,10 @@ def test_an_overflowing_four_metric_fails_only_the_reports_that_read_it(
 def test_an_overflow_in_second_derivatives_fails_only_the_curvature(
         tmp_path, capsys):
     # F11 = 1e155 t1 puts 2 (F11')^2 h11 ~ 2e310 in the 4-metric's second
-    # derivatives: the first-order suite reads no 4-metric and passes;
-    # the Riemann tensor of the on-shell suite reads those derivatives
-    # and fails
+    # derivatives: the first-order suite and the frame's curvature read
+    # no 4-metric, and the suites pass; the Einstein residual of the
+    # on-shell suite and of check-einstein takes its scale from those
+    # derivatives and fails, never reading 0
     path = _submersion_file(tmp_path, {
         "gt11": "1 + t1^2", "gt12": "0.1*t2", "gt22": "2 + t2",
         "F11": "1e155*t1", "F12": "t1*t2", "F21": "sin(t1)", "F22": "t1",
@@ -508,26 +510,28 @@ def test_an_overflow_in_second_derivatives_fails_only_the_curvature(
             assert run(["check-relations", path, "--first", "--second",
                         points, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["pass"]
-    assert run(["check-relations", path, "--onshell",
-                "--points=1e-155,0.5"]) == 2
-    assert capsys.readouterr().err == (
-        "error: singular evaluation in 'christoffel4' at value nan "
-        "(invalid value encountered in subtract)\n")
+    for command in (["check-relations", "--onshell"], ["check-einstein"]):
+        assert run([command[0], path, *command[1:],
+                    "--points=1e-155,0.5"]) == 2
+        assert capsys.readouterr().err == (
+            "error: singular evaluation in 'residual' at value inf "
+            "(non-finite scale)\n"), command
 
 
 @pytest.mark.parametrize("argv, code, err", [
-    (["check-einstein"], 2, "'christoffel4' at value nan (invalid value "
-     "encountered in subtract)"),
+    (["check-einstein"], 2, "'residual' at value nan (invalid value "
+     "encountered in multiply)"),
     (["check-relations", "--first", "--json"], 0, None),
-    (["check-relations", "--onshell"], 2, "'christoffel4' at value nan "
-     "(invalid value encountered in subtract)"),
+    (["check-relations", "--onshell"], 2, "'residual' at value nan "
+     "(invalid value encountered in multiply)"),
     (["transform", "tr.json", "--report-invariance", "--json"], 1, None)])
 def test_the_overflowing_four_metric_at_a_float_point_is_silent(
         tmp_path, capsys, argv, code, err):
     # one point runs alone, on Python floats, which overflow silently:
-    # the block arithmetic of the 4-metric, its inverse and the
-    # pushforward warns nowhere, and each report ends as its per-entry
-    # arithmetic made it end; the first-order suite reads none of them
+    # the block arithmetic of the 4-metric and the pushforward warns
+    # nowhere, and each report ends as its per-entry arithmetic made it
+    # end; the Einstein residual, the one reader of the 4-metric's F^2,
+    # fails by name, and the first-order suite reads none of them
     path = _big_f(tmp_path)
     (tmp_path / "tr.json").write_text(json.dumps(random_transform(3).strings))
     argv = [argv[0], str(path), *(str(tmp_path / a) if a == "tr.json" else a

@@ -497,11 +497,11 @@ def test_only_the_relation_suites_build_the_fields_and_the_4d_curvature(
     # Gauss-curvature propositions) and the frame Y read no 4-metric and,
     # beside the fundamentals, only X and Xperp of the first-order fields;
     # only the Einstein residual and the on-shell Gauss equality read the
-    # 4-metric, and only the first-order suite the other first-order
-    # fields (the on-shell suite reads q_gamma_root, its own layer)
+    # 4D curvature, only the residual the 4-metric, and only the
+    # first-order suite the other first-order fields (the on-shell suite
+    # reads q_gamma_root, its own layer)
     calls = Counter()
     for module, name in ((einstein, "four_metric"),
-                         (einstein, "inverse_four_metric"),
                          (einstein, "christoffel4"), (einstein, "riemann4"),
                          (invariants1, "first_invariant_jets")):
         def counting(pj, name=name, fn=getattr(module, name)):
@@ -528,8 +528,7 @@ def test_only_the_relation_suites_build_the_fields_and_the_4d_curvature(
         assert not calls, (argv, calls)
     lk = tmp_path / "lk.json"
     lk.write_text(json.dumps(catalog("lambda_kundu").to_document()))
-    curvature = {"four_metric", "inverse_four_metric", "christoffel4",
-                 "riemann4"}
+    curvature = {"four_metric", "christoffel4", "riemann4"}
     # the two points are one batch, so a layer they read is built once
     for argv, want in (
             (["check-einstein", str(lk), "--lambda", "3", *points, *out],
@@ -547,12 +546,11 @@ def test_only_the_relation_suites_build_the_fields_and_the_4d_curvature(
 
 def test_the_first_order_suite_builds_no_4d_layer(monkeypatch, tmp_path):
     # the first-order suite takes T from its closed form in dh and g(., C)
-    # from h: --first and --first --second build no 4-metric, inverse,
-    # Christoffel symbols or Riemann tensor; --onshell builds each once,
-    # on the order-2 PointJets of the three points as one batch
+    # from h: --first and --first --second build no 4-metric, Christoffel
+    # symbols or Riemann tensor; --onshell builds each once, on the
+    # order-2 PointJets of the three points as one batch
     built = []
-    for name in ("four_metric", "inverse_four_metric", "christoffel4",
-                 "riemann4"):
+    for name in ("four_metric", "christoffel4", "riemann4"):
         def recording(pj, name=name, fn=getattr(einstein, name)):
             built.append((name, pj.order, np.shape(pj.point[0])))
             return fn(pj)
@@ -569,7 +567,7 @@ def test_the_first_order_suite_builds_no_4d_layer(monkeypatch, tmp_path):
     assert cli.run([*argv, "--second", "--onshell"]) == 0
     assert sorted(built) == [
         (name, 2, (3,)) for name in ("christoffel4", "four_metric",
-                                     "inverse_four_metric", "riemann4")]
+                                     "riemann4")]
 
 
 def _call_nodes(m):

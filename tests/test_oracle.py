@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp
 
 import oracle
-from g2inv import catalog, cli, load_metric, point_jets
+from g2inv import catalog, cli, einstein, load_metric, point_jets
 from g2inv.expr import eval_jet
 from g2inv.metrics import CATALOG_NAMES, default_domain, grid_points
 from paper_checks import riemann_sectional_curvatures
@@ -59,24 +59,29 @@ def test_gauss_curvature_propositions_against_40_digits(name, params):
     # has them, within 2e-13 of the 40-digit Riemann K (floor-1 relative
     # error), and each metric's worst no more than 1.5 times the float
     # Riemann route's worst (or at most 1e-15): both sit at the roundoff
-    # floor, and either route beats the other at some points
+    # floor, and either route beats the other at some points; the live
+    # frame route of the on-shell suite within 2e-13 too
     m = catalog(name, params)
-    worst = {(route, key): 0.0 for route in ("propositions", "riemann")
+    worst = {(route, key): 0.0
+             for route in ("propositions", "riemann", "frame")
              for key in ("K_Xi", "K_Xiperp")}
     for pt in grid_points(default_domain(m), 3, margin=0.05):
         exact = oracle.gauss_curvatures(m, pt)
         pj = point_jets(m, pt)
         riemann = riemann_sectional_curvatures(pj)
+        frame = dict(zip(("K_Xi", "K_Xiperp"),
+                         einstein.sectional_curvatures(pj)))
         for key in ("K_Xi", "K_Xiperp"):
             got = pj.second[key]
             assert math.isfinite(got)
             for route, value in (("propositions", got),
-                                 ("riemann", riemann[key])):
+                                 ("riemann", riemann[key]),
+                                 ("frame", frame[key])):
                 worst[route, key] = max(worst[route, key],
                                         oracle.rel_err(value, exact[key]))
     for key in ("K_Xi", "K_Xiperp"):
         mine, theirs = worst["propositions", key], worst["riemann", key]
-        assert mine <= 2e-13, (key, worst)
+        assert mine <= 2e-13 and worst["frame", key] <= 2e-13, (key, worst)
         assert mine <= 1.5 * theirs or mine <= 1e-15, (key, worst)
 
 

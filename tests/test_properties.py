@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from g2inv import catalog, equivalence, expr, jets, metrics, point_jets
+from g2inv import (catalog, einstein, equivalence, expr, jets, metrics,
+                   point_jets)
 from g2inv.errors import G2InvError, SingularMetricError
 from g2inv.invariants1 import (_invariant_vector, _pack, _unpack,
                                random_point_jets)
@@ -493,6 +494,12 @@ def _assert_columns_are_points(batch, points):
                     riemann_sectional_curvatures(batch).items()} \
                 == {key: _bits(K) for key, K in
                     riemann_sectional_curvatures(pj).items()}, "riemann K"
+            assert [_bits(_column(K, k)) for K in
+                    einstein.sectional_curvatures(batch)] \
+                == [_bits(K) for K in einstein.sectional_curvatures(pj)], \
+                "frame K"
+            assert _bits(_column(einstein.ricci4(batch), k)) \
+                == _bits(einstein.ricci4(pj)), "ricci4"
 
 
 def _batch(points):

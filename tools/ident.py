@@ -21,11 +21,16 @@ parameterised family (``CATALOG_PARAMS``), two malformed ``catalog
 --param`` calls (``CATALOG_MALFORMED``, recorded by exit code and
 stderr), then ``rank --random S --set X`` for S = 0..9 and ``rank FILE
 --set X`` for the file of every catalog metric at its defaults, each for
-all three invariant sets X, and last ``check-einstein FILE --points=C``
-and ``check-relations FILE --first --second --onshell --points=C`` for
-each of those files, C the centre of the metric's domain: the 4D
-curvature at a single point, which no benchmark op builds (each passes
-its points as one batch).
+all three invariant sets X, then ``check-einstein FILE --points=C`` and
+``check-relations FILE --first --second --onshell --points=C`` for each
+of those files, C the centre of the metric's domain: the 4D curvature at
+a single point, which no benchmark op builds (each passes its points as
+one batch).  Last come ``check-einstein GAUGE --lambda 3 --points=P``
+and ``check-relations GAUGE --onshell --lambda 3 --points=P``: GAUGE is
+lambda_kundu under the z-shift psi^1 = 1e4 (t1 + t2), CHECKOUT's
+``apply_to_metric`` image written into the directory, and P three points
+of its domain.  A Lambda-vacuum metric in a large psi gauge passes both
+only where the 4D curvature reads F through its curl alone.
 ``subproc`` runs each op as ``python -m g2inv`` in its own process (a
 fresh warnings registry per op, as a shell sees it); ``inproc`` runs
 them through ``g2inv.cli.run`` in this process, which is much faster.
@@ -59,16 +64,33 @@ CATALOG_PARAMS = (("ppwave2", "c=3"), ("ppwave3", "c=0.5"),
                   ("lambda_kundu_c0", "Lambda=1"),
                   ("random_analytic", "seed=7"))
 CATALOG_MALFORMED = (("ppwave2", "c"), ("random_analytic", "seed=1.5"))
+# the gauge case: lambda_kundu under psi^1 = 1e4 (t1 + t2), checked at
+# three points of its domain
+GAUGE_PSI = "10000.0*(t1 + t2)"
+GAUGE_ARGS = ("--lambda", "3", "--points=0.7,-0.2;0.9,0.1;1.2,0.3")
 
 
 def _param_argv(name, *items):
     return ["catalog", name, *(a for kv in items for a in ("--param", kv))]
 
 
-def _rank_argvs(domains, directory):
+def _gauge_image(directory):
+    """Write lambda_kundu under the z-shift GAUGE_PSI into directory, as
+    apply_to_metric builds it; its path."""
+    from g2inv import metrics, transform
+    image = transform.apply_to_metric(
+        metrics.catalog("lambda_kundu"), transform.make_transform(
+            "t1", "t2", GAUGE_PSI, "0", [[1.0, 0.0], [0.0, 1.0]]))
+    path = os.path.join(directory, "lambda_kundu-gauge.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(image.to_document(), fh)
+    return path
+
+
+def _rank_argvs(domains, directory, gauge):
     """The argv of each op of the rank pseudo-workload, for the catalog
     metrics of these domains ({name: ((a, b), (c, d))}) written into
-    directory."""
+    directory, and the gauge image at the path gauge."""
     names = list(domains)
     files = [os.path.join(directory, f"{name}.json") for name in names]
     centres = [",".join(repr(sum(side) / 2) for side in domains[name])
@@ -86,7 +108,9 @@ def _rank_argvs(domains, directory):
             + [argv for path, centre in zip(files, centres) for argv in (
                 ["check-einstein", path, f"--points={centre}"],
                 ["check-relations", path, "--first", "--second",
-                 "--onshell", f"--points={centre}"])])
+                 "--onshell", f"--points={centre}"])]
+            + [["check-einstein", gauge, *GAUGE_ARGS],
+               ["check-relations", gauge, "--onshell", *GAUGE_ARGS]])
 
 
 def load(checkout):
@@ -129,7 +153,8 @@ def main(argv):
         for seed in [None] if w == "rank" else seeds:
             directory = tempfile.mkdtemp(prefix="ident-")
             try:
-                argvs = (_rank_argvs(metrics.CATALOG_DOMAINS, directory)
+                argvs = (_rank_argvs(metrics.CATALOG_DOMAINS, directory,
+                                     _gauge_image(directory))
                          if w == "rank" else
                          [op.argv for op in workloads.generate(
                              w, seed, workloads.rounds_for(w, SECONDS),
