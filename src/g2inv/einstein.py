@@ -84,13 +84,12 @@ def four_metric(pj):
     part, i, j = jets.part, *UPPER
     Ft = jets.block([pj.F[0::2], pj.F[1::2]])  # Ft[k, i] = f_i^k
     h = jets.block([pj.h[:2], pj.h[1:]])
-    with jets.block_errstate(pj.batch):
-        # gt_ij + (f_ik f_jl) h_kl over (k, l), and f_ik h_kl over k
-        tt = jets.fold(jets.block(pj.gt), part(Ft, np.s_[:, None, i])
-                       * part(Ft, np.s_[None, :, j])
-                       * part(h, np.s_[:, :, None]), 2)
-        fh = part(Ft, np.s_[:, :, None]) * part(h, np.s_[:, None])
-        return _symmetric(part(tt, _MIRROR), part(fh, 0) + part(fh, 1), h)
+    # gt_ij + (f_ik f_jl) h_kl over (k, l), and f_ik h_kl over k
+    tt = jets.fold(jets.block(pj.gt), part(Ft, np.s_[:, None, i])
+                   * part(Ft, np.s_[None, :, j])
+                   * part(h, np.s_[:, :, None]), 2)
+    fh = part(Ft, np.s_[:, :, None]) * part(h, np.s_[:, None])
+    return _symmetric(part(tt, _MIRROR), part(fh, 0) + part(fh, 1), h)
 
 
 def _christoffel(g, ginv, koszul=None):
@@ -126,9 +125,8 @@ _KOSZUL -= np.einsum("cbdl->dbcl", _KOSZUL) + np.einsum("bcdl->dbcl", _KOSZUL)
 
 def christoffel4(pj):
     """The 4x4x4 block jet of the frame's Christoffel symbols, of
-    pj.order - 1, with the lowered bracket c_(2+l)01 = h_lk W^k."""
-    tr, d = (lambda j: jets.truncate(j, pj.order - 1)), jets.t_derivative
-    W = [d(pj.F[k], 1) - d(pj.F[2 + k], 0) for k in range(2)]
+    pj.order - 1, with the lowered bracket c_(2+l)01 = h_lk pj.curl^k."""
+    tr, W = (lambda j: jets.truncate(j, pj.order - 1)), pj.curl
     (g11, g12, g22), (h11, h12, h22) = ([tr(j) for j in m]
                                         for m in (pj.gt, pj.h))
     gt, h = (jets.block([m[:2], m[1:]]) for m in (pj.gt, pj.h))
@@ -153,8 +151,7 @@ def _riemann(gamma):
 def riemann4(pj):
     """R^a_bcd values in the frame (order >= 2 jets): _riemann's less
     c^e_cd G^a_eb, which is W^k G^a_(2+k)b at (c, d) = (0, 1)."""
-    G, (W1, W2) = pj.christoffel.value, (
-        pj.F[k].d(0, 1) - pj.F[2 + k].d(1, 0) for k in range(2))
+    G, (W1, W2) = pj.christoffel.value, (w.value for w in pj.curl)
     R, term = _riemann(pj.christoffel), W1 * G[:, 2] + W2 * G[:, 3]
     R[:, :, 0, 1] -= term
     R[:, :, 1, 0] += term

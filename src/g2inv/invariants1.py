@@ -51,9 +51,8 @@ def fundamental_jets(pj):
     """The six fundamentals as jets of order pj.order - 1, then the pieces
     derivations and first_invariant_jets build on: h, det_h, det_gt at
     that order, sigma, rho, dh[s][k] = d h_k/dt^(s+1), gi = (gt^11, gt^12,
-    gt^22), sq_gt = sqrt|det gt|, sq_h = sqrt|det h|, C1, C2 and Theta_I."""
-    if pj.order < 1:
-        raise ValueError("invariants need jets of order >= 1")
+    gt^22), sq_gt = sqrt|det gt|, sq_h = sqrt|det h|, (C1, C2) = pj.curl
+    / sq_gt and Theta_I."""
     n = pj.order - 1
     tr = lambda j: jets.truncate(j, n)
     d = jets.t_derivative
@@ -83,8 +82,7 @@ def fundamental_jets(pj):
 
     sq_gt = jets.sqrt_abs(det_gt)
     sq_h = jets.sqrt_abs(det_h)
-    C1 = (d(pj.F[0], 1) - d(pj.F[2], 0)) / sq_gt
-    C2 = (d(pj.F[1], 1) - d(pj.F[3], 0)) / sq_gt
+    C1, C2 = (w / sq_gt for w in pj.curl)
     Theta_I = _det3([dh[0], dh[1],
                      (C2 * C2, -C1 * C2, C1 * C1)]) / (sq_h * sq_gt)
     return {

@@ -54,8 +54,6 @@ def second_invariants_from_jets(pj):
     SECOND_ORDER_COLUMNS, and ric_scale, the size of the terms C_ric sums;
     K_Xi and K_Xiperp by the paper's Gauss-curvature propositions, with no
     4D curvature (sg = sgn det gt)."""
-    if pj.order < 2:
-        raise ValueError("second-order invariants need order-2 jets")
     jv, d = pj.fundamentals, pj.derivations
     X = (d["X1"].value, d["X2"].value)
     Xp = (d["Xp1"].value, d["Xp2"].value)

@@ -62,8 +62,8 @@ def parse_laws(table, named):
 # point_jets binds to their jets in the evaluation memo
 _LAWS = parse_laws(expr.Table(), {})
 
-# relative tolerance (times max(1, component_scale)) below which C_rho
-# or ell_C count as zero: the stratum decision of classify
+# relative tolerance (times the magnitudes of the terms each adds) below
+# which C_rho or ell_C count as zero: the stratum decision of classify
 GENERIC_TOL = 1e-10
 
 
@@ -119,6 +119,8 @@ class PointJets:
 
     gt = (gt11, gt12, gt22), F = (F11, F12, F21, F22) with F_i^k ordered
     (f_1^1, f_1^2, f_2^1, f_2^2), h = (h11, h12, h22); det jets cached.
+    curl = (W^1, W^2), W^k = d2 F_1^k - d1 F_2^k one order lower, is all
+    of F that layers but the 4-metric read; a pushforward's F is None.
 
     The layers derived from the jets are cached properties, each computed
     at most once per point by the one function that owns it, in the
@@ -142,6 +144,7 @@ class PointJets:
     h: tuple
     det_h: jets.Jet2
     det_gt: jets.Jet2
+    curl: tuple
 
     def all_component_jets(self):
         return self.gt + self.F + self.h
@@ -305,18 +308,23 @@ def _eval_components(m, point, order, method):
     raise ValueError(f"unknown jet method {method!r}")
 
 
-def assemble(point, order, components):
+def assemble(point, order, components, curl=None):
     """The PointJets at point of the ten submersion component jets, in
     SUBMERSION_KEYS order, then det h and det gt if given, else formed
-    from them silently, as on floats.  Nothing is checked: point_jets is
-    the validating producer."""
-    gt, F, h, dets = (tuple(components[s])
-                      for s in np.s_[0:3, 3:7, 7:10, 10:])
-    if not dets:
-        with np.errstate(all="ignore"):
-            dets = (h[0] * h[2] - h[1] * h[1], gt[0] * gt[2] - gt[1] * gt[1])
+    from them silently, as on floats, as is the curl W^k = d2 F_1^k -
+    d1 F_2^k; given a curl (a pushforward's), gt and h alone, and F is
+    None.  Nothing is checked: point_jets is the validating producer."""
+    F, d = None, jets.t_derivative
+    with np.errstate(all="ignore"):
+        if curl is None:
+            F = tuple(components[3:7])
+            curl = tuple(d(F[k], 1) - d(F[2 + k], 0) for k in range(2))
+            components = components[:3] + components[7:]
+        gt, h, dets = (tuple(components[s]) for s in np.s_[0:3, 3:6, 6:])
+        dets = dets or (h[0] * h[2] - h[1] * h[1],
+                        gt[0] * gt[2] - gt[1] * gt[1])
     return PointJets(point=point, order=order, gt=gt, F=F, h=h,
-                     det_h=dets[0], det_gt=dets[1])
+                     det_h=dets[0], det_gt=dets[1], curl=curl)
 
 
 def point_jets(m, point, order=2, method="analytic"):
@@ -328,9 +336,8 @@ def point_jets(m, point, order=2, method="analytic"):
     column fails the whole batch.  method="fd" replaces analytic jets
     with central finite differences (order <= 2), the independent
     cross-check path.  A bfh metric's jets are converted by evaluating
-    SUBMERSION_LAWS on them.  It builds its PointJets itself, not by
-    assemble: det h is formed and checked before the law divides by it,
-    and assemble would form it a second time.
+    SUBMERSION_LAWS on them; det h is formed and checked before the law
+    divides by it, and handed to assemble with det gt.
 
     On a batch, a constant component (a float jet, such as a "0") stays
     one through det h and the law, and is spread to the point axis after
@@ -366,8 +373,7 @@ def point_jets(m, point, order=2, method="analytic"):
     if jets._any(det_gt.value == 0.0) or not det_gt.is_finite():
         raise SingularMetricError(
             f"singular orbit metric for {m.name!r} at {point}")
-    pj = PointJets(point=point, order=order, gt=gt, F=F, h=h,
-                   det_h=det_h, det_gt=det_gt)
+    pj = assemble(point, order, [*gt, *F, *h, det_h, det_gt])
     for j in pj.all_component_jets():
         if not j.is_finite():
             raise SingularMetricError(
@@ -427,19 +433,27 @@ def each_point_or_raise(evaluate, items):
     return got
 
 
-def component_scale(pj):
-    """Largest magnitude of the value and first derivatives over the ten
-    component jets: the same at every jet order, so the stratum is."""
-    return np.abs([j.coeffs[:3]
-                   for j in pj.all_component_jets()]).max((0, 1))
-
-
 def classify(pj):
-    """Stratum flags deciding which frames and relations apply."""
-    tol = GENERIC_TOL * np.maximum(1.0, component_scale(pj))
-    jv = pj.fundamentals
-    c_rho_zero = abs(jv["C_rho"].value) < tol
-    ell_c_zero = abs(jv["ell_C"].value) < tol
+    """Stratum flags deciding which frames and relations apply: C_rho =
+    gt^ij sigma_i sigma_j and ell_C = h_kl C^k C^l are zero where at most
+    GENERIC_TOL times the magnitudes of their terms (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, 4.2), sigma_i's those of
+    d_i det h / det h; <= keeps a point of zero terms (flat) on the zero
+    stratum.  Values alone, and no F: one stratum at every jet order and
+    in every psi gauge."""
+    f = pj.fundamentals
+    (g11, g12, g22), (h11, h12, h22) = (
+        [np.abs(x.value) for x in f[k]] for k in ("gi", "h"))
+    C1, C2 = (np.abs(f[k].value) for k in ("C1", "C2"))
+    # the terms of d_i det h = d_i h11 h22 + h11 d_i h22 - 2 h12 d_i h12
+    s1, s2 = ((np.abs(d[0].value) * h22 + h11 * np.abs(d[2].value)
+               + 2.0 * h12 * np.abs(d[1].value)) / np.abs(f["det_h"].value)
+              for d in f["dh"])
+    # np.abs: numpy bools at a float point too, where ~True would be -2
+    c_rho_zero = np.abs(f["C_rho"].value) <= GENERIC_TOL * (
+        g11 * s1 * s1 + 2.0 * g12 * s1 * s2 + g22 * s2 * s2)
+    ell_c_zero = np.abs(f["ell_C"].value) <= GENERIC_TOL * (
+        h11 * C1 * C1 + 2.0 * h12 * C1 * C2 + h22 * C2 * C2)
     return StratumFlags(
         sign_det_h=(pj.det_h.value > 0) * 2 - 1,
         sign_det_gt=(pj.det_gt.value > 0) * 2 - 1,

@@ -1,17 +1,18 @@
 """Adapted-coordinate pseudogroup action at jet level.
 
 A transform is t-bar = phi(t1,t2), z-bar = alpha z + psi(t1,t2) with
-J_phi != 0 and alpha in GL(2,R).  Metrics are pushed forward pointwise:
-jets of the transformed components at phi(t) are produced from jets of
-the source components at t plus jets of (phi, psi); nothing is ever
-inverted globally.  In submersion variables the component law is
+J_phi != 0 and alpha in GL(2,R).  In submersion variables the component
+law is
 
     gt-bar = J^-T gt J^-1,
     F-bar_m^r = (J^-1)^i_m (alpha^r_k F_i^k - d psi^r / dt^i),
     h-bar = alpha^-T h alpha^-1,
 
-followed by a base change of the jets from t to t-bar via the 2-jet of
-phi^-1.
+and the curl W of F, a 2-form's component, goes to W-bar = alpha W /
+det J_phi, psi having none (d d = 0).  apply_to_metric writes the law
+out for an affine transform.  Jets are pushed forward pointwise, gt, h
+and W (no F, no psi), then rebased from t to t-bar by the jets of
+phi^-1: nothing is ever inverted globally.
 """
 
 from __future__ import annotations
@@ -115,27 +116,23 @@ def _inverse_map_jets(J, order):
 
 
 def _map_jets(p, t, order):
-    """Jets of (phi1, phi2) and of (psi1, psi2) at t; at a batch point
-    every coefficient is a vector, as in point_jets, so each product
-    runs the kernel a float point runs."""
-    return ([jets._spread(expr.eval_jet(f, {}, t, order), t) for f in p.phi],
-            [jets._spread(expr.eval_jet(f, {}, t, order), t) for f in p.psi])
+    """Jets of (phi1, phi2) at t; at a batch point every coefficient is a
+    vector, as in point_jets, so each product runs the kernel a float
+    point runs."""
+    return [jets._spread(expr.eval_jet(f, {}, t, order), t) for f in p.phi]
 
 
 def pushforward_jets(pj, p):
     """PointJets of the transformed metric at the image point phi(t), for
-    one point or a batch.
-
-    Order-k output needs order-(k+1) jets of phi and psi; the base
-    change to t-bar derivatives uses the inverse-map jets of phi.
-    """
-    return _pushforward(pj, p, *_map_jets(p, pj.point, pj.order + 1))
+    one point or a batch, with F None: order-k gt, h and curl from
+    order-(k+1) jets of phi, rebased by the inverse-map jets of phi."""
+    return _pushforward(pj, p, _map_jets(p, pj.point, pj.order + 1))
 
 
-def _pushforward(pj, p, phi_jets, psi_jets):
+def _pushforward(pj, p, phi_jets):
     """The component law by 2x2 block jets, each entry the per-entry jet
-    loop's, then one base change of the ten components stacked: the
-    upper triangles of gt-bar and h-bar, and F-bar."""
+    loop's, then one base change of the upper triangles of gt-bar and
+    h-bar stacked, and one of the curl's, an order lower."""
     k, part, d = pj.order, jets.part, jets.t_derivative
     J = [[d(phi, i) for i in range(2)]
          for phi in phi_jets]        # J[m][i] = d phi^m / dt^i, order k
@@ -143,36 +140,30 @@ def _pushforward(pj, p, phi_jets, psi_jets):
     if jets._any(det_J.value == 0.0):
         raise DegenerateTransformError(f"J_phi = 0 at {pj.point}")
     # index axes before a batch's point axis: gt_ij and h_kk,ll at
-    # [i, j, 0], Ft[kk, i] = f_i^kk, Jpsi[i, r] = d psi^r / dt^i,
-    # alpha^r_kk at [kk, 0, r] and ai^kk_r ai^ll_s at [kk, ll, (r, s)]
+    # [i, j, 0] and ai^kk_r ai^ll_s at [kk, ll, (r, s)]
     gt, h = (part(jets.block([c[:2], c[1:]]), np.s_[:, :, None])
              for c in (pj.gt, pj.h))
-    Ft = jets.block([pj.F[0::2], pj.F[1::2]])
-    Jpsi = jets.block([[d(psi, i) for psi in psi_jets] for i in range(2)])
     m, n = einstein.UPPER
     ai, ones = np.linalg.inv(p.alpha), [1] * pj.batch
-    a = np.array(p.alpha).T.reshape(2, 1, 2, *ones)
     w = (ai[:, None, m] * ai[None, :, n]).reshape(2, 2, 3, *ones)
     with jets.block_errstate(pj.batch):
         Jinv = jets.block([[J[1][1], -J[0][1]], [-J[1][0], J[0][0]]]) \
             / det_J                  # Jinv[i, m] = dt^i / dtbar^m
-        # the law's sums, from 0.0 (inner[i, r] from -Jpsi[i, r]) over
-        # (i, j), kk, i and (kk, ll) in turn
+        # the law's sums, from 0.0, over (i, j) and (kk, ll) in turn
         gt_bar = jets.fold(0.0, part(Jinv, np.s_[:, None, m])
                            * part(Jinv, np.s_[None, :, n]) * gt, 2)
-        inner = jets.fold(-Jpsi, jets._scale(
-            a, part(Ft, np.s_[:, :, None]).coeffs, k), 1)
-        F_bar = jets.fold(0.0, part(Jinv, np.s_[:, :, None])
-                          * part(inner, np.s_[:, None]), 1)
         h_bar = jets.fold(0.0, jets._scale(w, h.coeffs, k), 2)
+        W, det = pj.curl, jets.truncate(det_J, k - 1)
+        W_bar = [(a[0] * W[0] + a[1] * W[1]) / det for a in p.alpha]
     iotas = _inverse_map_jets(J, k)
     with jets.block_errstate(pj.batch):
-        out = jets.compose_map(jets._jet(k, tuple(
-            np.concatenate((g, f.reshape(4, *g.shape[1:]), h))
-            for g, f, h in zip(gt_bar.coeffs, F_bar.coeffs, h_bar.coeffs))),
-            *iotas)
+        out = jets.compose_map(jets._jet(k, tuple(map(np.concatenate, zip(
+            gt_bar.coeffs, h_bar.coeffs)))), *iotas)
+        curl = jets.compose_map(jets.block(W_bar), *(
+            jets.truncate(i, k - 1) for i in iotas))
     return metrics.assemble((phi_jets[0].value, phi_jets[1].value), k,
-                            [part(out, q) for q in range(10)])
+                            [part(out, q) for q in range(6)],
+                            curl=(part(curl, 0), part(curl, 1)))
 
 
 def apply_to_metric(m, p, name=None):
@@ -309,7 +300,7 @@ def invariance_report(m, p, points, tol=1e-7):
     report transform --report-invariance prints.
 
     Both read values alone, so each point takes order-1 component jets
-    and order-2 jets of phi and psi.  The points are evaluated as batches
+    and order-2 jets of phi.  The points are evaluated as batches
     by metrics.each_point_or_raise, which raises the error of the first
     failing point.  A batch is reduced as (B, ...) stacks of its columns,
     elementwise and by one matrix product per column, so each column's
@@ -321,8 +312,8 @@ def invariance_report(m, p, points, tol=1e-7):
 
     def evaluate(point):
         pj = metrics.point_jets(m, point, order=1)
-        phi_jets, psi_jets = _map_jets(p, pj.point, 2)
-        pj_bar = _pushforward(pj, p, phi_jets, psi_jets)
+        phi_jets = _map_jets(p, pj.point, 2)
+        pj_bar = _pushforward(pj, p, phi_jets)
         # the first derivatives of phi: J_phi's sign and the pushforward
         # of a frame vector (v_t, v_z) -> (J v_t, a v_z) in the adapted
         # basis (X1, X2, d_z1, d_z2), where psi drops out

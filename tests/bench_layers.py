@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from g2inv import (catalog, cli, einstein, equivalence, invariants1, jets,
-                   load_metric, point_jets)
+                   load_metric, metrics, point_jets)
 from g2inv.einstein import onshell_relations
 from g2inv.invariants1 import (FUNDAMENTAL_IDS, jacobian_rank,
                                random_point_jets, relations_first)
@@ -114,6 +114,15 @@ def test_load_metric(benchmark, tmp_path, name):
 
 def test_point_jets(benchmark):
     assert benchmark(point_jets, VDB, POINT).det_h.is_finite()
+
+
+@pytest.mark.parametrize("point", [POINT, CHECK_BATCH], ids=["float", "B6"])
+def test_classify(benchmark, point):
+    # the stratum test alone, on one order-2 PointJets of vdb whose
+    # fundamentals are read once beforehand
+    pj = point_jets(VDB, point)
+    pj.fundamentals
+    assert np.all(benchmark(metrics.classify, pj).generic)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -241,11 +250,11 @@ def test_riemann4(benchmark, point):
 @pytest.mark.parametrize("point", [POINT, CHECK_BATCH], ids=["float", "B6"])
 def test_pushforward(benchmark, point):
     # the pushforward of a transform --report-invariance op alone: order-1
-    # jets of vdb by random_transform(3), its phi and psi jets given
+    # jets of vdb by random_transform(3), its phi jets given
     p = random_transform(3)
     pj = point_jets(VDB, point, order=1)
-    maps = _map_jets(p, pj.point, 2)
-    assert benchmark(_pushforward, pj, p, *maps).det_h.is_finite()
+    phi_jets = _map_jets(p, pj.point, 2)
+    assert benchmark(_pushforward, pj, p, phi_jets).det_h.is_finite()
 
 
 @pytest.mark.parametrize("order", [1, 2])

@@ -1,11 +1,13 @@
 """The psi-gauge ladder: a metric against itself under a z-shift, which
 adds D psi to F and leaves every invariant unchanged.  random_analytic
 takes psi^1 = (s/2)(t1^2 + t2^2), which adds s*t1 to F11 and s*t2 to
-F21; lambda_kundu takes psi^1 = s(t1 + t2), an apply_to_metric image.
-Each report that reads only gauge-free layers must equal the report at
-s = 0 byte for byte; the rows that still read the size of the gauge are
-pinned as they fail, each with the ROADMAP item that mends it, so that
-the mend shows here."""
+F21, and psi^2 = (s/2)(t1^2 + t2^2) on z2, which adds them to F12 and
+F22; vdb and lambda_kundu take psi^1 = s(t1 + t2), an apply_to_metric
+image.  Every layer but the coordinate 4-metric reads F through its
+curl, which psi leaves as it is (d d psi = 0), so each report equals the
+report at s = 0 byte for byte, the stratum flags included, and equiv
+finds each image Consistent with s = 0; only the Einstein residual of
+the on-shell suite reads F itself."""
 
 import json
 import warnings
@@ -14,36 +16,39 @@ import pytest
 
 from g2inv import catalog, metrics, point_jets
 from g2inv.cli import run
-from g2inv.transform import apply_to_metric, make_transform
+from g2inv.transform import apply_to_metric, make_transform, random_transform
 
 SCALES = (1e4, 1e5, 1e8, 1e12, 1e40, 1e80, 1e160)
-POINTS = ((0.1, 0.2), (0.3, 0.1), (-0.2, 0.25))
-ARGS = "--points=" + ";".join(f"{a},{b}" for a, b in POINTS)
-REPORTS = {
-    "first": ["check-relations", "--first", ARGS],
-    "second": ["check-relations", "--second", ARGS],
-    "invariants": ["invariants", "--order", "2", "--at=0.1,0.2"],
-    "rank": ["rank", "--set", "order2_20", "--at=0.1,0.2"],
-}
-ONSHELL = ["check-relations", "--onshell", ARGS]
-# item 5: metrics.classify scales its tolerance by component_scale, which
-# reads F, so these scales leave the generic stratum at some point
-STRATUM_FLIPS = {0: (1e8, 1e12, 1e40, 1e80, 1e160),
-                 1: (1e12, 1e40, 1e80, 1e160),
-                 2: (1e12, 1e40, 1e80, 1e160),
-                 3: (1e12, 1e40, 1e80, 1e160)}
+POINTS = {"random_analytic": ((0.1, 0.2), (0.3, 0.1), (-0.2, 0.25)),
+          "vdb": ((0.6, 1.1), (0.8, 0.9), (1.0, 1.3))}
+# the F components each z-shift adds s*t1 and s*t2 to
+PSI = {"psi1": ("F11", "F21"), "psi2": ("F12", "F22")}
+CASES = [("random_analytic", seed, psi) for psi in PSI
+         for seed in range(4)] + [("vdb", None, "psi1")]
 
 
-def _shifted(tmp_path, seed, s):
-    doc = catalog("random_analytic", {"seed": seed}).to_document()
-    if s:
-        doc["components"]["F11"] += f" + {s!r}*t1"
-        doc["components"]["F21"] += f" + {s!r}*t2"
-    path = tmp_path / f"seed{seed}_{s!r}.json"
+def _image(name, s):
+    """The catalog metric under psi^1 = s(t1 + t2), F_i^1 - s for i = 1,
+    2, as apply_to_metric builds it."""
+    return apply_to_metric(catalog(name), make_transform(
+        "t1", "t2", f"{s!r}*(t1 + t2)", "0", [[1.0, 0.0], [0.0, 1.0]]))
+
+
+def _shifted(tmp_path, case, s):
+    """The path of the case's metric at scale s, and its stratum flags at
+    the case's points."""
+    name, seed, psi = case
+    if name == "random_analytic":
+        doc = catalog(name, {"seed": seed}).to_document()
+        for key, t in zip(PSI[psi], ("t1", "t2")):
+            doc["components"][key] += f" + {s!r}*{t}" if s else ""
+    else:
+        doc = _image(name, s).to_document()
+    path = tmp_path / f"{name}{seed}_{psi}_{s!r}.json"
     path.write_text(json.dumps(doc))
     m = metrics.load_metric(doc)
     return str(path), [metrics.classify(point_jets(m, pt, order=1))
-                       for pt in POINTS]
+                       for pt in POINTS[name]]
 
 
 def _run(capsys, path, command, *args):
@@ -51,8 +56,27 @@ def _run(capsys, path, command, *args):
     return (code, *capsys.readouterr())
 
 
-def _reports(capsys, path):
-    return {key: _run(capsys, path, *argv) for key, argv in REPORTS.items()}
+def _reports(tmp_path, name):
+    """{report: (command, args after the metric)} of the case's metric,
+    equiv against the metric at s = 0."""
+    points = POINTS[name]
+    args = "--points=" + ";".join(f"{a},{b}" for a, b in points)
+    at = "--at={},{}".format(*points[0])
+    transform = tmp_path / "transform.json"
+    transform.write_text(json.dumps(random_transform(3).strings))
+    # an apply_to_metric image's document holds no sampling rectangle
+    rect = "{}:{},{}:{}".format(*sum(metrics.CATALOG_DOMAINS[name], ()))
+    return {
+        "first": ("check-relations", "--first", args),
+        "second": ("check-relations", "--second", args),
+        "invariants": ("invariants", "--order", "2", at),
+        "rank": ("rank", "--set", "order2_20", at),
+        "transform": ("transform", str(transform), "--report-invariance",
+                      args),
+        "equiv": ("equiv", str(tmp_path / f"{name}_base.json"), "--grid",
+                  "6", f"--rect-a={rect}", f"--rect-b={rect}"),
+        "onshell": ("check-relations", "--onshell", args),
+    }
 
 
 def _onshell_rows(report):
@@ -64,31 +88,34 @@ def _onshell_rows(report):
     return onshell
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_gauge_ladder(tmp_path, capsys, seed):
-    path, flags = _shifted(tmp_path, seed, 0.0)
+@pytest.mark.parametrize("case", CASES, ids=lambda c: "{}{}-{}".format(
+    c[0], "" if c[1] is None else c[1], c[2]))
+def test_gauge_ladder(tmp_path, capsys, case):
+    name = case[0]
+    base_path, flags = _shifted(tmp_path, case, 0.0)
+    (tmp_path / f"{name}_base.json").write_text(open(base_path).read())
+    reports = _reports(tmp_path, name)
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        base = _reports(capsys, path)
-        onshell = _run(capsys, path, *ONSHELL)
-        flips = []
+        base = {key: _run(capsys, base_path, *argv)
+                for key, argv in reports.items()}
+        onshell = base.pop("onshell")
+        equiv = json.loads(base["equiv"][1])
+        assert (equiv["verdict"], equiv["coverage_a"], equiv["coverage_b"]) \
+            == ("Consistent", 1, 1)
+        assert all(code == 0 for code, _, _ in base.values()), base
         for s in SCALES:
-            path, flags_s = _shifted(tmp_path, seed, s)
-            got = _reports(capsys, path)
-            # the first-order suite reads gt, h and C alone
-            assert got["first"][0] == 0, (s, got["first"])
-            if flags_s == flags:
-                assert got == base, s
-            else:
-                flips.append(s)
-                assert got["first"] != base["first"], s
-            # the on-shell suite reads the curvature of the adapted frame
-            # and no stratum flag but the signs, so its rows are s = 0's
-            # on either stratum; its Einstein residual reads the
+            path, flags_s = _shifted(tmp_path, case, s)
+            assert flags_s == flags, s
+            got = {key: _run(capsys, path, *argv)
+                   for key, argv in reports.items()}
+            code, out, err = got.pop("onshell")
+            assert got == base, s
+            # the on-shell suite reads the curvature of the adapted frame,
+            # so its rows are s = 0's; its Einstein residual reads the
             # coordinate Ricci tensor and 4-metric, whose F^2 overflows
             # at 1e160
-            code, out, err = _run(capsys, path, *ONSHELL)
             if s == 1e160:
                 assert (code, out) == (2, ""), s
                 assert err.startswith(
@@ -96,15 +123,11 @@ def test_gauge_ladder(tmp_path, capsys, seed):
             else:
                 assert (code, err) == onshell[::2], s
                 assert _onshell_rows(out) == _onshell_rows(onshell[1]), s
-    assert tuple(flips) == STRATUM_FLIPS[seed]
 
 
 def _kundu_image(tmp_path, s):
-    """lambda_kundu under psi^1 = s(t1 + t2), F_i^1 - s for i = 1, 2."""
-    image = apply_to_metric(catalog("lambda_kundu"), make_transform(
-        "t1", "t2", f"{s!r}*(t1 + t2)", "0", [[1.0, 0.0], [0.0, 1.0]]))
     path = tmp_path / f"kundu_{s!r}.json"
-    path.write_text(json.dumps(image.to_document()))
+    path.write_text(json.dumps(_image("lambda_kundu", s).to_document()))
     return str(path)
 
 

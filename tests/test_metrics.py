@@ -11,8 +11,7 @@ from g2inv import (catalog, classify, cli, einstein, expr, invariants1,
                    transform)
 from g2inv.errors import (MetricDefinitionError, SingularEvaluationError,
                           SingularMetricError)
-from g2inv.metrics import (CATALOG_NAMES, component_scale, default_domain,
-                           grid_points)
+from g2inv.metrics import CATALOG_NAMES, default_domain, grid_points
 from g2inv.transform import apply_to_metric, make_transform
 from paper_checks import substitute
 
@@ -163,15 +162,15 @@ def test_stratum_decided_once_per_point(monkeypatch):
     calls = Counter()
 
     def counted(pj):
-        calls["component_scale"] += 1
-        return component_scale(pj)
+        calls["classify"] += 1
+        return classify(pj)
 
-    monkeypatch.setattr(metrics, "component_scale", counted)
+    monkeypatch.setattr(metrics, "classify", counted)
     pj = point_jets(catalog("vdb"), (0.5, 1.0))
     invariants1.relations_first(pj)
     invariants2.relations_second(pj)
     einstein.onshell_relations(pj, 0.0)
-    assert calls["component_scale"] == 1
+    assert calls["classify"] == 1
     assert pj.stratum is pj.stratum and pj.stratum == classify(pj)
 
 
@@ -300,11 +299,6 @@ def test_random_analytic_nondegenerate_and_seeded():
     assert docs[0] == docs[1]  # deterministic per seed
 
 
-def test_component_scale_positive():
-    pj = point_jets(catalog("vdb"), (0.5, 1.0), order=2)
-    assert component_scale(pj) > 1.0
-
-
 def test_catalog_defining_constraints():
     """Each catalog default satisfies the constraint that makes its
     family Lambda-vacuum, checked at 10 random points."""
@@ -410,8 +404,9 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
         assert point_calls == Counter({(0.7, -0.2): 1, (0.9, 0.1): 1,
                                        (1.2, 0.3): 1}), argv
 
-    # transform --report-invariance evaluates each of phi1, phi2, psi1
-    # and psi2 once per point, counted by column of its batch point
+    # transform --report-invariance evaluates each of phi1 and phi2 once
+    # per point, counted by column of its batch point, and psi1 and psi2
+    # nowhere: the pushforward reads the curl of F, which psi leaves
     loaded, evals = [], Counter()
     load, evaluate = transform.load_transform, expr.eval_jet
 
@@ -434,8 +429,7 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
     assert cli.run(["transform", str(path), str(tr_path),
                     "--report-invariance", "--points", "0.6,1.1;0.8,1.3",
                     "--out", str(tmp_path / "inv.txt")]) == 0
-    assert evals == Counter({(key, pt): 1
-                             for key in ("phi1", "phi2", "psi1", "psi2")
+    assert evals == Counter({(key, pt): 1 for key in ("phi1", "phi2")
                              for pt in ((0.6, 1.1), (0.8, 1.3))})
 
     # nothing computes the O'Neill A tensor: the O'Neill layer takes no

@@ -66,17 +66,23 @@ def test_degenerate_jacobian_detected():
         signs(p, (0.1, 0.1))
 
 
+def pushed(pj):
+    """The jets a pushforward carries: gt, h and the curl of F."""
+    return (*pj.gt, *pj.h, *pj.curl)
+
+
 def test_identity_pushforward_is_identity():
     pj = point_jets(catalog("vdb"), (0.6, 1.1))
     out = pushforward_jets(pj, load_transform(IDENTITY))
-    assert out.point == pj.point
-    for a, b in zip(pj.all_component_jets(), out.all_component_jets()):
+    assert out.point == pj.point and out.F is None
+    for a, b in zip(pushed(pj), pushed(out)):
         assert np.allclose(a.coeffs, b.coeffs, rtol=1e-12, atol=1e-12)
 
 
 def _nested_pushforward(pj, p, phi_jets, psi_jets):
-    """transform._pushforward by per-entry jet arithmetic: the component
-    law one entry at a time, then one base change per component."""
+    """The component law of the module docstring by per-entry jet
+    arithmetic, F-bar from psi included: the law one entry at a time, then
+    one base change per component, assembled (the curl from F-bar)."""
     from g2inv import metrics
     from g2inv.transform import _inverse_map_jets
     k = pj.order
@@ -110,36 +116,42 @@ def _nested_pushforward(pj, p, phi_jets, psi_jets):
                 acc = acc + Jinv[i][m] * inner
             F_bar.append(acc)
     iotas = _inverse_map_jets(J, k)
-    gt_out, F_out, h_out = ([jets.compose_map(u, *iotas) for u in us]
-                            for us in (gt_bar, F_bar, h_bar))
-    return metrics.PointJets(
-        point=(phi_jets[0].value, phi_jets[1].value), order=k,
-        gt=tuple(gt_out), F=tuple(F_out), h=tuple(h_out),
-        det_h=h_out[0] * h_out[2] - h_out[1] * h_out[1],
-        det_gt=gt_out[0] * gt_out[2] - gt_out[1] * gt_out[1])
+    return metrics.assemble(
+        (phi_jets[0].value, phi_jets[1].value), k,
+        [jets.compose_map(u, *iotas) for u in (*gt_bar, *F_bar, *h_bar)])
 
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_block_pushforward_is_the_per_entry_loop_bit_for_bit(order):
+    # gt-bar, h-bar and their determinants have the loop's bits; the
+    # pushed curl alpha W / det J_phi is the curl of the loop's F-bar
+    # within 1e-14 of the largest coefficient of either, the digits the
+    # curl of F-bar loses (5.7e-16 at worst here)
     from g2inv.transform import _map_jets, _pushforward
     p = random_transform(3)
     for m, points in block_layer_points():
         for point in points:
             pj = point_jets(m, point, order=order)
-            maps = _map_jets(p, pj.point, order + 1)
-            got = _pushforward(pj, p, *maps)
-            want = _nested_pushforward(pj, p, *maps)
-            assert got.point == want.point
-            for a, b in zip((*got.all_component_jets(), got.det_h,
-                             got.det_gt),
-                            (*want.all_component_jets(), want.det_h,
-                             want.det_gt)):
+            phi_jets = _map_jets(p, pj.point, order + 1)
+            psi_jets = [jets._spread(expr.eval_jet(f, {}, pj.point,
+                                                   order + 1), pj.point)
+                        for f in p.psi]
+            got = _pushforward(pj, p, phi_jets)
+            want = _nested_pushforward(pj, p, phi_jets, psi_jets)
+            assert got.point == want.point and got.F is None
+            for a, b in zip((*got.gt, *got.h, got.det_h, got.det_gt),
+                            (*want.gt, *want.h, want.det_h, want.det_gt)):
                 assert np.array(a.coeffs).tobytes() \
                     == np.array(b.coeffs).tobytes()
-                if isinstance(point[0], float):
-                    # a float point's jets hold Python floats, as its
-                    # per-entry arithmetic gives them
-                    assert {type(c) for c in a.coeffs} == {float}
+            W, W_loop, F_loop = (np.array([j.coeffs for j in js])
+                                 for js in (got.curl, want.curl, want.F))
+            assert np.abs(W - W_loop).max() <= 1e-14 * max(
+                np.abs(W).max(), np.abs(F_loop).max())
+            if isinstance(point[0], float):
+                # a float point's jets hold Python floats, as its
+                # per-entry arithmetic gives them
+                assert {type(c) for j in pushed(got) for c in j.coeffs} \
+                    == {float}
 
 
 def test_pure_alpha_det_h_law():
@@ -183,7 +195,7 @@ def test_composition_consistency():
     seq = pushforward_jets(pushforward_jets(pj, p1), p2)
     comp = pushforward_jets(pj, compose_transforms(p2, p1))
     assert np.allclose(seq.point, comp.point, rtol=1e-12)
-    for a, b in zip(seq.all_component_jets(), comp.all_component_jets()):
+    for a, b in zip(pushed(seq), pushed(comp)):
         assert np.allclose(a.coeffs, b.coeffs, rtol=1e-9, atol=1e-9)
 
 

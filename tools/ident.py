@@ -30,7 +30,14 @@ and ``check-relations GAUGE --onshell --lambda 3 --points=P``: GAUGE is
 lambda_kundu under the z-shift psi^1 = 1e4 (t1 + t2), CHECKOUT's
 ``apply_to_metric`` image written into the directory, and P three points
 of its domain.  A Lambda-vacuum metric in a large psi gauge passes both
-only where the 4D curvature reads F through its curl alone.
+only where the 4D curvature reads F through its curl alone.  Then
+``equiv SHIFT SEED3 --grid 6`` and ``transform SHIFT TRANSFORM
+--report-invariance --points=Q``: SEED3 is random_analytic seed 3, SHIFT
+the same document under the z-shift psi^1 = (s/2)(t1^2 + t2^2) at s =
+1e12 (s*t1 added to F11 and s*t2 to F21), TRANSFORM random_transform(3)
+and Q three points of its domain.  equiv finds SHIFT Consistent with
+SEED3, and the invariance report passes, only where the stratum test and
+the pushforward read F through its curl alone.
 ``subproc`` runs each op as ``python -m g2inv`` in its own process (a
 fresh warnings registry per op, as a shell sees it); ``inproc`` runs
 them through ``g2inv.cli.run`` in this process, which is much faster.
@@ -64,33 +71,49 @@ CATALOG_PARAMS = (("ppwave2", "c=3"), ("ppwave3", "c=0.5"),
                   ("lambda_kundu_c0", "Lambda=1"),
                   ("random_analytic", "seed=7"))
 CATALOG_MALFORMED = (("ppwave2", "c"), ("random_analytic", "seed=1.5"))
-# the gauge case: lambda_kundu under psi^1 = 1e4 (t1 + t2), checked at
-# three points of its domain
+# the gauge cases: lambda_kundu under psi^1 = 1e4 (t1 + t2), checked at
+# three points of its domain, and random_analytic seed 3 under psi^1 =
+# (s/2)(t1^2 + t2^2) at s = 1e12, at three points of its domain
 GAUGE_PSI = "10000.0*(t1 + t2)"
 GAUGE_ARGS = ("--lambda", "3", "--points=0.7,-0.2;0.9,0.1;1.2,0.3")
+SHIFT = 1e12
+SHIFT_POINTS = "--points=0.1,0.2;0.3,0.1;-0.2,0.25"
 
 
 def _param_argv(name, *items):
     return ["catalog", name, *(a for kv in items for a in ("--param", kv))]
 
 
-def _gauge_image(directory):
-    """Write lambda_kundu under the z-shift GAUGE_PSI into directory, as
-    apply_to_metric builds it; its path."""
+def _gauge_files(directory):
+    """Write the gauge cases' documents into directory, built by
+    CHECKOUT's g2inv: lambda_kundu under the z-shift GAUGE_PSI, as
+    apply_to_metric builds it, random_analytic seed 3, the same under
+    the z-shift of scale SHIFT, and random_transform(3); their paths."""
     from g2inv import metrics, transform
     image = transform.apply_to_metric(
         metrics.catalog("lambda_kundu"), transform.make_transform(
             "t1", "t2", GAUGE_PSI, "0", [[1.0, 0.0], [0.0, 1.0]]))
-    path = os.path.join(directory, "lambda_kundu-gauge.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(image.to_document(), fh)
-    return path
+    seed3 = metrics.catalog("random_analytic", {"seed": 3})
+    seed3, shifted = seed3.to_document(), seed3.to_document()
+    shifted["components"]["F11"] += f" + {SHIFT!r}*t1"
+    shifted["components"]["F21"] += f" + {SHIFT!r}*t2"
+    docs = {"kundu": ("lambda_kundu-gauge", image.to_document()),
+            "seed3": ("random_analytic_3", seed3),
+            "shift": ("random_analytic_3-shift", shifted),
+            "transform": ("random_transform_3",
+                          transform.random_transform(3).strings)}
+    paths = {}
+    for key, (name, doc) in docs.items():
+        paths[key] = os.path.join(directory, f"{name}.json")
+        with open(paths[key], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    return paths
 
 
 def _rank_argvs(domains, directory, gauge):
     """The argv of each op of the rank pseudo-workload, for the catalog
     metrics of these domains ({name: ((a, b), (c, d))}) written into
-    directory, and the gauge image at the path gauge."""
+    directory, and the gauge documents at the paths of gauge."""
     names = list(domains)
     files = [os.path.join(directory, f"{name}.json") for name in names]
     centres = [",".join(repr(sum(side) / 2) for side in domains[name])
@@ -109,8 +132,11 @@ def _rank_argvs(domains, directory, gauge):
                 ["check-einstein", path, f"--points={centre}"],
                 ["check-relations", path, "--first", "--second",
                  "--onshell", f"--points={centre}"])]
-            + [["check-einstein", gauge, *GAUGE_ARGS],
-               ["check-relations", gauge, "--onshell", *GAUGE_ARGS]])
+            + [["check-einstein", gauge["kundu"], *GAUGE_ARGS],
+               ["check-relations", gauge["kundu"], "--onshell", *GAUGE_ARGS],
+               ["equiv", gauge["shift"], gauge["seed3"], "--grid", "6"],
+               ["transform", gauge["shift"], gauge["transform"],
+                "--report-invariance", SHIFT_POINTS]])
 
 
 def load(checkout):
@@ -154,7 +180,7 @@ def main(argv):
             directory = tempfile.mkdtemp(prefix="ident-")
             try:
                 argvs = (_rank_argvs(metrics.CATALOG_DOMAINS, directory,
-                                     _gauge_image(directory))
+                                     _gauge_files(directory))
                          if w == "rank" else
                          [op.argv for op in workloads.generate(
                              w, seed, workloads.rounds_for(w, SECONDS),
