@@ -307,15 +307,13 @@ def _renderer(names, memo):
             return "-" + render(node.arg, 3)
         if isinstance(node, Call):
             return f"{node.fn}({render(node.arg)})"
-        if isinstance(node, BinOp):
-            if node.op == "^":
-                # '^' is non-associative; parenthesize any compound child
-                return f"{render(node.left, 9)}^{render(node.right, 9)}"
-            # binary ops parse left-associative: right child binds tighter
-            p = _PREC[node.op]
-            return (f"{render(node.left, p)} {node.op} "
-                    f"{render(node.right, p + 1)}")
-        raise TypeError(f"not an expression node: {node!r}")
+        if node.op == "^":
+            # '^' is non-associative; parenthesize any compound child
+            return f"{render(node.left, 9)}^{render(node.right, 9)}"
+        # binary ops parse left-associative: right child binds tighter
+        p = _PREC[node.op]
+        return (f"{render(node.left, p)} {node.op} "
+                f"{render(node.right, p + 1)}")
 
     return render, spell
 
@@ -455,16 +453,11 @@ def _eval(e, params, point, order, memo):
     elif isinstance(e, Var):
         done = jets.seed(point[e.index], e.index, order)
     elif isinstance(e, Param):
-        try:
-            done = jets.constant(params[e.name], order)
-        except KeyError:
-            raise KeyError(f"parameter {e.name!r} has no value") from None
+        done = jets.constant(params[e.name], order)
     elif isinstance(e, Neg):
         done = -_eval(e.arg, params, point, order, memo)
-    elif isinstance(e, Call):
-        done = jets.elementary(e.fn, _eval(e.arg, params, point, order, memo))
     else:
-        raise TypeError(f"not an expression node: {e!r}")
+        done = jets.elementary(e.fn, _eval(e.arg, params, point, order, memo))
     memo[id(e)] = done
     return done
 

@@ -337,8 +337,6 @@ def _unpack(x, order):
 
 def _invariant_vector(pj, which):
     """The six fundamentals, or order2_20's 20 invariants of order <= 2."""
-    if which not in RANK_SETS:
-        raise ValueError(f"unknown invariant set {which!r}")
     vals = [pj.fundamentals[k].value for k in FUNDAMENTAL_IDS]
     if RANK_SETS[which].order == 2:
         from .invariants2 import SECOND_ORDER_COLUMNS

@@ -533,8 +533,6 @@ def _derivatives(fname, v, n):
 
 def sqrt_abs(a):
     """Jet of sqrt(|a|); a.value must be nonzero."""
-    if _any(a.value == 0.0):
-        raise SingularEvaluationError("sqrt_abs", 0.0)
     return elementary("sqrt", flip(a, a.value > 0.0))
 
 
@@ -569,9 +567,7 @@ def along(vec, jet):
 
 
 def truncate(a, order):
-    """Drop coefficients above the requested order."""
-    if order > a.order:
-        raise ValueError("cannot raise jet order by truncation")
+    """Drop coefficients above the requested order, order <= a.order."""
     return _jet(order, a.coeffs[:len(_IDX[order])])
 
 
@@ -579,13 +575,11 @@ def compose_map(u, iota1, iota2):
     """Jet of u composed with the map (iota1, iota2).
 
     u is a jet at the point (iota1.value, iota2.value); iota1/iota2 are
-    jets of the map components in the new base variables.  Works by
-    summing the Taylor polynomial of u over the zero-value displacement
-    jets, so it is exact to the common order.
+    jets of the map components in the new base variables, of u's order.
+    Works by summing the Taylor polynomial of u over the zero-value
+    displacement jets, so it is exact to that order.
     """
     n = u.order
-    if iota1.order != n or iota2.order != n:
-        raise ValueError("component jets must share the jet order")
     # iota - iota.value, coefficient by coefficient (x - 0.0 is x)
     d1, d2 = (_jet(n, (c[0] - c[0], *c[1:]))
               for c in (iota1.coeffs, iota2.coeffs))

@@ -145,8 +145,8 @@ def _pushforward(pj, p, phi_jets):
              for c in (pj.gt, pj.h))
     m, n = einstein.UPPER
     ai, ones = np.linalg.inv(p.alpha), [1] * pj.batch
-    w = (ai[:, None, m] * ai[None, :, n]).reshape(2, 2, 3, *ones)
     with jets.block_errstate(pj.batch):
+        w = (ai[:, None, m] * ai[None, :, n]).reshape(2, 2, 3, *ones)
         Jinv = jets.block([[J[1][1], -J[0][1]], [-J[1][0], J[0][0]]]) \
             / det_J                  # Jinv[i, m] = dt^i / dtbar^m
         # the law's sums, from 0.0, over (i, j) and (kk, ll) in turn

@@ -395,12 +395,13 @@ def test_non_finite_report_value_is_an_input_error(tmp_path, capsys):
         (*FUNDAMENTAL_IDS, *SECOND_ORDER_COLUMNS))}
 
 
-def _module_run(*argv):
-    """``python -m g2inv`` in a fresh interpreter that shows every warning."""
+def _module_run(*argv, warn="always"):
+    """``python -m g2inv`` in a fresh interpreter that shows every warning,
+    or, with warn="error::RuntimeWarning", raises it."""
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(g2inv.__file__)))
     env.pop("PYTHONWARNINGS", None)
-    return subprocess.run([sys.executable, "-W", "always", "-m", "g2inv",
+    return subprocess.run([sys.executable, "-W", warn, "-m", "g2inv",
                            *argv], capture_output=True, text=True, env=env)
 
 
@@ -1700,6 +1701,23 @@ def test_an_overflowing_alpha_is_one_error_line_without_a_warning(
                                 "--report-invariance"], capsys) \
             == "error: singular evaluation in 'div' at value 0.0\n"
     assert not seen, [str(w.message) for w in seen]
+
+
+@pytest.mark.parametrize("warn", ["always", "error::RuntimeWarning"])
+@pytest.mark.parametrize("report, message", [
+    ([], "non-finite value nan for 'C_rho'"),
+    (["--report-invariance"], "singular evaluation in 'pushforward "
+     "fundamentals' at value nan (C_rho at (0.5, 1.0))")])
+def test_a_tiny_alpha_entry_is_one_error_line_without_a_warning(
+        vdb_file, tmp_path, warn, report, message):
+    # alpha^-1 holds 1e200, whose square in h-bar's law overflows
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps({**GOOD_TRANSFORM, "alpha": [
+        [1e-200, 0], [0, 1]]}))
+    r = _module_run("transform", vdb_file, str(path), *report,
+                    "--points", "0.5,1.0", warn=warn)
+    assert (r.returncode, r.stdout, r.stderr) \
+        == (2, "", f"error: {message}\n")
 
 
 # gt with a zero LU pivot, where det gt as a product is -1.1e-16

@@ -70,6 +70,27 @@ def test_operands_of_different_orders_are_rejected():
             op(a, b)
 
 
+def test_a_jet_is_immutable():
+    with pytest.raises(AttributeError, match="Jet2 is immutable"):
+        jets.seed(0.5, 0, 1).order = 2
+
+
+def test_an_operand_that_is_no_number_or_jet_is_a_type_error():
+    j = jets.seed(0.5, 0, 1)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+               operator.pow):
+        for a, b in ((j, "x"), ("x", j)):
+            with pytest.raises(TypeError):
+                op(a, b)
+
+
+def test_a_bad_coordinate_or_function_name_is_a_value_error():
+    with pytest.raises(ValueError, match="var_index must be 0, 1 or None"):
+        jets.seed(0.5, 2, 1)
+    with pytest.raises(ValueError, match="unknown elementary function 'erf'"):
+        jets.elementary("erf", jets.seed(0.5, 0, 1))
+
+
 def test_product_rule():
     j = jets.seed(2, 0, 1) * jets.seed(3, 1, 1)
     assert j.coeffs == (6.0, 3.0, 2.0)

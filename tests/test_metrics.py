@@ -705,6 +705,16 @@ def test_fd_reports_the_singular_stencil_point_met_first():
         == ("ln", (0.6 - jets.FD_STEP / 2.0) - 0.5951)
 
 
+@pytest.mark.parametrize("order, method, message", [
+    (0, "analytic", "cannot differentiate an order-0 jet"),
+    (3, "fd", "finite-difference jets support order <= 2 only"),
+    (2, "spline", "unknown jet method 'spline'")])
+def test_an_order_or_method_with_no_jets_is_a_value_error(order, method,
+                                                          message):
+    with pytest.raises(ValueError, match=message):
+        point_jets(catalog("vdb"), (0.6, 1.1), order=order, method=method)
+
+
 def test_each_point_evaluates_a_failing_item_alone():
     # 0/(t1 + 0.5) is singular at the 4th point only; a batch holding it
     # fails with the batch's array of denominators in its text

@@ -255,6 +255,13 @@ def test_apply_to_metric_rejects_nonaffine():
                                        [[1, 0], [0, 1]]))
 
 
+def test_apply_to_metric_rejects_a_degenerate_phi():
+    with pytest.raises(DegenerateTransformError, match="J_phi = 0"):
+        apply_to_metric(catalog("vdb"),
+                        make_transform("t1", "t1", "0", "0",
+                                       [[1, 0], [0, 1]]))
+
+
 def test_identity_image_keeps_the_fundamentals():
     # apply_to_metric rewrites a bfh source in submersion form by the bfh
     # law on its nodes, and point_jets converts the source by the same
