@@ -30,14 +30,6 @@ def _stack(a, core):
         else np.ascontiguousarray(a.transpose(-1, *range(a.ndim - 1)))
 
 
-def _unstack(s, pj):
-    """A stack back in pj's layout: a batch's with a trailing point axis,
-    one point's entry (a float for a scalar)."""
-    if pj.batch:
-        return s.transpose(*range(1, s.ndim), 0)
-    return float(s[0]) if s.ndim == 1 else s[0]
-
-
 def _max(first, *rest):
     """Python's max(first, *rest), column by column on a batch (a later
     value replaces the one kept only if greater, so NaN stays as max)."""

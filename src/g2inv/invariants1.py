@@ -42,6 +42,11 @@ FUNDAMENTAL_IDS = ("C_rho", "C_chi", "Q_chi", "Q_gamma", "ell_C",
                    "Theta_I_sq")
 
 
+def _det2(rows):
+    (a, b), (c, d) = rows
+    return a * d - b * c
+
+
 def _det3(rows):
     (a, b, c), (d, e, f), (g, h, i) = rows
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
@@ -203,17 +208,20 @@ def oneill_tensors(pj):
     # columns[k][c][e] -> T[e][k][c]
     T = np.moveaxis(np.array([[mixed(k, 0), mixed(k, 1), vertical(k, 0),
                                vertical(k, 1)] for k in range(2)]), 2, 0)
-    Y = pj.frame
-    TC, TCp = (einstein._stack(np.einsum("dkb...,k...->db...", T, v[2:]),
-                               2) for v in (Y[2], Y[3]))
+    # T(v, .) of a vertical v maps X_j to d_zk and d_zk to X_j, so its
+    # determinant is det A det B of those two 2x2 blocks
+    Tv = np.einsum("dkb...,vk...->vdb...", T, pj.frame[2:, 2:])
+    if not pj.batch:  # Python floats: overflow is silent, as on floats
+        Tv = Tv.tolist()
+    TC, TCp = (_det2([r[2:] for r in t[:2]]) * _det2([r[:2] for r in t[2:]])
+               for t in Tv)
     # T_C is skew-adjoint w.r.t. g, so det(T_C) = Pf(g T_C)^2 / det(g)
     # carries the sign of det(g) = det(gt) det(h).  Theta_C is the
     # nonnegative normalization (making Theta_I^2 = 16 Theta_C exact),
     # Theta_Cperp the raw determinant (pairing with the signed relation
     # Theta_III^2 = +-_{gt h} 16 Theta_Cperp).
     sgh = pj.stratum.sign_det_gt * pj.stratum.sign_det_h
-    return (T, sgh * einstein._unstack(np.linalg.det(TC), pj),
-            einstein._unstack(np.linalg.det(TCp), pj))
+    return T, sgh * TC, TCp
 
 
 def relations_first(pj):

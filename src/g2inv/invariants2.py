@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import einstein, jets, metrics
-from .errors import SingularMetricError
 # perfbench/bench_selftest.py checks that its tracer rewraps this binding
 from .invariants1 import FUNDAMENTAL_IDS, first_invariant_jets  # noqa: F401
 
@@ -26,15 +25,11 @@ SECOND_ORDER_COLUMNS = (
     "J1", "J2")
 
 
-def _trace_det(pj, mu, gi, det_gt):
-    """C_mu = tr(gt^-1 mu) and Q_mu = det mu / det gt, from the stacks
-    of gt^-1 and det gt."""
-    mu = einstein._stack(mu, 2)
-    # a 1x4 by 4x1 product per column: np.tensordot's sum for one point
-    c = (gi.reshape(-1, 1, 4) @ mu.reshape(-1, 4, 1))[:, 0, 0]
-    with np.errstate(divide="ignore"):  # a zero pivot: log 0 in det, det 0
-        q = np.linalg.det(mu) / det_gt
-    return einstein._unstack(c, pj), einstein._unstack(q, pj)
+def _trace_det(mu, gi, det_gt):
+    """C_mu = tr(gt^-1 mu) and Q_mu = det mu / det gt of the 2x2 mu, from
+    gi = (gt^11, gt^12, gt^22) and det gt."""
+    (a, b), (c, d) = mu
+    return gi[0] * a + gi[1] * (b + c) + gi[2] * d, (a * d - b * c) / det_gt
 
 
 def _hessian_log_det_h(pj, gamma2):
@@ -62,26 +57,24 @@ def second_invariants_from_jets(pj):
         jets.along(v, jv[k]) for v in (X, Xp) for k in FUNDAMENTAL_IDS]))
 
     # the orbit metric's Christoffel block jet (order pj.order - 1), and
-    # C and Q of its Ricci tensor and of nu from one gt^-1 and det gt
-    gt, gi = (jets.block([m[:2], m[1:]]) for m in (pj.gt, jv["gi"]))
-    gamma = einstein._christoffel(gt, gi)
-    stack = einstein._stack(gt.value, 2)
-    try:  # LU can find a zero pivot where det gt, as a product, is not 0
-        inv_det = np.linalg.inv(stack), np.linalg.det(stack)
-    except np.linalg.LinAlgError:
-        raise SingularMetricError(
-            f"singular orbit metric: gt = {stack[0].tolist()} has no "
-            "inverse") from None
-    c_ric, q_ric = _trace_det(pj, np.einsum(
-        "abad...->bd...", einstein._riemann(gamma)), *inv_det)
-    C_nu, Q_nu = _trace_det(pj, _hessian_log_det_h(pj, gamma), *inv_det)
+    # C and Q of its Ricci tensor and of nu from the fundamentals' gt^-1
+    # and det gt
+    gamma = einstein._christoffel(*(jets.block([m[:2], m[1:]])
+                                    for m in (pj.gt, jv["gi"])))
+    ric = np.einsum("abad...->bd...", einstein._riemann(gamma))
+    nu = _hessian_log_det_h(pj, gamma)
+    if not pj.batch:  # Python floats: overflow is silent, as on floats
+        ric, nu = ric.tolist(), nu.tolist()
+    gi, det_gt = [x.value for x in jv["gi"]], pj.det_gt.value
+    c_ric, q_ric = _trace_det(ric, gi, det_gt)
+    C_nu, Q_nu = _trace_det(nu, gi, det_gt)
     # ric_scale, the size of the terms C_ric sums: |g^-1| (|dGamma| +
     # |Gamma|^2), inf as on floats
     with np.errstate(over="ignore", invalid="ignore"):
         size = np.abs(gamma.value).max((0, 1, 2))
-        ric_scale = einstein._unstack(np.abs(inv_det[0]).max((1, 2)) * (
+        ric_scale = np.abs(gi).max(0) * (
             np.abs(jets.gradient(gamma, 2).value).max((0, 1, 2, 3))
-            + size * size), pj)
+            + size * size)
     C_rho = jv["C_rho"].value
     C_chi = jv["C_chi"].value
     sg = pj.stratum.sign_det_gt
@@ -92,7 +85,7 @@ def second_invariants_from_jets(pj):
         # the horizontal plane's sectional curvature
         K_Xiperp=0.5 * c_ric - sg * 0.75 * jv["ell_C"].value,
         J1=None, J2=None,  # None where C_rho ~ 0 (pj.stratum.c_rho_zero)
-        ric_scale=ric_scale)
+        ric_scale=ric_scale if pj.batch else float(ric_scale))
 
     batch = isinstance(C_rho, np.ndarray)  # J1, J2 NaN where C_rho ~ 0
     if batch or not pj.stratum.c_rho_zero:

@@ -347,6 +347,9 @@ def point_jets(m, point, order=2, method="analytic"):
     larger coefficient, the kernel's NaN in a derivative slot, which
     fails the point alone, is a finite scaled coefficient in a batch.
     """
+    if order not in range(1, jets.MAX_ORDER + 1):
+        raise ValueError(
+            f"point_jets order must be in 1..{jets.MAX_ORDER}, got {order!r}")
     batch = isinstance(point[0], np.ndarray)
     point = tuple(np.array(t, dtype=float) if batch else float(t)
                   for t in (point[0], point[1]))

@@ -85,34 +85,21 @@ def load_transform(document):
                           document["alpha"])
 
 
-def _inverse_map_jets(J, order):
-    """Jets (in t-bar) of phi^-1 from the jets J[m][i] = d phi^m / dt^i.
-
-    J_phi's inverse is taken on the (B, 2, 2) stack of its columns, with
-    the bits of one np.linalg call per matrix; LU can find a zero pivot
-    where det J, as a product, is not 0."""
+def _inverse_map_jets(J, M, order):
+    """Jets (in t-bar) of phi^-1 from the jets J[m][i] = d phi^m / dt^i
+    and the value M[i][a] = dt^i / dtbar^a of their inverse."""
     d = jets.t_derivative
-    batch = isinstance(J[0][0].value, np.ndarray)
-    try:
-        stack = np.linalg.inv(einstein._stack(np.array(
-            [[J[m][i].value for i in range(2)] for m in range(2)]), 2))
-    except np.linalg.LinAlgError:
-        raise DegenerateTransformError("J_phi = 0") from None
-    M = stack.transpose(1, 2, 0) if batch else stack[0]
-    iotas = [[0.0] * len(jets._IDX[order]) for _ in range(2)]
+    coeffs = [np.zeros_like(M[0])] * len(jets._IDX[order])
     # d iota^i / d tbar^a = M^i_a; second derivatives from
     # d2 iota^i = -M^i_c K^c_jk M^j_a M^k_b
-    if order >= 1:
-        for i in range(2):
-            iotas[i][1:3] = M[i]
+    coeffs[1:3] = M[:, 0], M[:, 1]
     if order >= 2:
         K = np.array([[[d(J[c][j], k).value for k in range(2)]
                        for j in range(2)] for c in range(2)])
         D2 = -np.einsum("ic...,cjk...,ja...,kb...->iab...", M, K, M, M)
-        for i in range(2):
-            iotas[i][3:6] = D2[i][0][0], D2[i][0][1], D2[i][1][1]
-    lift = (lambda c: np.full(stack.shape[0], c)) if batch else float
-    return [jets._jet(order, tuple(map(lift, c))) for c in iotas]
+        coeffs[3:6] = D2[:, 0, 0], D2[:, 0, 1], D2[:, 1, 1]
+    iota = jets._jet(order, tuple(coeffs))
+    return [jets.part(iota, i) for i in range(2)]
 
 
 def _map_jets(p, t, order):
@@ -144,9 +131,11 @@ def _pushforward(pj, p, phi_jets):
     gt, h = (part(jets.block([c[:2], c[1:]]), np.s_[:, :, None])
              for c in (pj.gt, pj.h))
     m, n = einstein.UPPER
-    ai, ones = np.linalg.inv(p.alpha), [1] * pj.batch
+    (a11, a12), (a21, a22) = p.alpha  # floats: an overflow is silent
     with jets.block_errstate(pj.batch):
-        w = (ai[:, None, m] * ai[None, :, n]).reshape(2, 2, 3, *ones)
+        ai = np.array([[a22, -a12], [-a21, a11]]) / (a11 * a22 - a12 * a21)
+        w = (ai[:, None, m] * ai[None, :, n]).reshape(
+            2, 2, 3, *[1] * pj.batch)
         Jinv = jets.block([[J[1][1], -J[0][1]], [-J[1][0], J[0][0]]]) \
             / det_J                  # Jinv[i, m] = dt^i / dtbar^m
         # the law's sums, from 0.0, over (i, j) and (kk, ll) in turn
@@ -155,15 +144,20 @@ def _pushforward(pj, p, phi_jets):
         h_bar = jets.fold(0.0, jets._scale(w, h.coeffs, k), 2)
         W, det = pj.curl, jets.truncate(det_J, k - 1)
         W_bar = [(a[0] * W[0] + a[1] * W[1]) / det for a in p.alpha]
-    iotas = _inverse_map_jets(J, k)
+    iotas = _inverse_map_jets(J, Jinv.value, k)
     with jets.block_errstate(pj.batch):
         out = jets.compose_map(jets._jet(k, tuple(map(np.concatenate, zip(
             gt_bar.coeffs, h_bar.coeffs)))), *iotas)
         curl = jets.compose_map(jets.block(W_bar), *(
             jets.truncate(i, k - 1) for i in iotas))
-    return metrics.assemble((phi_jets[0].value, phi_jets[1].value), k,
-                            [part(out, q) for q in range(6)],
-                            curl=(part(curl, 0), part(curl, 1)))
+    image = metrics.assemble((phi_jets[0].value, phi_jets[1].value), k,
+                             [part(out, q) for q in range(6)],
+                             curl=(part(curl, 0), part(curl, 1)))
+    # det gt-bar = det gt / det J_phi^2, which rounds to 0 where J_phi is
+    # all but singular
+    if jets._any(image.det_gt.value == 0.0):
+        raise DegenerateTransformError(f"J_phi = 0 at {pj.point}")
+    return image
 
 
 def apply_to_metric(m, p, name=None):

@@ -26,6 +26,14 @@ class FrameRequiredError(G2InvError):
     """Operation needs the full semi-invariant frame but C_rho*ell_C ~ 0."""
 
 
+def _unstack(s, pj):
+    """A stack back in pj's layout: a batch's with a trailing point axis,
+    one point's entry (a float for a scalar)."""
+    if pj.batch:
+        return s.transpose(*range(1, s.ndim), 0)
+    return float(s[0]) if s.ndim == 1 else s[0]
+
+
 # the fields that carry their t-derivatives (Theta_II, Theta_III and
 # q_gamma_root are values alone)
 FIELD_IDS = FUNDAMENTAL_IDS + ("Theta_I",)
@@ -117,7 +125,7 @@ def sectional_curvature(pj, u, v, riemann=None):
     # each column's products, and ** on its float64
     den = _form(u, g, u) * _form(v, g, v) \
         - np.array([x ** 2 for x in _form(u, g, v)])
-    return einstein._unstack(_form(w, g, u) / den, pj)
+    return _unstack(_form(w, g, u) / den, pj)
 
 
 def frame_lengths(pj):
@@ -127,7 +135,7 @@ def frame_lengths(pj):
     o = np.zeros_like(a)
     g = einstein._stack(np.array([[a, b, o, o], [b, c, o, o],
                                   [o, o, p, q], [o, o, q, r]]), 2)
-    return np.array([einstein._unstack(_form(y, g, y), pj)
+    return np.array([_unstack(_form(y, g, y), pj)
                      for y in (einstein._stack(v, 1) for v in pj.frame)])
 
 

@@ -1720,7 +1720,8 @@ def test_a_tiny_alpha_entry_is_one_error_line_without_a_warning(
         == (2, "", f"error: {message}\n")
 
 
-# gt with a zero LU pivot, where det gt as a product is -1.1e-16
+# gt with a zero LU pivot, where det gt as a product is -1.1e-16: not
+# singular, as point_jets tests it
 LU_SINGULAR_GT = {"gt11": "1.6726349282588393", "gt12": "0.8774783591014064",
                   "gt22": "0.4603325314345848"}
 
@@ -1734,10 +1735,7 @@ LU_SINGULAR_GT = {"gt11": "1.6726349282588393", "gt12": "0.8774783591014064",
      "singular evaluation in 'sin' at value inf "
      "(in 'sin(1e+308 * 1e+308 * t2)')"),
     ({"F11": "cos(1e308*1e308*t2)"}, ["--at", "0.5,0.5", "--method", "fd"],
-     "singular evaluation in 'cos' at value inf"),
-    (LU_SINGULAR_GT, ["--at", "0.5,0.5", "--order", "2"],
-     "singular orbit metric: gt = [[1.6726349282588393, 0.8774783591014064], "
-     "[0.8774783591014064, 0.4603325314345848]] has no inverse")])
+     "singular evaluation in 'cos' at value inf")])
 def test_a_singular_or_overflowing_component_is_one_error_line(
         tmp_path, capsys, components, argv, message):
     path = _submersion_file(tmp_path, {**FLAT_SUBMERSION, **components})
@@ -1745,15 +1743,27 @@ def test_a_singular_or_overflowing_component_is_one_error_line(
         == f"error: {message}\n"
 
 
-def test_an_lu_singular_gt_fails_only_its_own_point(tmp_path, capsys):
-    # the batch raises, and each_point evaluates its points alone
+def test_an_lu_singular_gt_has_the_first_order_report_at_order_2(
+        tmp_path, capsys):
+    path = _submersion_file(tmp_path, {**FLAT_SUBMERSION, **LU_SINGULAR_GT})
+    reports = []
+    for order in ("1", "2"):
+        capsys.readouterr()
+        assert run(["invariants", path, "--at", "0.5,0.5", "--order", order,
+                    "--json"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert "second_order" in reports[1]
+    assert reports[0]["fundamentals"] == reports[1]["fundamentals"]
+
+
+def test_an_lu_singular_gt_has_c_ric_on_every_grid_row(tmp_path, capsys):
     path = _submersion_file(tmp_path, {**FLAT_SUBMERSION, **LU_SINGULAR_GT,
                                        "gt22": "0.4603325314345848 + t1"})
     capsys.readouterr()
     assert run(["grid", path, "--t1", "0:0.5:2", "--t2", "0.5:0.5:1",
                 "--order", "2", "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
-    assert rows[0]["C_ric"] is None and rows[1]["C_ric"] is not None
+    assert [row["C_ric"] is None for row in rows] == [False, False]
 
 
 @pytest.mark.parametrize("change, argv, message", [
@@ -1761,10 +1771,11 @@ def test_an_lu_singular_gt_fails_only_its_own_point(tmp_path, capsys):
     ({"phi1": "1e-200*t1"}, ["--report-invariance", "--points", "0.5,1.0"],
      "singular evaluation in 'pushforward fundamentals' at value nan "
      "(C_rho at (0.5, 1.0))"),
-    # LU finds a zero pivot where the determinant as a product is -2.8e-17
+    # det J_phi as a product is -2.8e-17, and det gt-bar rounds to 0 at
+    # the second point alone
     ({"phi1": "1.4527156893995463*t1 + 0.16584488099636685*t2",
       "phi2": "-1.297377517589764*t1 + -0.1481111697093119*t2"},
-     ["--points", "0.5,1;0.6,1.1"], "J_phi = 0"),
+     ["--points", "0.5,1;0.6,1.1"], "J_phi = 0 at (0.6, 1.1)"),
     ({"alpha": [[1.4527156893995463, 0.16584488099636685],
                 [-1.297377517589764, -0.1481111697093119]]},
      ["--points", "0.5,1"], "alpha must be invertible")])

@@ -65,12 +65,41 @@ def test_the_first_differing_op_of_each_kind_is_named(tmp_path):
     new = _record(tmp_path / "new.jsonl", [
         (["equiv", "a", "b"], 0, _report({})),
         (["equiv", "a", "c"], 0, _report({"max_discrepancy": 3e-12})),
-        (["grid", "a"], 0, grid.replace("1", "2")),
-        (["grid", "b"], 0, grid.replace("1", "3"))])
+        (["grid", "a"], 0, grid.replace(",1\n", ",2\n")),
+        (["grid", "b"], 0, grid.replace(",1\n", ",3\n"))])
     assert ident_drift.report(old, new) == [
         "equiv equiv: 1 of 2 ops differ",
         "  first: seed 1: `equiv a c`",
         "  max_discrepancy: worst floor-1 relative 1e-12, relative 0.33",
         "equiv grid: 2 of 2 ops differ",
         "  first: seed 1: `grid a`",
-        "  <text>: worst floor-1 relative inf, relative inf"]
+        "  t2: worst floor-1 relative 0.67, relative 0.67"]
+
+
+def test_a_table_or_plain_text_report_is_compared_value_by_value(tmp_path):
+    # a grid --csv table by its header, a plain-text report by the path of
+    # its keys; a changed header is a change of structure
+    grid = "t1,t2,C_rho\n0.5,1,nan\n0.5,2,-4\n"
+    text = ("command: rank\nfirst_order:\n  max_residual: 1e-16\n"
+            "  pass: True\n  points:\n    point:\n      - 0.5\n      - 1\n"
+            "    q_ric: 0\nnote: a, b\n")
+    old = _record(tmp_path / "old.jsonl", [
+        (["grid", "a"], 0, grid), (["grid", "b"], 0, grid),
+        (["rank", "a"], 0, text)])
+    new = _record(tmp_path / "new.jsonl", [
+        (["grid", "a"], 0, grid.replace("nan", "3").replace("-4", "-5")),
+        (["grid", "b"], 0, grid.replace("C_rho", "C_chi")),
+        (["rank", "a"], 0, text.replace("1e-16", "3e-16")
+         .replace("- 1\n", "- 1.5\n").replace("True", "False"))])
+    assert ident_drift.report(old, new) == [
+        "equiv grid: 2 of 2 ops differ",
+        "  first: seed 1: `grid a`",
+        "  <structure>: worst floor-1 relative inf, relative inf",
+        "  C_rho: worst floor-1 relative inf, relative inf",
+        "equiv rank: 1 of 1 ops differ",
+        "  first: seed 1: `rank a`",
+        "  first_order.max_residual: worst floor-1 relative 2e-16, "
+        "relative 0.67",
+        "  first_order.pass: worst floor-1 relative inf, relative inf",
+        "  first_order.points.point: worst floor-1 relative 0.33, "
+        "relative 0.33"]

@@ -706,7 +706,9 @@ def test_fd_reports_the_singular_stencil_point_met_first():
 
 
 @pytest.mark.parametrize("order, method, message", [
-    (0, "analytic", "cannot differentiate an order-0 jet"),
+    (0, "analytic", "point_jets order must be in 1..3, got 0"),
+    (4, "analytic", "point_jets order must be in 1..3, got 4"),
+    (-1, "analytic", "point_jets order must be in 1..3, got -1"),
     (3, "fd", "finite-difference jets support order <= 2 only"),
     (2, "spline", "unknown jet method 'spline'")])
 def test_an_order_or_method_with_no_jets_is_a_value_error(order, method,

@@ -115,7 +115,8 @@ def _nested_pushforward(pj, p, phi_jets, psi_jets):
                     inner = inner + a[r][kk] * pj.F[2 * i + kk]
                 acc = acc + Jinv[i][m] * inner
             F_bar.append(acc)
-    iotas = _inverse_map_jets(J, k)
+    iotas = _inverse_map_jets(J, np.array([[x.value for x in row]
+                                           for row in Jinv]), k)
     return metrics.assemble(
         (phi_jets[0].value, phi_jets[1].value), k,
         [jets.compose_map(u, *iotas) for u in (*gt_bar, *F_bar, *h_bar)])

@@ -9,18 +9,23 @@ order of their keys), then each change of exit code or ``verdict``,
 each op only one record has, and, for each JSON key of the ops' stdout
 whose value moved, the worst floor-1 relative difference
 |old - new| / max(1, |old|, |new|) (perfbench's ``rel_err``) and the
-worst plain relative difference |old - new| / max(|old|, |new|).  Keys
-name nested values by their path, list indices dropped
-(``witness.a_point``); a stdout that is not JSON is compared as one
-value, ``<text>``, and so is a key whose value changed type or is not a
-number.  The ``file`` records are compared by digest.  Nothing is printed
-for a workload whose ops are byte-identical; the exit code is 0 either
-way.
+worst plain relative difference |old - new| / max(|old|, |new|).  A
+stdout is read as a JSON document, a ``grid --csv`` table or a
+plain-text report, and its values are compared one by one: a JSON
+document's leaves, keyed by their path with list indices dropped
+(``witness.a_point``); a table's cells, keyed by the column's header; a
+plain-text report's ``key: value`` and ``- value`` lines, in order,
+keyed by the path of the ``key:`` lines above them
+(``first_order.points.q_ric``).  A value that is not a number moves by
+inf; a stdout whose keys changed is one value, ``<structure>``.  The
+``file`` records are compared by digest.  Nothing is printed for a
+workload whose ops are byte-identical; the exit code is 0 either way.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from collections import Counter, defaultdict
 
@@ -54,6 +59,39 @@ def _leaves(x, path=""):
         yield path, x
 
 
+def _text_leaves(stdout):
+    """(path, text) of each value of a grid --csv table (keyed by its
+    header) or of a plain-text report (keyed by the ``key:`` lines above
+    it, by their indentation)."""
+    lines = stdout.splitlines()
+    if lines and "," in lines[0] and ": " not in lines[0]:
+        header = lines[0].split(",")
+        for line in lines[1:]:
+            yield from zip(header, line.split(","))
+        return
+    above = []  # (indent, key) of the enclosing "key:" lines
+    for line in filter(None, lines):
+        body = line.lstrip(" ")
+        indent = len(line) - len(body)
+        while above and above[-1][0] >= indent:
+            above.pop()
+        path = [key for _, key in above]
+        key, sep, value = body.partition(": ")
+        if body.startswith("- "):  # an item of the list of the key above
+            yield ".".join(path), body[2:]
+        elif sep:
+            yield ".".join(path + [key]), value
+        else:
+            above.append((indent, body[:-1]))
+
+
+def _values(stdout):
+    """(key, value) of each value of a stdout, as the module docstring
+    reads it."""
+    parsed = _parsed(stdout)
+    return list(_text_leaves(stdout) if parsed is None else _leaves(parsed))
+
+
 def _parsed(stdout):
     try:
         return json.loads(stdout)
@@ -67,28 +105,31 @@ def _verdict(stdout):
 
 
 def _number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """x as a float if it is a number or a text that reads as one."""
+    if isinstance(x, bool):
+        return None
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        return None
 
 
 def _drift(old, new):
     """{key: (floor-1 relative, relative)} of the values that moved
-    between two stdouts; a value that is not a number, or a structure
-    that changed, moves by inf."""
-    a, b = _parsed(old), _parsed(new)
-    if a is None or b is None:
-        return {"<text>": (float("inf"),) * 2} if old != new else {}
-    la, lb = list(_leaves(a)), list(_leaves(b))
+    between two stdouts; a value that is not a number, or that moved
+    from or to inf or NaN, moves by inf, and a change of keys is one
+    value, <structure>, that moves by inf."""
+    la, lb = _values(old), _values(new)
     if [k for k, _ in la] != [k for k, _ in lb]:
-        return {"<structure>": (float("inf"),) * 2}
+        return {"<structure>": (math.inf,) * 2}
     out = {}
-    for (key, x), (_, y) in zip(la, lb):
-        if x == y:
+    for (key, a), (_, b) in zip(la, lb):
+        x, y = _number(a), _number(b)
+        if a == b or (x is not None and x == y):
             continue
-        if _number(x) and _number(y):
-            d = abs(x - y)
-            rel = (d / max(1.0, abs(x), abs(y)), d / max(abs(x), abs(y)))
-        else:
-            rel = (float("inf"),) * 2
+        d = math.inf if x is None or y is None else abs(x - y)
+        rel = ((d / max(1.0, abs(x), abs(y)), d / max(abs(x), abs(y)))
+               if math.isfinite(d) else (math.inf,) * 2)
         out[key] = tuple(map(max, out.get(key, (0.0, 0.0)), rel))
     return out
 
