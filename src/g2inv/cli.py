@@ -183,8 +183,9 @@ def _columns(row):
 
 def cmd_invariants(args):
     m = metrics.load_metric(args.metric)
-    row, = _rows(metrics.point_jets(m, args.at, order=args.order,
-                                    method=args.method), args.order)
+    row, = metrics.each_point_or_raise(lambda point: _rows(
+        metrics.point_jets(m, point, order=args.order, method=args.method),
+        args.order), [args.at])
     report = {
         "command": "invariants",
         "metric": m.name,

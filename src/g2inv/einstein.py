@@ -98,13 +98,10 @@ def _christoffel(g, ginv, koszul=None):
     if koszul is not None:
         bracket = bracket + koszul
     # summed over d in turn, one d at a time (the per-entry jet loop's
-    # bits, without every d's terms at once on a batch); a product
-    # overflows silently, and its inf or NaN fails the sum or a reader
+    # bits, without every d's terms at once on a batch)
     acc = jets.constant(0.0, ginv.order)
     for k in range(n):
-        with np.errstate(over="ignore", invalid="ignore"):
-            term = part(ginv, np.s_[:, k, None, None]) * part(bracket, k)
-        acc = acc + term
+        acc = acc + part(ginv, np.s_[:, k, None, None]) * part(bracket, k)
     return 0.5 * acc
 
 
@@ -122,13 +119,12 @@ def christoffel4(pj):
     (g11, g12, g22), (h11, h12, h22) = ([tr(j) for j in m]
                                         for m in (pj.gt, pj.h))
     gt, h = (jets.block([m[:2], m[1:]]) for m in (pj.gt, pj.h))
-    with jets.block_errstate(pj.batch):
-        gi = jets.block([[g22, -g12], [-g12, g11]]) / tr(pj.det_gt)
-        hi = jets.block([[h22, -h12], [-h12, h11]]) / tr(pj.det_h)
-        w = jets.block([h11 * W[0] + h12 * W[1], h12 * W[0] + h22 * W[1]])
-        return _christoffel(
-            _symmetric(gt, 0.0 * gt, h), _symmetric(gi, 0.0 * gi, hi),
-            jets._jet(w.order, tuple(_KOSZUL @ x for x in w.coeffs)))
+    gi = jets.block([[g22, -g12], [-g12, g11]]) / tr(pj.det_gt)
+    hi = jets.block([[h22, -h12], [-h12, h11]]) / tr(pj.det_h)
+    w = jets.block([h11 * W[0] + h12 * W[1], h12 * W[0] + h22 * W[1]])
+    return _christoffel(
+        _symmetric(gt, 0.0 * gt, h), _symmetric(gi, 0.0 * gi, hi),
+        jets._jet(w.order, tuple(_KOSZUL @ x for x in w.coeffs)))
 
 
 def _riemann(gamma):
@@ -142,11 +138,13 @@ def _riemann(gamma):
 
 def riemann4(pj):
     """R^a_bcd values in the frame (order >= 2 jets): _riemann's less
-    c^e_cd G^a_eb, which is W^k G^a_(2+k)b at (c, d) = (0, 1)."""
+    c^e_cd G^a_eb, which is W^k G^a_(2+k)b at (c, d) = (0, 1); overflow
+    or invalid arithmetic in it is a SingularEvaluationError."""
     G, (W1, W2) = pj.christoffel.value, (w.value for w in pj.curl)
-    R, term = _riemann(pj.christoffel), W1 * G[:, 2] + W2 * G[:, 3]
-    R[:, :, 0, 1] -= term
-    R[:, :, 1, 0] += term
+    with metrics.singular_on_overflow("riemann4"):
+        R, term = _riemann(pj.christoffel), W1 * G[:, 2] + W2 * G[:, 3]
+        R[:, :, 0, 1] -= term
+        R[:, :, 1, 0] += term
     return R
 
 

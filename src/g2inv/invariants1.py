@@ -211,7 +211,7 @@ def oneill_tensors(pj):
     # T(v, .) of a vertical v maps X_j to d_zk and d_zk to X_j, so its
     # determinant is det A det B of those two 2x2 blocks
     Tv = np.einsum("dkb...,vk...->vdb...", T, pj.frame[2:, 2:])
-    if not pj.batch:  # Python floats: overflow is silent, as on floats
+    if not pj.batch:  # floats, which overflow silently in a suite's guard
         Tv = Tv.tolist()
     TC, TCp = (_det2([r[2:] for r in t[:2]]) * _det2([r[:2] for r in t[2:]])
                for t in Tv)
@@ -386,7 +386,9 @@ def jacobian(which, probe):
             _invariant_vector(_unpack(x, order), which).T)),
         [x0 + s * h * e for h, e in zip(steps, directions)
          for s in (1.0, -1.0)]))
-    return (f[:, 0::2] - f[:, 1::2]) / (2.0 * np.array(steps))
+    # silent: inf - inf is a NaN row, which numerical_rank counts lost
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (f[:, 0::2] - f[:, 1::2]) / (2.0 * np.array(steps))
 
 
 def jacobian_rank(which, probe, eps=1e-6):

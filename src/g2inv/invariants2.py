@@ -63,18 +63,17 @@ def second_invariants_from_jets(pj):
                                     for m in (pj.gt, jv["gi"])))
     ric = np.einsum("abad...->bd...", einstein._riemann(gamma))
     nu = _hessian_log_det_h(pj, gamma)
-    if not pj.batch:  # Python floats: overflow is silent, as on floats
+    if not pj.batch:  # floats, which overflow silently in a suite's guard
         ric, nu = ric.tolist(), nu.tolist()
     gi, det_gt = [x.value for x in jv["gi"]], pj.det_gt.value
     c_ric, q_ric = _trace_det(ric, gi, det_gt)
     C_nu, Q_nu = _trace_det(nu, gi, det_gt)
     # ric_scale, the size of the terms C_ric sums: |g^-1| (|dGamma| +
     # |Gamma|^2), inf as on floats
-    with np.errstate(over="ignore", invalid="ignore"):
-        size = np.abs(gamma.value).max((0, 1, 2))
-        ric_scale = np.abs(gi).max(0) * (
-            np.abs(jets.gradient(gamma, 2).value).max((0, 1, 2, 3))
-            + size * size)
+    size = np.abs(gamma.value).max((0, 1, 2))
+    ric_scale = np.abs(gi).max(0) * (
+        np.abs(jets.gradient(gamma, 2).value).max((0, 1, 2, 3))
+        + size * size)
     C_rho = jv["C_rho"].value
     C_chi = jv["C_chi"].value
     sg = pj.stratum.sign_det_gt

@@ -14,9 +14,9 @@ functions as one jet: each coefficient carries leading index axes (2x2,
 4x4x4, or 2x2x3 for the terms of three sums) in front of a batch's
 point axis.
 The kernels are elementwise and broadcast, so one block operation gives
-each entry the bits of its own operation; at a float point it runs
-silent (block_errstate), as Python floats do, and part gives the
-entries back as Python floats.
+each entry the bits of its own operation, under the caller's numpy
+error state (metrics.each_point sets it: silent at a float point, as
+Python floats are), and part gives the entries back as Python floats.
 
 Products and quotients run as straight-line code, one kernel per order
 generated at import (Griewank & Walther, Evaluating Derivatives, 2008,
@@ -40,7 +40,6 @@ test is a class comparison of the values, free for two float jets.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import types
@@ -360,12 +359,6 @@ def fold(acc, terms, n):
     return acc
 
 
-def block_errstate(batch):
-    """Where block arithmetic runs: under a batch's own errstate, and
-    silent at a float point, whose Python floats overflow silently."""
-    return contextlib.nullcontext() if batch else np.errstate(all="ignore")
-
-
 def constant(value, order):
     c = [0.0] * len(_IDX[order])
     c[0] = float(value)
@@ -661,10 +654,7 @@ def finite_difference_jet(evalfn, point, order):
     """
     values = dict(zip(_fd_stencil(order, FD_STEP),
                       map(evalfn, fd_points(point, order))))
-    # silent at a float point, as Python floats are, where an evalfn
-    # giving vectors would warn of an infinite stencil value
-    with block_errstate(isinstance(point[0], np.ndarray)):
-        coeffs = _fd_quotients(lambda *k: values[k], order)
+    coeffs = _fd_quotients(lambda *k: values[k], order)
     if isinstance(coeffs[0], np.ndarray):
         return _jet(order, tuple(coeffs))
     return Jet2(order, coeffs)

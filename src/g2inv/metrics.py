@@ -88,26 +88,29 @@ class G2Metric:
 
 @contextmanager
 def singular_on_overflow(what):
-    """numpy overflow or invalid arithmetic, or Python float overflow, in
-    the block is a SingularEvaluationError, not a RuntimeWarning and a
-    NaN or a traceback."""
+    """numpy overflow or invalid arithmetic in the block, or a Python
+    float's overflow or zero division (of a denominator that underflowed
+    to 0), is a SingularEvaluationError, not a RuntimeWarning and a NaN
+    or a traceback; the float errors in jets.elementary's words."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
-    except (FloatingPointError, OverflowError) as err:
+    except FloatingPointError as err:
         raise SingularEvaluationError(what, math.nan, str(err)) from None
+    except OverflowError:
+        raise SingularEvaluationError(what, math.nan, "overflow") from None
+    except ZeroDivisionError:
+        raise SingularEvaluationError(what, math.nan, "underflow") from None
 
 
-def _layer(module, name, guarded=False):
+def _layer(module, name):
     """A cached PointJets layer: g2inv.<module>.<name>(pj), looked up the
     first time the layer is read (those modules import this one, and a
-    patched or traced function is the one called).  A guarded layer does
-    numpy arithmetic, and overflow or invalid arithmetic in it is a
-    SingularEvaluationError; the others run silent, as on floats."""
+    patched or traced function is the one called), run silent at a point
+    or a batch, as on floats: what reads its inf or NaN names it."""
     def layer(pj):
         fn = getattr(importlib.import_module(f"g2inv.{module}"), name)
-        with (singular_on_overflow(name) if guarded
-              else np.errstate(all="ignore")):
+        with np.errstate(all="ignore"):
             return fn(pj)
     return cached_property(layer)
 
@@ -160,12 +163,11 @@ class PointJets:
     fields = _layer("invariants1", "first_invariant_jets")
     stratum = _layer("metrics", "classify")
     g4 = _layer("einstein", "four_metric")
-    christoffel = _layer("einstein", "christoffel4", guarded=True)
-    riemann = _layer("einstein", "riemann4", guarded=True)
-    frame = _layer("invariants1", "frame", guarded=True)
-    oneill_tensors = _layer("invariants1", "oneill_tensors", guarded=True)
-    second = _layer("invariants2", "second_invariants_from_jets",
-                    guarded=True)
+    christoffel = _layer("einstein", "christoffel4")
+    riemann = _layer("einstein", "riemann4")
+    frame = _layer("invariants1", "frame")
+    oneill_tensors = _layer("invariants1", "oneill_tensors")
+    second = _layer("invariants2", "second_invariants_from_jets")
 
 
 @dataclass(frozen=True)
@@ -400,9 +402,10 @@ def each_point(evaluate, items, stop=False):
     error.  With stop, the results end with the first failing item's
     error, a failing batch runs its first item alone before it is
     halved, and items after the first failing one run only in the
-    batches that failed with it.  numpy overflow, invalid arithmetic and
-    zero division raise in a batch, so an item that would print a numpy
-    warning runs alone and prints it as alone."""
+    batches that failed with it.  This is where numpy's error state is
+    set: an item alone runs silent, as its Python floats do, and numpy
+    overflow, invalid arithmetic and zero division raise in a batch, so
+    an item that meets one runs alone and gives what it gives alone."""
     if not len(items):
         return []
     if len(items) > MAX_BATCH:
@@ -411,7 +414,8 @@ def each_point(evaluate, items, stop=False):
     else:
         try:
             if len(items) == 1:
-                return evaluate(items[0])
+                with np.errstate(all="ignore"):
+                    return evaluate(items[0])
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 return evaluate(np.array(items).T)
         except (G2InvError, ArithmeticError) as err:

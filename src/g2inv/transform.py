@@ -132,24 +132,21 @@ def _pushforward(pj, p, phi_jets):
              for c in (pj.gt, pj.h))
     m, n = einstein.UPPER
     (a11, a12), (a21, a22) = p.alpha  # floats: an overflow is silent
-    with jets.block_errstate(pj.batch):
-        ai = np.array([[a22, -a12], [-a21, a11]]) / (a11 * a22 - a12 * a21)
-        w = (ai[:, None, m] * ai[None, :, n]).reshape(
-            2, 2, 3, *[1] * pj.batch)
-        Jinv = jets.block([[J[1][1], -J[0][1]], [-J[1][0], J[0][0]]]) \
-            / det_J                  # Jinv[i, m] = dt^i / dtbar^m
-        # the law's sums, from 0.0, over (i, j) and (kk, ll) in turn
-        gt_bar = jets.fold(0.0, part(Jinv, np.s_[:, None, m])
-                           * part(Jinv, np.s_[None, :, n]) * gt, 2)
-        h_bar = jets.fold(0.0, jets._scale(w, h.coeffs, k), 2)
-        W, det = pj.curl, jets.truncate(det_J, k - 1)
-        W_bar = [(a[0] * W[0] + a[1] * W[1]) / det for a in p.alpha]
+    ai = np.array([[a22, -a12], [-a21, a11]]) / (a11 * a22 - a12 * a21)
+    w = (ai[:, None, m] * ai[None, :, n]).reshape(2, 2, 3, *[1] * pj.batch)
+    Jinv = jets.block([[J[1][1], -J[0][1]], [-J[1][0], J[0][0]]]) \
+        / det_J                      # Jinv[i, m] = dt^i / dtbar^m
+    # the law's sums, from 0.0, over (i, j) and (kk, ll) in turn
+    gt_bar = jets.fold(0.0, part(Jinv, np.s_[:, None, m])
+                       * part(Jinv, np.s_[None, :, n]) * gt, 2)
+    h_bar = jets.fold(0.0, jets._scale(w, h.coeffs, k), 2)
+    W, det = pj.curl, jets.truncate(det_J, k - 1)
+    W_bar = [(a[0] * W[0] + a[1] * W[1]) / det for a in p.alpha]
     iotas = _inverse_map_jets(J, Jinv.value, k)
-    with jets.block_errstate(pj.batch):
-        out = jets.compose_map(jets._jet(k, tuple(map(np.concatenate, zip(
-            gt_bar.coeffs, h_bar.coeffs)))), *iotas)
-        curl = jets.compose_map(jets.block(W_bar), *(
-            jets.truncate(i, k - 1) for i in iotas))
+    out = jets.compose_map(jets._jet(k, tuple(map(np.concatenate, zip(
+        gt_bar.coeffs, h_bar.coeffs)))), *iotas)
+    curl = jets.compose_map(jets.block(W_bar), *(
+        jets.truncate(i, k - 1) for i in iotas))
     image = metrics.assemble((phi_jets[0].value, phi_jets[1].value), k,
                              [part(out, q) for q in range(6)],
                              curl=(part(curl, 0), part(curl, 1)))

@@ -86,7 +86,7 @@ def inverse_four_metric(pj):
     h11, h12, h22 = (tr(j) for j in pj.h)
     part, k, l = jets.part, *einstein.UPPER
     F = jets.block([[tr(j) for j in pj.F[:2]], [tr(j) for j in pj.F[2:]]])
-    with jets.block_errstate(pj.batch):
+    with np.errstate(all="ignore"):  # silent, as a PointJets layer is
         gi = jets.block([[gt22, -gt12], [-gt12, gt11]]) / tr(pj.det_gt)
         hi = jets.block([[h22, -h12], [-h12, h11]]) / tr(pj.det_h)
         # -(gt^ij f_j^k over j) as gf[j, i, k] = gt^ji f_j^k (gt^ij and

@@ -430,6 +430,21 @@ def test_curvature_overflow_is_one_error_line(tmp_path):
     assert row["C_rho"] is None
 
 
+def test_riemann4_overflow_is_one_error_line(tmp_path, capsys):
+    # h11 of 1e155 makes the Riemann contraction subtract inf from inf,
+    # where the 4D Christoffel symbols ran silent
+    path = _submersion_file(tmp_path, {
+        "gt11": "1 + t1^2", "gt12": "0.1*t2", "gt22": "2 + t2",
+        "F11": "(t2)*exp(-120*t1)", "F12": "t1*t2", "F21": "sin(t1)",
+        "F22": "t1", "h11": "1e155*t2", "h12": "0.2*t1*t2 + 1e-200*t1",
+        "h22": "-1 - t2^2"})
+    capsys.readouterr()
+    assert run(["check-einstein", path, "--points=0.668,-0.283"]) == 2
+    assert capsys.readouterr() == ("", "error: singular evaluation in "
+                                   "'riemann4' at value nan (invalid value "
+                                   "encountered in subtract)\n")
+
+
 def test_relation_suite_overflow_is_one_error_line(tmp_path):
     # Theta_III ** 2 exceeds the float range in the first-order suite
     path = _submersion_file(tmp_path, {
@@ -438,10 +453,25 @@ def test_relation_suite_overflow_is_one_error_line(tmp_path):
         "h11": "1+t2^2", "h12": "exp(60*t1)", "h22": "-1"})
     r = _module_run("check-relations", path, "--first", "--second",
                     "--points", "1.014,0.495", "--json")
-    assert r.returncode == 2
-    assert r.stdout == ""
-    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, \
-        r.stderr
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: singular "
+                                                  "evaluation in 'first_order'"
+                                                  " at value nan (overflow)\n")
+
+
+@pytest.mark.parametrize("points", ["0.856,0.360", "0.856,0.360;0.5,0.5"])
+def test_relation_suite_underflow_is_one_error_line(tmp_path, capsys, points):
+    # ell_C = -3.4e-260, whose square underflows to 0 as the denominator
+    # of Theta_II^2 / (16 ell_C^2) in the first-order suite
+    path = _submersion_file(tmp_path, {
+        "gt11": "1 + t1^2 + 1e100*t2", "gt12": "0.1*t2",
+        "gt22": "(1e160)*t1*t1", "F11": "t2", "F12": "exp(-300*t1)",
+        "F21": "sin(t1)", "F22": "t1", "h11": "exp(t1)", "h12": "0.2*t1*t2",
+        "h22": "-1 - t2^2"})
+    capsys.readouterr()
+    assert run(["check-relations", path, "--first", f"--points={points}"]) \
+        == 2
+    assert capsys.readouterr() == ("", "error: singular evaluation in "
+                                   "'first_order' at value nan (underflow)\n")
 
 
 def _big_f(tmp_path):
@@ -580,7 +610,18 @@ _BIG_SLOPE = "((1e200) / ((t1) / (1e-160))) / (cosh(((1e-160) + (2)) - (t1)))"
       "F12": "t1*t2", "F21": "sin(t1)", "F22": _BIG_SLOPE, "h11": "-1",
       "h12": "0.2*t1*t2", "h22": "-1 - t2^2"},
      ["rank", "--at", "0.3,1.2", "--set", "order2_20"], 1,
-     lambda out, err: err == "" and "rank: 17\n" in out)])
+     lambda out, err: err == "" and "rank: 17\n" in out),
+    # inf - inf in a Jacobian column: a NaN row, a lost direction
+    ({"gt11": "1 + t1^2", "gt12": "0.1*t2", "gt22": "2 + t2", "F11": "t2",
+      "F12": "(t1*t2)*exp(120*t1)*t2", "F21": "(1e154)*t1*t1", "F22": "t1",
+      "h11": "exp(t1)", "h12": "0.2*t1*t2", "h22": "-1 - t2^2"},
+     ["rank", "--at", "2.246,-0.567", "--set", "order2_20"], 1,
+     lambda out, err: err == "" and "rank: 14\n" in out),
+    # the fd stencil's values overflow in a product at t1 = 1
+    ({**_FLAT, "h11": "exp(400*t1)*exp(400*t1)"},
+     ["invariants", "--at", "1,0", "--method", "fd"], 2,
+     lambda out, err: out == "" and err ==
+     "error: singular h for metric 'x' at (1.0, 0.0)\n")])
 def test_numpy_warns_nowhere_on_overflowing_inputs(tmp_path, capsys,
                                                    components, argv, code,
                                                    check):

@@ -705,6 +705,24 @@ def test_fd_reports_the_singular_stencil_point_met_first():
         == ("ln", (0.6 - jets.FD_STEP / 2.0) - 0.5951)
 
 
+def test_fd_stencil_values_overflow_silently_as_floats():
+    # exp(400*t1)^2 overflows at t1 = 1, where 1/inf leaves h11 = 1: a
+    # batch, under each_point's raising errstate, and the point alone
+    # read the stencil values as floats do, without a warning
+    doc = {"name": "x", "form": "submersion", "params": {},
+           "components": {"gt11": "1", "gt12": "0", "gt22": "1",
+                          "F11": "0", "F12": "0", "F21": "0", "F22": "0",
+                          "h11": "1 + 1/(exp(400*t1)*exp(400*t1))",
+                          "h12": "0", "h22": "1"}}
+    m = load_metric(doc)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        batch = point_jets(m, (np.array([0.0, 1.0]), np.zeros(2)),
+                           method="fd")
+    alone = point_jets(m, (1.0, 0.0), method="fd")
+    assert [float(c[1]).hex() for c in batch.h[0].coeffs] \
+        == [c.hex() for c in alone.h[0].coeffs]
+
+
 @pytest.mark.parametrize("order, method, message", [
     (0, "analytic", "point_jets order must be in 1..3, got 0"),
     (4, "analytic", "point_jets order must be in 1..3, got 4"),

@@ -37,10 +37,17 @@ the same document under the z-shift psi^1 = (s/2)(t1^2 + t2^2) at s =
 1e12 (s*t1 added to F11 and s*t2 to F21), TRANSFORM random_transform(3)
 and Q three points of its domain.  equiv finds SHIFT Consistent with
 SEED3, and the invariance report passes, only where the stratum test and
-the pushforward read F through its curl alone.
+the pushforward read F through its curl alone.  Last come the error
+paths (``ERROR_CALLS``): submersion metrics (``ERROR_METRICS``) whose
+reports overflow, underflow or subtract inf from inf, and a transform
+whose alpha^-1 squares past the float range (``TINY_ALPHA``), each
+written into the directory and run by the calls that meet that error
+there, so a changed error line or a numpy warning shows in the record.
 ``subproc`` runs each op as ``python -m g2inv`` in its own process (a
 fresh warnings registry per op, as a shell sees it); ``inproc`` runs
-them through ``g2inv.cli.run`` in this process, which is much faster.
+them through ``g2inv.cli.run`` in this process, which is much faster;
+there an exception that escapes ``run`` is recorded as exit code 1 and
+the last line of its traceback.
 Compare two checkouts with
 
     python3 tools/ident.py OLD inproc 1,5 > old.jsonl
@@ -79,6 +86,56 @@ GAUGE_ARGS = ("--lambda", "3", "--points=0.7,-0.2;0.9,0.1;1.2,0.3")
 SHIFT = 1e12
 SHIFT_POINTS = "--points=0.1,0.2;0.3,0.1;-0.2,0.25"
 
+_FLAT = {"gt11": "1", "gt12": "0", "gt22": "1", "F11": "0", "F12": "0",
+         "F21": "0", "F22": "0", "h11": "1", "h12": "0", "h22": "1"}
+_TILTED = {"gt11": "1 + t1^2", "gt12": "0.1*t2", "gt22": "2 + t2",
+           "F11": "t2", "F12": "t1*t2", "F21": "sin(t1)", "F22": "t1",
+           "h11": "exp(t1)", "h12": "0.2*t1*t2", "h22": "-1 - t2^2"}
+# the error paths: Theta_III^2 overflows the first-order suite; ell_C^2
+# underflows to the 0 that suite divides by; inf - inf in a Jacobian
+# column of rank; a product of the fd stencil's values overflows; the
+# Riemann contraction subtracts inf from inf (riemann4-invalid) or
+# overflows (riemann-overflow)
+ERROR_METRICS = {
+    "suite-overflow": {
+        "gt11": "t2*exp(-150*t1)", "gt12": "0", "gt22": "1",
+        "F11": "exp(150*t1)", "F12": "t2", "F21": "1", "F22": "exp(150*t1)",
+        "h11": "1+t2^2", "h12": "exp(60*t1)", "h22": "-1"},
+    "suite-underflow": {**_TILTED, "gt11": "1 + t1^2 + 1e100*t2",
+                        "gt22": "(1e160)*t1*t1", "F12": "exp(-300*t1)"},
+    "rank-nan": {**_TILTED, "F12": "(t1*t2)*exp(120*t1)*t2",
+                 "F21": "(1e154)*t1*t1"},
+    "fd-overflow": {**_FLAT, "h11": "exp(400*t1)*exp(400*t1)"},
+    "riemann4-invalid": {**_TILTED, "F11": "(t2)*exp(-120*t1)",
+                         "h11": "1e155*t2", "h12": "0.2*t1*t2 + 1e-200*t1"},
+    "riemann-overflow": {
+        "gt11": "1+t2^2", "gt12": "0", "gt22": "1", "F11": "1+t2^2",
+        "F12": "exp(120*t1)*t2", "F21": "1", "F22": "1",
+        "h11": "1+t2^2", "h12": "exp(120*t1)", "h22": "-1"},
+}
+TINY_ALPHA = {"phi1": "t1", "phi2": "t2", "psi1": "0", "psi2": "0",
+              "alpha": [[1e-200, 0], [0, 1]]}
+# each argv, @NAME standing for the path of the document NAME.json in
+# the directory (vdb's written by its catalog op)
+ERROR_CALLS = (
+    ("check-relations", "@suite-overflow", "--first", "--second",
+     "--points=1.014,0.495", "--json"),
+    ("check-relations", "@suite-underflow", "--first", "--points=0.856,0.360"),
+    ("check-relations", "@suite-underflow", "--first",
+     "--points=0.856,0.360;0.5,0.5"),
+    ("rank", "@rank-nan", "--at", "2.246,-0.567", "--set", "order2_20"),
+    ("invariants", "@fd-overflow", "--at", "1,0", "--method", "fd"),
+    ("check-einstein", "@riemann4-invalid", "--points=0.668,-0.283"),
+    ("check-einstein", "@riemann-overflow", "--points=2.077,0.322", "--json"),
+    ("check-einstein", "@riemann-overflow",
+     "--points=2.077,0.322;0.5,0.3", "--json"),
+    ("check-relations", "@riemann-overflow", "--onshell",
+     "--points=2.077,0.322"),
+    ("transform", "@vdb", "@tiny-alpha", "--points=0.5,1.0"),
+    ("transform", "@vdb", "@tiny-alpha", "--report-invariance",
+     "--points=0.5,1.0"),
+)
+
 
 def _param_argv(name, *items):
     return ["catalog", name, *(a for kv in items for a in ("--param", kv))]
@@ -108,6 +165,20 @@ def _gauge_files(directory):
         with open(paths[key], "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
     return paths
+
+
+def _error_argvs(directory):
+    """Write the error paths' documents into directory; the argv of each
+    of ERROR_CALLS there."""
+    docs = {name: {"name": name, "form": "submersion", "params": {},
+                   "components": components}
+            for name, components in ERROR_METRICS.items()}
+    for name, doc in {**docs, "tiny-alpha": TINY_ALPHA}.items():
+        with open(os.path.join(directory, f"{name}.json"), "w",
+                  encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    return [[os.path.join(directory, f"{a[1:]}.json") if a[0] == "@" else a
+             for a in call] for call in ERROR_CALLS]
 
 
 def _rank_argvs(domains, directory, gauge):
@@ -154,7 +225,11 @@ def ops_inproc(cli, argvs):
     for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.run(argv)
+            try:
+                code = cli.run(argv)
+            except Exception as exc:  # noqa: BLE001  (as python -m exits)
+                code = 1
+                err.write(f"{type(exc).__name__}: {exc}\n")
         yield code, out.getvalue(), err.getvalue()
 
 
@@ -181,6 +256,7 @@ def main(argv):
             try:
                 argvs = (_rank_argvs(metrics.CATALOG_DOMAINS, directory,
                                      _gauge_files(directory))
+                         + _error_argvs(directory)
                          if w == "rank" else
                          [op.argv for op in workloads.generate(
                              w, seed, workloads.rounds_for(w, SECONDS),
