@@ -430,7 +430,8 @@ def build_parser():
     p.add_argument("--random", type=int, metavar="SEED")
     p.add_argument("--at", type=_parse_point)
     p.add_argument("--set", required=True, choices=invariants1.RANK_SETS)
-    p.add_argument("--eps", type=_within(float, high=1.0), default=1e-6)
+    p.add_argument("--eps", type=_within(float, high=1.0),
+                   default=invariants1.RANK_EPS)
     common(p, method=False)
 
     p = sub.add_parser("transform", help="pushforward and invariance")

@@ -25,15 +25,8 @@ from .invariants2 import DELTA_TOL
 
 
 @dataclass
-class Sample:
-    point: tuple
-    values: tuple    # the six fundamentals, in FUNDAMENTAL_IDS order
-    jac: np.ndarray  # their 6x2 t-Jacobian
-
-
-@dataclass
 class Signature:
-    samples: list
+    samples: np.ndarray  # the kept _COLUMNs
 
 
 # fewest generic samples a signature needs
@@ -53,11 +46,13 @@ PROJECTED = 48
 # at a float point (2-CPU AMD EPYC VM)
 THIN = 4
 
-# an _evaluate column: whether its metric could be evaluated there, the
-# generic flag of its stratum, the six fundamentals and their t-Jacobian
-_COLUMN = np.dtype([("ok", bool), ("generic", bool), ("values", float, 6),
-                    ("jac", float, (6, 2))], align=True)
-_FAILED = np.array((False, False, np.nan, np.nan), _COLUMN)
+# a sample, an _evaluate column: whether its metric could be evaluated
+# there, the generic flag of its stratum, its point (t1, t2), the six
+# fundamentals and their t-Jacobian
+_COLUMN = np.dtype([("ok", bool), ("generic", bool), ("point", float, 2),
+                    ("values", float, 6), ("jac", float, (6, 2))],
+                   align=True)
+_FAILED = np.array((False, False, np.nan, np.nan, np.nan), _COLUMN)
 
 
 def _fundamentals(pj):
@@ -68,40 +63,19 @@ def _fundamentals(pj):
     return values, jac
 
 
-def _joined(ms, col):
-    """The PointJets of a batch of columns (k, t1, t2), each a point of
-    the metric ms[k]: one point_jets per run of one metric, or one per
-    column of a run of at most THIN, joined along the point axis."""
-    runs = np.split(col, np.flatnonzero(np.diff(col[0])) + 1, axis=1)
-    pjs = []
-    for k, t1, t2 in runs:
-        m = ms[int(k[0])]
-        if len(k) > THIN:
-            pjs.append(metrics.point_jets(m, (t1, t2), order=2))
-        else:
-            pjs += [metrics.point_jets(m, p, order=2)
-                    for p in zip(t1.tolist(), t2.tolist())]
-    if len(pjs) == 1:
-        return pjs[0]
-    # (jet, coefficient, column) of the components and determinants
-    c = np.concatenate([np.array([j.coeffs for j in (
-        *pj.all_component_jets(), pj.det_h, pj.det_gt)]).reshape(12, 6, -1)
-        for pj in pjs], axis=2)
-    return metrics.assemble((col[1], col[2]), 2,
-                            [jets._jet(2, tuple(j)) for j in c])
-
-
 def _evaluate(ms, cols, stratum=False):
-    """(ok, generic, values, jac) at N columns (k, t1, t2), each a point
-    of the metric ms[k], as arrays: whether that metric can be evaluated
-    there, with stratum the generic flag of its stratum (True without),
-    the six fundamentals (N, 6) and their t-Jacobian (N, 6, 2), NaN where
-    not ok.  The columns are evaluated by metrics.each_point, first cut
-    where the metric changes when there are more than MAX_BATCH of them
-    (a round holds at most two runs of one metric, a signature one).  A
-    batch of more than THIN columns is _joined and has one fundamentals
-    pass; a smaller one, or a column alone, is evaluated column by
-    column at its float points, each with its own fundamentals pass."""
+    """The _COLUMNs at N columns (k, t1, t2), each a point of the metric
+    ms[k]: whether that metric can be evaluated there, with stratum the
+    generic flag of its stratum (True without), the point, the six
+    fundamentals and their t-Jacobian, NaN where not ok.  The columns
+    are evaluated by metrics.each_point, first cut where the metric
+    changes when there are more than MAX_BATCH of them (a round holds at
+    most two runs of one metric, a signature one).  A batch of at most
+    THIN columns, or a column alone, is evaluated column by column at
+    its float points, each with its own fundamentals pass.  A larger one
+    is one joined batch with one fundamentals pass: one point_jets per
+    run of one metric, or one per column of a run of at most THIN,
+    joined along the point axis."""
     def fill(pj, n):  # the n columns of a PointJets
         out = np.empty(n, _COLUMN)
         out["ok"] = True
@@ -113,11 +87,26 @@ def _evaluate(ms, cols, stratum=False):
 
     def at(col):
         col = col.reshape(3, -1)
-        if col.shape[1] > THIN:
-            return fill(_joined(ms, col), col.shape[1])
-        return np.concatenate([
-            fill(metrics.point_jets(ms[int(k)], (t1, t2), order=2), 1)
-            for k, t1, t2 in col.T.tolist()])
+        pjs = []
+        for k, t1, t2 in np.split(col, np.flatnonzero(np.diff(col[0])) + 1,
+                                  axis=1):
+            m = ms[int(k[0])]
+            if len(k) > THIN:
+                pjs.append(metrics.point_jets(m, (t1, t2), order=2))
+            else:
+                pjs += [metrics.point_jets(m, p, order=2)
+                        for p in zip(t1.tolist(), t2.tolist())]
+        if col.shape[1] <= THIN:
+            return np.concatenate([fill(pj, 1) for pj in pjs])
+        if len(pjs) == 1:
+            return fill(pjs[0], col.shape[1])
+        # (jet, coefficient, column) of the components and determinants
+        c = np.concatenate([np.array([j.coeffs for j in (
+            *pj.all_component_jets(), pj.det_h, pj.det_gt)]).reshape(12, 6, -1)
+            for pj in pjs], axis=2)
+        return fill(metrics.assemble((col[1], col[2]), 2,
+                                     [jets._jet(2, tuple(j)) for j in c]),
+                    col.shape[1])
 
     cols = np.asarray(cols, dtype=float)
     # each_point cuts a longer list every MAX_BATCH columns, and a cut
@@ -129,7 +118,8 @@ def _evaluate(ms, cols, stratum=False):
     out = np.concatenate([g if isinstance(g, np.ndarray) else np.array(
         [_FAILED if isinstance(c, Exception) else c for c in g], _COLUMN)
         for g in got])
-    return out["ok"], out["generic"], out["values"], out["jac"]
+    out["point"] = cols[:, 1:]
+    return out
 
 
 # why build_signature skips a grid point, in the order it tests them,
@@ -157,16 +147,16 @@ def build_signature(m, rect=None, n=12):
         # non-generic grid points are skipped anyway
         rect = ((-1.5, 1.5), (-1.5, 1.5))
     grid = metrics.grid_points(rect, n, margin=0.02)
-    ok, generic, values, jac = _evaluate(
-        [m], np.column_stack((np.zeros(len(grid)), grid)), stratum=True)
-    finite = np.isfinite(values).all(1) & np.isfinite(jac).all((1, 2))
+    out = _evaluate([m], np.column_stack((np.zeros(len(grid)), grid)),
+                    stratum=True)
+    ok, generic, jac = out["ok"], out["generic"], out["jac"]
+    finite = np.isfinite(out["values"]).all(1) & np.isfinite(jac).all((1, 2))
     kept = ok & generic & finite
     kept[kept] = numerical_rank(jac[kept], DELTA_TOL) == 2
     reasons = np.select([~ok, ~generic, ~finite, ~kept], list(SKIP_REASONS),
                         "")
     skipped = Counter(reasons[~kept].tolist())
-    samples = [Sample(grid[i], tuple(values[i]), jac[i])
-               for i in np.flatnonzero(kept)]
+    samples = out[kept]
     if len(samples) < MIN_SAMPLES:
         why = ", ".join(f"{skipped[key]} {words}" for key, words
                         in SKIP_REASONS.items() if key in skipped)
@@ -246,8 +236,10 @@ def _step(jac, r, pts, scales):
 
 def _project(ms, onto, targets, starts, scales):
     """Gauss-Newton projection of six-vectors onto classifying manifolds:
-    (residual, point, values) of the nearest point found for targets[i]
-    on that of ms[onto[i]], from starts[i], samples of that metric.
+    the residuals (T,), points (T, 2) and values (T, 6) of the nearest
+    points found for the targets (T, 6), targets[i] on that of
+    ms[onto[i]], from the samples starts[i] of that metric, (T, S)
+    _COLUMNs, which are left as they are.
 
     Each start is the first evaluation of one run.  The residual is the
     norm of the scaled difference of the six fundamentals.  A run ends
@@ -262,13 +254,13 @@ def _project(ms, onto, targets, starts, scales):
     Against a per-run lstsq step, results move by roundoff: at most
     4.3e-12 relative on the witnesses of the benchmark's equiv ops.
     """
-    runs = [s for ss in starts for s in ss]
     # each run's target, and each target's first run
-    group = np.array([i for i, ss in enumerate(starts) for _ in ss])
-    first = np.searchsorted(group, np.arange(len(starts)))
-    target, which = np.array(targets)[group], np.array(onto)[group]
-    pt, values, jac = (np.array([getattr(s, key) for s in runs], dtype=float)
-                       for key in ("point", "values", "jac"))
+    group = np.repeat(np.arange(len(targets)), starts.shape[1])
+    first = np.arange(len(targets)) * starts.shape[1]
+    target, which = targets[group], np.asarray(onto)[group]
+    # the runs' own copies, each stepped and evaluated in place
+    runs = starts.ravel()
+    pt, values, jac = (runs[key].copy() for key in ("point", "values", "jac"))
     best_pt, best_values = pt.copy(), values.copy()
     prev, best = np.full((2, len(runs)), np.inf)
     converged = np.zeros(len(runs), dtype=bool)
@@ -293,13 +285,12 @@ def _project(ms, onto, targets, starts, scales):
         k = k[counted()[k]]
         if not k.size:
             break
-        ok, _, values[k], jac[k] = _evaluate(
-            ms, np.column_stack((which[k], pt[k])))
-        k = k[ok]
+        got = _evaluate(ms, np.column_stack((which[k], pt[k])))
+        values[k], jac[k] = got["values"], got["jac"]
+        k = k[got["ok"]]
     # the first of each target's smallest residuals, as a strict < in turn
     pick = np.lexsort((np.where(counted(), best, np.inf), group))[first]
-    return [(float(best[i]), tuple(best_pt[i].tolist()), best_values[i])
-            for i in pick]
+    return best[pick], best_pt[pick], best_values[pick]
 
 
 def compare_metrics(ma, mb, n=12, tol=1e-4, rect_a=None, rect_b=None):
@@ -348,42 +339,42 @@ def compare_metrics(ma, mb, n=12, tol=1e-4, rect_a=None, rect_b=None):
             dict.fromkeys(str(err) for _, err in short))
             + "; the signature criterion does not apply")
 
-    scales = _scales(np.array([s.values for s in
-                               sig_a.samples + sig_b.samples]))
+    scales = _scales(np.concatenate((sig_a.samples,
+                                     sig_b.samples))["values"])
 
     def match(samples_from, samples_to):
         """The samples of samples_from projected (thinned to about
-        PROJECTED), their six-vectors as targets, and the starts of each:
-        the four nearest samples of samples_to."""
-        v_to = np.array([s.values for s in samples_to])
+        PROJECTED), and the starts of each: the four nearest samples of
+        samples_to."""
         sources = samples_from[::max(1, len(samples_from) // PROJECTED)]
-        targets = [np.array(s.values) for s in sources]
-        nearest = np.argsort(_norm((v_to - np.array(targets)[:, None])
-                                   / scales), axis=1)[:, :4]
-        starts = [[samples_to[j] for j in row] for row in nearest.tolist()]
-        return sources, targets, starts
+        nearest = np.argsort(_norm((samples_to["values"]
+                                    - sources["values"][:, None]) / scales),
+                             axis=1)[:, :4]
+        return sources, samples_to[nearest]
 
-    sources_a, targets_a, starts_a = match(sig_a.samples, sig_b.samples)
-    sources_b, targets_b, starts_b = match(sig_b.samples, sig_a.samples)
+    sources_a, starts_a = match(sig_a.samples, sig_b.samples)
+    sources_b, starts_b = match(sig_b.samples, sig_a.samples)
+    sources = np.concatenate((sources_a, sources_b))
     # A's samples projected onto B (ms[1]), then B's onto A (ms[0])
-    got = _project([ma, mb], [1] * len(targets_a) + [0] * len(targets_b),
-                   targets_a + targets_b, starts_a + starts_b, scales)
-    rows_a = [(res, s.point, point, v, values) for s, v, (res, point, values)
-              in zip(sources_a, targets_a, got)]
-    # with A's side first
-    rows_b = [(res, point, s.point, values, v) for s, v, (res, point, values)
-              in zip(sources_b, targets_b, got[len(targets_a):])]
-    coverage_a, coverage_b = (sum(r[0] < tol for r in rows) / len(rows)
-                              for rows in (rows_a, rows_b))
-    max_disc = max((r[0] for r in rows_a + rows_b if r[0] < tol),
-                   default=0.0)
+    res, points, values = _project(
+        [ma, mb], np.repeat([1, 0], [len(sources_a), len(sources_b)]),
+        sources["values"], np.concatenate((starts_a, starts_b)), scales)
+    matched = res < tol
+    coverage_a, coverage_b = (np.count_nonzero(m) / len(m) for m in np.split(
+        matched, [len(sources_a)]))
+    max_disc = float(np.max(res[matched], initial=0.0))
     if coverage_a == coverage_b == 0.0:
-        res, pa, pb, a, b = min(rows_a + rows_b, key=lambda r: r[0])
-        witness = {"a_point": list(pa), "b_point": list(pb),
-                   "a_values": dict(zip(FUNDAMENTAL_IDS, map(float, a))),
-                   "b_values": dict(zip(FUNDAMENTAL_IDS, map(float, b))),
-                   "scales": dict(zip(FUNDAMENTAL_IDS, map(float, scales))),
-                   "residual": res}
+        i = int(np.argmin(res))  # the first smallest, A's side first
+        source, near = sources[i], {"point": points[i], "values": values[i]}
+        a, b = (source, near) if i < len(sources_a) else (near, source)
+        def named(v):
+            return dict(zip(FUNDAMENTAL_IDS, v.tolist()))
+
+        witness = {"a_point": a["point"].tolist(),
+                   "b_point": b["point"].tolist(),
+                   "a_values": named(a["values"]),
+                   "b_values": named(b["values"]),
+                   "scales": named(scales), "residual": float(res[i])}
         return Verdict("Inconsistent", 0.0, 0.0, 0.0, witness=witness,
                        note="no sample of either metric lies on the other's "
                             "classifying manifold")

@@ -355,6 +355,12 @@ def _invariant_vector(pj, which):
 
 # central-difference step of jacobian_rank, relative to max(1, |coordinate|)
 RANK_STEP = 1e-6
+# jacobian_rank's cut, relative to the largest scaled singular value: the
+# central differences leave a dependent invariant at most ~1e-11 (an
+# appended C_rho ell_C + Q_chi^2 read 4.0e-12 median, 1.3e-11 largest
+# over 200 order2_20 probes), and order2_20's 20th value reads down to
+# 9.0e-8 on generic probes (3 of seeds 0-299 below 1e-6)
+RANK_EPS = 1e-9
 
 
 def jacobian(which, probe):
@@ -391,7 +397,7 @@ def jacobian(which, probe):
         return (f[:, 0::2] - f[:, 1::2]) / (2.0 * np.array(steps))
 
 
-def jacobian_rank(which, probe, eps=1e-6):
+def jacobian_rank(which, probe, eps=RANK_EPS):
     """Numerical rank of the jacobian of the invariant set at the probe."""
     return int(numerical_rank(jacobian(which, probe), eps))
 

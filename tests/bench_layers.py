@@ -196,16 +196,14 @@ def test_first_order_layer(benchmark, layer):
 def test_joined_round(benchmark):
     # one round of both projection directions: each metric's point_jets
     # on its 18 columns, one fundamentals pass over all 36
-    ok, _, values, _ = benchmark(equivalence._evaluate, [VDB, VDB_IMAGE],
-                                 ROUND_COLUMNS)
-    assert ok.all() and np.isfinite(values).all()
+    got = benchmark(equivalence._evaluate, [VDB, VDB_IMAGE], ROUND_COLUMNS)
+    assert got["ok"].all() and np.isfinite(got["values"]).all()
 
 
 def test_thin_round(benchmark):
     # a round of 2 + 2 columns, as the last rounds of an equiv op run
-    ok, _, values, _ = benchmark(equivalence._evaluate, [VDB, VDB_IMAGE],
-                                 THIN_COLUMNS)
-    assert ok.all() and np.isfinite(values).all()
+    got = benchmark(equivalence._evaluate, [VDB, VDB_IMAGE], THIN_COLUMNS)
+    assert got["ok"].all() and np.isfinite(got["values"]).all()
 
 
 def test_scales(benchmark):

@@ -156,6 +156,19 @@ def test_rank_subcommand(capsys):
                 "fundamental6_transitive"]) == 0
 
 
+@pytest.mark.parametrize("seed, at_old_cut", [(805613740, 17),
+                                              (955111941, 19)])
+def test_generic_probes_near_the_old_cut_read_full_rank(seed, at_old_cut,
+                                                        capsys):
+    # their smallest scaled singular values (1.9e-7 for 805613740) lie in
+    # order2_20's generic spectrum, which --eps 1e-6 cut into
+    argv = ["rank", "--random", str(seed), "--set", "order2_20", "--json"]
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 20
+    assert run(argv + ["--eps", "1e-6"]) == 1
+    assert json.loads(capsys.readouterr().out)["rank"] == at_old_cut
+
+
 def test_the_constant_fundamentals_of_flat_space_have_rank_zero(
         tmp_path, capsys):
     # every row of the Jacobian is zero, so no singular value is left

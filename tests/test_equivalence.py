@@ -71,7 +71,7 @@ def test_a_metric_with_no_domain_is_sampled_on_the_default_box():
     doc = catalog("random_analytic", {"seed": 1}).to_document()
     m = load_metric({**doc, "name": "custom"})
     assert default_domain(m) is None
-    pts = np.array([s.point for s in build_signature(m, n=8).samples])
+    pts = build_signature(m, n=8).samples["point"]
     assert (np.abs(pts) < 1.5).all()
     assert (pts.max(0) - pts.min(0) > 2.8).all()
 
@@ -190,8 +190,9 @@ def _project_in_turn(m, target, starts, scales):
     lockstep projector must give, bit for bit."""
     best = (np.inf, None, None)
     for start in starts:
-        pt, prev = np.array(start.point), np.inf
-        point, values, jac = start.point, np.array(start.values), start.jac
+        pt, prev = start["point"].copy(), np.inf
+        point, values, jac = (tuple(start["point"].tolist()),
+                              start["values"].copy(), start["jac"].copy())
         for _ in range(12):
             if point is None:
                 try:
@@ -271,22 +272,25 @@ def test_scales_are_numpys_linear_quartiles_bit_for_bit():
 
 
 def _projection(ma, mb):
-    """ma's samples (n = 5) as targets on mb, each with the four nearest
-    samples of mb as starts, and the scales of both sample sets."""
+    """ma's samples (n = 5) as targets (T, 6) on mb, each with the four
+    nearest samples of mb as starts (T, 4), and the scales of both sample
+    sets."""
     from_a, to_b = (build_signature(m, rect=m.domain, n=5).samples
                     for m in (ma, mb))
-    scales = equivalence._scales(np.array([s.values for s in from_a + to_b]))
-    v_b = np.array([s.values for s in to_b])
-    targets = [np.array(s.values) for s in from_a]
-    starts = [[to_b[j] for j in np.argsort(
-        np.linalg.norm((v_b - v) / scales, axis=1))[:4]] for v in targets]
+    scales = equivalence._scales(np.concatenate((from_a, to_b))["values"])
+    targets = from_a["values"]
+    starts = to_b[[np.argsort(np.linalg.norm(
+        (to_b["values"] - v) / scales, axis=1))[:4] for v in targets]]
     return targets, starts, scales
 
 
 def _project_onto(m, targets, starts, scales):
-    """equivalence._project of every target onto m alone."""
-    return equivalence._project([m], [0] * len(targets), targets, starts,
-                                scales)
+    """equivalence._project of every target onto m alone: (residual,
+    point, values) of each, the point a tuple."""
+    res, points, values = equivalence._project(
+        [m], [0] * len(targets), targets, starts, scales)
+    return [(float(r), tuple(p.tolist()), v)
+            for r, p, v in zip(res, points, values)]
 
 
 MAKE_B = [
@@ -309,6 +313,19 @@ def test_lockstep_projection_is_the_projection_start_by_start(make_b):
         assert np.array(values).tobytes() == np.array(want[2]).tobytes()
 
 
+def test_projection_leaves_its_starts_unchanged():
+    # the runs step from copies of their starts: every field of every
+    # start keeps its bits, the caller's array is not written through
+    mb = _vdb_image()
+    targets, starts, scales = _projection(catalog("vdb"), mb)
+    before = {key: starts[key].copy() for key in starts.dtype.names}
+    res, _, _ = equivalence._project([mb], [0] * len(targets), targets,
+                                     starts, scales)
+    assert (res < equivalence.CONVERGED).any()
+    for key, field in before.items():
+        assert starts[key].tobytes() == field.tobytes(), key
+
+
 @pytest.mark.parametrize("make_b", MAKE_B)
 def test_joined_projection_is_each_side_projected_alone(make_b):
     # vdb's samples onto mb and mb's onto vdb in one lockstep, as
@@ -319,24 +336,26 @@ def test_joined_projection_is_each_side_projected_alone(make_b):
     assert scales.tobytes() == scales_b.tobytes()
     got = equivalence._project(
         [ma, mb], [1] * len(targets_a) + [0] * len(targets_b),
-        targets_a + targets_b, starts_a + starts_b, scales)
+        np.concatenate((targets_a, targets_b)),
+        np.concatenate((starts_a, starts_b)), scales)
     want = (_project_onto(mb, targets_a, starts_a, scales)
             + _project_onto(ma, targets_b, starts_b, scales))
-    assert len(got) == len(want)
-    for (res, point, values), want_best in zip(got, want):
-        assert (res, point) == want_best[:2]
-        assert values.tobytes() == want_best[2].tobytes()
+    assert len(got[0]) == len(want)
+    for field, want_field in zip(got, zip(*want)):
+        assert field.tobytes() == np.array(want_field).tobytes()
 
 
 def _evaluate_point_by_point(ms, cols, stratum=False):
     """equivalence._evaluate with the columns of each metric as one batch,
     and a failing batch redone one point at a time: what halving it must
-    give."""
+    give, as _COLUMNs."""
     def at(m, point):
         pj = point_jets(m, point, order=2)
         return (True, pj.stratum.generic) + equivalence._fundamentals(pj)
 
-    cols, out = np.array(cols, dtype=float), {}
+    cols = np.array(cols, dtype=float)
+    out = np.zeros(len(cols), equivalence._COLUMN)
+    out["point"] = cols[:, 1:]
     for k, m in enumerate(ms):
         rows = np.flatnonzero(cols[:, 0] == k)
         pts = [tuple(col) for col in cols[rows, 1:]]
@@ -352,10 +371,11 @@ def _evaluate_point_by_point(ms, cols, stratum=False):
                 try:
                     got.append(at(m, pt))
                 except (G2InvError, ArithmeticError):
-                    got.append((False, False, np.full(6, np.nan),
-                                np.full((6, 2), np.nan)))
-        out.update(zip(rows, got))
-    return tuple(map(np.array, zip(*(out[i] for i in range(len(cols))))))
+                    got.append((False, False, np.nan, np.nan))
+        for i, row in zip(rows, got):
+            for key, field in zip(("ok", "generic", "values", "jac"), row):
+                out[key][i] = field
+    return out
 
 
 def test_failing_batch_is_halved_down_to_its_failing_point(monkeypatch):
@@ -411,16 +431,17 @@ def test_joined_round_fails_only_its_failing_column(monkeypatch):
         return live(m, point, *args, **kwargs)
 
     monkeypatch.setattr(metrics, "point_jets", counted)
-    ok, generic, values, jac = equivalence._evaluate([ma, mb], cols)
+    got = equivalence._evaluate([ma, mb], cols)
     monkeypatch.setattr(metrics, "point_jets", live)
-    assert ok.tolist() == [True, True, True, True, False, True]
+    assert got["ok"].tolist() == [True, True, True, True, False, True]
     assert ("cut", (-0.7, 0.3)) in alone
-    assert np.isnan(values[4]).all() and np.isnan(jac[4]).all()
-    for i, (k, *pt) in enumerate(cols):
-        if ok[i]:
+    assert np.isnan(got["values"][4]).all() and np.isnan(got["jac"][4]).all()
+    for col, (k, *pt) in zip(got, cols):
+        assert tuple(col["point"].tolist()) == tuple(pt)
+        if col["ok"]:
             want = equivalence._fundamentals(point_jets((ma, mb)[k], pt))
-            assert values[i].tobytes() == want[0].tobytes()
-            assert jac[i].tobytes() == want[1].tobytes()
+            assert col["values"].tobytes() == want[0].tobytes()
+            assert col["jac"].tobytes() == want[1].tobytes()
 
 
 # rounds as runs (metric, columns, whether one column of the run is left
@@ -445,10 +466,11 @@ def test_a_round_of_thin_runs_is_its_columns_point_by_point(runs):
         ok += [not fails or i != n // 2 for i in range(n)]
     got = equivalence._evaluate(ms, cols, stratum=True)
     want = _evaluate_point_by_point(ms, cols, stratum=True)
-    assert got[0].tolist() == ok
-    for x, y in zip(got, want):
-        assert x.dtype == y.dtype and x.shape == y.shape
-        assert x.tobytes() == y.tobytes()
+    assert got["ok"].tolist() == ok
+    # field by field: the padding bytes of an aligned _COLUMN are undefined
+    assert got.dtype == want.dtype and got.shape == want.shape
+    for key in equivalence._COLUMN.names:
+        assert got[key].tobytes() == want[key].tobytes(), key
 
 
 @pytest.mark.parametrize("pair", [

@@ -735,6 +735,14 @@ def test_an_order_or_method_with_no_jets_is_a_value_error(order, method,
         point_jets(catalog("vdb"), (0.6, 1.1), order=order, method=method)
 
 
+def test_second_order_invariants_of_first_order_jets_are_a_value_error():
+    # the second-order invariants differentiate the first-order fields,
+    # which first-order jets carry to order 0 only
+    pj = point_jets(catalog("vdb"), (0.6, 1.1), order=1)
+    with pytest.raises(ValueError, match="cannot differentiate an order-0"):
+        pj.second
+
+
 def test_each_point_evaluates_a_failing_item_alone():
     # 0/(t1 + 0.5) is singular at the 4th point only; a batch holding it
     # fails with the batch's array of denominators in its text

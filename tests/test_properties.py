@@ -607,12 +607,11 @@ def test_batch_point_columns_have_the_bits_of_their_points(name, units):
         _assert_evaluation_is_the_point(
             ((batch.point[0][k], batch.point[1][k]), batch.stratum.generic[k],
              values[:, k], jac[..., k]), pj)
-    ok, generic, values, jac = equivalence._evaluate(
-        [m], [(0, *pt) for pt in pts], stratum=True)
-    assert ok.all()
-    for k, pj in enumerate(points):
+    got = equivalence._evaluate([m], [(0, *pt) for pt in pts], stratum=True)
+    assert got["ok"].all()
+    for col, pj in zip(got, points):
         _assert_evaluation_is_the_point(
-            (pts[k], generic[k], values[k], jac[k]), pj)
+            (col["point"], col["generic"], col["values"], col["jac"]), pj)
 
 
 def test_singular_batch_column_fails_alone():
@@ -622,13 +621,14 @@ def test_singular_batch_column_fails_alone():
     pts = [(0.7, 0.1), (0.0, 0.3), (1.2, -0.4)]
     with pytest.raises(SingularMetricError):
         point_jets(m, tuple(np.array(pts).T))
-    ok, generic, values, jac = equivalence._evaluate(
-        [m], [(0, *pt) for pt in pts], stratum=True)
-    assert ok.tolist() == [True, False, True]
-    assert np.isnan(values[1]).all() and np.isnan(jac[1]).all()
+    got = equivalence._evaluate([m], [(0, *pt) for pt in pts], stratum=True)
+    assert got["ok"].tolist() == [True, False, True]
+    assert np.isnan(got["values"][1]).all() and np.isnan(got["jac"][1]).all()
     for k in (0, 2):
+        col = got[k]
         _assert_evaluation_is_the_point(
-            (pts[k], generic[k], values[k], jac[k]), point_jets(m, pts[k]))
+            (col["point"], col["generic"], col["values"], col["jac"]),
+            point_jets(m, pts[k]))
 
 
 
