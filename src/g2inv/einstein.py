@@ -6,7 +6,7 @@ h^-1) and the one bracket is [X1, X2] = W^k d_zk, W^k = d2 F_1^k -
 d1 F_2^k (Misner, Thorne & Wheeler, Gravitation, 1973, Box 14.5): F
 enters through W alone, which a z-shift psi leaves unchanged.  X_i
 differentiates a field of (t1, t2) as d_ti does, d_zk as 0.  The
-coordinate 4-metric and Ricci tensor of the residual carry F and F^2.
+Einstein residual is taken in the same frame, so no layer here reads F.
 
 Curvature convention: R(e_c, e_d) e_b = R^a_bcd e_a with R^a_bcd =
 e_c G^a_db - e_d G^a_cb + G^a_ce G^e_db - G^a_de G^e_cb - c^e_cd G^a_eb,
@@ -55,7 +55,6 @@ def _defined(where, relation, *columns):
 # the (i, j) of the upper triangle of a symmetric 2x2 block, and each
 # entry's position among them
 UPPER = (np.array([0, 0, 1]), np.array([0, 1, 1]))
-_MIRROR = np.array([[0, 1], [1, 2]])
 # entry (a, b) of [[tt, tz], [tz^T, zz]] as entry (block, i, j) of the
 # stack [tt, tz, zz] of its 2x2 blocks
 _HALF, _X = np.divmod(np.arange(4), 2)
@@ -67,21 +66,6 @@ _BLOCKS = (_HALF[:, None] + _HALF, np.where(_LOWER, _X, _X[:, None]),
 def _symmetric(tt, tz, zz):
     """The 4x4 block jet [[tt, tz], [tz^T, zz]] of 2x2 block jets."""
     return jets.part(jets.block([tt, tz, zz]), _BLOCKS)
-
-
-def four_metric(pj):
-    """The 4x4 block jet of the 4-metric in (t1, t2, z1, z2) order, by
-    2x2 block jets: each entry the per-entry jet loop's, diagonal blocks
-    as upper triangles."""
-    part, i, j = jets.part, *UPPER
-    Ft = jets.block([pj.F[0::2], pj.F[1::2]])  # Ft[k, i] = f_i^k
-    h = jets.block([pj.h[:2], pj.h[1:]])
-    # gt_ij + (f_ik f_jl) h_kl over (k, l), and f_ik h_kl over k
-    tt = jets.fold(jets.block(pj.gt), part(Ft, np.s_[:, None, i])
-                   * part(Ft, np.s_[None, :, j])
-                   * part(h, np.s_[:, :, None]), 2)
-    fh = part(Ft, np.s_[:, :, None]) * part(h, np.s_[:, None])
-    return _symmetric(part(tt, _MIRROR), part(fh, 0) + part(fh, 1), h)
 
 
 def _christoffel(g, ginv, koszul=None):
@@ -148,15 +132,6 @@ def riemann4(pj):
     return R
 
 
-def ricci4(pj):
-    """The Ricci tensor in (t1, t2, z1, z2) components, E^T R E of the
-    frame's R_bd = R^a_bad, E[a, m] the frame components of d_m."""
-    ric, F = np.einsum("abad...->bd...", pj.riemann), [j.value for j in pj.F]
-    E = np.zeros_like(ric)  # d_ti = X_i + F_i^k d_zk
-    E[range(4), range(4)], E[2:, :2] = 1.0, [[F[0], F[2]], [F[1], F[3]]]
-    return np.einsum("am...,ab...,bn...->mn...", E, ric, E)
-
-
 def sectional_curvatures(pj):
     """K_Xi and K_Xiperp: g(R(u, v) v, u) of the Killing plane (d_z1,
     d_z2) and the horizontal one (X1, X2) over det h and det gt."""
@@ -176,13 +151,18 @@ def _check_lambda(pj, lam, size):
 
 
 def residual(pj, lam):
-    """Lambda-vacuum residual R_ab - Lambda g_ab at the point of pj, as a
-    row: normalized = max_abs (largest |entry|) / scale (max |g4 coef|)."""
-    _check_lambda(pj, lam, np.abs(pj.g4.value).max((0, 1)))
+    """Lambda-vacuum residual Ric_ab - Lambda g_ab in the frame, Ric_bd =
+    R^a_bad, at the point of pj, as a row: normalized = max_abs (largest
+    |entry|) / scale (max |coefficient| of the gt and h jets)."""
+    g = np.zeros((4, 4, *np.shape(pj.det_h.value)))  # blockdiag(gt, h)
+    g[:2, :2], g[2:, 2:] = (jets.block([m[:2], m[1:]]).value
+                            for m in (pj.gt, pj.h))
+    _check_lambda(pj, lam, np.abs(g).max((0, 1)))
     with metrics.singular_on_overflow("residual"):
-        max_abs = np.abs(ricci4(pj) - lam * pj.g4.value).max((0, 1))
-    scale = np.abs(pj.g4.coeffs).max((0, 1, 2))
-    for key, x in (("max_abs", max_abs), ("scale", scale)):  # F^2 terms
+        ric = np.einsum("abad...->bd...", pj.riemann)
+        max_abs = np.abs(ric - lam * g).max((0, 1))
+    scale = np.abs([j.coeffs for j in pj.gt + pj.h]).max((0, 1))
+    for key, x in (("max_abs", max_abs), ("scale", scale)):
         if not np.isfinite(x).all():
             raise SingularEvaluationError("residual", float(np.max(x)),
                                           f"non-finite {key}")

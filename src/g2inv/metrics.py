@@ -123,7 +123,7 @@ class PointJets:
     gt = (gt11, gt12, gt22), F = (F11, F12, F21, F22) with F_i^k ordered
     (f_1^1, f_1^2, f_2^1, f_2^2), h = (h11, h12, h22); det jets cached.
     curl = (W^1, W^2), W^k = d2 F_1^k - d1 F_2^k one order lower, is all
-    of F that layers but the 4-metric read; a pushforward's F is None.
+    of F that any layer reads; a pushforward's F is None.
 
     The layers derived from the jets are cached properties, each computed
     at most once per point by the one function that owns it, in the
@@ -132,11 +132,10 @@ class PointJets:
     Xperp), q_gamma_root (read by the first-order and on-shell relation
     suites), fields (the first-order invariants of the first-order
     relation suite), stratum (classify: which frames and relations
-    apply), g4 (the coordinate 4-metric's 4x4 block jet), christoffel,
-    riemann, frame and oneill_tensors (the Christoffel symbols, Riemann
-    tensor, semi-invariant frame Y and O'Neill's T in the adapted basis
-    X_i = d_ti - F_i^n d_zn, d_zk, which read F only by its curl), second
-    (the second-order invariants, K_Xi and K_Xiperp by the
+    apply), christoffel, riemann, frame and oneill_tensors (the
+    Christoffel symbols, Riemann tensor, semi-invariant frame Y and
+    O'Neill's T in the adapted basis X_i = d_ti - F_i^n d_zn, d_zk),
+    second (the second-order invariants, K_Xi and K_Xiperp by the
     Gauss-curvature propositions).
     Callers read them and never mutate them.
     """
@@ -162,7 +161,6 @@ class PointJets:
     q_gamma_root = _layer("invariants1", "q_gamma_root")
     fields = _layer("invariants1", "first_invariant_jets")
     stratum = _layer("metrics", "classify")
-    g4 = _layer("einstein", "four_metric")
     christoffel = _layer("einstein", "christoffel4")
     riemann = _layer("einstein", "riemann4")
     frame = _layer("invariants1", "frame")

@@ -1,9 +1,9 @@
 """Checks of the paper's results and of the pseudogroup law, built on the
 live pipeline: the Kundu constancy of A = sqrt|det h| (C . h), the
 O'Neill tensors A and T in the semi-invariant frame, the coordinate 4D
-curvature (the inverse 4-metric, the Christoffel symbols, the Riemann
-tensor and the sectional curvature of a plane of coordinate vectors),
-the oracle of the adapted frame's, the signature partials of one
+curvature (the 4-metric and its inverse, the Christoffel symbols, the
+Riemann tensor, the Ricci tensor and the sectional curvature of a plane
+of coordinate vectors), the oracle of the adapted frame's, the signature partials of one
 invariant along an invariant pair, the composition of two pseudogroup
 elements, and AST substitution, the reference for the parser's binding
 of t1, t2."""
@@ -74,9 +74,40 @@ def _form(a, g, b):
     return (a[:, None] @ g @ b[:, :, None])[:, 0, 0]
 
 
+# entry (i, j) of a symmetric 2x2 block as its position in the upper
+# triangle einstein.UPPER
+_MIRROR = np.array([[0, 1], [1, 2]])
+
+
+def four_metric(pj):
+    """The 4x4 block jet of the coordinate 4-metric in (t1, t2, z1, z2)
+    order, by 2x2 block jets: each entry the per-entry jet loop's,
+    diagonal blocks as upper triangles."""
+    part, i, j = jets.part, *einstein.UPPER
+    Ft = jets.block([pj.F[0::2], pj.F[1::2]])  # Ft[k, i] = f_i^k
+    h = jets.block([pj.h[:2], pj.h[1:]])
+    with np.errstate(all="ignore"):  # silent, as a PointJets layer is
+        # gt_ij + (f_ik f_jl) h_kl over (k, l), and f_ik h_kl over k
+        tt = jets.fold(jets.block(pj.gt), part(Ft, np.s_[:, None, i])
+                       * part(Ft, np.s_[None, :, j])
+                       * part(h, np.s_[:, :, None]), 2)
+        fh = part(Ft, np.s_[:, :, None]) * part(h, np.s_[:, None])
+        return einstein._symmetric(part(tt, _MIRROR),
+                                   part(fh, 0) + part(fh, 1), h)
+
+
+def ricci4(pj):
+    """The Ricci tensor in (t1, t2, z1, z2) components, E^T R E of the
+    frame's R_bd = R^a_bad, E[a, m] the frame components of d_m."""
+    ric, F = np.einsum("abad...->bd...", pj.riemann), [j.value for j in pj.F]
+    E = np.zeros_like(ric)  # d_ti = X_i + F_i^k d_zk
+    E[range(4), range(4)], E[2:, :2] = 1.0, [[F[0], F[2]], [F[1], F[3]]]
+    return np.einsum("am...,ab...,bn...->mn...", E, ric, E)
+
+
 def inverse_four_metric(pj):
     """The 4x4 block jet of the coordinate g^{ab}, of order pj.order - 1,
-    by 2x2 block jets as einstein.four_metric, by the block formula
+    by 2x2 block jets as four_metric, by the block formula
 
         g^-1 = [[gt^-1, -gt^-1 P^T], [-P gt^-1, h^-1 + P gt^-1 P^T]]
 
@@ -97,13 +128,13 @@ def inverse_four_metric(pj):
                        * part(gi, np.s_[:, :, None])
                        * part(F, np.s_[None, :, l]), 2)
         return einstein._symmetric(gi, -(part(gf, 0) + part(gf, 1)),
-                                   part(zz, einstein._MIRROR))
+                                   part(zz, _MIRROR))
 
 
 def coordinate_christoffel(pj):
     """The 4x4x4 block jet of the Christoffel symbols in (t1, t2, z1,
-    z2), of pj.order - 1, from pj.g4 and inverse_four_metric."""
-    return einstein._christoffel(pj.g4, inverse_four_metric(pj))
+    z2), of pj.order - 1, from four_metric and inverse_four_metric."""
+    return einstein._christoffel(four_metric(pj), inverse_four_metric(pj))
 
 
 def coordinate_riemann(pj):
@@ -114,9 +145,9 @@ def coordinate_riemann(pj):
 def sectional_curvature(pj, u, v, riemann=None):
     """K of the plane spanned by the coordinate 4-vectors u, v (each
     (4, B) on a batch), by the coordinate Riemann tensor (riemann, if
-    given) and pj.g4."""
+    given) and four_metric."""
     R = coordinate_riemann(pj) if riemann is None else riemann
-    g = einstein._stack(pj.g4.value, 2)
+    g = einstein._stack(four_metric(pj).value, 2)
     u, v = (np.asarray(x, dtype=float) for x in (u, v))
     # K = g(R(u, v) v, u) / (|u|^2 |v|^2 - g(u, v)^2), normalized so the
     # unit 2-sphere plane has K = +1
@@ -212,7 +243,7 @@ def oneill(pj):
     Y, ell = coordinate_frame(pj), frame_lengths(pj)
     _, Theta_C, _ = pj.oneill_tensors
     A, T = oneill_AT(pj)
-    g4 = pj.g4.value
+    g4 = four_metric(pj).value
 
     def expand(tensor):
         vec = np.einsum("dbc,ib,jc->dij", tensor, Y, Y)

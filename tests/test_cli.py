@@ -489,10 +489,8 @@ def test_relation_suite_underflow_is_one_error_line(tmp_path, capsys, points):
 
 def _big_f(tmp_path):
     """seed 3 under the z-shift psi^1 = 5e159 (t1^2 + t2^2): the same
-    invariants, but F of order 1e160 overflows the 4-metric, while gt,
-    h, the orbit-space layers and the frame, O'Neill's T and the 4D
-    curvature of the adapted basis, which read F only by its curl, stay
-    finite."""
+    invariants, and F of order 1e160, whose square overflows; no layer
+    reads F but to form its curl, which psi leaves as it is."""
     doc = catalog("random_analytic", {"seed": 3}).to_document()
     doc["components"]["F11"] += " + 1e160*t1"
     doc["components"]["F21"] += " + 1e160*t2"
@@ -501,8 +499,14 @@ def _big_f(tmp_path):
     return path
 
 
-def test_an_overflowing_four_metric_fails_only_the_reports_that_read_it(
-        tmp_path, capsys):
+def _seed3(tmp_path):
+    path = tmp_path / "seed3.json"
+    path.write_text(json.dumps(
+        catalog("random_analytic", {"seed": 3}).to_document()))
+    return path
+
+
+def test_an_f_whose_square_overflows_fails_no_report(tmp_path, capsys):
     path = _big_f(tmp_path)
     points = "--points=0.1,0.2;0.3,0.1"
     capsys.readouterr()
@@ -525,75 +529,77 @@ def test_an_overflowing_four_metric_fails_only_the_reports_that_read_it(
     first = json.loads(capsys.readouterr().out)["first_order"]
     assert first["pass"] and first["max_residual"] < 1e-14
     assert first["points"][0]["theta_II_T342_Qchi"] is not None
-    # the pushforward reads gt, h and the curl of F, which the z-shift
-    # leaves as they are: seed 3's report, with no warning
+    # the pushforward reads gt, h and the curl of F, and the Einstein
+    # residual and the on-shell suite the curvature of the adapted frame:
+    # seed 3's reports (not vacuum, exit 1, for the last two), with no
+    # warning
     tr = tmp_path / "tr.json"
     tr.write_text(json.dumps(random_transform(3).strings))
-    seed3 = tmp_path / "seed3.json"
-    seed3.write_text(json.dumps(
-        catalog("random_analytic", {"seed": 3}).to_document()))
-    capsys.readouterr()
-    assert run(["transform", str(seed3), str(tr), "--report-invariance",
-                points]) == 0
-    r = _module_run("transform", str(path), str(tr), "--report-invariance",
-                    points)
-    assert (r.returncode, r.stdout, r.stderr) \
-        == (0, capsys.readouterr().out, "")
+    seed3 = _seed3(tmp_path)
+    for argv, code in ((["transform", "{}", str(tr), "--report-invariance",
+                         points], 0),
+                       (["check-einstein", "{}", points, "--json"], 1),
+                       (["check-relations", "{}", "--onshell", points,
+                         "--json"], 1)):
+        capsys.readouterr()
+        assert run([a.format(seed3) for a in argv]) == code
+        r = _module_run(*(a.format(path) for a in argv))
+        assert (r.returncode, r.stdout, r.stderr) \
+            == (code, capsys.readouterr().out, ""), argv
 
 
-def test_an_overflow_in_second_derivatives_fails_only_the_curvature(
+def test_an_overflow_in_second_derivatives_of_f_fails_no_report(
         tmp_path, capsys):
-    # F11 = 1e155 t1 puts 2 (F11')^2 h11 ~ 2e310 in the 4-metric's second
-    # derivatives: the first-order suite and the frame's curvature read
-    # no 4-metric, and the suites pass; the Einstein residual of the
-    # on-shell suite and of check-einstein takes its scale from those
-    # derivatives and fails, never reading 0
-    path = _submersion_file(tmp_path, {
+    # F11 = 1e155 t1 would put 2 (F11')^2 h11 ~ 2e310 in the second
+    # derivatives of the coordinate 4-metric; it is the gradient of psi^1
+    # = 5e154 t1^2, so F11 = 0 has its curl, and every report, the
+    # Einstein residual's (not vacuum, exit 1) included, is F11 = 0's
+    components = {
         "gt11": "1 + t1^2", "gt12": "0.1*t2", "gt22": "2 + t2",
         "F11": "1e155*t1", "F12": "t1*t2", "F21": "sin(t1)", "F22": "t1",
-        "h11": "exp(t1)", "h12": "0.2*t1*t2", "h22": "-1 - t2^2"})
+        "h11": "exp(t1)", "h12": "0.2*t1*t2", "h22": "-1 - t2^2"}
+    path = _submersion_file(tmp_path, components)
+    (tmp_path / "base").mkdir()
+    base = _submersion_file(tmp_path / "base", {**components, "F11": "0"})
     capsys.readouterr()
     for points in ("--points=1e-155,0.5", "--points=1e-155,0.5;2e-155,0.6"):
+        for command, code in ((["check-relations", "--first", "--second"],
+                               0),
+                              (["check-relations", "--onshell"], 1),
+                              (["check-einstein"], 1)):
+            argv = [command[0], "{}", *command[1:], points, "--json"]
+            assert run([a.format(base) for a in argv]) == code
+            want = capsys.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run([a.format(path) for a in argv]) == code
+            assert capsys.readouterr() == want and want.err == "", argv
+        # check-einstein's report, the last
+        assert json.loads(want.out)["max_normalized"] > 1e-4
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check-einstein", "--json"], 1),
+    (["check-relations", "--first", "--json"], 0),
+    (["check-relations", "--onshell", "--json"], 1),
+    (["transform", "tr.json", "--report-invariance", "--json"], 0)])
+def test_an_f_whose_square_overflows_at_a_float_point_is_silent(
+        tmp_path, capsys, argv, code):
+    # one point runs alone, on Python floats, which overflow silently: no
+    # report reads F but by its curl, so each report is seed 3's, with no
+    # warning and no error, the Einstein residual's (not vacuum) included
+    (tmp_path / "tr.json").write_text(json.dumps(random_transform(3).strings))
+    got = []
+    for path in (_seed3(tmp_path), _big_f(tmp_path)):
+        capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run(["check-relations", path, "--first", "--second",
-                        points, "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["pass"]
-    for command in (["check-relations", "--onshell"], ["check-einstein"]):
-        assert run([command[0], path, *command[1:],
-                    "--points=1e-155,0.5"]) == 2
-        assert capsys.readouterr().err == (
-            "error: singular evaluation in 'residual' at value inf "
-            "(non-finite scale)\n"), command
-
-
-@pytest.mark.parametrize("argv, code, err", [
-    (["check-einstein"], 2, "'residual' at value nan (invalid value "
-     "encountered in multiply)"),
-    (["check-relations", "--first", "--json"], 0, None),
-    (["check-relations", "--onshell"], 2, "'residual' at value nan "
-     "(invalid value encountered in multiply)"),
-    (["transform", "tr.json", "--report-invariance", "--json"], 0, None)])
-def test_the_overflowing_four_metric_at_a_float_point_is_silent(
-        tmp_path, capsys, argv, code, err):
-    # one point runs alone, on Python floats, which overflow silently:
-    # the block arithmetic of the 4-metric warns nowhere, and each report
-    # ends as its per-entry arithmetic made it end; the Einstein
-    # residual, the one reader of the 4-metric's F^2, fails by name, and
-    # the first-order suite and the pushforward read none of them
-    path = _big_f(tmp_path)
-    (tmp_path / "tr.json").write_text(json.dumps(random_transform(3).strings))
-    argv = [argv[0], str(path), *(str(tmp_path / a) if a == "tr.json" else a
-                                  for a in argv[1:]), "--points=0.1,0.2"]
-    capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run(argv) == code
-    got = capsys.readouterr()
-    if code == 0:
-        assert got.err == "" and json.loads(got.out)["pass"]
-    else:
-        assert got.err == f"error: singular evaluation in {err}\n"
+            assert run([argv[0], str(path), *(
+                str(tmp_path / a) if a == "tr.json" else a
+                for a in argv[1:]), "--points=0.1,0.2"]) == code
+        got.append(capsys.readouterr())
+    assert got[1] == got[0] and got[0].err == ""
+    assert json.loads(got[0].out)["pass"] == (code == 0)
 
 
 # flat but for the entries given, and the three reproducers that numpy

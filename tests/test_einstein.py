@@ -1,12 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from g2inv import catalog, einstein, jets, load_metric, point_jets
+from g2inv.errors import SingularEvaluationError
 from g2inv.metrics import CATALOG_NAMES, default_domain, grid_points
 from paper_checks import (coordinate_christoffel, coordinate_riemann,
-                          inverse_four_metric, kundu_A,
+                          four_metric, inverse_four_metric, kundu_A, ricci4,
                           riemann_sectional_curvatures, sectional_curvature)
 
 Z = {k: "0" for k in ("b11", "b12", "b22", "f11", "f12", "f21", "f22",
@@ -14,7 +16,7 @@ Z = {k: "0" for k in ("b11", "b12", "b22", "f11", "f12", "f21", "f22",
 
 
 def test_four_metric_flat_is_identity():
-    g = point_jets(catalog("flat"), (0.5, 0.5)).g4.value
+    g = four_metric(point_jets(catalog("flat"), (0.5, 0.5))).value
     assert np.allclose(g, np.eye(4))
 
 
@@ -22,7 +24,7 @@ def test_four_metric_blocks_match_expressions():
     m = catalog("vdb")
     from g2inv.expr import eval_scalar
     pt = (0.5, 1.0)
-    g = point_jets(m, pt).g4.value
+    g = four_metric(point_jets(m, pt)).value
     vals = {k: eval_scalar(m.asts[k], m.params, pt) for k in m.components}
     assert g[0, 0] == pytest.approx(vals["b11"], rel=1e-13)
     assert g[0, 2] == pytest.approx(vals["f11"], rel=1e-13)
@@ -31,7 +33,7 @@ def test_four_metric_blocks_match_expressions():
 
 def test_inverse_four_metric():
     pj = point_jets(catalog("vdb"), (0.7, 1.1))
-    g = pj.g4.value
+    g = four_metric(pj).value
     gi = inverse_four_metric(pj).value
     assert np.allclose(g @ gi, np.eye(4), atol=1e-12)
 
@@ -42,7 +44,7 @@ def _curvature(pj, route):
     blockdiag(gt, h)."""
     if route == "coordinate":
         gamma = coordinate_christoffel(pj)
-        return pj.g4, gamma, einstein._riemann(gamma)
+        return four_metric(pj), gamma, einstein._riemann(gamma)
     gt, h = (jets.block([m[:2], m[1:]]) for m in (pj.gt, pj.h))
     return einstein._symmetric(gt, 0.0 * gt, h), pj.christoffel, pj.riemann
 
@@ -95,7 +97,7 @@ def test_sphere_block_curvature():
     doc = dict(name="s2xe2", form="bfh", params={}, components={
         **Z, "b11": "1", "b22": "1", "h11": "sin(t1)^2", "h22": "1"})
     pj = point_jets(load_metric(doc), (0.7, 0.2))
-    ric = einstein.ricci4(pj)
+    ric = ricci4(pj)
     assert ric[0, 0] == pytest.approx(1.0, rel=1e-12)
     assert ric[2, 2] == pytest.approx(math.sin(0.7) ** 2, rel=1e-12)
     assert sectional_curvature(pj, (1, 0, 0, 0), (0, 0, 1, 0)) \
@@ -115,10 +117,30 @@ def test_schwarzschild_is_ricci_flat():
         assert res["normalized"] < 1e-12
 
 
+@pytest.mark.parametrize("point", [
+    (0.6, 1.1), (np.array([0.6, 0.8]), np.array([1.1, 1.3]))],
+    ids=["point", "batch"])
+def test_a_nan_jet_is_a_non_finite_residual(point):
+    # a PointJets built by hand, unchecked, whose h11 holds a NaN second
+    # derivative: the curvature carries it without a floating-point
+    # error, and the residual names it instead of reporting NaN
+    pj = point_jets(catalog("vdb"), point)
+    c = pj.h[0].coeffs
+    h11 = jets._jet(2, (*c[:5], c[5] * np.nan))
+    with pytest.raises(SingularEvaluationError, match=r"^singular "
+                       r"evaluation in 'residual' at value nan "
+                       r"\(non-finite max_abs\)$"):
+        einstein.residual(dataclasses.replace(pj, h=(h11, *pj.h[1:])), 0.0)
+
+
 def test_residual_matrix_symmetric():
+    # the coordinate residual, and the frame's Ricci tensor, which the
+    # live residual reads
     pj = point_jets(catalog("lambda_kundu"), (0.9, 0.1))
-    mat = einstein.ricci4(pj) - 3.0 * pj.g4.value
+    mat = ricci4(pj) - 3.0 * four_metric(pj).value
     assert np.max(np.abs(mat - mat.T)) < 1e-12
+    ric = np.einsum("abad->bd", pj.riemann)
+    assert np.max(np.abs(ric - ric.T)) < 1e-12
 
 
 @pytest.mark.parametrize("name,lam", [
@@ -148,7 +170,7 @@ def test_vdb_is_not_vacuum_but_einstein_scalar():
     these components; this test pins the exact obstruction."""
     m = catalog("vdb")
     for pt in [(0.5, 1.0), (0.9, 1.3)]:
-        ric = einstein.ricci4(point_jets(m, pt))
+        ric = ricci4(point_jets(m, pt))
         expected = np.zeros((4, 4))
         expected[1, 1] = 4.0 / math.sinh(pt[1]) ** 2
         assert np.max(np.abs(ric - expected)) < 1e-9 * np.max(expected)
@@ -163,8 +185,8 @@ def test_divergence_of_einstein_tensor():
 
     def einstein_tensor_mixed(p):
         pj = point_jets(m, p)
-        g = pj.g4.value
-        ric = einstein.ricci4(pj)
+        g = four_metric(pj).value
+        ric = ricci4(pj)
         gi = np.linalg.inv(g)
         sc = np.tensordot(gi, ric)
         return gi @ ric - 0.5 * sc * np.eye(4), pj
@@ -303,11 +325,11 @@ def test_frame_curvature_is_the_coordinate_oracle(batch):
         pts = grid_points(default_domain(m), 2, 3, margin=0.1)
         if batch:
             pj = point_jets(m, tuple(map(np.array, zip(*pts))))
-            ric, Ks = einstein.ricci4(pj), einstein.sectional_curvatures(pj)
+            ric, Ks = ricci4(pj), einstein.sectional_curvatures(pj)
             got = [(ric[..., k], *(K[k] for K in Ks))
                    for k in range(len(pts))]
         else:
-            got = [(einstein.ricci4(pj), *einstein.sectional_curvatures(pj))
+            got = [(ricci4(pj), *einstein.sectional_curvatures(pj))
                    for pj in (point_jets(m, pt) for pt in pts)]
         for pt, (ric, K_Xi, K_Xiperp) in zip(pts, got):
             pj = point_jets(m, pt)
@@ -401,7 +423,7 @@ def test_block_metric_layers_are_the_per_entry_loops_bit_for_bit(order):
     for m, points in block_layer_points():
         for point in points:
             pj = point_jets(m, point, order=order)
-            assert _same_bits(np.array(pj.g4.coeffs),
+            assert _same_bits(np.array(four_metric(pj).coeffs),
                               _array(_nested_four_metric(pj)))
             assert _same_bits(np.array(inverse_four_metric(pj).coeffs),
                               _array(_nested_inverse_four_metric(pj)))
@@ -470,7 +492,7 @@ def test_curvature_matches_the_nested_jet_loops():
         want = np.array([[[[j.coeffs[k] for j in row] for row in plane]
                           for plane in nested]
                          for k in range(len(nested[0][0][0].coeffs))])
-        assert _same_bits(np.array(pj.g4.coeffs),
+        assert _same_bits(np.array(four_metric(pj).coeffs),
                           _array(_nested_four_metric(pj)))
         assert _rel_err(np.array(coordinate_christoffel(pj).coeffs),
                         want) <= 1e-13

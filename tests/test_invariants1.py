@@ -14,7 +14,7 @@ from g2inv.invariants1 import (FUNDAMENTAL_IDS, RANK_STEP, _invariant_vector,
 from g2inv.metrics import (CATALOG_NAMES, assemble, default_domain,
                            grid_points)
 from paper_checks import (FrameRequiredError, coordinate_frame,
-                          frame_lengths, oneill, oneill_AT)
+                          four_metric, frame_lengths, oneill, oneill_AT)
 
 
 def vdb_closed_forms(t1, t2):
@@ -175,7 +175,7 @@ def test_frame_orthogonality_and_lengths_vdb():
         assert ell[1] == pytest.approx(-0.25 * C_rho, rel=1e-10)
         assert ell[2] == pytest.approx(ell_C, rel=1e-10)
         assert ell[3] == pytest.approx(ell_C, rel=1e-10)
-        g4 = pj.g4.value
+        g4 = four_metric(pj).value
         scale = max(abs(ell[0]), abs(ell[2]))
         for i in range(4):
             for j in range(i + 1, 4):
@@ -213,7 +213,7 @@ def test_oneill_frame_components_vdb():
     assert od.A_frame[2][0][1] == pytest.approx(-0.5 * ell_H, rel=1e-9)
     assert od.A_frame[2][1][0] == pytest.approx(0.5 * ell_H, rel=1e-9)
     # Theta_II = 4 ell_C T^(3)_(3)(2) and = 4 g(T, C)
-    g4 = pj.g4.value
+    g4 = four_metric(pj).value
     Y = frame(pj)
     assert jv["Theta_II"].value == pytest.approx(
         4.0 * ell_C * od.T_frame[2][2][1], rel=1e-9)

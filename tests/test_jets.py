@@ -368,10 +368,12 @@ def reference_divide(num, g, order):
 
 
 def _flat_bits(x):
-    """The bits of every number in a layer (records, dicts and arrays
-    walked in order; None kept as None)."""
+    """The bits of every number in a layer (records, dicts, jets and
+    arrays walked in order; None kept as None)."""
     if x is None:
         return [None]
+    if isinstance(x, jets.Jet2):
+        x = x.coeffs
     if dataclasses.is_dataclass(x):
         x = vars(x)
     if isinstance(x, dict):

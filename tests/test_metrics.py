@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,7 +14,8 @@ from g2inv.errors import (MetricDefinitionError, SingularEvaluationError,
                           SingularMetricError)
 from g2inv.metrics import CATALOG_NAMES, default_domain, grid_points
 from g2inv.transform import apply_to_metric, make_transform
-from paper_checks import substitute
+from paper_checks import four_metric, substitute
+from test_jets import _flat_bits
 
 FLAT_DOC = {
     "name": "flat", "form": "bfh", "params": {},
@@ -90,7 +92,7 @@ def test_det_identity_four_metric():
     for _ in range(10):
         pt = (rng.uniform(0.3, 1.2), rng.uniform(0.7, 1.5))
         pj = point_jets(m, pt, order=1)
-        g4 = pj.g4.value
+        g4 = four_metric(pj).value
         lhs = np.linalg.det(g4)
         rhs = pj.det_gt.value * pj.det_h.value
         assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -101,7 +103,7 @@ def test_bfh_roundtrip():
     m = catalog("vdb")
     from g2inv.expr import eval_scalar
     for pt in [(0.5, 1.0), (0.9, 1.3)]:
-        g4 = point_jets(m, pt, order=1).g4.value
+        g4 = four_metric(point_jets(m, pt, order=1)).value
         for key, (a, b) in (("b11", (0, 0)), ("b12", (0, 1)),
                             ("b22", (1, 1)), ("f11", (0, 2)),
                             ("f12", (0, 3)), ("f21", (1, 2)),
@@ -360,7 +362,6 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
                          (invariants1, "first_invariant_jets"),
                          (invariants1, "frame"),
                          (invariants1, "oneill_tensors"),
-                         (einstein, "four_metric"),
                          (einstein, "christoffel4"),
                          (einstein, "riemann4"),
                          (invariants2, "second_invariants_from_jets"),
@@ -449,9 +450,8 @@ def test_each_layer_is_computed_once_per_point(monkeypatch, tmp_path):
 
     assert {name for name, _ in calls} == {
         "fundamental_jets", "derivations", "q_gamma_root",
-        "first_invariant_jets", "frame", "oneill_tensors", "four_metric",
-        "christoffel4", "riemann4", "second_invariants_from_jets",
-        "classify"}
+        "first_invariant_jets", "frame", "oneill_tensors", "christoffel4",
+        "riemann4", "second_invariants_from_jets", "classify"}
     assert max(calls.values()) == 1, calls.most_common(3)
 
 
@@ -488,15 +488,13 @@ def test_commands_that_report_only_the_fundamentals_build_no_fields(
 def test_only_the_relation_suites_build_the_fields_and_the_4d_curvature(
         monkeypatch, tmp_path):
     # the second-order invariants (K_Xi and K_Xiperp from the
-    # Gauss-curvature propositions) and the frame Y read no 4-metric and,
-    # beside the fundamentals, only X and Xperp of the first-order fields;
-    # only the Einstein residual and the on-shell Gauss equality read the
-    # 4D curvature, only the residual the 4-metric, and only the
-    # first-order suite the other first-order fields (the on-shell suite
-    # reads q_gamma_root, its own layer)
+    # Gauss-curvature propositions) and the frame Y read, beside the
+    # fundamentals, only X and Xperp of the first-order fields; only the
+    # Einstein residual and the on-shell Gauss equality read the 4D
+    # curvature, and only the first-order suite the other first-order
+    # fields (the on-shell suite reads q_gamma_root, its own layer)
     calls = Counter()
-    for module, name in ((einstein, "four_metric"),
-                         (einstein, "christoffel4"), (einstein, "riemann4"),
+    for module, name in ((einstein, "christoffel4"), (einstein, "riemann4"),
                          (invariants1, "first_invariant_jets")):
         def counting(pj, name=name, fn=getattr(module, name)):
             calls[name] += 1
@@ -522,7 +520,7 @@ def test_only_the_relation_suites_build_the_fields_and_the_4d_curvature(
         assert not calls, (argv, calls)
     lk = tmp_path / "lk.json"
     lk.write_text(json.dumps(catalog("lambda_kundu").to_document()))
-    curvature = {"four_metric", "christoffel4", "riemann4"}
+    curvature = {"christoffel4", "riemann4"}
     # the two points are one batch, so a layer they read is built once
     for argv, want in (
             (["check-einstein", str(lk), "--lambda", "3", *points, *out],
@@ -540,11 +538,11 @@ def test_only_the_relation_suites_build_the_fields_and_the_4d_curvature(
 
 def test_the_first_order_suite_builds_no_4d_layer(monkeypatch, tmp_path):
     # the first-order suite takes T from its closed form in dh and g(., C)
-    # from h: --first and --first --second build no 4-metric, Christoffel
-    # symbols or Riemann tensor; --onshell builds each once, on the
-    # order-2 PointJets of the three points as one batch
+    # from h: --first and --first --second build no Christoffel symbols
+    # or Riemann tensor; --onshell builds each once, on the order-2
+    # PointJets of the three points as one batch
     built = []
-    for name in ("four_metric", "christoffel4", "riemann4"):
+    for name in ("christoffel4", "riemann4"):
         def recording(pj, name=name, fn=getattr(einstein, name)):
             built.append((name, pj.order, np.shape(pj.point[0])))
             return fn(pj)
@@ -560,8 +558,31 @@ def test_the_first_order_suite_builds_no_4d_layer(monkeypatch, tmp_path):
         assert built == [], extra
     assert cli.run([*argv, "--second", "--onshell"]) == 0
     assert sorted(built) == [
-        (name, 2, (3,)) for name in ("christoffel4", "four_metric",
-                                     "riemann4")]
+        (name, 2, (3,)) for name in ("christoffel4", "riemann4")]
+
+
+def _read_without_f(pj):
+    """The bits of every layer and every report row of pj's jets."""
+    return _flat_bits([
+        pj.fundamentals, pj.second, pj.frame, pj.oneill_tensors,
+        pj.christoffel, pj.riemann, einstein.residual(pj, 3.0),
+        einstein.onshell_relations(pj, 3.0), invariants1.relations_first(pj),
+        invariants2.relations_second(pj)])
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["point", "batch"])
+@pytest.mark.parametrize("name, points", [
+    ("vdb", ((0.6, 1.1), (0.8, 1.3))),
+    ("lambda_kundu", ((0.7, -0.2), (0.9, 0.1))),
+    ("random_analytic", ((0.1, 0.2), (0.3, 0.1)))])
+def test_f_is_read_only_to_form_its_curl(name, points, batch):
+    # every layer and report reads F by its curl alone, as a
+    # pushforward's PointJets, whose F is None, must
+    m = catalog(name, {"seed": 3} if name == "random_analytic" else None)
+    point = tuple(map(np.array, zip(*points))) if batch else points[0]
+    pj = point_jets(m, point)
+    assert _read_without_f(dataclasses.replace(pj, F=None)) \
+        == _read_without_f(pj)
 
 
 def _call_nodes(m):

@@ -27,8 +27,8 @@ from g2inv.invariants1 import (_invariant_vector, _pack, _unpack,
                                random_point_jets)
 from g2inv.metrics import CATALOG_NAMES, default_domain, grid_points
 from g2inv.transform import apply_to_metric, make_transform
-from paper_checks import (frame_lengths, riemann_sectional_curvatures,
-                          substitute)
+from paper_checks import (four_metric, frame_lengths, ricci4,
+                          riemann_sectional_curvatures, substitute)
 from test_jets import reference_divide, reference_mul
 
 SETTINGS = settings(max_examples=200, deadline=None)
@@ -469,7 +469,7 @@ def _array(layer):
 
 def _assert_columns_are_points(batch, points):
     """Every layer of the batch, column k, has the bits of points[k]."""
-    layers = ["g4", "christoffel", "frame"] + ["riemann"] * (batch.order >= 2)
+    layers = ["christoffel", "frame"] + ["riemann"] * (batch.order >= 2)
     ell = frame_lengths(batch)
     for k, pj in enumerate(points):
         for key, jet in pj.fields.items():
@@ -480,6 +480,8 @@ def _assert_columns_are_points(batch, points):
         for layer in layers:
             assert _bits(_column(_array(getattr(batch, layer)), k)) \
                 == _bits(_array(getattr(pj, layer))), layer
+        assert _bits(_column(_array(four_metric(batch)), k)) \
+            == _bits(_array(four_metric(pj))), "four_metric"
         assert _bits(_column(ell, k)) == _bits(frame_lengths(pj)), "ell"
         assert [_bits(_column(x, k)) for x in batch.oneill_tensors] \
             == [_bits(x) for x in pj.oneill_tensors], "oneill_tensors"
@@ -498,8 +500,12 @@ def _assert_columns_are_points(batch, points):
                     einstein.sectional_curvatures(batch)] \
                 == [_bits(K) for K in einstein.sectional_curvatures(pj)], \
                 "frame K"
-            assert _bits(_column(einstein.ricci4(batch), k)) \
-                == _bits(einstein.ricci4(pj)), "ricci4"
+            assert _bits(_column(ricci4(batch), k)) \
+                == _bits(ricci4(pj)), "ricci4"
+            assert {key: _bits(_column(x, k)) for key, x in
+                    einstein.residual(batch, 3.0).items()} \
+                == {key: _bits(x) for key, x in
+                    einstein.residual(pj, 3.0).items()}, "residual"
 
 
 def _batch(points):

@@ -30,7 +30,11 @@ and ``check-relations GAUGE --onshell --lambda 3 --points=P``: GAUGE is
 lambda_kundu under the z-shift psi^1 = 1e4 (t1 + t2), CHECKOUT's
 ``apply_to_metric`` image written into the directory, and P three points
 of its domain.  A Lambda-vacuum metric in a large psi gauge passes both
-only where the 4D curvature reads F through its curl alone.  Then
+only where the 4D curvature reads F through its curl alone.  Next comes
+``check-einstein VDB --points=V``: VDB is vdb under psi^1 = 1e8 (t1 +
+t2), built as GAUGE is, and V three points of its domain.  vdb is not
+vacuum, and fails that check in every psi gauge only where the Einstein
+residual and its scale read no F.  Then
 ``equiv SHIFT SEED3 --grid 6`` and ``transform SHIFT TRANSFORM
 --report-invariance --points=Q``: SEED3 is random_analytic seed 3, SHIFT
 the same document under the z-shift psi^1 = (s/2)(t1^2 + t2^2) at s =
@@ -78,11 +82,14 @@ CATALOG_PARAMS = (("ppwave2", "c=3"), ("ppwave3", "c=0.5"),
                   ("lambda_kundu_c0", "Lambda=1"),
                   ("random_analytic", "seed=7"))
 CATALOG_MALFORMED = (("ppwave2", "c"), ("random_analytic", "seed=1.5"))
-# the gauge cases: lambda_kundu under psi^1 = 1e4 (t1 + t2), checked at
-# three points of its domain, and random_analytic seed 3 under psi^1 =
-# (s/2)(t1^2 + t2^2) at s = 1e12, at three points of its domain
+# the gauge cases: lambda_kundu under psi^1 = 1e4 (t1 + t2) and vdb
+# under psi^1 = 1e8 (t1 + t2), each checked at three points of its
+# domain, and random_analytic seed 3 under psi^1 = (s/2)(t1^2 + t2^2) at
+# s = 1e12, at three points of its domain
 GAUGE_PSI = "10000.0*(t1 + t2)"
 GAUGE_ARGS = ("--lambda", "3", "--points=0.7,-0.2;0.9,0.1;1.2,0.3")
+VDB_GAUGE_PSI = "100000000.0*(t1 + t2)"
+VDB_GAUGE_POINTS = "--points=0.6,1.1;0.8,0.9;1.0,1.3"
 SHIFT = 1e12
 SHIFT_POINTS = "--points=0.1,0.2;0.3,0.1;-0.2,0.25"
 
@@ -143,18 +150,23 @@ def _param_argv(name, *items):
 
 def _gauge_files(directory):
     """Write the gauge cases' documents into directory, built by
-    CHECKOUT's g2inv: lambda_kundu under the z-shift GAUGE_PSI, as
-    apply_to_metric builds it, random_analytic seed 3, the same under
-    the z-shift of scale SHIFT, and random_transform(3); their paths."""
+    CHECKOUT's g2inv: lambda_kundu under the z-shift GAUGE_PSI and vdb
+    under VDB_GAUGE_PSI, as apply_to_metric builds them, random_analytic
+    seed 3, the same under the z-shift of scale SHIFT, and
+    random_transform(3); their paths."""
     from g2inv import metrics, transform
-    image = transform.apply_to_metric(
-        metrics.catalog("lambda_kundu"), transform.make_transform(
-            "t1", "t2", GAUGE_PSI, "0", [[1.0, 0.0], [0.0, 1.0]]))
+
+    def image(name, psi):
+        return transform.apply_to_metric(
+            metrics.catalog(name), transform.make_transform(
+                "t1", "t2", psi, "0", [[1.0, 0.0], [0.0, 1.0]])
+        ).to_document()
     seed3 = metrics.catalog("random_analytic", {"seed": 3})
     seed3, shifted = seed3.to_document(), seed3.to_document()
     shifted["components"]["F11"] += f" + {SHIFT!r}*t1"
     shifted["components"]["F21"] += f" + {SHIFT!r}*t2"
-    docs = {"kundu": ("lambda_kundu-gauge", image.to_document()),
+    docs = {"kundu": ("lambda_kundu-gauge", image("lambda_kundu", GAUGE_PSI)),
+            "vdb": ("vdb-gauge", image("vdb", VDB_GAUGE_PSI)),
             "seed3": ("random_analytic_3", seed3),
             "shift": ("random_analytic_3-shift", shifted),
             "transform": ("random_transform_3",
@@ -205,6 +217,7 @@ def _rank_argvs(domains, directory, gauge):
                  "--onshell", f"--points={centre}"])]
             + [["check-einstein", gauge["kundu"], *GAUGE_ARGS],
                ["check-relations", gauge["kundu"], "--onshell", *GAUGE_ARGS],
+               ["check-einstein", gauge["vdb"], VDB_GAUGE_POINTS],
                ["equiv", gauge["shift"], gauge["seed3"], "--grid", "6"],
                ["transform", gauge["shift"], gauge["transform"],
                 "--report-invariance", SHIFT_POINTS]])
